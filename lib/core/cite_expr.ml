@@ -26,44 +26,54 @@ let compare_leaf a b =
         a.params b.params
   | c -> c
 
-let rec compare a b =
-  let tag = function
-    | Leaf _ -> 0
-    | Joint _ -> 1
-    | Alt _ -> 2
-    | AltR _ -> 3
-    | Agg _ -> 4
-  in
-  match (a, b) with
-  | Leaf la, Leaf lb -> compare_leaf la lb
-  | Joint xs, Joint ys
-  | Alt xs, Alt ys
-  | AltR xs, AltR ys
-  | Agg xs, Agg ys ->
-      List.compare compare xs ys
-  | a, b -> Int.compare (tag a) (tag b)
+let tag = function
+  | Leaf _ -> 0
+  | Joint _ -> 1
+  | Alt _ -> 2
+  | AltR _ -> 3
+  | Agg _ -> 4
 
-let rec normalize e =
-  let flatten same children =
-    List.concat_map
-      (fun c ->
-        match (same, normalize c) with
-        | `Joint, Joint xs | `Alt, Alt xs | `AltR, AltR xs | `Agg, Agg xs ->
-            xs
-        | _, c -> [ c ])
-      children
-  in
-  let clean same mk children =
-    let xs = flatten same children in
-    let xs = List.sort_uniq compare xs in
-    match xs with [ x ] -> x | xs -> mk xs
-  in
+let rec compare a b =
+  if a == b then 0
+  else
+    match (a, b) with
+    | Leaf la, Leaf lb -> compare_leaf la lb
+    | Joint xs, Joint ys
+    | Alt xs, Alt ys
+    | AltR xs, AltR ys
+    | Agg xs, Agg ys ->
+        List.compare compare xs ys
+    | a, b -> Int.compare (tag a) (tag b)
+
+let with_children e xs =
   match e with
   | Leaf _ -> e
-  | Joint xs -> clean `Joint (fun xs -> Joint xs) xs
-  | Alt xs -> clean `Alt (fun xs -> Alt xs) xs
-  | AltR xs -> clean `AltR (fun xs -> AltR xs) xs
-  | Agg xs -> clean `Agg (fun xs -> Agg xs) xs
+  | Joint _ -> Joint xs
+  | Alt _ -> Alt xs
+  | AltR _ -> AltR xs
+  | Agg _ -> Agg xs
+
+(* One level of normalization: the children are already normal, so a
+   child is only ever flattened into a parent of the same operator. *)
+let normalize_node e =
+  match e with
+  | Leaf _ -> e
+  | Joint xs | Alt xs | AltR xs | Agg xs -> (
+      let xs =
+        List.concat_map
+          (fun c ->
+            match c with
+            | (Joint ys | Alt ys | AltR ys | Agg ys) when tag c = tag e -> ys
+            | _ -> [ c ])
+          xs
+      in
+      match List.sort_uniq compare xs with [ x ] -> x | xs -> with_children e xs)
+
+let rec normalize e =
+  match e with
+  | Leaf _ -> e
+  | Joint xs | Alt xs | AltR xs | Agg xs ->
+      normalize_node (with_children e (List.map normalize xs))
 
 let rec collect_leaves acc = function
   | Leaf l -> l :: acc

@@ -33,6 +33,12 @@ val normalize : t -> t
     wrappers, deduplicates and sorts operands.  Two expressions denoting
     the same tree up to those laws normalize identically. *)
 
+val normalize_node : t -> t
+(** [normalize] of an expression whose children are already normal:
+    only the root is flattened, deduplicated and sorted, so building a
+    normal expression bottom-up costs one pass per node instead of
+    re-normalizing every subtree at every level. *)
+
 val leaves : t -> leaf list
 (** Distinct leaves, sorted. *)
 

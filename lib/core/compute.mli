@@ -41,3 +41,36 @@ val tuple_expr :
   Cite_expr.t
 
 val result_expr : Cite_expr.t list -> Cite_expr.t
+
+(** {1 Projected computation}
+
+    The same expressions, computed from only what they depend on.  A
+    binding's expression reads the values of the variables that fill
+    view parameters, nothing else, so a {!template} of a rewriting
+    lists those variables once; the evaluator then returns their
+    distinct valuations per tuple ({!Dc_cq.Eval.run_projected}).  When
+    no cited atom has a variable parameter (unparameterized views such
+    as the paper's [V2]/[V3], constant parameters, or an uncovered
+    query cited as itself) the per-tuple expression does not depend on
+    the data at all: it is decided from the schema alone (paper §3,
+    "Calculating citations") and the template carries it ready-made. *)
+
+type template
+
+val template : Citation_view.Set.t -> Dc_cq.Query.t -> template
+
+val rewriting : template -> Dc_cq.Query.t
+
+val vars : template -> string list
+(** The distinct variables that fill a view parameter, in order of
+    first occurrence; the projection arrays follow this order. *)
+
+val projected_expr :
+  (template * Dc_relational.Value.t array list) list -> Cite_expr.t
+(** The {e normalized} {!tuple_expr} of one tuple, given for each
+    rewriting producing it the distinct projections of its bindings on
+    the template's [vars].  Equal to
+    [Cite_expr.normalize (tuple_expr cviews per_rewriting)] over the
+    full bindings; every node is normalized once, as it is built.  For
+    a single data-independent rewriting ([vars] empty) it returns the
+    template's one expression, physically the same for every tuple. *)

@@ -47,12 +47,14 @@ type t = {
   fallback_contained : bool;
   leaf_cache : (string, Citation.t) Hashtbl.t;
   eval_cache : Cq.Eval.cache;
+  stats : R.Stats.t;
+      (** column statistics behind the [`Min_estimated_size] choice *)
   plans : plan_cache;
   metrics : Metrics.t;
   (* Optional domain pool: when present, the rewriting search inside
      [plan_for] verifies candidates in parallel across its domains. *)
   pool : Dc_parallel.Domain_pool.t option;
-  (* Guards every shared mutable cache (plan, leaf, eval) so one engine
+  (* Guards every shared mutable cache (plan, leaf, eval, stats) so one engine
      can serve concurrent threads (the server's worker pool).  [refresh]
      and [with_databases] copies share the caches, hence also the lock;
      [replicate] shards get fresh caches and a fresh lock. *)
@@ -133,6 +135,7 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     fallback_contained;
     leaf_cache = Hashtbl.create 64;
     eval_cache;
+    stats = R.Stats.create ();
     (* the plan cache is keyed by the view set, which is fixed at
        creation: a fresh engine (possibly with different views) always
        starts cold *)
@@ -179,6 +182,7 @@ let replicate e =
     e with
     leaf_cache = Hashtbl.create 64;
     eval_cache = Cq.Eval.make_cache ();
+    stats = R.Stats.create ();
     plans = { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
     lock = Mutex.create ();
   }
@@ -291,9 +295,84 @@ let select e rewritings =
   match (e.selection, rewritings) with
   | `All, _ | _, ([] | [ _ ]) -> rewritings
   | `Min_estimated_size, rs ->
-      Option.to_list (Rw.Cost.choose_min_size e.full e.views rs)
+      locked e (fun () ->
+          Option.to_list
+            (Rw.Cost.choose_min_size ~stats:e.stats e.full e.views rs))
   | `Min_exact_size, rs ->
       Option.to_list (Rw.Cost.choose_min_size ~exact:true e.full e.views rs)
+
+(* One resolver per cite (or per maintenance step): each distinct leaf
+   takes the engine lock and the shared cache once, however many tuples
+   cite it. *)
+let leaf_resolver e =
+  let memo = Hashtbl.create 16 in
+  fun (l : Cite_expr.leaf) ->
+    match Hashtbl.find_opt memo l with
+    | Some c -> c
+    | None ->
+        let c = resolve_leaf e l in
+        Hashtbl.add memo l c;
+        c
+
+let tuple_citation ~resolve e tuple expr =
+  { tuple; expr; citations = Policy.eval_normal ~resolve e.policy expr }
+
+let aggregate ~resolve e tuples =
+  let result_expr =
+    Cite_expr.normalize_node
+      (Cite_expr.agg (List.map (fun t -> t.expr) tuples))
+  in
+  (result_expr, Policy.eval_normal ~resolve e.policy result_expr)
+
+(* Linear merge of runs sorted by tuple: each step takes the least head
+   tuple together with the run heads equal to it. *)
+let merge_runs runs =
+  let rec go acc runs =
+    match List.filter (fun (_, l) -> l <> []) runs with
+    | [] -> List.rev acc
+    | runs ->
+        let least =
+          List.fold_left
+            (fun m (_, l) ->
+              let t = fst (List.hd l) in
+              if R.Tuple.compare t m < 0 then t else m)
+            (fst (List.hd (snd (List.hd runs))))
+            runs
+        in
+        let contribs, runs =
+          List.fold_right
+            (fun (x, l) (cs, rs) ->
+              match l with
+              | (t, ps) :: rest when R.Tuple.equal t least ->
+                  ((x, ps) :: cs, (x, rest) :: rs)
+              | _ -> (cs, (x, l) :: rs))
+            runs ([], [])
+        in
+        go ((least, contribs) :: acc) runs
+  in
+  go [] runs
+
+(* Per-tuple citations from the per-rewriting runs of (template, tuples
+   with their projections).  A data-independent rewriting hands every
+   tuple its template's one expression, physically shared, so a run of
+   tuples carrying it shares one policy evaluation. *)
+let assemble ~resolve e runs =
+  let merged =
+    match runs with
+    | [ (t, groups) ] -> List.map (fun (tuple, ps) -> (tuple, [ (t, ps) ])) groups
+    | runs -> merge_runs runs
+  in
+  let last = ref None in
+  List.map
+    (fun (tuple, contribs) ->
+      let expr = Compute.projected_expr contribs in
+      match !last with
+      | Some (x, citations) when x == expr -> { tuple; expr; citations }
+      | _ ->
+          let tc = tuple_citation ~resolve e tuple expr in
+          last := Some (expr, tc.citations);
+          tc)
+    merged
 
 (* Rewritings are evaluated over the materialized views merged with the
    base and derived relations: a partial rewriting's uncovered subgoals
@@ -417,38 +496,22 @@ let cite e query =
       | disjuncts, _ -> (disjuncts, false)
     else ([ Cq.Query.strip_params query ], true)
   in
-  let per_tuple =
+  let templates = List.map (Compute.template e.cviews) selected_or_self in
+  let runs =
     Metrics.record_time "eval" @@ fun () ->
     (* the shared eval cache (index memoization) is mutated during the
        run, so the evaluation itself is the critical section *)
     locked e @@ fun () ->
-    List.fold_left
-      (fun m rw ->
-        List.fold_left
-          (fun m (tuple, bindings) ->
-            let existing =
-              Option.value ~default:[] (R.Tuple.Map.find_opt tuple m)
-            in
-            R.Tuple.Map.add tuple ((rw, bindings) :: existing) m)
-          m
-          (Cq.Eval.run ~cache:e.eval_cache db rw))
-      R.Tuple.Map.empty selected_or_self
+    List.map
+      (fun t ->
+        ( t,
+          Cq.Eval.run_projected ~cache:e.eval_cache db (Compute.rewriting t)
+            (Compute.vars t) ))
+      templates
   in
-  let resolve = resolve_leaf e in
-  let tuples =
-    R.Tuple.Map.bindings per_tuple
-    |> List.map (fun (tuple, contribs) ->
-           let expr =
-             Cite_expr.normalize (Compute.tuple_expr e.cviews (List.rev contribs))
-           in
-           let citations = Policy.eval ~resolve e.policy expr in
-           { tuple; expr; citations })
-  in
-  let result_expr =
-    Cite_expr.normalize
-      (Compute.result_expr (List.map (fun t -> t.expr) tuples))
-  in
-  let result_citations = Policy.eval ~resolve e.policy result_expr in
+  let resolve = leaf_resolver e in
+  let tuples = assemble ~resolve e runs in
+  let result_expr, result_citations = aggregate ~resolve e tuples in
   {
     query;
     rewritings;

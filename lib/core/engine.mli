@@ -21,7 +21,8 @@
     - {e mutex} — one engine may serve {!cite} / {!cite_string} /
       {!resolve_leaf} calls from any number of threads {e or domains}
       concurrently: the shared mutable caches — rewriting plans, leaf
-      citations, and the evaluation index cache — are guarded by an
+      citations, the evaluation index cache and the column statistics
+      behind [`Min_estimated_size] selection — are guarded by an
       internal mutex.  This is correct under systhreads and under
       domains alike, but the lock serializes the cache-touching hot
       path, so it adds safety, not parallelism.  Each acquisition that
@@ -208,6 +209,18 @@ val result_to_json : result -> string
     {!Dc_rewriting.Rewrite.stats_to_json} stats. *)
 
 val cite : t -> Dc_cq.Query.t -> result
+(** Plans (cached rewriting search), selects, evaluates and cites.
+    Each selected rewriting is evaluated with
+    {!Dc_cq.Eval.run_projected} on the variables that fill its view
+    parameters ({!Compute.template}); the sorted per-rewriting runs are
+    merged linearly, and each tuple's expression is built normalized
+    from the distinct projections ({!Compute.projected_expr}).  Tuples
+    of a single data-independent rewriting share its one expression and
+    one policy evaluation, and every distinct leaf is resolved once per
+    call ({!leaf_resolver}).  The result is
+    the one the literal composition gives: {!Dc_cq.Eval.run}, then
+    {!Compute.tuple_expr} normalized and {!Policy.eval} per tuple, then
+    the same over the [Agg]. *)
 
 val cite_string : t -> string -> (result, string) Stdlib.result
 (** Parses with {!Dc_cq.Parser.parse_query} first. *)
@@ -215,3 +228,25 @@ val cite_string : t -> string -> (result, string) Stdlib.result
 val resolve_leaf : t -> Cite_expr.leaf -> Citation.t
 (** The engine's memoized leaf resolver (exposed for tests and for
     rendering formal expressions independently of [cite]). *)
+
+val leaf_resolver : t -> Cite_expr.leaf -> Citation.t
+(** A fresh per-call memo in front of {!resolve_leaf}: the returned
+    function takes the engine lock once per distinct leaf.  Use one per
+    cite or maintenance step; it never sees later data changes. *)
+
+val tuple_citation :
+  resolve:(Cite_expr.leaf -> Citation.t) ->
+  t ->
+  Dc_relational.Tuple.t ->
+  Cite_expr.t ->
+  tuple_citation
+(** A tuple with its expression, which must already be normal, and
+    that expression's citations under the engine's policy. *)
+
+val aggregate :
+  resolve:(Cite_expr.leaf -> Citation.t) ->
+  t ->
+  tuple_citation list ->
+  Cite_expr.t * Citation.Set.t
+(** The normalized [Agg] over the tuples' (normal) expressions and its
+    citations: a result's [result_expr] and [result_citations]. *)

@@ -20,20 +20,15 @@ let selected reg = reg.selected
 let tuples reg = List.map snd (R.Tuple.Map.bindings reg.cache)
 let affected_last reg = reg.affected_last
 
-let result_expr reg =
-  Cite_expr.normalize
-    (Compute.result_expr
-       (List.map (fun (tc : Engine.tuple_citation) -> tc.expr) (tuples reg)))
+let aggregate reg tuples =
+  Engine.aggregate ~resolve:(Engine.leaf_resolver reg.engine) reg.engine tuples
 
-let result_citations reg =
-  Policy.eval
-    ~resolve:(Engine.resolve_leaf reg.engine)
-    (Engine.policy reg.engine) (result_expr reg)
+let result_expr reg = fst (aggregate reg (tuples reg))
+let result_citations reg = snd (aggregate reg (tuples reg))
 
 let to_result reg : Engine.result =
   let tuples = tuples reg in
-  let result_expr = result_expr reg in
-  let result_citations = result_citations reg in
+  let result_expr, result_citations = aggregate reg tuples in
   {
     Engine.query = reg.query;
     rewritings = reg.selected;
@@ -144,13 +139,20 @@ let apply_delta ?new_base reg delta =
   let old_view_db = Engine.view_database reg.engine in
   let cviews = Engine.citation_views reg.engine in
   let changed_base = R.Delta.relations_touched delta in
-  (* 1. View-extent deltas by delta rules + rederivation check. *)
+  let derived = Engine.derived_predicates reg.engine in
+  (* 1. View-extent deltas by delta rules + rederivation check.  Views
+     over Datalog-derived predicates (a program's exports) are left
+     alone: their inputs are not in [new_base], and the registration
+     guard ({!Versioned_engine.register}) ensures no registered
+     rewriting reads them. *)
   let view_changes =
     List.filter_map
       (fun cv ->
         let def = Citation_view.definition cv in
+        let preds = Cq.Query.predicates def in
         let touches =
-          List.exists (fun p -> List.mem p changed_base) (Cq.Query.predicates def)
+          List.exists (fun p -> List.mem p changed_base) preds
+          && not (List.exists (fun p -> List.mem p derived) preds)
         in
         if not touches then None
         else
@@ -239,35 +241,31 @@ let apply_delta ?new_base reg delta =
       reg.selected
     |> List.sort_uniq R.Tuple.compare
   in
-  (* 4. Recompute bindings and expressions for affected tuples only. *)
-  let resolve = Engine.resolve_leaf new_engine in
-  let policy = Engine.policy new_engine in
+  (* 4. Recompute the expressions of affected tuples only, from the
+     projected bindings of each rewriting pinned to the tuple. *)
+  let resolve = Engine.leaf_resolver new_engine in
   let cache =
     List.fold_left
       (fun cache tuple ->
         let contribs =
           List.filter_map
             (fun rw ->
-              match pin_head rw tuple with
-              | None -> None
-              | Some rw' ->
-                  let bindings = Cq.Eval.bindings ~cache:eval_cache merged_new rw' in
-                  if bindings = [] then None else Some (rw', bindings))
+              Option.bind (pin_head rw tuple) (fun rw' ->
+                  let t = Compute.template cviews rw' in
+                  match
+                    Cq.Eval.run_projected ~cache:eval_cache merged_new rw'
+                      (Compute.vars t)
+                  with
+                  | [ (_, projections) ] -> Some (t, projections)
+                  | _ -> None))
             reg.selected
         in
         if contribs = [] then R.Tuple.Map.remove tuple cache
         else
-          let expr =
-            Cite_expr.normalize
-              (Cite_expr.alt_r
-                 (List.map
-                    (fun (rw', bindings) ->
-                      Cite_expr.alt
-                        (List.map (Compute.binding_expr cviews rw') bindings))
-                    contribs))
-          in
-          let citations = Policy.eval ~resolve policy expr in
-          R.Tuple.Map.add tuple { Engine.tuple; expr; citations } cache)
+          R.Tuple.Map.add tuple
+            (Engine.tuple_citation ~resolve new_engine tuple
+               (Compute.projected_expr contribs))
+            cache)
       reg.cache affected
   in
   (* 5. Citation-query dirtiness: snippets live in the base database, so
@@ -298,8 +296,7 @@ let apply_delta ?new_base reg delta =
               (fun (l : Cite_expr.leaf) -> List.mem l.view dirty_views)
               (Cite_expr.leaves tc.expr)
           in
-          if mentions then
-            { tc with citations = Policy.eval ~resolve policy tc.expr }
+          if mentions then Engine.tuple_citation ~resolve new_engine tc.tuple tc.expr
           else tc)
         cache
   in

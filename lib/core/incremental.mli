@@ -49,7 +49,14 @@ val apply_delta : ?new_base:Dc_relational.Database.t -> t -> Dc_relational.Delta
     produces ({!Dc_relational.Version_store.apply_head} computes it);
     the registration then shares that value instead of re-applying the
     delta, keeping store head and registration base physically in
-    step. *)
+    step.
+
+    On an engine built from a program, citation views whose definitions
+    read Datalog-derived predicates (the program's exports) are not
+    maintained: their inputs are not base relations, and
+    {!Versioned_engine.register} refuses any registration that reads
+    them, so their extents in the registration's engine are never
+    consulted. *)
 
 val affected_last : t -> int
 (** Number of output tuples recomputed by the last [apply_delta]

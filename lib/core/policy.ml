@@ -23,7 +23,7 @@ let fold_sets combiner = function
   | [] -> []
   | s :: rest -> List.fold_left (combine combiner) s rest
 
-let eval ~resolve policy expr =
+let eval_normal ~resolve policy expr =
   let rec go = function
     | Cite_expr.Leaf l -> [ resolve l ]
     | Cite_expr.Joint xs -> fold_sets policy.joint (List.map go xs)
@@ -46,7 +46,10 @@ let eval ~resolve policy expr =
                      (s, Citation.Set.size s)
                      rest)))
   in
-  go (Cite_expr.normalize expr)
+  go expr
+
+let eval ~resolve policy expr =
+  eval_normal ~resolve policy (Cite_expr.normalize expr)
 
 let combiner_name = function Union -> "union" | Join -> "join"
 

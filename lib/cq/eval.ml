@@ -171,6 +171,48 @@ let run ?cache db q =
   in
   group [] None sorted
 
+(* Citation needs, per head tuple, only the values of the variables
+   that feed view parameters, and only their distinct combinations: one
+   sort of (tuple, projection) pairs puts both in order and brings
+   duplicates together, then adjacent runs collapse into groups. *)
+let run_projected ?cache db q vars =
+  let cache = resolve_cache cache in
+  let plan = plan_for cache db q in
+  let slots = Plan.slots plan in
+  let slot_of v =
+    let rec find i =
+      if i = Array.length slots then
+        invalid_arg
+          (Printf.sprintf "Eval.run_projected: %s is not a body variable of %s"
+             v (Query.name q))
+      else if String.equal slots.(i) v then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let proj = Array.of_list (List.map slot_of vars) in
+  let acc = ref [] in
+  Plan.execute plan (fun regs ->
+      acc :=
+        (Plan.head_tuple plan regs, Array.map (fun s -> regs.(s)) proj) :: !acc);
+  let sorted =
+    List.sort_uniq
+      (fun (t1, p1) (t2, p2) ->
+        match R.Tuple.compare t1 t2 with 0 -> R.Tuple.compare p1 p2 | c -> c)
+      !acc
+  in
+  let rec group acc = function
+    | [] -> List.rev acc
+    | (t, p) :: rest ->
+        let rec same ps = function
+          | (t', p') :: rest when R.Tuple.equal t t' -> same (p' :: ps) rest
+          | rest -> (List.rev ps, rest)
+        in
+        let ps, rest = same [ p ] rest in
+        group ((t, ps) :: acc) rest
+  in
+  group [] sorted
+
 let result_schema q =
   let cols =
     List.mapi

@@ -82,7 +82,27 @@ val run :
   Query.t ->
   (Dc_relational.Tuple.t * Binding.t list) list
 (** Output tuples grouped with the bindings that produce them, sorted by
-    tuple. *)
+    tuple.  Every emission of the join materializes a {!Binding.t}; a
+    caller that needs only some variables should use {!run_projected}. *)
+
+val run_projected :
+  ?cache:cache ->
+  Dc_relational.Database.t ->
+  Query.t ->
+  string list ->
+  (Dc_relational.Tuple.t * Dc_relational.Value.t array list) list
+(** [run_projected db q vars] has the output tuples of {!run}, in the
+    same order, each paired with the {e distinct} valuations of [vars]
+    among the bindings that produce it: one array per valuation, its
+    values in [vars] order, the arrays sorted by
+    {!Dc_relational.Tuple.compare}.  It is [run] with every binding
+    projected onto [vars] and duplicates dropped, but the join writes
+    straight from its register file: no binding map is built per
+    emission.  With [vars = []] each tuple carries the single empty
+    array, so the call computes the sorted distinct answers.  The
+    citation engine passes the variables that feed citation-view
+    parameters.  Raises [Invalid_argument] when a variable of [vars]
+    does not occur in the body of [q]. *)
 
 val result :
   ?cache:cache ->

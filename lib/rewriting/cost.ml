@@ -1,9 +1,13 @@
 module Cq = Dc_cq
 module R = Dc_relational
 
-let shared_stats = R.Stats.create ()
+(* Without a caller's table, each top-level call fills a fresh one:
+   statistics memoized across calls must live with the caller, under
+   the caller's synchronization. *)
+let stats_or_fresh = function Some s -> s | None -> R.Stats.create ()
 
-let param_distinct_estimate ?(stats = shared_stats) db view p =
+let param_distinct_estimate ?stats db view p =
+  let stats = stats_or_fresh stats in
   let def = View.definition view in
   let candidates =
     List.concat_map
@@ -50,19 +54,21 @@ let atom_citation_count ?(exact = false) ?stats db views atom =
           1 (View.params view) positions
 
 let citation_size ?exact ?stats db views r =
+  let stats = stats_or_fresh stats in
   List.fold_left
-    (fun acc atom -> acc + atom_citation_count ?exact ?stats db views atom)
+    (fun acc atom -> acc + atom_citation_count ?exact ~stats db views atom)
     0 (Cq.Query.body r)
 
 let choose_min_size ?exact ?stats db views = function
   | [] -> None
   | r :: rest ->
+      let stats = stats_or_fresh stats in
       let best, _ =
         List.fold_left
           (fun (best, best_cost) r' ->
-            let c = citation_size ?exact ?stats db views r' in
+            let c = citation_size ?exact ~stats db views r' in
             if c < best_cost then (r', c) else (best, best_cost))
-          (r, citation_size ?exact ?stats db views r)
+          (r, citation_size ?exact ~stats db views r)
           rest
       in
       Some best

@@ -18,9 +18,11 @@ val param_distinct_estimate :
 (** Estimated number of distinct values of parameter [p] of the view:
     the minimum, over the base-relation columns where [p] occurs in the
     view body, of the column's distinct count.  Unknown relations
-    estimate to 1.  Distinct counts come from [stats] (a module-level
-    shared cache by default), so repeated estimation over an unchanged
-    snapshot costs one scan per column total. *)
+    estimate to 1.  Distinct counts come from [stats], so repeated
+    estimation over an unchanged snapshot costs one scan per column
+    total; without [stats] each call fills a fresh table (this module
+    keeps no state).  A [stats] table is not thread-safe: share one
+    only under the caller's lock, as {!Dc_citation.Engine} does. *)
 
 val param_distinct_exact : Dc_relational.Database.t -> View.t -> string -> int
 (** Distinct values of the parameter in the materialized view result. *)

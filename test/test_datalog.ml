@@ -442,6 +442,102 @@ let test_register_guard () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("EDB registration refused: " ^ e)
 
+(* A base-only registration on a program engine must survive commits
+   that touch the inputs of the program's exports: maintenance skips the
+   views over derived predicates (no registered rewriting reads them)
+   instead of re-deriving them over a base that lacks their IDB. *)
+let subfamily_program =
+  Cq.Program.parse_exn
+    {|
+  Sub(P,C) :- Subfamily(P,C);
+  Sub(P,C) :- Subfamily(P,M), Sub(M,C);
+  export lambda P. VSub(P,C,CName) :- Sub(P,C), Family(C,CName,Desc);
+  cite lambda P. CVSub(P,PName) :- Committee(P,PName)
+|}
+
+let subfamily_db () =
+  let schema =
+    R.Schema.make "Subfamily"
+      [
+        R.Schema.attr ~ty:R.Value.TInt "Parent";
+        R.Schema.attr ~ty:R.Value.TInt "Child";
+      ]
+  in
+  R.Database.insert_list
+    (R.Database.create_relation (paper_db ()) schema)
+    "Subfamily"
+    [ int_tuple [ 11; 12 ]; int_tuple [ 21; 22 ] ]
+
+let render_result (r : C.Engine.result) =
+  List.map
+    (fun (tc : C.Engine.tuple_citation) ->
+      Format.asprintf "%a | %s | %a" R.Tuple.pp tc.tuple
+        (C.Cite_expr.to_string tc.expr)
+        C.Citation.Set.pp tc.citations)
+    r.tuples
+  @ [
+      C.Cite_expr.to_string r.result_expr;
+      Format.asprintf "%a" C.Citation.Set.pp r.result_citations;
+    ]
+
+let test_register_on_program_survives_commits () =
+  let views = Dc_gtopdb.Paper_views.all in
+  let ve =
+    C.Versioned_engine.create_program ~views (subfamily_db ())
+      subfamily_program
+  in
+  let q = Dc_gtopdb.Paper_views.query_q in
+  (match C.Versioned_engine.register ve q with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("base-only registration refused: " ^ e));
+  let commit delta =
+    match C.Versioned_engine.commit_delta ve delta with
+    | Ok v -> v
+    | Error e -> Alcotest.fail ("commit failed: " ^ e)
+  in
+  let delta changes =
+    List.fold_left (fun d (op, rel, t) -> op d rel t) R.Delta.empty changes
+  in
+  let _ =
+    commit
+      (delta
+         [
+           (R.Delta.insert, "Family", tuple [ int 99; str "Orexin"; str "O1" ]);
+           (R.Delta.insert, "FamilyIntro", tuple [ int 99; str "Orexin intro" ]);
+           (R.Delta.insert, "Committee", tuple [ int 99; str "Kim Neve" ]);
+           (R.Delta.insert, "Subfamily", int_tuple [ 11; 99 ]);
+         ])
+  in
+  let head =
+    commit
+      (delta
+         [
+           (R.Delta.delete, "FamilyIntro", tuple [ int 12; str "2nd" ]);
+           (R.Delta.delete, "Committee", tuple [ int 11; str "Debbie Hay" ]);
+         ])
+  in
+  match C.Versioned_engine.cite_at ve head q with
+  | Error e -> Alcotest.fail e
+  | Ok cited ->
+      Alcotest.(check bool) "served from the registration" true
+        cited.from_registration;
+      let db =
+        Option.get
+          (R.Version_store.checkout (C.Versioned_engine.store ve) head)
+      in
+      let fresh =
+        C.Engine.cite (C.Engine.of_program ~views db subfamily_program) q
+      in
+      Alcotest.(check (list string))
+        "maintained = fresh cite" (render_result fresh)
+        (render_result cited.result);
+      (* the export over the derived closure still answers at head *)
+      let closure = parse "C(Child) :- Sub(11,Child)" in
+      Alcotest.(check int) "closure re-derived" 2
+        (List.length
+           (Result.get_ok (C.Versioned_engine.cite_at ve head closure))
+             .result.tuples)
+
 let test_capabilities () =
   let db = paper_db () in
   let plain = C.Engine.create db Dc_gtopdb.Paper_views.all in
@@ -497,5 +593,7 @@ let suite =
       test_engine_refresh_rederives;
     Alcotest.test_case "REGISTER guard over recursive predicates" `Quick
       test_register_guard;
+    Alcotest.test_case "REGISTER on a program engine survives commits" `Quick
+      test_register_on_program_survives_commits;
     Alcotest.test_case "citer capabilities" `Quick test_capabilities;
   ]
