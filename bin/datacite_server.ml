@@ -45,8 +45,9 @@ let program_arg =
   let doc =
     "Datalog program file (rules plus export/cite statements).  Its \
      exported views are served alongside any --views, and its derived \
-     predicates (including recursive ones) are materialized before \
-     serving."
+     predicates (including recursive ones) are derived before serving, \
+     then for each committed version by the first cite that reads \
+     them."
   in
   Arg.(value & opt (some file) None & info [ "program" ] ~docv:"FILE" ~doc)
 

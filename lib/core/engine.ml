@@ -1,6 +1,7 @@
 module Cq = Dc_cq
 module R = Dc_relational
 module Rw = Dc_rewriting
+module Once = Dc_parallel.Once
 
 let log_src = Logs.Src.create "datacite.engine" ~doc:"Citation engine"
 
@@ -31,16 +32,22 @@ type plan_cache = {
   by_preds : (string, plan list ref) Hashtbl.t;
 }
 
+module Smap = Map.Make (String)
+
+(* The program's IDB extents, and the base database with them added:
+   what a query or citation query naming an IDB predicate runs over. *)
+type idb = { derived : R.Database.t; full : R.Database.t }
+
 type t = {
   base : R.Database.t;  (** EDB relations only *)
-  derived : R.Database.t;
-      (** IDB extents materialized from [program] by {!Dc_cq.Seminaive};
-          empty for program-free engines *)
-  full : R.Database.t;  (** [base] + [derived]: what citation queries see *)
+  idb : idb Once.t;
+      (** derived by {!Dc_cq.Seminaive} from [program] on first demand;
+          [derived] is empty for program-free engines *)
+  extents : R.Relation.t Once.t Smap.t;
+      (** each citation view's extent, materialized on first demand *)
   program : Cq.Program.t option;
   cviews : Citation_view.Set.t;
   views : Rw.View.Set.t;
-  view_db : R.Database.t;
   policy : Policy.t;
   selection : selection;
   partial : bool;
@@ -57,7 +64,9 @@ type t = {
   (* Guards every shared mutable cache (plan, leaf, eval, stats) so one engine
      can serve concurrent threads (the server's worker pool).  [refresh]
      and [with_databases] copies share the caches, hence also the lock;
-     [replicate] shards get fresh caches and a fresh lock. *)
+     [replicate] shards get fresh caches and a fresh lock.  No data cell
+     is ever forced with this lock held: a cell's computation may take
+     it (see [data_cells]). *)
   lock : Mutex.t;
 }
 
@@ -66,20 +75,14 @@ type t = {
    well as the default one.  [try_lock] first: the uncontended path
    costs one atomic attempt, the contended one is counted — that
    counter is exactly what E14 uses to attribute (lack of) scaling. *)
-let locked e f =
-  if not (Mutex.try_lock e.lock) then begin
+let locked_on lock f =
+  if not (Mutex.try_lock lock) then begin
     Metrics.record Metrics.Key.engine_lock_waits;
-    Mutex.lock e.lock
+    Mutex.lock lock
   end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock e.lock) f
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let materialize ?cache base cviews =
-  List.fold_left
-    (fun db cv ->
-      let rel = Cq.Eval.result ?cache base (Citation_view.definition cv) in
-      R.Database.add_relation db rel)
-    R.Database.empty
-    (Citation_view.Set.to_list cviews)
+let locked e f = locked_on e.lock f
 
 let merge_full base derived =
   List.fold_left R.Database.add_relation base (R.Database.relations derived)
@@ -94,9 +97,63 @@ let derive ?cache base (program : Cq.Program.t) =
     R.Database.empty
     (Cq.Program.idb_preds program)
 
+let reads_idb program preds =
+  match program with
+  | None -> false
+  | Some p -> List.exists (Cq.Program.is_idb p) preds
+
+(* The data of an engine over [base], none of it computed yet: one cell
+   for the program's IDB extents and one per citation view's extent.  A
+   view whose definition names no IDB predicate materializes over
+   [base] alone, without deriving anything.  Every computation runs
+   under [lock] with [eval_cache], those of the engine building the
+   cells, so replicas sharing the cells serialize their first forcing
+   on one cache; the IDB cell is forced before that lock is taken. *)
+let data_cells ~metrics ~lock ~eval_cache ~program ~cviews base =
+  let compute name f () =
+    Metrics.with_sink metrics (fun () ->
+        locked_on lock (fun () -> Metrics.record_time name f))
+  in
+  let idb =
+    match program with
+    | None -> Once.of_value { derived = R.Database.empty; full = base }
+    | Some p ->
+        Once.make
+          (compute "derive" (fun () ->
+               let derived = derive ~cache:eval_cache base p in
+               { derived; full = merge_full base derived }))
+  in
+  let extent cv =
+    let def = Citation_view.definition cv in
+    Once.make (fun () ->
+        let db =
+          if reads_idb program (Cq.Query.predicates def) then
+            (Once.force idb).full
+          else base
+        in
+        compute "materialize"
+          (fun () -> Cq.Eval.result ~cache:eval_cache db def)
+          ())
+  in
+  ( idb,
+    List.fold_left
+      (fun m cv -> Smap.add (Citation_view.name cv) (extent cv) m)
+      Smap.empty
+      (Citation_view.Set.to_list cviews) )
+
 let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
-    ~program ~eval_cache base derived cview_list =
-  let full = merge_full base derived in
+    ~program base cview_list =
+  let metrics =
+    match metrics with Some m -> m | None -> Metrics.create ()
+  in
+  let eval_cache = Cq.Eval.make_cache () and lock = Mutex.create () in
+  let cviews = Citation_view.Set.of_list cview_list in
+  let idb, extents =
+    data_cells ~metrics ~lock ~eval_cache ~program ~cviews base
+  in
+  (* Validation needs the IDB schemas, so a program's first derivation
+     runs here; view extents wait for their first cite. *)
+  let full = (Once.force idb).full in
   List.iter
     (fun cv ->
       let n = Citation_view.name cv in
@@ -112,23 +169,13 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
               invalid_arg (Printf.sprintf "Engine.create: view %s: %s" n e))
         (Citation_view.definition cv :: Citation_view.citation_queries cv))
     cview_list;
-  let cviews = Citation_view.Set.of_list cview_list in
-  let metrics =
-    match metrics with Some m -> m | None -> Metrics.create ()
-  in
-  let view_db =
-    Metrics.with_sink metrics (fun () ->
-        Metrics.record_time "materialize" (fun () ->
-            materialize ~cache:eval_cache full cviews))
-  in
   {
     base;
-    derived;
-    full;
+    idb;
+    extents;
     program;
     cviews;
     views = Citation_view.Set.view_set cviews;
-    view_db;
     policy;
     selection;
     partial;
@@ -142,21 +189,18 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     plans = { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
     metrics;
     pool;
-    lock = Mutex.create ();
+    lock;
   }
 
 let create ?(policy = Policy.default) ?(selection = `Min_estimated_size)
     ?(partial = false) ?(fallback_contained = false) ?pool ?metrics base
     cview_list =
   make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
-    ~program:None ~eval_cache:(Cq.Eval.make_cache ()) base R.Database.empty
-    cview_list
+    ~program:None base cview_list
 
 let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
     ?(partial = false) ?(fallback_contained = false) ?pool ?metrics
     ?(views = []) base program =
-  let eval_cache = Cq.Eval.make_cache () in
-  let derived = derive ~cache:eval_cache base program in
   let cview_list =
     List.map
       (fun (e : Cq.Program.export) ->
@@ -170,13 +214,14 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
     @ views
   in
   make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
-    ~program:(Some program) ~eval_cache base derived cview_list
+    ~program:(Some program) base cview_list
 
-(* A shard replica: same immutable data (base, materialized views, view
-   set, policy, pool) and the same metrics registry, but private caches
-   and a private lock.  Replicas therefore never contend on the hot
-   path — that is the whole point of sharding — at the price of each
-   shard warming its own plan/leaf/eval caches. *)
+(* A shard replica: same data cells (base, IDB, view extents — shared,
+   so whichever replica forces one first computes it for all), view
+   set, policy, pool and metrics registry, but private caches and a
+   private lock.  Replicas therefore never contend on the hot path —
+   that is the whole point of sharding — at the price of each shard
+   warming its own plan/leaf/eval caches. *)
 let replicate e =
   {
     e with
@@ -188,7 +233,6 @@ let replicate e =
   }
 
 let database e = e.base
-let derived_database e = e.derived
 let program e = e.program
 
 let derived_predicates e =
@@ -200,52 +244,59 @@ let recursive_predicates e =
 let citation_views e = e.cviews
 let policy e = e.policy
 let selection e = e.selection
-let view_database e = e.view_db
 let eval_cache e = e.eval_cache
 let metrics e = e.metrics
+
+(* The database a computation naming [preds] runs over: the base alone
+   unless one of them is an IDB predicate.  Forces the IDB cell, so
+   never call it with the engine lock held. *)
+let db_for e preds =
+  if reads_idb e.program preds then (Once.force e.idb).full
+  else e.base
+
+let derived_database e = (Once.force e.idb).derived
+
+(* [db] plus the extents of the views among [names], forced now. *)
+let add_extents e db names =
+  List.fold_left
+    (fun db name ->
+      match Smap.find_opt name e.extents with
+      | Some cell -> R.Database.add_relation db (Once.force cell)
+      | None -> db)
+    db names
+
+let view_names e = List.map fst (Smap.bindings e.extents)
+let view_database e = add_extents e R.Database.empty (view_names e)
 
 (* [refresh] and [with_databases] change only the data, never the view
    set or rule set, so the plan cache (rewritings depend on views alone)
    and the eval cache (entries self-invalidate on relation identity) are
    kept; only the leaf cache — concrete citations computed from the
-   data — must be dropped.  [refresh] re-derives the program's IDB
-   extents before rematerializing the views over them. *)
+   data — must be dropped.  [refresh] computes nothing: its cells derive
+   and materialize when a cite first reads them. *)
 let refresh e base =
-  let derived, view_db =
-    Metrics.with_sink e.metrics (fun () ->
-        locked e (fun () ->
-            let derived =
-              match e.program with
-              | None -> R.Database.empty
-              | Some p ->
-                  Metrics.record_time "derive" (fun () ->
-                      derive ~cache:e.eval_cache base p)
-            in
-            let full = merge_full base derived in
-            let view_db =
-              Metrics.record_time "materialize" (fun () ->
-                  materialize ~cache:e.eval_cache full e.cviews)
-            in
-            (derived, view_db)))
+  let idb, extents =
+    data_cells ~metrics:e.metrics ~lock:e.lock ~eval_cache:e.eval_cache
+      ~program:e.program ~cviews:e.cviews base
   in
-  {
-    e with
-    base;
-    derived;
-    full = merge_full base derived;
-    view_db;
-    leaf_cache = Hashtbl.create 64;
-  }
+  { e with base; idb; extents; leaf_cache = Hashtbl.create 64 }
 
 (* The caller asserts [view_db] matches [base]; derived extents are kept
    as-is.  {!Versioned_engine}'s registration guard refuses queries that
-   read derived predicates, so maintained engines never observe them. *)
+   read derived predicates, so maintained engines never observe them.
+   They are taken by value, not through a cell over the old one, so a
+   registration maintained across many commits keeps no chain of older
+   bases alive. *)
 let with_databases e ~base ~view_db =
+  let { derived; _ } = Once.force e.idb in
   {
     e with
     base;
-    full = merge_full base e.derived;
-    view_db;
+    idb = Once.of_value { derived; full = merge_full base derived };
+    extents =
+      Smap.mapi
+        (fun name _ -> Once.of_value (R.Database.relation_exn view_db name))
+        e.extents;
     leaf_cache = Hashtbl.create 64;
   }
 
@@ -276,30 +327,58 @@ let leaf_key (l : Cite_expr.leaf) =
           (fun (n, v) -> n ^ "=" ^ R.Value.to_string v)
           (List.sort (fun (a, _) (b, _) -> String.compare a b) l.params)))
 
+(* A miss resolves outside the lock: the citation queries run over the
+   IDB extents only when they name an IDB predicate, and forcing those
+   must not happen under the lock.  The cache is checked again before
+   the result is stored, in case a concurrent miss got there first. *)
 let resolve_leaf e (l : Cite_expr.leaf) =
   Metrics.with_sink e.metrics @@ fun () ->
-  locked e @@ fun () ->
   let k = leaf_key l in
-  match Hashtbl.find_opt e.leaf_cache k with
+  match locked e (fun () -> Hashtbl.find_opt e.leaf_cache k) with
   | Some c ->
       Metrics.record Metrics.Key.leaf_cache_hits;
       c
-  | None ->
+  | None -> (
       Metrics.record Metrics.Key.leaf_cache_misses;
       let cv = Citation_view.Set.find_exn e.cviews l.view in
-      let c = Citation_view.cite ~cache:e.eval_cache cv e.full l.params in
-      Hashtbl.add e.leaf_cache k c;
-      c
+      let db =
+        db_for e
+          (List.concat_map Cq.Query.predicates
+             (Citation_view.citation_queries cv))
+      in
+      locked e @@ fun () ->
+      match Hashtbl.find_opt e.leaf_cache k with
+      | Some c -> c
+      | None ->
+          let c = Citation_view.cite ~cache:e.eval_cache cv db l.params in
+          Hashtbl.add e.leaf_cache k c;
+          c)
 
+(* The size estimates read the definitions of the views the candidate
+   rewritings use, so those decide whether the IDB extents are needed. *)
 let select e rewritings =
+  let estimate_db rs =
+    db_for e
+      (List.concat_map
+         (fun r ->
+           List.concat_map
+             (fun p ->
+               match Citation_view.Set.find e.cviews p with
+               | Some cv -> Cq.Query.predicates (Citation_view.definition cv)
+               | None -> [])
+             (Cq.Query.predicates r))
+         rs)
+  in
   match (e.selection, rewritings) with
   | `All, _ | _, ([] | [ _ ]) -> rewritings
   | `Min_estimated_size, rs ->
+      let db = estimate_db rs in
       locked e (fun () ->
           Option.to_list
-            (Rw.Cost.choose_min_size ~stats:e.stats e.full e.views rs))
+            (Rw.Cost.choose_min_size ~stats:e.stats db e.views rs))
   | `Min_exact_size, rs ->
-      Option.to_list (Rw.Cost.choose_min_size ~exact:true e.full e.views rs)
+      Option.to_list
+        (Rw.Cost.choose_min_size ~exact:true (estimate_db rs) e.views rs)
 
 (* One resolver per cite (or per maintenance step): each distinct leaf
    takes the engine lock and the shared cache once, however many tuples
@@ -374,15 +453,19 @@ let assemble ~resolve e runs =
           tc)
     merged
 
-(* Rewritings are evaluated over the materialized views merged with the
-   base and derived relations: a partial rewriting's uncovered subgoals
+(* Rewritings are evaluated over the extents of the views they name
+   merged with the base relations, and with the IDB extents when they
+   name an IDB predicate: a partial rewriting's uncovered subgoals
    reference the base schema (or a recursive predicate's materialized
-   extent) directly. *)
-let eval_db e =
-  List.fold_left R.Database.add_relation e.full
-    (R.Database.relations e.view_db)
+   extent) directly.  Only the cells the rewritings read are forced. *)
+let eval_db e queries =
+  let preds =
+    List.sort_uniq String.compare (List.concat_map Cq.Query.predicates queries)
+  in
+  add_extents e (db_for e preds) preds
 
-let merged_database = eval_db
+let merged_database e =
+  add_extents e (Once.force e.idb).full (view_names e)
 
 (* A cheap, containment-free canonical rendering used as the plan
    cache's fast path: group body atoms by predicate (stable, so the
@@ -484,7 +567,6 @@ let cite e query =
       m "cite %s: %d candidates, %d rewritings, %d selected"
         (Cq.Query.name query) stats.candidates (List.length rewritings)
         (List.length selected));
-  let db = eval_db e in
   (* An uncovered query still gets its answer — with no citation by
      default, or best-effort through the maximally contained rewriting
      when the engine was created with [fallback_contained]. *)
@@ -497,6 +579,7 @@ let cite e query =
     else ([ Cq.Query.strip_params query ], true)
   in
   let templates = List.map (Compute.template e.cviews) selected_or_self in
+  let db = eval_db e selected_or_self in
   let runs =
     Metrics.record_time "eval" @@ fun () ->
     (* the shared eval cache (index memoization) is mutated during the

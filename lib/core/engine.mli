@@ -15,6 +15,18 @@
       result-level [Agg], and their policy-evaluated concrete citation
       sets; leaf citations are memoized per (view, valuation).
 
+    {b Data on demand.}  An engine's data is a set of write-once cells
+    ({!Dc_parallel.Once}): one for the program's IDB extents and one per
+    citation view's extent.  {!cite} forces the extents of the views its
+    selected rewritings name, and the IDB extents only when a rewriting,
+    a candidate view's definition (read by the size estimate of
+    [`Min_estimated_size] / [`Min_exact_size]) or the citation queries
+    of a leaf it resolves name an IDB predicate.  {!refresh} computes
+    nothing; creation derives a program's IDB extents once, to validate
+    the views.  {!derived_database}, {!view_database} and
+    {!merged_database} force everything.  Results do not depend on
+    which cells were forced, or by whom.
+
     {b Thread safety: the shard-vs-mutex model.}  Concurrency safety
     and parallel speedup are provided by two different mechanisms:
 
@@ -32,16 +44,21 @@
       recording itself never takes a shared lock: {!Metrics} keeps
       per-domain sinks, so counters are not a second contention point.
     - {e shards} — {!replicate} returns a replica sharing the immutable
-      data (base database, materialized views, view set, policy) and
-      the metrics registry, but owning {e private} caches and a private
-      lock.  Give each domain its own replica ({!Sharded_engine} does)
+      data (base database, the IDB and view-extent cells, view set,
+      policy) and the metrics registry, but owning {e private} caches
+      and a private lock.  Give each domain its own replica ({!Sharded_engine} does)
       and the hot path never contends: parallel speedup comes from
       sharding, the per-engine mutex remains only for intra-shard
       concurrency (e.g. the systhread server path).
 
     {!refresh} and {!with_databases} return copies sharing caches {e and
     the mutex}, so the copies are safe too; swapping which engine a
-    server uses is the caller's (atomic-reference) problem.  The
+    server uses is the caller's (atomic-reference) problem.  A data cell
+    may be first-forced by several threads or domains at once (through
+    replicas sharing it): one computes, under the refreshed engine's
+    lock and evaluation cache, while the others wait for its value.  A
+    computation that raises leaves the cell empty for the next cite to
+    retry.  The
     contract covers only access {e through} the engine: code that takes
     the raw {!eval_cache} handle and evaluates with it directly
     ({!Incremental} does) bypasses the lock and must not run
@@ -65,7 +82,10 @@ val create :
   Dc_relational.Database.t ->
   Citation_view.t list ->
   t
-(** Materializes every view once.  Defaults: the paper's policy
+(** Validates the views against the database and materializes nothing:
+    each view's extent is computed by the first cite that reads it.
+    Raises [Invalid_argument] when a view is named like a base relation
+    or fails the schema check.  Defaults: the paper's policy
     ({!Policy.default}), [`Min_estimated_size] selection, no partial
     rewritings.  With [fallback_contained], a query with no equivalent
     rewriting is answered {e best-effort} through its maximally
@@ -92,7 +112,9 @@ val of_program :
 (** An engine over a Datalog program: the one door through which rules,
     views and citation queries all enter.  The program's IDB predicates
     are materialized with {!Dc_cq.Seminaive} (stratified, semi-naive)
-    into a {e derived} store kept beside the base database; its exports
+    into a {e derived} store kept beside the base database — here once,
+    eagerly, because validating the views needs the IDB schemas; in a
+    {!refresh}ed engine on first demand.  Its exports
     become citation views, with non-recursive IDB predicates unfolded
     into the view bodies ({!Dc_cq.Program.unfold_exports}) so rewriting
     sees through them, and recursive predicates left as atoms over
@@ -104,11 +126,12 @@ val of_program :
     exports, or schema mismatches. *)
 
 val replicate : t -> t
-(** A shard replica: shares the immutable data (base database,
-    materialized views — nothing is rematerialized), the policy, the
-    metrics registry and the domain pool, but owns fresh private
-    plan/leaf/eval caches and a fresh lock.  See the thread-safety note
-    above; {!Sharded_engine} builds on this. *)
+(** A shard replica: shares the data cells (base database, IDB and view
+    extents — whichever replica forces a cell first computes it for
+    all, and nothing is computed twice), the policy, the metrics
+    registry and the domain pool, but owns fresh private plan/leaf/eval
+    caches and a fresh lock.  See the thread-safety note above;
+    {!Sharded_engine} builds on this. *)
 
 val database : t -> Dc_relational.Database.t
 (** The base (EDB) database only — what {!refresh}, the version store
@@ -116,8 +139,9 @@ val database : t -> Dc_relational.Database.t
     stored or shipped. *)
 
 val derived_database : t -> Dc_relational.Database.t
-(** The materialized IDB extents of the engine's program; empty for
-    engines built with {!create}. *)
+(** The materialized IDB extents of the engine's program, derived now
+    if no cite needed them yet; empty for engines built with
+    {!create}. *)
 
 val program : t -> Dc_cq.Program.t option
 
@@ -139,6 +163,8 @@ val selection : t -> selection
     with identical behaviour). *)
 
 val view_database : t -> Dc_relational.Database.t
+(** Every citation view's extent, materializing now the ones no cite
+    has read yet. *)
 
 val eval_cache : t -> Dc_cq.Eval.cache
 (** The engine's shared evaluation cache: hash indexes keyed by
@@ -157,22 +183,33 @@ val metrics : t -> Metrics.t
     engines. *)
 
 val merged_database : t -> Dc_relational.Database.t
-(** Base relations and materialized views in one database — what
-    rewritings (including partial ones) are evaluated against. *)
+(** Base relations, IDB extents and every view extent in one database,
+    all forced — a superset of what any rewriting (including a partial
+    one) is evaluated against. *)
 
 val refresh : t -> Dc_relational.Database.t -> t
-(** The same engine over an updated database (views rematerialized).
-    The rewriting-plan cache is kept: plans depend only on the view
-    set, which [refresh] never changes.  Only {!create} — where the
-    view set is chosen — starts with a cold plan cache. *)
+(** The same engine over an updated database, in O(number of views):
+    it builds fresh data cells and computes none of them.  The IDB
+    extents are re-derived and each view rematerialized by the first
+    cite that reads them (see the note above), with this engine's lock
+    and evaluation cache, so every refresh of one engine — the
+    per-version engines of a {!Versioned_engine} — shares one cache for
+    that work.  No validation runs: the view set and program are the
+    ones already checked.  The rewriting-plan cache is kept: plans
+    depend only on the view set, which [refresh] never changes.  Only
+    {!create} — where the view set is chosen — starts with a cold plan
+    cache. *)
 
 val with_databases :
   t -> base:Dc_relational.Database.t -> view_db:Dc_relational.Database.t -> t
 (** Replaces both stores without rematerializing; the caller asserts
     that [view_db] is the correct materialization of the views over
     [base].  {!Incremental} maintains the extents itself and uses this
-    to avoid the full rematerialization [refresh] performs.  The leaf
-    cache is cleared; the plan cache (views unchanged) is kept warm. *)
+    to avoid rematerializing.  The IDB extents are kept as derived,
+    deriving them now if no cite has yet (the caller's base may not
+    match them; {!Versioned_engine.register} refuses registrations that
+    read them).  The leaf cache is cleared;
+    the plan cache (views unchanged) is kept warm. *)
 
 type tuple_citation = {
   tuple : Dc_relational.Tuple.t;

@@ -29,6 +29,7 @@ module Key = struct
   let wal_appends = "wal_appends"
   let wal_fsyncs = "wal_fsyncs"
   let wal_group_commits = "wal_group_commits"
+  let wal_close_fsync_failures = "wal_close_fsync_failures"
   let snapshots_written = "snapshots_written"
   let recovery_replayed_deltas = "recovery_replayed_deltas"
   let datalog_fixpoints = "datalog_fixpoints"
@@ -63,6 +64,7 @@ module Key = struct
       wal_appends;
       wal_fsyncs;
       wal_group_commits;
+      wal_close_fsync_failures;
       snapshots_written;
       recovery_replayed_deltas;
       datalog_fixpoints;

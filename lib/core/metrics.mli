@@ -101,12 +101,12 @@ module Key : sig
   (** Deltas committed through a {!Versioned_engine}. *)
 
   val version_cache_hits : string
-  (** [cite_at] requests served by an already-materialized per-version
+  (** [cite_at] requests served by an already-built per-version
       engine. *)
 
   val version_cache_misses : string
-  (** [cite_at] requests that had to check out and materialize a
-      version. *)
+  (** [cite_at] requests that had to check out a version and build its
+      engine. *)
 
   val version_cache_evictions : string
   (** Per-version engines dropped by the versioned engine's LRU bound. *)
@@ -130,6 +130,11 @@ module Key : sig
   (** fsyncs that covered more than one [Always] append — concurrent
       committers coalesced into a single barrier by the WAL's group
       commit. *)
+
+  val wal_close_fsync_failures : string
+  (** Final fsyncs that failed while closing the WAL.  Close cannot
+      return an error, so each failure is logged and counted here: a
+      nonzero count means the last appends may not be on disk. *)
 
   val snapshots_written : string
   (** Binary snapshots written (background cadence, graceful drain, or

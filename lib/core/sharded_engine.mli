@@ -30,8 +30,8 @@ val create :
   Dc_relational.Database.t ->
   Citation_view.t list ->
   t
-(** [Engine.create] once (views are materialized once), then
-    {!of_engine}.  Raises [Invalid_argument] when [shards < 1]. *)
+(** [Engine.create] once (each view is materialized at most once, by
+    whichever shard's cite reads it first), then {!of_engine}.  Raises [Invalid_argument] when [shards < 1]. *)
 
 val of_engine : ?clamp:bool -> shards:int -> Engine.t -> t
 (** Wrap an existing engine as shard 0 and add [shards - 1] replicas

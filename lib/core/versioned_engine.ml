@@ -13,7 +13,9 @@ type t = {
      parameter (policy, selection, partial, fallback, pool) and the
      shared metrics registry; the subsequent [replicate] gives the new
      engine private caches and a private lock so versions never contend
-     with each other. *)
+     with each other on cites.  The versions' derivations and view
+     materializations run under the template's lock and evaluation
+     cache, as the cells of a refresh do. *)
   template : Engine.t;
   metrics : Metrics.t;
   capacity : int;
@@ -151,9 +153,11 @@ let engine_at t v =
       | Some db ->
           Metrics.with_sink t.metrics (fun () ->
               Metrics.record Metrics.Key.version_cache_misses);
-          (* Materialization runs outside [mu]; a concurrent miss on the
-             same version may build twice, the race loser's engine is
-             dropped. *)
+          (* A refresh computes nothing (its cells derive and
+             materialize on the first cite that reads them), so building
+             is cheap; it runs outside [mu] all the same.  A concurrent
+             miss on the same version may build twice: the race loser's
+             engine is dropped, its cells most likely never forced. *)
           let eng =
             Metrics.with_sink t.metrics (fun () ->
                 Metrics.record_time "version_materialize" (fun () ->
@@ -294,6 +298,10 @@ let register t q = register_gen ~durable:true t q
    duplicates. *)
 let rearm t q = register_gen ~durable:false t q
 
+(* Every step that can fail runs before the append, and the append
+   before the publish: a commit either logs and publishes its version,
+   or fails leaving the log, the head and the registrations on the
+   previous version. *)
 let commit_delta t delta =
   committing t @@ fun () ->
   match VS.apply_head t.store delta with
@@ -302,45 +310,50 @@ let commit_delta t delta =
   | exception Invalid_argument e -> Error e
   | new_db -> (
       let store', v = VS.commit t.store new_db in
-      (* WAL before publish: the delta becomes durable (to the armed
-         fsync policy) while [t.store] still shows the old head.  An
-         append failure aborts the commit — the caller sees Error and
-         no state changed, so the log can never lag the head. *)
-      let logged =
-        match t.durability with
-        | None -> Ok ()
-        | Some d ->
-            let at = Option.value ~default:0 (VS.timestamp store' v) in
-            Dc_storage.Store.append_commit d ~version:v ~at delta
-      in
-      match logged with
-      | Error e -> Error ("commit not durable: " ^ e)
-      | Ok () ->
       (* Registrations advance through the SAME database value the
          store commits ([apply_head] computed it once): head and
          derived state cannot diverge. *)
-      let regs' =
+      match
         List.map
           (fun (k, reg) ->
             (k, Incremental.apply_delta ~new_base:new_db reg delta))
           t.regs
-      in
-      Metrics.with_sink t.metrics (fun () ->
-          Metrics.record Metrics.Key.version_commits;
-          match regs' with
-          | [] -> ()
-          | _ :: _ ->
-              Metrics.record
-                ~by:(List.length regs')
-                Metrics.Key.registrations_maintained);
-      Log.debug (fun m ->
-          m "commit_delta: version %d, %d registration(s) maintained" v
-            (List.length regs'));
-      locked t (fun () ->
-          t.store <- store';
-          t.regs <- regs';
-          trim_unlocked t);
-      Ok v)
+      with
+      | exception e ->
+          Error
+            (Printf.sprintf "commit aborted: maintaining a registration: %s"
+               (Printexc.to_string e))
+      | regs' -> (
+          (* WAL before publish: the delta becomes durable (to the armed
+             fsync policy) while [t.store] still shows the old head.  An
+             append failure aborts the commit — the caller sees Error and
+             no state changed, so the log can never lag the head. *)
+          let logged =
+            match t.durability with
+            | None -> Ok ()
+            | Some d ->
+                let at = Option.value ~default:0 (VS.timestamp store' v) in
+                Dc_storage.Store.append_commit d ~version:v ~at delta
+          in
+          match logged with
+          | Error e -> Error ("commit not durable: " ^ e)
+          | Ok () ->
+              Metrics.with_sink t.metrics (fun () ->
+                  Metrics.record Metrics.Key.version_commits;
+                  match regs' with
+                  | [] -> ()
+                  | _ :: _ ->
+                      Metrics.record
+                        ~by:(List.length regs')
+                        Metrics.Key.registrations_maintained);
+              Log.debug (fun m ->
+                  m "commit_delta: version %d, %d registration(s) maintained"
+                    v (List.length regs'));
+              locked t (fun () ->
+                  t.store <- store';
+                  t.regs <- regs';
+                  trim_unlocked t);
+              Ok v))
 
 let pp ppf t =
   let store, cached, regs =

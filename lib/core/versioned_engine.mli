@@ -20,9 +20,14 @@
     the {e same} database value the store commits, so the store head
     and the registrations can never diverge.
 
-    {b Engine cache.}  Per-version engines are materialized lazily on
-    first use and kept in an LRU cache bounded by [capacity] (default
-    4).  The head version's engine is never evicted.  All per-version
+    {b Engine cache.}  Per-version engines are built on first use and
+    kept in an LRU cache bounded by [capacity] (default 4).  Building
+    one is O(1) in the data: it is an {!Engine.refresh} of the template,
+    so the version's IDB derivation and view extents are computed by
+    the first cite that reads them, and only those it reads (a
+    landing-page cite of a plain view never runs the Datalog program).
+    An evicted version pays that again on its next cite.  The head
+    version's engine is never evicted.  All per-version
     engines share one metrics registry (this engine's), so cache
     counters aggregate across versions; digests are cached without
     bound (they are 32-byte strings).
@@ -74,7 +79,8 @@ val create_program :
   t
 (** {!create} over a Datalog program (see {!Engine.of_program}): the
     EDB database becomes version 0; every per-version engine re-derives
-    the program's IDB extents for its version's EDB state.  Deltas and
+    the program's IDB extents for its version's EDB state, when one of
+    its cites first needs them.  Deltas and
     the version store remain EDB-only — committing a delta that names
     an IDB predicate fails like any unknown relation. *)
 
@@ -85,7 +91,7 @@ val of_engine :
     carry over to every per-version engine.  When [store] is given
     (crash recovery), the versioned engine serves {e that} store
     instead — per-version engines, including the recovered head's, are
-    materialized lazily from the given engine's template. *)
+    built on demand from the given engine's template. *)
 
 val set_durability : t -> Dc_storage.Store.t -> unit
 (** Arm durable backing: every subsequent {!commit_delta} appends to
@@ -121,7 +127,8 @@ val registrations : t -> string list
 
 val engine_at :
   t -> Dc_relational.Version_store.version -> (Engine.t, string) result
-(** The (lazily materialized, LRU-cached) engine for a version.
+(** The (LRU-cached) engine for a version, built without computing any
+    of its data: its cites derive and materialize what they read.
     [Error] when the version was never committed. *)
 
 val cite_at :
@@ -162,9 +169,13 @@ val register : t -> Dc_cq.Query.t -> (unit, string) result
 val commit_delta : t -> Dc_relational.Delta.t -> (Dc_relational.Version_store.version, string) result
 (** Apply a delta to the head and commit the result as the new head,
     returning the new version.  Registrations are re-maintained from
-    the same database value the store commits.  [Error] (never an
-    exception) when the delta touches an unknown relation or
-    mismatches a schema. *)
+    the same database value the store commits.  Every fallible step
+    runs first — delta application, then registration maintenance —
+    then the WAL append (when durable), then the publish; a failure at
+    any step is an [Error] (never an exception) that leaves the head,
+    the registrations and the log on the previous version.  That
+    covers a delta touching an unknown relation or mismatching a
+    schema, maintenance that raises, and a failed append. *)
 
 val verify :
   t -> Dc_relational.Version_store.version -> string -> (bool, string) result

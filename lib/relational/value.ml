@@ -52,10 +52,32 @@ let pp ppf = function
   | Timestamp s -> Format.fprintf ppf "@%d" s
   | Null -> Format.pp_print_string ppf "NULL"
 
-let to_string v =
-  match v with
+(* [Int.to_string]'s digits, written directly: it interprets a printf
+   format on every call, and digests convert every stored integer. *)
+let decimal i =
+  if i = min_int then Int.to_string i
+  else
+    let rec width n w = if n < 10 then w + 1 else width (n / 10) (w + 1) in
+    let n = abs i in
+    let len = width n (if i < 0 then 1 else 0) in
+    let b = Bytes.create len in
+    let rec fill n pos =
+      Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (n mod 10)));
+      if n >= 10 then fill (n / 10) (pos - 1)
+    in
+    fill n (len - 1);
+    if i < 0 then Bytes.unsafe_set b 0 '-';
+    Bytes.unsafe_to_string b
+
+(* The same text [pp] prints (strings unquoted), without a formatter:
+   fixity digests render every stored value through this. *)
+let to_string = function
   | Str s -> s
-  | _ -> Format.asprintf "%a" pp v
+  | Int i -> decimal i
+  | Float f -> Printf.sprintf "%g" f
+  | Bool b -> Bool.to_string b
+  | Timestamp s -> "@" ^ decimal s
+  | Null -> "NULL"
 
 let pp_ty ppf ty =
   Format.pp_print_string ppf

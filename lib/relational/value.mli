@@ -30,6 +30,10 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val pp_ty : Format.formatter -> ty -> unit
 val to_string : t -> string
+(** The text {!pp} prints, except that strings come out unquoted.
+    {!Dc_citation.Fixity} digests render every stored value through
+    this, so its output for a given value must never change. *)
+
 val ty_to_string : ty -> string
 
 val of_string : ty -> string -> (t, string) result

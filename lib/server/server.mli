@@ -112,9 +112,10 @@ type t
 
 val start : ?config:config -> Dc_citation.Engine.t -> t
 (** Binds, listens and returns immediately; serving happens on
-    background threads.  The engine should have been created before
-    [start] so materialization cost is paid at startup, not on the
-    first request.
+    background threads.  Creating the engine before [start] validates
+    its views (and derives a program's IDB extents) at startup; each
+    view's extent is computed by the first request that reads it, once
+    for all shards.
 
     With [config.data_dir = Some dir]: an empty [dir] is initialized
     (the engine's database becomes version 0 on disk); a populated one

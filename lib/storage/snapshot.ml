@@ -252,14 +252,13 @@ let write ~dir t =
           go 0;
           Unix.fsync fd);
       Unix.rename tmp final;
-      (* Make the rename itself durable. *)
-      (try
-         let dfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
-         Fun.protect
-           ~finally:(fun () ->
-             try Unix.close dfd with Unix.Unix_error _ -> ())
-           (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ())
-       with Unix.Unix_error _ -> ())
+      (* Make the rename itself durable; until the directory is synced
+         the new name may not survive a crash, so a failure is the
+         write's failure. *)
+      let dfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close dfd with Unix.Unix_error _ -> ())
+        (fun () -> Unix.fsync dfd)
     with
     | () -> Ok final
     | exception Unix.Unix_error (e, _, _) ->

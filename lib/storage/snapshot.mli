@@ -29,8 +29,10 @@ val list : dir:string -> ((int * string) list, string) result
 (** Snapshot files in [dir], newest version first. *)
 
 val write : dir:string -> t -> (string, string) result
-(** Write (temp + rename + fsync), returning the final path.  Errors
-    carry the path and reason. *)
+(** Write (temp + fsync + rename + directory fsync), returning the final
+    path.  Errors carry the path and reason.  A failed directory fsync
+    is an [Error] too: the file is complete, but its name may not
+    survive a crash. *)
 
 val read : string -> (t, string) result
 (** Read and verify (magic, CRC, decode).  Errors carry the path and

@@ -279,7 +279,15 @@ let close w =
   Mutex.protect w.mu (fun () ->
       if not w.closed then begin
         w.closed <- true;
-        (try if w.dirty then Unix.fsync w.fd with Unix.Unix_error _ -> ());
+        (* [close] has no error to return: a failed final fsync is
+           logged and counted, never swallowed. *)
+        (try if w.dirty then Unix.fsync w.fd
+         with Unix.Unix_error (e, _, _) ->
+           Log.err (fun m ->
+               m "%s: fsync on close failed: %s; the last appends may not \
+                  be durable"
+                 w.path (Unix.error_message e));
+           !Hooks.count "wal_close_fsync_failures" 1);
         (try Unix.close w.fd with Unix.Unix_error _ -> ());
         (* group-commit followers parked on the condition must not hang *)
         Condition.broadcast w.cond

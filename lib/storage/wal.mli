@@ -83,4 +83,7 @@ val sync : writer -> (unit, string) result
 (** Force an fsync now (snapshot barrier, graceful drain). *)
 
 val close : writer -> unit
-(** Flush and close.  Idempotent; later appends return [Error]. *)
+(** Flush and close.  Idempotent; later appends return [Error].  A
+    failed final fsync cannot be returned: it is logged as an error on
+    the [datacite.storage] source and counted under
+    [wal_close_fsync_failures]. *)

@@ -282,6 +282,40 @@ let test_snapshot_file_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated snapshot must not read"
 
+(* The empty directory name puts the snapshot file in the working
+   directory, but the directory itself cannot be opened to sync the
+   rename: the write must fail rather than claim durability. *)
+let test_snapshot_dir_fsync_failure () =
+  with_dir @@ fun dir ->
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+  let snap =
+    { Sg.Snapshot.version = 1; at = 2; digest = ""; registrations = []; db = rs_db () }
+  in
+  match Sg.Snapshot.write ~dir:"" snap with
+  | Ok path -> Alcotest.failf "unsynced rename reported durable: %s" path
+  | Error e ->
+      Alcotest.(check bool) "error names the snapshot" true
+        (contains e "snapshot-000000001.snap")
+
+(* fsync(2) on /dev/null fails with EINVAL, so closing a dirty WAL
+   writer over it exercises the close-time failure path. *)
+let test_wal_close_fsync_failure_counted () =
+  let module M = Dc_citation.Metrics in
+  let failures () = M.count M.default M.Key.wal_close_fsync_failures in
+  let before = failures () in
+  let w =
+    ok "open"
+      (Sg.Wal.open_existing ~path:"/dev/null" ~fsync:Sg.Wal.Never
+         ~valid_bytes:0)
+  in
+  ok "append" (Sg.Wal.append w (Sg.Wal.Register "Q(X) :- R(X,Y)"));
+  Sg.Wal.close w;
+  Alcotest.(check int) "failure counted" (before + 1) (failures ());
+  Sg.Wal.close w;
+  Alcotest.(check int) "second close is a no-op" (before + 1) (failures ())
+
 (* ---------------- store lifecycle ---------------- *)
 
 let digest = Dc_citation.Fixity.digest_db
@@ -555,6 +589,10 @@ let suite =
       test_data_dir_errors_carry_the_path;
     Alcotest.test_case "concurrent group commit" `Quick
       test_concurrent_group_commit;
+    Alcotest.test_case "snapshot directory fsync failure is an error" `Quick
+      test_snapshot_dir_fsync_failure;
+    Alcotest.test_case "WAL close fsync failure is counted" `Quick
+      test_wal_close_fsync_failure_counted;
     prop_frame_roundtrip;
     prop_frame_detects_flip;
     prop_record_roundtrip;

@@ -252,6 +252,68 @@ let test_citer_dispatch () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse failure must be an Error"
 
+(* A commit whose registration maintenance raises must leave no trace:
+   the head, the registrations and the durable log all stay on the
+   previous version, and the next commit takes the version number the
+   failed one would have had.  V1's [post] hook raises while [armed],
+   and maintaining the registered query resolves a fresh V1 leaf for
+   the family the delta inserts. *)
+let test_failed_maintenance_logs_nothing () =
+  Test_storage.with_dir @@ fun dir ->
+  let armed = ref false in
+  let trap =
+    C.Citation_view.make_exn
+      ~post:(fun c -> if !armed then failwith "maintenance trap" else c)
+      ~view:(C.Citation_view.definition Dc_gtopdb.Paper_views.v1)
+      ~citations:(C.Citation_view.citation_queries Dc_gtopdb.Paper_views.v1)
+      ()
+  in
+  let db = paper_db () in
+  let digest = C.Fixity.digest_db in
+  let st, _ = ok_exn "open store" (Dc_storage.Store.open_ ~digest ~dir ~db ()) in
+  let ve =
+    V.create ~selection:`All ~policy:(policy ()) db
+      [ trap; Dc_gtopdb.Paper_views.v2; Dc_gtopdb.Paper_views.v3 ]
+  in
+  V.set_durability ve st;
+  ok_exn "register" (V.register ve q);
+  Alcotest.(check int) "first commit" 1
+    (ok_exn "commit" (V.commit_delta ve (delta_orexin ())));
+  let before = ok_exn "cite head" (V.cite ve q) in
+  let regs = V.registrations ve in
+  armed := true;
+  (match V.commit_delta ve (delta_galanin ()) with
+  | Ok v -> Alcotest.failf "commit with failing maintenance gave v%d" v
+  | Error _ -> ()
+  | exception e ->
+      Alcotest.failf "commit raised %s instead of failing" (Printexc.to_string e));
+  armed := false;
+  Alcotest.(check int) "head unmoved" 1 (V.head ve);
+  Alcotest.(check (list int)) "no version added" [ 0; 1 ] (V.versions ve);
+  Alcotest.(check (list string)) "registrations kept" regs (V.registrations ve);
+  let after = ok_exn "cite head again" (V.cite ve q) in
+  Alcotest.(check bool) "still registration-served" true
+    after.V.from_registration;
+  Alcotest.(check string) "registration on the previous version"
+    (tuple_fingerprint before.V.result)
+    (tuple_fingerprint after.V.result);
+  Dc_storage.Store.close st;
+  let st, recovered =
+    ok_exn "reopen store" (Dc_storage.Store.open_ ~digest ~dir ~db ())
+  in
+  Fun.protect ~finally:(fun () -> Dc_storage.Store.close st) @@ fun () ->
+  let recovered = (Option.get recovered).Dc_storage.Store.store in
+  Alcotest.(check int) "recovered head is the previous version" 1
+    (R.Version_store.head recovered);
+  Alcotest.(check bool) "recovered head database = published head" true
+    (R.Database.equal
+       (R.Version_store.head_db (V.store ve))
+       (R.Version_store.head_db recovered));
+  let ve' = V.of_engine ~store:recovered (E.create db views) in
+  V.set_durability ve' st;
+  Alcotest.(check int) "next commit takes the failed one's number" 2
+    (ok_exn "commit after recovery" (V.commit_delta ve' (delta_galanin ())))
+
 let suite =
   [
     Alcotest.test_case "cite_at determinism across commits" `Quick
@@ -268,4 +330,6 @@ let suite =
     Alcotest.test_case "timestamps and store snapshots" `Quick
       test_timestamps_and_store;
     Alcotest.test_case "CITER backends agree" `Quick test_citer_dispatch;
+    Alcotest.test_case "failed maintenance logs nothing" `Quick
+      test_failed_maintenance_logs_nothing;
   ]
