@@ -746,18 +746,18 @@ let e13 () =
      not parallel speedup — and tail latency grows with queueing)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E14: multicore scaling — domain-sharded batch citations and the    *)
-(* domain-parallel server, at 1/2/4/8 domains.                        *)
+(* E14: multicore scaling — batch citations on one engine from many   *)
+(* domains and the domain-parallel server, at 1/2/4/8 domains.        *)
 
 let e14 () =
-  hr "E14  Multicore scaling: sharded batch citations and server throughput";
+  hr "E14  Multicore scaling: batch citations and server throughput";
   let cores = Dc_parallel.Domain_pool.available_cores () in
   let domain_counts = [ 1; 2; 4; 8 ] in
   Printf.printf
     "host reports %d usable core(s) — requested domain counts are clamped\n\
      to that (the \"eff\" column is what actually ran);\n\
      batch: 48 workload queries over a 400-family GtoPdb database,\n\
-     cold sharded engine per row, chunked fan-out via cite_batch;\n\
+     one cold engine per row, chunked fan-out over its domains;\n\
      server: 8 concurrent clients x 100 CITE requests, domains=N\n\n"
     cores;
   if cores < 2 then
@@ -770,19 +770,27 @@ let e14 () =
   let n_queries = List.length queries in
   let batch d =
     let eff = Dc_parallel.Domain_pool.effective ~requested:d in
-    (* a fresh engine per row: every shard (the primary included) starts
-       with cold caches, so rows differ only in the domain count; a
-       fresh engine also means a fresh metrics registry, so lock-wait
-       counts below belong to this row alone *)
+    (* a fresh engine per row: every domain starts with cold caches, so
+       rows differ only in the domain count; a fresh engine also means a
+       fresh metrics registry, so lock-wait counts below belong to this
+       row alone *)
     let engine = C.Engine.create db Dc_gtopdb.Paper_views.all in
-    let sharded = C.Sharded_engine.of_engine ~shards:d engine in
-    let m = C.Sharded_engine.metrics sharded in
+    let m = C.Engine.metrics engine in
     Dc_parallel.Domain_pool.with_pool ~domains:d (fun pool ->
+        let chunks =
+          Dc_parallel.Domain_pool.chunk
+            ~chunks:(Dc_parallel.Domain_pool.size pool)
+            queries
+        in
         (* median of 3: the batch is fast enough that a single run's
            scheduler noise can swamp a honest ~1.0x degrade ratio *)
         let results, t =
           timed ~runs:3 (fun () ->
-              C.Sharded_engine.cite_batch sharded pool queries)
+              Dc_parallel.Domain_pool.run_all pool
+                (List.map
+                   (fun qs () -> List.map (C.Engine.cite engine) qs)
+                   chunks)
+              |> List.concat)
         in
         let chunk_size =
           (n_queries + Dc_parallel.Domain_pool.size pool - 1)
@@ -901,8 +909,8 @@ let e14 () =
     ];
   Printf.printf
     "(expected on an N-core host: batch speedup approaching min(N, domains)x\n\
-     — >= 2x at 4 domains — because shards share no locks and partition the\n\
-     plan work; engine_lock_waits stays 0 when each domain owns its shard.\n\
+     — >= 2x at 4 domains — because each domain keeps its own caches of the\n\
+     engine; engine_lock_waits stays 0, as no two domains share a lock.\n\
      Requested widths beyond the core count are clamped, so a 1-core host\n\
      runs every row sequentially and speedup sits at ~1.0x instead of the\n\
      cross-domain GC-barrier slowdown the unclamped engine used to show —\n\
@@ -977,7 +985,7 @@ let e15 () =
         in
         let full, full_ms =
           time_ms (fun () ->
-              C.Citer.cite (C.Citer.of_engine (C.Engine.create head_db views)) q)
+              C.Engine.cite (C.Engine.create head_db views) q)
         in
         if
           List.length full.C.Engine.tuples
@@ -1802,8 +1810,8 @@ let e20 () =
     timed ~runs:5 (fun () ->
         C.Engine.cite engine (Cq.Parser.parse_query_exn "Q(Y) :- T(1,Y)"))
   in
-  let caps = C.Citer.describe (C.Citer.of_engine engine) in
-  Printf.printf "\nengine: %s\n" (C.Citer.capabilities_to_string caps);
+  let caps = C.Engine.describe engine in
+  Printf.printf "\nengine: %s\n" (C.Engine.capabilities_to_string caps);
   Printf.printf
     "closure-view cite (chain-120, Q(Y) :- T(1,Y)): %d tuples,\n\
      cold %.2f ms (derive + rewrite + plan), warm %.2f ms\n"
@@ -1812,7 +1820,7 @@ let e20 () =
   let semi_total = List.fold_left (fun a (_, _, _, _, s) -> a +. s) 0. rows in
   write_bench_json ~experiment:"E20"
     [
-      ("capabilities", C.Citer.capabilities_to_json caps);
+      ("capabilities", C.Engine.capabilities_to_json caps);
       ( "rows",
         json_list
           (List.map

@@ -80,9 +80,9 @@ let workers_arg =
 
 let domains_arg =
   let doc =
-    "Parallel domains: 1 serves on worker threads over one engine; N > 1 \
-     serves on N domains over N engine shards, clamped to the machine's \
-     core count (see README, \"Parallel evaluation\")."
+    "Parallel domains: 1 serves on worker threads on one domain; N > 1 \
+     serves on N domains, each with its own engine caches, clamped to the \
+     machine's core count (see README, \"Parallel evaluation\")."
   in
   Arg.(
     value

@@ -38,6 +38,58 @@ module Smap = Map.Make (String)
    what a query or citation query naming an IDB predicate runs over. *)
 type idb = { derived : R.Database.t; full : R.Database.t }
 
+(* The identity of a set of caches, which each domain keeps separately
+   (see [Caches] and [Leaves]).  Copies of an engine that may share a
+   cache share its owner. *)
+type owner = { id : int }
+
+let next_owner = Atomic.make 0
+let owner () = { id = Atomic.fetch_and_add next_owner 1 }
+
+(* One domain's caches for one owner.  [lock] guards them, and the
+   domain's leaf caches of the engines holding this owner, against the
+   domain's other systhreads (the server's worker pool).  No data cell is
+   ever forced with [lock] held: a cell's computation may take it (see
+   [data_cells]). *)
+type caches = {
+  lock : Mutex.t;
+  plans : plan_cache;
+  eval_cache : Cq.Eval.cache;
+  stats : R.Stats.t;
+      (** column statistics behind the [`Min_estimated_size] choice *)
+}
+
+module Owner = struct
+  type t = owner
+
+  let id o = o.id
+end
+
+module Caches =
+  Dc_parallel.Domain_local.Make
+    (Owner)
+    (struct
+      type t = caches
+
+      let create _ =
+        {
+          lock = Mutex.create ();
+          plans =
+            { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
+          eval_cache = Cq.Eval.make_cache ();
+          stats = R.Stats.create ();
+        }
+    end)
+
+module Leaves =
+  Dc_parallel.Domain_local.Make
+    (Owner)
+    (struct
+      type t = (string, Citation.t) Hashtbl.t
+
+      let create _ = Hashtbl.create 64
+    end)
+
 type t = {
   base : R.Database.t;  (** EDB relations only *)
   idb : idb Once.t;
@@ -52,37 +104,29 @@ type t = {
   selection : selection;
   partial : bool;
   fallback_contained : bool;
-  leaf_cache : (string, Citation.t) Hashtbl.t;
-  eval_cache : Cq.Eval.cache;
-  stats : R.Stats.t;
-      (** column statistics behind the [`Min_estimated_size] choice *)
-  plans : plan_cache;
+  caches : owner;
+      (** the plan, eval and stats caches: plans depend on the view set
+          alone and eval entries self-invalidate, so [refresh] and
+          [with_databases] copies keep them *)
+  leaves : owner;
+      (** the leaf cache: concrete citations computed from the data, so
+          every data change gets a fresh one *)
   metrics : Metrics.t;
   (* Optional domain pool: when present, the rewriting search inside
      [plan_for] verifies candidates in parallel across its domains. *)
   pool : Dc_parallel.Domain_pool.t option;
-  (* Guards every shared mutable cache (plan, leaf, eval, stats) so one engine
-     can serve concurrent threads (the server's worker pool).  [refresh]
-     and [with_databases] copies share the caches, hence also the lock;
-     [replicate] shards get fresh caches and a fresh lock.  No data cell
-     is ever forced with this lock held: a cell's computation may take
-     it (see [data_cells]). *)
-  lock : Mutex.t;
 }
 
-(* Every [locked] call site runs under [with_sink e.metrics], so a
-   contended acquisition is charged to the engine's own registry as
-   well as the default one.  [try_lock] first: the uncontended path
-   costs one atomic attempt, the contended one is counted — that
-   counter is exactly what E14 uses to attribute (lack of) scaling. *)
-let locked_on lock f =
-  if not (Mutex.try_lock lock) then begin
+(* A contended acquisition is counted: the uncontended path costs one
+   atomic attempt.  Every call site runs under [with_sink e.metrics], so
+   the wait is charged to the engine's own registry as well as the
+   default one. *)
+let locked (c : caches) f =
+  if not (Mutex.try_lock c.lock) then begin
     Metrics.record Metrics.Key.engine_lock_waits;
-    Mutex.lock lock
+    Mutex.lock c.lock
   end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let locked e f = locked_on e.lock f
+  Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
 
 let merge_full base derived =
   List.fold_left R.Database.add_relation base (R.Database.relations derived)
@@ -106,20 +150,23 @@ let reads_idb program preds =
    for the program's IDB extents and one per citation view's extent.  A
    view whose definition names no IDB predicate materializes over
    [base] alone, without deriving anything.  Every computation runs
-   under [lock] with [eval_cache], those of the engine building the
-   cells, so replicas sharing the cells serialize their first forcing
-   on one cache; the IDB cell is forced before that lock is taken. *)
-let data_cells ~metrics ~lock ~eval_cache ~program ~cviews base =
+   with the forcing domain's [caches] of the engine building the cells,
+   under their lock, so every refresh of one engine reuses one eval
+   cache per domain for this work; the IDB cell is forced before that
+   lock is taken. *)
+let data_cells ~metrics ~caches ~program ~cviews base =
   let compute name f () =
     Metrics.with_sink metrics (fun () ->
-        locked_on lock (fun () -> Metrics.record_time name f))
+        let c = Caches.get caches in
+        locked c (fun () ->
+            Metrics.record_time name (fun () -> f c.eval_cache)))
   in
   let idb =
     match program with
     | None -> Once.of_value { derived = R.Database.empty; full = base }
     | Some p ->
         Once.make
-          (compute "derive" (fun () ->
+          (compute "derive" (fun eval_cache ->
                let derived = derive ~cache:eval_cache base p in
                { derived; full = merge_full base derived }))
   in
@@ -132,7 +179,7 @@ let data_cells ~metrics ~lock ~eval_cache ~program ~cviews base =
           else base
         in
         compute "materialize"
-          (fun () -> Cq.Eval.result ~cache:eval_cache db def)
+          (fun eval_cache -> Cq.Eval.result ~cache:eval_cache db def)
           ())
   in
   ( idb,
@@ -146,11 +193,9 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
-  let eval_cache = Cq.Eval.make_cache () and lock = Mutex.create () in
+  let caches = owner () in
   let cviews = Citation_view.Set.of_list cview_list in
-  let idb, extents =
-    data_cells ~metrics ~lock ~eval_cache ~program ~cviews base
-  in
+  let idb, extents = data_cells ~metrics ~caches ~program ~cviews base in
   (* Validation needs the IDB schemas, so a program's first derivation
      runs here; view extents wait for their first cite. *)
   let full = (Once.force idb).full in
@@ -180,16 +225,13 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     selection;
     partial;
     fallback_contained;
-    leaf_cache = Hashtbl.create 64;
-    eval_cache;
-    stats = R.Stats.create ();
     (* the plan cache is keyed by the view set, which is fixed at
        creation: a fresh engine (possibly with different views) always
        starts cold *)
-    plans = { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
+    caches;
+    leaves = owner ();
     metrics;
     pool;
-    lock;
   }
 
 let create ?(policy = Policy.default) ?(selection = `Min_estimated_size)
@@ -216,21 +258,10 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
   make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     ~program:(Some program) base cview_list
 
-(* A shard replica: same data cells (base, IDB, view extents — shared,
-   so whichever replica forces one first computes it for all), view
-   set, policy, pool and metrics registry, but private caches and a
-   private lock.  Replicas therefore never contend on the hot path —
-   that is the whole point of sharding — at the price of each shard
-   warming its own plan/leaf/eval caches. *)
-let replicate e =
-  {
-    e with
-    leaf_cache = Hashtbl.create 64;
-    eval_cache = Cq.Eval.make_cache ();
-    stats = R.Stats.create ();
-    plans = { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
-    lock = Mutex.create ();
-  }
+(* Same data cells (whichever copy forces one first computes it for
+   all), view set, policy, pool and metrics registry; caches of its
+   own. *)
+let replicate e = { e with caches = owner (); leaves = owner () }
 
 let database e = e.base
 let program e = e.program
@@ -244,12 +275,12 @@ let recursive_predicates e =
 let citation_views e = e.cviews
 let policy e = e.policy
 let selection e = e.selection
-let eval_cache e = e.eval_cache
+let eval_cache e = (Caches.get e.caches).eval_cache
 let metrics e = e.metrics
 
 (* The database a computation naming [preds] runs over: the base alone
    unless one of them is an IDB predicate.  Forces the IDB cell, so
-   never call it with the engine lock held. *)
+   never call it with a cache lock held. *)
 let db_for e preds =
   if reads_idb e.program preds then (Once.force e.idb).full
   else e.base
@@ -276,10 +307,10 @@ let view_database e = add_extents e R.Database.empty (view_names e)
    and materialize when a cite first reads them. *)
 let refresh e base =
   let idb, extents =
-    data_cells ~metrics:e.metrics ~lock:e.lock ~eval_cache:e.eval_cache
-      ~program:e.program ~cviews:e.cviews base
+    data_cells ~metrics:e.metrics ~caches:e.caches ~program:e.program
+      ~cviews:e.cviews base
   in
-  { e with base; idb; extents; leaf_cache = Hashtbl.create 64 }
+  { e with base; idb; extents; leaves = owner () }
 
 (* The caller asserts [view_db] matches [base]; derived extents are kept
    as-is.  {!Versioned_engine}'s registration guard refuses queries that
@@ -297,7 +328,7 @@ let with_databases e ~base ~view_db =
       Smap.mapi
         (fun name _ -> Once.of_value (R.Database.relation_exn view_db name))
         e.extents;
-    leaf_cache = Hashtbl.create 64;
+    leaves = owner ();
   }
 
 type tuple_citation = {
@@ -331,10 +362,10 @@ let leaf_key (l : Cite_expr.leaf) =
    IDB extents only when they name an IDB predicate, and forcing those
    must not happen under the lock.  The cache is checked again before
    the result is stored, in case a concurrent miss got there first. *)
-let resolve_leaf e (l : Cite_expr.leaf) =
+let resolve_in e c leaf_cache (l : Cite_expr.leaf) =
   Metrics.with_sink e.metrics @@ fun () ->
   let k = leaf_key l in
-  match locked e (fun () -> Hashtbl.find_opt e.leaf_cache k) with
+  match locked c (fun () -> Hashtbl.find_opt leaf_cache k) with
   | Some c ->
       Metrics.record Metrics.Key.leaf_cache_hits;
       c
@@ -346,17 +377,20 @@ let resolve_leaf e (l : Cite_expr.leaf) =
           (List.concat_map Cq.Query.predicates
              (Citation_view.citation_queries cv))
       in
-      locked e @@ fun () ->
-      match Hashtbl.find_opt e.leaf_cache k with
-      | Some c -> c
+      locked c @@ fun () ->
+      match Hashtbl.find_opt leaf_cache k with
+      | Some cit -> cit
       | None ->
-          let c = Citation_view.cite ~cache:e.eval_cache cv db l.params in
-          Hashtbl.add e.leaf_cache k c;
-          c)
+          let cit = Citation_view.cite ~cache:c.eval_cache cv db l.params in
+          Hashtbl.add leaf_cache k cit;
+          cit)
+
+let resolve_leaf e l =
+  resolve_in e (Caches.get e.caches) (Leaves.get e.leaves) l
 
 (* The size estimates read the definitions of the views the candidate
    rewritings use, so those decide whether the IDB extents are needed. *)
-let select e rewritings =
+let select e c rewritings =
   let estimate_db rs =
     db_for e
       (List.concat_map
@@ -373,23 +407,25 @@ let select e rewritings =
   | `All, _ | _, ([] | [ _ ]) -> rewritings
   | `Min_estimated_size, rs ->
       let db = estimate_db rs in
-      locked e (fun () ->
+      locked c (fun () ->
           Option.to_list
-            (Rw.Cost.choose_min_size ~stats:e.stats db e.views rs))
+            (Rw.Cost.choose_min_size ~stats:c.stats db e.views rs))
   | `Min_exact_size, rs ->
       Option.to_list
         (Rw.Cost.choose_min_size ~exact:true (estimate_db rs) e.views rs)
 
 (* One resolver per cite (or per maintenance step): each distinct leaf
-   takes the engine lock and the shared cache once, however many tuples
-   cite it. *)
+   takes the cache lock and the domain's leaf cache once, however many
+   tuples cite it.  The caches are looked up once, on the domain making
+   the resolver. *)
 let leaf_resolver e =
   let memo = Hashtbl.create 16 in
+  let caches = Caches.get e.caches and leaf_cache = Leaves.get e.leaves in
   fun (l : Cite_expr.leaf) ->
     match Hashtbl.find_opt memo l with
     | Some c -> c
     | None ->
-        let c = resolve_leaf e l in
+        let c = resolve_in e caches leaf_cache l in
         Hashtbl.add memo l c;
         c
 
@@ -499,11 +535,11 @@ let pred_multiset q =
    rendering, then — because equivalent minimal queries are isomorphic,
    hence share their predicate multiset — an equivalence scan within
    the core's predicate-multiset bucket. *)
-let plan_for e query =
-  locked e @@ fun () ->
+let plan_for e c query =
+  locked c @@ fun () ->
   let stripped = Cq.Query.strip_params query in
   let render = canonical_render stripped in
-  match Hashtbl.find_opt e.plans.by_render render with
+  match Hashtbl.find_opt c.plans.by_render render with
   | Some plan ->
       Metrics.record Metrics.Key.plan_cache_hits;
       plan
@@ -511,11 +547,11 @@ let plan_for e query =
       let minimized = Cq.Minimize.minimize stripped in
       let pkey = pred_multiset minimized in
       let bucket =
-        match Hashtbl.find_opt e.plans.by_preds pkey with
+        match Hashtbl.find_opt c.plans.by_preds pkey with
         | Some b -> b
         | None ->
             let b = ref [] in
-            Hashtbl.add e.plans.by_preds pkey b;
+            Hashtbl.add c.plans.by_preds pkey b;
             b
       in
       match
@@ -525,7 +561,7 @@ let plan_for e query =
       with
       | Some plan ->
           Metrics.record Metrics.Key.plan_cache_hits;
-          Hashtbl.replace e.plans.by_render render plan;
+          Hashtbl.replace c.plans.by_render render plan;
           plan
       | None ->
           Metrics.record Metrics.Key.plan_cache_misses;
@@ -543,11 +579,11 @@ let plan_for e query =
             }
           in
           bucket := plan :: !bucket;
-          Hashtbl.replace e.plans.by_render render plan;
+          Hashtbl.replace c.plans.by_render render plan;
           plan)
 
-let contained_for e plan query =
-  locked e @@ fun () ->
+let contained_for e c plan query =
+  locked c @@ fun () ->
   match plan.plan_contained with
   | Some r -> r
   | None ->
@@ -560,9 +596,10 @@ let contained_for e plan query =
 
 let cite e query =
   Metrics.with_sink e.metrics @@ fun () ->
-  let plan = plan_for e query in
+  let c = Caches.get e.caches in
+  let plan = plan_for e c query in
   let rewritings = plan.plan_rewritings and stats = plan.plan_stats in
-  let selected = select e rewritings in
+  let selected = select e c rewritings in
   Log.debug (fun m ->
       m "cite %s: %d candidates, %d rewritings, %d selected"
         (Cq.Query.name query) stats.candidates (List.length rewritings)
@@ -573,7 +610,7 @@ let cite e query =
   let selected_or_self, complete =
     if selected <> [] then (selected, true)
     else if e.fallback_contained then
-      match contained_for e plan query with
+      match contained_for e c plan query with
       | [], _ -> ([ Cq.Query.strip_params query ], true)
       | disjuncts, _ -> (disjuncts, false)
     else ([ Cq.Query.strip_params query ], true)
@@ -582,13 +619,13 @@ let cite e query =
   let db = eval_db e selected_or_self in
   let runs =
     Metrics.record_time "eval" @@ fun () ->
-    (* the shared eval cache (index memoization) is mutated during the
-       run, so the evaluation itself is the critical section *)
-    locked e @@ fun () ->
+    (* the eval cache (index memoization) is mutated during the run, so
+       the evaluation itself is the critical section *)
+    locked c @@ fun () ->
     List.map
       (fun t ->
         ( t,
-          Cq.Eval.run_projected ~cache:e.eval_cache db (Compute.rewriting t)
+          Cq.Eval.run_projected ~cache:c.eval_cache db (Compute.rewriting t)
             (Compute.vars t) ))
       templates
   in
@@ -648,3 +685,29 @@ let result_to_json (r : result) =
     (Fmt_citation.render Fmt_citation.Json r.result_citations)
     r.complete
     (Rw.Rewrite.stats_to_json r.stats)
+
+type capabilities = {
+  backend : string;
+  supports_versions : bool;
+  supports_recursion : bool;
+  shards : int;
+}
+
+let pp_capabilities ppf c =
+  Format.fprintf ppf "%s (shards=%d, versions=%b, recursion=%b)" c.backend
+    c.shards c.supports_versions c.supports_recursion
+
+let capabilities_to_string c = Format.asprintf "%a" pp_capabilities c
+
+let capabilities_to_json c =
+  Printf.sprintf
+    "{\"backend\":\"%s\",\"shards\":%d,\"supports_versions\":%b,\"supports_recursion\":%b}"
+    c.backend c.shards c.supports_versions c.supports_recursion
+
+let describe e =
+  {
+    backend = "engine";
+    supports_versions = false;
+    supports_recursion = recursive_predicates e <> [];
+    shards = 1;
+  }

@@ -27,42 +27,34 @@
     {!merged_database} force everything.  Results do not depend on
     which cells were forced, or by whom.
 
-    {b Thread safety: the shard-vs-mutex model.}  Concurrency safety
-    and parallel speedup are provided by two different mechanisms:
+    {b Thread safety: per-domain caches.}  One engine may serve {!cite}
+    / {!cite_string} / {!resolve_leaf} calls from any number of threads
+    and domains at once, and domains never contend on it.  Every cache
+    it keeps — rewriting plans, leaf citations, the evaluation index and
+    plan cache and the column statistics behind [`Min_estimated_size]
+    selection — exists once per domain that uses the engine, found
+    through [Domain.DLS] ({!Dc_parallel.Domain_local}, the mechanism
+    {!Metrics} keeps its sinks with).  A domain's caches are guarded by
+    a mutex of their own, which only systhreads of that domain (the
+    server's worker threads) can contend on; each acquisition that
+    finds it already held bumps {!Metrics.Key.engine_lock_waits}.  The
+    price of the model is cache warmth: each domain pays its own cache
+    misses.
 
-    - {e mutex} — one engine may serve {!cite} / {!cite_string} /
-      {!resolve_leaf} calls from any number of threads {e or domains}
-      concurrently: the shared mutable caches — rewriting plans, leaf
-      citations, the evaluation index cache and the column statistics
-      behind [`Min_estimated_size] selection — are guarded by an
-      internal mutex.  This is correct under systhreads and under
-      domains alike, but the lock serializes the cache-touching hot
-      path, so it adds safety, not parallelism.  Each acquisition that
-      finds the lock already held bumps
-      {!Metrics.Key.engine_lock_waits}, making the contention that
-      sharding is supposed to remove directly measurable.  Metric
-      recording itself never takes a shared lock: {!Metrics} keeps
-      per-domain sinks, so counters are not a second contention point.
-    - {e shards} — {!replicate} returns a replica sharing the immutable
-      data (base database, the IDB and view-extent cells, view set,
-      policy) and the metrics registry, but owning {e private} caches
-      and a private lock.  Give each domain its own replica ({!Sharded_engine} does)
-      and the hot path never contends: parallel speedup comes from
-      sharding, the per-engine mutex remains only for intra-shard
-      concurrency (e.g. the systhread server path).
-
-    {!refresh} and {!with_databases} return copies sharing caches {e and
-    the mutex}, so the copies are safe too; swapping which engine a
-    server uses is the caller's (atomic-reference) problem.  A data cell
-    may be first-forced by several threads or domains at once (through
-    replicas sharing it): one computes, under the refreshed engine's
-    lock and evaluation cache, while the others wait for its value.  A
-    computation that raises leaves the cell empty for the next cite to
-    retry.  The
-    contract covers only access {e through} the engine: code that takes
-    the raw {!eval_cache} handle and evaluates with it directly
-    ({!Incremental} does) bypasses the lock and must not run
-    concurrently with citations on the same engine. *)
+    {!refresh} and {!with_databases} return copies sharing the plan,
+    evaluation and statistics caches (never the leaf cache, which holds
+    data-derived citations); {!replicate} returns one sharing none.
+    Swapping which engine a server uses is the caller's problem.  A
+    data cell may be first-forced by several threads or domains at once:
+    one computes, under the forcing domain's cache lock and evaluation
+    cache of the engine that built the cell, while the others wait for
+    its value.  A computation that raises leaves the cell empty for the
+    next cite to retry.  No data cell is forced while a cache lock is
+    held.  The contract covers only access {e through} the engine: code
+    that takes the raw {!eval_cache} handle and evaluates with it
+    directly ({!Incremental} does) bypasses the lock and must not run
+    concurrently with citations of the same engine on the same
+    domain. *)
 
 type selection =
   [ `All  (** evaluate every minimal rewriting; [+R] applies at eval *)
@@ -126,12 +118,14 @@ val of_program :
     exports, or schema mismatches. *)
 
 val replicate : t -> t
-(** A shard replica: shares the data cells (base database, IDB and view
-    extents — whichever replica forces a cell first computes it for
-    all, and nothing is computed twice), the policy, the metrics
-    registry and the domain pool, but owns fresh private plan/leaf/eval
-    caches and a fresh lock.  See the thread-safety note above;
-    {!Sharded_engine} builds on this. *)
+(** The same engine with caches of its own: it shares the data cells
+    (base database, IDB and view extents — whichever copy forces a cell
+    first computes it for all, and nothing is computed twice), the
+    policy, the metrics registry and the domain pool.
+    {!Versioned_engine} gives each per-version engine one, so versions
+    never thrash each other's evaluation cache, and each
+    {!Incremental} registration one, because it evaluates through the
+    raw {!eval_cache} without the lock. *)
 
 val database : t -> Dc_relational.Database.t
 (** The base (EDB) database only — what {!refresh}, the version store
@@ -167,10 +161,10 @@ val view_database : t -> Dc_relational.Database.t
     has read yet. *)
 
 val eval_cache : t -> Dc_cq.Eval.cache
-(** The engine's shared evaluation cache: hash indexes keyed by
-    (predicate, bound positions) {e and} compiled query plans keyed by
-    the query's printed form (see {!Dc_cq.Plan}).  Both kinds of entry
-    self-invalidate against the current relation values by physical
+(** The calling domain's evaluation cache of this engine: hash indexes
+    keyed by (predicate, bound positions) {e and} compiled query plans
+    keyed by the query's printed form (see {!Dc_cq.Plan}).  Both kinds
+    of entry self-invalidate against the current relation values by physical
     identity, so callers maintaining the database incrementally
     ({!Incremental}) can keep reusing it across deltas.  Distinct from
     the engine's rewriting-plan cache, which maps citation queries to
@@ -191,14 +185,14 @@ val refresh : t -> Dc_relational.Database.t -> t
 (** The same engine over an updated database, in O(number of views):
     it builds fresh data cells and computes none of them.  The IDB
     extents are re-derived and each view rematerialized by the first
-    cite that reads them (see the note above), with this engine's lock
-    and evaluation cache, so every refresh of one engine — the
-    per-version engines of a {!Versioned_engine} — shares one cache for
-    that work.  No validation runs: the view set and program are the
-    ones already checked.  The rewriting-plan cache is kept: plans
-    depend only on the view set, which [refresh] never changes.  Only
-    {!create} — where the view set is chosen — starts with a cold plan
-    cache. *)
+    cite that reads them (see the note above), with this engine's
+    per-domain cache lock and evaluation cache, so every refresh of one
+    engine — the per-version engines of a {!Versioned_engine} — shares
+    one cache per domain for that work.  No validation runs: the view
+    set and program are the ones already checked.  The rewriting-plan
+    cache is kept: plans depend only on the view set, which [refresh]
+    never changes.  Only {!create} — where the view set is chosen —
+    starts with a cold plan cache. *)
 
 val with_databases :
   t -> base:Dc_relational.Database.t -> view_db:Dc_relational.Database.t -> t
@@ -268,7 +262,7 @@ val resolve_leaf : t -> Cite_expr.leaf -> Citation.t
 
 val leaf_resolver : t -> Cite_expr.leaf -> Citation.t
 (** A fresh per-call memo in front of {!resolve_leaf}: the returned
-    function takes the engine lock once per distinct leaf.  Use one per
+    function takes the cache lock once per distinct leaf.  Use one per
     cite or maintenance step; it never sees later data changes. *)
 
 val tuple_citation :
@@ -287,3 +281,27 @@ val aggregate :
   Cite_expr.t * Citation.Set.t
 (** The normalized [Agg] over the tuples' (normal) expressions and its
     citations: a result's [result_expr] and [result_citations]. *)
+
+(** {1 Capabilities} *)
+
+type capabilities = {
+  backend : string;  (** ["engine"] or ["versioned"] *)
+  supports_versions : bool;  (** [cite_at]/[commit_delta] available *)
+  supports_recursion : bool;
+      (** the engine carries a Datalog program with at least one
+          recursive predicate *)
+  shards : int;
+      (** [1] from {!describe}; the server reports its worker-domain
+          count here *)
+}
+(** What a citation backend can do, as the REPL's [:stats], the
+    server's v2 [HEALTH] and the bench banners report it. *)
+
+val pp_capabilities : Format.formatter -> capabilities -> unit
+val capabilities_to_string : capabilities -> string
+
+val capabilities_to_json : capabilities -> string
+(** One-line JSON object over the four labeled fields. *)
+
+val describe : t -> capabilities
+(** Backend ["engine"], no versions, [shards = 1]. *)

@@ -129,34 +129,29 @@ let create () =
 
 let default = create ()
 
-(* Each domain maps registry -> its own sink in domain-local storage.
-   The table holds its keys weakly (ephemerons), so a registry — benches
-   create thousands of short-lived engines, each with one — can be
-   collected even though domains that recorded into it outlive it; the
-   registry's own [sinks] list dies with the registry. *)
-module Sink_tbl = Ephemeron.K1.Make (struct
-  type registry = t
-  type t = registry
+(* Each domain keeps its own sink per registry.  Its table holds the
+   registries weakly, so a registry — benches create thousands of
+   short-lived engines, each with one — can be collected even though
+   domains that recorded into it outlive it; the registry's own [sinks]
+   list dies with the registry.  A domain's first touch of a registry
+   is the only mutex in the recording path, taken once per (domain,
+   registry) pair ever. *)
+module Sinks =
+  Dc_parallel.Domain_local.Make
+    (struct
+      type registry = t
+      type t = registry
 
-  let equal = ( == )
-  let hash t = t.id
-end)
+      let id t = t.id
+    end)
+    (struct
+      type t = sink
 
-let local_sinks : sink Sink_tbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Sink_tbl.create 16)
-
-(* First touch of registry [t] by this domain: the only mutex in the
-   recording path, taken once per (domain, registry) pair ever. *)
-let register_sink t =
-  let s = { counters = Hashtbl.create 24; timers = Hashtbl.create 8 } in
-  Mutex.protect t.mu (fun () -> t.sinks <- s :: t.sinks);
-  Sink_tbl.replace (Domain.DLS.get local_sinks) t s;
-  s
-
-let sink_for t =
-  match Sink_tbl.find_opt (Domain.DLS.get local_sinks) t with
-  | Some s -> s
-  | None -> register_sink t
+      let create t =
+        let s = { counters = Hashtbl.create 24; timers = Hashtbl.create 8 } in
+        Mutex.protect t.mu (fun () -> t.sinks <- s :: t.sinks);
+        s
+    end)
 
 (* First use of a dynamic name (amortized: once per key per domain)
    records it in the registry's display order under the lock. *)
@@ -188,15 +183,15 @@ let timer_for t s name =
       tm
 
 let incr ?(by = 1) t name =
-  let c = counter_for t (sink_for t) name in
+  let c = counter_for t (Sinks.get t) name in
   c.adds <- c.adds + by
 
 let record_max t name v =
-  let c = counter_for t (sink_for t) name in
+  let c = counter_for t (Sinks.get t) name in
   if v > c.hw then c.hw <- v
 
 let add_time t name s =
-  let tm = timer_for t (sink_for t) name in
+  let tm = timer_for t (Sinks.get t) name in
   tm.total_s <- tm.total_s +. s;
   tm.calls <- tm.calls + 1
 

@@ -73,8 +73,9 @@ module Key : sig
 
   val engine_lock_waits : string
   (** Times an engine's cache lock was found already held and had to be
-      waited for — the direct measure of hot-path contention.  Stays 0
-      when each domain works its own shard. *)
+      waited for — the direct measure of hot-path contention.  Each
+      domain has its own cache locks, so only systhreads sharing a
+      domain can contend. *)
 
   val server_requests : string
   (** Request lines received by the citation server (all commands,
@@ -95,7 +96,7 @@ module Key : sig
 
   val server_batches : string
   (** [CITE_BATCH] requests executed (each answering many queries
-      against one shard/version pick). *)
+      against one head engine). *)
 
   val version_commits : string
   (** Deltas committed through a {!Versioned_engine}. *)

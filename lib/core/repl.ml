@@ -129,7 +129,7 @@ let cite_query st q =
           | Error e -> (st, e)
           | Ok (st, engine) -> (
               try
-                let result = Citer.cite (Citer.of_engine engine) q in
+                let result = Engine.cite engine q in
                 ( { st with last = Some (engine, result) },
                   show_result st result )
               with Cq.Eval.Unknown_relation r ->
@@ -346,12 +346,11 @@ let eval st line =
         let m, caps =
           match st.engine with
           | Some engine ->
-              ( Engine.metrics engine,
-                Citer.describe (Citer.of_engine engine) )
+              (Engine.metrics engine, Engine.describe engine)
           | None ->
               ( Metrics.default,
                 {
-                  Citer.backend = "none";
+                  Engine.backend = "none";
                   supports_versions = false;
                   supports_recursion = false;
                   shards = 0;
@@ -359,7 +358,7 @@ let eval st line =
         in
         ( st,
           Printf.sprintf "engine: %s\n%s"
-            (Citer.capabilities_to_string caps)
+            (Engine.capabilities_to_string caps)
             (String.trim (Format.asprintf "%a" Metrics.pp m)) )
     | "serve" | ":serve" -> (st, serve_text)
     | other -> (st, Printf.sprintf "unknown command %s (try: help)" other)

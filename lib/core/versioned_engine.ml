@@ -12,10 +12,10 @@ type t = {
      engines: [Engine.refresh template db] inherits every creation
      parameter (policy, selection, partial, fallback, pool) and the
      shared metrics registry; the subsequent [replicate] gives the new
-     engine private caches and a private lock so versions never contend
-     with each other on cites.  The versions' derivations and view
-     materializations run under the template's lock and evaluation
-     cache, as the cells of a refresh do. *)
+     engine caches of its own, so versions never thrash each other's
+     evaluation cache.  The versions' derivations and view
+     materializations run under the template's per-domain cache lock
+     and evaluation cache, as the cells of a refresh do. *)
   template : Engine.t;
   metrics : Metrics.t;
   capacity : int;
@@ -220,11 +220,6 @@ let cite_at t v q =
 
 let cite t q = cite_at t (head t) q
 
-let cite_string t src =
-  match Cq.Parser.parse_query src with
-  | Error e -> Error e
-  | Ok q -> Result.map (fun c -> c.result) (cite t q)
-
 (* Incremental maintenance propagates deltas through {e base} relations
    only ({!Incremental.apply_delta} reads [Delta.relations_touched]):
    an extent derived by the Datalog engine changes when its EDB inputs
@@ -274,7 +269,7 @@ let register_gen ~durable t q =
   let hd = VS.head t.store in
   Result.bind (engine_at t hd) @@ fun eng ->
   (* Register on a private replica: [Incremental] evaluates with
-     the raw eval-cache handle, bypassing the engine lock, so it
+     the raw eval-cache handle, bypassing the cache lock, so it
      must never share caches with an engine serving concurrent
      citations. *)
   let reg = Incremental.register (Engine.replicate eng) q in
@@ -354,6 +349,13 @@ let commit_delta t delta =
                   t.regs <- regs';
                   trim_unlocked t);
               Ok v))
+
+let describe t =
+  {
+    (Engine.describe t.template) with
+    backend = "versioned";
+    supports_versions = true;
+  }
 
 let pp ppf t =
   let store, cached, regs =

@@ -142,10 +142,6 @@ val cite_at :
 val cite : t -> Dc_cq.Query.t -> (cited, string) result
 (** [cite t q] is [cite_at t (head t) q]. *)
 
-val cite_string : t -> string -> (Engine.result, string) Stdlib.result
-(** Parse and cite at head, dropping the stamp — the {!Citer}-shaped
-    entry point. *)
-
 val template : t -> Engine.t
 (** The pristine template replica per-version engines are refreshed
     from; exposes creation-time configuration (program, views, policy)
@@ -185,5 +181,9 @@ val verify :
 val digest_at :
   t -> Dc_relational.Version_store.version -> (string, string) result
 (** The version's {!Fixity.digest_db}, cached after first computation. *)
+
+val describe : t -> Engine.capabilities
+(** Backend ["versioned"], with versions supported, recursion as the
+    template engine's program has it, and [shards = 1]. *)
 
 val pp : Format.formatter -> t -> unit

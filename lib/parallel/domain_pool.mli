@@ -36,7 +36,7 @@ val available_cores : unit -> int
 
 val effective : requested:int -> int
 (** [min requested (available_cores ())] — the domain count a clamped
-    pool (or shard set) of width [requested] really gets.  Raises
+    pool (or server) of width [requested] really gets.  Raises
     [Invalid_argument] when [requested < 1]. *)
 
 type t

@@ -318,7 +318,7 @@ let ok_health ?version ?data_dir ?wal_enabled ?last_snapshot_version
       | Some v -> [ ("last_snapshot_version", string_of_int v) ])
     @
     (* Capability report (v2 HEALTH only, like the durability fields). *)
-    match (capabilities : C.Citer.capabilities option) with
+    match (capabilities : C.Engine.capabilities option) with
     | None -> []
     | Some c ->
         [

@@ -38,7 +38,7 @@
     line format.
 
     [CITE_BATCH] is the one multi-line request: its header announces how
-    many query lines follow, and the server resolves its shard/version
+    many query lines follow, and the server resolves its head engine
     once for the whole batch.  Because it spans lines it is parsed only
     by the incremental {!Decoder} (the framing layer connections run);
     {!parse_request}, which sees a single line, rejects a stray header.
@@ -65,7 +65,7 @@ type request =
   | Cite of string  (** cite a Datalog query, e.g. [Q(X) :- R(X,Y)] *)
   | Cite_batch of string list
       (** the [CITE_BATCH n] multi-line form: cite every query against
-          one shard/version pick, answering [n] response lines in
+          one head engine, answering [n] response lines in
           order.  Assembled only by the incremental {!Decoder}. *)
   | Cite_param of {
       view : string;
@@ -152,7 +152,7 @@ val ok_health :
   ?data_dir:string ->
   ?wal_enabled:bool ->
   ?last_snapshot_version:int ->
-  ?capabilities:Dc_citation.Citer.capabilities ->
+  ?capabilities:Dc_citation.Engine.capabilities ->
   uptime_s:float ->
   views:int ->
   relations:int ->

@@ -45,16 +45,9 @@ let default_config =
 type state = Serving | Draining | Stopped
 
 type t = {
-  (* The v1 hot path: round-robin shards over the current head.  The
-     atomic lets COMMIT_DELTA swap in shards over the new head while
-     in-flight requests keep citing on the shard they already picked
-     (shards are immutable snapshots, so that is merely serving the
-     version that was head when their request arrived). *)
-  shards : C.Sharded_engine.t Atomic.t;
-  (* The versioned layer behind CITE_AT / COMMIT_DELTA / VERSIONS /
-     VERIFY / REGISTER; its version 0 engine is the engine [start] was
-     given, and its head always matches what [shards] serves (modulo
-     the commit/swap window). *)
+  (* Every command reads through it: v1 CITE, CITE_BATCH and CITE_PARAM
+     cite its head engine, the v2 commands its versions.  Its version 0
+     engine is the engine [start] was given. *)
   versioned : C.Versioned_engine.t;
   config : config;
   listen_fd : Unix.file_descr;
@@ -67,8 +60,7 @@ type t = {
      option only because the handlers it is built over close over [t]. *)
   mutable reactor : Reactor.t option;
   (* [config.domains] after clamping to the host's core count: the
-     shard width actually built, kept so [refresh_shards] rebuilds the
-     same width. *)
+     worker domains actually running, as v2 HEALTH reports them. *)
   domains_eff : int;
   started_at : float;
   stop_requested : bool Atomic.t;
@@ -81,9 +73,14 @@ type t = {
 
 let port t = t.bound_port
 
-(* The primary shard: data-level reads (HEALTH, STATS) and the metrics
-   registry — which every replica shares — go through it. *)
-let engine t = C.Sharded_engine.primary (Atomic.get t.shards)
+(* Shared by every per-version engine. *)
+let metrics t = C.Versioned_engine.metrics t.versioned
+
+(* The engine of the version that is head now.  A commit publishes its
+   version before acknowledging it, so a request arriving after the ack
+   cites the new head. *)
+let head_engine t =
+  C.Versioned_engine.engine_at t.versioned (C.Versioned_engine.head t.versioned)
 
 (* ------------------------------------------------------------------ *)
 (* Request execution (runs on a pool worker).                          *)
@@ -99,21 +96,18 @@ let record_req m =
   C.Metrics.record C.Metrics.Key.server_requests;
   C.Metrics.incr m C.Metrics.Key.server_requests
 
-(* After a commit, rebuild the v1 shards over the (new) head engine.
-   Reads the head at swap time, so racing commits can only ever install
-   a {e newer} head than the one they committed — never roll one back. *)
-let refresh_shards t =
-  match C.Versioned_engine.engine_at t.versioned (C.Versioned_engine.head t.versioned) with
-  | Error _ -> () (* head vanished: impossible through the public API *)
-  | Ok head_eng ->
-      Atomic.set t.shards
-        (C.Sharded_engine.of_engine ~shards:t.domains_eff head_eng)
+(* v1 citations go to the head engine — never through a registration,
+   and without the stamp (and so the fixity digest) a [cite_at] adds. *)
+let with_head_engine t m f =
+  match head_engine t with
+  | Error e ->
+      (* the head vanished: impossible through the public API *)
+      record_err m;
+      Protocol.error_line e
+  | Ok eng -> f eng
 
-(* [eng] is the shard this request was dispatched to; HEALTH and STATS
-   read through the primary (replicas share data and metrics anyway).
-   Versioned commands go to [t.versioned] instead of the shard. *)
-let execute t eng (req : Protocol.request) =
-  let m = C.Engine.metrics eng in
+let execute t (req : Protocol.request) =
+  let m = metrics t in
   C.Metrics.with_sink m @@ fun () ->
   let t0 = Dc_clock.Monotonic.now_s () in
   let ms () = Dc_clock.Monotonic.elapsed_ms t0 in
@@ -123,20 +117,21 @@ let execute t eng (req : Protocol.request) =
       C.Metrics.record_time "server_stats" @@ fun () ->
       Protocol.ok_stats ~stats_json:(C.Metrics.to_json m)
   | Protocol.Health | Protocol.Health_v2 ->
-      let db = C.Engine.database (engine t) in
+      let db =
+        R.Version_store.head_db (C.Versioned_engine.store t.versioned)
+      in
       (* v2 HEALTH adds the durability report; bare HEALTH stays
          byte-identical to protocol v1. *)
       let data_dir, wal_enabled, last_snapshot_version, capabilities =
         match req with
         | Protocol.Health -> (None, None, None, None)
         | _ ->
-            (* The server answers versioned commands regardless of which
-               shard a CITE lands on, so report the versioned backend's
-               capabilities with the actual shard fan-out. *)
+            (* every citation is served by the versioned engine, on
+               [domains_eff] worker domains *)
             let caps =
               {
-                (C.Citer.describe (C.Citer.of_versioned t.versioned)) with
-                shards = C.Sharded_engine.shard_count (Atomic.get t.shards);
+                (C.Versioned_engine.describe t.versioned) with
+                shards = t.domains_eff;
               }
             in
             (match t.storage with
@@ -151,7 +146,10 @@ let execute t eng (req : Protocol.request) =
         ~version:(C.Versioned_engine.head t.versioned)
         ?data_dir ?wal_enabled ?last_snapshot_version ?capabilities
         ~uptime_s:(Dc_clock.Monotonic.now_s () -. t.started_at)
-        ~views:(C.Citation_view.Set.size (C.Engine.citation_views (engine t)))
+        ~views:
+          (C.Citation_view.Set.size
+             (C.Engine.citation_views
+                (C.Versioned_engine.template t.versioned)))
         ~relations:(List.length (R.Database.relation_names db))
         ~tuples:(R.Database.total_tuples db)
         ()
@@ -159,18 +157,18 @@ let execute t eng (req : Protocol.request) =
       C.Metrics.record_time "server_cite_batch" @@ fun () ->
       (* [record] reaches [m] too: the engine sink is in scope here *)
       C.Metrics.record C.Metrics.Key.server_batches;
-      (* One shard/version resolution for the whole batch: every query
-         cites against [eng], the shard this request was dispatched to,
-         through one CITER — the per-request pick, dispatch and cache
-         warm-up are amortized over all [n] answers.  Each query still
-         fails individually: a parse error costs its own line, never
-         its neighbours'. *)
+      (* One head-engine resolution for the whole batch, amortized over
+         all [n] answers.  Each query still fails individually: a parse
+         error costs its own line, never its neighbours'. *)
       let parsed = List.map (fun q -> (q, Dc_cq.Parser.parse_query q)) qs in
       let queries = List.filter_map (fun (_, r) -> Result.to_option r) parsed in
       let results =
-        match C.Citer.cite_batch (C.Citer.of_engine eng) queries with
-        | rs -> Ok rs
-        | exception ex -> Error (Printexc.to_string ex)
+        match head_engine t with
+        | Error e -> Error e
+        | Ok eng -> (
+            match List.map (C.Engine.cite eng) queries with
+            | rs -> Ok rs
+            | exception ex -> Error (Printexc.to_string ex))
       in
       let lines =
         match results with
@@ -213,7 +211,8 @@ let execute t eng (req : Protocol.request) =
       String.concat "\n" lines
   | Protocol.Cite q -> (
       C.Metrics.record_time "server_cite" @@ fun () ->
-      match C.Citer.cite_string (C.Citer.of_engine eng) q with
+      with_head_engine t m @@ fun eng ->
+      match C.Engine.cite_string eng q with
       | Error e ->
           record_err m;
           Protocol.error_line e
@@ -260,7 +259,6 @@ let execute t eng (req : Protocol.request) =
           record_err m;
           Protocol.error_line e
       | Ok version ->
-          refresh_shards t;
           Protocol.ok_commit ~version ~size:(R.Delta.size delta)
             ~registrations:
               (List.length (C.Versioned_engine.registrations t.versioned))
@@ -300,6 +298,7 @@ let execute t eng (req : Protocol.request) =
               Protocol.error_line ("register failed: " ^ Printexc.to_string ex)))
   | Protocol.Cite_param { view; bindings } -> (
       C.Metrics.record_time "server_cite_param" @@ fun () ->
+      with_head_engine t m @@ fun eng ->
       match
         C.Citation_view.Set.find (C.Engine.citation_views eng) view
       with
@@ -335,16 +334,12 @@ let record_busy m =
    reaches the wire through [reply]: the reactor holds the request's
    ordered slot and flushes it on write-readiness once filled. *)
 let on_request t req ~reply =
-  let m = C.Engine.metrics (engine t) in
+  let m = metrics t in
   if not (serving t) then begin
     record_err m;
     `Reject (Protocol.error_line "server shutting down")
   end
   else begin
-    (* shard chosen at submit time: round-robin, so consecutive requests
-       land on different replicas (different locks); a CITE_BATCH keeps
-       the one shard it drew for all its queries *)
-    let eng = C.Sharded_engine.pick (Atomic.get t.shards) in
     (* a batch owes one line per query even when the job blows up *)
     let fallback e =
       let line = Protocol.error_line ("internal error: " ^ e) in
@@ -356,7 +351,7 @@ let on_request t req ~reply =
     match
       Worker_pool.submit t.pool (fun () ->
           reply
-            (try execute t eng req
+            (try execute t req
              with ex ->
                record_err m;
                fallback (Printexc.to_string ex)))
@@ -381,9 +376,9 @@ let on_request t req ~reply =
 let reactor_handlers t =
   {
     Reactor.on_request = (fun req ~reply -> on_request t req ~reply);
-    on_receive = (fun () -> record_req (C.Engine.metrics (engine t)));
-    on_error = (fun () -> record_err (C.Engine.metrics (engine t)));
-    on_busy = (fun () -> record_busy (C.Engine.metrics (engine t)));
+    on_receive = (fun () -> record_req (metrics t));
+    on_error = (fun () -> record_err (metrics t));
+    on_busy = (fun () -> record_busy (metrics t));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -399,9 +394,7 @@ let snapshot_loop t st =
     if serving t then
       if Dc_clock.Monotonic.now_s () -. last >= interval then begin
         (match
-           C.Metrics.with_sink
-             (C.Engine.metrics (engine t))
-             (fun () ->
+           C.Metrics.with_sink (metrics t) (fun () ->
                Dc_storage.Store.write_snapshot st
                  ~store:(C.Versioned_engine.store t.versioned)
                  ~registrations:(C.Versioned_engine.registrations t.versioned))
@@ -478,21 +471,19 @@ let start ?(config = default_config) eng =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> config.port
   in
-  (* domains = 1: the PR-2 architecture — systhread workers interleaving
-     on one engine.  domains = N: one engine replica per domain-backed
-     worker, so requests on different workers run truly in parallel and
-     never contend on a shard lock.  [domains] is first clamped to the
-     host's core count: domains the hardware cannot run in parallel buy
-     no throughput and still pay replica caches and GC barriers, so a
-     [--domains 8] server on a 1-core box honestly degrades to the
-     sequential architecture. *)
+  (* domains = 1: systhread workers interleaving on one domain.
+     domains = N: N domain-backed workers, so requests run truly in
+     parallel, each domain over its own caches of the one engine.
+     [domains] is first clamped to the host's core count: domains the
+     hardware cannot run in parallel buy no throughput and still pay
+     cold caches and GC barriers, so a [--domains 8] server on a 1-core
+     box honestly degrades to the sequential architecture. *)
   let domains_eff =
     Dc_parallel.Domain_pool.effective ~requested:config.domains
   in
   let parallel = domains_eff > 1 in
   let t =
     {
-      shards = Atomic.make (C.Sharded_engine.of_engine ~shards:domains_eff eng);
       versioned;
       config;
       listen_fd;
@@ -511,10 +502,6 @@ let start ?(config = default_config) eng =
       snapshot_thread = None;
     }
   in
-  (* A recovered head > 0: the v1 shards were built over the engine's
-     own (version-0) database — rebuild them over the recovered head
-     before serving the first request. *)
-  if C.Versioned_engine.head t.versioned > 0 then refresh_shards t;
   t.reactor <-
     Some
       (Reactor.start

@@ -1,5 +1,5 @@
 (** The citation-serving daemon: a TCP server holding one warm
-    {!Dc_citation.Engine.t} and answering the line protocol of
+    {!Dc_citation.Versioned_engine.t} and answering the line protocol of
     {!Protocol} — the paper's §3 "citations computed at the time the
     data is being cited", as an online service.
 
@@ -22,32 +22,35 @@
     never kill the connection, a worker, or the server.
 
     The multi-line [CITE_BATCH n] form (header then [n] query lines)
-    answers [n] [OK]/[ERR] lines, resolving its shard and version once
-    for the whole batch — the cheapest way to push many queries
-    through one connection.
+    answers [n] [OK]/[ERR] lines, resolving the head engine once for
+    the whole batch — the cheapest way to push many queries through one
+    connection.
 
     With [config.domains = N > 1] the pool runs one OCaml 5 {e domain}
-    per worker and the engine is wrapped in a {!Dc_citation.Sharded_engine}
-    of [N] replicas (shared data and metrics, private caches and locks);
-    each request is dispatched round-robin to a shard, so requests
-    execute truly in parallel instead of interleaving on one runtime.
-    With [domains = 1] (the default) the behaviour is exactly the
-    systhread architecture above.
+    per worker, so requests execute truly in parallel instead of
+    interleaving on one runtime.  They share one engine per version:
+    each domain keeps its own caches of it (see {!Dc_citation.Engine}),
+    so domains never contend on a cache lock.  With [domains = 1] (the
+    default) the behaviour is exactly the systhread architecture
+    above.
 
     {b Versioned serving.}  The engine handed to {!start} becomes
-    version 0 of a {!Dc_citation.Versioned_engine}; the protocol-v2
-    commands route to it: [CITE_AT v] cites against any committed
-    version (responses carry the version, commit timestamp and fixity
-    digest), [COMMIT_DELTA] advances the head — after which the v1
-    [CITE] shards are atomically rebuilt over the new head, while
-    requests already dispatched keep serving the version that was head
-    when they arrived — [VERSIONS] lists history, [VERIFY] checks a
+    version 0 of a {!Dc_citation.Versioned_engine}, and every request
+    routes to it.  The v1 [CITE], [CITE_BATCH] and [CITE_PARAM] cite
+    the engine of the version that is head when the worker runs them,
+    unstamped and never from a registration.  [CITE_AT v] cites against
+    any committed version (responses carry the version, commit
+    timestamp and fixity digest).  [COMMIT_DELTA] advances the head: a
+    commit publishes its version before it is acknowledged, so every
+    request read after the acknowledgement cites that version or a
+    later one, while requests already running finish on the version
+    they started on.  [VERSIONS] lists history, [VERIFY] checks a
     digest, and [REGISTER] arms incremental maintenance so repeated
-    head citations of the same query are served from the maintained
-    registration.  A commit never blocks in-flight [CITE]/[CITE_AT]s
-    on other engines, and a checkout failure (unknown version, bad
-    delta) costs exactly one [ERR] line like every other request
-    failure.
+    [CITE_AT]s of the head for the same query are served from the
+    maintained registration.  A commit never blocks in-flight
+    [CITE]/[CITE_AT]s on other engines, and a checkout failure (unknown
+    version, bad delta) costs exactly one [ERR] line like every other
+    request failure.
 
     Every request bumps {!Dc_citation.Metrics} ([server_requests],
     [server_errors], [server_queue_depth] high-water, and
@@ -73,9 +76,10 @@ type config = {
       (** unflushed response bytes per connection before the reactor
           stops reading it (flow control, not an error) *)
   domains : int;
-      (** [1] = systhread workers over one shared engine; [N > 1] = [N]
-          domain-backed workers over [N] engine shards ([workers] is
-          then ignored — parallelism is the worker count).  [N] is
+      (** [1] = systhread workers on one domain; [N > 1] = [N]
+          domain-backed workers, each domain with its own caches of the
+          engines ([workers] is then ignored — parallelism is the worker
+          count).  [N] is
           clamped to {!Dc_parallel.Domain_pool.available_cores} at
           {!start}: on a host with fewer cores the server runs the
           widest width the hardware can actually parallelize, down to
@@ -115,7 +119,7 @@ val start : ?config:config -> Dc_citation.Engine.t -> t
     background threads.  Creating the engine before [start] validates
     its views (and derives a program's IDB extents) at startup; each
     view's extent is computed by the first request that reads it, once
-    for all shards.
+    for all domains.
 
     With [config.data_dir = Some dir]: an empty [dir] is initialized
     (the engine's database becomes version 0 on disk); a populated one

@@ -2,8 +2,8 @@
 
     Jobs are run FIFO by [workers] workers — systhreads by default
     (concurrent but interleaved on one domain), or one OCaml 5 domain
-    each with [~domains:true] (parallel; pair it with per-domain engine
-    shards, see {!Dc_citation.Sharded_engine}).  The queue holds at most
+    each with [~domains:true] (parallel; an engine keeps separate
+    caches per domain, see {!Dc_citation.Engine}).  The queue holds at most
     [queue_capacity] pending jobs: past that, {!submit} refuses with
     [Overloaded] instead of buffering unboundedly — the caller turns
     that into an overload error for its client.

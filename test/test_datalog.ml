@@ -541,30 +541,27 @@ let test_register_on_program_survives_commits () =
 let test_capabilities () =
   let db = paper_db () in
   let plain = C.Engine.create db Dc_gtopdb.Paper_views.all in
-  let caps = C.Citer.describe (C.Citer.of_engine plain) in
-  Alcotest.(check string) "engine backend" "engine" caps.C.Citer.backend;
-  Alcotest.(check bool) "no versions" false caps.C.Citer.supports_versions;
-  Alcotest.(check bool) "no recursion" false caps.C.Citer.supports_recursion;
-  Alcotest.(check int) "one shard" 1 caps.C.Citer.shards;
-  let sharded =
-    C.Citer.describe
-      (C.Citer.of_sharded (C.Sharded_engine.of_engine ~shards:2 plain))
-  in
-  Alcotest.(check string) "sharded backend" "sharded" sharded.C.Citer.backend;
-  Alcotest.(check bool) "shard fan-out reported" true
-    (sharded.C.Citer.shards >= 1);
+  let caps = C.Engine.describe plain in
+  Alcotest.(check string) "engine backend" "engine" caps.C.Engine.backend;
+  Alcotest.(check bool) "no versions" false caps.C.Engine.supports_versions;
+  Alcotest.(check bool) "no recursion" false caps.C.Engine.supports_recursion;
+  Alcotest.(check int) "one shard" 1 caps.C.Engine.shards;
+  Alcotest.(check string) "printed"
+    "engine (shards=1, versions=false, recursion=false)"
+    (C.Engine.capabilities_to_string caps);
   let versioned =
-    C.Citer.describe
-      (C.Citer.of_versioned
-         (C.Versioned_engine.create_program (link_db [ (2, 1) ])
-            upstream_program))
+    C.Versioned_engine.describe
+      (C.Versioned_engine.create_program (link_db [ (2, 1) ]) upstream_program)
   in
   Alcotest.(check string) "versioned backend" "versioned"
-    versioned.C.Citer.backend;
+    versioned.C.Engine.backend;
   Alcotest.(check bool) "versions supported" true
-    versioned.C.Citer.supports_versions;
+    versioned.C.Engine.supports_versions;
   Alcotest.(check bool) "recursion reported" true
-    versioned.C.Citer.supports_recursion
+    versioned.C.Engine.supports_recursion;
+  Alcotest.(check string) "JSON"
+    "{\"backend\":\"versioned\",\"shards\":1,\"supports_versions\":true,\"supports_recursion\":true}"
+    (C.Engine.capabilities_to_json versioned)
 
 let suite =
   [
@@ -595,5 +592,6 @@ let suite =
       test_register_guard;
     Alcotest.test_case "REGISTER on a program engine survives commits" `Quick
       test_register_on_program_survives_commits;
-    Alcotest.test_case "citer capabilities" `Quick test_capabilities;
+    Alcotest.test_case "engine and versioned capabilities" `Quick
+      test_capabilities;
   ]

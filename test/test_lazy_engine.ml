@@ -405,7 +405,7 @@ let rotate i l =
   let n = List.length l in
   List.init n (fun k -> List.nth l ((k + i) mod n))
 
-let test_shards_first_force_together () =
+let test_domains_first_force_together () =
   let db0 = database ~seed:11 ~families:40 in
   let base = E.of_program ~views db0 program in
   for round = 1 to 8 do
@@ -419,28 +419,23 @@ let test_shards_first_force_together () =
       ignore (E.merged_database oracle);
       List.map (E.cite oracle) race_queries
     in
-    let sharded =
-      C.Sharded_engine.of_engine ~clamp:false ~shards:domains (E.refresh base db)
-    in
+    let eng = E.refresh base db in
     let got =
-      together (fun i ->
-          List.map
-            (E.cite (C.Sharded_engine.shard sharded i))
-            (rotate i race_queries))
+      together (fun i -> List.map (E.cite eng) (rotate i race_queries))
     in
     List.iteri
       (fun i results ->
         List.iter2
           (fun (g : E.result) w ->
             if not (same_result g w) then
-              Alcotest.failf "round %d, shard %d, %s:\nlazy  %s\neager %s"
+              Alcotest.failf "round %d, domain %d, %s:\nlazy  %s\neager %s"
                 round i (Dc_cq.Query.to_string g.query) (summary g) (summary w))
           results (rotate i want))
       got
   done
 
-(* The server's shape: commit, take the new head engine, shard it, and
-   serve shard cites and versioned cites of the head at once. *)
+(* The server's shape: commit, then serve v1 cites of the new head
+   engine and versioned cites of the head at once. *)
 let test_versioned_head_first_force_together () =
   let ve = V.create_program ~views (database ~seed:5 ~families:30) program in
   for round = 1 to 6 do
@@ -458,15 +453,12 @@ let test_versioned_head_first_force_together () =
       ignore (E.merged_database oracle);
       List.map (E.cite oracle) race_queries
     in
-    let sharded =
-      C.Sharded_engine.of_engine ~clamp:false ~shards:domains
-        (Result.get_ok (V.engine_at ve v))
-    in
+    let head = Result.get_ok (V.engine_at ve v) in
     let got =
       together (fun i ->
           List.map
             (fun q ->
-              if i mod 2 = 0 then E.cite (C.Sharded_engine.shard sharded i) q
+              if i mod 2 = 0 then E.cite head q
               else (Result.get_ok (V.cite_at ve v q)).V.result)
             (rotate i race_queries))
     in
@@ -491,9 +483,9 @@ let suite =
       test_cites_force_only_what_they_read;
     Alcotest.test_case "creation-time validation stays eager" `Quick
       test_creation_stays_eager;
-    Alcotest.test_case "shards first-force one engine together" `Quick
-      test_shards_first_force_together;
-    Alcotest.test_case "head shards and cite_at first-force together" `Quick
+    Alcotest.test_case "domains first-force one engine together" `Quick
+      test_domains_first_force_together;
+    Alcotest.test_case "head engine and cite_at first-force together" `Quick
       test_versioned_head_first_force_together;
     prop_lazy_matches_eager;
   ]

@@ -1,6 +1,6 @@
 (* The multicore layer: Domain_pool fan-out, parallel rewriting
-   determinism (byte-identical to sequential), engine shards, the
-   domain-backed worker pool, and the domain-parallel server.
+   determinism (byte-identical to sequential), one engine cited from
+   many domains, the domain-backed worker pool, and the domain-parallel server.
 
    DOMAINS (env var, default 2) picks the pool width so CI can run the
    same suite at 1, 2 or 4 domains. *)
@@ -192,8 +192,7 @@ let test_rewriting_deterministic_workload =
             (fun q -> same_rewritings pool views q)
             (Dc_gtopdb.Workload.generate ~seed ~count:4)))
 
-(* ------------------------------------------------------------------ *)
-(* Engine shards                                                       *)
+(* One engine, many domains                                            *)
 
 let small_db = Dc_gtopdb.Generator.generate ~seed:11 ()
 
@@ -204,45 +203,76 @@ let results_agree (a : C.Engine.result) (b : C.Engine.result) =
   && List.length a.result_citations = List.length b.result_citations
   && List.for_all2 C.Citation.equal a.result_citations b.result_citations
 
-let test_shards_agree () =
-  let sharded =
-    C.Sharded_engine.create ~clamp:false ~shards:domains small_db
-      Dc_gtopdb.Paper_views.all
-  in
-  let expected =
-    C.Engine.cite (C.Sharded_engine.primary sharded) Dc_gtopdb.Paper_views.query_q
-  in
-  for i = 0 to C.Sharded_engine.shard_count sharded - 1 do
-    let r =
-      C.Engine.cite (C.Sharded_engine.shard sharded i)
-        Dc_gtopdb.Paper_views.query_q
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "shard %d agrees with primary" i)
-      true (results_agree expected r)
-  done;
-  (* round-robin dispatch agrees too *)
-  for i = 1 to 2 * domains do
-    Alcotest.(check bool)
-      (Printf.sprintf "pick %d agrees" i)
-      true
-      (results_agree expected
-         (C.Sharded_engine.cite sharded Dc_gtopdb.Paper_views.query_q))
-  done
-
 let batch_queries () =
   Dc_gtopdb.Paper_views.query_q :: Dc_gtopdb.Workload.generate ~seed:3 ~count:11
 
+(* [f i] on [max 2 domains] domains at once, the caller being one. *)
+let on_domains f =
+  let n = max 2 domains in
+  let spawned =
+    List.init (n - 1) (fun i -> Domain.spawn (fun () -> f (i + 1)))
+  in
+  let here = f 0 in
+  here :: List.map Domain.join spawned
+
+(* Every domain cites one engine — a fresh one, then refreshes whose
+   data cells are still empty, so the domains also first-force them
+   together — and gets what a sequential cite on a separate engine
+   over the same database gets. *)
+let test_domains_agree () =
+  (* every rewriting is evaluated, so per-family citations (whose
+     leaves differ between the two databases) are resolved too *)
+  let create db =
+    C.Engine.create ~selection:`All db Dc_gtopdb.Paper_views.all
+  in
+  let queries = batch_queries () in
+  let other_db = Dc_gtopdb.Generator.generate ~seed:12 () in
+  let engine = create small_db in
+  List.iter
+    (fun (label, eng, db) ->
+      let expected = List.map (C.Engine.cite (create db)) queries in
+      let per_domain =
+        on_domains (fun i ->
+            (* each domain starts at a different query *)
+            let n = List.length queries in
+            List.init n (fun k ->
+                let j = (k + i) mod n in
+                (j, C.Engine.cite eng (List.nth queries j))))
+      in
+      List.iteri
+        (fun i results ->
+          List.iter
+            (fun (j, r) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: domain %d, query %d agrees" label i j)
+                true
+                (results_agree (List.nth expected j) r))
+            results)
+        per_domain)
+    [
+      ("fresh", engine, small_db);
+      ("refreshed, same data", C.Engine.refresh engine small_db, small_db);
+      ("refreshed, other data", C.Engine.refresh engine other_db, other_db);
+    ]
+
+(* A batch split into chunks and cited on the pool's domains through one
+   engine equals the sequential citations, in input order. *)
 let test_cite_batch_matches_sequential () =
   let queries = batch_queries () in
-  let engine = C.Engine.create small_db Dc_gtopdb.Paper_views.all in
-  let expected = List.map (C.Engine.cite engine) queries in
-  with_test_pool @@ fun pool ->
-  let sharded =
-    C.Sharded_engine.create ~clamp:false ~shards:domains small_db
-      Dc_gtopdb.Paper_views.all
+  let expected =
+    List.map
+      (C.Engine.cite (C.Engine.create small_db Dc_gtopdb.Paper_views.all))
+      queries
   in
-  let got = C.Sharded_engine.cite_batch sharded pool queries in
+  with_test_pool @@ fun pool ->
+  let engine = C.Engine.create small_db Dc_gtopdb.Paper_views.all in
+  let got =
+    P.run_all pool
+      (List.map
+         (fun qs () -> List.map (C.Engine.cite engine) qs)
+         (P.chunk ~chunks:(P.size pool) queries))
+    |> List.concat
+  in
   Alcotest.(check int) "one result per query" (List.length queries)
     (List.length got);
   List.iteri
@@ -252,42 +282,8 @@ let test_cite_batch_matches_sequential () =
         true (results_agree e g))
     (List.combine expected got)
 
-(* Regression: the round-robin counter is a plain [Atomic.t] that will
-   eventually wrap past [max_int]; with OCaml's sign-preserving [mod]
-   the shard index then went negative and [pick] crashed.  Seed the
-   counter right below the wrap point and dispatch across it. *)
-let test_pick_survives_counter_overflow () =
-  let sharded =
-    C.Sharded_engine.create ~clamp:false ~shards:3 small_db
-      Dc_gtopdb.Paper_views.all
-  in
-  let shards =
-    List.init (C.Sharded_engine.shard_count sharded)
-      (C.Sharded_engine.shard sharded)
-  in
-  C.Sharded_engine.seed_round_robin sharded (max_int - 2);
-  for i = 1 to 8 do
-    let e = C.Sharded_engine.pick sharded in
-    Alcotest.(check bool)
-      (Printf.sprintf "pick %d stays in range across overflow" i)
-      true
-      (List.exists (fun s -> s == e) shards)
-  done;
-  (* a negative seed (counter already wrapped) dispatches too *)
-  C.Sharded_engine.seed_round_robin sharded min_int;
-  let picked = C.Sharded_engine.pick sharded in
-  Alcotest.(check bool) "negative counter stays in range" true
-    (List.exists (fun s -> s == picked) shards);
-  (* clamped single-shard engines never touch the counter *)
-  let expected =
-    C.Engine.cite (C.Sharded_engine.primary sharded) Dc_gtopdb.Paper_views.query_q
-  in
-  Alcotest.(check bool) "citation still correct after overflow" true
-    (results_agree expected
-       (C.Sharded_engine.cite sharded Dc_gtopdb.Paper_views.query_q))
-
-(* Multi-domain stress on ONE engine (no shards): domains hammer the
-   same caches through the engine mutex; results must stay correct. *)
+(* Multi-domain stress on ONE engine: domains hammer it at once, each
+   through its own caches; results must stay correct. *)
 let test_shared_engine_stress () =
   let engine = C.Engine.create small_db Dc_gtopdb.Paper_views.all in
   let queries = batch_queries () in
@@ -356,7 +352,7 @@ let test_server_with_domains () =
         ]
       ()
   in
-  Alcotest.(check int) "no errors across shards" 0 stats.errors;
+  Alcotest.(check int) "no errors across domains" 0 stats.errors;
   Alcotest.(check int) "all requests answered" 100 stats.requests
 
 let suite =
@@ -378,12 +374,10 @@ let suite =
     Alcotest.test_case "rewriting: all strategies" `Quick
       test_rewriting_deterministic_strategies;
     test_rewriting_deterministic_workload;
-    Alcotest.test_case "shards: all agree with primary" `Quick
-      test_shards_agree;
-    Alcotest.test_case "shards: cite_batch = sequential" `Quick
+    Alcotest.test_case "one engine: domains agree with sequential" `Quick
+      test_domains_agree;
+    Alcotest.test_case "one engine: chunked batch = sequential" `Quick
       test_cite_batch_matches_sequential;
-    Alcotest.test_case "shards: pick survives counter overflow" `Quick
-      test_pick_survives_counter_overflow;
     Alcotest.test_case "shared engine: multi-domain stress" `Quick
       test_shared_engine_stress;
     Alcotest.test_case "worker pool: domain backend" `Quick

@@ -265,6 +265,92 @@ let test_versioned_concurrent_commits () =
   Alcotest.(check bool) "head differs from v0" true
     (sans_ms head <> baseline)
 
+(* v1 reads never fall behind an acknowledged commit.  Client threads
+   commit concurrently, each delta inserting a Family row of its own;
+   after every acknowledgement a fresh connection's v1 CITE finds every
+   row acknowledged so far, and v1 and v2 HEALTH report at least the
+   acknowledged head and its data. *)
+let test_v1_reads_every_acked_commit () =
+  let engine =
+    C.Engine.create
+      (Dc_gtopdb.Paper_views.example_database ())
+      Dc_gtopdb.Paper_views.all
+  in
+  let config = { S.Server.default_config with port = 0; domains = 2 } in
+  let server = S.Server.start ~config engine in
+  Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
+  let base_tuples =
+    extract_int (expect_ok "health" (request server "HEALTH")) "tuples"
+  in
+  let clients = 4 and commits_each = 6 in
+  let mu = Mutex.create () in
+  let acked = ref [] and failures = ref [] in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg -> Mutex.protect mu (fun () -> failures := msg :: !failures))
+      fmt
+  in
+  let ok_body line = function
+    | Some resp -> (
+        match S.Protocol.classify_response resp with
+        | `Ok body -> Some body
+        | _ ->
+            fail "%s: %s" line resp;
+            None)
+    | None ->
+        fail "%s: connection closed" line;
+        None
+  in
+  let client c =
+    for k = 1 to commits_each do
+      let fid = 1000 + (c * commits_each) + k in
+      let commit =
+        Printf.sprintf "V2 COMMIT_DELTA +Family(%d,Acked%d,D)" fid fid
+      in
+      match ok_body commit (request server commit) with
+      | None -> ()
+      | Some ack ->
+          let version = extract_int ack "version" in
+          let seen =
+            Mutex.protect mu (fun () ->
+                acked := fid :: !acked;
+                !acked)
+          in
+          let conn = S.Client.connect ~port:(S.Server.port server) () in
+          Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+          List.iter
+            (fun f ->
+              let cite = Printf.sprintf "CITE Q(N) :- Family(%d,N,D)" f in
+              match ok_body cite (S.Client.request conn cite) with
+              | Some body when extract_int body "tuples" <> 1 ->
+                  fail "after acking version %d, %s: %s" version cite body
+              | _ -> ())
+            seen;
+          List.iter
+            (fun health ->
+              match ok_body health (S.Client.request conn health) with
+              | None -> ()
+              | Some body ->
+                  if extract_int body "head_version" < version then
+                    fail "%s behind acked version %d: %s" health version body;
+                  if extract_int body "tuples" < base_tuples + List.length seen
+                  then fail "%s misses acked rows: %s" health body)
+            [ "HEALTH"; "V2 HEALTH" ]
+    done
+  in
+  List.init clients (fun c -> Thread.create client c) |> List.iter Thread.join;
+  Alcotest.(check (list string)) "no stale v1 read" [] (List.rev !failures);
+  let total = clients * commits_each in
+  let v1 = expect_ok "v1 health" (request server "HEALTH") in
+  let v2 = expect_ok "v2 health" (request server "V2 HEALTH") in
+  Alcotest.(check int) "v1 head" total (extract_int v1 "head_version");
+  Alcotest.(check int) "v2 head" total (extract_int v2 "head_version");
+  Alcotest.(check int) "v1 tuples" (base_tuples + total)
+    (extract_int v1 "tuples");
+  let all = expect_ok "cite all" (request server cite_q) in
+  Alcotest.(check int) "v1 cite sees every row" (3 + total)
+    (extract_int all "tuples")
+
 let test_graceful_shutdown () =
   let engine, server = fresh_server () in
   ignore engine;
@@ -418,6 +504,8 @@ let suite =
       test_versioned_roundtrip;
     Alcotest.test_case "cite_at during concurrent commits" `Quick
       test_versioned_concurrent_commits;
+    Alcotest.test_case "v1 reads every acked commit" `Quick
+      test_v1_reads_every_acked_commit;
     Alcotest.test_case "graceful shutdown on SIGTERM" `Quick
       test_graceful_shutdown;
     Alcotest.test_case "pipelined responses keep order" `Quick

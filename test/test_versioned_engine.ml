@@ -231,24 +231,21 @@ let test_timestamps_and_store () =
   Alcotest.(check int) "snapshot head unmoved" 1 (R.Version_store.head snap);
   Alcotest.(check int) "live head moved" 2 (V.head ve)
 
-let test_citer_dispatch () =
-  (* the same query through all three CITER backends agrees *)
-  let db = paper_db () in
-  let eng = oracle db in
-  let sharded = C.Sharded_engine.of_engine ~clamp:false ~shards:2 (oracle db) in
+(* The server's v1 path cites the head engine directly; it must agree
+   with a stamped cite of the head and with a plain engine. *)
+let test_head_engine_agrees () =
+  let eng = oracle (paper_db ()) in
   let ve = make () in
-  let via_engine = C.Citer.cite (C.Citer.of_engine eng) q in
-  let via_sharded = C.Citer.cite (C.Citer.of_sharded sharded) q in
-  let via_versioned = C.Citer.cite (C.Citer.of_versioned ve) q in
-  Alcotest.(check string) "engine = sharded" (fingerprint via_engine)
-    (fingerprint via_sharded);
+  let via_engine = E.cite eng q in
+  let via_head =
+    E.cite (ok_exn "engine_at head" (V.engine_at ve (V.head ve))) q
+  in
+  let via_versioned = (ok_exn "cite head" (V.cite ve q)).V.result in
+  Alcotest.(check string) "engine = head engine" (fingerprint via_engine)
+    (fingerprint via_head);
   Alcotest.(check string) "engine = versioned" (fingerprint via_engine)
     (fingerprint via_versioned);
-  (* cite_string and batch dispatch too *)
-  let qs = [ q; q ] in
-  Alcotest.(check int) "batch length" 2
-    (List.length (C.Citer.cite_batch (C.Citer.of_versioned ve) qs));
-  match C.Citer.cite_string (C.Citer.of_engine eng) "not a query" with
+  match E.cite_string eng "not a query" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse failure must be an Error"
 
@@ -329,7 +326,8 @@ let suite =
       test_shared_delta_path;
     Alcotest.test_case "timestamps and store snapshots" `Quick
       test_timestamps_and_store;
-    Alcotest.test_case "CITER backends agree" `Quick test_citer_dispatch;
+    Alcotest.test_case "head engine agrees with cite" `Quick
+      test_head_engine_agrees;
     Alcotest.test_case "failed maintenance logs nothing" `Quick
       test_failed_maintenance_logs_nothing;
   ]
