@@ -290,11 +290,12 @@ let e5 () =
 let e6 () =
   hr "E6  Citation evolution: incremental vs recompute (db = 5000 families)";
   let db = G.generate ~seed:4 ~config:(families 5000) () in
-  let engine =
+  let make db =
     C.Engine.create ~selection:`All
       ~policy:(C.Policy.make ~alt_r:C.Policy.Keep_all ())
       db Dc_gtopdb.Paper_views.all
   in
+  let engine = make db in
   let reg0 = C.Incremental.register engine Dc_gtopdb.Paper_views.query_q in
   header [ 8; 16; 16; 12; 10 ]
     [ "batch"; "incremental ms"; "recompute ms"; "affected"; "speedup" ];
@@ -325,6 +326,26 @@ let e6 () =
             let e = C.Engine.refresh engine new_db in
             C.Engine.cite e Dc_gtopdb.Paper_views.query_q)
       in
+      (* correctness gate: the maintained registration must answer and
+         cite exactly as a fresh engine over the new database *)
+      let fresh = C.Engine.cite (make new_db) Dc_gtopdb.Paper_views.query_q in
+      let same_tuple (a : C.Engine.tuple_citation) (b : C.Engine.tuple_citation) =
+        R.Tuple.equal a.tuple b.tuple
+        && C.Cite_expr.compare a.expr b.expr = 0
+        && List.equal C.Citation.equal a.citations b.citations
+      in
+      if
+        not
+          (List.equal same_tuple (C.Incremental.tuples reg') fresh.tuples
+          && List.equal C.Citation.equal
+               (C.Incremental.result_citations reg')
+               fresh.result_citations)
+      then
+        failwith
+          (Printf.sprintf
+             "E6: batch %d: the maintained registration differs from a \
+              fresh cite"
+             batch);
       row [ 8; 16; 16; 12; 10 ]
         [
           string_of_int batch;

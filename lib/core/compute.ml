@@ -39,15 +39,70 @@ let result_expr exprs = Cite_expr.agg exprs
    of the template's variables, by index into a projection. *)
 type source = Fixed of R.Value.t | Var of int
 
+(* What a template is evaluated as: the rewriting's expansion over the
+   base schema, the expansion's variables to project on, and, when head
+   unification equated template variables or bound one to a constant,
+   each template variable's source in that projection. *)
+type unfolding = {
+  expansion : Cq.Query.t;
+  evars : string list;
+  widen : source array option;
+}
+
 type template = {
-  rewriting : Cq.Query.t;
   vars : string list;
   cited : (string * (string * source) list) list;
   constant : Cite_expr.t option;
+  unfolding : unfolding option;  (** [None]: the rewriting is vacuous *)
 }
 
-let rewriting t = t.rewriting
 let vars t = t.vars
+
+let expansion t = Option.map (fun u -> u.expansion) t.unfolding
+
+(* The expansion variables are listed in order of first occurrence among
+   the template variables' images, so widening keeps the projections in
+   {!R.Tuple.compare} order. *)
+let unfold views vars rewriting =
+  Option.map
+    (fun (expansion, subst) ->
+      let terms =
+        List.map (fun v -> Cq.Subst.apply_term subst (Cq.Term.Var v)) vars
+      in
+      let evars =
+        List.fold_left
+          (fun acc -> function
+            | Cq.Term.Var v when not (List.mem v acc) -> acc @ [ v ]
+            | _ -> acc)
+          [] terms
+      in
+      let widen =
+        if List.equal String.equal evars vars then None
+        else
+          Some
+            (Array.of_list
+               (List.map
+                  (function
+                    | Cq.Term.Const c -> Fixed c
+                    | Cq.Term.Var v ->
+                        Var (Option.get (List.find_index (String.equal v) evars)))
+                  terms))
+      in
+      { expansion; evars; widen })
+    (Dc_rewriting.Expansion.expand views rewriting)
+
+let run ?cache db t =
+  match t.unfolding with
+  | None -> []
+  | Some { expansion; evars; widen } -> (
+      let runs = Cq.Eval.run_projected ?cache db expansion evars in
+      match widen with
+      | None -> runs
+      | Some w ->
+          let widen_one p =
+            Array.map (function Fixed c -> c | Var i -> p.(i)) w
+          in
+          List.map (fun (tuple, ps) -> (tuple, List.map widen_one ps)) runs)
 
 let projection_expr t proj =
   Cite_expr.normalize_node
@@ -62,7 +117,7 @@ let projection_expr t proj =
                    params))
           t.cited))
 
-let template cviews rewriting =
+let template views cviews rewriting =
   let vars = ref [] in
   let var_index v =
     let rec find i = function
@@ -91,7 +146,15 @@ let template cviews rewriting =
           (Citation_view.Set.find cviews (Cq.Atom.pred atom)))
       (Cq.Query.body rewriting)
   in
-  let t = { rewriting; vars = !vars; cited; constant = None } in
+  let vars = !vars in
+  let t =
+    {
+      vars;
+      cited;
+      constant = None;
+      unfolding = unfold views vars rewriting;
+    }
+  in
   if t.vars = [] then { t with constant = Some (projection_expr t [||]) }
   else t
 

@@ -57,13 +57,37 @@ val result_expr : Cite_expr.t list -> Cite_expr.t
 
 type template
 
-val template : Citation_view.Set.t -> Dc_cq.Query.t -> template
-
-val rewriting : template -> Dc_cq.Query.t
+val template :
+  Dc_rewriting.View.Set.t -> Citation_view.Set.t -> Dc_cq.Query.t -> template
+(** [template views cviews rw]: the citation template of the rewriting
+    [rw], together with its expansion over the base schema
+    ({!Dc_rewriting.Expansion.expand}, computed here once).  [views]
+    must be [cviews]' view set. *)
 
 val vars : template -> string list
 (** The distinct variables that fill a view parameter, in order of
     first occurrence; the projection arrays follow this order. *)
+
+val expansion : template -> Dc_cq.Query.t option
+(** The rewriting's expansion, which {!run} evaluates: it names base
+    relations and (for views over a program's recursive predicates) IDB
+    predicates, never a view.  [None] for a vacuous rewriting. *)
+
+val run :
+  ?cache:Dc_cq.Eval.cache ->
+  Dc_relational.Database.t ->
+  template ->
+  (Dc_relational.Tuple.t * Dc_relational.Value.t array list) list
+(** The rewriting's answers with the distinct projections of their
+    bindings on {!vars}, in {!Dc_cq.Eval.run_projected}'s form and
+    order, computed by evaluating the {e expansion} over the base
+    relations of [db] (plus the IDB relations it names): no view extent
+    is read or built.  A rewriting's answers over the view extents are
+    its expansion's answers, and the expansion's bindings project onto
+    exactly the rewriting's bindings.  A variable that head unification
+    equated with another, or bound to a constant, is read through the
+    expansion's substitution.  A vacuous rewriting (its expansion does
+    not unify) has no answers. *)
 
 val projected_expr :
   (template * Dc_relational.Value.t array list) list -> Cite_expr.t

@@ -12,13 +12,15 @@ type selection = [ `All | `Min_estimated_size | `Min_exact_size ]
 (* A memoized rewriting search result.  [canonical] is the minimized
    (core) form of the stripped query the plan was computed for: two
    queries share a plan iff their cores are equivalent, which holds iff
-   the queries are.  The maximally-contained fallback is filled in
-   lazily on first use. *)
+   the queries are.  Each rewriting comes with its template, which holds
+   its expansion over the base schema: what a cite evaluates.  The
+   maximally-contained fallback's templates are filled in lazily on
+   first use. *)
 type plan = {
   canonical : Cq.Query.t;
-  plan_rewritings : Cq.Query.t list;
+  plan_rewritings : (Cq.Query.t * Compute.template) list;
   plan_stats : Rw.Rewrite.stats;
-  mutable plan_contained : (Cq.Query.t list * Rw.Rewrite.stats) option;
+  mutable plan_contained : Compute.template list option;
 }
 
 (* Two-level lookup: a cheap canonical-rendering key catches repeats of
@@ -26,13 +28,11 @@ type plan = {
    sorted-predicate-multiset buckets catch any other equivalent form
    via Chandra-Merlin equivalence of the cores.  Plans depend only on
    the view set, never on the data, so the cache is shared by [refresh]
-   and [with_databases] copies of the engine. *)
+   copies of the engine. *)
 type plan_cache = {
   by_render : (string, plan) Hashtbl.t;
   by_preds : (string, plan list ref) Hashtbl.t;
 }
-
-module Smap = Map.Make (String)
 
 (* The program's IDB extents, and the base database with them added:
    what a query or citation query naming an IDB predicate runs over. *)
@@ -48,16 +48,10 @@ let owner () = { id = Atomic.fetch_and_add next_owner 1 }
 
 (* One domain's caches for one owner.  [lock] guards them, and the
    domain's leaf caches of the engines holding this owner, against the
-   domain's other systhreads (the server's worker pool).  No data cell is
-   ever forced with [lock] held: a cell's computation may take it (see
-   [data_cells]). *)
-type caches = {
-  lock : Mutex.t;
-  plans : plan_cache;
-  eval_cache : Cq.Eval.cache;
-  stats : R.Stats.t;
-      (** column statistics behind the [`Min_estimated_size] choice *)
-}
+   domain's other systhreads (the server's worker pool).  The IDB cell is
+   never forced with [lock] held: its computation may take it (see
+   [idb_cell]). *)
+type caches = { lock : Mutex.t; plans : plan_cache; eval_cache : Cq.Eval.cache }
 
 module Owner = struct
   type t = owner
@@ -77,17 +71,34 @@ module Caches =
           plans =
             { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
           eval_cache = Cq.Eval.make_cache ();
-          stats = R.Stats.create ();
         }
     end)
+
+(* Leaf-cache keys are leaves with their parameters sorted by name (see
+   [leaf_key]), compared as typed values: [Int 1] and [Str "1"] are
+   different keys. *)
+module Leaf_tbl = Hashtbl.Make (struct
+  type t = Cite_expr.leaf
+
+  let equal (a : t) (b : t) =
+    String.equal a.view b.view
+    && List.equal
+         (fun (n, x) (m, y) -> String.equal n m && R.Value.equal x y)
+         a.params b.params
+
+  let hash (l : t) =
+    List.fold_left
+      (fun h (n, x) -> Hashtbl.hash (h, n, R.Value.hash x))
+      (Hashtbl.hash l.view) l.params
+end)
 
 module Leaves =
   Dc_parallel.Domain_local.Make
     (Owner)
     (struct
-      type t = (string, Citation.t) Hashtbl.t
+      type t = Citation.t Leaf_tbl.t
 
-      let create _ = Hashtbl.create 64
+      let create _ = Leaf_tbl.create 64
     end)
 
 type t = {
@@ -95,8 +106,6 @@ type t = {
   idb : idb Once.t;
       (** derived by {!Dc_cq.Seminaive} from [program] on first demand;
           [derived] is empty for program-free engines *)
-  extents : R.Relation.t Once.t Smap.t;
-      (** each citation view's extent, materialized on first demand *)
   program : Cq.Program.t option;
   cviews : Citation_view.Set.t;
   views : Rw.View.Set.t;
@@ -105,9 +114,9 @@ type t = {
   partial : bool;
   fallback_contained : bool;
   caches : owner;
-      (** the plan, eval and stats caches: plans depend on the view set
-          alone and eval entries self-invalidate, so [refresh] and
-          [with_databases] copies keep them *)
+      (** the plan and eval caches: plans depend on the view set alone
+          and eval entries self-invalidate, so [refresh] copies keep
+          them *)
   leaves : owner;
       (** the leaf cache: concrete citations computed from the data, so
           every data change gets a fresh one *)
@@ -141,52 +150,22 @@ let derive ?cache base (program : Cq.Program.t) =
     R.Database.empty
     (Cq.Program.idb_preds program)
 
-let reads_idb program preds =
+(* The data of an engine over [base], not computed yet: the program's
+   IDB extents, derived on first demand with the forcing domain's
+   [caches] of the engine building the cell, under their lock, so every
+   refresh of one engine reuses one eval cache per domain for this
+   work. *)
+let idb_cell ~metrics ~caches ~program base =
   match program with
-  | None -> false
-  | Some p -> List.exists (Cq.Program.is_idb p) preds
-
-(* The data of an engine over [base], none of it computed yet: one cell
-   for the program's IDB extents and one per citation view's extent.  A
-   view whose definition names no IDB predicate materializes over
-   [base] alone, without deriving anything.  Every computation runs
-   with the forcing domain's [caches] of the engine building the cells,
-   under their lock, so every refresh of one engine reuses one eval
-   cache per domain for this work; the IDB cell is forced before that
-   lock is taken. *)
-let data_cells ~metrics ~caches ~program ~cviews base =
-  let compute name f () =
-    Metrics.with_sink metrics (fun () ->
-        let c = Caches.get caches in
-        locked c (fun () ->
-            Metrics.record_time name (fun () -> f c.eval_cache)))
-  in
-  let idb =
-    match program with
-    | None -> Once.of_value { derived = R.Database.empty; full = base }
-    | Some p ->
-        Once.make
-          (compute "derive" (fun eval_cache ->
-               let derived = derive ~cache:eval_cache base p in
-               { derived; full = merge_full base derived }))
-  in
-  let extent cv =
-    let def = Citation_view.definition cv in
-    Once.make (fun () ->
-        let db =
-          if reads_idb program (Cq.Query.predicates def) then
-            (Once.force idb).full
-          else base
-        in
-        compute "materialize"
-          (fun eval_cache -> Cq.Eval.result ~cache:eval_cache db def)
-          ())
-  in
-  ( idb,
-    List.fold_left
-      (fun m cv -> Smap.add (Citation_view.name cv) (extent cv) m)
-      Smap.empty
-      (Citation_view.Set.to_list cviews) )
+  | None -> Once.of_value { derived = R.Database.empty; full = base }
+  | Some p ->
+      Once.make (fun () ->
+          Metrics.with_sink metrics (fun () ->
+              let c = Caches.get caches in
+              locked c (fun () ->
+                  Metrics.record_time "derive" (fun () ->
+                      let derived = derive ~cache:c.eval_cache base p in
+                      { derived; full = merge_full base derived }))))
 
 let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     ~program base cview_list =
@@ -195,9 +174,9 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
   in
   let caches = owner () in
   let cviews = Citation_view.Set.of_list cview_list in
-  let idb, extents = data_cells ~metrics ~caches ~program ~cviews base in
+  let idb = idb_cell ~metrics ~caches ~program base in
   (* Validation needs the IDB schemas, so a program's first derivation
-     runs here; view extents wait for their first cite. *)
+     runs here. *)
   let full = (Once.force idb).full in
   List.iter
     (fun cv ->
@@ -217,7 +196,6 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
   {
     base;
     idb;
-    extents;
     program;
     cviews;
     views = Citation_view.Set.view_set cviews;
@@ -258,9 +236,8 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
   make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     ~program:(Some program) base cview_list
 
-(* Same data cells (whichever copy forces one first computes it for
-   all), view set, policy, pool and metrics registry; caches of its
-   own. *)
+(* Same data cell (whichever copy forces it first computes it for all),
+   view set, policy, pool and metrics registry; caches of its own. *)
 let replicate e = { e with caches = owner (); leaves = owner () }
 
 let database e = e.base
@@ -282,54 +259,39 @@ let metrics e = e.metrics
    unless one of them is an IDB predicate.  Forces the IDB cell, so
    never call it with a cache lock held. *)
 let db_for e preds =
-  if reads_idb e.program preds then (Once.force e.idb).full
-  else e.base
+  match e.program with
+  | Some p when List.exists (Cq.Program.is_idb p) preds ->
+      (Once.force e.idb).full
+  | _ -> e.base
 
 let derived_database e = (Once.force e.idb).derived
 
-(* [db] plus the extents of the views among [names], forced now. *)
-let add_extents e db names =
+(* Computed afresh on every call: no cite reads a view extent. *)
+let view_database e =
+  Metrics.with_sink e.metrics @@ fun () ->
+  Metrics.record_time "materialize" @@ fun () ->
   List.fold_left
-    (fun db name ->
-      match Smap.find_opt name e.extents with
-      | Some cell -> R.Database.add_relation db (Once.force cell)
-      | None -> db)
-    db names
+    (fun db cv ->
+      let def = Citation_view.definition cv in
+      R.Database.add_relation db
+        (Cq.Eval.result (db_for e (Cq.Query.predicates def)) def))
+    R.Database.empty
+    (Citation_view.Set.to_list e.cviews)
 
-let view_names e = List.map fst (Smap.bindings e.extents)
-let view_database e = add_extents e R.Database.empty (view_names e)
+let merged_database e =
+  merge_full (Once.force e.idb).full (view_database e)
 
-(* [refresh] and [with_databases] change only the data, never the view
-   set or rule set, so the plan cache (rewritings depend on views alone)
-   and the eval cache (entries self-invalidate on relation identity) are
-   kept; only the leaf cache — concrete citations computed from the
-   data — must be dropped.  [refresh] computes nothing: its cells derive
-   and materialize when a cite first reads them. *)
+(* [refresh] changes only the data, never the view set or rule set, so
+   the plan cache (rewritings depend on views alone) and the eval cache
+   (entries self-invalidate on relation identity) are kept; only the
+   leaf cache — concrete citations computed from the data — must be
+   dropped.  [refresh] computes nothing: its IDB cell derives when a
+   cite first reads it. *)
 let refresh e base =
-  let idb, extents =
-    data_cells ~metrics:e.metrics ~caches:e.caches ~program:e.program
-      ~cviews:e.cviews base
+  let idb =
+    idb_cell ~metrics:e.metrics ~caches:e.caches ~program:e.program base
   in
-  { e with base; idb; extents; leaves = owner () }
-
-(* The caller asserts [view_db] matches [base]; derived extents are kept
-   as-is.  {!Versioned_engine}'s registration guard refuses queries that
-   read derived predicates, so maintained engines never observe them.
-   They are taken by value, not through a cell over the old one, so a
-   registration maintained across many commits keeps no chain of older
-   bases alive. *)
-let with_databases e ~base ~view_db =
-  let { derived; _ } = Once.force e.idb in
-  {
-    e with
-    base;
-    idb = Once.of_value { derived; full = merge_full base derived };
-    extents =
-      Smap.mapi
-        (fun name _ -> Once.of_value (R.Database.relation_exn view_db name))
-        e.extents;
-    leaves = owner ();
-  }
+  { e with base; idb; leaves = owner () }
 
 type tuple_citation = {
   tuple : R.Tuple.t;
@@ -352,11 +314,7 @@ type result = {
    different construction orders share one cache entry (and one
    resolution). *)
 let leaf_key (l : Cite_expr.leaf) =
-  Printf.sprintf "%s(%s)" l.view
-    (String.concat ","
-       (List.map
-          (fun (n, v) -> n ^ "=" ^ R.Value.to_string v)
-          (List.sort (fun (a, _) (b, _) -> String.compare a b) l.params)))
+  { l with params = List.sort (fun (a, _) (b, _) -> String.compare a b) l.params }
 
 (* A miss resolves outside the lock: the citation queries run over the
    IDB extents only when they name an IDB predicate, and forcing those
@@ -365,7 +323,7 @@ let leaf_key (l : Cite_expr.leaf) =
 let resolve_in e c leaf_cache (l : Cite_expr.leaf) =
   Metrics.with_sink e.metrics @@ fun () ->
   let k = leaf_key l in
-  match locked c (fun () -> Hashtbl.find_opt leaf_cache k) with
+  match locked c (fun () -> Leaf_tbl.find_opt leaf_cache k) with
   | Some c ->
       Metrics.record Metrics.Key.leaf_cache_hits;
       c
@@ -378,19 +336,21 @@ let resolve_in e c leaf_cache (l : Cite_expr.leaf) =
              (Citation_view.citation_queries cv))
       in
       locked c @@ fun () ->
-      match Hashtbl.find_opt leaf_cache k with
+      match Leaf_tbl.find_opt leaf_cache k with
       | Some cit -> cit
       | None ->
           let cit = Citation_view.cite ~cache:c.eval_cache cv db l.params in
-          Hashtbl.add leaf_cache k cit;
+          Leaf_tbl.add leaf_cache k cit;
           cit)
 
 let resolve_leaf e l =
   resolve_in e (Caches.get e.caches) (Leaves.get e.leaves) l
 
 (* The size estimates read the definitions of the views the candidate
-   rewritings use, so those decide whether the IDB extents are needed. *)
-let select e c rewritings =
+   rewritings use, so those decide whether the IDB extents are needed.
+   Their statistics are memoized on the relation values, so no cache
+   lock is taken. *)
+let select e rewritings =
   let estimate_db rs =
     db_for e
       (List.concat_map
@@ -405,28 +365,24 @@ let select e c rewritings =
   in
   match (e.selection, rewritings) with
   | `All, _ | _, ([] | [ _ ]) -> rewritings
-  | `Min_estimated_size, rs ->
-      let db = estimate_db rs in
-      locked c (fun () ->
-          Option.to_list
-            (Rw.Cost.choose_min_size ~stats:c.stats db e.views rs))
-  | `Min_exact_size, rs ->
+  | ((`Min_estimated_size | `Min_exact_size) as s), rs ->
       Option.to_list
-        (Rw.Cost.choose_min_size ~exact:true (estimate_db rs) e.views rs)
+        (Rw.Cost.choose_min_size ~exact:(s = `Min_exact_size) (estimate_db rs)
+           e.views rs)
 
 (* One resolver per cite (or per maintenance step): each distinct leaf
    takes the cache lock and the domain's leaf cache once, however many
    tuples cite it.  The caches are looked up once, on the domain making
    the resolver. *)
 let leaf_resolver e =
-  let memo = Hashtbl.create 16 in
+  let memo = Leaf_tbl.create 16 in
   let caches = Caches.get e.caches and leaf_cache = Leaves.get e.leaves in
   fun (l : Cite_expr.leaf) ->
-    match Hashtbl.find_opt memo l with
+    match Leaf_tbl.find_opt memo l with
     | Some c -> c
     | None ->
         let c = resolve_in e caches leaf_cache l in
-        Hashtbl.add memo l c;
+        Leaf_tbl.add memo l c;
         c
 
 let tuple_citation ~resolve e tuple expr =
@@ -489,20 +445,6 @@ let assemble ~resolve e runs =
           tc)
     merged
 
-(* Rewritings are evaluated over the extents of the views they name
-   merged with the base relations, and with the IDB extents when they
-   name an IDB predicate: a partial rewriting's uncovered subgoals
-   reference the base schema (or a recursive predicate's materialized
-   extent) directly.  Only the cells the rewritings read are forced. *)
-let eval_db e queries =
-  let preds =
-    List.sort_uniq String.compare (List.concat_map Cq.Query.predicates queries)
-  in
-  add_extents e (db_for e preds) preds
-
-let merged_database e =
-  add_extents e (Once.force e.idb).full (view_names e)
-
 (* A cheap, containment-free canonical rendering used as the plan
    cache's fast path: group body atoms by predicate (stable, so the
    reorder is independent of variable names only across alpha-renaming,
@@ -524,6 +466,8 @@ let canonical_render q =
          (Cq.Query.all_vars q))
   in
   Cq.Query.to_string (Cq.Query.apply_subst subst q)
+
+let template e rw = Compute.template e.views e.cviews rw
 
 let pred_multiset q =
   String.concat ","
@@ -573,7 +517,8 @@ let plan_for e c query =
           let plan =
             {
               canonical = minimized;
-              plan_rewritings = rewritings;
+              plan_rewritings =
+                List.map (fun rw -> (rw, template e rw)) rewritings;
               plan_stats = stats;
               plan_contained = None;
             }
@@ -585,21 +530,23 @@ let plan_for e c query =
 let contained_for e c plan query =
   locked c @@ fun () ->
   match plan.plan_contained with
-  | Some r -> r
+  | Some ts -> ts
   | None ->
-      let r =
+      let disjuncts, _ =
         Metrics.record_time "rewrite" (fun () ->
             Rw.Rewrite.maximally_contained e.views query)
       in
-      plan.plan_contained <- Some r;
-      r
+      let ts = List.map (template e) disjuncts in
+      plan.plan_contained <- Some ts;
+      ts
 
 let cite e query =
   Metrics.with_sink e.metrics @@ fun () ->
   let c = Caches.get e.caches in
   let plan = plan_for e c query in
-  let rewritings = plan.plan_rewritings and stats = plan.plan_stats in
-  let selected = select e c rewritings in
+  let rewritings = List.map fst plan.plan_rewritings
+  and stats = plan.plan_stats in
+  let selected = select e rewritings in
   Log.debug (fun m ->
       m "cite %s: %d candidates, %d rewritings, %d selected"
         (Cq.Query.name query) stats.candidates (List.length rewritings)
@@ -607,27 +554,31 @@ let cite e query =
   (* An uncovered query still gets its answer — with no citation by
      default, or best-effort through the maximally contained rewriting
      when the engine was created with [fallback_contained]. *)
-  let selected_or_self, complete =
-    if selected <> [] then (selected, true)
+  let self () = [ template e (Cq.Query.strip_params query) ] in
+  let templates, complete =
+    if selected <> [] then
+      (List.map (fun rw -> List.assq rw plan.plan_rewritings) selected, true)
     else if e.fallback_contained then
       match contained_for e c plan query with
-      | [], _ -> ([ Cq.Query.strip_params query ], true)
-      | disjuncts, _ -> (disjuncts, false)
-    else ([ Cq.Query.strip_params query ], true)
+      | [] -> (self (), true)
+      | ts -> (ts, false)
+    else (self (), true)
   in
-  let templates = List.map (Compute.template e.cviews) selected_or_self in
-  let db = eval_db e selected_or_self in
+  (* Each template evaluates its rewriting's expansion, which reads base
+     relations, and IDB extents only when it names an IDB predicate. *)
+  let db =
+    db_for e
+      (List.concat_map
+         (fun t ->
+           Option.fold ~none:[] ~some:Cq.Query.predicates (Compute.expansion t))
+         templates)
+  in
   let runs =
     Metrics.record_time "eval" @@ fun () ->
     (* the eval cache (index memoization) is mutated during the run, so
        the evaluation itself is the critical section *)
     locked c @@ fun () ->
-    List.map
-      (fun t ->
-        ( t,
-          Cq.Eval.run_projected ~cache:c.eval_cache db (Compute.rewriting t)
-            (Compute.vars t) ))
-      templates
+    List.map (fun t -> (t, Compute.run ~cache:c.eval_cache db t)) templates
   in
   let resolve = leaf_resolver e in
   let tuples = assemble ~resolve e runs in

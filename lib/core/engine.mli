@@ -9,48 +9,51 @@
       [selection = `Min_estimated_size] only the rewriting with the
       smallest estimated citation is evaluated, so the engine never
       enumerates "all rewritings and all assignments within each";
-    + evaluate the selected rewritings over the materialized views,
-      collecting all bindings per output tuple;
+    + evaluate each selected rewriting through its expansion over the
+      base relations (Definitions 2.1–2.2 read a rewriting over the
+      views, but its unfolding {e is} the query, so no view extent is
+      needed), collecting the bindings per output tuple;
     + build per-tuple formal expressions (Definitions 2.1/2.2), the
       result-level [Agg], and their policy-evaluated concrete citation
       sets; leaf citations are memoized per (view, valuation).
 
-    {b Data on demand.}  An engine's data is a set of write-once cells
-    ({!Dc_parallel.Once}): one for the program's IDB extents and one per
-    citation view's extent.  {!cite} forces the extents of the views its
-    selected rewritings name, and the IDB extents only when a rewriting,
-    a candidate view's definition (read by the size estimate of
-    [`Min_estimated_size] / [`Min_exact_size]) or the citation queries
-    of a leaf it resolves name an IDB predicate.  {!refresh} computes
-    nothing; creation derives a program's IDB extents once, to validate
-    the views.  {!derived_database}, {!view_database} and
-    {!merged_database} force everything.  Results do not depend on
-    which cells were forced, or by whom.
+    {b Data on demand.}  An engine's data is its base database and one
+    write-once cell ({!Dc_parallel.Once}) for the program's IDB
+    extents.  {!cite} forces that cell only when a selected rewriting's
+    expansion, a candidate view's definition (read by the size estimate
+    of [`Min_estimated_size] / [`Min_exact_size]) or the citation
+    queries of a leaf it resolves name an IDB predicate.  No cite
+    materializes a view extent.  {!refresh} computes nothing; creation
+    derives a program's IDB extents once, to validate the views.
+    {!derived_database} forces the cell; {!view_database} and
+    {!merged_database} compute the view extents afresh on each call.
+    Results do not depend on whether the cell was forced, or by whom.
 
     {b Thread safety: per-domain caches.}  One engine may serve {!cite}
     / {!cite_string} / {!resolve_leaf} calls from any number of threads
     and domains at once, and domains never contend on it.  Every cache
-    it keeps — rewriting plans, leaf citations, the evaluation index and
-    plan cache and the column statistics behind [`Min_estimated_size]
-    selection — exists once per domain that uses the engine, found
-    through [Domain.DLS] ({!Dc_parallel.Domain_local}, the mechanism
+    it keeps — rewriting plans (with their expansions), leaf citations,
+    the evaluation index and plan cache — exists once per domain that
+    uses the engine, found through [Domain.DLS] ({!Dc_parallel.Domain_local}, the mechanism
     {!Metrics} keeps its sinks with).  A domain's caches are guarded by
     a mutex of their own, which only systhreads of that domain (the
     server's worker threads) can contend on; each acquisition that
     finds it already held bumps {!Metrics.Key.engine_lock_waits}.  The
     price of the model is cache warmth: each domain pays its own cache
-    misses.
+    misses.  The column statistics behind the join order and
+    [`Min_estimated_size] selection are not a cache of the engine: they
+    are memoized on the relation values ({!Dc_relational.Stats}), so
+    every engine, version and domain reading one value counts it once.
 
-    {!refresh} and {!with_databases} return copies sharing the plan,
-    evaluation and statistics caches (never the leaf cache, which holds
-    data-derived citations); {!replicate} returns one sharing none.
-    Swapping which engine a server uses is the caller's problem.  A
-    data cell may be first-forced by several threads or domains at once:
-    one computes, under the forcing domain's cache lock and evaluation
-    cache of the engine that built the cell, while the others wait for
-    its value.  A computation that raises leaves the cell empty for the
-    next cite to retry.  No data cell is forced while a cache lock is
-    held.  The contract covers only access {e through} the engine: code
+    {!refresh} returns a copy sharing the plan and evaluation caches
+    (never the leaf cache, which holds data-derived citations);
+    {!replicate} returns one sharing none.  Swapping which engine a
+    server uses is the caller's problem.  The IDB cell may be
+    first-forced by several threads or domains at once: one computes,
+    under the forcing domain's cache lock and evaluation cache of the
+    engine that built the cell, while the others wait for its value.
+    A computation that raises leaves the cell empty for the next cite
+    to retry.  The cell is never forced while a cache lock is held.  The contract covers only access {e through} the engine: code
     that takes the raw {!eval_cache} handle and evaluates with it
     directly ({!Incremental} does) bypasses the lock and must not run
     concurrently with citations of the same engine on the same
@@ -75,7 +78,7 @@ val create :
   Citation_view.t list ->
   t
 (** Validates the views against the database and materializes nothing:
-    each view's extent is computed by the first cite that reads it.
+    cites read the base relations through rewriting expansions.
     Raises [Invalid_argument] when a view is named like a base relation
     or fails the schema check.  Defaults: the paper's policy
     ({!Policy.default}), [`Min_estimated_size] selection, no partial
@@ -118,10 +121,10 @@ val of_program :
     exports, or schema mismatches. *)
 
 val replicate : t -> t
-(** The same engine with caches of its own: it shares the data cells
-    (base database, IDB and view extents — whichever copy forces a cell
-    first computes it for all, and nothing is computed twice), the
-    policy, the metrics registry and the domain pool.
+(** The same engine with caches of its own: it shares the data (base
+    database and the IDB cell — whichever copy forces the cell first
+    computes it for all, and nothing is computed twice), the policy, the
+    metrics registry and the domain pool.
     {!Versioned_engine} gives each per-version engine one, so versions
     never thrash each other's evaluation cache, and each
     {!Incremental} registration one, because it evaluates through the
@@ -157,8 +160,9 @@ val selection : t -> selection
     with identical behaviour). *)
 
 val view_database : t -> Dc_relational.Database.t
-(** Every citation view's extent, materializing now the ones no cite
-    has read yet. *)
+(** Every citation view's extent, computed afresh on each call and
+    cached nowhere (recorded under the [materialize] timer).  No cite
+    reads it: it serves {!Explain} and test oracles. *)
 
 val eval_cache : t -> Dc_cq.Eval.cache
 (** The calling domain's evaluation cache of this engine: hash indexes
@@ -177,33 +181,28 @@ val metrics : t -> Metrics.t
     engines. *)
 
 val merged_database : t -> Dc_relational.Database.t
-(** Base relations, IDB extents and every view extent in one database,
-    all forced — a superset of what any rewriting (including a partial
-    one) is evaluated against. *)
+(** Base relations, IDB extents and every view extent ({!view_database},
+    computed afresh) in one database: what any rewriting, including a
+    partial one, can be evaluated over directly.  For {!Explain} and
+    test oracles. *)
 
 val refresh : t -> Dc_relational.Database.t -> t
-(** The same engine over an updated database, in O(number of views):
-    it builds fresh data cells and computes none of them.  The IDB
-    extents are re-derived and each view rematerialized by the first
-    cite that reads them (see the note above), with this engine's
-    per-domain cache lock and evaluation cache, so every refresh of one
-    engine — the per-version engines of a {!Versioned_engine} — shares
-    one cache per domain for that work.  No validation runs: the view
-    set and program are the ones already checked.  The rewriting-plan
+(** The same engine over an updated database, in O(1): it builds a
+    fresh IDB cell and computes nothing.  The IDB extents are re-derived
+    by the first cite that reads them (see the note above), with this
+    engine's per-domain cache lock and evaluation cache, so every
+    refresh of one engine — the per-version engines of a
+    {!Versioned_engine} — shares one cache per domain for that work.
+    No validation runs: the view set and program are the ones already
+    checked.  The rewriting-plan
     cache is kept: plans depend only on the view set, which [refresh]
     never changes.  Only {!create} — where the view set is chosen —
     starts with a cold plan cache. *)
 
-val with_databases :
-  t -> base:Dc_relational.Database.t -> view_db:Dc_relational.Database.t -> t
-(** Replaces both stores without rematerializing; the caller asserts
-    that [view_db] is the correct materialization of the views over
-    [base].  {!Incremental} maintains the extents itself and uses this
-    to avoid rematerializing.  The IDB extents are kept as derived,
-    deriving them now if no cite has yet (the caller's base may not
-    match them; {!Versioned_engine.register} refuses registrations that
-    read them).  The leaf cache is cleared;
-    the plan cache (views unchanged) is kept warm. *)
+val template : t -> Dc_cq.Query.t -> Compute.template
+(** A rewriting's citation template over this engine's views, with its
+    expansion: what {!cite} evaluates ({!Compute.run}).  {!Incremental}
+    finds and recomputes the tuples a delta affects through these. *)
 
 type tuple_citation = {
   tuple : Dc_relational.Tuple.t;
@@ -241,17 +240,19 @@ val result_to_json : result -> string
 
 val cite : t -> Dc_cq.Query.t -> result
 (** Plans (cached rewriting search), selects, evaluates and cites.
-    Each selected rewriting is evaluated with
-    {!Dc_cq.Eval.run_projected} on the variables that fill its view
-    parameters ({!Compute.template}); the sorted per-rewriting runs are
-    merged linearly, and each tuple's expression is built normalized
-    from the distinct projections ({!Compute.projected_expr}).  Tuples
-    of a single data-independent rewriting share its one expression and
-    one policy evaluation, and every distinct leaf is resolved once per
-    call ({!leaf_resolver}).  The result is
-    the one the literal composition gives: {!Dc_cq.Eval.run}, then
-    {!Compute.tuple_expr} normalized and {!Policy.eval} per tuple, then
-    the same over the [Agg]. *)
+    Each selected rewriting's expansion, computed once per plan and
+    kept in the rewriting-plan cache, is evaluated over the base
+    relations with {!Dc_cq.Eval.run_projected} on the variables that
+    fill its view parameters ({!Compute.run}); the sorted per-rewriting
+    runs are merged linearly, and each tuple's expression is built
+    normalized from the distinct projections
+    ({!Compute.projected_expr}).  Tuples of a single data-independent
+    rewriting share its one expression and one policy evaluation, and
+    every distinct leaf is resolved once per call ({!leaf_resolver}).
+    The result is the one the literal composition gives:
+    {!Dc_cq.Eval.run} of the rewriting over the materialized views
+    ({!merged_database}), then {!Compute.tuple_expr} normalized and
+    {!Policy.eval} per tuple, then the same over the [Agg]. *)
 
 val cite_string : t -> string -> (result, string) Stdlib.result
 (** Parses with {!Dc_cq.Parser.parse_query} first. *)

@@ -10,6 +10,8 @@ type t = {
   engine : Engine.t;
   query : Cq.Query.t;
   selected : Cq.Query.t list;
+  templates : Compute.template list;
+      (** one per [selected] rewriting, holding its expansion *)
   cache : Engine.tuple_citation R.Tuple.Map.t;
   affected_last : int;
 }
@@ -59,67 +61,46 @@ let register eng q =
     if result.selected = [] then [ Cq.Query.strip_params q ]
     else result.selected
   in
-  { engine = eng; query = q; selected; cache; affected_last = 0 }
+  {
+    engine = eng;
+    query = q;
+    selected;
+    templates = List.map (Engine.template eng) selected;
+    cache;
+    affected_last = 0;
+  }
 
-(* Specialize a query by pinning one body-atom occurrence to a concrete
-   tuple: substitute the atom's variables with the tuple's values.
-   [None] when a constant in the atom disagrees with the tuple. *)
-let pin_occurrence q atom_index tuple =
-  let body = Cq.Query.body q in
-  let atom = List.nth body atom_index in
-  let rec build subst args i =
-    match args with
+(* Specialize [q] by pinning [terms] — one body atom's arguments, or
+   the head — to the values of [tuple]: each variable is substituted by
+   its value.  [None] when a constant, or a repeated variable, disagrees
+   with the tuple. *)
+let pin q terms tuple =
+  let rec build subst i = function
     | [] -> Some subst
     | Cq.Term.Const c :: rest ->
-        if R.Value.equal c (R.Tuple.get tuple i) then build subst rest (i + 1)
+        if R.Value.equal c (R.Tuple.get tuple i) then build subst (i + 1) rest
         else None
-    | Cq.Term.Var v :: rest -> (
-        let value = R.Tuple.get tuple i in
-        match Cq.Subst.extend subst v (Cq.Term.Const value) with
-        | Some subst -> build subst rest (i + 1)
-        | None -> None)
+    | Cq.Term.Var v :: rest ->
+        Option.bind
+          (Cq.Subst.extend subst v (Cq.Term.Const (R.Tuple.get tuple i)))
+          (fun subst -> build subst (i + 1) rest)
   in
-  if List.length (Cq.Atom.args atom) <> R.Tuple.arity tuple then None
+  if List.length terms <> R.Tuple.arity tuple then None
   else
-    Option.map
-      (fun s -> Cq.Query.apply_subst s q)
-      (build Cq.Subst.empty (Cq.Atom.args atom) 0)
+    Option.map (fun s -> Cq.Query.apply_subst s q) (build Cq.Subst.empty 0 terms)
 
 (* Delta rule: the head tuples derivable through [tuple] sitting in the
    [pred] position of [q]'s body, evaluated against [db].  One pass per
    occurrence of [pred]. *)
 let derived_through ?cache db q pred tuple =
-  List.concat
-    (List.mapi
-       (fun i atom ->
-         if String.equal (Cq.Atom.pred atom) pred then
-           match pin_occurrence q i tuple with
-           | None -> []
-           | Some q' -> List.map fst (Cq.Eval.run ?cache db q')
-         else [])
-       (Cq.Query.body q))
-
-(* Pin the head of [q] to a concrete output tuple, yielding the
-   specialized query whose answers are exactly the bindings behind that
-   tuple.  [None] when a head constant disagrees with the tuple. *)
-let pin_head q head_tuple =
-  let rec build subst terms i =
-    match terms with
-    | [] -> Some subst
-    | Cq.Term.Const c :: rest ->
-        if R.Value.equal c (R.Tuple.get head_tuple i) then
-          build subst rest (i + 1)
-        else None
-    | Cq.Term.Var v :: rest -> (
-        match
-          Cq.Subst.extend subst v (Cq.Term.Const (R.Tuple.get head_tuple i))
-        with
-        | Some subst -> build subst rest (i + 1)
-        | None -> None)
-  in
-  Option.map
-    (fun s -> Cq.Query.apply_subst s q)
-    (build Cq.Subst.empty (Cq.Query.head q) 0)
+  List.concat_map
+    (fun atom ->
+      if String.equal (Cq.Atom.pred atom) pred then
+        match pin q (Cq.Atom.args atom) tuple with
+        | None -> []
+        | Some q' -> List.map fst (Cq.Eval.run_projected ?cache db q' [])
+      else [])
+    (Cq.Query.body q)
 
 let apply_delta ?new_base reg delta =
   (* Reuse the engine's index cache rather than building a throwaway
@@ -136,112 +117,35 @@ let apply_delta ?new_base reg delta =
     | Some db -> db
     | None -> R.Delta.apply old_base delta
   in
-  let old_view_db = Engine.view_database reg.engine in
+  let new_engine = Engine.refresh reg.engine new_base in
   let cviews = Engine.citation_views reg.engine in
   let changed_base = R.Delta.relations_touched delta in
-  let derived = Engine.derived_predicates reg.engine in
-  (* 1. View-extent deltas by delta rules + rederivation check.  Views
-     over Datalog-derived predicates (a program's exports) are left
-     alone: their inputs are not in [new_base], and the registration
-     guard ({!Versioned_engine.register}) ensures no registered
-     rewriting reads them. *)
-  let view_changes =
-    List.filter_map
-      (fun cv ->
-        let def = Citation_view.definition cv in
-        let preds = Cq.Query.predicates def in
-        let touches =
-          List.exists (fun p -> List.mem p changed_base) preds
-          && not (List.exists (fun p -> List.mem p derived) preds)
-        in
-        if not touches then None
-        else
-          let name = Citation_view.name cv in
-          let old_extent = R.Database.relation_exn old_view_db name in
-          let inserts =
-            List.concat_map
-              (fun rel ->
-                List.concat_map
-                  (fun tuple -> derived_through ~cache:eval_cache new_base def rel tuple)
-                  (R.Delta.inserted delta rel))
-              changed_base
-            |> List.filter (fun t -> not (R.Relation.mem old_extent t))
-            |> List.sort_uniq R.Tuple.compare
-          in
-          let delete_candidates =
-            List.concat_map
-              (fun rel ->
-                List.concat_map
-                  (fun tuple -> derived_through ~cache:eval_cache old_base def rel tuple)
-                  (R.Delta.deleted delta rel))
-              changed_base
-            |> List.sort_uniq R.Tuple.compare
-          in
-          let deletes =
-            List.filter
-              (fun t ->
-                match pin_head def t with
-                | None -> true
-                | Some q' -> not (Cq.Eval.holds ~cache:eval_cache new_base q'))
-              delete_candidates
-          in
-          if inserts = [] && deletes = [] then None
-          else Some (name, inserts, deletes))
-      (Citation_view.Set.to_list cviews)
-  in
-  (* 2. Apply view deltas to the materialized view database. *)
-  let new_view_db =
-    List.fold_left
-      (fun db (name, inserts, deletes) ->
-        let rel = R.Database.relation_exn db name in
-        let rel = List.fold_left R.Relation.delete rel deletes in
-        let rel = R.Relation.insert_list rel inserts in
-        R.Database.add_relation db rel)
-      old_view_db view_changes
-  in
-  let new_engine =
-    Engine.with_databases reg.engine ~base:new_base ~view_db:new_view_db
-  in
-  let merge base view_db =
-    List.fold_left R.Database.add_relation base (R.Database.relations view_db)
-  in
-  let merged_old = merge old_base old_view_db in
-  let merged_new = merge new_base new_view_db in
-  (* 3. Affected output tuples of the registered rewritings: through
-     changed view tuples, and — for partial rewritings — through changed
-     base tuples referenced directly. *)
+  (* 1. Affected output tuples: those with a binding of a registered
+     rewriting's expansion through an inserted base tuple (over the new
+     base) or a deleted one (over the old).  The expansion's head is the
+     rewriting's, so these are the rewriting's answers whose bindings
+     changed.  Registrations never read Datalog-derived predicates
+     ({!Versioned_engine.register} refuses them), so the base is all an
+     expansion reads. *)
   let affected =
     List.concat_map
-      (fun rw ->
-        let via_views =
-          List.concat_map
-            (fun (vname, inserts, deletes) ->
-              List.concat_map
-                (fun t -> derived_through ~cache:eval_cache merged_new rw vname t)
-                inserts
-              @ List.concat_map
-                  (fun t -> derived_through ~cache:eval_cache merged_old rw vname t)
-                  deletes)
-            view_changes
-        in
-        let via_base =
-          List.concat_map
-            (fun rel ->
-              if List.mem rel (Cq.Query.predicates rw) then
+      (fun t ->
+        match Compute.expansion t with
+        | None -> []
+        | Some exp ->
+            List.concat_map
+              (fun rel ->
                 List.concat_map
-                  (fun t -> derived_through ~cache:eval_cache merged_new rw rel t)
+                  (derived_through ~cache:eval_cache new_base exp rel)
                   (R.Delta.inserted delta rel)
                 @ List.concat_map
-                    (fun t -> derived_through ~cache:eval_cache merged_old rw rel t)
-                    (R.Delta.deleted delta rel)
-              else [])
-            changed_base
-        in
-        via_views @ via_base)
-      reg.selected
+                    (derived_through ~cache:eval_cache old_base exp rel)
+                    (R.Delta.deleted delta rel))
+              changed_base)
+      reg.templates
     |> List.sort_uniq R.Tuple.compare
   in
-  (* 4. Recompute the expressions of affected tuples only, from the
+  (* 2. Recompute the expressions of affected tuples only, from the
      projected bindings of each rewriting pinned to the tuple. *)
   let resolve = Engine.leaf_resolver new_engine in
   let cache =
@@ -250,12 +154,9 @@ let apply_delta ?new_base reg delta =
         let contribs =
           List.filter_map
             (fun rw ->
-              Option.bind (pin_head rw tuple) (fun rw' ->
-                  let t = Compute.template cviews rw' in
-                  match
-                    Cq.Eval.run_projected ~cache:eval_cache merged_new rw'
-                      (Compute.vars t)
-                  with
+              Option.bind (pin rw (Cq.Query.head rw) tuple) (fun rw' ->
+                  let t = Engine.template new_engine rw' in
+                  match Compute.run ~cache:eval_cache new_base t with
                   | [ (_, projections) ] -> Some (t, projections)
                   | _ -> None))
             reg.selected
@@ -268,7 +169,7 @@ let apply_delta ?new_base reg delta =
             cache)
       reg.cache affected
   in
-  (* 5. Citation-query dirtiness: snippets live in the base database, so
+  (* 3. Citation-query dirtiness: snippets live in the base database, so
      a delta touching a citation query's relations stales the concrete
      citations (not the formal expressions) of every tuple whose
      expression mentions that view. *)
@@ -301,9 +202,8 @@ let apply_delta ?new_base reg delta =
         cache
   in
   Log.debug (fun m ->
-      m "apply_delta: %d changes, %d view(s) changed, %d output tuple(s) \
-         recomputed"
-        (R.Delta.size delta) (List.length view_changes) (List.length affected));
+      m "apply_delta: %d changes, %d output tuple(s) recomputed"
+        (R.Delta.size delta) (List.length affected));
   {
     reg with
     engine = new_engine;

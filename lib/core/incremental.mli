@@ -2,18 +2,22 @@
     challenge (§3): "how to compute citations in an incremental manner".
 
     A {e registration} pins a query together with its selected
-    rewritings and caches the per-tuple formal citations.  When the base
-    database changes by a {!Dc_relational.Delta.t}, the registration is
-    updated by delta evaluation instead of recomputation:
+    rewritings (each with its expansion over the base schema,
+    {!Engine.template}) and caches the per-tuple formal citations.  When
+    the base database changes by a {!Dc_relational.Delta.t}, the
+    registration is updated by delta evaluation instead of
+    recomputation:
 
-    + each view's extent delta is computed by evaluating the view with
-      one body atom pinned to each changed base tuple (standard delta
-      rules, one pass per occurrence);
-    + the affected output tuples of each rewriting are those produced by
-      bindings that touch a changed view tuple;
+    + the affected output tuples of each rewriting are those its
+      expansion derives with one body atom pinned to an inserted base
+      tuple (over the new base) or a deleted one (over the old base),
+      one pass per occurrence;
     + only the affected tuples have their binding sets — and hence their
-      citation expressions — recomputed; every other cached citation is
-      reused.
+      citation expressions — recomputed, through the expansions of the
+      rewritings pinned to each tuple; every other cached citation is
+      reused;
+    + the engine advances with {!Engine.refresh}.  No view extent is
+      kept or maintained.
 
     Experiment E6 measures this against [Engine.refresh] + re-cite. *)
 
@@ -41,9 +45,9 @@ val to_result : t -> Engine.result
     registered head-version queries from this instead of re-citing. *)
 
 val apply_delta : ?new_base:Dc_relational.Database.t -> t -> Dc_relational.Delta.t -> t
-(** Updates the base database, the materialized views, and the affected
-    citations.  Raises [Not_found] when the delta touches a relation
-    absent from the database.
+(** Updates the base database and the affected citations.  Raises
+    [Not_found] when the delta touches a relation absent from the
+    database.
 
     [new_base], when given, must be exactly the database the delta
     produces ({!Dc_relational.Version_store.apply_head} computes it);
@@ -51,12 +55,10 @@ val apply_delta : ?new_base:Dc_relational.Database.t -> t -> Dc_relational.Delta
     delta, keeping store head and registration base physically in
     step.
 
-    On an engine built from a program, citation views whose definitions
-    read Datalog-derived predicates (the program's exports) are not
-    maintained: their inputs are not base relations, and
-    {!Versioned_engine.register} refuses any registration that reads
-    them, so their extents in the registration's engine are never
-    consulted. *)
+    Affected tuples are found through base relations only:
+    {!Versioned_engine.register} refuses any registration whose
+    rewritings read Datalog-derived predicates, since no delta names
+    them. *)
 
 val affected_last : t -> int
 (** Number of output tuples recomputed by the last [apply_delta]

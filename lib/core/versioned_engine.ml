@@ -13,9 +13,9 @@ type t = {
      parameter (policy, selection, partial, fallback, pool) and the
      shared metrics registry; the subsequent [replicate] gives the new
      engine caches of its own, so versions never thrash each other's
-     evaluation cache.  The versions' derivations and view
-     materializations run under the template's per-domain cache lock
-     and evaluation cache, as the cells of a refresh do. *)
+     evaluation cache.  The versions' derivations run under the
+     template's per-domain cache lock and evaluation cache, as the IDB
+     cell of a refresh does. *)
   template : Engine.t;
   metrics : Metrics.t;
   capacity : int;
@@ -153,11 +153,11 @@ let engine_at t v =
       | Some db ->
           Metrics.with_sink t.metrics (fun () ->
               Metrics.record Metrics.Key.version_cache_misses);
-          (* A refresh computes nothing (its cells derive and
-             materialize on the first cite that reads them), so building
-             is cheap; it runs outside [mu] all the same.  A concurrent
-             miss on the same version may build twice: the race loser's
-             engine is dropped, its cells most likely never forced. *)
+          (* A refresh computes nothing (its IDB cell derives on the
+             first cite that reads it), so building is cheap; it runs
+             outside [mu] all the same.  A concurrent miss on the same
+             version may build twice: the race loser's engine is
+             dropped, its cell most likely never forced. *)
           let eng =
             Metrics.with_sink t.metrics (fun () ->
                 Metrics.record_time "version_materialize" (fun () ->

@@ -23,10 +23,10 @@
     {b Engine cache.}  Per-version engines are built on first use and
     kept in an LRU cache bounded by [capacity] (default 4).  Building
     one is O(1) in the data: it is an {!Engine.refresh} of the template,
-    so the version's IDB derivation and view extents are computed by
-    the first cite that reads them, and only those it reads (a
-    landing-page cite of a plain view never runs the Datalog program).
-    An evicted version pays that again on its next cite.  The head
+    so the version's IDB derivation is computed by the first cite that
+    reads it (a landing-page cite of a plain view never runs the Datalog
+    program), and no cite builds a view extent.  An evicted version pays
+    the derivation again on its next cite.  The head
     version's engine is never evicted.  All per-version
     engines share one metrics registry (this engine's), so cache
     counters aggregate across versions; digests are cached without
@@ -128,7 +128,7 @@ val registrations : t -> string list
 val engine_at :
   t -> Dc_relational.Version_store.version -> (Engine.t, string) result
 (** The (LRU-cached) engine for a version, built without computing any
-    of its data: its cites derive and materialize what they read.
+    of its data: its cites derive the IDB extents if they read them.
     [Error] when the version was never committed. *)
 
 val cite_at :

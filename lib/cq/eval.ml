@@ -43,29 +43,22 @@ end
 
 let is_truth atom = Atom.pred atom = "True" && Atom.args atom = []
 
-(* The reusable evaluation cache couples three things keyed off the same
+(* The reusable evaluation cache couples two things keyed off the same
    database evolution story:
    - [indexes]: hash indexes keyed by (predicate, bound positions), each
      remembering the relation value it was built from;
    - [plans]: compiled plans keyed by the query's printed form, each
-     remembering the relation values it captured ({!Plan.valid});
-   - [stats]: cardinality/distinct-count statistics feeding the
-     compile-time join order, self-validating the same way.
-   All three validate entries by physical identity of the current
-   relation value, so one cache serves many evaluations over evolving
-   persistent databases; stale entries rebuild transparently. *)
+     remembering the relation values it captured ({!Plan.valid}).
+   Both validate entries by physical identity of the current relation
+   value, so one cache serves many evaluations over evolving persistent
+   databases; stale entries rebuild transparently.  The statistics
+   behind the compile-time join order live on the relation values. *)
 type cache = {
   indexes : (string * int list, R.Relation.t * R.Index.t) Hashtbl.t;
   plans : (string, Plan.t) Hashtbl.t;
-  stats : R.Stats.t;
 }
 
-let make_cache () =
-  {
-    indexes = Hashtbl.create 32;
-    plans = Hashtbl.create 32;
-    stats = R.Stats.create ();
-  }
+let make_cache () = { indexes = Hashtbl.create 32; plans = Hashtbl.create 32 }
 
 let relation_of db pred =
   match R.Database.relation db pred with
@@ -103,7 +96,7 @@ let plan_for cache db q =
       !plan_timer (fun () ->
           compiled :=
             Some
-              (Plan.compile ~stats:cache.stats
+              (Plan.compile
                  ~relation:(fun pred -> relation_of db pred)
                  ~index:(fun pred positions ->
                    index_for cache db pred positions)

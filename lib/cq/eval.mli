@@ -54,8 +54,9 @@ module Binding : sig
 end
 
 type cache
-(** A reusable evaluation cache holding hash indexes, compiled plans
-    and the statistics that feed the compile-time join order.  Plans
+(** A reusable evaluation cache holding hash indexes and compiled
+    plans (the statistics that feed the compile-time join order are
+    memoized on the relation values, not here).  Plans
     are keyed by the query's printed form; indexes by (predicate, bound
     positions).  Every entry is validated against the current relation
     values by physical identity, so one cache can safely serve many

@@ -40,11 +40,11 @@ let is_truth atom = Atom.pred atom = "True" && Atom.args atom = []
 (* Estimated candidate count for [atom] given the compile-time bound
    variable set: full cardinality for a scan, cardinality scaled by the
    textbook per-column selectivities (1/distinct) for an index probe.
-   Cardinalities and distinct counts come from [stats], which memoizes
-   them per relation value. *)
-let atom_cost ~stats db bound atom =
+   Cardinalities and distinct counts are memoized on the relation values
+   ({!R.Stats}). *)
+let atom_cost db bound atom =
   let pred = Atom.pred atom in
-  let card = float_of_int (R.Stats.cardinality stats db pred) in
+  let card = float_of_int (R.Stats.cardinality db pred) in
   let arity_known =
     match R.Database.relation db pred with
     | Some rel -> R.Schema.arity (R.Relation.schema rel)
@@ -60,7 +60,7 @@ let atom_cost ~stats db bound atom =
         in
         if bound_here then
           let sel =
-            if i < arity_known then sel *. R.Stats.selectivity stats db pred i
+            if i < arity_known then sel *. R.Stats.selectivity db pred i
             else sel
           in
           go (i + 1) sel true rest
@@ -71,22 +71,22 @@ let atom_cost ~stats db bound atom =
 
 (* Greedy cost-based join order: repeatedly pick the cheapest atom under
    the variables bound so far.  Ties keep body order (fold keeps the
-   first minimum), so plans are deterministic. *)
-let order_atoms ~stats db body =
+   first minimum), so plans are deterministic.  The last atom left is
+   taken without costing it, so a one-atom body reads no statistics. *)
+let order_atoms db body =
   let rec go bound remaining acc =
     match remaining with
     | [] -> List.rev acc
-    | _ ->
+    | [ last ] -> List.rev (last :: acc)
+    | first :: rest ->
         let best, _ =
           List.fold_left
             (fun (best, best_cost) atom ->
-              let c = atom_cost ~stats db bound atom in
-              match best with
-              | None -> (Some atom, c)
-              | Some _ -> if c < best_cost then (Some atom, c) else (best, best_cost))
-            (None, infinity) remaining
+              let c = atom_cost db bound atom in
+              if c < best_cost then (atom, c) else (best, best_cost))
+            (first, atom_cost db bound first)
+            rest
         in
-        let best = Option.get best in
         let remaining = List.filter (fun a -> not (a == best)) remaining in
         let bound =
           List.fold_left (fun s v -> Sset.add v s) bound (Atom.var_list best)
@@ -95,7 +95,7 @@ let order_atoms ~stats db body =
   in
   go Sset.empty body []
 
-let compile ~stats ~relation ~index db q =
+let compile ~relation ~index db q =
   let body = List.filter (fun a -> not (is_truth a)) (Query.body q) in
   (* slot numbering: one register per body variable, in order of first
      occurrence in the original body (the order is irrelevant to the
@@ -117,7 +117,7 @@ let compile ~stats ~relation ~index db q =
         (function Term.Var v -> ignore (slot_of v) | Term.Const _ -> ())
         (Atom.args atom))
     body;
-  let ordered = order_atoms ~stats db body in
+  let ordered = order_atoms db body in
   let bound = ref Sset.empty in
   let deps = ref [] in
   let steps =

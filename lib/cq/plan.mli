@@ -10,8 +10,11 @@
       the whole valuation is a mutable [Value.t array] register file —
       no string map is touched on the join path;
     - body atoms are ordered once, by estimated cost from
-      {!Dc_relational.Stats} cardinalities and per-column selectivities
-      (the interpreter re-scored atoms on each evaluation);
+      {!Dc_relational.Stats} cardinalities and per-column selectivities,
+      which are memoized on the relation values themselves (the
+      interpreter re-scored atoms on each evaluation); the last atom
+      left is placed without costing, so a one-atom body reads no
+      statistics;
     - for each atom the bound/free position split is resolved
       statically: bound positions (constants and already-bound slots)
       become an index key filled into a preallocated buffer and probed
@@ -36,19 +39,18 @@ type source =
   | Slot of int  (** read the register file at this slot *)
 
 val compile :
-  stats:Dc_relational.Stats.t ->
   relation:(string -> Dc_relational.Relation.t) ->
   index:(string -> int list -> Dc_relational.Index.t) ->
   Dc_relational.Database.t ->
   Query.t ->
   t
-(** [compile ~stats ~relation ~index db q] builds the plan.  [relation]
+(** [compile ~relation ~index db q] builds the plan.  [relation]
     resolves a body predicate to its extent (raising the caller's
     unknown-relation exception — every body predicate is resolved
     eagerly, so compilation fails up front on a missing relation);
     [index] supplies the hash index for a (predicate, bound-positions)
-    pair, normally {!Eval}'s shared index cache.  [db] and [stats] feed
-    the cost-based join order.  The nullary [True] atom is dropped. *)
+    pair, normally {!Eval}'s shared index cache.  The statistics of
+    [db]'s relations feed the cost-based join order.  The nullary [True] atom is dropped. *)
 
 val valid : t -> Dc_relational.Database.t -> bool
 (** Whether every relation captured at compile time is still (physically)

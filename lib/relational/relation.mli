@@ -18,6 +18,8 @@ val insert_list : t -> Tuple.t list -> t
 val delete : t -> Tuple.t -> t
 val mem : t -> Tuple.t -> bool
 val cardinality : t -> int
+(** Memoized on the relation value, like {!scan}. *)
+
 val is_empty : t -> bool
 
 val scan : t -> Tuple.t array
@@ -40,10 +42,18 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val filter : (Tuple.t -> bool) -> t -> t
 val of_list : Schema.t -> Tuple.t list -> t
 
+val distinct : t -> int -> int
+(** [distinct r col] is the number of distinct values in column [col],
+    counted in one hash-table pass on first demand and memoized on the
+    relation value: every engine, template and domain reading one value
+    counts it once.  These are the statistics behind the plan compiler's
+    join order and the rewriting cost model ({!Stats}).  Raises
+    [Invalid_argument] for a column out of range. *)
+
 val distinct_count : t -> int list -> int
 (** [distinct_count r positions] is the number of distinct projections of
-    the extent on [positions]; the rewriting cost model uses it to
-    estimate how many parameter valuations a parameterized view has. *)
+    the extent on [positions], counted in one hash-table pass;
+    [distinct_count r [col]] is {!distinct}[ r col]. *)
 
 val equal : t -> t -> bool
 val diff : t -> t -> Tuple.t list * Tuple.t list

@@ -1,54 +1,20 @@
-type entry = { rel : Relation.t; card : int; distincts : int option array }
-
-type t = (string, entry) Hashtbl.t
-
-let create () : t = Hashtbl.create 16
-
-let entry_for stats db name =
+let cardinality db name =
   match Database.relation db name with
-  | None -> None
-  | Some rel -> (
-      match Hashtbl.find_opt stats name with
-      | Some e when e.rel == rel -> Some e
-      | _ ->
-          let e =
-            {
-              rel;
-              (* memoized: [Set.cardinal] walks the extent, and the plan
-                 compiler asks for cardinalities O(atoms²) times per
-                 build *)
-              card = Relation.cardinality rel;
-              distincts = Array.make (Schema.arity (Relation.schema rel)) None;
-            }
-          in
-          Hashtbl.replace stats name e;
-          Some e)
-
-let cardinality stats db name =
-  match entry_for stats db name with None -> 0 | Some e -> e.card
-
-let distinct stats db name col =
-  match entry_for stats db name with
   | None -> 0
-  | Some e ->
-      if col < 0 || col >= Array.length e.distincts then
-        invalid_arg
-          (Printf.sprintf "Stats.distinct %s: column %d out of range" name col)
-      else (
-        match e.distincts.(col) with
-        | Some d -> d
-        | None ->
-            let d = Relation.distinct_count e.rel [ col ] in
-            e.distincts.(col) <- Some d;
-            d)
+  | Some rel -> Relation.cardinality rel
 
-let selectivity stats db name col =
-  let d = distinct stats db name col in
+let distinct db name col =
+  match Database.relation db name with
+  | None -> 0
+  | Some rel -> Relation.distinct rel col
+
+let selectivity db name col =
+  let d = distinct db name col in
   if d <= 0 then 1.0 else 1.0 /. float_of_int d
 
-let join_cardinality stats db (r, rc) (s, sc) =
-  let cr = float_of_int (cardinality stats db r) in
-  let cs = float_of_int (cardinality stats db s) in
-  let dr = distinct stats db r rc and ds = distinct stats db s sc in
+let join_cardinality db (r, rc) (s, sc) =
+  let cr = float_of_int (cardinality db r) in
+  let cs = float_of_int (cardinality db s) in
+  let dr = distinct db r rc and ds = distinct db s sc in
   let dmax = float_of_int (max 1 (max dr ds)) in
   cr *. cs /. dmax

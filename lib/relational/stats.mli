@@ -1,28 +1,25 @@
 (** Per-column statistics over a database snapshot.
 
     Statistics feed the rewriting cost model (parameter-distinct
-    estimates) and the textbook join-cardinality estimate.  They are
-    computed once per snapshot; entries self-validate against the
-    relation value they were computed from, so a [t] can outlive small
-    database updates and lazily recompute only what changed. *)
+    estimates), the plan compiler's join order and the textbook
+    join-cardinality estimate.  They are owned by the relation values
+    ({!Relation.cardinality}, {!Relation.distinct}): each is counted on
+    first demand and memoized on the immutable value, so it is counted
+    once however many engines, versions or domains ask, an older
+    snapshot keeps its own counts, and this module keeps no state. *)
 
-type t
-
-val create : unit -> t
-(** An empty, lazily-filled statistics cache. *)
-
-val cardinality : t -> Database.t -> string -> int
+val cardinality : Database.t -> string -> int
 (** 0 for unknown relations. *)
 
-val distinct : t -> Database.t -> string -> int -> int
-(** [distinct stats db rel col] — number of distinct values in the
-    column; 0 for unknown relations, raises [Invalid_argument] for
-    out-of-range columns of known ones. *)
+val distinct : Database.t -> string -> int -> int
+(** [distinct db rel col] — number of distinct values in the column; 0
+    for unknown relations, raises [Invalid_argument] for out-of-range
+    columns of known ones. *)
 
-val selectivity : t -> Database.t -> string -> int -> float
+val selectivity : Database.t -> string -> int -> float
 (** [1 / distinct] (1.0 for empty or unknown relations): the textbook
     probability that the column equals a given value. *)
 
-val join_cardinality : t -> Database.t -> (string * int) -> (string * int) -> float
+val join_cardinality : Database.t -> (string * int) -> (string * int) -> float
 (** Estimated size of the equi-join of two relations on one column
     pair: [|R| * |S| / max(d_R, d_S)]. *)

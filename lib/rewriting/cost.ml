@@ -1,13 +1,7 @@
 module Cq = Dc_cq
 module R = Dc_relational
 
-(* Without a caller's table, each top-level call fills a fresh one:
-   statistics memoized across calls must live with the caller, under
-   the caller's synchronization. *)
-let stats_or_fresh = function Some s -> s | None -> R.Stats.create ()
-
-let param_distinct_estimate ?stats db view p =
-  let stats = stats_or_fresh stats in
+let param_distinct_estimate db view p =
   let def = View.definition view in
   let candidates =
     List.concat_map
@@ -18,7 +12,7 @@ let param_distinct_estimate ?stats db view p =
           |> List.filter_map (fun (i, t) ->
                  match t with
                  | Cq.Term.Var v when String.equal v p ->
-                     Some (R.Stats.distinct stats db (Cq.Atom.pred atom) i)
+                     Some (R.Stats.distinct db (Cq.Atom.pred atom) i)
                  | _ -> None))
       (Cq.Query.body def)
   in
@@ -32,7 +26,7 @@ let param_distinct_exact db view p =
       let rel = Cq.Eval.result db def in
       R.Relation.distinct_count rel [ pos ]
 
-let atom_citation_count ?(exact = false) ?stats db views atom =
+let atom_citation_count ?(exact = false) db views atom =
   match View.Set.find views (Cq.Atom.pred atom) with
   | None -> 0 (* base atom: nothing to cite *)
   | Some view ->
@@ -48,27 +42,25 @@ let atom_citation_count ?(exact = false) ?stats db views atom =
             | Cq.Term.Var _ | (exception Failure _) ->
                 let d =
                   if exact then param_distinct_exact db view p
-                  else param_distinct_estimate ?stats db view p
+                  else param_distinct_estimate db view p
                 in
                 acc * max 1 d)
           1 (View.params view) positions
 
-let citation_size ?exact ?stats db views r =
-  let stats = stats_or_fresh stats in
+let citation_size ?exact db views r =
   List.fold_left
-    (fun acc atom -> acc + atom_citation_count ?exact ~stats db views atom)
+    (fun acc atom -> acc + atom_citation_count ?exact db views atom)
     0 (Cq.Query.body r)
 
-let choose_min_size ?exact ?stats db views = function
+let choose_min_size ?exact db views = function
   | [] -> None
   | r :: rest ->
-      let stats = stats_or_fresh stats in
       let best, _ =
         List.fold_left
           (fun (best, best_cost) r' ->
-            let c = citation_size ?exact ~stats db views r' in
+            let c = citation_size ?exact db views r' in
             if c < best_cost then (r', c) else (best, best_cost))
-          (r, citation_size ?exact ~stats db views r)
+          (r, citation_size ?exact db views r)
           rest
       in
       Some best

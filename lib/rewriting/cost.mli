@@ -10,7 +10,6 @@
     proportional to |Family| while the one via Q2 has size 1. *)
 
 val param_distinct_estimate :
-  ?stats:Dc_relational.Stats.t ->
   Dc_relational.Database.t ->
   View.t ->
   string ->
@@ -18,18 +17,16 @@ val param_distinct_estimate :
 (** Estimated number of distinct values of parameter [p] of the view:
     the minimum, over the base-relation columns where [p] occurs in the
     view body, of the column's distinct count.  Unknown relations
-    estimate to 1.  Distinct counts come from [stats], so repeated
-    estimation over an unchanged snapshot costs one scan per column
-    total; without [stats] each call fills a fresh table (this module
-    keeps no state).  A [stats] table is not thread-safe: share one
-    only under the caller's lock, as {!Dc_citation.Engine} does. *)
+    estimate to 1.  Distinct counts come from {!Dc_relational.Stats},
+    which memoizes them on the relation values, so repeated estimation
+    over an unchanged snapshot costs one scan per column in all, from
+    any engine or domain; this module keeps no state. *)
 
 val param_distinct_exact : Dc_relational.Database.t -> View.t -> string -> int
 (** Distinct values of the parameter in the materialized view result. *)
 
 val atom_citation_count :
   ?exact:bool ->
-  ?stats:Dc_relational.Stats.t ->
   Dc_relational.Database.t ->
   View.Set.t ->
   Dc_cq.Atom.t ->
@@ -40,7 +37,6 @@ val atom_citation_count :
 
 val citation_size :
   ?exact:bool ->
-  ?stats:Dc_relational.Stats.t ->
   Dc_relational.Database.t ->
   View.Set.t ->
   Dc_cq.Query.t ->
@@ -50,7 +46,6 @@ val citation_size :
 
 val choose_min_size :
   ?exact:bool ->
-  ?stats:Dc_relational.Stats.t ->
   Dc_relational.Database.t ->
   View.Set.t ->
   Dc_cq.Query.t list ->

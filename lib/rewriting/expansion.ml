@@ -56,12 +56,12 @@ let expand views r =
           ~name:(Cq.Query.name r ^ "_exp")
           ~head ~body ()
       with
-      | Ok q -> Some q
+      | Ok q -> Some (q, subst)
       | Error _ -> None)
 
 let is_equivalent_rewriting ?(deps = []) views q r =
   match expand views r with
   | None -> false
-  | Some expansion ->
+  | Some (expansion, _) ->
       if deps = [] then Cq.Containment.equivalent q expansion
       else Cq.Chase.equivalent deps q expansion

@@ -17,10 +17,17 @@ val expand_atom :
     predicates expand to themselves.  [occurrence] disambiguates
     freshening across multiple uses of one view. *)
 
-val expand : View.Set.t -> Dc_cq.Query.t -> Dc_cq.Query.t option
-(** Expansion of a whole rewriting.  [None] when some atom fails to
-    unify with its view's head (such a rewriting is vacuous: it returns
-    no answers). *)
+val expand :
+  View.Set.t -> Dc_cq.Query.t -> (Dc_cq.Query.t * Dc_cq.Subst.t) option
+(** Expansion of a whole rewriting over the base schema, with the
+    substitution head unification induced on the rewriting's own
+    variables: applied to a rewriting variable it gives the term that
+    stands for it in the expansion (itself, another rewriting variable
+    it was equated with, or a constant).  The expansion's head is the
+    rewriting's head under that substitution, and its answers are the
+    rewriting's answers over the views' extents.  [None] when some atom
+    fails to unify with its view's head (such a rewriting is vacuous:
+    it returns no answers). *)
 
 val is_equivalent_rewriting :
   ?deps:Dc_cq.Dependency.t list ->

@@ -311,7 +311,7 @@ let maximally_contained ?(max_candidates = 100_000) views query =
     | Some cand -> (
         match Expansion.expand views cand with
         | None -> ()
-        | Some expansion ->
+        | Some (expansion, _) ->
             if Cq.Containment.contained expansion query then begin
               incr verified;
               !on_event Verified;

@@ -138,6 +138,68 @@ let test_leaf_cache_consistency () =
   Alcotest.(check int) "two committee snippets" 2
     (List.length (C.Citation.snippets c1))
 
+(* Leaves whose parameter values print alike but differ in type must not
+   share a leaf-cache entry: over a [TAny] key column, [Int 1] and
+   [Str "1"] name different owners. *)
+let test_leaf_cache_typed_values () =
+  let any_rel name cols rows =
+    R.Relation.of_list
+      (R.Schema.make name (List.map (fun c -> R.Schema.attr c) cols))
+      (List.map tuple rows)
+  in
+  let db =
+    List.fold_left R.Database.add_relation R.Database.empty
+      [
+        any_rel "T" [ "K"; "V" ]
+          [ [ int 1; str "a" ]; [ str "1"; str "b" ]; [ R.Value.Null; str "c" ];
+            [ str "NULL"; str "d" ]; [ R.Value.Bool true; str "e" ];
+            [ str "true"; str "f" ] ];
+        any_rel "O" [ "K"; "Owner" ]
+          [ [ int 1; str "int-owner" ]; [ str "1"; str "str-owner" ];
+            [ R.Value.Null; str "null-owner" ]; [ str "NULL"; str "NULL-owner" ];
+            [ R.Value.Bool true; str "bool-owner" ];
+            [ str "true"; str "true-owner" ] ];
+      ]
+  in
+  let views =
+    [
+      C.Citation_view.make_exn
+        ~view:(parse "lambda K. VT(K,V) :- T(K,V)")
+        ~citations:[ parse "lambda K. CT(K,N) :- O(K,N)" ]
+        ();
+    ]
+  in
+  let owners =
+    [ ("a", "int-owner"); ("b", "str-owner"); ("c", "null-owner");
+      ("d", "NULL-owner"); ("e", "bool-owner"); ("f", "true-owner") ]
+  in
+  let contains hay needle =
+    let lh = String.length hay and ln = String.length needle in
+    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+    go 0
+  in
+  let shared = E.create db views in
+  (* every tuple in one cite, so look-alike leaves meet in one cache *)
+  let result = E.cite shared (parse "Q(K,V) :- T(K,V)") in
+  Alcotest.(check int) "six tuples" 6 (List.length result.tuples);
+  List.iter
+    (fun (tc : E.tuple_citation) ->
+      let v =
+        match R.Tuple.get tc.tuple 1 with R.Value.Str v -> v | _ -> assert false
+      in
+      let rendered = C.Fmt_citation.render C.Fmt_citation.Json tc.citations in
+      let own = List.assoc v owners in
+      Alcotest.(check bool)
+        (R.Tuple.to_string tc.tuple ^ " cites " ^ own)
+        true
+        (contains rendered ("\"" ^ own ^ "\""));
+      List.iter
+        (fun (_, other) ->
+          if other <> own && contains rendered ("\"" ^ other ^ "\"") then
+            Alcotest.failf "%s also cites %s" (R.Tuple.to_string tc.tuple) other)
+        owners)
+    result.tuples
+
 let test_view_name_collision_rejected () =
   let bad =
     C.Citation_view.make_exn
@@ -173,6 +235,8 @@ let suite =
     Alcotest.test_case "query params ignored" `Quick test_parameterized_query_params_ignored;
     Alcotest.test_case "cite_string error" `Quick test_cite_string_error;
     Alcotest.test_case "leaf cache" `Quick test_leaf_cache_consistency;
+    Alcotest.test_case "leaf cache keys typed values" `Quick
+      test_leaf_cache_typed_values;
     Alcotest.test_case "name collision" `Quick test_view_name_collision_rejected;
     Alcotest.test_case "refresh" `Quick test_refresh;
   ]

@@ -44,9 +44,9 @@ let gen_db : R.Database.t Gen.t =
 let gen_var st = Printf.sprintf "X%d" (Gen.int_bound 3 st)
 let gen_const st = R.Value.int (Gen.int_bound 4 st)
 
-let gen_query : Cq.Query.t Gen.t =
+let gen_query_upto max_atoms : Cq.Query.t Gen.t =
  fun st ->
-  let natoms = 1 + Gen.int_bound 2 st in
+  let natoms = 1 + Gen.int_bound (max_atoms - 1) st in
   let atom _ =
     if Gen.int_bound 9 st = 0 then Cq.Atom.make "True" []
     else
@@ -73,14 +73,18 @@ let gen_query : Cq.Query.t Gen.t =
   in
   Cq.Query.make_exn ~name:"Q" ~head ~body ()
 
-let arbitrary =
+let gen_query = gen_query_upto 3
+
+let arbitrary_upto max_atoms =
   QCheck.make
     ~print:(fun (db, query) ->
       Format.asprintf "%s@.under:@.%a" (Cq.Query.to_string query)
         (Format.pp_print_list (fun ppf name ->
              R.Relation.pp ppf (R.Database.relation_exn db name)))
         (List.map fst preds))
-    (Gen.pair gen_db gen_query)
+    (Gen.pair gen_db (gen_query_upto max_atoms))
+
+let arbitrary = arbitrary_upto 3
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence oracle. *)
@@ -197,9 +201,8 @@ let test_cost_based_order () =
       (List.init 25 (fun i -> int_tuple [ i; i mod 5 ]))
     |> fun db -> R.Database.insert_list db "S" [ int_tuple [ 0; 0 ]; int_tuple [ 1; 1 ] ]
   in
-  let stats = R.Stats.create () in
   let compile query =
-    Plan.compile ~stats
+    Plan.compile
       ~relation:(fun p -> R.Database.relation_exn db p)
       ~index:(fun p positions ->
         R.Index.build (R.Database.relation_exn db p) positions)
@@ -223,9 +226,87 @@ let test_cost_based_order () =
   Alcotest.(check bool) "pp mentions both atoms" true
     (contains rendered "S" && contains rendered "R")
 
+(* ------------------------------------------------------------------ *)
+(* Join order.  The oracle is the greedy ordering as it stood before the
+   last remaining atom was placed without costing, copied here verbatim
+   but for reading the statistics from the relation values. *)
+
+module Sset = Set.Make (String)
+
+let oracle_atom_cost db bound atom =
+  let pred = Cq.Atom.pred atom in
+  let card = float_of_int (R.Stats.cardinality db pred) in
+  let arity_known =
+    match R.Database.relation db pred with
+    | Some rel -> R.Schema.arity (R.Relation.schema rel)
+    | None -> 0
+  in
+  let rec go i sel any_bound = function
+    | [] -> (sel, any_bound)
+    | term :: rest ->
+        let bound_here =
+          match term with
+          | Cq.Term.Const _ -> true
+          | Cq.Term.Var v -> Sset.mem v bound
+        in
+        if bound_here then
+          let sel =
+            if i < arity_known then sel *. R.Stats.selectivity db pred i
+            else sel
+          in
+          go (i + 1) sel true rest
+        else go (i + 1) sel any_bound rest
+  in
+  let sel, any_bound = go 0 1.0 false (Cq.Atom.args atom) in
+  if any_bound then card *. sel else card
+
+let oracle_order_atoms db body =
+  let rec go bound remaining acc =
+    match remaining with
+    | [] -> List.rev acc
+    | _ ->
+        let best, _ =
+          List.fold_left
+            (fun (best, best_cost) atom ->
+              let c = oracle_atom_cost db bound atom in
+              match best with
+              | None -> (Some atom, c)
+              | Some _ -> if c < best_cost then (Some atom, c) else (best, best_cost))
+            (None, infinity) remaining
+        in
+        let best = Option.get best in
+        let remaining = List.filter (fun a -> not (a == best)) remaining in
+        let bound =
+          List.fold_left (fun s v -> Sset.add v s) bound (Cq.Atom.var_list best)
+        in
+        go bound remaining (best :: acc)
+  in
+  go Sset.empty body []
+
+let prop_atom_order_unchanged =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"atom order = the costed-to-the-end oracle"
+       ~count:500 (arbitrary_upto 5)
+       (fun (db, query) ->
+         let body =
+           List.filter
+             (fun a -> not (Cq.Atom.pred a = "True" && Cq.Atom.args a = []))
+             (Cq.Query.body query)
+         in
+         let plan =
+           Plan.compile
+             ~relation:(fun p -> R.Database.relation_exn db p)
+             ~index:(fun p positions ->
+               R.Index.build (R.Database.relation_exn db p) positions)
+             db query
+         in
+         List.equal String.equal (Plan.atom_order plan)
+           (List.map Cq.Atom.pred (oracle_order_atoms db body))))
+
 let suite =
   [
     prop_equivalence;
+    prop_atom_order_unchanged;
     Alcotest.test_case "directed corners" `Quick test_directed_corners;
     Alcotest.test_case "unknown relation resolved eagerly" `Quick
       test_unknown_relation_eager;

@@ -30,7 +30,7 @@ let test_expansion () =
   let r = q "Q(FName) :- V1(FID,FName,Desc), V3(FID,Text)" in
   match Rw.Expansion.expand vs r with
   | None -> Alcotest.fail "expansion failed"
-  | Some e ->
+  | Some (e, _) ->
       Alcotest.(check bool) "expansion over base preds" true
         (Cq.Query.predicates e = [ "Family"; "FamilyIntro" ]);
       Alcotest.(check bool) "equivalent to Q" true
@@ -42,7 +42,7 @@ let test_expansion_joins_on_head () =
   let r = q "Q(A) :- V(A,A)" in
   match Rw.Expansion.expand vs r with
   | None -> Alcotest.fail "expansion failed"
-  | Some e -> (
+  | Some (e, _) -> (
       match Cq.Query.body e with
       | [ atom ] ->
           let args = Cq.Atom.args atom in
