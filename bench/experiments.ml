@@ -1042,9 +1042,72 @@ let e15 () =
         (n, commit_ms, incr_ms, full_ms, cold_ms, warm_ms, verify_ms))
       [ 1; 10; 100 ]
   in
+  (* Digest cost per commit, v1 against v2, at two database sizes.  Two
+     engines over the same data take the same commits: the v1 one
+     renders its new head with [Fixity.digest_db]; the v2 one had its
+     version-0 digest demanded (outside the timing), so each commit
+     carries the changed relations' multiset hashes across the delta and
+     [digest_at] folds them.  Each figure is the commit plus the digest a
+     stamp of the new head needs: the commit work is the same code for
+     both, except the carried tuple hashes v2 pays inside it. *)
+  subhr "digest ms per commit: v1 (whole-version render) vs v2 (carried)";
+  let digest_widths = [ 10; 10; 22; 22 ] in
+  header digest_widths
+    [ "families"; "tuples"; "v1 commit+digest ms"; "v2 commit+digest ms" ];
+  let commits = 21 in
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  let digest_rows =
+    List.map
+      (fun n ->
+        let db = G.generate ~seed:6 ~config:(families n) () in
+        let v1_ve = C.Versioned_engine.create db [] in
+        let v2_ve = C.Versioned_engine.create db [] in
+        ignore (ok (C.Versioned_engine.digest_at v2_ve 0));
+        let per_commit ve digest =
+          median
+            (List.init commits (fun i ->
+                 snd
+                   (time_ms (fun () ->
+                        digest ve
+                          (ok
+                             (C.Versioned_engine.commit_delta ve
+                                (delta ~start:(10_000 + i) 1)))))))
+        in
+        let v1 =
+          per_commit v1_ve (fun ve v ->
+              C.Fixity.digest_db
+                (R.Version_store.checkout_exn (C.Versioned_engine.store ve) v))
+        in
+        let v2 =
+          per_commit v2_ve (fun ve v -> ok (C.Versioned_engine.digest_at ve v))
+        in
+        let tuples = R.Database.total_tuples db in
+        row digest_widths
+          [
+            string_of_int n;
+            string_of_int tuples;
+            Printf.sprintf "%.4f" v1;
+            Printf.sprintf "%.4f" v2;
+          ];
+        (n, tuples, v1, v2))
+      [ 300; 3000 ]
+  in
   write_bench_json ~experiment:"E15"
     [
       ("params", json_obj [ ("families", "300"); ("capacity", "2") ]);
+      ( "digest_per_commit",
+        json_list
+          (List.map
+             (fun (n, tuples, v1, v2) ->
+               json_obj
+                 [
+                   ("families", string_of_int n);
+                   ("tuples", string_of_int tuples);
+                   ("commits", string_of_int commits);
+                   ("v1_ms", Printf.sprintf "%.4f" v1);
+                   ("v2_ms", Printf.sprintf "%.4f" v2);
+                 ])
+             digest_rows) );
       ( "rows",
         json_list
           (List.map
@@ -1067,7 +1130,9 @@ let e15 () =
      maintained by delta rules at commit time, so the head re-cite only\n\
      reads cached citations, while full pays view materialization plus\n\
      rewriting from scratch.  v0 cold pays engine materialization once;\n\
-     v0 warm is a cache hit and stays flat as deltas accumulate.)\n"
+     v0 warm is a cache hit and stays flat as deltas accumulate.  v1's\n\
+     digest per commit grows with the database; v2's stays flat, at\n\
+     least 10x below v1's at 3000 families, the floor CI gates on.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E16: durability — commit latency under each WAL fsync policy,      *)
@@ -1657,11 +1722,46 @@ let e19 () =
         (n, interp, cold4, warm, speedup, compiles))
       [ 8; 32; 128 ]
   in
-  subhr "index build (full-width tuple hash, Hashtbl.add bucketing)";
+  subhr "index costs on a column prefix (the inputs of Index's ski rental)";
   let fam = R.Database.relation_exn db "Family" in
-  let _, build_ms = timed ~runs:5 (fun () -> ignore (R.Index.build fam [ 0 ])) in
-  Printf.printf "Index.build Family (%d tuples) on col 0: %.2f ms (median of 5)\n"
-    (R.Relation.cardinality fam) build_ms;
+  let n = R.Relation.cardinality fam in
+  (* probe in a seeded random order, as cites of random landing pages
+     do: probing in key order would keep the descent's path cached *)
+  let keys =
+    let rng = Random.State.make [| 19 |] in
+    List.map (fun t -> (Random.State.bits rng, [| t.(0) |])) (R.Relation.tuples fam)
+    |> List.sort compare |> List.map snd
+  in
+  (* [Index.build] on a prefix builds nothing, so the build row forces
+     the hash table and adds the first probe a cite would make *)
+  let _, build_ms =
+    timed ~runs:5 (fun () ->
+        let idx = R.Index.build fam [ 0 ] in
+        R.Index.build_table idx;
+        ignore (R.Index.lookup_key idx (List.hd keys)))
+  in
+  let built = R.Index.build fam [ 0 ] in
+  R.Index.build_table built;
+  let rounds = 20 in
+  let per_probe_ns probe =
+    let _, total =
+      timed ~runs:3 (fun () ->
+          for _ = 1 to rounds do
+            List.iter (fun k -> ignore (probe k)) keys
+          done)
+    in
+    total *. 1e6 /. float_of_int (rounds * n)
+  in
+  let set_ns = per_probe_ns (R.Relation.probe_prefix fam) in
+  let hash_ns = per_probe_ns (R.Index.lookup_key built) in
+  let build_ns = build_ms *. 1e6 /. float_of_int n in
+  let break_even = build_ns /. Float.max 1. (set_ns -. hash_ns) in
+  Printf.printf
+    "Family (%d tuples) on col 0: forced hash-table build + first probe \
+     %.2f ms (median of 5) = %.0f ns/tuple\n\
+     warm probe: set descent %.0f ns, hash table %.0f ns; renting the \
+     descent breaks even after %.2f probes per tuple\n"
+    n build_ms build_ns set_ns hash_ns break_even;
   subhr "server throughput on the E13 workload (compiled hot path)";
   let sdb = G.generate ~seed:5 ~config:(families 500) () in
   let engine = C.Engine.create sdb Dc_gtopdb.Paper_views.all in
@@ -1721,7 +1821,11 @@ let e19 () =
                    ("plan_compiles", string_of_int compiles);
                  ])
              rows) );
-      ("index_build_ms", json_ms build_ms);
+      ("index_build_first_probe_ms", json_ms build_ms);
+      ("set_probe_ns", Printf.sprintf "%.0f" set_ns);
+      ("hash_probe_ns", Printf.sprintf "%.0f" hash_ns);
+      ("build_ns_per_tuple", Printf.sprintf "%.0f" build_ns);
+      ("break_even_probes_per_tuple", Printf.sprintf "%.2f" break_even);
       ( "server",
         json_obj
           [

@@ -11,7 +11,7 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Content digests.  Relations iterate in Tuple.compare order and the
+(* v1 content digests.  Relations iterate in Tuple.compare order and the
    database lists relations in name order, so the rendering below is a
    canonical form: two structurally equal databases digest identically
    regardless of construction order.  Field separators are control
@@ -49,29 +49,42 @@ let digest_db db =
     rels;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-type stamp = {
-  stamp_version : R.Version_store.version;
-  stamp_at : int option;
-  stamp_digest : string;
-}
+(* ------------------------------------------------------------------ *)
+(* v2: a digest over the relations' memoized multiset hashes.  Each
+   relation contributes its length-prefixed name and its 16-byte
+   {!R.Multiset_hash}, in name order; one MD5 over those few bytes per
+   relation is the version's digest.  A version whose relations carry
+   their hashes (every version committed after one was digested) costs
+   O(#relations). *)
 
-let digest_at ~store version =
-  match R.Version_store.checkout store version with
-  | None -> Error (Printf.sprintf "version %d not in store" version)
-  | Some db -> Ok (digest_db db)
+type scheme = V1 | V2
 
-let stamp ~store version =
-  Result.map
-    (fun d ->
-      {
-        stamp_version = version;
-        stamp_at = R.Version_store.timestamp store version;
-        stamp_digest = d;
-      })
-    (digest_at ~store version)
+let v2_suffix = ":v2"
 
-let verify_digest ~store version digest =
-  Result.map (fun d -> String.equal d digest) (digest_at ~store version)
+let digest_v2 db =
+  let rels = R.Database.relations db in
+  let buf = Buffer.create (32 * (List.length rels + 1)) in
+  List.iter
+    (fun rel ->
+      let name = R.Relation.name rel in
+      Buffer.add_int64_le buf (Int64.of_int (String.length name));
+      Buffer.add_string buf name;
+      R.Multiset_hash.add_to_buffer buf (R.Relation.multiset_hash rel))
+    rels;
+  Digest.to_hex (Digest.string (Buffer.contents buf)) ^ v2_suffix
+
+let scheme_of digest =
+  match String.rindex_opt digest ':' with
+  | None -> Ok V1
+  | Some i -> (
+      match String.sub digest i (String.length digest - i) with
+      | tag when tag = v2_suffix -> Ok V2
+      | tag ->
+          Error
+            (Printf.sprintf
+               "unknown fixity digest scheme %S (known: a 32-hex untagged v1 \
+                digest, or 32 hex followed by %S)"
+               tag v2_suffix))
 
 let cite ?policy ?selection ~store ~views query =
   let db = R.Version_store.head_db store in

@@ -9,42 +9,54 @@
 
 (** {2 Content digests}
 
-    A fixity {e digest} is a cryptographic hash of a full database
-    version in a canonical rendering (relations in name order, tuples in
-    value order), so "the data as seen at the time it was cited" can be
-    checked, not just re-obtained: a citation carrying the digest of its
-    version detects any tampering with the stored version. *)
+    A fixity {e digest} is a hash of a full database version, so "the
+    data as seen at the time it was cited" can be checked, not just
+    re-obtained: a citation carrying the digest of its version detects
+    any accidental change to the stored version.  Two schemes exist,
+    told apart by a tag.
+
+    {b v1} ({!digest_db}) is 32 lowercase hex digits, untagged: the MD5
+    of a canonical rendering — relations in name order, each tuple's
+    values printed as text ({!Dc_relational.Value.to_string}) and joined
+    by control bytes.  Snapshots, recovery and the golden digests of the
+    test suite use it, and it stays byte-for-byte stable.  The rendering
+    is not injective, and these known collisions are kept for
+    compatibility: [Int 1] and [Str "1"] digest alike, as do [Null] and
+    [Str "NULL"], floats equal to six significant digits ([%g]), and a
+    string containing a separator byte against its bytes split over two
+    columns.  It costs a pass over every tuple.
+
+    {b v2} ({!digest_v2}) is 32 lowercase hex digits followed by the
+    tag [":v2"], so it can never equal a v1 digest: the MD5 of each
+    relation's length-prefixed name and its
+    {!Dc_relational.Multiset_hash} (a lane-wise modular sum of per-tuple
+    MD5s over an injective, typed, exact encoding: floats by their bits,
+    strings length-prefixed), in name order.  The per-relation hashes
+    are memoized on the relation values and carried through commits, so
+    a committed version's digest costs O(#relations) and a commit
+    O(|delta|) tuple hashes.  [CITE_AT] stamps carry v2.
+
+    Both schemes detect accidental change, not adversarial collisions:
+    MD5 is broken for collisions, and 128 bits of additive state are
+    weaker still against a chosen-input attack. *)
 
 val digest_db : Dc_relational.Database.t -> string
-(** Hex digest of the database's canonical rendering.  Structurally
-    equal databases digest identically regardless of construction
-    order; any tuple change, in any relation, changes the digest. *)
+(** The v1 digest.  Structurally equal databases digest identically
+    regardless of construction order; any tuple change that alters the
+    rendering, in any relation, changes the digest. *)
 
-type stamp = {
-  stamp_version : Dc_relational.Version_store.version;
-  stamp_at : int option;  (** commit timestamp, when known *)
-  stamp_digest : string;  (** {!digest_db} of the version *)
-}
-(** What a versioned citation result is stamped with — see
-    {!Versioned_engine}. *)
+val digest_v2 : Dc_relational.Database.t -> string
+(** The v2 digest.  Structurally equal databases (tuples equal bit for
+    bit) digest identically regardless of construction order; any tuple
+    change in any relation, and moving a tuple between relations,
+    changes it. *)
 
-val digest_at :
-  store:Dc_relational.Version_store.t ->
-  Dc_relational.Version_store.version ->
-  (string, string) result
+type scheme = V1 | V2
 
-val stamp :
-  store:Dc_relational.Version_store.t ->
-  Dc_relational.Version_store.version ->
-  (stamp, string) result
-
-val verify_digest :
-  store:Dc_relational.Version_store.t ->
-  Dc_relational.Version_store.version ->
-  string ->
-  (bool, string) result
-(** [verify_digest ~store v d] is [Ok true] iff version [v] exists and
-    its recomputed digest equals [d]. *)
+val scheme_of : string -> (scheme, string) result
+(** The scheme a digest was issued under: [V2] for a [":v2"]-tagged
+    digest, [V1] for an untagged one (no [':']), and [Error] naming the
+    tag for any other tag. *)
 
 type t = {
   version : Dc_relational.Version_store.version;

@@ -23,10 +23,12 @@ type t = {
   (* MRU-first assoc list of materialized per-version engines, trimmed
      to [capacity] (the head version is never evicted). *)
   mutable engines : (VS.version * Engine.t) list;
-  (* Version digests are tiny and versions are immutable, so digests
-     are cached forever — fixity verification of an evicted version
-     must not depend on LRU luck. *)
-  digests : (VS.version, string) Hashtbl.t;
+  (* v1 digests of versions whose untagged stamps were verified: each
+     costs a pass over the whole version, and versions are immutable,
+     so they are cached forever.  v2 digests need no cache: the
+     per-relation hashes they fold are memoized on the store's relation
+     values. *)
+  v1_digests : (VS.version, string) Hashtbl.t;
   (* Head-version incremental registrations, keyed by the registered
      query's rendering.  Mutated only under [commit_mu]. *)
   mutable regs : (string * Incremental.t) list;
@@ -74,7 +76,7 @@ let of_engine ?(capacity = 4) ?store eng =
     capacity;
     store;
     engines;
-    digests = Hashtbl.create 8;
+    v1_digests = Hashtbl.create 8;
     regs = [];
     mu = Mutex.create ();
     commit_mu = Mutex.create ();
@@ -133,6 +135,11 @@ let trim_unlocked t =
           Metrics.record ~by:!dropped Metrics.Key.version_cache_evictions)
   end
 
+let checkout t v =
+  match VS.checkout (snapshot t) v with
+  | None -> Error (Printf.sprintf "version %d not in store" v)
+  | Some db -> Ok db
+
 let engine_at t v =
   let cached =
     locked t (fun () ->
@@ -147,10 +154,9 @@ let engine_at t v =
       Metrics.with_sink t.metrics (fun () ->
           Metrics.record Metrics.Key.version_cache_hits);
       Ok eng
-  | None -> (
-      match VS.checkout (snapshot t) v with
-      | None -> Error (Printf.sprintf "version %d not in store" v)
-      | Some db ->
+  | None ->
+      Result.map
+        (fun db ->
           Metrics.with_sink t.metrics (fun () ->
               Metrics.record Metrics.Key.version_cache_misses);
           (* A refresh computes nothing (its IDB cell derives on the
@@ -164,33 +170,39 @@ let engine_at t v =
                     Engine.replicate (Engine.refresh t.template db)))
           in
           Log.debug (fun m -> m "materialized engine for version %d" v);
-          Ok
-            (locked t (fun () ->
-                 match List.assoc_opt v t.engines with
-                 | Some raced -> raced
-                 | None ->
-                     t.engines <- (v, eng) :: t.engines;
-                     trim_unlocked t;
-                     eng)))
+          locked t (fun () ->
+              match List.assoc_opt v t.engines with
+              | Some raced -> raced
+              | None ->
+                  t.engines <- (v, eng) :: t.engines;
+                  trim_unlocked t;
+                  eng))
+        (checkout t v)
 
 let digest_at t v =
-  match locked t (fun () -> Hashtbl.find_opt t.digests v) with
+  Result.map
+    (fun db ->
+      Metrics.with_sink t.metrics (fun () ->
+          Metrics.record_time "fixity_digest" (fun () -> Fixity.digest_v2 db)))
+    (checkout t v)
+
+let v1_digest_at t v =
+  match locked t (fun () -> Hashtbl.find_opt t.v1_digests v) with
   | Some d -> Ok d
-  | None -> (
-      match VS.checkout (snapshot t) v with
-      | None -> Error (Printf.sprintf "version %d not in store" v)
-      | Some db ->
-          let d =
-            Metrics.with_sink t.metrics (fun () ->
-                Metrics.record_time "fixity_digest" (fun () ->
-                    Fixity.digest_db db))
-          in
-          locked t (fun () ->
-              if not (Hashtbl.mem t.digests v) then Hashtbl.add t.digests v d);
-          Ok d)
+  | None ->
+      Result.map
+        (fun db ->
+          let d = Fixity.digest_db db in
+          locked t (fun () -> Hashtbl.replace t.v1_digests v d);
+          d)
+        (checkout t v)
 
 let verify t v digest =
-  Result.map (fun d -> String.equal d digest) (digest_at t v)
+  Result.bind (Fixity.scheme_of digest) (fun scheme ->
+      Result.map (String.equal digest)
+        (match scheme with
+        | Fixity.V1 -> v1_digest_at t v
+        | Fixity.V2 -> digest_at t v))
 
 let stamped t v ~from_registration result =
   Result.map

@@ -29,8 +29,16 @@
     the derivation again on its next cite.  The head
     version's engine is never evicted.  All per-version
     engines share one metrics registry (this engine's), so cache
-    counters aggregate across versions; digests are cached without
-    bound (they are 32-byte strings).
+    counters aggregate across versions.
+
+    {b Fixity.}  Stamps carry the version's v2 {!Fixity.digest_v2}.  It
+    folds per-relation multiset hashes memoized on the store's relation
+    values, and a commit carries them across its delta, so once one
+    version has been digested each later version's digest costs
+    O(#relations) and needs no cache.  The first v2 digest after a
+    restart (recovered relations carry no hashes) is one pass over the
+    data.  {!verify} also accepts untagged v1 stamps
+    ({!Fixity.digest_db}, cached per version once computed).
 
     {b Thread safety.}  All operations are safe from any thread or
     domain.  Commits and registrations serialize among themselves, but
@@ -43,7 +51,7 @@ type t
 type cited = {
   version : Dc_relational.Version_store.version;
   timestamp : int option;  (** the version's commit time *)
-  digest : string;  (** {!Fixity.digest_db} of the cited version *)
+  digest : string;  (** {!Fixity.digest_v2} of the cited version *)
   result : Engine.result;
   from_registration : bool;
       (** served from an incremental {!register}ation rather than by a
@@ -175,12 +183,15 @@ val commit_delta : t -> Dc_relational.Delta.t -> (Dc_relational.Version_store.ve
 
 val verify :
   t -> Dc_relational.Version_store.version -> string -> (bool, string) result
-(** Does the version's content digest equal the given digest?  [Error]
-    for an unknown version. *)
+(** Does the version's content digest, under the scheme the given
+    digest's tag names ({!Fixity.scheme_of}), equal the given digest?
+    Untagged digests are checked as v1, [":v2"]-tagged ones as v2.
+    [Error] for an unknown version or an unknown tag. *)
 
 val digest_at :
   t -> Dc_relational.Version_store.version -> (string, string) result
-(** The version's {!Fixity.digest_db}, cached after first computation. *)
+(** The version's {!Fixity.digest_v2} — what {!cite_at} stamps — timed
+    under the [fixity_digest] timer. *)
 
 val describe : t -> Engine.capabilities
 (** Backend ["versioned"], with versions supported, recursion as the

@@ -73,8 +73,9 @@ let index_for cache db pred positions =
       idx
   | _ ->
       !on_event Cache_miss;
-      !on_event Index_build;
-      let idx = R.Index.build rel positions in
+      let idx =
+        R.Index.build ~on_build:(fun () -> !on_event Index_build) rel positions
+      in
       Hashtbl.replace cache.indexes (pred, positions) (rel, idx);
       idx
 

@@ -21,8 +21,10 @@ type event = Index_build | Cache_hit | Cache_miss | Plan_compile | Plan_hit
 
 val on_event : (event -> unit) ref
 (** Instrumentation hook, fired on every index-cache lookup
-    ([Cache_hit], or [Cache_miss] followed by [Index_build]) and every
-    plan-cache lookup ([Plan_hit], or [Plan_compile]).  A no-op by
+    ([Cache_hit] or [Cache_miss]), on every hash table an index actually
+    builds ([Index_build]: at the miss for a non-prefix key, at the probe
+    that buys it for a prefix key — see {!Dc_relational.Index}) and on
+    every plan-cache lookup ([Plan_hit], or [Plan_compile]).  A no-op by
     default; {!Dc_citation.Metrics} installs a counter sink.  Not
     intended for application code. *)
 

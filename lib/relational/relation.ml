@@ -1,36 +1,74 @@
 (* The extent is a persistent set; [scan_cache] memoizes its array
-   rendering, [card_cache] its cardinality and [distinct_cache] its
-   per-column distinct counts ([-1]: not counted yet).  Every
-   constructor below goes through [make] so a new relation value never
-   inherits a stale cache from the record it was derived from
-   ([{ r with ... }] would copy the mutable fields).  Filling a cache
-   from two domains at once is a benign race: both compute the same
-   value from the same immutable set and one write wins (word-sized
-   stores are atomic in OCaml); a count written into a distinct array
-   that another domain has just replaced is merely lost. *)
+   rendering, [card_cache] its cardinality, [distinct_cache] its
+   per-column distinct counts ([-1]: not counted yet) and [hash_cache]
+   its {!Multiset_hash}.  Every constructor below goes through [make]
+   so a new relation value never inherits a stale cache from the record
+   it was derived from ([{ r with ... }] would copy the mutable fields);
+   [insert] and [delete] then carry the cardinality and the multiset
+   hash across one tuple when the parent value already knew them, so
+   once a fixity digest has demanded a relation's hash every later
+   version of it gets its hash for O(1) per changed tuple, while values
+   nobody digests (CSV loads, query results, Datalog extents) never pay
+   for one.  Filling a cache from two domains at once is a benign race:
+   both compute the same value from the same immutable set and one
+   write wins (word-sized stores are atomic in OCaml); a count written
+   into a distinct array that another domain has just replaced is
+   merely lost. *)
 type t = {
   schema : Schema.t;
   extent : Tuple.Set.t;
   mutable scan_cache : Tuple.t array option;
   mutable card_cache : int;
   mutable distinct_cache : int array;
+  mutable hash_cache : Multiset_hash.t option;
 }
 
 let make schema extent =
-  { schema; extent; scan_cache = None; card_cache = -1; distinct_cache = [||] }
+  {
+    schema;
+    extent;
+    scan_cache = None;
+    card_cache = -1;
+    distinct_cache = [||];
+    hash_cache = None;
+  }
+
 let empty schema = make schema Tuple.Set.empty
 let schema r = r.schema
 let name r = Schema.name r.schema
+
+(* [r] with one tuple more ([sign = 1]) or less ([-1]); [stored] is the
+   tuple as the larger extent holds it, which is what its hash must
+   count ([Tuple.compare] equates some values with different bits, such
+   as [0.0] and [-0.0]). *)
+let changed r extent ~sign stored =
+  let r' = make r.schema extent in
+  if r.card_cache >= 0 then r'.card_cache <- r.card_cache + sign;
+  (match r.hash_cache with
+  | Some h ->
+      let th = Multiset_hash.of_tuple stored in
+      r'.hash_cache <-
+        Some (if sign > 0 then Multiset_hash.add h th else Multiset_hash.sub h th)
+  | None -> ());
+  r'
 
 let insert r tuple =
   if not (Schema.conforms r.schema tuple) then
     invalid_arg
       (Printf.sprintf "Relation.insert %s: tuple %s does not conform"
          (name r) (Tuple.to_string tuple))
-  else make r.schema (Tuple.Set.add tuple r.extent)
+  else
+    let extent = Tuple.Set.add tuple r.extent in
+    if extent == r.extent then r else changed r extent ~sign:1 tuple
 
 let insert_list r tuples = List.fold_left insert r tuples
-let delete r tuple = make r.schema (Tuple.Set.remove tuple r.extent)
+
+let delete r tuple =
+  match Tuple.Set.find_opt tuple r.extent with
+  | None -> r
+  | Some stored ->
+      changed r (Tuple.Set.remove tuple r.extent) ~sign:(-1) stored
+
 let mem r tuple = Tuple.Set.mem tuple r.extent
 let cardinality r =
   if r.card_cache < 0 then r.card_cache <- Tuple.Set.cardinal r.extent;
@@ -46,6 +84,35 @@ let scan r =
       a
 
 let tuples r = Array.to_list (scan r)
+
+let multiset_hash r =
+  match r.hash_cache with
+  | Some h -> h
+  | None ->
+      let h = Multiset_hash.of_tuples (fun f -> Tuple.Set.iter f r.extent) in
+      r.hash_cache <- Some h;
+      h
+
+(* [Value.Null] is the least value of every type, so padding the key
+   with it gives the least tuple of the relation's arity that carries
+   the prefix, and [to_seq_from] starts the walk there.  Consing the
+   ascending run yields it descending. *)
+let probe_prefix r key =
+  let k = Array.length key in
+  let arity = Schema.arity r.schema in
+  if k > arity then
+    invalid_arg
+      (Printf.sprintf "Relation.probe_prefix %s: %d key columns, arity %d"
+         (name r) k arity);
+  let lo = Array.make arity Value.Null in
+  Array.blit key 0 lo 0 k;
+  let rec matches t i = i = k || (Value.equal t.(i) lo.(i) && matches t (i + 1)) in
+  let rec take seq acc =
+    match seq () with
+    | Seq.Cons (t, rest) when matches t 0 -> take rest (t :: acc)
+    | _ -> acc
+  in
+  take (Tuple.Set.to_seq_from lo r.extent) []
 
 let fold f r init =
   let a = scan r in

@@ -12,10 +12,16 @@ val name : t -> string
 
 val insert : t -> Tuple.t -> t
 (** Raises [Invalid_argument] when the tuple does not conform to the
-    schema. *)
+    schema.  Inserting a tuple already present returns the same value.
+    The result knows its {!cardinality} and {!multiset_hash} without
+    recounting when [r] already knew them (one tuple hash per insert). *)
 
 val insert_list : t -> Tuple.t list -> t
+
 val delete : t -> Tuple.t -> t
+(** Deleting an absent tuple returns the same value; otherwise the
+    cardinality and multiset hash carry over as for {!insert}. *)
+
 val mem : t -> Tuple.t -> bool
 val cardinality : t -> int
 (** Memoized on the relation value, like {!scan}. *)
@@ -38,6 +44,21 @@ val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val iter : (Tuple.t -> unit) -> t -> unit
 (** Over the memoized {!scan} array, ascending tuple order. *)
+
+val probe_prefix : t -> Value.t array -> Tuple.t list
+(** [probe_prefix r key] is every tuple whose first [Array.length key]
+    columns equal [key], in {e descending} {!Tuple.compare} order (the
+    order {!Index.lookup_key} answers in).  It is one range descent of
+    the persistent extent — O(log n + matches), no index built — since
+    within one arity {!Tuple.compare} orders the extent column by
+    column.  [r] does not retain [key].  Raises [Invalid_argument] when
+    [key] is wider than the relation. *)
+
+val multiset_hash : t -> Multiset_hash.t
+(** The {!Multiset_hash} of the extent, computed over every tuple on
+    first demand and memoized on the value; a value derived by
+    {!insert}/{!delete} from one whose hash was demanded already has
+    it.  Values whose hash nobody demands never compute one. *)
 
 val filter : (Tuple.t -> bool) -> t -> t
 val of_list : Schema.t -> Tuple.t list -> t

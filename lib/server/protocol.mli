@@ -24,9 +24,18 @@
       change    ::= ("+" | "-") relation "(" scalar { "," scalar } ")"
       version   ::= integer
       count     ::= integer >= 1 (bounded by the decoder's max_batch)
-      digest    ::= hex token (no spaces)
+      digest    ::= hex32                  (v1: untagged)
+                  | hex32 ":v2"            (v2: what CITE_AT stamps)
+                  | token ":" tag          (any other tag: ERR)
+      hex32     ::= 32 lowercase hex digits
       query     ::= conjunctive query text, e.g. Q(X) :- R(X,Y)
     v}
+
+    [VERIFY] dispatches on the digest's tag ({!Dc_citation.Fixity}): an
+    untagged digest is checked against the version's v1 digest, a
+    [":v2"] one against its v2 digest, and an unknown tag is an [ERR]
+    naming it.  A malformed untagged digest simply answers
+    [valid:false].
 
     A v1 client (no [V2] prefix, only the original five commands) works
     unchanged against a v2 server.  The v2-introduced commands are also

@@ -495,6 +495,28 @@ let test_busy_shedding () =
   Alcotest.(check bool) "sheds counted" true
     (C.Metrics.count m C.Metrics.Key.server_busy_sheds > 0)
 
+(* A stamp issued before stamps were tagged — an untagged v1 digest,
+   computed here with [Fixity.digest_db] — still verifies on a server
+   whose CITE_AT stamps carry v2 digests; an unknown tag is an ERR. *)
+let test_v1_stamp_verifies () =
+  with_server @@ fun _engine server ->
+  let v1 = C.Fixity.digest_db (Dc_gtopdb.Paper_views.example_database ()) in
+  let verify = expect_ok "verify v1" (request server ("V2 VERIFY 0 " ^ v1)) in
+  Alcotest.(check bool) "untagged v1 stamp valid" true
+    (contains verify {|"valid":true|});
+  let at0 = expect_ok "cite_at 0" (request server cite_at_0) in
+  let v2 = extract_str at0 "digest" in
+  Alcotest.(check bool) "CITE_AT stamps v2" true
+    (String.length v2 = 35 && String.sub v2 32 3 = ":v2");
+  let verify2 = expect_ok "verify v2" (request server ("V2 VERIFY 0 " ^ v2)) in
+  Alcotest.(check bool) "v2 stamp valid" true (contains verify2 {|"valid":true|});
+  match request server ("V2 VERIFY 0 " ^ String.sub v2 0 32 ^ ":v9") with
+  | Some line when String.length line >= 4 && String.sub line 0 4 = "ERR " ->
+      Alcotest.(check bool) "ERR names the tag" true (contains line ":v9")
+  | other ->
+      Alcotest.failf "unknown tag should ERR, got %s"
+        (Option.value ~default:"<closed>" other)
+
 let suite =
   [
     Alcotest.test_case "cite over loopback" `Quick test_cite_roundtrip;
@@ -511,5 +533,7 @@ let suite =
     Alcotest.test_case "pipelined responses keep order" `Quick
       test_pipelining_order;
     Alcotest.test_case "cite_batch over the wire" `Quick test_cite_batch_wire;
+    Alcotest.test_case "untagged v1 stamp verifies" `Quick
+      test_v1_stamp_verifies;
     Alcotest.test_case "overload sheds BUSY" `Quick test_busy_shedding;
   ]
