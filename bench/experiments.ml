@@ -1331,13 +1331,10 @@ let e16 () =
     let dir = fresh_dir () in
     let path = Filename.concat dir "wal.log" in
     let w = ok "wal create" (Dc_storage.Wal.create ~path ~fsync) in
-    let fsyncs = Atomic.make 0 in
-    let old_count = !Dc_storage.Hooks.count in
-    (Dc_storage.Hooks.count :=
-       fun name n ->
-         if name = "wal_fsyncs" then Atomic.incr fsyncs;
-         old_count name n);
+    (* the appender threads share this domain, hence the scope *)
+    let m = C.Metrics.create () in
     let _, total_ms =
+      C.Metrics.with_sink m @@ fun () ->
       time_ms (fun () ->
           let ts =
             List.init threads (fun k ->
@@ -1353,14 +1350,13 @@ let e16 () =
           in
           List.iter Thread.join ts)
     in
-    Dc_storage.Hooks.count := old_count;
     Dc_storage.Wal.close w;
     let scan = ok "scan" (Dc_storage.Wal.scan_file ~schemas:[] path) in
     let total = threads * gc_appends in
     if List.length scan.Dc_storage.Wal.records <> total then
       failwith "E16: group-commit appends lost";
     rm_rf dir;
-    let fs = Atomic.get fsyncs in
+    let fs = C.Metrics.count m C.Metrics.Key.wal_fsyncs in
     let per_barrier =
       if fs = 0 then float_of_int total else float_of_int total /. float_of_int fs
     in

@@ -1,11 +1,7 @@
 module R = Dc_relational
 
-(* Instrumentation hook: fired on every containment check.  A no-op by
-   default; Dc_citation.Metrics installs a counter sink. *)
-let on_check : (unit -> unit) ref = ref (fun () -> ())
-
 let contained q1 q2 =
-  !on_check ();
+  Dc_parallel.Metrics.(record Key.containment_checks);
   Homomorphism.exists ~src:q2 ~dst:q1
 let equivalent q1 q2 = contained q1 q2 && contained q2 q1
 let witness q1 q2 = Homomorphism.find ~src:q2 ~dst:q1

@@ -5,13 +5,10 @@
     Parameters are ignored throughout, per the paper ("In the rewritings,
     parameters are ignored"). *)
 
-val on_check : (unit -> unit) ref
-(** Instrumentation hook, fired on every {!contained} call
-    ({!equivalent} fires it twice).  A no-op by default;
-    {!Dc_citation.Metrics} installs a counter sink. *)
-
 val contained : Query.t -> Query.t -> bool
-(** [contained q1 q2] is [true] iff [q1 ⊆ q2]. *)
+(** [contained q1 q2] is [true] iff [q1 ⊆ q2].  Each call counts under
+    {!Dc_parallel.Metrics.Key.containment_checks} ({!equivalent}
+    counts two). *)
 
 val equivalent : Query.t -> Query.t -> bool
 

@@ -4,14 +4,7 @@ module Sset = Set.Make (String)
 
 exception Unknown_relation of string
 
-type event = Index_build | Cache_hit | Cache_miss | Plan_compile | Plan_hit
-
-(* Instrumentation hooks.  [on_event] fires on every index-cache and
-   plan-cache interaction; [plan_timer] wraps each plan compilation so a
-   metrics sink can time it.  Defaults are no-ops; Dc_citation.Metrics
-   routes events into its counter/timer registries at link time. *)
-let on_event : (event -> unit) ref = ref (fun _ -> ())
-let plan_timer : ((unit -> unit) -> unit) ref = ref (fun f -> f ())
+module Metrics = Dc_parallel.Metrics
 
 module Binding = struct
   type t = R.Value.t Smap.t
@@ -69,13 +62,11 @@ let index_for cache db pred positions =
   let rel = relation_of db pred in
   match Hashtbl.find_opt cache.indexes (pred, positions) with
   | Some (rel0, idx) when rel0 == rel ->
-      !on_event Cache_hit;
+      Metrics.(record Key.eval_cache_hits);
       idx
   | _ ->
-      !on_event Cache_miss;
-      let idx =
-        R.Index.build ~on_build:(fun () -> !on_event Index_build) rel positions
-      in
+      Metrics.(record Key.eval_cache_misses);
+      let idx = R.Index.build rel positions in
       Hashtbl.replace cache.indexes (pred, positions) (rel, idx);
       idx
 
@@ -89,20 +80,17 @@ let plan_for cache db q =
   let key = Query.to_string q in
   match Hashtbl.find_opt cache.plans key with
   | Some p when Plan.valid p db ->
-      !on_event Plan_hit;
+      Metrics.(record Key.eval_plan_hits);
       p
   | stale ->
-      !on_event Plan_compile;
-      let compiled = ref None in
-      !plan_timer (fun () ->
-          compiled :=
-            Some
-              (Plan.compile
-                 ~relation:(fun pred -> relation_of db pred)
-                 ~index:(fun pred positions ->
-                   index_for cache db pred positions)
-                 db q));
-      let p = Option.get !compiled in
+      Metrics.(record Key.plan_compiles);
+      let p =
+        Metrics.record_time "plan_compile" (fun () ->
+            Plan.compile
+              ~relation:(fun pred -> relation_of db pred)
+              ~index:(fun pred positions -> index_for cache db pred positions)
+              db q)
+      in
       if stale = None && Hashtbl.length cache.plans >= max_plans then
         Hashtbl.reset cache.plans;
       Hashtbl.replace cache.plans key p;

@@ -13,25 +13,13 @@
     string map and allocating no per-probe key.  The pre-compilation
     interpreter survives as {!Reference} for differential testing and
     baseline benchmarks.  The nullary predicate [True] is built in and
-    always holds. *)
+    always holds.
+
+    Cache lookups record into {!Dc_parallel.Metrics}: index-cache hits
+    and misses, plan-cache hits and compilations (compile time under the
+    [plan_compile] timer). *)
 
 exception Unknown_relation of string
-
-type event = Index_build | Cache_hit | Cache_miss | Plan_compile | Plan_hit
-
-val on_event : (event -> unit) ref
-(** Instrumentation hook, fired on every index-cache lookup
-    ([Cache_hit] or [Cache_miss]), on every hash table an index actually
-    builds ([Index_build]: at the miss for a non-prefix key, at the probe
-    that buys it for a prefix key — see {!Dc_relational.Index}) and on
-    every plan-cache lookup ([Plan_hit], or [Plan_compile]).  A no-op by
-    default; {!Dc_citation.Metrics} installs a counter sink.  Not
-    intended for application code. *)
-
-val plan_timer : ((unit -> unit) -> unit) ref
-(** Wraps each plan compilation; the default applies the thunk
-    directly.  {!Dc_citation.Metrics} installs a timing sink so
-    compilations show up under the [plan_compile] timer. *)
 
 module Binding : sig
   (** A binding: total valuation of a query's variables. *)

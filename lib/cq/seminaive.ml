@@ -1,10 +1,7 @@
 module R = Dc_relational
 module Sset = Set.Make (String)
+module Metrics = Dc_parallel.Metrics
 
-type event = Fixpoint | Iteration
-
-let on_event : (event -> unit) ref = ref (fun _ -> ())
-let run_timer : ((unit -> unit) -> unit) ref = ref (fun f -> f ())
 let delta_suffix = "__delta"
 let delta_name p = p ^ delta_suffix
 
@@ -125,7 +122,7 @@ let fresh_tuples full derived =
 
 (* One recursive stratum: semi-naive iteration to fixpoint. *)
 let eval_recursive cache wdb rules =
-  !on_event Fixpoint;
+  Metrics.(record Key.datalog_fixpoints);
   let preds = stratum_preds rules in
   let pred_set = Sset.of_list preds in
   let full = Hashtbl.create 4 in
@@ -195,7 +192,7 @@ let eval_recursive cache wdb rules =
   let rec iterate wdb deltas =
     if not (merge deltas) then install wdb
     else begin
-      !on_event Iteration;
+      Metrics.(record Key.datalog_iterations);
       let wdb = install_deltas (install wdb) deltas in
       let next = Hashtbl.create 4 in
       List.iter
@@ -280,13 +277,10 @@ let run_strata ~stratum db (s : Stratify.t) =
 
 let run ?cache db s =
   let cache = resolve_cache cache in
-  let out = ref db in
-  !run_timer (fun () ->
-      out :=
-        run_strata db s ~stratum:(fun ~recursive wdb rules ->
-            if recursive then eval_recursive cache wdb rules
-            else eval_nonrecursive cache wdb rules));
-  !out
+  Metrics.record_time "datalog_fixpoint" (fun () ->
+      run_strata db s ~stratum:(fun ~recursive wdb rules ->
+          if recursive then eval_recursive cache wdb rules
+          else eval_nonrecursive cache wdb rules))
 
 module Naive = struct
   (* Reference: every round evaluates every rule of the stratum against

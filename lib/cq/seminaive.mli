@@ -17,17 +17,11 @@
     membership filter over the positive body's bindings.
 
     Evaluation never mutates the input database: the result is the
-    input plus one relation per IDB predicate. *)
+    input plus one relation per IDB predicate.
 
-type event = Fixpoint | Iteration
-
-val on_event : (event -> unit) ref
-(** Fires [Fixpoint] once per recursive stratum and [Iteration] once
-    per delta round.  Default no-op; [Dc_citation.Metrics] installs a
-    counter sink at link time. *)
-
-val run_timer : ((unit -> unit) -> unit) ref
-(** Wraps each {!run}; a metrics sink can time whole derivations. *)
+    Each {!run} times under {!Dc_parallel.Metrics}' [datalog_fixpoint]
+    timer, and counts every recursive stratum's fixpoint
+    ([datalog_fixpoints]) and delta round ([datalog_iterations]). *)
 
 val delta_suffix : string
 (** Reserved relation-name suffix ("__delta") used for per-round delta

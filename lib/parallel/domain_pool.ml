@@ -21,14 +21,6 @@ let effective ~requested =
   if requested < 1 then invalid_arg "Domain_pool.effective: requested < 1";
   min requested cores
 
-(* Dynamic-context propagation: [!capture_context ()] runs on the
-   domain submitting a fan-out and returns a wrapper applied to every
-   task, so dynamically scoped state (the {!Dc_citation.Metrics} sink
-   stack) survives the hop onto a worker domain.  Identity by default;
-   Dc_citation installs the metrics capture when linked. *)
-let capture_context : (unit -> (unit -> unit) -> unit -> unit) ref =
-  ref (fun () task -> task)
-
 type t = {
   mu : Mutex.t;
   nonempty : Condition.t;
@@ -124,11 +116,11 @@ let run_all t thunks =
     let pending = ref n in
     let mu = Mutex.create () in
     let all_done = Condition.create () in
-    (* capture the caller's dynamic context once; every task (queued or
-       run here) executes under it *)
-    let in_context = !capture_context () in
-    let task i =
-      in_context (fun () ->
+    (* capture the caller's metrics scopes once; every task (queued or
+       run here) executes under them *)
+    let in_scope = Metrics.capture () in
+    let task i () =
+      in_scope (fun () ->
           let r =
             try Ok (thunks.(i) ())
             with ex -> Error (ex, Printexc.get_raw_backtrace ())

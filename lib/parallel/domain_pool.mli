@@ -74,9 +74,9 @@ val run_all : t -> (unit -> 'a) list -> 'a list
     caller), returning results in input order.  If any thunk raises,
     the first exception (by completion order) is re-raised in the
     caller after all thunks have finished.  Every thunk runs under the
-    submitting domain's dynamic context (see {!capture_context}), so
-    e.g. a {!Dc_citation.Metrics.with_sink} scope open at the call site
-    also covers work executed on the worker domains. *)
+    submitting domain's {!Metrics.with_sink} scopes ({!Metrics.capture}),
+    so a registry scoped at the call site also counts the work executed
+    on the worker domains. *)
 
 val parallel_map : ?min_chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map t f xs = List.map f xs], computed over at most
@@ -92,12 +92,3 @@ val parallel_fold :
     accumulators left to right (chunk order, deterministic) onto [init].
     [init] must be neutral for [merge] for the result to be independent
     of the chunking. *)
-
-val capture_context : (unit -> (unit -> unit) -> unit -> unit) ref
-(** Propagation hook for dynamically scoped state.  [!capture_context
-    ()] is evaluated on the domain submitting a fan-out; the wrapper it
-    returns is applied to every task of that fan-out, typically
-    installing captured domain-local state around the task on the
-    worker.  Identity by default; {!Dc_citation.Metrics} installs its
-    sink-stack capture when linked.  Replace by {e composing} with the
-    previous value if several layers need propagation. *)

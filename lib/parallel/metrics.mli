@@ -1,13 +1,18 @@
 (** Engine observability: monotonic counters and timers.
 
     A registry ({!t}) holds named counters and timers.  The process-wide
-    {!default} registry aggregates everything; each {!Engine.t} also
-    carries its own handle so cache behaviour can be inspected per
-    engine.  Counter increments fired from the lower layers
-    ({!Dc_cq.Eval} index-cache events, {!Dc_cq.Containment} checks,
-    {!Dc_rewriting.Rewrite} enumeration events) are routed here through
-    observer hooks installed when this module is linked, and reach
-    [default] plus every registry pushed with {!with_sink}.
+    {!default} registry aggregates everything; each
+    {!Dc_citation.Engine.t} also carries its own handle so cache
+    behaviour can be inspected per engine.  Every layer records here
+    directly with {!record} and {!record_time}: index builds
+    ({!Dc_relational.Index}), evaluation caches, containment checks and
+    Datalog fixpoints ({!Dc_cq}), rewriting enumeration
+    ({!Dc_rewriting.Rewrite}), the WAL, snapshots and recovery
+    ({!Dc_storage}), and the engines and server above them.  Events
+    reach [default] plus every registry pushed with {!with_sink}.  The
+    module lives in [dc_parallel], below all of them, next to the
+    {!Domain_local} tables its per-domain sinks are built on;
+    [Dc_citation.Metrics] is an alias of it.
 
     Counters are monotonic: nothing but {!reset} ever decreases one.
     Timers use the monotonic clock ({!Dc_clock.Monotonic}), so recorded
@@ -31,11 +36,11 @@
     is per domain: a scope opened on one domain is invisible to events
     recorded by another, so worker domains never touch a shared scope
     list.  The one {e deliberate} crossing is pool fan-out:
-    {!Dc_parallel.Domain_pool.run_all} (hence [parallel_map] and the
-    engine's parallel rewriting) re-installs the submitting domain's
-    scopes around every task, so work farmed out under [with_sink m]
-    still lands in [m] — each worker through its own per-domain sink of
-    [m].  Raw [Domain.spawn] does not propagate scopes. *)
+    {!Domain_pool.run_all} (hence [parallel_map] and the engine's
+    parallel rewriting) runs every task under {!capture}, so work
+    farmed out under [with_sink m] still lands in [m] — each worker
+    through its own per-domain sink of [m].  Raw [Domain.spawn] does
+    not propagate scopes. *)
 
 type t
 
@@ -60,7 +65,7 @@ module Key : sig
   val eval_plan_hits : string
   (** Evaluations served by an already-compiled, still-valid plan — the
       warm citation hot path.  Distinct from {!plan_cache_hits}, which
-      counts the rewriting-policy plan cache in {!Engine}. *)
+      counts the rewriting-policy plan cache in {!Dc_citation.Engine}. *)
 
   val leaf_cache_hits : string
   val leaf_cache_misses : string
@@ -99,7 +104,7 @@ module Key : sig
       against one head engine). *)
 
   val version_commits : string
-  (** Deltas committed through a {!Versioned_engine}. *)
+  (** Deltas committed through a {!Dc_citation.Versioned_engine}. *)
 
   val version_cache_hits : string
   (** [cite_at] requests served by an already-built per-version
@@ -205,6 +210,13 @@ val with_sink : t -> (unit -> 'a) -> 'a
     scope does not double-count.  Pool fan-outs inside the callback
     carry the scope to their worker domains (see the module note); raw
     [Domain.spawn] does not. *)
+
+val capture : unit -> (unit -> 'a) -> 'a
+(** [capture ()] snapshots this domain's {!with_sink} scopes; the
+    function it returns runs a callback, on any domain, with exactly
+    those scopes in force (restoring the running domain's own scopes
+    afterwards, also on exceptions).  {!Domain_pool.run_all} captures
+    on the submitting domain and runs every task under the result. *)
 
 val record : ?by:int -> string -> unit
 (** Increment a counter on {!default} and every sink in scope on this

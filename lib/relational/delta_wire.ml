@@ -10,21 +10,29 @@ let parse_scalar s =
   | Some n -> Value.Int n
   | None -> Value.Str s
 
+(* Floats get the shortest of [%.15g] / [%.17g] that reads back as the
+   same float: [Value.to_string]'s [%g] (kept for citation text) would
+   log [1.0000001] as [1]. *)
+let render_value = function
+  | Value.Float f ->
+      let s = Printf.sprintf "%.15g" f in
+      if Float.equal (float_of_string s) f then s
+      else Printf.sprintf "%.17g" f
+  | v -> Value.to_string v
+
 let render d =
   String.concat ";"
     (List.concat_map
        (fun (rel, changes) ->
          List.map
            (fun (c : Delta.change) ->
-             match c with
-             | Delta.Insert t ->
-                 Printf.sprintf "+%s(%s)" rel
-                   (String.concat ","
-                      (List.map Value.to_string (Tuple.to_list t)))
-             | Delta.Delete t ->
-                 Printf.sprintf "-%s(%s)" rel
-                   (String.concat ","
-                      (List.map Value.to_string (Tuple.to_list t))))
+             let sign, t =
+               match c with
+               | Delta.Insert t -> ('+', t)
+               | Delta.Delete t -> ('-', t)
+             in
+             Printf.sprintf "%c%s(%s)" sign rel
+               (String.concat "," (List.map render_value (Tuple.to_list t))))
            changes)
        (Delta.changes d))
 
@@ -108,3 +116,47 @@ let parse_typed ~schemas s =
               | _ -> assert false
             in
             coerce [] attrs fields)
+
+(* Whether one value's field survives the parser on its own: it must
+   stay one non-empty field with no surrounding blanks, and coerce back
+   to itself. *)
+let field_replays ty v =
+  let f = render_value v in
+  f <> ""
+  && String.equal (String.trim f) f
+  && (not (String.exists (fun c -> c = ',' || c = ';') f))
+  &&
+  match Value.of_string ty f with
+  | Ok v' -> Value.equal v v'
+  | Error _ -> false
+
+let replay_error ~schemas d =
+  match parse_typed ~schemas (render d) with
+  (* [compare], not [=]: a NaN that comes back is the same value *)
+  | Ok d' when compare (Delta.changes d') (Delta.changes d) = 0 -> None
+  | parsed -> (
+      let culprit (rel, changes) =
+        match List.find_opt (fun sc -> Schema.name sc = rel) schemas with
+        | None -> None
+        | Some sc ->
+            let tys =
+              List.map (fun (a : Schema.attribute) -> a.ty) (Schema.attributes sc)
+            in
+            List.find_map
+              (fun (Delta.Insert t | Delta.Delete t) ->
+                let vs = Tuple.to_list t in
+                if List.compare_lengths tys vs <> 0 then None
+                else
+                  List.combine tys vs
+                  |> List.find_opt (fun (ty, v) -> not (field_replays ty v))
+                  |> Option.map (fun (_, v) -> (rel, v)))
+              changes
+      in
+      match (List.find_map culprit (Delta.changes d), parsed) with
+      | Some (rel, v), _ ->
+          Some
+            (Printf.sprintf "%s: %s %S would not replay from the log" rel
+               (Value.ty_to_string (Value.type_of v))
+               (render_value v))
+      | None, Error e -> Some e
+      | None, Ok _ -> Some "the logged delta would not replay as committed")

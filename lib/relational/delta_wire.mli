@@ -4,10 +4,18 @@
     {v change ::= ("+" | "-") relation "(" scalar { "," scalar } ")" v}
 
     Changes join with [;].  Values render through {!Value.to_string},
-    so strings containing [,;()] are outside the format (the server
-    protocol documents the same restriction). *)
+    except floats, which get round-trip precision.  Strings that are
+    empty, carry [,] or [;] or surrounding blanks, or read as ["NULL"]
+    are outside the format (the server protocol documents the same
+    restriction); {!replay_error} detects them. *)
 
 val render : Delta.t -> string
+
+val replay_error : schemas:Schema.t list -> Delta.t -> string option
+(** [None] when [parse_typed ~schemas (render d)] gives back [d] change
+    for change.  Otherwise the reason, naming the first value whose
+    field does not read back as itself.  The WAL refuses such a delta
+    before logging it. *)
 
 val parse : string -> (Delta.t, string) result
 (** Schemaless parse with the loose scalar coercion the server and CLI

@@ -42,7 +42,6 @@ type t = {
   threshold : int;  (** [0]: the table was built eagerly *)
   probes : int Atomic.t;
   table : Tuple.t Tuple.Tbl.t option Atomic.t;
-  on_build : unit -> unit;
 }
 
 let make_table r positions =
@@ -61,7 +60,7 @@ let positions idx = idx.positions
 let has_table idx = Option.is_some (Atomic.get idx.table)
 
 let publish idx =
-  idx.on_build ();
+  Dc_parallel.Metrics.(record Key.eval_index_builds);
   let table = make_table idx.rel idx.positions in
   Atomic.set idx.table (Some table);
   table
@@ -76,7 +75,7 @@ let lookup_key idx key =
         Tuple.Tbl.find_all (publish idx) key
       else Relation.probe_prefix idx.rel key
 
-let build ?(on_build = ignore) r positions =
+let build r positions =
   let prefix = is_prefix positions in
   let idx =
     {
@@ -86,7 +85,6 @@ let build ?(on_build = ignore) r positions =
         (if prefix then max 1 (Relation.cardinality r / build_divisor) else 0);
       probes = Atomic.make 0;
       table = Atomic.make None;
-      on_build;
     }
   in
   if not prefix then build_table idx;

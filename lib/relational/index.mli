@@ -23,12 +23,13 @@
 
 type t
 
-val build : ?on_build:(unit -> unit) -> Relation.t -> int list -> t
+val build : Relation.t -> int list -> t
 (** [build r positions] indexes the extent of [r] on the projection to
-    [positions].  [on_build] runs once, just before the hash table is
-    built — inside [build] for a non-prefix key, inside the probe that
-    buys it for a prefix key, on that probe's domain — and never when
-    no table is built. *)
+    [positions].  Each hash table built counts once under
+    {!Dc_parallel.Metrics.Key.eval_index_builds}, recorded on the
+    building domain: inside [build] for a non-prefix key, inside the
+    probe that buys it for a prefix key, and never when no table is
+    built. *)
 
 val positions : t -> int list
 
@@ -36,9 +37,8 @@ val has_table : t -> bool
 (** Whether the hash table has been built (tests and benchmarks). *)
 
 val build_table : t -> unit
-(** Builds the hash table now unless it is built already, running
-    [on_build] — benchmarks time the build with it; probes buy the table
-    on their own. *)
+(** Builds the hash table now unless it is built already (benchmarks
+    time the build with it; probes buy the table on their own). *)
 
 val lookup : t -> Value.t list -> Tuple.t list
 (** [lookup idx key] is every tuple whose projection on the index

@@ -1,4 +1,5 @@
 module Cq = Dc_cq
+module Metrics = Dc_parallel.Metrics
 
 type strategy = Naive | Bucket | Minicon
 
@@ -20,13 +21,6 @@ let stats_to_json s =
     s.candidates s.verified s.kept s.truncated
 
 type outcome = { queries : Cq.Query.t list; stats : stats }
-
-type event = Candidate | Verified | Kept
-
-(* Instrumentation hook: fired once per candidate generated, candidate
-   verified and rewriting kept, across all three enumerators.  A no-op
-   by default; Dc_citation.Metrics installs a counter sink. *)
-let on_event : (event -> unit) ref = ref (fun _ -> ())
 
 exception Budget_exhausted
 
@@ -126,7 +120,7 @@ let search_impl ?(strategy = Minicon) ?(partial = false)
   let collected = ref [] in
   let consume atoms =
     incr candidates;
-    !on_event Candidate;
+    Metrics.(record Key.rewriting_candidates);
     if !candidates > max_candidates then begin
       truncated := true;
       raise Budget_exhausted
@@ -145,7 +139,7 @@ let search_impl ?(strategy = Minicon) ?(partial = false)
     | None -> None
     | Some cand ->
         if Expansion.is_equivalent_rewriting views query cand then begin
-          !on_event Verified;
+          Metrics.(record Key.rewriting_verified);
           Some (minimize_rewriting views query cand)
         end
         else None
@@ -185,7 +179,7 @@ let search_impl ?(strategy = Minicon) ?(partial = false)
             (* [kept] is held in reverse enumeration order; one final
                [List.rev] restores it (O(n) total, not O(n²) appends). *)
             kept := cand :: !kept;
-            !on_event Kept
+            Metrics.(record Key.rewriting_kept)
           end)
     verdicts;
   let kept =
@@ -239,7 +233,7 @@ let rewritings_under_deps ?(max_extra_atoms = 1) ?(max_candidates = 100_000)
   let kept = ref [] in
   let consume atoms =
     incr candidates;
-    !on_event Candidate;
+    Metrics.(record Key.rewriting_candidates);
     if !candidates > max_candidates then begin
       truncated := true;
       raise Budget_exhausted
@@ -249,7 +243,7 @@ let rewritings_under_deps ?(max_extra_atoms = 1) ?(max_candidates = 100_000)
     | Some cand ->
         if Expansion.is_equivalent_rewriting ~deps views query cand then begin
           incr verified;
-          !on_event Verified;
+          Metrics.(record Key.rewriting_verified);
           let cand = minimize_rewriting ~deps views query cand in
           let duplicate =
             List.exists (fun r -> Cq.Containment.equivalent r cand) !kept
@@ -257,7 +251,7 @@ let rewritings_under_deps ?(max_extra_atoms = 1) ?(max_candidates = 100_000)
           if not duplicate then begin
             (* reverse order, restored by the final [List.rev] *)
             kept := cand :: !kept;
-            !on_event Kept
+            Metrics.(record Key.rewriting_kept)
           end
         end
   in
@@ -301,7 +295,7 @@ let maximally_contained ?(max_candidates = 100_000) views query =
   let kept : (Cq.Query.t * Cq.Query.t) list ref = ref [] in
   let consume atoms =
     incr candidates;
-    !on_event Candidate;
+    Metrics.(record Key.rewriting_candidates);
     if !candidates > max_candidates then begin
       truncated := true;
       raise Budget_exhausted
@@ -314,7 +308,7 @@ let maximally_contained ?(max_candidates = 100_000) views query =
         | Some (expansion, _) ->
             if Cq.Containment.contained expansion query then begin
               incr verified;
-              !on_event Verified;
+              Metrics.(record Key.rewriting_verified);
               let subsumed =
                 List.exists
                   (fun (_, e') -> Cq.Containment.contained expansion e')
@@ -331,7 +325,7 @@ let maximally_contained ?(max_candidates = 100_000) views query =
                        (fun (_, e') ->
                          not (Cq.Containment.contained e' expansion))
                        !kept;
-                !on_event Kept
+                Metrics.(record Key.rewriting_kept)
               end
             end)
   in

@@ -32,13 +32,6 @@ type outcome = { queries : Dc_cq.Query.t list; stats : stats }
 (** A labeled search result: the kept rewritings plus the enumeration
     statistics. *)
 
-type event = Candidate | Verified | Kept
-
-val on_event : (event -> unit) ref
-(** Instrumentation hook, fired by every enumerator as candidates are
-    generated, verified and kept.  A no-op by default;
-    {!Dc_citation.Metrics} installs a counter sink. *)
-
 val search :
   ?strategy:strategy ->
   ?partial:bool ->
@@ -50,7 +43,9 @@ val search :
   outcome
 (** Minimal equivalent rewritings, deduplicated up to view-level
     equivalence, named ["<q>_rw<i>"], plus the enumeration stats.
-    [max_candidates] (default [100_000]) bounds the search.
+    [max_candidates] (default [100_000]) bounds the search.  Every
+    enumerator also counts its candidates, verifications and kept
+    rewritings into {!Dc_parallel.Metrics} as it goes.
 
     With [~pool], candidate {e verification} — expansion equivalence
     plus minimization, the dominant cost — fans out across the pool's

@@ -11,6 +11,7 @@
    half-written snapshot with a valid name. *)
 
 module R = Dc_relational
+module Metrics = Dc_parallel.Metrics
 
 let magic = "DCSNAP1\n"
 
@@ -233,7 +234,7 @@ let write ~dir t =
   let final = path ~dir ~version:t.version in
   let tmp = final ^ ".tmp" in
   let res =
-    Hooks.timed "snapshot_write" @@ fun () ->
+    Metrics.record_time "snapshot_write" @@ fun () ->
     match
       let fd =
         Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
@@ -266,11 +267,11 @@ let write ~dir t =
         Error
           (Printf.sprintf "%s: write snapshot: %s" final (Unix.error_message e))
   in
-  (match res with Ok _ -> !Hooks.count "snapshots_written" 1 | Error _ -> ());
+  if Result.is_ok res then Metrics.(record Key.snapshots_written);
   res
 
 let read path =
-  Hooks.timed "snapshot_load" @@ fun () ->
+  Metrics.record_time "snapshot_load" @@ fun () ->
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | exception Unix.Unix_error (e, _, _) ->

@@ -17,6 +17,7 @@
      scanned-invalid WAL tail. *)
 
 module R = Dc_relational
+module Metrics = Dc_parallel.Metrics
 module VS = R.Version_store
 
 let log_src =
@@ -36,6 +37,7 @@ type mode =
 
 type t = {
   dir : string;
+  schemas : R.Schema.t list;  (** the base relations commits may touch *)
   digest : (R.Database.t -> string) option;
   writer : Wal.writer;
   mu : Mutex.t;
@@ -56,6 +58,9 @@ let dir t = t.dir
 let last_snapshot_version t = Mutex.protect t.mu (fun () -> t.last_snapshot)
 
 let digest_of t db = match t.digest with None -> "" | Some f -> f db
+
+let schemas_of db =
+  List.filter_map (R.Database.schema db) (R.Database.relation_names db)
 
 (* ------------------------------------------------------------------ *)
 (* Initialization (empty data dir)                                     *)
@@ -92,6 +97,7 @@ let init_fresh ~fsync ~dir t_digest db =
   Ok
     {
       dir;
+      schemas = schemas_of db;
       digest = t_digest;
       writer;
       mu = Mutex.create ();
@@ -171,11 +177,7 @@ let recover ~fsync ~mode ~dir t_digest =
     | Fast -> latest
     | Full -> List.hd (List.rev snaps_desc) (* lowest valid version *)
   in
-  let schemas =
-    List.filter_map
-      (fun name -> R.Database.schema seed.Snapshot.db name)
-      (R.Database.relation_names seed.Snapshot.db)
-  in
+  let schemas = schemas_of seed.Snapshot.db in
   Result.bind (Wal.scan_file ~schemas (wal_path dir)) @@ fun scan ->
   let discarded = scan.Wal.total_bytes - scan.Wal.valid_bytes in
   if discarded > 0 then
@@ -186,10 +188,10 @@ let recover ~fsync ~mode ~dir t_digest =
           | None -> ""
           | Some r -> " (" ^ r ^ ")"));
   let store, registrations, replayed =
-    Hooks.timed "recovery_replay" (fun () ->
+    Metrics.record_time "recovery_replay" (fun () ->
         replay ~seed scan.Wal.records)
   in
-  !Hooks.count "recovery_replayed_deltas" replayed;
+  Metrics.(record ~by:replayed Key.recovery_replayed_deltas);
   (* Verify the recovered state against the stored fixity digest: the
      newest snapshot records what its version hashed to when written;
      if the recovered store disagrees, the files diverged (a WAL and a
@@ -224,6 +226,7 @@ let recover ~fsync ~mode ~dir t_digest =
       Ok
         ( {
             dir;
+            schemas;
             digest = t_digest;
             writer;
             mu = Mutex.create ();
@@ -247,8 +250,13 @@ let open_ ?digest ?(fsync = Always) ?(mode = Full) ~dir ~db () =
 (* ------------------------------------------------------------------ *)
 (* Logging and snapshotting a live store                               *)
 
+(* A record recovery would misread must never be acknowledged: check
+   the round trip before a byte is written. *)
 let append_commit t ~version ~at delta =
-  Wal.append t.writer (Wal.Commit { version; at; delta })
+  match R.Delta_wire.replay_error ~schemas:t.schemas delta with
+  | Some e ->
+      Error (Printf.sprintf "%s: version %d: %s" (wal_path t.dir) version e)
+  | None -> Wal.append t.writer (Wal.Commit { version; at; delta })
 
 let append_register t query = Wal.append t.writer (Wal.Register query)
 let sync t = Wal.sync t.writer

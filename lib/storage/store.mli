@@ -70,7 +70,9 @@ val append_commit :
   t -> version:int -> at:int -> Dc_relational.Delta.t -> (unit, string) result
 (** Log one committed delta.  Call {e before} publishing the new head:
     an [Error] here means the commit is not durable and must not be
-    exposed. *)
+    exposed.  A delta whose logged form would not replay as itself
+    ({!Dc_relational.Delta_wire.replay_error}) is refused with nothing
+    written. *)
 
 val append_register : t -> string -> (unit, string) result
 (** Log one registered query (its rendered form). *)

@@ -17,6 +17,7 @@
    valid whatever happens to the tail. *)
 
 module R = Dc_relational
+module Metrics = Dc_parallel.Metrics
 
 let log_src = Logs.Src.create "datacite.storage" ~doc:"Durable version store"
 
@@ -203,8 +204,8 @@ let write_all fd s =
    everything written so far. *)
 let sync_locked w =
   if w.dirty then begin
-    Hooks.timed "wal_fsync" (fun () -> Unix.fsync w.fd);
-    !Hooks.count "wal_fsyncs" 1;
+    Metrics.record_time "wal_fsync" (fun () -> Unix.fsync w.fd);
+    Metrics.(record Key.wal_fsyncs);
     w.dirty <- false;
     if w.write_gen > w.synced_gen then w.synced_gen <- w.write_gen
   end;
@@ -230,7 +231,7 @@ let group_sync_locked w my_gen =
       Mutex.unlock w.mu;
       let res =
         try
-          Hooks.timed "wal_fsync" (fun () -> Unix.fsync w.fd);
+          Metrics.record_time "wal_fsync" (fun () -> Unix.fsync w.fd);
           None
         with Unix.Unix_error (e, fn, arg) -> Some (e, fn, arg)
       in
@@ -238,9 +239,9 @@ let group_sync_locked w my_gen =
       w.sync_inflight <- false;
       (match res with
       | None ->
-          !Hooks.count "wal_fsyncs" 1;
+          Metrics.(record Key.wal_fsyncs);
           let covered = target - w.synced_gen in
-          if covered >= 2 then !Hooks.count "wal_group_commits" 1;
+          if covered >= 2 then Metrics.(record Key.wal_group_commits);
           if target > w.synced_gen then w.synced_gen <- target;
           w.dirty <- w.write_gen > w.synced_gen;
           w.last_sync <- Dc_clock.Monotonic.now_s ()
@@ -258,9 +259,9 @@ let append w record =
       if w.closed then Error (w.path ^ ": WAL is closed")
       else
         wrap_unix w.path "append" (fun () ->
-            Hooks.timed "wal_append" (fun () ->
+            Metrics.record_time "wal_append" (fun () ->
                 write_all w.fd (Frame.to_string (encode_record record)));
-            !Hooks.count "wal_appends" 1;
+            Metrics.(record Key.wal_appends);
             w.write_gen <- w.write_gen + 1;
             w.dirty <- true;
             match w.fsync with
@@ -287,7 +288,7 @@ let close w =
                m "%s: fsync on close failed: %s; the last appends may not \
                   be durable"
                  w.path (Unix.error_message e));
-           !Hooks.count "wal_close_fsync_failures" 1);
+           Metrics.(record Key.wal_close_fsync_failures));
         (try Unix.close w.fd with Unix.Unix_error _ -> ());
         (* group-commit followers parked on the condition must not hang *)
         Condition.broadcast w.cond

@@ -109,9 +109,10 @@ let test_threshold () =
     R.Relation.of_list (schema 2)
       (List.init 80 (fun i -> R.Tuple.make R.Value.[ Int (i mod 10); Int i ]))
   in
-  let builds = ref 0 in
-  let on_build () = incr builds in
-  let prefix = R.Index.build ~on_build rel [ 0 ] in
+  let m = Dc_parallel.Metrics.create () in
+  Dc_parallel.Metrics.with_sink m @@ fun () ->
+  let builds () = Dc_parallel.Metrics.(count m Key.eval_index_builds) in
+  let prefix = R.Index.build rel [ 0 ] in
   Alcotest.(check bool) "prefix: no table at build" false
     (R.Index.has_table prefix);
   let eager = Eager.build rel [ 0 ] in
@@ -125,18 +126,18 @@ let test_threshold () =
   for k = 0 to 8 do
     probe k
   done;
-  Alcotest.(check int) "no build below the threshold" 0 !builds;
+  Alcotest.(check int) "no build below the threshold" 0 (builds ());
   probe 9;
-  Alcotest.(check int) "built at the threshold (card / 8 probes)" 1 !builds;
+  Alcotest.(check int) "built at the threshold (card / 8 probes)" 1 (builds ());
   Alcotest.(check bool) "table published" true (R.Index.has_table prefix);
   for k = 0 to 10 do
     probe k
   done;
-  Alcotest.(check int) "built once" 1 !builds;
-  let non_prefix = R.Index.build ~on_build rel [ 1 ] in
+  Alcotest.(check int) "built once" 1 (builds ());
+  let non_prefix = R.Index.build rel [ 1 ] in
   Alcotest.(check bool) "non-prefix: built eagerly" true
     (R.Index.has_table non_prefix);
-  Alcotest.(check int) "eager build reported" 2 !builds
+  Alcotest.(check int) "eager build reported" 2 (builds ())
 
 (* One index probed from four domains at once, across the threshold:
    every answer must still equal the eager one, and the table is built
@@ -151,10 +152,11 @@ let test_four_domains () =
   List.iter
     (fun positions ->
       let eager = Eager.build rel positions in
-      let builds = Atomic.make 0 in
-      let idx =
-        R.Index.build ~on_build:(fun () -> Atomic.incr builds) rel positions
-      in
+      (* the domains record under this scope through [capture] *)
+      let m = Dc_parallel.Metrics.create () in
+      Dc_parallel.Metrics.with_sink m @@ fun () ->
+      let in_scope = Dc_parallel.Metrics.capture () in
+      let idx = R.Index.build rel positions in
       let keys =
         Array.of_list
           (List.map (fun t -> R.Tuple.project t positions) (R.Relation.tuples rel))
@@ -171,13 +173,16 @@ let test_four_domains () =
         done;
         !ok
       in
-      let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+      let domains =
+        List.init 4 (fun d -> Domain.spawn (fun () -> in_scope (worker d)))
+      in
       let results = List.map Domain.join domains in
       Alcotest.(check (list bool))
         (Printf.sprintf "every domain's answers equal eager on [%s]"
            (String.concat ";" (List.map string_of_int positions)))
         [ true; true; true; true ] results;
-      Alcotest.(check int) "one table built" 1 (Atomic.get builds))
+      Alcotest.(check int) "one table built" 1
+        Dc_parallel.Metrics.(count m Key.eval_index_builds))
     [ [ 0 ]; [ 0; 1 ]; [ 1 ] ]
 
 let suite =

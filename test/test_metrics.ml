@@ -173,6 +173,66 @@ let test_eval_cache_counters () =
   Alcotest.(check int) "no index rebuild when warm" builds
     (count e M.Key.eval_index_builds)
 
+(* Every lower layer records into the registries itself.  One of each
+   instrumented operation under a fresh scope must reach every counter
+   and timer it owns. *)
+let test_lower_layers_record () =
+  let m = M.create () in
+  M.with_sink m (fun () ->
+      let db = rs_db () in
+      let cache = Dc_cq.Eval.make_cache () in
+      let join = q "Q(A,C) :- R(A,B), S(B,C)" in
+      ignore (Dc_cq.Eval.run ~cache db join);
+      ignore (Dc_cq.Eval.run ~cache db join);
+      let tc =
+        Dc_cq.Stratify.run_exn
+          (List.map Dc_cq.Parser.parse_rule_exn
+             [ "T(X,Y) :- R(X,Y)"; "T(X,Z) :- R(X,Y), T(Y,Z)" ])
+      in
+      ignore (Dc_cq.Seminaive.run db tc);
+      let module Rw = Dc_rewriting in
+      ignore
+        (Rw.Rewrite.search
+           (Rw.View.Set.of_list [ Rw.View.of_query (q "V(A,B) :- R(A,B)") ])
+           (q "Q(A,B) :- R(A,B)"));
+      (* a fresh store writes snapshot 0 and fsyncs each [Always] commit
+         append; reopening it loads that snapshot and replays the WAL *)
+      Test_storage.with_dir @@ fun dir ->
+      let module St = Dc_storage.Store in
+      let st, _ = Test_storage.ok "open" (St.open_ ~dir ~db ()) in
+      Test_storage.ok "append"
+        (St.append_commit st ~version:1 ~at:2
+           (D.insert D.empty "R" (int_tuple [ 4; 4 ])));
+      St.close st;
+      let st, _ = Test_storage.ok "reopen" (St.open_ ~dir ~db ()) in
+      St.close st);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " recorded") true (M.count m k > 0))
+    M.Key.
+      [
+        eval_cache_hits;
+        eval_cache_misses;
+        containment_checks;
+        rewriting_verified;
+        rewriting_kept;
+        datalog_fixpoints;
+        datalog_iterations;
+        snapshots_written;
+        recovery_replayed_deltas;
+      ];
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) (t ^ " timed") true (snd (M.timer m t) > 0))
+    [
+      "datalog_fixpoint";
+      "wal_append";
+      "wal_fsync";
+      "snapshot_write";
+      "snapshot_load";
+      "recovery_replay";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Per-domain sinks: aggregation across domains equals the sequential
    oracle, with_sink scoping, and reset.                               *)
@@ -313,6 +373,8 @@ let suite =
     Alcotest.test_case "leaf key canonicalizes param order" `Quick
       test_leaf_key_param_order;
     Alcotest.test_case "eval cache counters" `Quick test_eval_cache_counters;
+    Alcotest.test_case "lower layers record directly" `Quick
+      test_lower_layers_record;
     Alcotest.test_case "sinks: multi-domain aggregation oracle" `Quick
       test_multi_domain_aggregation;
     Alcotest.test_case "sinks: record_max across domains" `Quick

@@ -376,6 +376,40 @@ let test_store_lifecycle () =
        [ 0; 1; 2; 3 ]);
   Sg.Store.close st2
 
+(* A commit the WAL could not replay as itself is refused before a byte
+   is written; anything acknowledged recovers exactly.  [refused] is the
+   text the error must name the offending value by. *)
+let test_wal_value ?refused tuple () =
+  with_dir @@ fun dir ->
+  let db =
+    R.Database.create_relation R.Database.empty
+      (R.Schema.make "V"
+         R.Schema.[ attr ~ty:R.Value.TFloat "F"; attr ~ty:R.Value.TStr "S" ])
+  in
+  let st, _ = ok "open" (Sg.Store.open_ ~digest ~dir ~db ()) in
+  let wal_size () = (Unix.stat (Filename.concat dir "wal.log")).Unix.st_size in
+  let size_before = wal_size () in
+  let delta = R.Delta.insert R.Delta.empty "V" (R.Tuple.make tuple) in
+  let vs = VS.create db in
+  let vs', v = VS.commit vs (VS.apply_head vs delta) in
+  let at = Option.get (VS.timestamp vs' v) in
+  let head =
+    match (refused, Sg.Store.append_commit st ~version:v ~at delta) with
+    | None, Ok () -> VS.head_db vs'
+    | Some shown, Error e ->
+        Alcotest.(check bool) (Printf.sprintf "%S names %s" e shown) true
+          (contains e shown);
+        Alcotest.(check int) "nothing logged" size_before (wal_size ());
+        db
+    | None, Error e -> Alcotest.failf "refused a replayable commit: %s" e
+    | Some _, Ok () -> Alcotest.fail "acknowledged a commit that cannot replay"
+  in
+  Sg.Store.close st;
+  let st, recovered = ok "reopen" (Sg.Store.open_ ~digest ~dir ~db ()) in
+  Sg.Store.close st;
+  Alcotest.(check bool) "recovered head identical" true
+    (R.Database.equal head (VS.head_db (Option.get recovered).Sg.Store.store))
+
 let test_snapshot_and_fast_recovery () =
   with_dir @@ fun dir ->
   let db = rs_db () in
@@ -522,19 +556,10 @@ let test_concurrent_group_commit () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "wal.log" in
   let w = ok "create" (Sg.Wal.create ~path ~fsync:Sg.Wal.Always) in
-  (* tally the hook counters, preserving whatever they were wired to *)
-  let fsyncs = Atomic.make 0 and appends = Atomic.make 0 in
-  let groups = Atomic.make 0 in
-  let old_count = !Sg.Hooks.count in
-  Sg.Hooks.count :=
-    (fun name n ->
-      (match name with
-      | "wal_fsyncs" -> Atomic.incr fsyncs
-      | "wal_appends" -> Atomic.incr appends
-      | "wal_group_commits" -> Atomic.incr groups
-      | _ -> ());
-      old_count name n);
-  Fun.protect ~finally:(fun () -> Sg.Hooks.count := old_count) @@ fun () ->
+  (* tally the WAL's counters in a registry scoped to this test; the
+     appender threads share this domain, hence its scope *)
+  let m = Dc_parallel.Metrics.create () in
+  Dc_parallel.Metrics.with_sink m @@ fun () ->
   let threads = 8 and per_thread = 20 in
   let failures = Atomic.make 0 in
   let appenders =
@@ -553,16 +578,15 @@ let test_concurrent_group_commit () =
   in
   List.iter Thread.join appenders;
   Sg.Wal.close w;
+  let count = Dc_parallel.Metrics.count m in
+  let fsyncs = count "wal_fsyncs" and appends = count "wal_appends" in
   Alcotest.(check int) "every append succeeded" 0 (Atomic.get failures);
-  Alcotest.(check int) "appends counted" (threads * per_thread)
-    (Atomic.get appends);
+  Alcotest.(check int) "appends counted" (threads * per_thread) appends;
   Alcotest.(check bool)
-    (Printf.sprintf "no more fsyncs (%d) than appends (%d)"
-       (Atomic.get fsyncs) (Atomic.get appends))
-    true
-    (Atomic.get fsyncs <= Atomic.get appends);
+    (Printf.sprintf "no more fsyncs (%d) than appends (%d)" fsyncs appends)
+    true (fsyncs <= appends);
   Alcotest.(check bool) "group counter within fsyncs" true
-    (Atomic.get groups <= Atomic.get fsyncs);
+    (count "wal_group_commits" <= fsyncs);
   (* durability: every concurrent append is in the recovered prefix *)
   let scan = ok "scan" (Sg.Wal.scan_file ~schemas:[] path) in
   Alcotest.(check (option string)) "no corruption" None scan.Sg.Wal.corrupt;
@@ -589,6 +613,14 @@ let suite =
       test_data_dir_errors_carry_the_path;
     Alcotest.test_case "concurrent group commit" `Quick
       test_concurrent_group_commit;
+    Alcotest.test_case "WAL logs floats at full precision" `Quick
+      (test_wal_value R.Value.[ Float 1.0000001; Str "x" ]);
+    Alcotest.test_case "WAL refuses the string NULL" `Quick
+      (test_wal_value ~refused:{|"NULL"|} R.Value.[ Float 0.5; Str "NULL" ]);
+    Alcotest.test_case "WAL refuses an empty string" `Quick
+      (test_wal_value ~refused:{|""|} R.Value.[ Float 0.5; Str "" ]);
+    Alcotest.test_case "WAL refuses a string with a comma" `Quick
+      (test_wal_value ~refused:{|"a,b"|} R.Value.[ Float 0.5; Str "a,b" ]);
     Alcotest.test_case "snapshot directory fsync failure is an error" `Quick
       test_snapshot_dir_fsync_failure;
     Alcotest.test_case "WAL close fsync failure is counted" `Quick
