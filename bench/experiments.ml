@@ -681,105 +681,18 @@ let e12 () =
      rewriting enumeration; hits = cites - 1 per warm engine)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E13: the citation server — throughput and tail latency while N     *)
-(* concurrent clients cite a GtoPdb workload over one shared engine.  *)
-
-let e13 () =
-  hr "E13  Citation server: throughput and tail latency under concurrency";
-  Printf.printf
-    "in-process server (4 workers) over a 500-family GtoPdb database;\n\
-     each client issues 200 CITE requests over a fixed workload\n\n";
-  let db = G.generate ~seed:5 ~config:(families 500) () in
-  let engine = C.Engine.create db Dc_gtopdb.Paper_views.all in
-  let config =
-    { Dc_server.Server.default_config with port = 0; workers = 4 }
-  in
-  let server = Dc_server.Server.start ~config engine in
-  let port = Dc_server.Server.port server in
-  let workload =
-    [
-      "CITE Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
-      "CITE Q(N) :- Family(I,N,D), FamilyIntro(I,T)";
-      "CITE Q(FID,FName,Desc) :- Family(FID,FName,Desc)";
-      "CITE Q(FID,Text) :- FamilyIntro(FID,Text)";
-      "CITE Q(FName,PName) :- Family(FID,FName,Desc), Committee(FID,PName)";
-    ]
-  in
-  let widths = [ 8; 10; 8; 12; 10; 10; 10 ] in
-  header widths
-    [ "clients"; "requests"; "errors"; "req/s"; "p50 ms"; "p95 ms"; "p99 ms" ];
-  let rows =
-    List.map
-      (fun clients ->
-        let s =
-          Dc_server.Client.Load.run ~port ~clients ~requests_per_client:200
-            ~requests:workload ()
-        in
-        row widths
-          [
-            string_of_int clients;
-            string_of_int s.requests;
-            string_of_int s.errors;
-            Printf.sprintf "%.0f" s.throughput_rps;
-            Printf.sprintf "%.3f" s.p50_ms;
-            Printf.sprintf "%.3f" s.p95_ms;
-            Printf.sprintf "%.3f" s.p99_ms;
-          ];
-        (clients, s))
-      [ 1; 2; 4; 8 ]
-  in
-  Dc_server.Server.stop server;
-  let load_json (clients, (s : Dc_server.Client.Load.stats)) =
-    json_obj
-      [
-        ("clients", string_of_int clients);
-        ("requests", string_of_int s.requests);
-        ("errors", string_of_int s.errors);
-        ("rps", json_ms s.throughput_rps);
-        ("p50_ms", json_ms s.p50_ms);
-        ("p95_ms", json_ms s.p95_ms);
-        ("p99_ms", json_ms s.p99_ms);
-      ]
-  in
-  write_bench_json ~experiment:"E13"
-    [
-      ( "params",
-        json_obj
-          [
-            ("families", "500"); ("workers", "4"); ("requests_per_client", "200");
-          ] );
-      ("rows", json_list (List.map load_json rows));
-    ];
-  (match List.rev rows with
-  | (clients, s) :: _ ->
-      Printf.printf "METRICS %s\n"
-        (Dc_server.Client.Load.to_json
-           ~extra:
-             [
-               ("experiment", "\"E13\"");
-               ("clients", string_of_int clients);
-             ]
-           s)
-  | [] -> ());
-  Printf.printf
-    "(expected: zero errors at every width; throughput saturates early —\n\
-     sys-threads interleave on one domain, so extra clients buy overlap,\n\
-     not parallel speedup — and tail latency grows with queueing)\n"
-
-(* ------------------------------------------------------------------ *)
 (* E14: multicore scaling — batch citations on one engine from many   *)
-(* domains and the domain-parallel server, at 1/2/4/8 domains.        *)
+(* domains, at 1/2/4/8 domains.                                       *)
 
 let e14 () =
-  hr "E14  Multicore scaling: batch citations and server throughput";
+  hr "E14  Multicore scaling: batch citations";
   let cores = Dc_parallel.Domain_pool.available_cores () in
   let domain_counts = [ 1; 2; 4; 8 ] in
   Printf.printf
     "host reports %d usable core(s) — requested domain counts are clamped\n\
      to that (the \"eff\" column is what actually ran);\n\
      batch: 48 workload queries over a 400-family GtoPdb database,\n\
-     one cold engine per row, chunked fan-out over its domains;\n\
-     server: 8 concurrent clients x 100 CITE requests, domains=N\n\n"
+     one cold engine per row, chunked fan-out over its domains\n\n"
     cores;
   if cores < 2 then
     Printf.printf
@@ -828,35 +741,9 @@ let e14 () =
   (* one discarded warm-up batch so the d=1 baseline row does not also
      pay first-touch costs (heap growth, page faults) *)
   ignore (batch 1);
-  let workload =
-    [
-      "CITE Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
-      "CITE Q(N) :- Family(I,N,D), FamilyIntro(I,T)";
-      "CITE Q(FID,FName,Desc) :- Family(FID,FName,Desc)";
-      "CITE Q(FID,Text) :- FamilyIntro(FID,Text)";
-      "CITE Q(FName,PName) :- Family(FID,FName,Desc), Committee(FID,PName)";
-    ]
-  in
-  let serve d =
-    let engine = C.Engine.create db Dc_gtopdb.Paper_views.all in
-    let config =
-      { Dc_server.Server.default_config with port = 0; domains = d }
-    in
-    let server = Dc_server.Server.start ~config engine in
-    let s =
-      Dc_server.Client.Load.run
-        ~port:(Dc_server.Server.port server)
-        ~clients:8 ~requests_per_client:100 ~requests:workload ()
-    in
-    Dc_server.Server.stop server;
-    s
-  in
-  let widths = [ 8; 5; 7; 10; 10; 10; 10; 8; 12; 10; 10 ] in
+  let widths = [ 8; 5; 7; 10; 10; 10; 10 ] in
   header widths
-    [
-      "domains"; "eff"; "chunk"; "batch ms"; "speedup"; "lockwait"; "cited";
-      "errors"; "req/s"; "p50 ms"; "p95 ms";
-    ];
+    [ "domains"; "eff"; "chunk"; "batch ms"; "speedup"; "lockwait"; "cited" ];
   let base = ref None in
   let rows =
     List.map
@@ -866,7 +753,6 @@ let e14 () =
         in
         if !base = None then base := Some t_batch;
         let speedup = Option.get !base /. Float.max t_batch 0.001 in
-        let s = serve d in
         row widths
           [
             string_of_int d;
@@ -876,30 +762,18 @@ let e14 () =
             Printf.sprintf "%.2fx" speedup;
             string_of_int lock_waits;
             string_of_int cited;
-            string_of_int s.errors;
-            Printf.sprintf "%.0f" s.throughput_rps;
-            Printf.sprintf "%.3f" s.p50_ms;
-            Printf.sprintf "%.3f" s.p95_ms;
           ];
-        (d, t_batch, speedup, eff, chunk_size, lock_waits, per_dom, sinks, s))
+        (d, t_batch, speedup, eff, chunk_size, lock_waits, per_dom, sinks))
       domain_counts
   in
   write_bench_json ~experiment:"E14"
     [
       ("parallel_hardware", string_of_bool (cores >= 2));
-      ( "params",
-        json_obj
-          [
-            ("families", "400");
-            ("batch_queries", "48");
-            ("clients", "8");
-            ("requests_per_client", "100");
-          ] );
+      ("params", json_obj [ ("families", "400"); ("batch_queries", "48") ]);
       ( "batch",
         json_list
           (List.map
-             (fun (d, t, speedup, eff, chunk_size, lock_waits, per_dom, sinks, _)
-             ->
+             (fun (d, t, speedup, eff, chunk_size, lock_waits, per_dom, sinks) ->
                json_obj
                  [
                    ("domains", string_of_int d);
@@ -911,20 +785,6 @@ let e14 () =
                    ( "lock_waits_per_domain",
                      json_list (List.map string_of_int per_dom) );
                    ("metric_sinks", string_of_int sinks);
-                 ])
-             rows) );
-      ( "server",
-        json_list
-          (List.map
-             (fun (d, _, _, _, _, _, _, _, (s : Dc_server.Client.Load.stats))
-             ->
-               json_obj
-                 [
-                   ("domains", string_of_int d);
-                   ("errors", string_of_int s.errors);
-                   ("rps", json_ms s.throughput_rps);
-                   ("p50_ms", json_ms s.p50_ms);
-                   ("p95_ms", json_ms s.p95_ms);
                  ])
              rows) );
     ];
@@ -1452,185 +1312,9 @@ let e16 () =
      commit raises appends/fsync well above 1 as Always appenders pile\n\
      up, closing part of the gap to never at no durability cost.)\n"
 
-(* E18: server throughput with pipelining and batching.
-
-   The reactor core admits many requests per connection before any
-   response is read, so the per-request cost stops being dominated by
-   network round trips.  Same database and workload as E13 (500
-   families, 5 CITE templates); rows sweep wire mode x client count and
-   report rps + tail latency.  A final overload run drives a deliberately
-   tiny server (1 worker, queue of 2, max_pipeline 4) far past capacity
-   and shows that every excess request is answered with BUSY — shed, not
-   hung. *)
-let e18 () =
-  hr "E18: pipelined + batched server throughput (vs E13 request/response)";
-  let db = G.generate ~seed:5 ~config:(families 500) () in
-  let eng = C.Engine.create db Dc_gtopdb.Paper_views.all in
-  (* queue sized above clients x depth so the measurement server never
-     sheds; deliberate overload gets its own tiny server below *)
-  let config =
-    {
-      Dc_server.Server.default_config with
-      port = 0;
-      workers = 4;
-      queue_capacity = 512;
-    }
-  in
-  let server = Dc_server.Server.start ~config eng in
-  let port = Dc_server.Server.port server in
-  let workload =
-    [
-      "CITE Q(N) :- Family(2,N,T)";
-      "CITE Q(I,N) :- Family(I,N,\"gpcr\")";
-      "CITE Q(I,T) :- Family(I,\"FamilyName3\",T)";
-      "CITE Q(I,N,T) :- Family(I,N,T), FamilyIntro(I,X)";
-      "CITE Q(X) :- FamilyIntro(4,X)";
-    ]
-  in
-  let requests_per_client = 200 in
-  let run_mode ~clients mode =
-    Dc_server.Client.Load.run ~port ~clients ~requests_per_client
-      ~requests:workload ~mode ()
-  in
-  (* warm the engine caches so mode rows compare steady-state service *)
-  ignore (run_mode ~clients:2 Dc_server.Client.Load.Sequential);
-  let modes =
-    [
-      ("sequential", Dc_server.Client.Load.Sequential);
-      ("pipelined:8", Dc_server.Client.Load.Pipelined 8);
-      ("pipelined:32", Dc_server.Client.Load.Pipelined 32);
-      ("batched:16", Dc_server.Client.Load.Batched 16);
-      ("batched:64", Dc_server.Client.Load.Batched 64);
-    ]
-  in
-  let widths = [ 14; 8; 9; 7; 10; 9; 9; 9 ] in
-  header widths
-    [ "mode"; "clients"; "requests"; "errors"; "rps"; "p50 ms"; "p95 ms"; "p99 ms" ];
-  let rows =
-    List.concat_map
-      (fun (name, mode) ->
-        List.map
-          (fun clients ->
-            let s = run_mode ~clients mode in
-            row widths
-              [
-                name;
-                string_of_int clients;
-                string_of_int s.Dc_server.Client.Load.requests;
-                string_of_int s.errors;
-                Printf.sprintf "%.0f" s.throughput_rps;
-                ms s.p50_ms;
-                ms s.p95_ms;
-                ms s.p99_ms;
-              ];
-            (name, clients, s))
-          [ 1; 4; 8 ])
-      modes
-  in
-  Dc_server.Server.stop server;
-  (* only error-free rows count — rps with BUSY sheds in it is cheap *)
-  let best_of pred =
-    List.fold_left
-      (fun acc (name, _, s) ->
-        if
-          pred name && s.Dc_server.Client.Load.errors = 0
-          && s.Dc_server.Client.Load.throughput_rps > acc
-        then s.Dc_server.Client.Load.throughput_rps
-        else acc)
-      0. rows
-  in
-  let baseline_rps = best_of (fun n -> n = "sequential") in
-  let best_rps = best_of (fun n -> n <> "sequential") in
-  let speedup = if baseline_rps > 0. then best_rps /. baseline_rps else 0. in
-  (* The request/response server this core replaced: thread-per-connection
-     blocking reads, measured on the same workload in the same container
-     class (EXPERIMENTS.md, E13 table, best row).  The old code is gone,
-     so the recorded figure is the only equal-cores baseline left. *)
-  let e13_recorded_rps = 545. in
-  let speedup_vs_e13 = best_rps /. e13_recorded_rps in
-  Printf.printf "\nbaseline (best sequential)      %.0f rps\n" baseline_rps;
-  Printf.printf "best pipelined/batched          %.0f rps\n" best_rps;
-  Printf.printf "speedup vs sequential           %.1fx\n" speedup;
-  Printf.printf "speedup vs recorded E13 (545)   %.1fx\n" speedup_vs_e13;
-  (* Overload: a deliberately tiny server driven far past capacity.  The
-     healthy outcome is BUSY sheds — every request answered, none hung. *)
-  subhr "overload: 1 worker, queue 2, max_pipeline 4, driven at depth 64";
-  let tiny =
-    Dc_server.Server.start
-      ~config:
-        {
-          Dc_server.Server.default_config with
-          port = 0;
-          workers = 1;
-          queue_capacity = 2;
-          max_pipeline = 4;
-        }
-      eng
-  in
-  let o =
-    Dc_server.Client.Load.run
-      ~port:(Dc_server.Server.port tiny)
-      ~clients:4 ~requests_per_client:200 ~requests:workload
-      ~mode:(Dc_server.Client.Load.Pipelined 64) ()
-  in
-  Dc_server.Server.stop tiny;
-  Printf.printf "requests %d, busy %d, non-busy errors %d, rps %.0f\n"
-    o.Dc_server.Client.Load.requests o.busy (o.errors - o.busy)
-    o.throughput_rps;
-  if o.requests <> 800 then failwith "E18: overload run lost requests";
-  write_bench_json ~experiment:"E18"
-    [
-      ( "params",
-        json_obj
-          [
-            ("families", "500");
-            ("workers", "4");
-            ("requests_per_client", string_of_int requests_per_client);
-          ] );
-      ( "rows",
-        json_list
-          (List.map
-             (fun (name, clients, s) ->
-               json_obj
-                 [
-                   ("mode", json_str name);
-                   ("clients", string_of_int clients);
-                   ("requests", string_of_int s.Dc_server.Client.Load.requests);
-                   ("errors", string_of_int s.errors);
-                   ("busy", string_of_int s.busy);
-                   ("rps", Printf.sprintf "%.0f" s.throughput_rps);
-                   ("p50_ms", json_ms s.p50_ms);
-                   ("p95_ms", json_ms s.p95_ms);
-                   ("p99_ms", json_ms s.p99_ms);
-                 ])
-             rows) );
-      ("baseline_rps", Printf.sprintf "%.0f" baseline_rps);
-      ("best_rps", Printf.sprintf "%.0f" best_rps);
-      ("speedup", Printf.sprintf "%.2f" speedup);
-      ("e13_recorded_rps", Printf.sprintf "%.0f" e13_recorded_rps);
-      ("speedup_vs_e13", Printf.sprintf "%.2f" speedup_vs_e13);
-      ( "overload",
-        json_obj
-          [
-            ("requests", string_of_int o.requests);
-            ("busy", string_of_int o.busy);
-            ("non_busy_errors", string_of_int (o.errors - o.busy));
-            ("rps", Printf.sprintf "%.0f" o.throughput_rps);
-          ] );
-    ];
-  Printf.printf
-    "(expected: the reactor core clears >= 5x the recorded E13 baseline\n\
-     (545 rps, thread-per-connection server, same workload and container\n\
-     class) even sequentially; pipelining/batching add on top of that,\n\
-     bounded on few-core hosts where client and server share the CPU and\n\
-     service is compute-bound; p99 stays bounded; the overload run\n\
-     answers all 800 requests, the excess as BUSY sheds, with zero hangs\n\
-     or non-BUSY failures.)\n"
-
 (* ------------------------------------------------------------------ *)
 (* E19: compiled query plans — the slot-based join kernel vs the      *)
-(* retained interpreter (Eval.Reference), plus index-build cost and   *)
-(* server throughput on the E13 workload with the compiled hot path.  *)
+(* retained interpreter (Eval.Reference), plus index-build cost.      *)
 
 let e19 () =
   hr "E19  Compiled query plans: slot kernel vs interpreter";
@@ -1758,50 +1442,9 @@ let e19 () =
      warm probe: set descent %.0f ns, hash table %.0f ns; renting the \
      descent breaks even after %.2f probes per tuple\n"
     n build_ms build_ns set_ns hash_ns break_even;
-  subhr "server throughput on the E13 workload (compiled hot path)";
-  let sdb = G.generate ~seed:5 ~config:(families 500) () in
-  let engine = C.Engine.create sdb Dc_gtopdb.Paper_views.all in
-  let config =
-    {
-      Dc_server.Server.default_config with
-      port = 0;
-      workers = 4;
-      queue_capacity = 512;
-    }
-  in
-  let server = Dc_server.Server.start ~config engine in
-  let port = Dc_server.Server.port server in
-  let workload =
-    [
-      "CITE Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
-      "CITE Q(N) :- Family(I,N,D), FamilyIntro(I,T)";
-      "CITE Q(FID,FName,Desc) :- Family(FID,FName,Desc)";
-      "CITE Q(FID,Text) :- FamilyIntro(FID,Text)";
-      "CITE Q(FName,PName) :- Family(FID,FName,Desc), Committee(FID,PName)";
-    ]
-  in
-  (* warm pass so the row compares steady-state (compiled-plan) service *)
-  ignore
-    (Dc_server.Client.Load.run ~port ~clients:2 ~requests_per_client:50
-       ~requests:workload ());
-  let s =
-    Dc_server.Client.Load.run ~port ~clients:4 ~requests_per_client:200
-      ~requests:workload ()
-  in
-  Dc_server.Server.stop server;
-  Printf.printf
-    "4 clients x 200 requests: %.0f req/s, p50 %.3f ms, p95 %.3f ms (errors %d)\n"
-    s.throughput_rps s.p50_ms s.p95_ms s.errors;
   write_bench_json ~experiment:"E19"
     [
-      ( "params",
-        json_obj
-          [
-            ("families", "1000");
-            ("variants", "4");
-            ("server_families", "500");
-            ("server_workers", "4");
-          ] );
+      ("params", json_obj [ ("families", "1000"); ("variants", "4") ]);
       ("results_identical", string_of_bool identical);
       ( "rows",
         json_list
@@ -1822,20 +1465,12 @@ let e19 () =
       ("hash_probe_ns", Printf.sprintf "%.0f" hash_ns);
       ("build_ns_per_tuple", Printf.sprintf "%.0f" build_ns);
       ("break_even_probes_per_tuple", Printf.sprintf "%.2f" break_even);
-      ( "server",
-        json_obj
-          [
-            ("rps", Printf.sprintf "%.0f" s.throughput_rps);
-            ("p50_ms", json_ms s.p50_ms);
-            ("p95_ms", json_ms s.p95_ms);
-            ("errors", string_of_int s.errors);
-          ] );
     ];
   Printf.printf
     "(expected: warm >= 2x interp at every width — the kernel touches no\n\
      string map and allocates no per-probe key; cold4 stays small because\n\
      compilation is one pass over the body plus index builds the\n\
-     interpreter pays too; server errors stay 0)\n"
+     interpreter pays too)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E20: recursive citation views — semi-naive vs naive fixpoint cost,

@@ -5,7 +5,8 @@
    micro-benchmark suite of the core operations.
 
    `dune exec bench/main.exe -- --quick` skips the bechamel suite.
-   `dune exec bench/main.exe -- E3 E6` runs selected experiments. *)
+   `dune exec bench/main.exe -- E3 E6` runs selected experiments; an
+   unknown name exits 2 without running any. *)
 
 open Bechamel
 open Toolkit
@@ -111,15 +112,21 @@ let () =
       ("E10", Experiments.e10);
       ("E11", Experiments.e11);
       ("E12", Experiments.e12);
-      ("E13", Experiments.e13);
       ("E14", Experiments.e14);
       ("E15", Experiments.e15);
       ("E16", Experiments.e16);
-      ("E18", Experiments.e18);
       ("E19", Experiments.e19);
       ("E20", Experiments.e20);
     ]
   in
+  let known a = List.mem_assoc (String.uppercase_ascii a) experiments in
+  (match List.filter (fun a -> not (known a)) selected with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown experiment %s (known: %s)\n"
+        (String.concat ", " unknown)
+        (String.concat " " (List.map fst experiments));
+      exit 2);
   let to_run =
     if selected = [] then experiments
     else

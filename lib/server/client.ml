@@ -25,183 +25,3 @@ let request t line =
   recv t
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-module Load = struct
-  type mode = Sequential | Pipelined of int | Batched of int
-
-  type stats = {
-    requests : int;
-    errors : int;
-    busy : int;
-    elapsed_s : float;
-    throughput_rps : float;
-    p50_ms : float;
-    p95_ms : float;
-    p99_ms : float;
-    max_ms : float;
-  }
-
-  (* nearest-rank percentile over a sorted array *)
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.
-    else
-      let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-      sorted.(max 0 (min (n - 1) (rank - 1)))
-
-  (* A batch line is the bare conjunctive query: workload entries are
-     [CITE <q>] lines, so batching strips the verb. *)
-  let strip_cite line =
-    let prefixes = [ "V2 CITE "; "CITE " ] in
-    let rec go = function
-      | [] -> line
-      | p :: ps ->
-          let lp = String.length p in
-          if String.length line > lp && String.sub line 0 lp = p then
-            String.sub line lp (String.length line - lp)
-          else go ps
-    in
-    go prefixes
-
-  let run ?host ~port ~clients ~requests_per_client ~requests
-      ?(mode = Sequential) () =
-    if clients < 1 then invalid_arg "Load.run: clients < 1";
-    if requests = [] then invalid_arg "Load.run: empty request list";
-    (match mode with
-    | Pipelined d when d < 1 -> invalid_arg "Load.run: pipeline depth < 1"
-    | Batched b when b < 1 -> invalid_arg "Load.run: batch size < 1"
-    | _ -> ());
-    let reqs = Array.of_list requests in
-    let nreqs = Array.length reqs in
-    let latencies =
-      Array.init clients (fun _ -> Array.make requests_per_client 0.)
-    in
-    let errors = Array.make clients 0 in
-    let busy = Array.make clients 0 in
-    let classify k reply =
-      match Option.map Protocol.classify_response reply with
-      | Some (`Ok _) -> ()
-      | Some (`Err _) | Some `Malformed | None ->
-          errors.(k) <- errors.(k) + 1;
-          if Option.fold ~none:false ~some:Protocol.is_busy_response reply then
-            busy.(k) <- busy.(k) + 1
-    in
-    let pick k i = reqs.((i + (k * 7)) mod nreqs) in
-    let sequential k conn =
-      for i = 0 to requests_per_client - 1 do
-        let t0 = Dc_clock.Monotonic.now_s () in
-        let reply = request conn (pick k i) in
-        latencies.(k).(i) <- Dc_clock.Monotonic.elapsed_ms t0;
-        classify k reply
-      done
-    in
-    (* Sliding window of [depth] unanswered requests; responses come
-       back in request order (the reactor's ordering guarantee), so the
-       oldest outstanding send matches each received line.  Latency is
-       measured from that request's own send time. *)
-    let pipelined k depth conn =
-      let outstanding = Queue.create () in
-      let next_send = ref 0 in
-      let received = ref 0 in
-      let dropped = ref false in
-      while !received < requests_per_client && not !dropped do
-        let sent_any = ref false in
-        while
-          !next_send < requests_per_client && Queue.length outstanding < depth
-        do
-          send conn (pick k !next_send);
-          Queue.push (!next_send, Dc_clock.Monotonic.now_s ()) outstanding;
-          incr next_send;
-          sent_any := true
-        done;
-        if !sent_any then flush_out conn;
-        match recv conn with
-        | None ->
-            (* connection lost: everything unanswered is an error *)
-            dropped := true;
-            errors.(k) <-
-              errors.(k) + (requests_per_client - !received)
-        | Some reply ->
-            let i, t0 = Queue.pop outstanding in
-            latencies.(k).(i) <- Dc_clock.Monotonic.elapsed_ms t0;
-            classify k (Some reply);
-            incr received
-      done
-    in
-    (* One CITE_BATCH frame per [size] queries; the server owes exactly
-       one line per query (its batch invariant), read back in order.
-       Per-query latency is the whole batch's round trip — what a
-       caller of the batch actually waits. *)
-    let batched k size conn =
-      let i = ref 0 in
-      let dropped = ref false in
-      while !i < requests_per_client && not !dropped do
-        let n = min size (requests_per_client - !i) in
-        let t0 = Dc_clock.Monotonic.now_s () in
-        send conn (Printf.sprintf "CITE_BATCH %d" n);
-        for j = 0 to n - 1 do
-          send conn (strip_cite (pick k (!i + j)))
-        done;
-        flush_out conn;
-        for j = 0 to n - 1 do
-          if not !dropped then begin
-            match recv conn with
-            | None ->
-                dropped := true;
-                errors.(k) <- errors.(k) + (requests_per_client - !i - j)
-            | Some reply ->
-                latencies.(k).(!i + j) <- Dc_clock.Monotonic.elapsed_ms t0;
-                classify k (Some reply)
-          end
-        done;
-        i := !i + n
-      done
-    in
-    let worker k () =
-      let conn = connect ?host ~port () in
-      (match mode with
-      | Sequential -> sequential k conn
-      | Pipelined depth -> pipelined k depth conn
-      | Batched size -> batched k size conn);
-      ignore (request conn "QUIT");
-      close conn
-    in
-    let t0 = Dc_clock.Monotonic.now_s () in
-    let threads = List.init clients (fun k -> Thread.create (worker k) ()) in
-    List.iter Thread.join threads;
-    let elapsed_s = Dc_clock.Monotonic.now_s () -. t0 in
-    let all = Array.concat (Array.to_list latencies) in
-    Array.sort compare all;
-    let total = clients * requests_per_client in
-    {
-      requests = total;
-      errors = Array.fold_left ( + ) 0 errors;
-      busy = Array.fold_left ( + ) 0 busy;
-      elapsed_s;
-      throughput_rps = float_of_int total /. Float.max elapsed_s 1e-9;
-      p50_ms = percentile all 50.;
-      p95_ms = percentile all 95.;
-      p99_ms = percentile all 99.;
-      max_ms = (if Array.length all = 0 then 0. else all.(Array.length all - 1));
-    }
-
-  let to_json ?(extra = []) s =
-    let fields =
-      extra
-      @ [
-          ("requests", string_of_int s.requests);
-          ("errors", string_of_int s.errors);
-          ("busy", string_of_int s.busy);
-          ("elapsed_s", Printf.sprintf "%.3f" s.elapsed_s);
-          ("throughput_rps", Printf.sprintf "%.1f" s.throughput_rps);
-          ("p50_ms", Printf.sprintf "%.3f" s.p50_ms);
-          ("p95_ms", Printf.sprintf "%.3f" s.p95_ms);
-          ("p99_ms", Printf.sprintf "%.3f" s.p99_ms);
-          ("max_ms", Printf.sprintf "%.3f" s.max_ms);
-        ]
-    in
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields)
-    ^ "}"
-end

@@ -1,5 +1,4 @@
-(** Blocking client for the citation server, plus the load generator
-    behind [datacite_bench_client] and bench experiments E13/E18. *)
+(** Blocking client for the citation server. *)
 
 type t
 
@@ -21,46 +20,3 @@ val recv : t -> string option
     connection. *)
 
 val close : t -> unit
-
-module Load : sig
-  type mode =
-    | Sequential  (** one request on the wire at a time (the v1 shape) *)
-    | Pipelined of int
-        (** keep a sliding window of [depth] unanswered requests per
-            connection; per-request latency from its own send time *)
-    | Batched of int
-        (** frame every [size] requests as one [CITE_BATCH] (workload
-            lines are stripped of their [CITE ] verb); per-query
-            latency is the whole batch's round trip *)
-
-  type stats = {
-    requests : int;
-    errors : int;  (** [ERR], malformed, or dropped responses *)
-    busy : int;  (** the subset of [errors] that were BUSY sheds *)
-    elapsed_s : float;
-    throughput_rps : float;
-    p50_ms : float;
-    p95_ms : float;
-    p99_ms : float;
-    max_ms : float;
-  }
-
-  val run :
-    ?host:string ->
-    port:int ->
-    clients:int ->
-    requests_per_client:int ->
-    requests:string list ->
-    ?mode:mode ->
-    unit ->
-    stats
-  (** Open [clients] concurrent connections; each issues
-      [requests_per_client] request lines drawn round-robin (with a
-      per-client offset) from [requests] under [mode] (default
-      {!Sequential}), timing every request.  Latency percentiles are
-      nearest-rank over all requests. *)
-
-  val to_json : ?extra:(string * string) list -> stats -> string
-  (** One-line JSON for METRICS output; [extra] fields are prepended
-      (values must already be rendered as JSON). *)
-end

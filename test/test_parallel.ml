@@ -341,19 +341,17 @@ let test_server_with_domains () =
   let server = Dc_server.Server.start ~config engine in
   Fun.protect ~finally:(fun () -> Dc_server.Server.stop server) @@ fun () ->
   let stats =
-    Dc_server.Client.Load.run
+    Test_server.drive
       ~port:(Dc_server.Server.port server)
       ~clients:4 ~requests_per_client:25
-      ~requests:
-        [
-          "CITE Q(N) :- Family(F,N,D)";
-          "CITE Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
-          "HEALTH";
-        ]
-      ()
+      [
+        "CITE Q(N) :- Family(F,N,D)";
+        "CITE Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
+        "HEALTH";
+      ]
   in
   Alcotest.(check int) "no errors across domains" 0 stats.errors;
-  Alcotest.(check int) "all requests answered" 100 stats.requests
+  Alcotest.(check int) "all requests answered" 100 stats.answered
 
 let suite =
   [

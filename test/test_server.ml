@@ -38,6 +38,49 @@ let contains line sub =
 
 let cite_q = "CITE Q(N) :- Family(F,N,D)"
 
+type load = { answered : int; errors : int; busy : int }
+
+(* Open [clients] threaded connections; each sends [requests_per_client]
+   lines taken in turn from [requests], keeping up to [depth] of them
+   unanswered (depth 1 is request/response), then QUITs.  [answered]
+   counts the response lines actually received, so a dropped connection
+   shows up as a shortfall; [busy] is the subset of [errors] that were
+   BUSY sheds. *)
+let drive ~port ~clients ~requests_per_client ?(depth = 1) requests =
+  let reqs = Array.of_list requests in
+  let answered = Atomic.make 0 and errors = Atomic.make 0 in
+  let busy = Atomic.make 0 in
+  let client k () =
+    let conn = S.Client.connect ~port () in
+    Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+    let sent = ref 0 and received = ref 0 and closed = ref false in
+    while !received < requests_per_client && not !closed do
+      while !sent < requests_per_client && !sent - !received < depth do
+        S.Client.send conn reqs.((k + !sent) mod Array.length reqs);
+        incr sent
+      done;
+      S.Client.flush_out conn;
+      match S.Client.recv conn with
+      | None -> closed := true
+      | Some line -> (
+          incr received;
+          Atomic.incr answered;
+          match S.Protocol.classify_response line with
+          | `Ok _ -> ()
+          | `Err _ | `Malformed ->
+              Atomic.incr errors;
+              if S.Protocol.is_busy_response line then Atomic.incr busy)
+    done;
+    if not !closed then ignore (S.Client.request conn "QUIT")
+  in
+  List.init clients (fun k -> Thread.create (client k) ())
+  |> List.iter Thread.join;
+  {
+    answered = Atomic.get answered;
+    errors = Atomic.get errors;
+    busy = Atomic.get busy;
+  }
+
 let test_cite_roundtrip () =
   with_server @@ fun _engine server ->
   let body = expect_ok "cite" (request server cite_q) in
@@ -77,10 +120,10 @@ let test_concurrent_clients () =
   with_server @@ fun engine server ->
   let requests = [ cite_q; "STATS"; "HEALTH"; cite_q ] in
   let stats =
-    S.Client.Load.run ~port:(S.Server.port server) ~clients:4
-      ~requests_per_client:25 ~requests ()
+    drive ~port:(S.Server.port server) ~clients:4 ~requests_per_client:25
+      requests
   in
-  Alcotest.(check int) "all answered" 100 stats.requests;
+  Alcotest.(check int) "all answered" 100 stats.answered;
   Alcotest.(check int) "no errors" 0 stats.errors;
   (* every request line (100 + 4 QUITs) is counted on the engine registry *)
   let m = C.Engine.metrics engine in
@@ -480,11 +523,10 @@ let test_busy_shedding () =
   let server = S.Server.start ~config engine in
   Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
   let stats =
-    S.Client.Load.run ~port:(S.Server.port server) ~clients:2
-      ~requests_per_client:40 ~requests:[ cite_q ]
-      ~mode:(S.Client.Load.Pipelined 20) ()
+    drive ~port:(S.Server.port server) ~clients:2 ~requests_per_client:40
+      ~depth:20 [ cite_q ]
   in
-  Alcotest.(check int) "every request answered" 80 stats.requests;
+  Alcotest.(check int) "every request answered" 80 stats.answered;
   Alcotest.(check bool) "overload sheds with BUSY" true (stats.busy > 0);
   Alcotest.(check int) "every error is a BUSY shed" stats.errors stats.busy;
   (* the server is healthy after the storm *)
