@@ -1052,16 +1052,16 @@ let e16 () =
     List.map
       (fun (label, policy) ->
         let dir = Option.map (fun _ -> fresh_dir ()) policy in
-        let ve = C.Versioned_engine.create ~capacity:2 db views in
-        let store =
+        let ve, store =
           match (policy, dir) with
           | Some fsync, Some dir ->
-              let st, _ =
-                ok "open" (St.open_ ~digest:C.Fixity.digest_db ~fsync ~dir ~db ())
+              let ve, st, _ =
+                ok "open"
+                  (C.Versioned_engine.open_durable ~capacity:2 ~fsync ~db ~dir
+                     (fun db -> C.Engine.create db views))
               in
-              C.Versioned_engine.set_durability ve st;
-              Some st
-          | _ -> None
+              (ve, Some st)
+          | _ -> (C.Versioned_engine.create ~capacity:2 db views, None)
         in
         let _, total_ms =
           time_ms (fun () ->
@@ -1099,12 +1099,11 @@ let e16 () =
     List.map
       (fun n ->
         let dir = fresh_dir () in
-        let ve = C.Versioned_engine.create ~capacity:2 db views in
-        let st, _ =
+        let ve, st, _ =
           ok "open"
-            (St.open_ ~digest:C.Fixity.digest_db ~fsync:St.Never ~dir ~db ())
+            (C.Versioned_engine.open_durable ~capacity:2 ~fsync:St.Never ~db
+               ~dir (fun db -> C.Engine.create db views))
         in
-        C.Versioned_engine.set_durability ve st;
         for i = 0 to (n / 2) - 1 do
           ignore (ok "commit" (C.Versioned_engine.commit_delta ve (delta_one i)))
         done;
@@ -1151,9 +1150,8 @@ let e16 () =
   (* Part 3: warm head re-cites with and without the store attached. *)
   subhr "warm cite throughput: in-memory vs durable";
   let cites = 300 in
-  let warm_ops label store_for =
-    let ve = C.Versioned_engine.create ~capacity:2 db views in
-    let cleanup = store_for ve in
+  let warm_ops label make =
+    let ve, cleanup = make () in
     ok "register" (C.Versioned_engine.register ve q);
     ignore (ok "commit" (C.Versioned_engine.commit_delta ve (delta_one 0)));
     ignore (ok "cite" (C.Versioned_engine.cite ve q));
@@ -1168,18 +1166,22 @@ let e16 () =
     Printf.printf "%-10s %8.0f cites/s\n" label ops;
     (label, ops)
   in
-  let _, mem_ops = warm_ops "in-memory" (fun _ -> fun () -> ()) in
+  let _, mem_ops =
+    warm_ops "in-memory" (fun () ->
+        (C.Versioned_engine.create ~capacity:2 db views, fun () -> ()))
+  in
   let _, dur_ops =
-    warm_ops "durable" (fun ve ->
+    warm_ops "durable" (fun () ->
         let dir = fresh_dir () in
-        let st, _ =
+        let ve, st, _ =
           ok "open"
-            (St.open_ ~digest:C.Fixity.digest_db ~fsync:St.Always ~dir ~db ())
+            (C.Versioned_engine.open_durable ~capacity:2 ~fsync:St.Always ~db
+               ~dir (fun db -> C.Engine.create db views))
         in
-        C.Versioned_engine.set_durability ve st;
-        fun () ->
-          St.close st;
-          rm_rf dir)
+        ( ve,
+          fun () ->
+            St.close st;
+            rm_rf dir ))
   in
   (* Part 4: group commit — concurrent Always appenders share fsync
      barriers, narrowing the gap to Never as concurrency grows.  Raw WAL

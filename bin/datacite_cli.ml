@@ -4,7 +4,10 @@
      cite      load a CSV database + view spec, cite a query
      coverage  analyze view coverage of a workload file
      demo      run the paper's worked example
-     rewrite   show the minimal equivalent rewritings of a query *)
+     rewrite   show the minimal equivalent rewritings of a query
+     page      render a web-page view with its citation
+     store     a durable versioned store, in the data directory format
+               of datacite_server --data-dir *)
 
 module C = Dc_citation
 module Cq = Dc_cq
@@ -275,20 +278,55 @@ let coverage_cmd =
     (Cmd.info "coverage" ~doc:"Coverage of a workload by the citation views.")
     term
 
-(* store: durable fixity *)
+(* store: durable fixity, in the data directory format of
+   datacite_server --data-dir *)
 
 let store_dir_arg =
-  let doc = "Store directory." in
+  let doc = "Data directory, shared with datacite_server --data-dir." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE" ~doc)
+
+let fail e =
+  prerr_endline e;
+  exit 1
+
+(* Stores written before the CLI shared the server's data directory: a
+   CSV base plus one delta file per version.  Nothing reads them any
+   more, so say so instead of "no store found" (or initializing a
+   second store beside the old one). *)
+let refuse_retired_layout dir =
+  if Sys.file_exists (Filename.concat dir "base/schema.spec") then
+    fail
+      (Printf.sprintf
+         "%s: holds a store in the retired format (base/ CSV files plus \
+          deltas/*.delta), which this version cannot open; initialize a \
+          new store in another directory"
+         dir)
+
+(* Open the store in [dir] with [views] (see
+   [Versioned_engine.open_durable] for [fresh] and [db]), run [f], and
+   close the store before reporting [f]'s error. *)
+let with_store ?fresh ?db dir views f =
+  refuse_retired_layout dir;
+  match
+    C.Versioned_engine.open_durable ?fresh ?db ~dir (fun db ->
+        C.Engine.create db views)
+  with
+  | exception Invalid_argument e -> fail e
+  | Error e -> fail e
+  | Ok (ve, st, _) ->
+      Result.iter_error fail
+        (Fun.protect
+           ~finally:(fun () -> Dc_storage.Store.close st)
+           (fun () -> f ve))
+
+let parse_query_or_fail query =
+  match Cq.Parser.parse_query query with Ok q -> q | Error e -> fail e
 
 let store_init_cmd =
   let run data store_dir =
     let db = load_db data in
-    match C.Store_io.init ~dir:store_dir db with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok () -> Format.printf "initialized %s at version 0@." store_dir
+    with_store ~fresh:true ~db store_dir [] (fun _ -> Ok ());
+    Format.printf "initialized %s at version 0@." store_dir
   in
   let term = Term.(const run $ data_arg $ store_dir_arg) in
   Cmd.v
@@ -297,28 +335,23 @@ let store_init_cmd =
 
 let store_commit_cmd =
   let run store_dir delta_file =
-    match C.Store_io.load ~dir:store_dir with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok store -> (
-        let schemas =
-          List.map R.Relation.schema
-            (R.Database.relations (R.Version_store.head_db store))
-        in
-        match R.Delta_io.load ~schemas delta_file with
-        | Error e ->
-            prerr_endline e;
-            exit 1
-        | Ok delta -> (
-            match C.Store_io.commit ~dir:store_dir delta with
-            | Error e ->
-                prerr_endline e;
-                exit 1
-            | Ok v -> Format.printf "committed version %d@." v))
+    with_store store_dir [] @@ fun ve ->
+    let schemas =
+      List.map R.Relation.schema
+        (R.Database.relations
+           (R.Version_store.head_db (C.Versioned_engine.store ve)))
+    in
+    Result.map
+      (fun v -> Format.printf "committed version %d@." v)
+      (Result.bind
+         (R.Delta_wire.parse_typed ~schemas (read_file delta_file))
+         (C.Versioned_engine.commit_delta ve))
   in
   let delta_arg =
-    let doc = "Delta file (lines: +|-,Relation,field,...)." in
+    let doc =
+      "Delta file: ';'-separated changes +Relation(v,...) or \
+       -Relation(v,...)."
+    in
     Arg.(required & pos 1 (some file) None & info [] ~docv:"DELTA" ~doc)
   in
   let term = Term.(const run $ store_dir_arg $ delta_arg) in
@@ -326,16 +359,14 @@ let store_commit_cmd =
 
 let store_log_cmd =
   let run store_dir =
-    match C.Store_io.load ~dir:store_dir with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok store ->
-        List.iter
-          (fun v ->
-            let db = R.Version_store.checkout_exn store v in
-            Format.printf "v%d: %d tuples@." v (R.Database.total_tuples db))
-          (R.Version_store.versions store)
+    with_store store_dir [] @@ fun ve ->
+    let store = C.Versioned_engine.store ve in
+    List.iter
+      (fun v ->
+        let db = R.Version_store.checkout_exn store v in
+        Format.printf "v%d: %d tuples@." v (R.Database.total_tuples db))
+      (C.Versioned_engine.versions ve);
+    Ok ()
   in
   let term = Term.(const run $ store_dir_arg) in
   Cmd.v (Cmd.info "log" ~doc:"List the store's versions.") term
@@ -346,25 +377,22 @@ let store_query_arg =
 
 let store_cite_cmd =
   let run store_dir views query format =
-    match C.Store_io.load ~dir:store_dir with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok store -> (
-        let cvs = load_views views in
-        match Cq.Parser.parse_query query with
-        | Error e ->
-            prerr_endline e;
-            exit 1
-        | Ok q ->
-            let vc = C.Fixity.cite ~store ~views:cvs q in
-            Format.printf "cited at version %d@." vc.version;
-            List.iter
-              (fun t -> Format.printf "%a@." R.Tuple.pp t)
-              vc.tuples;
-            Format.printf "formal: %a@." C.Cite_expr.pp vc.expr;
-            print_endline
-              (C.Fmt_citation.render (parse_format format) vc.citations))
+    let cvs = load_views views in
+    let q = parse_query_or_fail query in
+    let format = parse_format format in
+    with_store store_dir cvs @@ fun ve ->
+    Result.map
+      (fun (c : C.Versioned_engine.cited) ->
+        Format.printf "cited at version %d@." c.version;
+        List.iter
+          (fun (tc : C.Engine.tuple_citation) ->
+            Format.printf "%a@." R.Tuple.pp tc.tuple)
+          c.result.tuples;
+        Format.printf "formal: %a@." C.Cite_expr.pp c.result.result_expr;
+        Format.printf "digest: %s@." c.digest;
+        print_endline
+          (C.Fmt_citation.render format c.result.result_citations))
+      (C.Versioned_engine.cite ve q)
   in
   let term =
     Term.(const run $ store_dir_arg $ views_arg $ store_query_arg $ format_arg)
@@ -375,29 +403,17 @@ let store_cite_cmd =
 
 let store_resolve_cmd =
   let run store_dir views version query =
-    match C.Store_io.load ~dir:store_dir with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok store -> (
-        let cvs = load_views views in
-        match Cq.Parser.parse_query query with
-        | Error e ->
-            prerr_endline e;
-            exit 1
-        | Ok q -> (
-            match R.Version_store.checkout store version with
-            | None ->
-                prerr_endline (Printf.sprintf "no version %d" version);
-                exit 1
-            | Some db ->
-                let engine = C.Engine.create db cvs in
-                let result = C.Engine.cite engine q in
-                Format.printf "answer as of version %d:@." version;
-                List.iter
-                  (fun (tc : C.Engine.tuple_citation) ->
-                    Format.printf "%a@." R.Tuple.pp tc.tuple)
-                  result.tuples))
+    let cvs = load_views views in
+    let q = parse_query_or_fail query in
+    with_store store_dir cvs @@ fun ve ->
+    Result.map
+      (fun (c : C.Versioned_engine.cited) ->
+        Format.printf "answer as of version %d:@." version;
+        List.iter
+          (fun (tc : C.Engine.tuple_citation) ->
+            Format.printf "%a@." R.Tuple.pp tc.tuple)
+          c.result.tuples)
+      (C.Versioned_engine.cite_at ve version q)
   in
   let version_arg =
     let doc = "Version to resolve at (--at N)." in

@@ -70,22 +70,39 @@ let () =
   section "5. Durable fixity";
   let dir = Filename.temp_file "datacite_portal" "" in
   Sys.remove dir;
-  (match C.Store_io.init ~dir db with
+  let open_store ?db () =
+    C.Versioned_engine.open_durable ?db ~dir (fun db ->
+        C.Engine.create db views)
+  in
+  let rm_store () =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  Fun.protect ~finally:rm_store @@ fun () ->
+  match open_store ~db () with
   | Error e -> Format.printf "store error: %s@." e
-  | Ok () ->
-      let store = Result.get_ok (C.Store_io.load ~dir) in
-      let vc = C.Fixity.cite ~store ~views Dc_gtopdb.Paper_views.query_q in
-      Format.printf "cited %d tuples at version %d (stored in %s)@."
-        (List.length vc.tuples) vc.version dir;
+  | Ok (ve, st, _) ->
+      let vc =
+        Result.get_ok (C.Versioned_engine.cite ve Dc_gtopdb.Paper_views.query_q)
+      in
+      Format.printf "cited %d tuples at version %d, digest %s@."
+        (List.length vc.result.tuples) vc.version vc.digest;
       (* the database moves on... *)
       let delta =
         R.Delta.insert R.Delta.empty "Family"
           (R.Tuple.make
              [ R.Value.int 9999; R.Value.str "Brand-new family"; R.Value.str "new" ])
       in
-      ignore (Result.get_ok (C.Store_io.commit ~dir delta));
-      let store = Result.get_ok (C.Store_io.load ~dir) in
-      Format.printf "after commit, head is version %d@."
-        (R.Version_store.head store);
+      ignore (Result.get_ok (C.Versioned_engine.commit_delta ve delta));
+      Dc_storage.Store.close st;
+      (* ...and a later process reopens the store from disk *)
+      let ve, st, _ = Result.get_ok (open_store ()) in
+      Format.printf "after commit and reopen, head is version %d@."
+        (C.Versioned_engine.head ve);
       Format.printf "old citation still verifies: %b@."
-        (C.Fixity.verify ~store ~views vc))
+        (C.Versioned_engine.verify ve vc.version vc.digest = Ok true);
+      Dc_storage.Store.close st

@@ -32,7 +32,7 @@ type t = {
   (* Head-version incremental registrations, keyed by the registered
      query's rendering.  Mutated only under [commit_mu]. *)
   mutable regs : (string * Incremental.t) list;
-  (* Durable backing, when armed ([set_durability]): commits and
+  (* Durable backing, when opened by [open_durable]: commits and
      registrations append to its WAL {e before} publishing, so the
      in-memory head never runs ahead of the log.  Read and written only
      under [commit_mu]. *)
@@ -98,9 +98,6 @@ let create_program ?policy ?selection ?partial ?fallback_contained ?pool
        ~metrics ?views db prog)
 
 let template t = t.template
-
-let set_durability t store =
-  committing t (fun () -> t.durability <- Some store)
 
 let snapshot t = locked t (fun () -> t.store)
 let store = snapshot
@@ -300,10 +297,45 @@ let register_gen ~durable t q =
 
 let register t q = register_gen ~durable:true t q
 
-(* Recovery re-arming: the WAL already holds this registration, so
-   appending it again on every restart would grow the log with
+(* The one way a data directory is opened.  The engine is made over
+   [db] for a fresh store and over the recovered head otherwise (its
+   database then only types the views: [of_engine ~store] serves the
+   recovered versions).  Recovered registrations are re-armed without
+   appending them again, or every restart would grow the log with
    duplicates. *)
-let rearm t q = register_gen ~durable:false t q
+let open_durable ?capacity ?fsync ?mode ?fresh ?db ~dir make =
+  Result.map
+    (fun (storage, recovery) ->
+      let store =
+        Option.map (fun (r : Dc_storage.Store.recovery) -> r.store) recovery
+      in
+      let base =
+        match store with None -> Option.get db | Some s -> VS.head_db s
+      in
+      let eng =
+        try make base
+        with e ->
+          Dc_storage.Store.close storage;
+          raise e
+      in
+      let t = of_engine ?capacity ?store eng in
+      t.durability <- Some storage;
+      Option.iter
+        (fun (r : Dc_storage.Store.recovery) ->
+          List.iter
+            (fun q ->
+              match
+                Result.bind (Cq.Parser.parse_query q)
+                  (register_gen ~durable:false t)
+              with
+              | Ok () -> ()
+              | Error e ->
+                  Log.warn (fun m -> m "cannot re-arm registration %S: %s" q e))
+            r.registrations)
+        recovery;
+      (t, storage, recovery))
+    (Dc_storage.Store.open_ ~digest:Fixity.digest_db ?fsync ?mode ?fresh ?db
+       ~dir ())
 
 (* Every step that can fail runs before the append, and the append
    before the publish: a commit either logs and publishes its version,

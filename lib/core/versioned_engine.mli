@@ -101,15 +101,30 @@ val of_engine :
     instead — per-version engines, including the recovered head's, are
     built on demand from the given engine's template. *)
 
-val set_durability : t -> Dc_storage.Store.t -> unit
-(** Arm durable backing: every subsequent {!commit_delta} appends to
-    the store's WAL {e before} the new head is published (an append
-    failure fails the commit), and every {!register} is logged.  Set
-    once at startup, before serving. *)
+val open_durable :
+  ?capacity:int ->
+  ?fsync:Dc_storage.Store.fsync ->
+  ?mode:Dc_storage.Store.mode ->
+  ?fresh:bool ->
+  ?db:Dc_relational.Database.t ->
+  dir:string ->
+  (Dc_relational.Database.t -> Engine.t) ->
+  (t * Dc_storage.Store.t * Dc_storage.Store.recovery option, string) result
+(** Open a data directory ({!Dc_storage.Store.open_} with
+    {!Fixity.digest_db}; [fsync], [mode], [fresh] and [db] as there,
+    including the refusal of a directory that is already open) and
+    serve it durably: every {!commit_delta} appends to the store's
+    WAL {e before} the new head is published (an append failure fails
+    the commit), and every {!register} is logged.
 
-val rearm : t -> Dc_cq.Query.t -> (unit, string) result
-(** {!register} minus the WAL append — recovery re-arms queries the
-    log already contains without duplicating them. *)
+    A fresh store is initialized over [db], which becomes version 0 of
+    [make db].  A recovered store is served as recovered, with [make]
+    applied to its head database for the engine's configuration (as
+    {!of_engine} [~store]); its logged registrations are re-armed
+    without being logged again, and one that no longer registers is
+    skipped with a warning.  Returns the engine, the store handle (the
+    caller closes it) and the recovery record ([None] for a fresh
+    store).  If [make] raises, the store is closed first. *)
 
 val head : t -> Dc_relational.Version_store.version
 val versions : t -> Dc_relational.Version_store.version list

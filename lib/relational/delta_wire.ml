@@ -1,7 +1,6 @@
 (* The protocol-v2 wire form of a delta, factored down from the server
-   codec so the storage WAL can reuse the exact on-the-wire record
-   encoding (ROADMAP item 4: "the protocol-v2 wire delta format is
-   already the right serialization"). *)
+   codec so the storage WAL and the CLI's delta files use the exact
+   on-the-wire encoding. *)
 
 (* The same scalar coercion the CLI, REPL and server apply to loose
    values: an integer literal is an Int, everything else a Str. *)

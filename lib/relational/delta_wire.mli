@@ -1,9 +1,11 @@
 (** The protocol-v2 wire form of a {!Delta.t} — the COMMIT_DELTA
-    payload, also the storage WAL's record encoding.
+    payload, also the storage WAL's record encoding and the syntax of
+    a [datacite store commit] delta file.
 
     {v change ::= ("+" | "-") relation "(" scalar { "," scalar } ")" v}
 
-    Changes join with [;].  Values render through {!Value.to_string},
+    Changes join with [;]; blanks and newlines around a change are
+    ignored.  Values render through {!Value.to_string},
     except floats, which get round-trip precision.  Strings that are
     empty, carry [,] or [;] or surrounding blanks, or read as ["NULL"]
     are outside the format (the server protocol documents the same

@@ -417,46 +417,20 @@ let start ?(config = default_config) eng =
   (* Open (or initialize) durable backing before taking any socket: a
      bad --data-dir must fail the whole start, with the storage
      layer's contextual path+reason message. *)
-  let storage, recovered =
+  let versioned, storage =
     match config.data_dir with
-    | None -> (None, None)
+    | None ->
+        (C.Versioned_engine.of_engine ~capacity:config.version_cache eng, None)
     | Some dir -> (
         match
           C.Metrics.with_sink (C.Engine.metrics eng) (fun () ->
-              Dc_storage.Store.open_ ~digest:C.Fixity.digest_db
-                ~fsync:config.fsync ~mode:config.recovery ~dir
-                ~db:(C.Engine.database eng) ())
+              C.Versioned_engine.open_durable ~capacity:config.version_cache
+                ~fsync:config.fsync ~mode:config.recovery
+                ~db:(C.Engine.database eng) ~dir (fun _ -> eng))
         with
         | Error e -> failwith ("Server.start: " ^ e)
-        | Ok (st, r) -> (Some st, r))
+        | Ok (versioned, st, _) -> (versioned, Some st))
   in
-  let versioned =
-    C.Versioned_engine.of_engine ~capacity:config.version_cache
-      ?store:(Option.map (fun r -> r.Dc_storage.Store.store) recovered)
-      eng
-  in
-  Option.iter (C.Versioned_engine.set_durability versioned) storage;
-  (match recovered with
-  | None -> ()
-  | Some r ->
-      Log.info (fun m ->
-          m "recovered head %d from %s (%d delta(s) replayed, %d byte(s) of \
-             torn WAL tail discarded)"
-            (C.Versioned_engine.head versioned)
-            (Option.fold ~none:"?" ~some:Dc_storage.Store.dir storage)
-            r.Dc_storage.Store.replayed r.Dc_storage.Store.discarded_bytes);
-      (* Re-arm recovered registrations without re-logging them. *)
-      List.iter
-        (fun q ->
-          match Dc_cq.Parser.parse_query q with
-          | Error e ->
-              Log.warn (fun m -> m "cannot re-arm registration %S: %s" q e)
-          | Ok query -> (
-              match C.Versioned_engine.rearm versioned query with
-              | Ok () -> ()
-              | Error e ->
-                  Log.warn (fun m -> m "cannot re-arm registration %S: %s" q e)))
-        r.Dc_storage.Store.registrations);
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;

@@ -6,6 +6,8 @@
    {v
      <dir>/wal.log                  append-only framed records
      <dir>/snapshot-%09d.snap       binary snapshot of that version
+     <dir>/LOCK                     held (lockf) by the one process
+                                    that has the store open
    v}
 
    Invariants:
@@ -14,7 +16,8 @@
    - the WAL is synced before a snapshot is written, so a snapshot
      never describes state the log does not (durably) contain.
    - the only destructive write is the reopen-truncate that discards a
-     scanned-invalid WAL tail. *)
+     scanned-invalid WAL tail, and it happens under the directory lock,
+     so it can never cut off a record another process is appending. *)
 
 module R = Dc_relational
 module Metrics = Dc_parallel.Metrics
@@ -35,11 +38,60 @@ type mode =
           fastest restart; versions older than that snapshot are not
           re-materialized *)
 
+(* ------------------------------------------------------------------ *)
+(* The directory lock                                                  *)
+
+(* Two openers of one directory would each append at their own offset
+   with their own version counter, and recovery in one could truncate a
+   record the other just appended.  [lockf] keeps out other processes;
+   it does not see a second open in the same process (POSIX record
+   locks belong to the process, and closing either descriptor would
+   drop both), so [held] keeps out those by the lock file's identity. *)
+type lock = { fd : Unix.file_descr; key : int * int }
+
+let held : (int * int, unit) Hashtbl.t = Hashtbl.create 4
+let held_mu = Mutex.create ()
+let lock_path dir = Filename.concat dir "LOCK"
+
+let acquire_lock dir =
+  let path = lock_path dir in
+  match Unix.openfile path [ O_RDWR; O_CREAT; O_CLOEXEC ] 0o644 with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error
+        (Printf.sprintf "%s: cannot open lock file: %s" path
+           (Unix.error_message e))
+  | fd -> (
+      let in_use () =
+        Unix.close fd;
+        Error (Printf.sprintf "%s: in use by another process" dir)
+      in
+      let st = Unix.fstat fd in
+      let key = (st.Unix.st_dev, st.Unix.st_ino) in
+      Mutex.protect held_mu @@ fun () ->
+      if Hashtbl.mem held key then (
+        Unix.close fd;
+        Error (Printf.sprintf "%s: already open in this process" dir))
+      else
+        match Unix.lockf fd Unix.F_TLOCK 0 with
+        | () ->
+            Hashtbl.replace held key ();
+            Ok { fd; key }
+        | exception Unix.Unix_error ((EAGAIN | EACCES), _, _) -> in_use ()
+        | exception Unix.Unix_error (e, _, _) ->
+            Unix.close fd;
+            Error
+              (Printf.sprintf "%s: cannot lock: %s" path (Unix.error_message e)))
+
+let release_lock l =
+  Mutex.protect held_mu (fun () -> Hashtbl.remove held l.key);
+  Unix.close l.fd
+
 type t = {
   dir : string;
   schemas : R.Schema.t list;  (** the base relations commits may touch *)
   digest : (R.Database.t -> string) option;
   writer : Wal.writer;
+  lock : lock;
   mu : Mutex.t;
   mutable last_snapshot : int;
 }
@@ -69,8 +121,6 @@ let ensure_dir dir =
   match Sys.is_directory dir with
   | true -> Ok ()
   | false ->
-      (* The satellite "unreadable data dir" case: the path exists but
-         is not a directory we can use. *)
       Error (Printf.sprintf "%s: not a directory" dir)
   | exception Sys_error _ -> (
       match Unix.mkdir dir 0o755 with
@@ -80,7 +130,7 @@ let ensure_dir dir =
             (Printf.sprintf "%s: cannot create data dir: %s" dir
                (Unix.error_message e)))
 
-let init_fresh ~fsync ~dir t_digest db =
+let init_fresh ~fsync ~dir ~lock t_digest db =
   let at = 1 in
   (* Match [Version_store.create]'s stamp for version 0. *)
   let snap =
@@ -100,6 +150,7 @@ let init_fresh ~fsync ~dir t_digest db =
       schemas = schemas_of db;
       digest = t_digest;
       writer;
+      lock;
       mu = Mutex.create ();
       last_snapshot = 0;
     }
@@ -169,7 +220,7 @@ let replay ~seed records =
   Option.iter (fun reason -> Log.warn (fun m -> m "%s (stopping replay)" reason)) !stop;
   (!store, !regs, !replayed)
 
-let recover ~fsync ~mode ~dir t_digest =
+let recover ~fsync ~mode ~dir ~lock t_digest =
   Result.bind (load_snapshots ~dir) @@ fun snaps_desc ->
   let latest = List.hd snaps_desc in
   let seed =
@@ -229,6 +280,7 @@ let recover ~fsync ~mode ~dir t_digest =
             schemas;
             digest = t_digest;
             writer;
+            lock;
             mu = Mutex.create ();
             last_snapshot = latest.Snapshot.version;
           },
@@ -241,11 +293,34 @@ let recover ~fsync ~mode ~dir t_digest =
             digest_verified;
           } )
 
-let open_ ?digest ?(fsync = Always) ?(mode = Full) ~dir ~db () =
-  Result.bind (ensure_dir dir) @@ fun () ->
-  if Sys.file_exists (wal_path dir) then
-    Result.map (fun (t, r) -> (t, Some r)) (recover ~fsync ~mode ~dir digest)
-  else Result.map (fun t -> (t, None)) (init_fresh ~fsync ~dir digest db)
+(* Both refusals come before any write: a directory that already holds
+   a store is left as it was, and a missing one is not created.  They
+   are decided again under the lock, in case another process
+   initialized the directory in between. *)
+let open_ ?digest ?(fsync = Always) ?(mode = Full) ?(fresh = false) ?db ~dir
+    () =
+  let open_locked lock =
+    match (Sys.file_exists (wal_path dir), db) with
+    | true, _ when fresh ->
+        Error (Printf.sprintf "%s: already holds a store" dir)
+    | true, _ ->
+        Result.map
+          (fun (t, r) -> (t, Some r))
+          (recover ~fsync ~mode ~dir ~lock digest)
+    | false, None -> Error (Printf.sprintf "%s: no store found" dir)
+    | false, Some db ->
+        Result.map (fun t -> (t, None)) (init_fresh ~fsync ~dir ~lock digest db)
+  in
+  match (Sys.file_exists (wal_path dir), db) with
+  | true, _ when fresh ->
+      Error (Printf.sprintf "%s: already holds a store" dir)
+  | false, None -> Error (Printf.sprintf "%s: no store found" dir)
+  | has_store, _ ->
+      Result.bind (if has_store then Ok () else ensure_dir dir) @@ fun () ->
+      Result.bind (acquire_lock dir) @@ fun lock ->
+      let opened = open_locked lock in
+      if Result.is_error opened then release_lock lock;
+      opened
 
 (* ------------------------------------------------------------------ *)
 (* Logging and snapshotting a live store                               *)
@@ -289,4 +364,5 @@ let close t =
   (match Wal.sync t.writer with
   | Ok () -> ()
   | Error e -> Log.warn (fun m -> m "close: %s" e));
-  Wal.close t.writer
+  Wal.close t.writer;
+  release_lock t.lock

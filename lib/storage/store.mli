@@ -6,7 +6,8 @@
     records (see {!Wal}); [<dir>/snapshot-<v>.snap] is a binary
     snapshot of version [v] (see {!Snapshot}).  [snapshot-000000000]
     is written when the directory is initialized, so {!Full} recovery
-    always has a floor.
+    always has a floor.  [<dir>/LOCK] is locked by the one handle that
+    has the directory open.
 
     {b Recovery.}  {!open_} on a populated directory loads the seed
     snapshot (per {!mode}), scans the WAL — keeping the longest valid
@@ -54,17 +55,28 @@ val open_ :
   ?digest:(Dc_relational.Database.t -> string) ->
   ?fsync:fsync ->
   ?mode:mode ->
+  ?fresh:bool ->
+  ?db:Dc_relational.Database.t ->
   dir:string ->
-  db:Dc_relational.Database.t ->
   unit ->
   (t * recovery option, string) result
 (** Open (or initialize) a data directory.  A directory without a WAL
-    is initialized fresh: [db] becomes version 0, its snapshot is
-    written, and the result carries [None].  A populated directory is
-    recovered as described above and the result carries [Some].
+    is initialized fresh when [db] is given: the directory is created
+    if missing, [db] becomes version 0, its snapshot is written, and
+    the result carries [None]; without [db] it is an [Error] and
+    nothing is created.  A populated directory is recovered as
+    described above and the result carries [Some]; with [~fresh:true]
+    it is an [Error] instead, and nothing in it is touched.
     [digest] (typically {!Dc_citation.Fixity.digest_db}) is stored in
     snapshots and checked on recovery.  [fsync] defaults to [Always],
-    [mode] to [Full]. *)
+    [mode] to [Full].
+
+    One handle at a time: before reading or writing the store, [open_]
+    takes an exclusive lock on [<dir>/LOCK], held until {!close}.  A
+    directory another process (or another handle in this process) has
+    open is an [Error] ("in use"), with nothing read or written.
+    Every successful open runs recovery, so even a caller that only
+    reads may repair the directory by truncating a torn WAL tail. *)
 
 val append_commit :
   t -> version:int -> at:int -> Dc_relational.Delta.t -> (unit, string) result
@@ -93,4 +105,5 @@ val sync : t -> (unit, string) result
 val dir : t -> string
 
 val close : t -> unit
-(** Final WAL sync + close.  The handle must not be used afterwards. *)
+(** Final WAL sync + close, and release the directory lock.  The
+    handle must not be used afterwards. *)

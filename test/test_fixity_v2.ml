@@ -130,24 +130,22 @@ let test_carried_after_recovery =
        (fun stream ->
          Test_storage.with_dir @@ fun dir ->
          let db = base_db () in
-         let digest = F.digest_db in
          let half = List.length stream / 2 in
          let first = List.filteri (fun i _ -> i < half) stream in
          let second = List.filteri (fun i _ -> i >= half) stream in
-         let st, _ = ok_exn "open" (Dc_storage.Store.open_ ~digest ~dir ~db ()) in
-         let ve = V.create db [] in
-         V.set_durability ve st;
+         let ve, st, _ =
+           ok_exn "open"
+             (V.open_durable ~db ~dir (fun db -> C.Engine.create db []))
+         in
          ignore (ok_exn "digest v0" (V.digest_at ve 0));
          let first_ok = run_stream_durable ve first in
          let before = all_versions_agree ve in
          Dc_storage.Store.close st;
-         let st, recovered =
-           ok_exn "reopen" (Dc_storage.Store.open_ ~digest ~dir ~db ())
+         let ve', st, _ =
+           ok_exn "reopen"
+             (V.open_durable ~dir (fun db -> C.Engine.create db []))
          in
          Fun.protect ~finally:(fun () -> Dc_storage.Store.close st) @@ fun () ->
-         let store = (Option.get recovered).Dc_storage.Store.store in
-         let ve' = V.of_engine ~store (C.Engine.create db []) in
-         V.set_durability ve' st;
          let same_versions = V.versions ve' = V.versions ve in
          let same_head =
            String.equal

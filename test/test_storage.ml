@@ -376,6 +376,29 @@ let test_store_lifecycle () =
        [ 0; 1; 2; 3 ]);
   Sg.Store.close st2
 
+(* A directory has one handle at a time: a second open is refused
+   without touching the log, and the directory opens again once the
+   first handle is closed.  (Other processes are kept out by [lockf];
+   see the CLI tests.) *)
+let test_store_open_once () =
+  with_dir @@ fun dir ->
+  let db = rs_db () in
+  let st, _ = ok "open" (Sg.Store.open_ ~digest ~dir ~db ()) in
+  ignore (build_store st (VS.create db) 1);
+  let wal = read_file (Filename.concat dir "wal.log") in
+  (match Sg.Store.open_ ~digest ~dir () with
+  | Ok _ -> Alcotest.fail "a second handle opened the directory"
+  | Error e ->
+      Alcotest.(check bool) (Printf.sprintf "%S names the dir" e) true
+        (contains e dir));
+  Alcotest.(check string) "log untouched" wal
+    (read_file (Filename.concat dir "wal.log"));
+  Sg.Store.close st;
+  let st, r = ok "reopen after close" (Sg.Store.open_ ~digest ~dir ()) in
+  Alcotest.(check int) "commit recovered" 1
+    (Option.get r).Sg.Store.replayed;
+  Sg.Store.close st
+
 (* A commit the WAL could not replay as itself is refused before a byte
    is written; anything acknowledged recovers exactly.  [refused] is the
    text the error must name the offending value by. *)
@@ -603,6 +626,7 @@ let suite =
     Alcotest.test_case "snapshot file corruption" `Quick
       test_snapshot_file_corruption;
     Alcotest.test_case "store lifecycle" `Quick test_store_lifecycle;
+    Alcotest.test_case "store open once" `Quick test_store_open_once;
     Alcotest.test_case "snapshot + fast recovery" `Quick
       test_snapshot_and_fast_recovery;
     Alcotest.test_case "torn tail truncated on reopen" `Quick

@@ -266,13 +266,12 @@ let test_failed_maintenance_logs_nothing () =
       ()
   in
   let db = paper_db () in
-  let digest = C.Fixity.digest_db in
-  let st, _ = ok_exn "open store" (Dc_storage.Store.open_ ~digest ~dir ~db ()) in
-  let ve =
-    V.create ~selection:`All ~policy:(policy ()) db
-      [ trap; Dc_gtopdb.Paper_views.v2; Dc_gtopdb.Paper_views.v3 ]
+  let ve, st, _ =
+    ok_exn "open store"
+      (V.open_durable ~db ~dir (fun db ->
+           E.create ~selection:`All ~policy:(policy ()) db
+             [ trap; Dc_gtopdb.Paper_views.v2; Dc_gtopdb.Paper_views.v3 ]))
   in
-  V.set_durability ve st;
   ok_exn "register" (V.register ve q);
   Alcotest.(check int) "first commit" 1
     (ok_exn "commit" (V.commit_delta ve (delta_orexin ())));
@@ -295,19 +294,17 @@ let test_failed_maintenance_logs_nothing () =
     (tuple_fingerprint before.V.result)
     (tuple_fingerprint after.V.result);
   Dc_storage.Store.close st;
-  let st, recovered =
-    ok_exn "reopen store" (Dc_storage.Store.open_ ~digest ~dir ~db ())
+  let ve', st, _ =
+    ok_exn "reopen store" (V.open_durable ~dir (fun db -> E.create db views))
   in
   Fun.protect ~finally:(fun () -> Dc_storage.Store.close st) @@ fun () ->
-  let recovered = (Option.get recovered).Dc_storage.Store.store in
+  let recovered = V.store ve' in
   Alcotest.(check int) "recovered head is the previous version" 1
     (R.Version_store.head recovered);
   Alcotest.(check bool) "recovered head database = published head" true
     (R.Database.equal
        (R.Version_store.head_db (V.store ve))
        (R.Version_store.head_db recovered));
-  let ve' = V.of_engine ~store:recovered (E.create db views) in
-  V.set_durability ve' st;
   Alcotest.(check int) "next commit takes the failed one's number" 2
     (ok_exn "commit after recovery" (V.commit_delta ve' (delta_galanin ())))
 
