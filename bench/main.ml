@@ -117,6 +117,7 @@ let () =
       ("E16", Experiments.e16);
       ("E19", Experiments.e19);
       ("E20", Experiments.e20);
+      ("E22", Experiments.e22);
     ]
   in
   let known a = List.mem_assoc (String.uppercase_ascii a) experiments in

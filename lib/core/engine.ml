@@ -38,6 +38,16 @@ type plan_cache = {
    what a query or citation query naming an IDB predicate runs over. *)
 type idb = { derived : R.Database.t; full : R.Database.t }
 
+(* An engine's IDB extents, computed on first demand.  [link] points at
+   the cell of an engine over an older database, with the changes (to
+   the program's input relations) that turn that database into this
+   one; it is cleared once [value] is computed, so a computed cell pins
+   no ancestor. *)
+type cell = {
+  value : idb Once.t;
+  link : (cell * R.Delta.t) option Atomic.t;
+}
+
 (* The identity of a set of caches, which each domain keeps separately
    (see [Caches] and [Leaves]).  Copies of an engine that may share a
    cache share its owner. *)
@@ -103,7 +113,7 @@ module Leaves =
 
 type t = {
   base : R.Database.t;  (** EDB relations only *)
-  idb : idb Once.t;
+  idb : cell;
       (** derived by {!Dc_cq.Seminaive} from [program] on first demand;
           [derived] is empty for program-free engines *)
   program : Cq.Program.t option;
@@ -140,32 +150,84 @@ let locked (c : caches) f =
 let merge_full base derived =
   List.fold_left R.Database.add_relation base (R.Database.relations derived)
 
-(* Materialize a program's IDB predicates into their own database; the
-   semi-naive run validates name collisions and stratification was
-   checked at [Program.make] time. *)
-let derive ?cache base (program : Cq.Program.t) =
-  let out = Cq.Seminaive.run ?cache base program.strat in
+(* A cell's link is cleared only after its value is published, so a
+   walker that finds a link gone finds the value set. *)
+let force_cell c =
+  let v = Once.force c.value in
+  if Option.is_some (Atomic.get c.link) then Atomic.set c.link None;
+  v
+
+(* The nearest computed cell up the chain from [link], never forcing
+   one, with the changes from its database to this cell's.  [deltas]
+   collects the links' changes oldest first, so they are joined once,
+   in O(their size). *)
+let rec nearest_derived link deltas =
+  match Atomic.get link with
+  | None -> None
+  | Some (c, d) -> (
+      let deltas = d :: deltas in
+      let found idb =
+        Some (idb, List.fold_left R.Delta.union R.Delta.empty deltas)
+      in
+      match Once.peek c.value with
+      | Some idb -> found idb
+      | None -> (
+          match nearest_derived c.link deltas with
+          | None -> Option.bind (Once.peek c.value) found
+          | further -> further))
+
+(* Materialize a program's IDB predicates into their own database,
+   continuing from [from] (an ancestor's extents and the changes since)
+   when given; the semi-naive run validates name collisions and
+   stratification was checked at [Program.make] time. *)
+let derive ?cache ?from base (program : Cq.Program.t) =
+  let out =
+    match from with
+    | None -> Cq.Seminaive.run ?cache base program.strat
+    | Some (anc, changes) ->
+        Cq.Seminaive.continue ?cache ~prior:anc.derived
+          ~changes:(R.Delta.net ~before:anc.full ~after:base changes)
+          base program.strat
+  in
   List.fold_left
     (fun d p -> R.Database.add_relation d (R.Database.relation_exn out p))
     R.Database.empty
     (Cq.Program.idb_preds program)
 
 (* The data of an engine over [base], not computed yet: the program's
-   IDB extents, derived on first demand with the forcing domain's
-   [caches] of the engine building the cell, under their lock, so every
-   refresh of one engine reuses one eval cache per domain for this
-   work. *)
-let idb_cell ~metrics ~caches ~program base =
+   IDB extents, derived on first demand — continued from the nearest
+   computed cell up [ancestor]'s chain, if any — with the forcing
+   domain's [caches] of the engine building the cell, under their lock,
+   so every refresh of one engine reuses one eval cache per domain for
+   this work. *)
+let idb_cell ?ancestor ~metrics ~caches ~program base =
   match program with
-  | None -> Once.of_value { derived = R.Database.empty; full = base }
+  | None ->
+      {
+        value = Once.of_value { derived = R.Database.empty; full = base };
+        link = Atomic.make None;
+      }
   | Some p ->
-      Once.make (fun () ->
-          Metrics.with_sink metrics (fun () ->
-              let c = Caches.get caches in
-              locked c (fun () ->
-                  Metrics.record_time "derive" (fun () ->
-                      let derived = derive ~cache:c.eval_cache base p in
-                      { derived; full = merge_full base derived }))))
+      let inputs =
+        Cq.Stratify.edb_preds p.Cq.Program.strat (Cq.Program.rules p)
+      in
+      let link =
+        Atomic.make
+          (Option.map (fun (c, d) -> (c, R.Delta.restrict d inputs)) ancestor)
+      in
+      let value =
+        Once.make (fun () ->
+            Metrics.with_sink metrics (fun () ->
+                let c = Caches.get caches in
+                let from = nearest_derived link [] in
+                let derived =
+                  locked c (fun () ->
+                      Metrics.record_time "derive" (fun () ->
+                          derive ~cache:c.eval_cache ?from base p))
+                in
+                { derived; full = merge_full base derived }))
+      in
+      { value; link }
 
 let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     ~program base cview_list =
@@ -177,7 +239,7 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
   let idb = idb_cell ~metrics ~caches ~program base in
   (* Validation needs the IDB schemas, so a program's first derivation
      runs here. *)
-  let full = (Once.force idb).full in
+  let full = (force_cell idb).full in
   List.iter
     (fun cv ->
       let n = Citation_view.name cv in
@@ -261,10 +323,10 @@ let metrics e = e.metrics
 let db_for e preds =
   match e.program with
   | Some p when List.exists (Cq.Program.is_idb p) preds ->
-      (Once.force e.idb).full
+      (force_cell e.idb).full
   | _ -> e.base
 
-let derived_database e = (Once.force e.idb).derived
+let derived_database e = (force_cell e.idb).derived
 
 (* Computed afresh on every call: no cite reads a view extent. *)
 let view_database e =
@@ -279,7 +341,7 @@ let view_database e =
     (Citation_view.Set.to_list e.cviews)
 
 let merged_database e =
-  merge_full (Once.force e.idb).full (view_database e)
+  merge_full (force_cell e.idb).full (view_database e)
 
 (* [refresh] changes only the data, never the view set or rule set, so
    the plan cache (rewritings depend on views alone) and the eval cache
@@ -287,11 +349,14 @@ let merged_database e =
    leaf cache — concrete citations computed from the data — must be
    dropped.  [refresh] computes nothing: its IDB cell derives when a
    cite first reads it. *)
-let refresh e base =
+let refresh ?ancestor e base =
   let idb =
-    idb_cell ~metrics:e.metrics ~caches:e.caches ~program:e.program base
+    idb_cell ?ancestor ~metrics:e.metrics ~caches:e.caches ~program:e.program
+      base
   in
   { e with base; idb; leaves = owner () }
+
+let cell e = e.idb
 
 type tuple_citation = {
   tuple : R.Tuple.t;

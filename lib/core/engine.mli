@@ -24,7 +24,10 @@
     of [`Min_estimated_size] / [`Min_exact_size]) or the citation
     queries of a leaf it resolves name an IDB predicate.  No cite
     materializes a view extent.  {!refresh} computes nothing; creation
-    derives a program's IDB extents once, to validate the views.
+    derives a program's IDB extents once, to validate the views.  A
+    refreshed engine's cell may link to an older engine's cell, and
+    then derives by continuing from the nearest computed one (see
+    {!refresh}).
     {!derived_database} forces the cell; {!view_database} and
     {!merged_database} compute the view extents afresh on each call.
     Results do not depend on whether the cell was forced, or by whom.
@@ -186,13 +189,34 @@ val merged_database : t -> Dc_relational.Database.t
     partial one, can be evaluated over directly.  For {!Explain} and
     test oracles. *)
 
-val refresh : t -> Dc_relational.Database.t -> t
-(** The same engine over an updated database, in O(1): it builds a
-    fresh IDB cell and computes nothing.  The IDB extents are re-derived
-    by the first cite that reads them (see the note above), with this
-    engine's per-domain cache lock and evaluation cache, so every
-    refresh of one engine — the per-version engines of a
-    {!Versioned_engine} — shares one cache per domain for that work.
+type cell
+(** An engine's IDB cell: its program's IDB extents, computed at most
+    once, on first demand. *)
+
+val cell : t -> cell
+
+val refresh :
+  ?ancestor:cell * Dc_relational.Delta.t -> t -> Dc_relational.Database.t -> t
+(** The same engine over an updated database, in O(1) plus the size of
+    [ancestor]'s changes: it builds a fresh IDB cell and computes
+    nothing.  The IDB extents are derived by the first cite that reads
+    them (see the note above), with this engine's per-domain cache lock
+    and evaluation cache, so every refresh of one engine — the
+    per-version engines of a {!Versioned_engine} — shares one cache per
+    domain for that work.
+
+    [ancestor] links the new cell to the cell of an engine over an
+    older database, with a delta whose changes, applied in order, turn
+    that engine's database into this one (only the changes to the
+    program's input relations are kept).  When the new cell is first
+    forced, it walks the links up to the nearest cell that is already
+    computed — peeking, never forcing one — and continues from its
+    extents with the net change between the two databases
+    ({!Dc_cq.Seminaive.continue}, reading both databases at the changed
+    tuples only).  With no computed cell up the chain it derives from
+    scratch ({!Dc_cq.Seminaive.run}).  Either way the result is the
+    same; a computed cell drops its link, so it pins no ancestor.
+
     No validation runs: the view set and program are the ones already
     checked.  The rewriting-plan
     cache is kept: plans depend only on the view set, which [refresh]

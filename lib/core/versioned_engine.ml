@@ -23,6 +23,13 @@ type t = {
   (* MRU-first assoc list of materialized per-version engines, trimmed
      to [capacity] (the head version is never evicted). *)
   mutable engines : (VS.version * Engine.t) list;
+  (* The IDB cell of every version materialized so far, newest version
+     first, held weakly: a new per-version engine's cell links to the
+     newest live one at or below its version, so it can continue that
+     cell's derivation (see [Engine.refresh]) after the LRU above has
+     dropped its engine.  An entry lives as long as something holds its
+     cell — an engine, or a link from an uncomputed cell. *)
+  mutable lineage : (VS.version * Engine.cell Weak.t) list;
   (* v1 digests of versions whose untagged stamps were verified: each
      costs a pass over the whole version, and versions are immutable,
      so they are cached forever.  v2 digests need no cache: the
@@ -57,6 +64,11 @@ type cited = {
 let locked t f = Mutex.protect t.mu f
 let committing t f = Mutex.protect t.commit_mu f
 
+let weak x =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some x);
+  w
+
 let of_engine ?(capacity = 4) ?store eng =
   if capacity < 1 then
     invalid_arg "Versioned_engine.of_engine: capacity must be >= 1";
@@ -70,12 +82,20 @@ let of_engine ?(capacity = 4) ?store eng =
            materialize versions from the template on demand. *)
         (s, [])
   in
+  (* The engine's cell is computed (creation validates the views over
+     it), so it seeds the lineage when its database is a version's. *)
+  let lineage =
+    if Engine.database eng == VS.head_db store then
+      [ (VS.head store, weak (Engine.cell eng)) ]
+    else []
+  in
   {
     template = Engine.replicate eng;
     metrics = Engine.metrics eng;
     capacity;
     store;
     engines;
+    lineage;
     v1_digests = Hashtbl.create 8;
     regs = [];
     mu = Mutex.create ();
@@ -137,6 +157,21 @@ let checkout t v =
   | None -> Error (Printf.sprintf "version %d not in store" v)
   | Some db -> Ok db
 
+(* The newest live cell at or below [v], with its version; dead entries
+   are dropped on the way.  Called under [mu]. *)
+let ancestor_unlocked t v =
+  t.lineage <- List.filter (fun (_, w) -> Weak.check w 0) t.lineage;
+  List.find_map
+    (fun (u, w) ->
+      if u <= v then Option.map (fun c -> (u, c)) (Weak.get w 0) else None)
+    t.lineage
+
+let add_lineage_unlocked t v cell =
+  let newer, older =
+    List.partition (fun (u, _) -> u > v) (List.remove_assoc v t.lineage)
+  in
+  t.lineage <- newer @ ((v, weak cell) :: older)
+
 let engine_at t v =
   let cached =
     locked t (fun () ->
@@ -161,10 +196,20 @@ let engine_at t v =
              outside [mu] all the same.  A concurrent miss on the same
              version may build twice: the race loser's engine is
              dropped, its cell most likely never forced. *)
+          let ancestor =
+            match Engine.program t.template with
+            | None -> None (* nothing to derive *)
+            | Some _ ->
+                let store, ancestor =
+                  locked t (fun () -> (t.store, ancestor_unlocked t v))
+                in
+                Option.bind ancestor (fun (u, cell) ->
+                    Option.map (fun d -> (cell, d)) (VS.delta_between store u v))
+          in
           let eng =
             Metrics.with_sink t.metrics (fun () ->
                 Metrics.record_time "version_materialize" (fun () ->
-                    Engine.replicate (Engine.refresh t.template db)))
+                    Engine.replicate (Engine.refresh ?ancestor t.template db)))
           in
           Log.debug (fun m -> m "materialized engine for version %d" v);
           locked t (fun () ->
@@ -172,6 +217,7 @@ let engine_at t v =
               | Some raced -> raced
               | None ->
                   t.engines <- (v, eng) :: t.engines;
+                  add_lineage_unlocked t v (Engine.cell eng);
                   trim_unlocked t;
                   eng))
         (checkout t v)
@@ -237,7 +283,9 @@ let cite t q = cite_at t (head t) q
    would serve stale answers forever.  Silent staleness being the
    failure mode, such registrations are refused loudly here; recursive
    predicates would additionally need fixpoint re-iteration per delta.
-   Clients re-cite after commit instead ([cite_at] re-derives). *)
+   Clients re-cite after commit instead: [cite_at] derives the new
+   version's IDB by continuing its nearest derived ancestor's from the
+   commit deltas between them. *)
 let guard_derived eng q reg =
   match Engine.derived_predicates eng with
   | [] -> Ok ()
@@ -348,7 +396,7 @@ let commit_delta t delta =
       Error "delta touches a relation absent from the database"
   | exception Invalid_argument e -> Error e
   | new_db -> (
-      let store', v = VS.commit t.store new_db in
+      let store', v = VS.commit ~delta t.store new_db in
       (* Registrations advance through the SAME database value the
          store commits ([apply_head] computed it once): head and
          derived state cannot diverge. *)

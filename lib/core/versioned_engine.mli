@@ -25,9 +25,21 @@
     one is O(1) in the data: it is an {!Engine.refresh} of the template,
     so the version's IDB derivation is computed by the first cite that
     reads it (a landing-page cite of a plain view never runs the Datalog
-    program), and no cite builds a view extent.  An evicted version pays
-    the derivation again on its next cite.  The head
-    version's engine is never evicted.  All per-version
+    program), and no cite builds a view extent.  The head version's
+    engine is never evicted.
+
+    {b Derivation lineage.}  A version's IDB costs its delta, not its
+    size.  Besides the LRU, the engine keeps a weak record of the IDB
+    cell of every version it materialized.  A newly built per-version
+    engine links its cell to the newest live one at or below its
+    version, with the commit deltas between the two
+    ({!Dc_relational.Version_store.delta_between}).  Its derivation then
+    continues from the nearest derived cell up that chain
+    ({!Engine.refresh}, {!Dc_cq.Seminaive.continue}), even when the LRU
+    has long dropped that cell's engine.  The template's cell, derived
+    at creation, always lives, so only the start-up derivation (and a
+    version below every live cell, such as one older than the head a
+    durable store was recovered at) runs from scratch.  All per-version
     engines share one metrics registry (this engine's), so cache
     counters aggregate across versions.
 
@@ -86,9 +98,10 @@ val create_program :
   Dc_cq.Program.t ->
   t
 (** {!create} over a Datalog program (see {!Engine.of_program}): the
-    EDB database becomes version 0; every per-version engine re-derives
+    EDB database becomes version 0; every per-version engine derives
     the program's IDB extents for its version's EDB state, when one of
-    its cites first needs them.  Deltas and
+    its cites first needs them, by continuing a derived ancestor's (see
+    "Derivation lineage" above).  Deltas and
     the version store remain EDB-only — committing a delta that names
     an IDB predicate fails like any unknown relation. *)
 
@@ -183,7 +196,7 @@ val register : t -> Dc_cq.Query.t -> (unit, string) result
     so such a registration could not be maintained and would go stale
     silently; recursive predicates would additionally need per-delta
     fixpoint re-iteration.  Cite after each commit instead (per-version
-    engines re-derive IDB extents). *)
+    engines derive IDB extents, continuing an ancestor's). *)
 
 val commit_delta : t -> Dc_relational.Delta.t -> (Dc_relational.Version_store.version, string) result
 (** Apply a delta to the head and commit the result as the new head,

@@ -1,5 +1,6 @@
 module R = Dc_relational
 module Sset = Set.Make (String)
+module Smap = Map.Make (String)
 module Metrics = Dc_parallel.Metrics
 
 let delta_suffix = "__delta"
@@ -117,18 +118,40 @@ let variant_bodies preds r =
   in
   go [] [] (Rule.body r)
 
+(* Every rule's variants over [preds], with their heads. *)
+let variants preds rules =
+  List.concat_map
+    (fun r ->
+      List.map (fun body -> (Rule.head r, body)) (variant_bodies preds r))
+    rules
+
 let fresh_tuples full derived =
   List.filter (fun t -> not (R.Relation.mem full t)) derived
 
-(* One recursive stratum: semi-naive iteration to fixpoint. *)
-let eval_recursive cache wdb rules =
-  Metrics.(record Key.datalog_fixpoints);
+(* [rel] under its delta name, holding [tuples]. *)
+let delta_relation rel tuples =
+  let schema = R.Relation.schema rel in
+  R.Relation.of_list
+    (R.Schema.make (delta_name (R.Schema.name schema))
+       (R.Schema.attributes schema))
+    tuples
+
+(* The one fixpoint loop.  [init] holds the stratum's starting extents
+   (empty, or a prior fixpoint being continued), [seeds] the bodies of
+   the seed round (the rules themselves, or a continued stratum's
+   variants over its changed lower relations) and [seed_deltas] the
+   delta relations they read.
+   Each later round evaluates the variants over the stratum's own
+   deltas.  Returns the final working database, the stratum's extents
+   and, per predicate, every tuple the loop added to [init]. *)
+let eval_stratum cache ~recursive ~init ~seeds ~seed_deltas wdb rules =
+  if recursive then Metrics.(record Key.datalog_fixpoints);
   let preds = stratum_preds rules in
-  let pred_set = Sset.of_list preds in
-  let full = Hashtbl.create 4 in
+  let full = Hashtbl.create 4 and added = Hashtbl.create 4 in
   List.iter
     (fun p ->
-      Hashtbl.replace full p (R.Relation.empty (idb_schema p (rules_for p rules))))
+      Hashtbl.replace full p (init p);
+      Hashtbl.replace added p [])
     preds;
   let install wdb =
     (* full extents under real names, last deltas under delta names *)
@@ -140,28 +163,22 @@ let eval_recursive cache wdb rules =
     List.fold_left
       (fun wdb p ->
         let tuples = try Hashtbl.find deltas p with Not_found -> [] in
-        let rel =
-          R.Relation.of_list
-            (idb_schema (delta_name p) (rules_for p rules))
-            tuples
-        in
-        R.Database.add_relation wdb rel)
+        R.Database.add_relation wdb
+          (delta_relation (Hashtbl.find full p) tuples))
       wdb preds
   in
-  (* Initial round: original rules against empty same-stratum extents —
-     only bodies not touching the stratum derive anything. *)
-  let wdb0 = install wdb in
-  let first = Hashtbl.create 4 in
-  List.iter
-    (fun r ->
-      let derived =
-        eval_body cache wdb0 ~head:(Rule.head r) (Rule.body r)
-      in
-      let p = Rule.head_pred r in
-      let fresh = fresh_tuples (Hashtbl.find full p) derived in
-      Hashtbl.replace first p
-        (List.rev_append fresh (try Hashtbl.find first p with Not_found -> [])))
-    rules;
+  let round wdb bodies =
+    let next = Hashtbl.create 4 in
+    List.iter
+      (fun (head, body) ->
+        let derived = eval_body cache wdb ~head body in
+        let p = Atom.pred head in
+        let fresh = fresh_tuples (Hashtbl.find full p) derived in
+        Hashtbl.replace next p
+          (List.rev_append fresh (try Hashtbl.find next p with Not_found -> [])))
+      bodies;
+    next
+  in
   let merge deltas =
     let any = ref false in
     List.iter
@@ -177,62 +194,54 @@ let eval_recursive cache wdb rules =
               any := true;
               Hashtbl.replace full p
                 (R.Relation.insert_list (Hashtbl.find full p) dedup);
-              Hashtbl.replace deltas p dedup
-            end
-            else Hashtbl.replace deltas p [])
+              Hashtbl.replace added p
+                (List.rev_append dedup (Hashtbl.find added p))
+            end;
+            Hashtbl.replace deltas p dedup)
       preds;
     !any
   in
-  let variants =
-    List.concat_map
-      (fun r ->
-        List.map (fun body -> (Rule.head r, body)) (variant_bodies pred_set r))
-      rules
-  in
+  let variants = variants (Sset.of_list preds) rules in
   let rec iterate wdb deltas =
     if not (merge deltas) then install wdb
     else begin
-      Metrics.(record Key.datalog_iterations);
+      if recursive then Metrics.(record Key.datalog_iterations);
       let wdb = install_deltas (install wdb) deltas in
-      let next = Hashtbl.create 4 in
-      List.iter
-        (fun (head, body) ->
-          let derived = eval_body cache wdb ~head body in
-          let p = Atom.pred head in
-          let fresh = fresh_tuples (Hashtbl.find full p) derived in
-          Hashtbl.replace next p
-            (List.rev_append fresh
-               (try Hashtbl.find next p with Not_found -> [])))
-        variants;
-      iterate wdb next
+      iterate wdb (round wdb variants)
     end
   in
+  let wdb0 = install wdb in
+  let first =
+    round
+      (List.fold_left
+         (fun wdb rel -> R.Database.add_relation wdb rel)
+         wdb0 seed_deltas)
+      seeds
+  in
   let wdb = iterate wdb0 first in
-  (wdb, List.map (fun p -> (p, Hashtbl.find full p)) preds)
+  ( wdb,
+    List.map (fun p -> (p, Hashtbl.find full p)) preds,
+    List.map (fun p -> (p, Hashtbl.find added p)) preds )
 
-(* One non-recursive stratum (a single predicate that never reads
-   itself): each rule evaluates exactly once. *)
-let eval_nonrecursive cache wdb rules =
-  let preds = stratum_preds rules in
-  let results =
-    List.map
-      (fun p ->
-        let rel =
-          List.fold_left
-            (fun rel r ->
-              R.Relation.insert_list rel
-                (eval_body cache wdb ~head:(Rule.head r) (Rule.body r)))
-            (R.Relation.empty (idb_schema p (rules_for p rules)))
-            (rules_for p rules)
-        in
-        (p, rel))
-      preds
-  in
-  let wdb =
-    List.fold_left (fun wdb (_, rel) -> R.Database.add_relation wdb rel) wdb
-      results
-  in
-  (wdb, results)
+(* How a relation read by a stratum changed since the prior derivation:
+   insertions only, or anything else (a deletion, or a stratum
+   re-derived from empty extents). *)
+type change = Inserted of R.Tuple.t list | Replaced
+
+(* The body literals of a stratum's rules over relations below it, with
+   their polarity. *)
+let lower_reads rules =
+  let own = Sset.of_list (stratum_preds rules) in
+  List.concat_map
+    (fun r ->
+      List.filter_map
+        (function
+          | Rule.Pos a when not (Sset.mem (Atom.pred a) own) ->
+              Some (Atom.pred a, true)
+          | Rule.Neg a -> Some (Atom.pred a, false)
+          | Rule.Pos _ -> None)
+        (Rule.body r))
+    rules
 
 let check_names db (s : Stratify.t) =
   List.iter
@@ -244,15 +253,22 @@ let check_names db (s : Stratify.t) =
               relation"
              p))
     s.idb;
+  (* Recursive predicates iterate over their delta extents, and a
+     continued stratum reads the changes of the relations below it
+     through theirs. *)
+  let read =
+    List.concat_map
+      (fun rules -> List.map fst (List.filter snd (lower_reads rules)))
+      s.strata
+  in
   List.iter
     (fun p ->
       if R.Database.mem_relation db (delta_name p) then
         invalid_arg
           (Printf.sprintf
-             "Seminaive.run: relation %s shadows the delta extent of \
-              recursive predicate %s"
+             "Seminaive.run: relation %s shadows the delta extent of %s"
              (delta_name p) p))
-    s.recursive
+    (List.sort_uniq String.compare (s.recursive @ read))
 
 let resolve_cache = function Some c -> c | None -> Eval.make_cache ()
 
@@ -275,12 +291,100 @@ let run_strata ~stratum db (s : Stratify.t) =
     s.strata;
   !result
 
+(* Every stratum is derived, continued from [prior] or reused from it,
+   by what changed among the relations it reads: [changes] starts as the
+   EDB's net change and gains each stratum's own as it is evaluated. *)
+let derive cache ~prior ~changes db s =
+  let changes = ref changes in
+  let empty rules p = R.Relation.empty (idb_schema p (rules_for p rules)) in
+  let from_empty ~recursive wdb rules =
+    let seeds = List.map (fun r -> (Rule.head r, Rule.body r)) rules in
+    let wdb, results, _ =
+      eval_stratum cache ~recursive ~init:(empty rules) ~seeds ~seed_deltas:[]
+        wdb rules
+    in
+    List.iter
+      (fun (p, _) -> changes := Smap.add p Replaced !changes)
+      results;
+    (wdb, results)
+  in
+  run_strata db s ~stratum:(fun ~recursive wdb rules ->
+      let preds = stratum_preds rules in
+      let prior_extents =
+        Option.bind prior (fun prior ->
+            let exts = List.map (R.Database.relation prior) preds in
+            if List.mem None exts then None
+            else Some (List.combine preds (List.map Option.get exts)))
+      in
+      let changed =
+        List.filter_map
+          (fun (p, positive) ->
+            Option.map (fun c -> (p, positive, c)) (Smap.find_opt p !changes))
+          (lower_reads rules)
+      in
+      let continues (_, positive, c) =
+        positive && match c with Inserted _ -> true | Replaced -> false
+      in
+      match prior_extents with
+      | None -> from_empty ~recursive wdb rules
+      | Some exts when changed = [] ->
+          ( List.fold_left
+              (fun wdb (_, rel) -> R.Database.add_relation wdb rel)
+              wdb exts,
+            exts )
+      | Some exts when List.for_all continues changed ->
+          let inserted =
+            List.sort_uniq
+              (fun (a, _) (b, _) -> String.compare a b)
+              (List.filter_map
+                 (function
+                   | p, _, Inserted tuples -> Some (p, tuples)
+                   | _, _, Replaced -> None)
+                 changed)
+          in
+          let seed_deltas =
+            List.map
+              (fun (p, tuples) ->
+                delta_relation (R.Database.relation_exn wdb p) tuples)
+              inserted
+          in
+          let wdb, results, added =
+            eval_stratum cache ~recursive ~init:(fun p -> List.assoc p exts)
+              ~seeds:(variants (Sset.of_list (List.map fst inserted)) rules)
+              ~seed_deltas wdb rules
+          in
+          List.iter
+            (fun (p, tuples) ->
+              if tuples <> [] then
+                changes := Smap.add p (Inserted tuples) !changes)
+            added;
+          (wdb, results)
+      | Some _ ->
+          Metrics.(record Key.datalog_rederived_strata);
+          from_empty ~recursive wdb rules)
+
 let run ?cache db s =
   let cache = resolve_cache cache in
   Metrics.record_time "datalog_fixpoint" (fun () ->
-      run_strata db s ~stratum:(fun ~recursive wdb rules ->
-          if recursive then eval_recursive cache wdb rules
-          else eval_nonrecursive cache wdb rules))
+      Metrics.(record Key.datalog_scratch_derivations);
+      derive cache ~prior:None ~changes:Smap.empty db s)
+
+let continue ?cache ~prior ~changes db s =
+  let cache = resolve_cache cache in
+  let changes =
+    List.fold_left
+      (fun acc (rel, cs) ->
+        if List.exists (function R.Delta.Delete _ -> true | _ -> false) cs then
+          Smap.add rel Replaced acc
+        else
+          match R.Delta.inserted changes rel with
+          | [] -> acc
+          | tuples -> Smap.add rel (Inserted tuples) acc)
+      Smap.empty (R.Delta.changes changes)
+  in
+  Metrics.record_time "datalog_fixpoint" (fun () ->
+      Metrics.(record Key.datalog_continued_derivations);
+      derive cache ~prior:(Some prior) ~changes db s)
 
 module Naive = struct
   (* Reference: every round evaluates every rule of the stratum against

@@ -19,14 +19,35 @@
     Evaluation never mutates the input database: the result is the
     input plus one relation per IDB predicate.
 
-    Each {!run} times under {!Dc_parallel.Metrics}' [datalog_fixpoint]
-    timer, and counts every recursive stratum's fixpoint
-    ([datalog_fixpoints]) and delta round ([datalog_iterations]). *)
+    {b One loop, two starts.}  Every stratum, recursive or not, runs
+    the same loop: a {e seed round}, then delta rounds until nothing
+    new is derived.  {!run} starts each stratum from empty extents, with
+    the rules themselves as the seed round.  {!continue} starts from a
+    prior fixpoint: a stratum whose inputs did not change keeps its
+    prior extents; one whose inputs only gained tuples, all read
+    positively, starts from its prior extents, and its seed round
+    evaluates, for every rule and every positive occurrence of a
+    changed lower relation [L], the variant with that occurrence
+    redirected to [L ^ delta_suffix], which holds [L]'s new tuples; any
+    other stratum (an input lost tuples, or a changed input is read
+    under negation) is re-derived from empty extents over the already
+    updated strata below it.  The tuples a continued stratum's loop
+    adds are its change for the strata above; a re-derived stratum
+    counts as changed in every way.
+
+    Each {!run} or {!continue} times under {!Dc_parallel.Metrics}'
+    [datalog_fixpoint] timer, counts itself ([datalog_scratch_derivations]
+    or [datalog_continued_derivations]), every recursive stratum's
+    fixpoint ([datalog_fixpoints]) and delta round
+    ([datalog_iterations]), and every stratum a continuation re-derives
+    ([datalog_rederived_strata]). *)
 
 val delta_suffix : string
-(** Reserved relation-name suffix ("__delta") used for per-round delta
-    extents; {!run} rejects input databases that already contain a
-    relation named [p ^ delta_suffix] for a recursive predicate [p]. *)
+(** Reserved relation-name suffix ("__delta") used for delta extents;
+    {!run} and {!continue} reject input databases that already contain
+    a relation named [p ^ delta_suffix] for a recursive predicate [p],
+    or for a relation [p] that some rule reads positively from below
+    its own stratum. *)
 
 val run : ?cache:Eval.cache -> Dc_relational.Database.t -> Stratify.t ->
   Dc_relational.Database.t
@@ -34,6 +55,24 @@ val run : ?cache:Eval.cache -> Dc_relational.Database.t -> Stratify.t ->
     existing relation, or a delta name is taken.
     Raises {!Eval.Unknown_relation} never: body predicates absent from
     the database are treated as empty. *)
+
+val continue :
+  ?cache:Eval.cache ->
+  prior:Dc_relational.Database.t ->
+  changes:Dc_relational.Delta.t ->
+  Dc_relational.Database.t ->
+  Stratify.t ->
+  Dc_relational.Database.t
+(** [continue ~prior ~changes db s] is [run db s], computed from a
+    prior derivation: [prior] holds the IDB extents [run db0 s] gave
+    for some database [db0], and [changes] the net change from [db0] to
+    [db] — every tuple whose membership differs, as an [Insert] when
+    [db] has it and a [Delete] when [db0] had it (see
+    {!Dc_relational.Delta.net}).  A change that is not net costs only
+    work: a listed insertion [db0] already had adds nothing, and a
+    listed deletion re-derives the strata that read it.  A stratum
+    whose predicate [prior] lacks is derived from empty extents.
+    Raises like {!run}. *)
 
 module Naive : sig
   val run : ?cache:Eval.cache -> Dc_relational.Database.t -> Stratify.t ->

@@ -31,6 +31,9 @@ module Key = struct
   let recovery_replayed_deltas = "recovery_replayed_deltas"
   let datalog_fixpoints = "datalog_fixpoints"
   let datalog_iterations = "datalog_iterations"
+  let datalog_scratch_derivations = "datalog_scratch_derivations"
+  let datalog_continued_derivations = "datalog_continued_derivations"
+  let datalog_rederived_strata = "datalog_rederived_strata"
 
   let all =
     [
@@ -66,6 +69,9 @@ module Key = struct
       recovery_replayed_deltas;
       datalog_fixpoints;
       datalog_iterations;
+      datalog_scratch_derivations;
+      datalog_continued_derivations;
+      datalog_rederived_strata;
     ]
 end
 

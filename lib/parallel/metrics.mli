@@ -160,6 +160,21 @@ module Key : sig
       [datalog_iterations / datalog_fixpoints] is the mean rounds to
       converge. *)
 
+  val datalog_scratch_derivations : string
+  (** Program derivations {!Dc_cq.Seminaive} ran from empty extents
+      ([Seminaive.run]). *)
+
+  val datalog_continued_derivations : string
+  (** Program derivations continued from a prior fixpoint and the net
+      change of the database since it ([Seminaive.continue]): a
+      refreshed engine's IDB, derived from its nearest derived
+      ancestor's. *)
+
+  val datalog_rederived_strata : string
+  (** Strata of continued derivations re-derived from empty extents,
+      because a relation they read lost tuples, or changed under
+      negation. *)
+
   val all : string list
   (** Every key above, in canonical display order. *)
 end

@@ -3,24 +3,26 @@ module Smap = Map.Make (String)
 type change = Insert of Tuple.t | Delete of Tuple.t
 
 type t = change list Smap.t
-(* Change lists are kept in application order. *)
+(* Change lists are kept newest first, so a push is O(1); every reader
+   reverses them back into application order. *)
 
 let empty = Smap.empty
 let is_empty d = Smap.for_all (fun _ cs -> cs = []) d
 
 let push d rel c =
-  let existing = Option.value ~default:[] (Smap.find_opt rel d) in
-  Smap.add rel (existing @ [ c ]) d
+  Smap.update rel
+    (fun cs -> Some (c :: Option.value ~default:[] cs))
+    d
 
 let insert d rel tuple = push d rel (Insert tuple)
 let delete d rel tuple = push d rel (Delete tuple)
-let changes d = Smap.bindings d
+let changes d = Smap.bindings (Smap.map List.rev d)
 let relations_touched d = List.map fst (Smap.bindings d)
 
 let select f d rel =
   match Smap.find_opt rel d with
   | None -> []
-  | Some cs -> List.filter_map f cs
+  | Some cs -> List.rev (List.filter_map f cs)
 
 let inserted = select (function Insert t -> Some t | Delete _ -> None)
 let deleted = select (function Delete t -> Some t | Insert _ -> None)
@@ -34,7 +36,7 @@ let apply db d =
           match c with
           | Insert t -> Database.insert db rel t
           | Delete t -> Database.delete db rel t)
-        db cs)
+        db (List.rev cs))
     d db
 
 let between old_db new_db =
@@ -57,7 +59,31 @@ let between old_db new_db =
     empty names
 
 let union a b =
-  Smap.union (fun _ ca cb -> Some (ca @ cb)) a b
+  Smap.union (fun _ ca cb -> Some (cb @ ca)) a b
+
+let restrict d rels = Smap.filter (fun rel _ -> List.mem rel rels) d
+
+let net ~before ~after d =
+  let mem db rel t =
+    match Database.relation db rel with
+    | Some r -> Relation.mem r t
+    | None -> false
+  in
+  Smap.fold
+    (fun rel cs acc ->
+      let touched =
+        List.fold_left
+          (fun s (Insert t | Delete t) -> Tuple.Set.add t s)
+          Tuple.Set.empty cs
+      in
+      Tuple.Set.fold
+        (fun t acc ->
+          match (mem before rel t, mem after rel t) with
+          | false, true -> insert acc rel t
+          | true, false -> delete acc rel t
+          | _ -> acc)
+        touched acc)
+    d empty
 
 let pp_change ppf = function
   | Insert t -> Format.fprintf ppf "+%a" Tuple.pp t

@@ -27,10 +27,12 @@ val restore : ?clock:(unit -> int) -> version:version -> at:int -> Database.t ->
 val head : t -> version
 val head_db : t -> Database.t
 
-val commit : t -> Database.t -> t * version
-(** Records a new version whose contents are the given database. *)
+val commit : ?delta:Delta.t -> t -> Database.t -> t * version
+(** Records a new version whose contents are the given database.
+    [delta], when given, must be the delta that turns the head into
+    that database: the version keeps it for {!delta_between}. *)
 
-val commit_at : t -> at:int -> Database.t -> t * version
+val commit_at : ?delta:Delta.t -> t -> at:int -> Database.t -> t * version
 (** {!commit} with an explicit timestamp, bypassing the clock — WAL
     replay uses this to reproduce original commit times. *)
 
@@ -45,7 +47,7 @@ val apply_head : t -> Delta.t -> Database.t
 
 val commit_delta : t -> Delta.t -> t * version
 (** Applies a delta to the head (through {!apply_head}) and commits the
-    result. *)
+    result, keeping the delta. *)
 
 val checkout : t -> version -> Database.t option
 
@@ -61,6 +63,10 @@ val version_at : t -> int -> version option
     [time]. *)
 
 val delta_between : t -> version -> version -> Delta.t option
-(** [delta_between store v1 v2] is the delta turning [v1] into [v2]. *)
+(** [delta_between store v1 v2] is a delta turning [v1] into [v2]:
+    for [v1 <= v2] whose versions [v1 + 1] to [v2] all kept their commit
+    deltas, those deltas in commit order, in O(their size) with no
+    relation read; otherwise {!Delta.between} of the two databases.
+    [None] when either version is not in the store. *)
 
 val pp : Format.formatter -> t -> unit

@@ -212,7 +212,7 @@ let replay ~seed records =
                   stop :=
                     Some (Printf.sprintf "WAL replay: version %d: %s" version e)
               | db ->
-                  let store', v = VS.commit_at !store ~at db in
+                  let store', v = VS.commit_at ~delta !store ~at db in
                   assert (v = version);
                   store := store';
                   incr replayed))

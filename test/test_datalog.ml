@@ -199,6 +199,161 @@ let prop_seminaive_matches_naive =
       List.for_all (fun rules -> agree (strat_exn rules) db) program_templates)
 
 (* ------------------------------------------------------------------ *)
+(* Continued derivation: every version's IDB, however the per-version
+   engine came to derive it, equals a from-scratch [Seminaive.run] and
+   the naive fixpoint on that version's database. *)
+
+let binary_schema name =
+  R.Schema.make name
+    [ R.Schema.attr ~ty:R.Value.TInt "A"; R.Schema.attr ~ty:R.Value.TInt "B" ]
+
+let ef_db st =
+  let edges () =
+    List.init (Random.State.int st 8) (fun _ ->
+        int_tuple [ Random.State.int st 5; Random.State.int st 5 ])
+  in
+  List.fold_left
+    (fun db name ->
+      R.Database.insert_list
+        (R.Database.create_relation db (binary_schema name))
+        name (edges ()))
+    R.Database.empty [ "E"; "F" ]
+
+(* Three to five safe rules over EDB relations E and F and IDB
+   predicates P, Q and S, with recursion and negation; drawn again until
+   they stratify. *)
+let rec random_program st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let vars = [| "X"; "Y"; "Z" |] in
+  let preds = [| "E"; "F"; "P"; "Q"; "S" |] in
+  let random_rule () =
+    let pos =
+      List.init
+        (1 + Random.State.int st 2)
+        (fun _ -> (pick preds, pick vars, pick vars))
+    in
+    let bound =
+      Array.of_list
+        (List.sort_uniq compare
+           (List.concat_map (fun (_, a, b) -> [ a; b ]) pos))
+    in
+    let atom (p, a, b) = Printf.sprintf "%s(%s,%s)" p a b in
+    let neg =
+      if Random.State.int st 3 = 0 then
+        [ "not " ^ atom (pick preds, pick bound, pick bound) ]
+      else []
+    in
+    Printf.sprintf "%s(%s,%s) :- %s"
+      (pick [| "P"; "Q"; "S" |])
+      (pick bound) (pick bound)
+      (String.concat ", " (List.map atom pos @ neg))
+  in
+  let rules = List.init (3 + Random.State.int st 3) (fun _ -> random_rule ()) in
+  match Cq.Program.make (List.map rule rules) with
+  | Ok p -> p
+  | Error _ -> random_program st
+
+(* A commit: one to three inserts or deletes on E or F; a delete picks
+   an existing tuple or, one time in four, one that may be absent. *)
+let random_delta st db =
+  List.fold_left
+    (fun d _ ->
+      let rel = if Random.State.bool st then "E" else "F" in
+      let fresh () =
+        int_tuple [ Random.State.int st 5; Random.State.int st 5 ]
+      in
+      match Random.State.int st 4 with
+      | 0 | 1 -> R.Delta.insert d rel (fresh ())
+      | 2 -> (
+          match R.Relation.tuples (R.Database.relation_exn db rel) with
+          | [] -> R.Delta.insert d rel (fresh ())
+          | ts ->
+              R.Delta.delete d rel
+                (List.nth ts (Random.State.int st (List.length ts))))
+      | _ -> R.Delta.delete d rel (fresh ()))
+    R.Delta.empty
+    (List.init (1 + Random.State.int st 3) Fun.id)
+
+let idb_equal (p : Cq.Program.t) a b =
+  List.for_all
+    (fun name ->
+      match (R.Database.relation a name, R.Database.relation b name) with
+      | Some x, Some y -> R.Relation.equal x y
+      | None, None -> true
+      | _ -> false)
+    (Cq.Program.idb_preds p)
+
+let prop_continued_matches_scratch =
+  qtest "continued derivations = from scratch = naive, every version"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let program = random_program st in
+      let strat = program.Cq.Program.strat in
+      let ve =
+        C.Versioned_engine.create_program
+          ~capacity:(1 + Random.State.int st 4)
+          (ef_db st) program
+      in
+      let store () = C.Versioned_engine.store ve in
+      let check v =
+        let db = R.Version_store.checkout_exn (store ()) v in
+        let got =
+          C.Engine.derived_database
+            (Result.get_ok (C.Versioned_engine.engine_at ve v))
+        in
+        if not (idb_equal program got (Cq.Seminaive.run db strat)) then
+          QCheck.Test.fail_reportf "v%d differs from Seminaive.run:@.%s" v
+            (Cq.Program.to_string program);
+        if not (idb_equal program got (Cq.Seminaive.Naive.run db strat)) then
+          QCheck.Test.fail_reportf "v%d differs from Naive.run:@.%s" v
+            (Cq.Program.to_string program)
+      in
+      for _ = 1 to 12 do
+        let head = R.Version_store.head (store ()) in
+        (* commits, and cites forward, backward and skipping versions *)
+        if Random.State.int st 5 < 2 then
+          ignore
+            (Result.get_ok
+               (C.Versioned_engine.commit_delta ve
+                  (random_delta st (R.Version_store.head_db (store ())))))
+        else check (Random.State.int st (head + 1))
+      done;
+      List.iter check (R.Version_store.versions (store ()));
+      true)
+
+(* The continuation entry point on its own: from the IDB of one
+   database to the IDB of the next, given the net change. *)
+let prop_continue_matches_run =
+  qtest "Seminaive.continue = Seminaive.run"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let strat = (random_program st).Cq.Program.strat in
+      let db0 = ef_db st in
+      let db1 = R.Delta.apply db0 (random_delta st db0) in
+      let prior = Cq.Seminaive.run db0 strat in
+      let changes = R.Delta.between db0 db1 in
+      let got = Cq.Seminaive.continue ~prior ~changes db1 strat in
+      let want = Cq.Seminaive.run db1 strat in
+      List.for_all
+        (fun p ->
+          R.Relation.equal
+            (R.Database.relation_exn got p)
+            (R.Database.relation_exn want p))
+        strat.Cq.Stratify.idb)
+
+let test_delta_name_of_lower_relation_reserved () =
+  let db =
+    R.Database.create_relation (edge_db [ (1, 2) ]) (binary_schema "E__delta")
+  in
+  match Cq.Seminaive.run db (strat_exn [ "P(X,Y) :- E(X,Y)" ]) with
+  | _ -> Alcotest.fail "a relation named like E's delta extent was accepted"
+  | exception Invalid_argument e ->
+      Alcotest.(check bool) "names the relation" true
+        (contains ~affix:"E__delta" e)
+
+(* ------------------------------------------------------------------ *)
 (* RDFS closure: the Datalog reasoner against a direct port of the old
    hand-written one *)
 
@@ -582,6 +737,10 @@ let suite =
     Alcotest.test_case "missing EDB treated as empty" `Quick
       test_seminaive_missing_edb_is_empty;
     prop_seminaive_matches_naive;
+    prop_continued_matches_scratch;
+    prop_continue_matches_run;
+    Alcotest.test_case "delta name of a lower relation reserved" `Quick
+      test_delta_name_of_lower_relation_reserved;
     prop_rdfs_matches_reference;
     Alcotest.test_case "RDFS closure worked sample" `Quick
       test_rdfs_byte_identical_sample;

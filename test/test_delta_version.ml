@@ -36,6 +36,41 @@ let test_union_order () =
   Alcotest.(check bool) "net absent" false
     (R.Relation.mem (R.Database.relation_exn db' "R") (int_tuple [ 9; 9 ]))
 
+(* Building a delta is linear in its changes: a 100k-change delta
+   renders and parses back, in order, well inside the test timeout. *)
+let test_large_delta_roundtrip () =
+  let n = 100_000 in
+  let d =
+    List.fold_left
+      (fun d i ->
+        if i mod 3 = 0 then D.delete d "S" (tuple [ int i; str "s" ])
+        else D.insert d "R" (int_tuple [ i; i ]))
+      D.empty
+      (List.init n Fun.id)
+  in
+  Alcotest.(check int) "size" n (D.size d);
+  match R.Delta_wire.parse (R.Delta_wire.render d) with
+  | Error e -> Alcotest.fail e
+  | Ok d' ->
+      Alcotest.(check int) "parsed size" n (D.size d');
+      Alcotest.(check bool) "same changes, same order" true
+        (D.changes d' = D.changes d)
+
+let test_net () =
+  let before = rs_db () in
+  let d =
+    D.empty
+    |> (fun d -> D.insert d "R" (int_tuple [ 7; 7 ]))
+    |> (fun d -> D.insert d "R" (int_tuple [ 8; 8 ]))
+    |> (fun d -> D.delete d "R" (int_tuple [ 8; 8 ]))
+    |> (fun d -> D.delete d "R" (int_tuple [ 1; 2 ]))
+    |> fun d -> D.insert d "R" (int_tuple [ 1; 2 ])
+  in
+  let after = D.apply before d in
+  let net = D.net ~before ~after d in
+  check_tuples "net insert" [ int_tuple [ 7; 7 ] ] (D.inserted net "R");
+  check_tuples "no net delete" [] (D.deleted net "R")
+
 let test_missing_relation () =
   let d = D.insert D.empty "Nope" (int_tuple [ 1 ]) in
   Alcotest.(check bool) "raises" true
@@ -79,6 +114,27 @@ let test_delta_between_versions () =
   | None -> Alcotest.fail "expected delta"
   | Some d ->
       check_tuples "insert recorded" [ int_tuple [ 42; 42 ] ] (D.inserted d "R")
+
+let test_recorded_changes () =
+  let d1 = D.insert D.empty "R" (int_tuple [ 42; 42 ]) in
+  let d2 = D.delete D.empty "R" (int_tuple [ 1; 2 ]) in
+  let store, _ = VS.commit_delta (VS.create (rs_db ())) d1 in
+  let store, v2 = VS.commit_delta store d2 in
+  let between v1 v2 = Option.get (VS.delta_between store v1 v2) in
+  Alcotest.(check bool) "the commit deltas in order" true
+    (D.changes (between 0 v2) = D.changes (D.union d1 d2));
+  Alcotest.(check bool) "none between a version and itself" true
+    (D.is_empty (between 1 1));
+  Alcotest.(check bool) "backwards: a diff" true
+    (R.Database.equal
+       (D.apply (VS.checkout_exn store 2) (between 2 0))
+       (VS.checkout_exn store 0));
+  let store, v3 = VS.commit store (rs_db ()) in
+  Alcotest.(check bool) "a commit without its delta: a diff" true
+    (R.Database.equal
+       (D.apply (VS.checkout_exn store 0)
+          (Option.get (VS.delta_between store 0 v3)))
+       (VS.checkout_exn store v3))
 
 let test_structural_sharing_cheap () =
   (* 200 commits of single-tuple deltas should be quick and all
@@ -124,6 +180,11 @@ let suite =
     Alcotest.test_case "store basics" `Quick test_store_basics;
     Alcotest.test_case "version_at" `Quick test_version_at;
     Alcotest.test_case "delta between versions" `Quick test_delta_between_versions;
+    Alcotest.test_case "recorded deltas between versions" `Quick
+      test_recorded_changes;
+    Alcotest.test_case "100k-change delta round-trips" `Quick
+      test_large_delta_roundtrip;
+    Alcotest.test_case "net change of a delta" `Quick test_net;
     Alcotest.test_case "many commits stay cheap" `Quick test_structural_sharing_cheap;
     prop_between_apply;
   ]

@@ -370,6 +370,23 @@ let test_once_retries_after_raise () =
   Alcotest.(check int) "third force reads" 2 (Once.force cell);
   Alcotest.(check int) "computed twice in all" 2 !calls
 
+(* The cell holds the only reference to [captured] through its
+   computation; after a force, nothing does. *)
+let[@inline never] cell_capturing probe =
+  let captured = Array.make 64 1 in
+  Weak.set probe 0 (Some captured);
+  Once.make (fun () -> Array.length captured)
+
+let test_once_releases_computation () =
+  let probe = Weak.create 1 in
+  let cell = cell_capturing probe in
+  Gc.full_major ();
+  Alcotest.(check bool) "held before the force" true (Weak.check probe 0);
+  Alcotest.(check int) "computed" 64 (Once.force cell);
+  Gc.full_major ();
+  Alcotest.(check bool) "collectable after it" false (Weak.check probe 0);
+  Alcotest.(check int) "the value stays" 64 (Once.force cell)
+
 let domains = 4
 
 (* Start [domains] domains on [f i] together, so their first forcing
@@ -480,6 +497,8 @@ let suite =
   [
     Alcotest.test_case "Once retries after a raise" `Quick
       test_once_retries_after_raise;
+    Alcotest.test_case "Once releases its computation" `Quick
+      test_once_releases_computation;
     Alcotest.test_case "Once computes once across domains" `Quick
       test_once_concurrent_force;
     Alcotest.test_case "cites force only what they read" `Quick

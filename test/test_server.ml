@@ -559,6 +559,29 @@ let test_v1_stamp_verifies () =
       Alcotest.failf "unknown tag should ERR, got %s"
         (Option.value ~default:"<closed>" other)
 
+(* STATS tells derivations from scratch from continued ones: after a
+   commit, the new head's closure continues the start-up fixpoint. *)
+let test_stats_count_derivations () =
+  let engine =
+    C.Engine.of_program (Test_datalog.subfamily_db ())
+      Test_datalog.subfamily_program
+  in
+  let config = { S.Server.default_config with port = 0; workers = 2 } in
+  let server = S.Server.start ~config engine in
+  Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
+  ignore
+    (expect_ok "commit" (request server "V2 COMMIT_DELTA +Subfamily(12,13)"));
+  let body =
+    expect_ok "closure cite" (request server "CITE Q(C) :- Sub(11,C)")
+  in
+  Alcotest.(check bool) "the closure has the new edge" true
+    (contains body {|"tuples":2|});
+  let body = expect_ok "stats" (request server "STATS") in
+  Alcotest.(check bool) "one derivation from scratch" true
+    (contains body {|"datalog_scratch_derivations":1,|});
+  Alcotest.(check bool) "one continued" true
+    (contains body {|"datalog_continued_derivations":1,|})
+
 let suite =
   [
     Alcotest.test_case "cite over loopback" `Quick test_cite_roundtrip;
@@ -578,4 +601,6 @@ let suite =
     Alcotest.test_case "untagged v1 stamp verifies" `Quick
       test_v1_stamp_verifies;
     Alcotest.test_case "overload sheds BUSY" `Quick test_busy_shedding;
+    Alcotest.test_case "STATS counts derivations" `Quick
+      test_stats_count_derivations;
   ]

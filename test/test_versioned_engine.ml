@@ -308,6 +308,124 @@ let test_failed_maintenance_logs_nothing () =
   Alcotest.(check int) "next commit takes the failed one's number" 2
     (ok_exn "commit after recovery" (V.commit_delta ve' (delta_galanin ())))
 
+(* ------------------------------------------------------------------ *)
+(* Each version's IDB continues from its nearest derived ancestor.    *)
+
+module L = Test_lazy_engine
+
+let counter ve k = C.Metrics.count (V.metrics ve) k
+let scratch ve = counter ve C.Metrics.Key.datalog_scratch_derivations
+let continued ve = counter ve C.Metrics.Key.datalog_continued_derivations
+let rederived ve = counter ve C.Metrics.Key.datalog_rederived_strata
+
+(* The version's IDB, forced through its engine, against a derivation
+   from scratch over its database. *)
+let check_idb ve v =
+  let eng = ok_exn "engine_at" (V.engine_at ve v) in
+  let db = R.Version_store.checkout_exn (V.store ve) v in
+  let want =
+    Dc_cq.Seminaive.run db (Option.get (E.program eng)).Dc_cq.Program.strat
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "v%d %s = from scratch" v p)
+        true
+        (R.Relation.equal
+           (R.Database.relation_exn (E.derived_database eng) p)
+           (R.Database.relation_exn want p)))
+    (E.derived_predicates eng)
+
+(* The curate shape: commits add one to three Subfamily edges under
+   new families, closure cites follow some commits, and CITE_ATs of old
+   versions, which evict engines from the 4-entry LRU, come in
+   between. *)
+let test_curate_stream_continues () =
+  let ve =
+    V.create_program ~views:L.views
+      (L.database ~seed:3 ~families:60)
+      L.program
+  in
+  Alcotest.(check int) "start-up derives from scratch" 1 (scratch ve);
+  let next = ref 1000 in
+  for i = 1 to 30 do
+    let d =
+      List.fold_left
+        (fun d k ->
+          incr next;
+          D.insert d "Subfamily"
+            (int_tuple [ 1 + ((7 * i) + k) mod 60; !next ]))
+        D.empty
+        (List.init (1 + (i mod 3)) Fun.id)
+    in
+    let v = ok_exn "commit" (V.commit_delta ve d) in
+    if i mod 2 = 0 then
+      ignore
+        (ok_exn "closure cite" (V.cite_at ve v (L.query 1 (1 + (i mod 7)))));
+    if i mod 3 = 0 then begin
+      ignore (ok_exn "old closure cite" (V.cite_at ve (v / 2) (L.query 2 1)));
+      ignore (ok_exn "old cite" (V.cite_at ve (v / 3) (L.query 0 1)))
+    end;
+    if i mod 5 = 0 then check_idb ve v
+  done;
+  (* versions long gone from the LRU continue from the lineage it does
+     not bound *)
+  Alcotest.(check bool) "v1 left the LRU" false
+    (List.mem 1 (V.cached_versions ve));
+  check_idb ve 1;
+  check_idb ve 4;
+  Alcotest.(check int) "only the start-up derivation ran from scratch" 1
+    (scratch ve);
+  let derivations = snd (C.Metrics.timer (V.metrics ve) "derive") in
+  Alcotest.(check bool) "versions were derived" true (derivations > 20);
+  Alcotest.(check int) "every other one continued" (derivations - 1)
+    (continued ve);
+  Alcotest.(check int) "insert-only: no stratum re-derived" 0 (rederived ve)
+
+(* Four strata: Parent and Sub over Subfamily, Leaf over Sub and, under
+   negation, Parent, and Member over Committee.  Each commit's
+   re-derived strata are counted exactly. *)
+let strata_program =
+  Dc_cq.Program.parse_exn
+    {|
+  Parent(P) :- Subfamily(P,C);
+  Sub(P,C) :- Subfamily(P,C);
+  Sub(P,C) :- Subfamily(P,M), Sub(M,C);
+  Leaf(P,C) :- Sub(P,C), not Parent(C);
+  Member(F,N) :- Committee(F,N)
+|}
+
+let test_deleting_commit_rederives_its_strata () =
+  let ve = V.create_program (L.database ~seed:4 ~families:30) strata_program in
+  let head_db () = R.Version_store.head_db (V.store ve) in
+  let commit d =
+    let v = ok_exn "commit" (V.commit_delta ve d) in
+    let before = rederived ve and cont = continued ve in
+    check_idb ve v;
+    Alcotest.(check int) "continued" (cont + 1) (continued ve);
+    rederived ve - before
+  in
+  let first rel =
+    List.hd (R.Relation.tuples (R.Database.relation_exn (head_db ()) rel))
+  in
+  let edge = first "Subfamily" and member = first "Committee" in
+  let parent = R.Tuple.get edge 0 in
+  Alcotest.(check int) "an edge under an old parent continues every stratum"
+    0 (commit (D.insert D.empty "Subfamily" (R.Tuple.make [ parent; int 500 ])));
+  Alcotest.(check int) "an edge under a new parent re-derives Leaf, which \
+                        negates Parent"
+    1 (commit (D.insert D.empty "Subfamily" (int_tuple [ 600; 601 ])));
+  Alcotest.(check int) "a deleted edge re-derives Parent, Sub and Leaf" 3
+    (commit (D.delete D.empty "Subfamily" edge));
+  Alcotest.(check int) "a deleted member re-derives Member" 1
+    (commit (D.delete D.empty "Committee" member));
+  Alcotest.(check int) "an inserted member continues Member" 0
+    (commit (D.insert D.empty "Committee" member));
+  Alcotest.(check int) "a change nothing reads re-derives nothing" 0
+    (commit (delta_orexin ()));
+  Alcotest.(check int) "only the start-up derivation ran from scratch" 1
+    (scratch ve)
+
 let suite =
   [
     Alcotest.test_case "cite_at determinism across commits" `Quick
@@ -327,4 +445,8 @@ let suite =
       test_head_engine_agrees;
     Alcotest.test_case "failed maintenance logs nothing" `Quick
       test_failed_maintenance_logs_nothing;
+    Alcotest.test_case "curate stream continues every derivation" `Quick
+      test_curate_stream_continues;
+    Alcotest.test_case "a deleting commit re-derives its strata" `Quick
+      test_deleting_commit_rederives_its_strata;
   ]
