@@ -158,6 +158,31 @@ let template views cviews rewriting =
   if t.vars = [] then { t with constant = Some (projection_expr t [||]) }
   else t
 
+let map_constants f t =
+  let source = function Fixed c -> Fixed (f c) | s -> s in
+  let t =
+    {
+      t with
+      cited =
+        List.map
+          (fun (view, params) ->
+            (view, List.map (fun (p, src) -> (p, source src)) params))
+          t.cited;
+      unfolding =
+        Option.map
+          (fun u ->
+            {
+              u with
+              expansion = Cq.Query.map_constants f u.expansion;
+              widen = Option.map (Array.map source) u.widen;
+            })
+          t.unfolding;
+    }
+  in
+  match t.constant with
+  | None -> t
+  | Some _ -> { t with constant = Some (projection_expr t [||]) }
+
 let rewriting_expr t projections =
   match t.constant with
   | Some e -> e

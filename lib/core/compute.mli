@@ -64,6 +64,14 @@ val template :
     ({!Dc_rewriting.Expansion.expand}, computed here once).  [views]
     must be [cviews]' view set. *)
 
+val map_constants :
+  (Dc_relational.Value.t -> Dc_relational.Value.t) -> template -> template
+(** The template of the rewriting with every constant renamed, in
+    O(template size): for a map that is injective and fixes every
+    constant of the view definitions, [map_constants f (template views
+    cviews rw)] is [template views cviews (Query.map_constants f rw)],
+    since expansion only ever tests constants for equality. *)
+
 val vars : template -> string list
 (** The distinct variables that fill a view parameter, in order of
     first occurrence; the projection arrays follow this order. *)

@@ -9,28 +9,42 @@ module Log = (val Logs.src_log log_src)
 
 type selection = [ `All | `Min_estimated_size | `Min_exact_size ]
 
-(* A memoized rewriting search result.  [canonical] is the minimized
-   (core) form of the stripped query the plan was computed for: two
-   queries share a plan iff their cores are equivalent, which holds iff
-   the queries are.  Each rewriting comes with its template, which holds
+(* A memoized rewriting search, for one query shape (see [shape]).
+   [source] is the stripped query the search ran on and [lifted] the
+   constants lifted out of it, in rank order: a query of the same shape
+   gets the plan with each [lifted.(i)] renamed to its own [i]-th lifted
+   constant (see [renaming]).  [canonical] is the minimized shape: two
+   shapes share a plan iff their cores are equivalent, which holds iff
+   the shapes are.  Each rewriting comes with its template, which holds
    its expansion over the base schema: what a cite evaluates.  The
    maximally-contained fallback's templates are filled in lazily on
-   first use. *)
+   first use, for [source]. *)
 type plan = {
   canonical : Cq.Query.t;
+  source : Cq.Query.t;
+  lifted : R.Value.t array;
   plan_rewritings : (Cq.Query.t * Compute.template) list;
   plan_stats : Rw.Rewrite.stats;
   mutable plan_contained : Compute.template list option;
 }
 
-(* Two-level lookup: a cheap canonical-rendering key catches repeats of
-   the same (or alpha-renamed) query with zero containment work; the
-   sorted-predicate-multiset buckets catch any other equivalent form
-   via Chandra-Merlin equivalence of the cores.  Plans depend only on
-   the view set, never on the data, so the cache is shared by [refresh]
-   copies of the engine. *)
+module Shape_map = Map.Make (struct
+  type t = Cq.Query.t
+
+  let compare = Cq.Query.compare_syntactic
+end)
+
+(* One domain's rewriting plans for one view set.  Two-level lookup: a
+   cheap canonical shape catches repeats of the same (or alpha-renamed)
+   query shape with zero containment work; the sorted-predicate-multiset
+   buckets catch any other equivalent form via Chandra-Merlin
+   equivalence of the cores.  [by_shape] is immutable, so a hit reads it
+   without a lock; [plan_lock] serializes the misses that replace it,
+   [by_preds] and the plans' [plan_contained] against the domain's other
+   systhreads. *)
 type plan_cache = {
-  by_render : (string, plan) Hashtbl.t;
+  plan_lock : Mutex.t;
+  mutable by_shape : plan Shape_map.t;
   by_preds : (string, plan list ref) Hashtbl.t;
 }
 
@@ -61,7 +75,7 @@ let owner () = { id = Atomic.fetch_and_add next_owner 1 }
    domain's other systhreads (the server's worker pool).  The IDB cell is
    never forced with [lock] held: its computation may take it (see
    [idb_cell]). *)
-type caches = { lock : Mutex.t; plans : plan_cache; eval_cache : Cq.Eval.cache }
+type caches = { lock : Mutex.t; eval_cache : Cq.Eval.cache }
 
 module Owner = struct
   type t = owner
@@ -76,13 +90,35 @@ module Caches =
       type t = caches
 
       let create _ =
+        { lock = Mutex.create (); eval_cache = Cq.Eval.make_cache () }
+    end)
+
+module Plans =
+  Dc_parallel.Domain_local.Make
+    (Owner)
+    (struct
+      type t = plan_cache
+
+      let create _ =
         {
-          lock = Mutex.create ();
-          plans =
-            { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
-          eval_cache = Cq.Eval.make_cache ();
+          plan_lock = Mutex.create ();
+          by_shape = Shape_map.empty;
+          by_preds = Hashtbl.create 16;
         }
     end)
+
+(* The rewriting plans of one view set.  Rewriting only ever tests
+   constants for equality, except that it sorts candidate atoms, so it
+   commutes with every renaming of constants that fixes the views' own
+   ([view_constants], sorted and distinct) and keeps the order of all
+   constants.  [shape] lifts every other constant into a placeholder:
+   [placeholder], longer than every string view constant, followed by
+   the constant's rank and the number of view constants below it. *)
+type shapes = {
+  plans : owner;
+  view_constants : R.Value.t array;
+  placeholder : string;
+}
 
 (* Leaf-cache keys are leaves with their parameters sorted by name (see
    [leaf_key]), compared as typed values: [Int 1] and [Str "1"] are
@@ -123,10 +159,12 @@ type t = {
   selection : selection;
   partial : bool;
   fallback_contained : bool;
+  shapes : shapes;
+      (** the rewriting plans: they depend on the view set alone, so
+          every [refresh] and [replicate] copy shares them *)
   caches : owner;
-      (** the plan and eval caches: plans depend on the view set alone
-          and eval entries self-invalidate, so [refresh] copies keep
-          them *)
+      (** the eval cache: its entries self-invalidate, so [refresh]
+          copies keep it *)
   leaves : owner;
       (** the leaf cache: concrete citations computed from the data, so
           every data change gets a fresh one *)
@@ -140,12 +178,12 @@ type t = {
    atomic attempt.  Every call site runs under [with_sink e.metrics], so
    the wait is charged to the engine's own registry as well as the
    default one. *)
-let locked (c : caches) f =
-  if not (Mutex.try_lock c.lock) then begin
+let locked lock f =
+  if not (Mutex.try_lock lock) then begin
     Metrics.record Metrics.Key.engine_lock_waits;
-    Mutex.lock c.lock
+    Mutex.lock lock
   end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let merge_full base derived =
   List.fold_left R.Database.add_relation base (R.Database.relations derived)
@@ -221,13 +259,36 @@ let idb_cell ?ancestor ~metrics ~caches ~program base =
                 let c = Caches.get caches in
                 let from = nearest_derived link [] in
                 let derived =
-                  locked c (fun () ->
+                  locked c.lock (fun () ->
                       Metrics.record_time "derive" (fun () ->
                           derive ~cache:c.eval_cache ?from base p))
                 in
                 { derived; full = merge_full base derived }))
       in
       { value; link }
+
+let constants q =
+  List.filter_map Cq.Term.value (Cq.Query.head q)
+  @ List.concat_map Cq.Atom.constants (Cq.Query.body q)
+
+let shapes_of cview_list =
+  let view_constants =
+    Array.of_list
+      (List.sort_uniq R.Value.compare
+         (List.concat_map
+            (fun cv -> constants (Citation_view.definition cv))
+            cview_list))
+  in
+  let longest =
+    Array.fold_left
+      (fun n -> function R.Value.Str s -> max n (String.length s) | _ -> n)
+      0 view_constants
+  in
+  {
+    plans = owner ();
+    view_constants;
+    placeholder = String.make (longest + 1) '\000';
+  }
 
 let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     ~program base cview_list =
@@ -265,9 +326,10 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     selection;
     partial;
     fallback_contained;
-    (* the plan cache is keyed by the view set, which is fixed at
+    (* the plan cache belongs to the view set, which is fixed at
        creation: a fresh engine (possibly with different views) always
        starts cold *)
+    shapes = shapes_of cview_list;
     caches;
     leaves = owner ();
     metrics;
@@ -299,7 +361,8 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
     ~program:(Some program) base cview_list
 
 (* Same data cell (whichever copy forces it first computes it for all),
-   view set, policy, pool and metrics registry; caches of its own. *)
+   view set and its plan cache, policy, pool and metrics registry; eval
+   and leaf caches of its own. *)
 let replicate e = { e with caches = owner (); leaves = owner () }
 
 let database e = e.base
@@ -344,7 +407,8 @@ let merged_database e =
   merge_full (force_cell e.idb).full (view_database e)
 
 (* [refresh] changes only the data, never the view set or rule set, so
-   the plan cache (rewritings depend on views alone) and the eval cache
+   the plan cache (rewritings depend on views alone, and every copy of
+   an engine shares it) and the eval cache
    (entries self-invalidate on relation identity) are kept; only the
    leaf cache — concrete citations computed from the data — must be
    dropped.  [refresh] computes nothing: its IDB cell derives when a
@@ -388,7 +452,7 @@ let leaf_key (l : Cite_expr.leaf) =
 let resolve_in e c leaf_cache (l : Cite_expr.leaf) =
   Metrics.with_sink e.metrics @@ fun () ->
   let k = leaf_key l in
-  match locked c (fun () -> Leaf_tbl.find_opt leaf_cache k) with
+  match locked c.lock (fun () -> Leaf_tbl.find_opt leaf_cache k) with
   | Some c ->
       Metrics.record Metrics.Key.leaf_cache_hits;
       c
@@ -400,7 +464,7 @@ let resolve_in e c leaf_cache (l : Cite_expr.leaf) =
           (List.concat_map Cq.Query.predicates
              (Citation_view.citation_queries cv))
       in
-      locked c @@ fun () ->
+      locked c.lock @@ fun () ->
       match Leaf_tbl.find_opt leaf_cache k with
       | Some cit -> cit
       | None ->
@@ -510,27 +574,69 @@ let assemble ~resolve e runs =
           tc)
     merged
 
-(* A cheap, containment-free canonical rendering used as the plan
-   cache's fast path: group body atoms by predicate (stable, so the
-   reorder is independent of variable names only across alpha-renaming,
-   not across arbitrary body permutations), then rename every variable
-   to x<i> in order of first occurrence.  Alpha-renamed repeats of a
-   query therefore render identically; any other equivalent form falls
-   through to the core-equivalence scan below. *)
-let canonical_render q =
+(* Binary search in a sorted array of distinct values. *)
+let rank a v =
+  let rec go lo hi =
+    if lo >= hi then Error lo
+    else
+      let mid = (lo + hi) / 2 in
+      let c = R.Value.compare v a.(mid) in
+      if c = 0 then Ok mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length a)
+
+(* The plan-cache key of a stripped query, with its lifted constants.
+   A cheap, containment-free canonical form: body atoms grouped by
+   predicate (stable, so the reorder is independent of variable names
+   only across alpha-renaming, not across arbitrary body permutations),
+   every variable renamed to x<i> in order of first occurrence, and
+   every constant that is not a view constant lifted into a placeholder.
+   Lifted constants are numbered by rank, not by occurrence, and each
+   placeholder records how many view constants sort below its value:
+   two queries of one shape then differ by an order-preserving renaming
+   of constants that fixes the views', with which the search commutes
+   (see [shapes]; numbering by occurrence would not keep the order).
+   Alpha-renamed repeats of a shape therefore key identically; any
+   other equivalent form falls through to the core-equivalence scan of
+   [plan_for]. *)
+let shape s q =
+  let lifted =
+    Array.of_list
+      (List.sort_uniq R.Value.compare
+         (List.filter
+            (fun c -> Result.is_error (rank s.view_constants c))
+            (constants q)))
+  in
+  let vars = Hashtbl.create 8 in
+  let term = function
+    | Cq.Term.Var v -> (
+        match Hashtbl.find_opt vars v with
+        | Some t -> t
+        | None ->
+            let t =
+              Cq.Term.Var (Printf.sprintf "x%d" (Hashtbl.length vars))
+            in
+            Hashtbl.add vars v t;
+            t)
+    | Cq.Term.Const c as t -> (
+        match rank lifted c with
+        | Error _ -> t
+        | Ok i ->
+            let below =
+              Result.fold ~ok:Fun.id ~error:Fun.id (rank s.view_constants c)
+            in
+            Cq.Term.Const
+              (R.Value.Str (Printf.sprintf "%s%d:%d" s.placeholder i below)))
+  in
+  let head = List.map term (Cq.Query.head q) in
   let body =
-    List.stable_sort
-      (fun a b -> String.compare (Cq.Atom.pred a) (Cq.Atom.pred b))
-      (Cq.Query.body q)
+    List.map
+      (fun a -> Cq.Atom.make (Cq.Atom.pred a) (List.map term (Cq.Atom.args a)))
+      (List.stable_sort
+         (fun a b -> String.compare (Cq.Atom.pred a) (Cq.Atom.pred b))
+         (Cq.Query.body q))
   in
-  let q = Cq.Query.make_exn ~name:"q" ~head:(Cq.Query.head q) ~body () in
-  let subst =
-    Cq.Subst.of_list
-      (List.mapi
-         (fun i v -> (v, Cq.Term.Var (Printf.sprintf "x%d" i)))
-         (Cq.Query.all_vars q))
-  in
-  Cq.Query.to_string (Cq.Query.apply_subst subst q)
+  (Cq.Query.make_exn ~name:"q" ~head ~body (), lifted)
 
 let template e rw = Compute.template e.views e.cviews rw
 
@@ -538,68 +644,91 @@ let pred_multiset q =
   String.concat ","
     (List.sort String.compare (List.map Cq.Atom.pred (Cq.Query.body q)))
 
-(* The memoized rewriting search.  Equivalent queries (same answers on
-   every database) have interchangeable rewriting sets, so a hit is
-   keyed up to Chandra-Merlin equivalence: first the canonical
-   rendering, then — because equivalent minimal queries are isomorphic,
-   hence share their predicate multiset — an equivalence scan within
-   the core's predicate-multiset bucket. *)
-let plan_for e c query =
-  locked c @@ fun () ->
-  let stripped = Cq.Query.strip_params query in
-  let render = canonical_render stripped in
-  match Hashtbl.find_opt c.plans.by_render render with
-  | Some plan ->
-      Metrics.record Metrics.Key.plan_cache_hits;
-      plan
+(* The memoized rewriting search of a stripped query.  Equivalent
+   queries (same answers on every database) have interchangeable
+   rewriting sets, so a hit is keyed up to Chandra-Merlin equivalence of
+   shapes: first the shape itself, then — because equivalent minimal
+   queries are isomorphic, hence share their predicate multiset — an
+   equivalence scan within the minimized shape's predicate-multiset
+   bucket.  Returns the plan with the query's lifted constants. *)
+let plan_for e stripped =
+  let key, lifted = shape e.shapes stripped in
+  let c = Plans.get e.shapes.plans in
+  let hit plan =
+    Metrics.record Metrics.Key.plan_cache_hits;
+    (plan, lifted)
+  in
+  match Shape_map.find_opt key c.by_shape with
+  | Some plan -> hit plan
   | None -> (
-      let minimized = Cq.Minimize.minimize stripped in
-      let pkey = pred_multiset minimized in
-      let bucket =
-        match Hashtbl.find_opt c.plans.by_preds pkey with
-        | Some b -> b
-        | None ->
-            let b = ref [] in
-            Hashtbl.add c.plans.by_preds pkey b;
-            b
-      in
-      match
-        List.find_opt
-          (fun p -> Cq.Containment.equivalent p.canonical minimized)
-          !bucket
-      with
-      | Some plan ->
-          Metrics.record Metrics.Key.plan_cache_hits;
-          Hashtbl.replace c.plans.by_render render plan;
-          plan
-      | None ->
-          Metrics.record Metrics.Key.plan_cache_misses;
-          let { Rw.Rewrite.queries = rewritings; stats } =
-            Metrics.record_time "rewrite" (fun () ->
-                Rw.Rewrite.search ~partial:e.partial ?pool:e.pool e.views
-                  stripped)
+      locked c.plan_lock @@ fun () ->
+      match Shape_map.find_opt key c.by_shape with
+      | Some plan -> hit plan
+      | None -> (
+          let minimized = Cq.Minimize.minimize key in
+          let pkey = pred_multiset minimized in
+          let bucket =
+            match Hashtbl.find_opt c.by_preds pkey with
+            | Some b -> b
+            | None ->
+                let b = ref [] in
+                Hashtbl.add c.by_preds pkey b;
+                b
           in
-          let plan =
-            {
-              canonical = minimized;
-              plan_rewritings =
-                List.map (fun rw -> (rw, template e rw)) rewritings;
-              plan_stats = stats;
-              plan_contained = None;
-            }
-          in
-          bucket := plan :: !bucket;
-          Hashtbl.replace c.plans.by_render render plan;
-          plan)
+          match
+            List.find_opt
+              (fun p -> Cq.Containment.equivalent p.canonical minimized)
+              !bucket
+          with
+          | Some plan ->
+              c.by_shape <- Shape_map.add key plan c.by_shape;
+              hit plan
+          | None ->
+              Metrics.record Metrics.Key.plan_cache_misses;
+              let { Rw.Rewrite.queries = rewritings; stats } =
+                Metrics.record_time "rewrite" (fun () ->
+                    Rw.Rewrite.search ~partial:e.partial ?pool:e.pool e.views
+                      stripped)
+              in
+              let plan =
+                {
+                  canonical = minimized;
+                  source = stripped;
+                  lifted;
+                  plan_rewritings =
+                    List.map (fun rw -> (rw, template e rw)) rewritings;
+                  plan_stats = stats;
+                  plan_contained = None;
+                }
+              in
+              bucket := plan :: !bucket;
+              c.by_shape <- Shape_map.add key plan c.by_shape;
+              (plan, lifted)))
 
-let contained_for e c plan query =
-  locked c @@ fun () ->
+(* The renaming of constants that turns [plan] into the plan of a query
+   whose lifted constants are [lifted]: rank for rank.  [None] when they
+   are the plan's own.  A plan's constants are view constants or
+   constants of its core, whose placeholders the query's core shares. *)
+let renaming plan lifted =
+  if Array.length lifted = Array.length plan.lifted
+     && Array.for_all2 R.Value.equal lifted plan.lifted
+  then None
+  else
+    Some
+      (fun v ->
+        match rank plan.lifted v with
+        | Ok i when i < Array.length lifted -> lifted.(i)
+        | _ -> v)
+
+let contained_for e plan =
+  let c = Plans.get e.shapes.plans in
+  locked c.plan_lock @@ fun () ->
   match plan.plan_contained with
   | Some ts -> ts
   | None ->
       let disjuncts, _ =
         Metrics.record_time "rewrite" (fun () ->
-            Rw.Rewrite.maximally_contained e.views query)
+            Rw.Rewrite.maximally_contained e.views plan.source)
       in
       let ts = List.map (template e) disjuncts in
       plan.plan_contained <- Some ts;
@@ -607,9 +736,19 @@ let contained_for e c plan query =
 
 let cite e query =
   Metrics.with_sink e.metrics @@ fun () ->
-  let c = Caches.get e.caches in
-  let plan = plan_for e c query in
-  let rewritings = List.map fst plan.plan_rewritings
+  let stripped = Cq.Query.strip_params query in
+  let plan, lifted = plan_for e stripped in
+  let rename = renaming plan lifted in
+  let plan_rewritings =
+    match rename with
+    | None -> plan.plan_rewritings
+    | Some f ->
+        List.map
+          (fun (rw, t) ->
+            (Cq.Query.map_constants f rw, Compute.map_constants f t))
+          plan.plan_rewritings
+  in
+  let rewritings = List.map fst plan_rewritings
   and stats = plan.plan_stats in
   let selected = select e rewritings in
   Log.debug (fun m ->
@@ -619,14 +758,18 @@ let cite e query =
   (* An uncovered query still gets its answer — with no citation by
      default, or best-effort through the maximally contained rewriting
      when the engine was created with [fallback_contained]. *)
-  let self () = [ template e (Cq.Query.strip_params query) ] in
+  let self () = [ template e stripped ] in
   let templates, complete =
     if selected <> [] then
-      (List.map (fun rw -> List.assq rw plan.plan_rewritings) selected, true)
+      (List.map (fun rw -> List.assq rw plan_rewritings) selected, true)
     else if e.fallback_contained then
-      match contained_for e c plan query with
+      match contained_for e plan with
       | [] -> (self (), true)
-      | ts -> (ts, false)
+      | ts ->
+          ( Option.fold ~none:ts
+              ~some:(fun f -> List.map (Compute.map_constants f) ts)
+              rename,
+            false )
     else (self (), true)
   in
   (* Each template evaluates its rewriting's expansion, which reads base
@@ -638,11 +781,12 @@ let cite e query =
            Option.fold ~none:[] ~some:Cq.Query.predicates (Compute.expansion t))
          templates)
   in
+  let c = Caches.get e.caches in
   let runs =
     Metrics.record_time "eval" @@ fun () ->
     (* the eval cache (index memoization) is mutated during the run, so
        the evaluation itself is the critical section *)
-    locked c @@ fun () ->
+    locked c.lock @@ fun () ->
     List.map (fun t -> (t, Compute.run ~cache:c.eval_cache db t)) templates
   in
   let resolve = leaf_resolver e in

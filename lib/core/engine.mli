@@ -32,25 +32,50 @@
     {!merged_database} compute the view extents afresh on each call.
     Results do not depend on whether the cell was forced, or by whom.
 
+    {b Rewriting plans: one per query shape, per view set.}  A plan
+    (the rewritings with their expansions) depends on the view set
+    alone, never on the data, so it is keyed by the query's {e shape}:
+    body atoms grouped by predicate, variables renamed in order of first
+    occurrence, and every constant that occurs in no view definition
+    lifted into a placeholder numbered by its rank among the query's
+    lifted constants (and placed among the view constants).  Landing
+    pages — one query shape, a different key each time — share one
+    plan; a hit renames the plan's constants to the query's, in
+    O(plan size), with no search, minimization or containment check.
+    Rewriting only tests constants for equality and sorts a
+    candidate's atoms by them, so it commutes with such an
+    order-preserving renaming: a hit returns exactly what the search
+    would for the query itself.  The maximally contained fallback
+    ([fallback_contained]) is computed once per shape and renamed the
+    same way.  A shape that misses is also compared,
+    by Chandra–Merlin equivalence of its minimized form, against the
+    plans of its predicate multiset.  The plan cache belongs to the
+    view set: {!create} and {!of_program} start it cold, and every
+    engine derived from one by {!refresh} or {!replicate} — the
+    per-version engines of a {!Versioned_engine}, its template,
+    {!Incremental} replicas — shares it.
+
     {b Thread safety: per-domain caches.}  One engine may serve {!cite}
     / {!cite_string} / {!resolve_leaf} calls from any number of threads
     and domains at once, and domains never contend on it.  Every cache
     it keeps — rewriting plans (with their expansions), leaf citations,
     the evaluation index and plan cache — exists once per domain that
-    uses the engine, found through [Domain.DLS] ({!Dc_parallel.Domain_local}, the mechanism
-    {!Metrics} keeps its sinks with).  A domain's caches are guarded by
-    a mutex of their own, which only systhreads of that domain (the
-    server's worker threads) can contend on; each acquisition that
-    finds it already held bumps {!Metrics.Key.engine_lock_waits}.  The
-    price of the model is cache warmth: each domain pays its own cache
-    misses.  The column statistics behind the join order and
+    uses the engine, found through [Domain.DLS]
+    ({!Dc_parallel.Domain_local}, the mechanism {!Metrics} keeps its
+    sinks with).  A domain's eval and leaf caches are guarded by a
+    mutex of their own, and its rewriting plans by another, which only
+    systhreads of that domain (the server's worker threads) can contend
+    on; a plan-cache hit takes no lock at all.  Each acquisition that
+    finds a mutex already held bumps {!Metrics.Key.engine_lock_waits}.
+    The price of the model is cache warmth: each domain pays its own
+    cache misses.  The column statistics behind the join order and
     [`Min_estimated_size] selection are not a cache of the engine: they
     are memoized on the relation values ({!Dc_relational.Stats}), so
     every engine, version and domain reading one value counts it once.
 
     {!refresh} returns a copy sharing the plan and evaluation caches
     (never the leaf cache, which holds data-derived citations);
-    {!replicate} returns one sharing none.  Swapping which engine a
+    {!replicate} returns one sharing only the plan cache.  Swapping which engine a
     server uses is the caller's problem.  The IDB cell may be
     first-forced by several threads or domains at once: one computes,
     under the forcing domain's cache lock and evaluation cache of the
@@ -124,14 +149,15 @@ val of_program :
     exports, or schema mismatches. *)
 
 val replicate : t -> t
-(** The same engine with caches of its own: it shares the data (base
-    database and the IDB cell — whichever copy forces the cell first
-    computes it for all, and nothing is computed twice), the policy, the
+(** The same engine with evaluation and leaf caches of its own: it
+    shares the data (base database and the IDB cell — whichever copy
+    forces the cell first computes it for all, and nothing is computed
+    twice), the view set and its rewriting-plan cache, the policy, the
     metrics registry and the domain pool.
     {!Versioned_engine} gives each per-version engine one, so versions
-    never thrash each other's evaluation cache, and each
-    {!Incremental} registration one, because it evaluates through the
-    raw {!eval_cache} without the lock. *)
+    never thrash each other's evaluation cache but never search a
+    shape twice, and each {!Incremental} registration one, because it
+    evaluates through the raw {!eval_cache} without the lock. *)
 
 val database : t -> Dc_relational.Database.t
 (** The base (EDB) database only — what {!refresh}, the version store
@@ -170,12 +196,13 @@ val view_database : t -> Dc_relational.Database.t
 val eval_cache : t -> Dc_cq.Eval.cache
 (** The calling domain's evaluation cache of this engine: hash indexes
     keyed by (predicate, bound positions) {e and} compiled query plans
-    keyed by the query's printed form (see {!Dc_cq.Plan}).  Both kinds
-    of entry self-invalidate against the current relation values by physical
-    identity, so callers maintaining the database incrementally
-    ({!Incremental}) can keep reusing it across deltas.  Distinct from
-    the engine's rewriting-plan cache, which maps citation queries to
-    verified rewritings and is keyed by canonicalized query form. *)
+    keyed by the query's syntax, constants compared as typed values
+    (see {!Dc_cq.Plan}).  Both kinds of entry self-invalidate against
+    the current relation values by physical identity, so callers
+    maintaining the database incrementally ({!Incremental}) can keep
+    reusing it across deltas.  Distinct from the engine's
+    rewriting-plan cache, which maps query shapes to verified
+    rewritings and belongs to the view set. *)
 
 val metrics : t -> Metrics.t
 (** This engine's metrics handle: plan/leaf/eval cache hit counters,
@@ -218,10 +245,10 @@ val refresh :
     same; a computed cell drops its link, so it pins no ancestor.
 
     No validation runs: the view set and program are the ones already
-    checked.  The rewriting-plan
-    cache is kept: plans depend only on the view set, which [refresh]
-    never changes.  Only {!create} — where the view set is chosen —
-    starts with a cold plan cache. *)
+    checked.  The rewriting-plan cache is kept: plans depend only on
+    the view set, which [refresh] never changes.  Only {!create} and
+    {!of_program} — where the view set is chosen — start with a cold
+    plan cache. *)
 
 val template : t -> Dc_cq.Query.t -> Compute.template
 (** A rewriting's citation template over this engine's views, with its
@@ -263,7 +290,8 @@ val result_to_json : result -> string
     {!Dc_rewriting.Rewrite.stats_to_json} stats. *)
 
 val cite : t -> Dc_cq.Query.t -> result
-(** Plans (cached rewriting search), selects, evaluates and cites.
+(** Plans (rewriting search, cached per query shape), selects,
+    evaluates and cites.
     Each selected rewriting's expansion, computed once per plan and
     kept in the rewriting-plan cache, is evaluated over the base
     relations with {!Dc_cq.Eval.run_projected} on the variables that

@@ -10,12 +10,14 @@ module Log = (val Logs.src_log log_src)
 type t = {
   (* Pristine replica used only as the template for per-version
      engines: [Engine.refresh template db] inherits every creation
-     parameter (policy, selection, partial, fallback, pool) and the
-     shared metrics registry; the subsequent [replicate] gives the new
-     engine caches of its own, so versions never thrash each other's
-     evaluation cache.  The versions' derivations run under the
-     template's per-domain cache lock and evaluation cache, as the IDB
-     cell of a refresh does. *)
+     parameter (policy, selection, partial, fallback, pool), the shared
+     metrics registry and the view set's rewriting-plan cache, which
+     every version therefore shares (a shape searched at one version is
+     a hit at all others); the subsequent [replicate] gives the new
+     engine evaluation and leaf caches of its own, so versions never
+     thrash each other's evaluation cache.  The versions' derivations
+     run under the template's per-domain cache lock and evaluation
+     cache, as the IDB cell of a refresh does. *)
   template : Engine.t;
   metrics : Metrics.t;
   capacity : int;

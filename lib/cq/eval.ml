@@ -40,18 +40,19 @@ let is_truth atom = Atom.pred atom = "True" && Atom.args atom = []
    database evolution story:
    - [indexes]: hash indexes keyed by (predicate, bound positions), each
      remembering the relation value it was built from;
-   - [plans]: compiled plans keyed by the query's printed form, each
-     remembering the relation values it captured ({!Plan.valid}).
+   - [plans]: compiled plans keyed by the query's syntax, constants
+     compared as typed values ({!Query.Tbl}), each remembering the
+     relation values it captured ({!Plan.valid}).
    Both validate entries by physical identity of the current relation
    value, so one cache serves many evaluations over evolving persistent
    databases; stale entries rebuild transparently.  The statistics
    behind the compile-time join order live on the relation values. *)
 type cache = {
   indexes : (string * int list, R.Relation.t * R.Index.t) Hashtbl.t;
-  plans : (string, Plan.t) Hashtbl.t;
+  plans : Plan.t Query.Tbl.t;
 }
 
-let make_cache () = { indexes = Hashtbl.create 32; plans = Hashtbl.create 32 }
+let make_cache () = { indexes = Hashtbl.create 32; plans = Query.Tbl.create 32 }
 
 let relation_of db pred =
   match R.Database.relation db pred with
@@ -77,8 +78,7 @@ let index_for cache db pred positions =
 let max_plans = 1024
 
 let plan_for cache db q =
-  let key = Query.to_string q in
-  match Hashtbl.find_opt cache.plans key with
+  match Query.Tbl.find_opt cache.plans q with
   | Some p when Plan.valid p db ->
       Metrics.(record Key.eval_plan_hits);
       p
@@ -91,9 +91,9 @@ let plan_for cache db q =
               ~index:(fun pred positions -> index_for cache db pred positions)
               db q)
       in
-      if stale = None && Hashtbl.length cache.plans >= max_plans then
-        Hashtbl.reset cache.plans;
-      Hashtbl.replace cache.plans key p;
+      if stale = None && Query.Tbl.length cache.plans >= max_plans then
+        Query.Tbl.reset cache.plans;
+      Query.Tbl.replace cache.plans q p;
       p
 
 (* Every emission of one plan binds the same variable set, so the

@@ -46,10 +46,11 @@ end
 type cache
 (** A reusable evaluation cache holding hash indexes and compiled
     plans (the statistics that feed the compile-time join order are
-    memoized on the relation values, not here).  Plans
-    are keyed by the query's printed form; indexes by (predicate, bound
-    positions).  Every entry is validated against the current relation
-    values by physical identity, so one cache can safely serve many
+    memoized on the relation values, not here).  Plans are keyed by
+    the query's syntax with constants compared as typed values
+    ({!Query.Tbl}); indexes by (predicate, bound positions).  Every
+    entry is validated against the current relation values by physical
+    identity, so one cache can safely serve many
     evaluations over evolving persistent databases: stale entries are
     rebuilt transparently.  The plan table is capacity-bounded (reset
     on overflow) because delta queries pin fresh constants and would

@@ -79,5 +79,15 @@ val equal_syntactic : t -> t -> bool
 
 val compare_syntactic : t -> t -> int
 
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by a query's syntax, constants compared as typed
+    values ({!Dc_relational.Value.equal}): unlike {!to_string}, which
+    prints [Int 1] and [Float 1.0] alike and floats at six digits, an
+    injective key. *)
+
+val map_constants : (Dc_relational.Value.t -> Dc_relational.Value.t) -> t -> t
+(** Replaces every constant of the head and body by its image; names,
+    parameters and variables are kept, so the result is well-formed. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -243,8 +243,254 @@ let test_paper_example () =
         && same_citations r.result_citations o.result_citations))
     C.Policy.[ Keep_all; First; Min_size ]
 
+(* ------------------------------------------------------------------ *)
+(* Shape-keyed rewriting plans.  One long-lived engine cites a sequence
+   of queries, so most of them reach the plan cache through another
+   query of their shape (a different constant in the same place); each
+   cite must equal a fresh engine's, and its rewritings must be the
+   search's on the query itself, with and without partial rewritings
+   and the contained fallback.  Constants are drawn typed: [Int 11]
+   and [Float 11.0] print alike, as do two floats equal to six digits;
+   some equal constants of the view definitions, and the others sort
+   below, between and above them. *)
+
+module V = R.Value
+module M = C.Metrics
+
+let constant_pool =
+  [|
+    V.Int 2; V.Int 11; V.Int 12; V.Int 21; V.Float 11.0; V.Float 1234567.0;
+    V.Float 1234568.0; V.Str "11"; V.Str "Calcitonin"; V.Str "1st";
+    V.Str "Dopamine intro"; V.Str "Kim Neve"; V.Str "Walter Born";
+  |]
+
+(* Views whose definitions carry constants, including ones drawn above:
+   a query constant equal to one of them stays in the plan key. *)
+let shape_view_sets =
+  [|
+    ("paper", Dc_gtopdb.Paper_views.all);
+    ( "paper+constants",
+      Dc_gtopdb.Paper_views.all
+      @ [
+          view "V11(FName,Desc) :- Family(11,FName,Desc)"
+            "C11(D) :- D=\"family eleven\"";
+          view ~params:"lambda FID. "
+            "VC(FID,Text) :- FamilyIntro(FID,Text), \
+             Family(FID,\"Calcitonin\",D)"
+            "CVC(FID,PName) :- Committee(FID,PName)";
+          view "VK(FID,One) :- Committee(FID,\"Kim Neve\"), One=1"
+            "CVK(D) :- D=\"Kim\"";
+        ] );
+  |]
+
+let preds = [| ("Family", 3); ("FamilyIntro", 2); ("Committee", 2) |]
+
+(* A query shape: atoms over variables and numbered slots, a head, and
+   instances filling the slots with constants. *)
+type arg = Avar of string | Aslot of int
+
+type shape_case = {
+  sviews : int;
+  fallback_contained : bool;
+  spartial : bool;
+  queries : Cq.Query.t list;
+}
+
+let term_text = function
+  | Cq.Term.Var v -> v
+  | Cq.Term.Const c -> (
+      match c with
+      | V.Int i -> Printf.sprintf "%d" i
+      | V.Float f -> Printf.sprintf "%.1ff" f
+      | V.Str s -> Printf.sprintf "%S" s
+      | c -> V.to_string c)
+
+let query_text q =
+  let terms ts = String.concat "," (List.map term_text ts) in
+  Printf.sprintf "Q(%s) :- %s" (terms (Cq.Query.head q))
+    (String.concat ", "
+       (List.map
+          (fun a ->
+            Printf.sprintf "%s(%s)" (Cq.Atom.pred a) (terms (Cq.Atom.args a)))
+          (Cq.Query.body q)))
+
+let print_shape_case c =
+  Printf.sprintf "views %s, fallback %b, partial %b:\n  %s"
+    (fst shape_view_sets.(c.sviews))
+    c.fallback_contained c.spartial
+    (String.concat "\n  " (List.map query_text c.queries))
+
+let gen_shape =
+  let open QCheck.Gen in
+  let vars = [| "A"; "B"; "C"; "D" |] in
+  let* n = int_range 1 3 in
+  let* atoms =
+    list_repeat n
+      (let* p, arity = oneofa preds in
+       let+ args =
+         list_repeat arity
+           (frequency
+              [
+                (3, map (fun i -> Avar vars.(i)) (int_bound 3));
+                (2, map (fun i -> Aslot i) (int_bound 2));
+              ])
+       in
+       (p, args))
+  in
+  let body_vars =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (_, args) ->
+           List.filter_map (function Avar v -> Some v | Aslot _ -> None) args)
+         atoms)
+  in
+  let* head_vars =
+    match body_vars with
+    | [] -> return []
+    | vs ->
+        let+ keep = list_repeat (List.length vs) bool in
+        List.filteri (fun i _ -> List.nth keep i) vs
+  in
+  let* head_slot =
+    frequency [ (3, return None); (1, map Option.some (int_bound 2)) ]
+  in
+  let+ instances =
+    list_size (int_range 1 4) (array_repeat 3 (oneofa constant_pool))
+  in
+  (* the engine's canonical form: atoms grouped by predicate, variables
+     named by first occurrence *)
+  let atoms =
+    List.stable_sort (fun (p, _) (q, _) -> String.compare p q) atoms
+  in
+  let order =
+    List.fold_left
+      (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
+      []
+      (head_vars
+      @ List.concat_map
+          (fun (_, args) ->
+            List.filter_map (function Avar v -> Some v | Aslot _ -> None) args)
+          atoms)
+  in
+  let rename v =
+    Printf.sprintf "X%d" (Option.get (List.find_index (String.equal v) order))
+  in
+  List.map
+    (fun consts ->
+      let term = function
+        | Avar v -> Cq.Term.Var (rename v)
+        | Aslot i -> Cq.Term.Const consts.(i)
+      in
+      let head =
+        List.map (fun v -> Cq.Term.Var (rename v)) head_vars
+        @ Option.fold ~none:[]
+            ~some:(fun i -> [ Cq.Term.Const consts.(i) ])
+            head_slot
+      in
+      let head = if head = [] then [ Cq.Term.Const consts.(0) ] else head in
+      Cq.Query.make_exn ~name:"Q" ~head
+        ~body:
+          (List.map (fun (p, args) -> Cq.Atom.make p (List.map term args)) atoms)
+        ())
+    instances
+
+let gen_shape_case =
+  let open QCheck.Gen in
+  let* sviews = int_bound (Array.length shape_view_sets - 1) in
+  let* fallback_contained = bool in
+  let* spartial = bool in
+  let* shapes = list_size (int_range 1 4) gen_shape in
+  (* interleave the shapes' instances, so a shape's later instances
+     follow other shapes' plans into the cache *)
+  let+ queries = shuffle_l (List.concat shapes) in
+  { sviews; fallback_contained; spartial; queries }
+
+let texts qs = List.map Cq.Query.to_string qs
+
+let same_answer (a : E.result) (b : E.result) =
+  List.length a.tuples = List.length b.tuples
+  && List.for_all2
+       (fun (x : E.tuple_citation) (y : E.tuple_citation) ->
+         R.Tuple.equal x.tuple y.tuple
+         && X.compare x.expr y.expr = 0
+         && same_citations x.citations y.citations)
+       a.tuples b.tuples
+  && X.compare a.result_expr b.result_expr = 0
+  && same_citations a.result_citations b.result_citations
+  && a.complete = b.complete
+
+(* Queries are drawn in the engine's canonical form, so a plan reached
+   by shape carries the query's own variable names and its rewritings
+   must be the search's, as text.  A plan reached through the
+   equivalence scan (a hit that ran containment checks) is an
+   equivalent form's, with that form's variables, as before shapes:
+   only its answer is compared. *)
+let shape_plans_agree c =
+  let views = snd shape_view_sets.(c.sviews) in
+  let make () =
+    E.create ~fallback_contained:c.fallback_contained ~partial:c.spartial
+      (paper_db ()) views
+  in
+  let e = make () in
+  let count k = M.count (E.metrics e) k in
+  List.for_all
+    (fun q ->
+      let hits = count M.Key.plan_cache_hits
+      and checks = count M.Key.containment_checks in
+      let r = E.cite e q in
+      let by_equivalence =
+        count M.Key.plan_cache_hits > hits
+        && count M.Key.containment_checks > checks
+      in
+      let fresh = E.cite (make ()) q in
+      let searched =
+        (Dc_rewriting.Rewrite.search ~partial:c.spartial
+           (C.Citation_view.Set.view_set (E.citation_views e))
+           q)
+          .queries
+      in
+      same_answer r fresh
+      && (by_equivalence
+         || List.equal String.equal (texts r.rewritings) (texts searched)
+            && List.equal String.equal (texts r.selected) (texts fresh.selected)
+         ))
+    c.queries
+
+(* Rewriting sorts a candidate's atoms, constants by value, so a shape
+   records the order of its lifted constants among themselves and
+   around the view constants (here [11]).  Each pair below differs in
+   that order alone. *)
+let test_shape_keeps_constant_order () =
+  let queries =
+    List.map parse
+      [
+        "Q(X0) :- FamilyIntro(X0,21), FamilyIntro(X0,12)";
+        "Q(X0) :- FamilyIntro(X0,12), FamilyIntro(X0,21)";
+        "Q(X0) :- FamilyIntro(X0,21), FamilyIntro(X0,11)";
+        "Q(X0) :- FamilyIntro(X0,2), FamilyIntro(X0,11)";
+      ]
+  in
+  List.iter
+    (fun fallback_contained ->
+      Alcotest.(check bool)
+        "long-lived engine = fresh engine = search" true
+        (shape_plans_agree
+           { sviews = 1; fallback_contained; spartial = false; queries }))
+    [ false; true ]
+
+let prop_shape_plans =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"shape-keyed plans: long-lived engine = fresh engine = search"
+       ~count:300
+       (QCheck.make ~print:print_shape_case gen_shape_case)
+       shape_plans_agree)
+
 let suite =
   [
     Alcotest.test_case "paper example, all rewritings" `Quick test_paper_example;
     prop_matches_oracle;
+    Alcotest.test_case "shape keys keep the constants' order" `Quick
+      test_shape_keeps_constant_order;
+    prop_shape_plans;
   ]

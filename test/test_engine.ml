@@ -223,6 +223,34 @@ let test_refresh () =
   let result = E.cite engine' Dc_gtopdb.Paper_views.query_q in
   Alcotest.(check int) "histamine now included" 3 (List.length result.tuples)
 
+(* One engine's rewriting-plan cache keys typed constants: a query
+   whose constant prints like an earlier query's ([Float 1234568.0] and
+   [Float 1234567.0] both print as 1.23457e+06, [Float 1.0] and [Int 1]
+   as 1) is answered with its own constant. *)
+let test_plan_cache_typed_constants () =
+  let e =
+    E.create (Test_eval.typed_db ())
+      [
+        C.Citation_view.make_exn
+          ~view:(parse "VR(K,V) :- R(K,V)")
+          ~citations:[ parse "CVR(D) :- D=\"R\"" ]
+          ();
+      ]
+  in
+  List.iter
+    (fun (q, k) ->
+      let r = E.cite e (parse q) in
+      Alcotest.(check (list tuple_t))
+        q
+        [ tuple [ str k ] ]
+        (List.map (fun (tc : E.tuple_citation) -> tc.tuple) r.tuples))
+    [
+      ("Q(X) :- R(X, 1234567.0)", "a");
+      ("Q(X) :- R(X, 1234568.0)", "b");
+      ("Q(X) :- R(X, 1)", "c");
+      ("Q(X) :- R(X, 1.0)", "d");
+    ]
+
 let suite =
   [
     Alcotest.test_case "paper tuple expression (E1)" `Quick test_paper_tuple_expression;
@@ -239,4 +267,7 @@ let suite =
       test_leaf_cache_typed_values;
     Alcotest.test_case "name collision" `Quick test_view_name_collision_rejected;
     Alcotest.test_case "refresh" `Quick test_refresh;
+    Alcotest.test_case "plan cache keys typed constants" `Quick
+      test_plan_cache_typed_constants;
   ]
+

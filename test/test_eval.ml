@@ -145,6 +145,40 @@ let prop_bindings_satisfy =
             (E.bindings db qq))
         (Dc_gtopdb.Workload.generate ~seed ~count:3))
 
+(* R(K, V) with typed values that print alike: [Value.pp] shows
+   1234567.0 and 1234568.0 both as 1.23457e+06, and [Int 1] and
+   [Float 1.0] both as 1. *)
+let typed_db () =
+  let schema =
+    R.Schema.make "R"
+      [ R.Schema.attr ~ty:R.Value.TStr "K"; R.Schema.attr ~ty:R.Value.TAny "V" ]
+  in
+  R.Database.insert_list
+    (R.Database.create_relation R.Database.empty schema)
+    "R"
+    [
+      tuple [ str "a"; R.Value.Float 1234567.0 ];
+      tuple [ str "b"; R.Value.Float 1234568.0 ];
+      tuple [ str "c"; int 1 ];
+      tuple [ str "d"; R.Value.Float 1.0 ];
+    ]
+
+(* One shared cache keys compiled plans by the typed query, so a query
+   whose constants print like an earlier one's gets a plan of its own. *)
+let test_plan_cache_typed_constants () =
+  let db = typed_db () in
+  let cache = Cq.Eval.make_cache () in
+  let answer q = List.map fst (Cq.Eval.run ~cache db (parse q)) in
+  List.iter
+    (fun (q, k) ->
+      Alcotest.(check (list tuple_t)) q [ tuple [ str k ] ] (answer q))
+    [
+      ("Q(X) :- R(X, 1234567.0)", "a");
+      ("Q(X) :- R(X, 1234568.0)", "b");
+      ("Q(X) :- R(X, 1)", "c");
+      ("Q(X) :- R(X, 1.0)", "d");
+    ]
+
 let suite =
   [
     Alcotest.test_case "single atom" `Quick test_single_atom;
@@ -163,4 +197,6 @@ let suite =
     Alcotest.test_case "binding module" `Quick test_binding_module;
     Alcotest.test_case "binding restrict" `Quick test_binding_restrict;
     prop_bindings_satisfy;
+    Alcotest.test_case "plan cache keys typed constants" `Quick
+      test_plan_cache_typed_constants;
   ]

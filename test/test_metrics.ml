@@ -95,6 +95,26 @@ let test_different_view_set_is_cold () =
   Alcotest.(check int) "and misses once" 1
     (count e2 M.Key.plan_cache_misses)
 
+(* Landing pages: one query shape, a different key each time.  Every
+   key but the first reaches the plan of the first through its shape. *)
+let test_landing_keys_share_one_plan () =
+  let e = fresh_engine () in
+  let landing k =
+    ignore
+      (E.cite e (q (Printf.sprintf "Q(FName,Desc) :- Family(%d,FName,Desc)" k)))
+  in
+  landing 1;
+  let checks = count e M.Key.containment_checks in
+  for k = 2 to 1000 do
+    landing k
+  done;
+  Alcotest.(check int) "one miss for the shape" 1
+    (count e M.Key.plan_cache_misses);
+  Alcotest.(check int) "every other key hits" 999
+    (count e M.Key.plan_cache_hits);
+  Alcotest.(check int) "no containment check on a hit" checks
+    (count e M.Key.containment_checks)
+
 let test_counters_monotonic () =
   let e = fresh_engine () in
   let snapshot () = List.map (count e) M.Key.all in
@@ -388,4 +408,7 @@ let suite =
     Alcotest.test_case "reset clears every sink" `Quick
       test_reset_clears_every_sink;
     Alcotest.test_case "monotonic clock sanity" `Quick test_monotonic_clock;
+    Alcotest.test_case "1000 landing keys, one plan" `Quick
+      test_landing_keys_share_one_plan;
   ]
+

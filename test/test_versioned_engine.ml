@@ -426,6 +426,51 @@ let test_deleting_commit_rederives_its_strata () =
   Alcotest.(check int) "only the start-up derivation ran from scratch" 1
     (scratch ve)
 
+(* Rewriting plans depend on the view set alone, so every per-version
+   engine shares them: across 20 commits, head cites and cites at
+   versions the LRU has evicted (each a freshly built engine) cost one
+   search per query shape. *)
+let test_plans_shared_across_versions () =
+  let ve = make ~capacity:2 () in
+  let count k = C.Metrics.count (V.metrics ve) k in
+  let landing k =
+    parse (Printf.sprintf "Q(FName,Desc) :- Family(%d,FName,Desc)" k)
+  and intro k = parse (Printf.sprintf "Q(Text) :- FamilyIntro(%d,Text)" k) in
+  for i = 1 to 20 do
+    let fid = 100 + i in
+    let v =
+      ok_exn "commit"
+        (V.commit_delta ve
+           (D.insert D.empty "Family"
+              (tuple [ int fid; str (Printf.sprintf "F%d" i); str "D" ])))
+    in
+    ignore (ok_exn "head cite" (V.cite ve (landing fid)));
+    ignore (ok_exn "head cite" (V.cite ve (intro fid)));
+    ignore (ok_exn "cite_at" (V.cite_at ve (v / 2) (landing (fid - 1))))
+  done;
+  Alcotest.(check bool) "old versions were rebuilt" true
+    (count C.Metrics.Key.version_cache_misses >= 10);
+  Alcotest.(check int) "one search per shape" 2
+    (count C.Metrics.Key.plan_cache_misses);
+  Alcotest.(check int) "every other cite hits" 58
+    (count C.Metrics.Key.plan_cache_hits)
+
+(* A registration evaluates on a private replica of the head engine,
+   which keeps eval caches of its own but shares the plans. *)
+let test_register_replica_shares_plans () =
+  let ve = make () in
+  let count k = C.Metrics.count (V.metrics ve) k in
+  ignore
+    (ok_exn "cite" (V.cite ve (parse "Q(FName,Desc) :- Family(11,FName,Desc)")));
+  let misses = count C.Metrics.Key.plan_cache_misses
+  and hits = count C.Metrics.Key.plan_cache_hits in
+  ok_exn "register"
+    (V.register ve (parse "Q(FName,Desc) :- Family(12,FName,Desc)"));
+  Alcotest.(check int) "no new search" misses
+    (count C.Metrics.Key.plan_cache_misses);
+  Alcotest.(check bool) "the replica hit" true
+    (count C.Metrics.Key.plan_cache_hits > hits)
+
 let suite =
   [
     Alcotest.test_case "cite_at determinism across commits" `Quick
@@ -449,4 +494,9 @@ let suite =
       test_curate_stream_continues;
     Alcotest.test_case "a deleting commit re-derives its strata" `Quick
       test_deleting_commit_rederives_its_strata;
+    Alcotest.test_case "plans shared across versions" `Quick
+      test_plans_shared_across_versions;
+    Alcotest.test_case "register replica shares plans" `Quick
+      test_register_replica_shares_plans;
   ]
+
