@@ -814,13 +814,14 @@ let e12 () =
 
 let e14 () =
   hr "E14  Multicore scaling: batch citations";
-  let cores = Dc_parallel.Domain_pool.available_cores () in
+  let cores = Dc_server.Worker_pool.available_cores () in
   let domain_counts = [ 1; 2; 4; 8 ] in
   Printf.printf
     "host reports %d usable core(s) — requested domain counts are clamped\n\
      to that (the \"eff\" column is what actually ran);\n\
      batch: 48 workload queries over a 400-family GtoPdb database,\n\
-     one cold engine per row, chunked fan-out over its domains\n\n"
+     one cold engine per row, one chunk per domain (this one and the\n\
+     workers of the server's pool)\n\n"
     cores;
   if cores < 2 then
     Printf.printf
@@ -831,40 +832,68 @@ let e14 () =
   let queries = Dc_gtopdb.Workload.generate ~seed:7 ~count:48 in
   let n_queries = List.length queries in
   let batch d =
-    let eff = Dc_parallel.Domain_pool.effective ~requested:d in
+    let module W = Dc_server.Worker_pool in
+    (* the server's clamp, and its domain-backed pool less one worker:
+       this domain cites the first chunk itself instead of waiting idle
+       (a domain blocked on the latch still joins every minor-GC
+       barrier; with [eff] workers and this domain waiting, 2 domains
+       on a 2-vCPU host took ~22 ms against ~12 ms) *)
+    let eff = W.effective ~requested:d in
+    let pool =
+      W.create ~domains:(eff > 1) ~workers:(max 1 (eff - 1))
+        ~queue_capacity:eff ()
+    in
+    Fun.protect ~finally:(fun () -> W.shutdown pool) @@ fun () ->
     (* a fresh engine per row: every domain starts with cold caches, so
        rows differ only in the domain count; a fresh engine also means a
        fresh metrics registry, so lock-wait counts below belong to this
        row alone *)
     let engine = C.Engine.create db Dc_gtopdb.Paper_views.all in
     let m = C.Engine.metrics engine in
-    Dc_parallel.Domain_pool.with_pool ~domains:d (fun pool ->
-        let chunks =
-          Dc_parallel.Domain_pool.chunk
-            ~chunks:(Dc_parallel.Domain_pool.size pool)
-            queries
+    let chunks = Array.of_list (chunk ~chunks:eff queries) in
+    let cite qs =
+      try Ok (List.map (C.Engine.cite engine) qs) with ex -> Error ex
+    in
+    (* one job per chunk but the first, which runs here; then wait on a
+       latch for the jobs.  A job that raises hands its exception to
+       this domain. *)
+    let run () =
+      let results = Array.make (Array.length chunks) (Ok []) in
+      let pending = ref (Array.length chunks - 1) in
+      let mu = Mutex.create () and all_done = Condition.create () in
+      for i = 1 to Array.length chunks - 1 do
+        let job () =
+          let r = cite chunks.(i) in
+          Mutex.lock mu;
+          results.(i) <- r;
+          decr pending;
+          if !pending = 0 then Condition.signal all_done;
+          Mutex.unlock mu
         in
-        (* median of 3: the batch is fast enough that a single run's
-           scheduler noise can swamp a honest ~1.0x degrade ratio *)
-        let results, t =
-          timed ~runs:3 (fun () ->
-              Dc_parallel.Domain_pool.run_all pool
-                (List.map
-                   (fun qs () -> List.map (C.Engine.cite engine) qs)
-                   chunks)
-              |> List.concat)
-        in
-        let chunk_size =
-          (n_queries + Dc_parallel.Domain_pool.size pool - 1)
-          / Dc_parallel.Domain_pool.size pool
-        in
-        ( List.length results,
-          t,
-          eff,
-          chunk_size,
-          C.Metrics.count m C.Metrics.Key.engine_lock_waits,
-          C.Metrics.per_sink m C.Metrics.Key.engine_lock_waits,
-          C.Metrics.sink_count m ))
+        match W.submit pool job with
+        | W.Accepted -> ()
+        | W.Overloaded | W.Shutting_down -> failwith "E14: pool refused a chunk"
+      done;
+      results.(0) <- cite chunks.(0);
+      Mutex.lock mu;
+      while !pending > 0 do
+        Condition.wait all_done mu
+      done;
+      Mutex.unlock mu;
+      Array.to_list results
+      |> List.concat_map (function Ok rs -> rs | Error ex -> raise ex)
+    in
+    (* median of 3: the batch is fast enough that a single run's
+       scheduler noise can swamp a honest ~1.0x degrade ratio *)
+    let results, t = timed ~runs:3 run in
+    let chunk_size = (n_queries + eff - 1) / eff in
+    ( List.length results,
+      t,
+      eff,
+      chunk_size,
+      C.Metrics.count m C.Metrics.Key.engine_lock_waits,
+      C.Metrics.per_sink m C.Metrics.Key.engine_lock_waits,
+      C.Metrics.sink_count m )
   in
   (* one discarded warm-up batch so the d=1 baseline row does not also
      pay first-touch costs (heap growth, page faults) *)

@@ -169,9 +169,6 @@ type t = {
       (** the leaf cache: concrete citations computed from the data, so
           every data change gets a fresh one *)
   metrics : Metrics.t;
-  (* Optional domain pool: when present, the rewriting search inside
-     [plan_for] verifies candidates in parallel across its domains. *)
-  pool : Dc_parallel.Domain_pool.t option;
 }
 
 (* A contended acquisition is counted: the uncontended path costs one
@@ -290,7 +287,7 @@ let shapes_of cview_list =
     placeholder = String.make (longest + 1) '\000';
   }
 
-let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
+let make_engine ~policy ~selection ~partial ~fallback_contained ~metrics
     ~program base cview_list =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
@@ -333,17 +330,16 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     caches;
     leaves = owner ();
     metrics;
-    pool;
   }
 
 let create ?(policy = Policy.default) ?(selection = `Min_estimated_size)
-    ?(partial = false) ?(fallback_contained = false) ?pool ?metrics base
+    ?(partial = false) ?(fallback_contained = false) ?metrics base
     cview_list =
-  make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
+  make_engine ~policy ~selection ~partial ~fallback_contained ~metrics
     ~program:None base cview_list
 
 let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
-    ?(partial = false) ?(fallback_contained = false) ?pool ?metrics
+    ?(partial = false) ?(fallback_contained = false) ?metrics
     ?(views = []) base program =
   let cview_list =
     List.map
@@ -357,11 +353,11 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
       (Cq.Program.unfold_exports program)
     @ views
   in
-  make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
+  make_engine ~policy ~selection ~partial ~fallback_contained ~metrics
     ~program:(Some program) base cview_list
 
 (* Same data cell (whichever copy forces it first computes it for all),
-   view set and its plan cache, policy, pool and metrics registry; eval
+   view set and its plan cache, policy and metrics registry; eval
    and leaf caches of its own. *)
 let replicate e = { e with caches = owner (); leaves = owner () }
 
@@ -687,8 +683,7 @@ let plan_for e stripped =
               Metrics.record Metrics.Key.plan_cache_misses;
               let { Rw.Rewrite.queries = rewritings; stats } =
                 Metrics.record_time "rewrite" (fun () ->
-                    Rw.Rewrite.search ~partial:e.partial ?pool:e.pool e.views
-                      stripped)
+                    Rw.Rewrite.search ~partial:e.partial e.views stripped)
               in
               let plan =
                 {

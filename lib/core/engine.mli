@@ -100,7 +100,6 @@ val create :
   ?selection:selection ->
   ?partial:bool ->
   ?fallback_contained:bool ->
-  ?pool:Dc_parallel.Domain_pool.t ->
   ?metrics:Metrics.t ->
   Dc_relational.Database.t ->
   Citation_view.t list ->
@@ -114,19 +113,15 @@ val create :
     rewriting is answered {e best-effort} through its maximally
     contained rewriting: the tuples are then possibly a strict subset
     of the true answer ([result.complete = false]) but each carries a
-    citation.  With [pool], plan-cache misses verify rewriting
-    candidates in parallel across the pool's domains (results are
-    identical to the sequential search).  With [metrics], the engine
-    records into the given registry instead of a fresh private one —
-    {!Versioned_engine} uses this to aggregate all its per-version
-    engines into one registry. *)
+    citation.  With [metrics], the engine records into the given
+    registry instead of a fresh private one — {!Versioned_engine} uses
+    this to aggregate all its per-version engines into one registry. *)
 
 val of_program :
   ?policy:Policy.t ->
   ?selection:selection ->
   ?partial:bool ->
   ?fallback_contained:bool ->
-  ?pool:Dc_parallel.Domain_pool.t ->
   ?metrics:Metrics.t ->
   ?views:Citation_view.t list ->
   Dc_relational.Database.t ->
@@ -152,8 +147,8 @@ val replicate : t -> t
 (** The same engine with evaluation and leaf caches of its own: it
     shares the data (base database and the IDB cell — whichever copy
     forces the cell first computes it for all, and nothing is computed
-    twice), the view set and its rewriting-plan cache, the policy, the
-    metrics registry and the domain pool.
+    twice), the view set and its rewriting-plan cache, the policy and
+    the metrics registry.
     {!Versioned_engine} gives each per-version engine one, so versions
     never thrash each other's evaluation cache but never search a
     shape twice, and each {!Incremental} registration one, because it

@@ -10,7 +10,7 @@ module Log = (val Logs.src_log log_src)
 type t = {
   (* Pristine replica used only as the template for per-version
      engines: [Engine.refresh template db] inherits every creation
-     parameter (policy, selection, partial, fallback, pool), the shared
+     parameter (policy, selection, partial, fallback), the shared
      metrics registry and the view set's rewriting-plan cache, which
      every version therefore shares (a shape searched at one version is
      a hit at all others); the subsequent [replicate] gives the new
@@ -105,18 +105,18 @@ let of_engine ?(capacity = 4) ?store eng =
     durability = None;
   }
 
-let create ?policy ?selection ?partial ?fallback_contained ?pool ?capacity
-    ?metrics db views =
+let create ?policy ?selection ?partial ?fallback_contained ?capacity ?metrics
+    db views =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   of_engine ?capacity
-    (Engine.create ?policy ?selection ?partial ?fallback_contained ?pool
-       ~metrics db views)
+    (Engine.create ?policy ?selection ?partial ?fallback_contained ~metrics db
+       views)
 
-let create_program ?policy ?selection ?partial ?fallback_contained ?pool
-    ?capacity ?metrics ?views db prog =
+let create_program ?policy ?selection ?partial ?fallback_contained ?capacity
+    ?metrics ?views db prog =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   of_engine ?capacity
-    (Engine.of_program ?policy ?selection ?partial ?fallback_contained ?pool
+    (Engine.of_program ?policy ?selection ?partial ?fallback_contained
        ~metrics ?views db prog)
 
 let template t = t.template

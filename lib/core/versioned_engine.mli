@@ -75,7 +75,6 @@ val create :
   ?selection:Engine.selection ->
   ?partial:bool ->
   ?fallback_contained:bool ->
-  ?pool:Dc_parallel.Domain_pool.t ->
   ?capacity:int ->
   ?metrics:Metrics.t ->
   Dc_relational.Database.t ->
@@ -90,7 +89,6 @@ val create_program :
   ?selection:Engine.selection ->
   ?partial:bool ->
   ?fallback_contained:bool ->
-  ?pool:Dc_parallel.Domain_pool.t ->
   ?capacity:int ->
   ?metrics:Metrics.t ->
   ?views:Citation_view.t list ->

@@ -273,10 +273,7 @@ let reset t =
 
 (* ------------------------------------------------------------------ *)
 (* Dynamically scoped extra sinks — a stack per domain, so scopes never
-   cross domains implicitly and worker domains never touch a shared
-   list.  Crossing on purpose is [capture]'s job: a
-   [Domain_pool.run_all] fan-out re-installs the submitting domain's
-   stack around each task. *)
+   cross domains and worker domains never touch a shared list. *)
 
 let scope_stack : t list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -302,17 +299,6 @@ let with_sink m f =
       in
       st := drop !st)
     f
-
-(* Propagation shares the {e scope}, not the storage: a worker running
-   under a captured stack still records into its own per-domain sink of
-   each scoped registry. *)
-let capture () =
-  let stack = !(Domain.DLS.get scope_stack) in
-  fun f ->
-    let st = Domain.DLS.get scope_stack in
-    let saved = !st in
-    st := stack;
-    Fun.protect ~finally:(fun () -> st := saved) f
 
 let record ?by name =
   List.iter

@@ -35,12 +35,11 @@
     {b [with_sink] is domain-local.}  The dynamically scoped sink stack
     is per domain: a scope opened on one domain is invisible to events
     recorded by another, so worker domains never touch a shared scope
-    list.  The one {e deliberate} crossing is pool fan-out:
-    {!Domain_pool.run_all} (hence [parallel_map] and the engine's
-    parallel rewriting) runs every task under {!capture}, so work
-    farmed out under [with_sink m] still lands in [m] — each worker
-    through its own per-domain sink of [m].  Raw [Domain.spawn] does
-    not propagate scopes. *)
+    list.  Scopes never cross domains: a spawned domain that should
+    record into [m] opens its own [with_sink m], and then records
+    through its own per-domain sink of [m].  (An engine does this on
+    every call, so its registry sees work from whichever domain cites
+    it.) *)
 
 type t
 
@@ -222,16 +221,9 @@ val reset : t -> unit
 val with_sink : t -> (unit -> 'a) -> 'a
 (** Route events recorded during the callback {e on this domain} into
     [t] as well as {!default}.  Nests; re-pushing a registry already in
-    scope does not double-count.  Pool fan-outs inside the callback
-    carry the scope to their worker domains (see the module note); raw
-    [Domain.spawn] does not. *)
-
-val capture : unit -> (unit -> 'a) -> 'a
-(** [capture ()] snapshots this domain's {!with_sink} scopes; the
-    function it returns runs a callback, on any domain, with exactly
-    those scopes in force (restoring the running domain's own scopes
-    afterwards, also on exceptions).  {!Domain_pool.run_all} captures
-    on the submitting domain and runs every task under the result. *)
+    scope does not double-count.  Domains spawned inside the callback
+    do not inherit the scope; each opens its own (see the module
+    note). *)
 
 val record : ?by:int -> string -> unit
 (** Increment a counter on {!default} and every sink in scope on this

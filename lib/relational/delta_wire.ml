@@ -55,14 +55,13 @@ let parse_change ~coerce s =
       | Some i ->
           let rel = String.trim (String.sub s 1 (i - 1)) in
           let inner = String.sub s (i + 1) (n - i - 2) in
-          let fields =
-            String.split_on_char ',' inner
-            |> List.map String.trim
-            |> List.filter (fun p -> p <> "")
-          in
+          let fields = String.split_on_char ',' inner |> List.map String.trim in
           if rel = "" then bad ()
-          else if fields = [] then
+          else if fields = [ "" ] then
             Error (Printf.sprintf "bad change %S: empty tuple" s)
+          else if List.mem "" fields then
+            (* dropping it would commit a shorter tuple than was sent *)
+            Error (Printf.sprintf "bad change %S: empty field" s)
           else
             Result.map (fun tuple -> (sign, rel, tuple)) (coerce rel fields)
 

@@ -110,14 +110,24 @@ let pred_key q =
   String.concat ","
     (List.sort String.compare (List.map Cq.Atom.pred (Cq.Query.body q)))
 
-let search_impl ?(strategy = Minicon) ?(partial = false)
-    ?(max_candidates = 100_000) ?pool ?(min_parallel = 16) views query =
+(* Candidate budget: [search]'s default, and fixed for
+   [rewritings_under_deps] and [maximally_contained]. *)
+let max_candidates = 100_000
+
+let search ?(strategy = Minicon) ?(partial = false)
+    ?(max_candidates = max_candidates) views query =
   let query = Cq.Query.strip_params query in
   let candidates = ref 0 in
+  let verified = ref 0 in
   let truncated = ref false in
-  (* Phase 1 — enumeration: a cheap sequential tree walk collecting
-     (index, atoms) pairs in candidate order, bounded by the budget. *)
-  let collected = ref [] in
+  (* Each candidate is verified (expansion equivalence), minimized and
+     deduplicated in enumeration order, which fixes the kept list and
+     hence the [_rw<i>] names.  Candidates can only be equivalent when
+     they use the same multiset of view predicates, so dedup groups by
+     that key and runs the (quadratic) equivalence check within groups
+     only. *)
+  let kept : Cq.Query.t list ref = ref [] in
+  let by_preds : (string, Cq.Query.t list) Hashtbl.t = Hashtbl.create 64 in
   let consume atoms =
     incr candidates;
     Metrics.(record Key.rewriting_candidates);
@@ -125,104 +135,70 @@ let search_impl ?(strategy = Minicon) ?(partial = false)
       truncated := true;
       raise Budget_exhausted
     end;
-    collected := (!candidates, atoms) :: !collected
-  in
-  (try enumerate ~strategy ~partial views query consume
-   with Budget_exhausted -> ());
-  let collected = List.rev !collected in
-  (* Phase 2 — verification (expansion equivalence) and minimization:
-     the expensive part, independent per candidate, so it fans out
-     across the pool's domains when one is given.  Results come back in
-     enumeration order either way. *)
-  let verify (k, atoms) =
-    match candidate_query query k atoms with
-    | None -> None
+    match candidate_query query !candidates atoms with
+    | None -> ()
     | Some cand ->
         if Expansion.is_equivalent_rewriting views query cand then begin
-          Metrics.(record Key.rewriting_verified);
-          Some (minimize_rewriting views query cand)
-        end
-        else None
-  in
-  let verdicts =
-    (* Fan out only when the candidate set can amortize the hand-off:
-       a small search (the common case after the plan cache warms) is
-       cheaper verified in place than queued across domains. *)
-    match pool with
-    | Some pool
-      when Dc_parallel.Domain_pool.size pool > 1
-           && List.length collected >= min_parallel ->
-        Dc_parallel.Domain_pool.parallel_map ~min_chunk:8 pool verify collected
-    | _ -> List.map verify collected
-  in
-  (* Phase 3 — deduplication, sequential and in enumeration order, so
-     the kept list (and hence the [_rw<i>] names) is byte-identical to
-     the single-domain run.  Candidates can only be equivalent when
-     they use the same multiset of view predicates, so group by that
-     key and run the (quadratic) equivalence check within groups
-     only. *)
-  let verified = ref 0 in
-  let kept : Cq.Query.t list ref = ref [] in
-  let by_preds : (string, Cq.Query.t list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (function
-      | None -> ()
-      | Some cand ->
           incr verified;
+          Metrics.(record Key.rewriting_verified);
+          let cand = minimize_rewriting views query cand in
           let key = pred_key cand in
-          let group = Option.value ~default:[] (Hashtbl.find_opt by_preds key) in
-          let duplicate =
-            List.exists (fun r -> Cq.Containment.equivalent r cand) group
+          let group =
+            Option.value ~default:[] (Hashtbl.find_opt by_preds key)
           in
-          if not duplicate then begin
+          if not (List.exists (fun r -> Cq.Containment.equivalent r cand) group)
+          then begin
             Hashtbl.replace by_preds key (cand :: group);
             (* [kept] is held in reverse enumeration order; one final
                [List.rev] restores it (O(n) total, not O(n²) appends). *)
             kept := cand :: !kept;
             Metrics.(record Key.rewriting_kept)
-          end)
-    verdicts;
+          end
+        end
+  in
+  (try enumerate ~strategy ~partial views query consume
+   with Budget_exhausted -> ());
   let kept =
     List.mapi
       (fun i r ->
         Cq.Query.with_name (Printf.sprintf "%s_rw%d" (Cq.Query.name query) i) r)
       (List.rev !kept)
   in
-  ( kept,
-    {
-      candidates = !candidates;
-      verified = !verified;
-      kept = List.length kept;
-      truncated = !truncated;
-    } )
+  {
+    queries = kept;
+    stats =
+      {
+        candidates = !candidates;
+        verified = !verified;
+        kept = List.length kept;
+        truncated = !truncated;
+      };
+  }
 
-let search ?strategy ?partial ?max_candidates ?pool ?min_parallel views query =
-  let queries, stats =
-    search_impl ?strategy ?partial ?max_candidates ?pool ?min_parallel views
-      query
-  in
-  { queries; stats }
+(* Extra atoms a candidate body may have over the query's subgoals. *)
+let max_extra_atoms = 1
 
-let rewritings_under_deps ?(max_extra_atoms = 1) ?(max_candidates = 100_000)
-    ~deps views query =
+module Atom_set = Set.Make (Cq.Atom)
+
+let rewritings_under_deps ~deps views query =
   let query = Cq.Query.strip_params query in
   let n = List.length (Cq.Query.body query) in
   let max_atoms = n + max_extra_atoms in
   (* Entry pool: every unfiltered (view, body atom, subgoal) unification,
-     deduplicated by the candidate atom's shape. *)
+     deduplicated by the candidate atom (typed: [Int 1] and [Float 1.0]
+     print alike but are different atoms). *)
   let buckets = Bucket.buckets ~level:Bucket.Naive views query in
   let entries =
     Array.to_list buckets |> List.concat
     |> List.map (fun (e : Candidate.t) -> e.atom)
   in
   let entries =
-    let seen = Hashtbl.create 16 in
+    let seen = ref Atom_set.empty in
     List.filter
       (fun atom ->
-        let key = Cq.Atom.to_string atom in
-        if Hashtbl.mem seen key then false
+        if Atom_set.mem atom !seen then false
         else begin
-          Hashtbl.add seen key ();
+          seen := Atom_set.add atom !seen;
           true
         end)
       entries
@@ -285,7 +261,7 @@ let rewritings_under_deps ?(max_extra_atoms = 1) ?(max_candidates = 100_000)
       truncated = !truncated;
     } )
 
-let maximally_contained ?(max_candidates = 100_000) views query =
+let maximally_contained views query =
   let query = Cq.Query.strip_params query in
   let candidates = ref 0 in
   let verified = ref 0 in

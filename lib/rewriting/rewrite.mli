@@ -36,28 +36,14 @@ val search :
   ?strategy:strategy ->
   ?partial:bool ->
   ?max_candidates:int ->
-  ?pool:Dc_parallel.Domain_pool.t ->
-  ?min_parallel:int ->
   View.Set.t ->
   Dc_cq.Query.t ->
   outcome
 (** Minimal equivalent rewritings, deduplicated up to view-level
-    equivalence, named ["<q>_rw<i>"], plus the enumeration stats.
-    [max_candidates] (default [100_000]) bounds the search.  Every
-    enumerator also counts its candidates, verifications and kept
-    rewritings into {!Dc_parallel.Metrics} as it goes.
-
-    With [~pool], candidate {e verification} — expansion equivalence
-    plus minimization, the dominant cost — fans out across the pool's
-    domains; enumeration and deduplication stay sequential in candidate
-    order, so the returned rewritings (queries, names, order) and
-    [stats] are identical to the single-domain run.
-
-    [min_parallel] (default [16]) gates the fan-out: with fewer
-    collected candidates than that, verification runs in the caller
-    even when a multi-domain [pool] is given — a tiny search cannot
-    amortize the task hand-off, and after the engine's plan cache warms
-    tiny searches are the common case. *)
+    equivalence, named ["<q>_rw<i>"] in enumeration order, plus the
+    enumeration stats.  [max_candidates] (default [100_000]) bounds the
+    search.  Every enumerator also counts its candidates, verifications
+    and kept rewritings into {!Dc_parallel.Metrics} as it goes. *)
 
 val minimize_rewriting :
   ?deps:Dc_cq.Dependency.t list ->
@@ -69,22 +55,19 @@ val minimize_rewriting :
     expansion stays equivalent to [q]. *)
 
 val rewritings_under_deps :
-  ?max_extra_atoms:int ->
-  ?max_candidates:int ->
   deps:Dc_cq.Dependency.t list ->
   View.Set.t ->
   Dc_cq.Query.t ->
   Dc_cq.Query.t list * stats
 (** Equivalent rewritings {e modulo dependencies} (keys, FDs, inclusion
     dependencies): candidate bodies are subsets of the unfiltered
-    bucket entries with up to [#subgoals + max_extra_atoms] atoms
-    (default 1 extra), verified with the chase.  This finds rewritings
-    the dependency-free enumerators cannot — e.g. reconstructing a
-    relation from two key-joined projections — at exponential cost in
-    the entry count, bounded by [max_candidates]. *)
+    bucket entries with up to [#subgoals + 1] atoms, verified with the
+    chase.  This finds rewritings the dependency-free enumerators
+    cannot — e.g. reconstructing a relation from two key-joined
+    projections — at exponential cost in the entry count, bounded by
+    [100_000] candidates. *)
 
 val maximally_contained :
-  ?max_candidates:int ->
   View.Set.t ->
   Dc_cq.Query.t ->
   Dc_cq.Query.t list * stats
@@ -95,4 +78,4 @@ val maximally_contained :
     query-answering-using-views answer when no equivalent rewriting
     exists; the citation engine uses equivalent rewritings per the
     paper, but coverage analysis and best-effort answering can fall
-    back to this. *)
+    back to this.  Enumeration stops after [100_000] candidates. *)

@@ -452,9 +452,7 @@ let start ?(config = default_config) eng =
      hardware cannot run in parallel buy no throughput and still pay
      cold caches and GC barriers, so a [--domains 8] server on a 1-core
      box honestly degrades to the sequential architecture. *)
-  let domains_eff =
-    Dc_parallel.Domain_pool.effective ~requested:config.domains
-  in
+  let domains_eff = Worker_pool.effective ~requested:config.domains in
   let parallel = domains_eff > 1 in
   let t =
     {
@@ -496,7 +494,7 @@ let start ?(config = default_config) eng =
   if domains_eff < config.domains then
     Log.info (fun m ->
         m "only %d core(s) available: %d domain(s) requested, running %d"
-          (Dc_parallel.Domain_pool.available_cores ())
+          (Worker_pool.available_cores ())
           config.domains domains_eff);
   Log.info (fun m ->
       m "listening on %s:%d (%d domain(s))" config.host bound_port domains_eff);

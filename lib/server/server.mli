@@ -79,9 +79,8 @@ type config = {
       (** [1] = systhread workers on one domain; [N > 1] = [N]
           domain-backed workers, each domain with its own caches of the
           engines ([workers] is then ignored — parallelism is the worker
-          count).  [N] is
-          clamped to {!Dc_parallel.Domain_pool.available_cores} at
-          {!start}: on a host with fewer cores the server runs the
+          count).  [N] is clamped to {!Worker_pool.available_cores}
+          at {!start}: on a host with fewer cores the server runs the
           widest width the hardware can actually parallelize, down to
           the sequential systhread architecture on one core. *)
   version_cache : int;

@@ -2,6 +2,15 @@ let log_src = Logs.Src.create "datacite.worker_pool" ~doc:"Request worker pool"
 
 module Log = (val Logs.src_log log_src)
 
+(* Read once at startup: the answer cannot change while we run, and a
+   plain let avoids [Lazy]'s domain-unsafety. *)
+let cores = max 1 (Domain.recommended_domain_count ())
+let available_cores () = cores
+
+let effective ~requested =
+  if requested < 1 then invalid_arg "Worker_pool.effective: requested < 1";
+  min requested cores
+
 (* Workers are either systhreads (concurrency on one domain: cheap,
    jobs interleave at runtime-lock granularity) or domains (true
    parallelism: each worker runs on its own core).  The queue machinery

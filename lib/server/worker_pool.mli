@@ -3,7 +3,8 @@
     Jobs are run FIFO by [workers] workers — systhreads by default
     (concurrent but interleaved on one domain), or one OCaml 5 domain
     each with [~domains:true] (parallel; an engine keeps separate
-    caches per domain, see {!Dc_citation.Engine}).  The queue holds at most
+    caches per domain, see {!Dc_citation.Engine}).  It is the only code
+    in [lib/] that starts domains.  The queue holds at most
     [queue_capacity] pending jobs: past that, {!submit} refuses with
     [Overloaded] instead of buffering unboundedly — the caller turns
     that into an overload error for its client.
@@ -13,6 +14,17 @@
     runtime exceptions [Out_of_memory] and [Stack_overflow], which are
     logged and re-raised: a worker that hit them cannot be trusted to
     continue. *)
+
+val available_cores : unit -> int
+(** [Domain.recommended_domain_count] read once at startup, floored at
+    1: the number of domains this host can actually run in parallel. *)
+
+val effective : requested:int -> int
+(** [min requested (available_cores ())] — the domain count a server
+    (or benchmark) asking for [requested] really gets: domains beyond
+    the core count buy no parallelism and still pay OCaml's
+    stop-the-world minor-GC barrier.  Raises [Invalid_argument] when
+    [requested < 1]. *)
 
 type t
 

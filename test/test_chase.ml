@@ -150,6 +150,19 @@ let test_rewriting_under_deps_matches_plain_when_trivial () =
   in
   Alcotest.(check int) "same count" (List.length plain) (List.length under)
 
+(* [Int 1] and [Float 1.0] print alike; the entry dedup must still
+   keep both view atoms, or the query below has no rewriting. *)
+let test_rewriting_under_deps_typed_constants () =
+  let module Rw = Dc_rewriting in
+  let views = Rw.View.Set.of_list [ Rw.View.of_query (q "V(A,B) :- R(A,B)") ] in
+  let query = q "Q(X) :- R(X,1), R(X,1.0)" in
+  let plain = (Rw.Rewrite.search views query).Rw.Rewrite.queries in
+  let under, _ = Rw.Rewrite.rewritings_under_deps ~deps:[] views query in
+  Alcotest.(check int) "search finds one" 1 (List.length plain);
+  Alcotest.(check (list string)) "same rewritings under no deps"
+    (List.map (fun r -> Cq.Query.to_string (Cq.Query.with_name "Q" r)) plain)
+    (List.map (fun r -> Cq.Query.to_string (Cq.Query.with_name "Q" r)) under)
+
 let suite =
   [
     Alcotest.test_case "fd construction" `Quick test_fd_construction;
@@ -163,4 +176,6 @@ let suite =
     Alcotest.test_case "chase overflow" `Quick test_chase_overflow;
     Alcotest.test_case "rewriting under key" `Quick test_rewriting_under_key;
     Alcotest.test_case "deps-enumerator sanity" `Quick test_rewriting_under_deps_matches_plain_when_trivial;
+    Alcotest.test_case "deps-enumerator: typed constant dedup" `Quick
+      test_rewriting_under_deps_typed_constants;
   ]

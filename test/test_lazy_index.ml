@@ -152,11 +152,12 @@ let test_four_domains () =
   List.iter
     (fun positions ->
       let eager = Eager.build rel positions in
-      (* the domains record under this scope through [capture] *)
+      (* scopes never cross domains: every domain that may build the
+         table (this one, eagerly, for a non-prefix) opens its own [m] *)
       let m = Dc_parallel.Metrics.create () in
-      Dc_parallel.Metrics.with_sink m @@ fun () ->
-      let in_scope = Dc_parallel.Metrics.capture () in
-      let idx = R.Index.build rel positions in
+      let idx =
+        Dc_parallel.Metrics.with_sink m (fun () -> R.Index.build rel positions)
+      in
       let keys =
         Array.of_list
           (List.map (fun t -> R.Tuple.project t positions) (R.Relation.tuples rel))
@@ -174,7 +175,8 @@ let test_four_domains () =
         !ok
       in
       let domains =
-        List.init 4 (fun d -> Domain.spawn (fun () -> in_scope (worker d)))
+        List.init 4 (fun d ->
+            Domain.spawn (fun () -> Dc_parallel.Metrics.with_sink m (worker d)))
       in
       let results = List.map Domain.join domains in
       Alcotest.(check (list bool))

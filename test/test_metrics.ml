@@ -257,8 +257,6 @@ let test_lower_layers_record () =
 (* Per-domain sinks: aggregation across domains equals the sequential
    oracle, with_sink scoping, and reset.                               *)
 
-module P = Dc_parallel.Domain_pool
-
 let test_multi_domain_aggregation () =
   (* K domains each bump the same counters n times into one registry;
      after joining, the aggregate must equal the sequential total
@@ -314,40 +312,28 @@ let test_with_sink_nesting_and_dedup () =
   Alcotest.(check int) "inner sink saw two" 2 (M.count b "ev")
 
 let test_with_sink_is_domain_local () =
-  (* a scope opened here must not leak into a raw spawned domain *)
+  (* a scope opened here must not leak into a spawned domain *)
   let m = M.create () in
   M.with_sink m (fun () ->
       let d = Domain.spawn (fun () -> M.record "leak") in
       Domain.join d);
-  Alcotest.(check int) "raw Domain.spawn does not inherit scopes" 0
+  Alcotest.(check int) "a spawned domain does not inherit scopes" 0
     (M.count m "leak")
 
-let test_with_sink_propagates_through_pool () =
-  (* ...but pool fan-outs deliberately carry the submitting domain's
-     scopes onto the workers *)
+let test_with_sink_per_domain () =
+  (* ...so a domain that records opens its own scope, and its events
+     reach the registry through its own sink *)
   let m = M.create () in
-  let total =
-    P.with_pool ~clamp:false ~domains:4 (fun pool ->
-        M.with_sink m (fun () ->
-            P.parallel_map ~min_chunk:1 pool
-              (fun x ->
-                M.record "pooled";
-                x)
-              (List.init 64 Fun.id)))
-    |> List.length
+  let spawned =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            M.with_sink m (fun () -> for _ = 1 to 10 do M.record "own" done)))
   in
-  Alcotest.(check int) "all tasks ran" 64 total;
-  Alcotest.(check int) "every pooled event reached the sink" 64
-    (M.count m "pooled");
-  (* outside the scope, pool work no longer lands in m *)
-  P.with_pool ~clamp:false ~domains:2 (fun pool ->
-      ignore
-        (P.parallel_map ~min_chunk:1 pool
-           (fun x ->
-             M.record "pooled";
-             x)
-           (List.init 8 Fun.id)));
-  Alcotest.(check int) "no scope, no events" 64 (M.count m "pooled")
+  List.iter Domain.join spawned;
+  Alcotest.(check int) "every domain's events reached the sink" 30
+    (M.count m "own");
+  M.record "own";
+  Alcotest.(check int) "no scope, no events" 30 (M.count m "own")
 
 let test_reset_clears_every_sink () =
   let m = M.create () in
@@ -403,8 +389,8 @@ let suite =
       test_with_sink_nesting_and_dedup;
     Alcotest.test_case "with_sink: domain-local" `Quick
       test_with_sink_is_domain_local;
-    Alcotest.test_case "with_sink: propagates through pool" `Quick
-      test_with_sink_propagates_through_pool;
+    Alcotest.test_case "with_sink: opened per domain" `Quick
+      test_with_sink_per_domain;
     Alcotest.test_case "reset clears every sink" `Quick
       test_reset_clears_every_sink;
     Alcotest.test_case "monotonic clock sanity" `Quick test_monotonic_clock;

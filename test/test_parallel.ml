@@ -1,14 +1,15 @@
-(* The multicore layer: Domain_pool fan-out, parallel rewriting
-   determinism (byte-identical to sequential), one engine cited from
-   many domains, the domain-backed worker pool, and the domain-parallel server.
+(* The multicore layer: core detection, rewriting searches run from
+   many domains at once (byte-identical to sequential), one engine
+   cited from many domains, the domain-backed worker pool, and the
+   domain-parallel server.
 
-   DOMAINS (env var, default 2) picks the pool width so CI can run the
-   same suite at 1, 2 or 4 domains. *)
+   DOMAINS (env var, default 2) picks the domain count so CI can run
+   the same suite at 1, 2 or 4 domains. *)
 
 module C = Dc_citation
 module Cq = Dc_cq
 module Rw = Dc_rewriting
-module P = Dc_parallel.Domain_pool
+module W = Dc_server.Worker_pool
 
 let domains =
   match Sys.getenv_opt "DOMAINS" with
@@ -18,116 +19,30 @@ let domains =
 let qtest ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen prop)
 
-(* ------------------------------------------------------------------ *)
-(* Domain_pool                                                         *)
-
-let test_chunk_props =
-  qtest ~count:200 "chunk: concat inverse, balanced, never empty"
-    QCheck.(pair (list small_int) (int_range 1 10))
-    (fun (xs, k) ->
-      let chunks = P.chunk ~chunks:k xs in
-      List.concat chunks = xs
-      && List.for_all (fun c -> c <> []) chunks
-      && List.length chunks <= k
-      &&
-      let sizes = List.map List.length chunks in
-      match (sizes, xs) with
-      | [], [] -> true
-      | [], _ -> false
-      | s, _ ->
-          List.fold_left max 0 s - List.fold_left min max_int s <= 1)
-
-(* [clamp:false]: these tests exercise the cross-domain machinery
-   itself, so they must keep the requested width even on a host with
-   fewer cores (where a clamped pool would degrade to sequential and
-   test nothing). *)
-let with_test_pool f = P.with_pool ~clamp:false ~domains f
-
-let test_parallel_map_matches_map =
-  qtest ~count:100 "parallel_map = List.map"
-    QCheck.(list small_int)
-    (fun xs ->
-      with_test_pool (fun pool ->
-          P.parallel_map pool (fun x -> (x * 7919) mod 101) xs
-          = List.map (fun x -> (x * 7919) mod 101) xs))
-
-let test_parallel_fold () =
-  with_test_pool @@ fun pool ->
-  let xs = List.init 1000 Fun.id in
-  let sum =
-    P.parallel_fold pool ~fold:(fun acc x -> acc + x) ~init:0 ~merge:( + ) xs
+(* [f i] on [max 2 domains] domains at once, the caller being one. *)
+let on_domains f =
+  let n = max 2 domains in
+  let spawned =
+    List.init (n - 1) (fun i -> Domain.spawn (fun () -> f (i + 1)))
   in
-  Alcotest.(check int) "sum 0..999" 499_500 sum;
-  Alcotest.(check int)
-    "empty fold is init" 42
-    (P.parallel_fold pool ~fold:( + ) ~init:42 ~merge:( + ) [])
+  let here = f 0 in
+  here :: List.map Domain.join spawned
 
-let test_run_all_order_and_reuse () =
-  with_test_pool @@ fun pool ->
-  (* results come back in input order, across repeated fan-outs *)
-  for round = 1 to 20 do
-    let thunks = List.init 13 (fun i () -> (round * 100) + i) in
-    Alcotest.(check (list int))
-      (Printf.sprintf "round %d in order" round)
-      (List.init 13 (fun i -> (round * 100) + i))
-      (P.run_all pool thunks)
-  done
-
-let test_exception_propagates () =
-  with_test_pool @@ fun pool ->
-  (match
-     P.parallel_map pool
-       (fun x -> if x = 7 then failwith "boom" else x)
-       (List.init 16 Fun.id)
-   with
-  | _ -> Alcotest.fail "expected Failure to propagate"
-  | exception Failure msg -> Alcotest.(check string) "message" "boom" msg);
-  (* the pool survives a failed fan-out *)
-  Alcotest.(check (list int))
-    "pool still works" [ 2; 4; 6 ]
-    (P.parallel_map pool (fun x -> 2 * x) [ 1; 2; 3 ])
-
-let test_chunk_min_chunk =
-  qtest ~count:200 "chunk: min_chunk caps the chunk count"
-    QCheck.(triple (list small_int) (int_range 1 10) (int_range 1 8))
-    (fun (xs, k, mc) ->
-      let chunks = P.chunk ~min_chunk:mc ~chunks:k xs in
-      let n = List.length xs in
-      List.concat chunks = xs
-      && List.for_all (fun c -> c <> []) chunks
-      && List.length chunks <= k
-      && List.length chunks <= max 1 (n / mc)
-      && (n < mc || List.for_all (fun c -> List.length c >= mc) chunks)
-      && (n = 0 || n >= mc || List.length chunks = 1))
+(* ------------------------------------------------------------------ *)
+(* Core detection                                                      *)
 
 let test_core_detection () =
-  let cores = P.available_cores () in
+  let cores = W.available_cores () in
   Alcotest.(check bool) "at least one core" true (cores >= 1);
-  Alcotest.(check int) "effective 1 = 1" 1 (P.effective ~requested:1);
+  Alcotest.(check int) "effective 1 = 1" 1 (W.effective ~requested:1);
   Alcotest.(check int) "effective clamps to cores" cores
-    (P.effective ~requested:(cores + 64));
-  (match P.effective ~requested:0 with
+    (W.effective ~requested:(cores + 64));
+  match W.effective ~requested:0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "requested 0 must be rejected");
-  (* a clamped pool never exceeds the core count; an unclamped one
-     keeps the requested width *)
-  P.with_pool ~domains:(cores + 8) (fun pool ->
-      Alcotest.(check bool) "clamped pool size <= cores" true
-        (P.size pool <= cores));
-  P.with_pool ~clamp:false ~domains:2 (fun pool ->
-      Alcotest.(check int) "unclamped pool keeps width" 2 (P.size pool))
-
-let test_shutdown_degrades () =
-  let pool = P.create ~clamp:false ~domains () in
-  P.shutdown pool;
-  P.shutdown pool;
-  (* idempotent *)
-  Alcotest.(check (list int))
-    "post-shutdown fan-out runs in the caller" [ 1; 4; 9; 16 ]
-    (P.parallel_map pool (fun x -> x * x) [ 1; 2; 3; 4 ])
+  | _ -> Alcotest.fail "requested 0 must be rejected"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel rewriting: byte-identical to sequential                    *)
+(* Rewriting from many domains: byte-identical to sequential           *)
 
 let catalog_views n =
   Rw.View.Set.of_list
@@ -135,18 +50,19 @@ let catalog_views n =
        (Dc_gtopdb.Views_catalog.synthetic ~count:n
        @ [ Dc_gtopdb.Views_catalog.v_committee ]))
 
-(* [min_parallel:0] forces the fan-out even for tiny candidate sets:
-   the point is to compare the parallel path against the sequential
-   one, not to let the smallness gate pick sequential for both. *)
-let same_rewritings ?(strategy = Rw.Rewrite.Minicon) pool views q =
+(* Server worker domains search plan-cache misses concurrently: every
+   domain running the same search at once must get the sequential
+   answer. *)
+let same_rewritings ?(strategy = Rw.Rewrite.Minicon) views q =
   let seq = Rw.Rewrite.search ~strategy views q in
-  let par = Rw.Rewrite.search ~strategy ~pool ~min_parallel:0 views q in
-  List.map Cq.Query.to_string seq.queries
-  = List.map Cq.Query.to_string par.queries
-  && seq.stats = par.stats
+  List.for_all
+    (fun (par : Rw.Rewrite.outcome) ->
+      List.map Cq.Query.to_string seq.queries
+      = List.map Cq.Query.to_string par.queries
+      && seq.stats = par.stats)
+    (on_domains (fun _ -> Rw.Rewrite.search ~strategy views q))
 
 let test_rewriting_deterministic () =
-  with_test_pool @@ fun pool ->
   let views = catalog_views 12 in
   List.iter
     (fun src ->
@@ -154,7 +70,7 @@ let test_rewriting_deterministic () =
       Alcotest.(check bool)
         (Printf.sprintf "parallel = sequential for %s" src)
         true
-        (same_rewritings pool views q))
+        (same_rewritings views q))
     [
       "Q(FName,PName) :- Family(FID,FName,Desc), Committee(FID,PName), \
        FamilyIntro(FID,Text)";
@@ -164,7 +80,6 @@ let test_rewriting_deterministic () =
     ]
 
 let test_rewriting_deterministic_strategies () =
-  with_test_pool @@ fun pool ->
   let views = catalog_views 8 in
   let q =
     Cq.Parser.parse_query_exn
@@ -173,7 +88,7 @@ let test_rewriting_deterministic_strategies () =
   in
   List.iter
     (fun (name, strategy) ->
-      Alcotest.(check bool) name true (same_rewritings ~strategy pool views q))
+      Alcotest.(check bool) name true (same_rewritings ~strategy views q))
     [
       ("naive", Rw.Rewrite.Naive);
       ("bucket", Rw.Rewrite.Bucket);
@@ -181,16 +96,15 @@ let test_rewriting_deterministic_strategies () =
     ]
 
 (* Property-style over the GtoPdb workload generator: any generated
-   join query rewrites identically with and without a pool. *)
+   join query rewrites identically on every domain. *)
 let test_rewriting_deterministic_workload =
   qtest ~count:25 "parallel = sequential over generated workload"
     QCheck.(int_bound 1000)
     (fun seed ->
-      with_test_pool (fun pool ->
-          let views = catalog_views 6 in
-          List.for_all
-            (fun q -> same_rewritings pool views q)
-            (Dc_gtopdb.Workload.generate ~seed ~count:4)))
+      let views = catalog_views 6 in
+      List.for_all
+        (fun q -> same_rewritings views q)
+        (Dc_gtopdb.Workload.generate ~seed ~count:4))
 
 (* One engine, many domains                                            *)
 
@@ -205,15 +119,6 @@ let results_agree (a : C.Engine.result) (b : C.Engine.result) =
 
 let batch_queries () =
   Dc_gtopdb.Paper_views.query_q :: Dc_gtopdb.Workload.generate ~seed:3 ~count:11
-
-(* [f i] on [max 2 domains] domains at once, the caller being one. *)
-let on_domains f =
-  let n = max 2 domains in
-  let spawned =
-    List.init (n - 1) (fun i -> Domain.spawn (fun () -> f (i + 1)))
-  in
-  let here = f 0 in
-  here :: List.map Domain.join spawned
 
 (* Every domain cites one engine — a fresh one, then refreshes whose
    data cells are still empty, so the domains also first-force them
@@ -255,8 +160,9 @@ let test_domains_agree () =
       ("refreshed, other data", C.Engine.refresh engine other_db, other_db);
     ]
 
-(* A batch split into chunks and cited on the pool's domains through one
-   engine equals the sequential citations, in input order. *)
+(* A batch split into round-robin chunks, one job per chunk on the
+   domain-backed worker pool, cited through one engine, equals the
+   sequential citations query by query. *)
 let test_cite_batch_matches_sequential () =
   let queries = batch_queries () in
   let expected =
@@ -264,23 +170,31 @@ let test_cite_batch_matches_sequential () =
       (C.Engine.cite (C.Engine.create small_db Dc_gtopdb.Paper_views.all))
       queries
   in
-  with_test_pool @@ fun pool ->
   let engine = C.Engine.create small_db Dc_gtopdb.Paper_views.all in
-  let got =
-    P.run_all pool
-      (List.map
-         (fun qs () -> List.map (C.Engine.cite engine) qs)
-         (P.chunk ~chunks:(P.size pool) queries))
-    |> List.concat
-  in
-  Alcotest.(check int) "one result per query" (List.length queries)
-    (List.length got);
+  let width = max 2 domains in
+  let pool = W.create ~domains:true ~workers:width ~queue_capacity:width () in
+  let got = Array.make (List.length queries) None in
+  let indexed = List.mapi (fun i q -> (i, q)) queries in
+  for c = 0 to width - 1 do
+    let chunk = List.filteri (fun i _ -> i mod width = c) indexed in
+    match
+      W.submit pool (fun () ->
+          List.iter (fun (i, q) -> got.(i) <- Some (C.Engine.cite engine q)) chunk)
+    with
+    | W.Accepted -> ()
+    | _ -> Alcotest.fail "submit refused"
+  done;
+  (* shutdown drains every accepted job and joins the workers *)
+  W.shutdown pool;
   List.iteri
-    (fun i (e, g) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "batch result %d agrees" i)
-        true (results_agree e g))
-    (List.combine expected got)
+    (fun i e ->
+      match got.(i) with
+      | Some g ->
+          Alcotest.(check bool)
+            (Printf.sprintf "batch result %d agrees" i)
+            true (results_agree e g)
+      | None -> Alcotest.failf "batch result %d missing" i)
+    expected
 
 (* Multi-domain stress on ONE engine: domains hammer it at once, each
    through its own caches; results must stay correct. *)
@@ -304,22 +218,19 @@ let test_shared_engine_stress () =
 
 let test_worker_pool_domains () =
   let pool =
-    Dc_server.Worker_pool.create ~domains:true ~workers:(max 2 domains)
-      ~queue_capacity:64 ()
+    W.create ~domains:true ~workers:(max 2 domains) ~queue_capacity:64 ()
   in
   let hits = Atomic.make 0 in
   (* a raising job is logged and swallowed, not worker-fatal *)
-  (match Dc_server.Worker_pool.submit pool (fun () -> failwith "job boom") with
-  | Dc_server.Worker_pool.Accepted -> ()
+  (match W.submit pool (fun () -> failwith "job boom") with
+  | W.Accepted -> ()
   | _ -> Alcotest.fail "submit refused");
   for _ = 1 to 32 do
-    match
-      Dc_server.Worker_pool.submit pool (fun () -> Atomic.incr hits)
-    with
-    | Dc_server.Worker_pool.Accepted -> ()
+    match W.submit pool (fun () -> Atomic.incr hits) with
+    | W.Accepted -> ()
     | _ -> Alcotest.fail "submit refused"
   done;
-  Dc_server.Worker_pool.shutdown pool;
+  W.shutdown pool;
   Alcotest.(check int) "every job ran despite the failure" 32 (Atomic.get hits)
 
 (* ------------------------------------------------------------------ *)
@@ -355,18 +266,8 @@ let test_server_with_domains () =
 
 let suite =
   [
-    Alcotest.test_case "pool: fold" `Quick test_parallel_fold;
-    Alcotest.test_case "pool: run_all order + reuse" `Quick
-      test_run_all_order_and_reuse;
-    Alcotest.test_case "pool: exception propagation" `Quick
-      test_exception_propagates;
-    Alcotest.test_case "pool: shutdown degrades to caller" `Quick
-      test_shutdown_degrades;
-    test_chunk_props;
-    test_chunk_min_chunk;
     Alcotest.test_case "pool: core detection and clamping" `Quick
       test_core_detection;
-    test_parallel_map_matches_map;
     Alcotest.test_case "rewriting: parallel byte-identical" `Quick
       test_rewriting_deterministic;
     Alcotest.test_case "rewriting: all strategies" `Quick

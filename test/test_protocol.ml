@@ -182,6 +182,40 @@ let test_v2_malformed () =
   check_err "verify bad version" "V2 VERIFY x abc";
   check_err "register no query" "V2 REGISTER"
 
+(* An empty or blank field is refused, naming the change, by both
+   delta parsers — never dropped, which would commit a shorter tuple
+   than was sent. *)
+let test_delta_empty_field () =
+  let schemas =
+    [
+      R.Schema.make "Family"
+        R.Schema.
+          [
+            attr ~ty:TInt "a"; attr ~ty:TStr "b"; attr ~ty:TStr "c";
+            attr ~ty:TStr "d";
+          ];
+    ]
+  in
+  List.iter
+    (fun change ->
+      let names_change = function
+        | Ok d ->
+            Alcotest.failf "%S parsed as %s" change (R.Delta_wire.render d)
+        | Error e ->
+            Alcotest.(check string) "error names the change"
+              (Printf.sprintf "bad change %S: empty field" change)
+              e
+      in
+      names_change (R.Delta_wire.parse change);
+      names_change (R.Delta_wire.parse_typed ~schemas change);
+      check_err "commit_delta empty field" ("V2 COMMIT_DELTA " ^ change))
+    [
+      "+Family(99,,Foo,Bar)";
+      "+Family(1,x,y,)";
+      "-Family(,1,x,y)";
+      "+Family(1, ,x,y)";
+    ]
+
 let test_parse_total =
   Testutil.qtest "parse_request never raises" QCheck.string (fun s ->
       match P.parse_request s with Ok _ | Error _ -> true)
@@ -418,6 +452,8 @@ let suite =
     Alcotest.test_case "lenient parsing" `Quick test_lenient_parse;
     Alcotest.test_case "malformed requests" `Quick test_malformed;
     Alcotest.test_case "v2 malformed requests" `Quick test_v2_malformed;
+    Alcotest.test_case "delta: empty field refused" `Quick
+      test_delta_empty_field;
     test_parse_total;
     test_roundtrip_prop;
     Alcotest.test_case "error lines" `Quick test_error_line;
