@@ -34,6 +34,7 @@ module Key = struct
   let datalog_scratch_derivations = "datalog_scratch_derivations"
   let datalog_continued_derivations = "datalog_continued_derivations"
   let datalog_rederived_strata = "datalog_rederived_strata"
+  let stats_column_scans = "stats_column_scans"
 
   let all =
     [
@@ -72,6 +73,7 @@ module Key = struct
       datalog_scratch_derivations;
       datalog_continued_derivations;
       datalog_rederived_strata;
+      stats_column_scans;
     ]
 end
 

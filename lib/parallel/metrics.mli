@@ -174,6 +174,14 @@ module Key : sig
       because a relation they read lost tuples, or changed under
       negation. *)
 
+  val stats_column_scans : string
+  (** Whole-relation passes counting distinct values: a
+      {!Dc_relational.Relation.distinct} column of a value with no
+      counted ancestor (a CSV load, a query result, a re-derived
+      extent), or a {!Dc_relational.Relation.distinct_count} over
+      several columns.  A relation value made by [insert]/[delete] from
+      a counted one carries its counts, so commits leave this flat. *)
+
   val all : string list
   (** Every key above, in canonical display order. *)
 end

@@ -1,25 +1,32 @@
+module Vmap = Map.Make (Value)
+
+(* A counted column: how many tuples of the extent hold each value
+   (keys are {!Value.compare}-distinct, as tuples are) and how many
+   values there are. *)
+type column = { values : int Vmap.t; size : int }
+
 (* The extent is a persistent set; [scan_cache] memoizes its array
-   rendering, [card_cache] its cardinality, [distinct_cache] its
-   per-column distinct counts ([-1]: not counted yet) and [hash_cache]
-   its {!Multiset_hash}.  Every constructor below goes through [make]
-   so a new relation value never inherits a stale cache from the record
-   it was derived from ([{ r with ... }] would copy the mutable fields);
-   [insert] and [delete] then carry the cardinality and the multiset
-   hash across one tuple when the parent value already knew them, so
-   once a fixity digest has demanded a relation's hash every later
-   version of it gets its hash for O(1) per changed tuple, while values
-   nobody digests (CSV loads, query results, Datalog extents) never pay
-   for one.  Filling a cache from two domains at once is a benign race:
-   both compute the same value from the same immutable set and one
-   write wins (word-sized stores are atomic in OCaml); a count written
-   into a distinct array that another domain has just replaced is
-   merely lost. *)
+   rendering, [card_cache] its cardinality, [columns] the columns
+   counted so far ([[||]] until the first; [None] for one not counted)
+   and [hash_cache] its {!Multiset_hash}.  Every constructor below goes
+   through [make] so a new relation value never inherits a stale cache
+   from the record it was derived from ([{ r with ... }] would copy the
+   mutable fields); [insert] and [delete] then carry the cardinality,
+   the counted columns and the multiset hash across one tuple when the
+   parent value already knew them, so once a plan or a fixity digest
+   has demanded them every later version of the relation gets them for
+   O(log d) per column and changed tuple, while values nobody asks
+   about (CSV loads, query results, Datalog extents) never pay.  Filling a
+   cache from two domains at once is a benign race: both compute the
+   same value from the same immutable set and one write wins
+   (word-sized stores are atomic in OCaml); a column written into an
+   array that another domain has just replaced is merely lost. *)
 type t = {
   schema : Schema.t;
   extent : Tuple.Set.t;
   mutable scan_cache : Tuple.t array option;
   mutable card_cache : int;
-  mutable distinct_cache : int array;
+  mutable columns : column option array;
   mutable hash_cache : Multiset_hash.t option;
 }
 
@@ -29,13 +36,31 @@ let make schema extent =
     extent;
     scan_cache = None;
     card_cache = -1;
-    distinct_cache = [||];
+    columns = [||];
     hash_cache = None;
   }
 
 let empty schema = make schema Tuple.Set.empty
 let schema r = r.schema
 let name r = Schema.name r.schema
+
+(* [c] with one tuple more ([sign = 1]) or less ([-1]) holding [v]
+   (a deleted tuple's value is always there). *)
+let count_value c ~sign v =
+  let size = ref c.size in
+  let values =
+    Vmap.update v
+      (function
+        | None ->
+            incr size;
+            Some 1
+        | Some n when n + sign = 0 ->
+            decr size;
+            None
+        | Some n -> Some (n + sign))
+      c.values
+  in
+  { values; size = !size }
 
 (* [r] with one tuple more ([sign = 1]) or less ([-1]); [stored] is the
    tuple as the larger extent holds it, which is what its hash must
@@ -44,6 +69,12 @@ let name r = Schema.name r.schema
 let changed r extent ~sign stored =
   let r' = make r.schema extent in
   if r.card_cache >= 0 then r'.card_cache <- r.card_cache + sign;
+  let columns = r.columns in
+  if Array.length columns > 0 then
+    r'.columns <-
+      Array.mapi
+        (fun i -> Option.map (fun c -> count_value c ~sign stored.(i)))
+        columns;
   (match r.hash_cache with
   | Some h ->
       let th = Multiset_hash.of_tuple stored in
@@ -127,9 +158,16 @@ let filter p r = make r.schema (Tuple.Set.filter p r.extent)
 let of_list schema tuples = insert_list (empty schema) tuples
 
 let count_distinct r positions =
+  Dc_parallel.Metrics.(record Key.stats_column_scans);
   let seen = Tuple.Tbl.create 64 in
   iter (fun t -> Tuple.Tbl.replace seen (Tuple.project t positions) ()) r;
   Tuple.Tbl.length seen
+
+let count_column r col =
+  Dc_parallel.Metrics.(record Key.stats_column_scans);
+  let one_more = function None -> Some 1 | Some n -> Some (n + 1) in
+  let values = fold (fun t m -> Vmap.update t.(col) one_more m) r Vmap.empty in
+  { values; size = Vmap.cardinal values }
 
 let distinct r col =
   let arity = Schema.arity r.schema in
@@ -137,16 +175,20 @@ let distinct r col =
     invalid_arg
       (Printf.sprintf "Relation.distinct %s: column %d out of range" (name r)
          col);
-  let counts =
-    if Array.length r.distinct_cache = arity then r.distinct_cache
+  let columns =
+    if Array.length r.columns = arity then r.columns
     else begin
-      let a = Array.make arity (-1) in
-      r.distinct_cache <- a;
+      let a = Array.make arity None in
+      r.columns <- a;
       a
     end
   in
-  if counts.(col) < 0 then counts.(col) <- count_distinct r [ col ];
-  counts.(col)
+  match columns.(col) with
+  | Some c -> c.size
+  | None ->
+      let c = count_column r col in
+      columns.(col) <- Some c;
+      c.size
 
 let distinct_count r = function
   | [ col ] -> distinct r col

@@ -13,14 +13,17 @@ val name : t -> string
 val insert : t -> Tuple.t -> t
 (** Raises [Invalid_argument] when the tuple does not conform to the
     schema.  Inserting a tuple already present returns the same value.
-    The result knows its {!cardinality} and {!multiset_hash} without
-    recounting when [r] already knew them (one tuple hash per insert). *)
+    The result knows its {!cardinality}, the {!distinct} counts of the
+    columns [r] had counted and its {!multiset_hash} without recounting
+    when [r] already knew them (one tuple hash, and one O(log d) map
+    update per counted column, per insert). *)
 
 val insert_list : t -> Tuple.t list -> t
 
 val delete : t -> Tuple.t -> t
 (** Deleting an absent tuple returns the same value; otherwise the
-    cardinality and multiset hash carry over as for {!insert}. *)
+    cardinality, distinct counts and multiset hash carry over as for
+    {!insert}. *)
 
 val mem : t -> Tuple.t -> bool
 val cardinality : t -> int
@@ -64,16 +67,24 @@ val filter : (Tuple.t -> bool) -> t -> t
 val of_list : Schema.t -> Tuple.t list -> t
 
 val distinct : t -> int -> int
-(** [distinct r col] is the number of distinct values in column [col],
-    counted in one hash-table pass on first demand and memoized on the
-    relation value: every engine, template and domain reading one value
-    counts it once.  These are the statistics behind the plan compiler's
-    join order and the rewriting cost model ({!Stats}).  Raises
-    [Invalid_argument] for a column out of range. *)
+(** [distinct r col] is the number of distinct values ({!Value.compare}
+    classes) in column [col].  It is exact, and kept on the relation
+    value with each value's multiplicity: a value made by {!insert} or
+    {!delete} from one that had counted [col] carries the count in
+    O(log d), so commits never rescan a relation whose earlier version
+    was counted.  A value with no counted ancestor (a CSV load, a query
+    result, {!of_list}, {!filter}, a re-derived Datalog extent) counts
+    in one pass over its extent on first demand, which
+    {!Dc_parallel.Metrics.Key.stats_column_scans} counts.  Every engine,
+    template and domain reading one value shares its counts.  These are
+    the statistics behind the plan compiler's join order and the
+    rewriting cost model ({!Stats}).  Raises [Invalid_argument] for a
+    column out of range. *)
 
 val distinct_count : t -> int list -> int
 (** [distinct_count r positions] is the number of distinct projections of
-    the extent on [positions], counted in one hash-table pass;
+    the extent on [positions], counted in one hash-table pass (not
+    memoized);
     [distinct_count r [col]] is {!distinct}[ r col]. *)
 
 val equal : t -> t -> bool

@@ -3,10 +3,13 @@
     Statistics feed the rewriting cost model (parameter-distinct
     estimates), the plan compiler's join order and the textbook
     join-cardinality estimate.  They are owned by the relation values
-    ({!Relation.cardinality}, {!Relation.distinct}): each is counted on
-    first demand and memoized on the immutable value, so it is counted
-    once however many engines, versions or domains ask, an older
-    snapshot keeps its own counts, and this module keeps no state. *)
+    ({!Relation.cardinality}, {!Relation.distinct}) and this module
+    keeps no state.  A value counts a column on first demand, once
+    however many engines or domains ask, and a relation value that
+    [insert]/[delete] derive from it carries the count across the
+    changed tuples: a commit pays O(log d) per changed tuple and counted
+    column, and a new version's first plan reads its counts without a
+    scan.  An older snapshot keeps its own counts. *)
 
 val cardinality : Database.t -> string -> int
 (** 0 for unknown relations. *)

@@ -12,16 +12,19 @@ let get t i =
 
 let project t positions = Array.of_list (List.map (get t) positions)
 
+(* A top-level loop rather than a local closure over [a] and [b]:
+   comparisons run inside every set operation on extents, and a closure
+   would be allocated per call. *)
+let rec compare_from a b i n =
+  if i = n then 0
+  else
+    match Value.compare a.(i) b.(i) with
+    | 0 -> compare_from a b (i + 1) n
+    | c -> c
+
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Int.compare la lb
-  else
-    let rec go i =
-      if i = la then 0
-      else
-        match Value.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
-    in
-    go 0
+  if la <> lb then Int.compare la lb else compare_from a b 0 la
 
 let equal a b = compare a b = 0
 

@@ -455,6 +455,64 @@ let test_plans_shared_across_versions () =
   Alcotest.(check int) "every other cite hits" 58
     (count C.Metrics.Key.plan_cache_hits)
 
+(* A commit carries its relations' distinct counts across its delta:
+   on curate's program, once the first head's landing and closure cites
+   have counted the columns their plans read, 30 commits that insert
+   families and delete committee rows, each followed by the same two
+   cites at the new head, scan no relation again. *)
+let test_commits_carry_distinct_counts () =
+  let ve =
+    V.create_program ~views:L.views (L.database ~seed:5 ~families:200) L.program
+  in
+  let scans () = counter ve C.Metrics.Key.stats_column_scans in
+  let landing f =
+    parse
+      (Printf.sprintf
+         "L2(FName,Text) :- Family(%d,FName,Desc), FamilyIntro(%d,Text)" f f)
+  and closure p =
+    parse
+      (Printf.sprintf
+         "C1(Child,CName) :- Sub(%d,Child), Family(Child,CName,Desc)" p)
+  in
+  let cite_head i =
+    ignore (ok_exn "landing cite" (V.cite ve (landing (1 + (i * 7 mod 200)))));
+    ignore (ok_exn "closure cite" (V.cite ve (closure (1 + (i * 3 mod 40)))))
+  in
+  cite_head 0;
+  let counted = scans () in
+  Alcotest.(check bool) "the first head's cites counted columns" true
+    (counted > 0);
+  let members =
+    ref
+      (R.Relation.tuples
+         (R.Database.relation_exn (R.Version_store.head_db (V.store ve))
+            "Committee"))
+  in
+  for i = 1 to 30 do
+    let fid = 1000 + i in
+    let d =
+      D.empty
+      |> (fun d ->
+           D.insert d "Family"
+             (tuple [ int fid; str (Printf.sprintf "Fam%d" i); str "D" ]))
+      |> (fun d -> D.insert d "FamilyIntro" (tuple [ int fid; str "intro" ]))
+      |> (fun d -> D.insert d "Committee" (tuple [ int fid; str "Kim Neve" ]))
+      |> fun d -> D.insert d "Subfamily" (int_tuple [ 1 + (i mod 40); fid ])
+    in
+    let d =
+      match !members with
+      | m :: rest when i mod 3 = 0 ->
+          members := rest;
+          D.delete d "Committee" m
+      | _ -> d
+    in
+    ignore (ok_exn "commit" (V.commit_delta ve d));
+    cite_head i;
+    Alcotest.(check int)
+      (Printf.sprintf "no relation rescanned after commit %d" i)
+      counted (scans ())
+  done
+
 (* A registration evaluates on a private replica of the head engine,
    which keeps eval caches of its own but shares the plans. *)
 let test_register_replica_shares_plans () =
@@ -498,5 +556,7 @@ let suite =
       test_plans_shared_across_versions;
     Alcotest.test_case "register replica shares plans" `Quick
       test_register_replica_shares_plans;
+    Alcotest.test_case "commits carry distinct counts" `Quick
+      test_commits_carry_distinct_counts;
   ]
 
