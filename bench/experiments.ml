@@ -1682,6 +1682,71 @@ let e19 () =
      warm probe: set descent %.0f ns, hash table %.0f ns; renting the \
      descent breaks even after %.2f probes per tuple\n"
     n build_ms build_ns set_ns hash_ns break_even;
+  subhr "bulk answer order: Family x Committee through run_projected";
+  let reps = 20 in
+  Printf.printf
+    "ordered = head (FName,PName), led by the column the outer Family scan\n\
+     binds, so emissions arrive in head order and only ties are sorted;\n\
+     permuted = (PName,FName), which the outer does not lead, so every\n\
+     emission is sorted; projections on FID, as a citation's parameter\n\
+     (median of 7 runs of %d evaluations each, warm plans and outer copy)\n\n"
+    reps;
+  let bulk_query head =
+    Cq.Parser.parse_query_exn
+      (Printf.sprintf "B(%s) :- Family(FID,FName,Desc), Committee(FID,PName)"
+         head)
+  in
+  let ordered_q = bulk_query "FName,PName"
+  and permuted_q = bulk_query "PName,FName" in
+  let widths = [ 9; 8; 12; 12; 7 ] in
+  header widths [ "families"; "answers"; "ordered us"; "permuted us"; "ratio" ];
+  let bulk_rows =
+    List.map
+      (fun families_n ->
+        let db = G.generate ~seed:4 ~config:(families families_n) () in
+        let cache = Cq.Eval.make_cache () in
+        let eval q = Cq.Eval.run_projected ~cache db q [ "FID" ] in
+        (* the untimed first passes compile both plans and sort the
+           outer once; the answers must agree up to the column swap *)
+        let ordered = eval ordered_q in
+        let swapped =
+          List.sort
+            (fun (a, _) (b, _) -> R.Tuple.compare a b)
+            (List.map
+               (fun (t, ps) -> ([| t.(1); t.(0) |], ps))
+               (eval permuted_q))
+        in
+        if
+          not
+            (List.equal
+               (fun (t1, ps1) (t2, ps2) ->
+                 R.Tuple.equal t1 t2 && List.equal R.Tuple.equal ps1 ps2)
+               ordered swapped)
+        then failwith "E19: the permuted head's answers differ";
+        let per_eval_us q =
+          let _, total =
+            timed ~runs:7 (fun () ->
+                for _ = 1 to reps do
+                  ignore (eval q)
+                done)
+          in
+          total *. 1000. /. float_of_int reps
+        in
+        let ordered_us = per_eval_us ordered_q in
+        let permuted_us = per_eval_us permuted_q in
+        let ratio = permuted_us /. Float.max ordered_us 1e-3 in
+        let answers = List.length ordered in
+        row widths
+          [
+            string_of_int families_n;
+            string_of_int answers;
+            Printf.sprintf "%.0f" ordered_us;
+            Printf.sprintf "%.0f" permuted_us;
+            Printf.sprintf "%.2fx" ratio;
+          ];
+        (families_n, answers, ordered_us, permuted_us, ratio))
+      [ 250; 1000 ]
+  in
   write_bench_json ~experiment:"E19"
     [
       ("params", json_obj [ ("families", "1000"); ("variants", "4") ]);
@@ -1705,12 +1770,27 @@ let e19 () =
       ("hash_probe_ns", Printf.sprintf "%.0f" hash_ns);
       ("build_ns_per_tuple", Printf.sprintf "%.0f" build_ns);
       ("break_even_probes_per_tuple", Printf.sprintf "%.2f" break_even);
+      ( "bulk_order",
+        json_list
+          (List.map
+             (fun (families_n, answers, ordered_us, permuted_us, ratio) ->
+               json_obj
+                 [
+                   ("families", string_of_int families_n);
+                   ("answers", string_of_int answers);
+                   ("ordered_us", Printf.sprintf "%.1f" ordered_us);
+                   ("permuted_us", Printf.sprintf "%.1f" permuted_us);
+                   ("ratio", Printf.sprintf "%.2f" ratio);
+                 ])
+             bulk_rows) );
     ];
   Printf.printf
     "(expected: warm >= 2x interp at every width — the kernel touches no\n\
      string map and allocates no per-probe key; cold4 stays small because\n\
      compilation is one pass over the body plus index builds the\n\
-     interpreter pays too)\n"
+     interpreter pays too; in the bulk answer order table the permuted\n\
+     head costs at least 1.5x the ordered one at 1000 families, because\n\
+     only the ordered head skips sorting the emissions)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E20: recursive citation views — semi-naive vs naive fixpoint cost,

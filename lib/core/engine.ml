@@ -38,10 +38,11 @@ end)
    cheap canonical shape catches repeats of the same (or alpha-renamed)
    query shape with zero containment work; the sorted-predicate-multiset
    buckets catch any other equivalent form via Chandra-Merlin
-   equivalence of the cores.  [by_shape] is immutable, so a hit reads it
-   without a lock; [plan_lock] serializes the misses that replace it,
-   [by_preds] and the plans' [plan_contained] against the domain's other
-   systhreads. *)
+   equivalence of the cores, on every cite of that form (only a search
+   files a plan under its shape).  [by_shape] is immutable, so a hit
+   reads it without a lock; [plan_lock] serializes the misses that
+   replace it, [by_preds] and the plans' [plan_contained] against the
+   domain's other systhreads. *)
 type plan_cache = {
   plan_lock : Mutex.t;
   mutable by_shape : plan Shape_map.t;
@@ -513,11 +514,18 @@ let leaf_resolver e =
 let tuple_citation ~resolve e tuple expr =
   { tuple; expr; citations = Policy.eval_normal ~resolve e.policy expr }
 
+(* [assemble] hands a run of tuples cited by one data-independent
+   template the same expression, physically shared, so dropping adjacent
+   repeats before the root's sort-and-dedup leaves one child per run
+   instead of one per tuple. *)
 let aggregate ~resolve e tuples =
-  let result_expr =
-    Cite_expr.normalize_node
-      (Cite_expr.agg (List.map (fun t -> t.expr) tuples))
+  let exprs =
+    List.fold_left
+      (fun acc t ->
+        match acc with x :: _ when x == t.expr -> acc | _ -> t.expr :: acc)
+      [] tuples
   in
+  let result_expr = Cite_expr.normalize_node (Cite_expr.agg exprs) in
   (result_expr, Policy.eval_normal ~resolve e.policy result_expr)
 
 (* Linear merge of runs sorted by tuple: each step takes the least head
@@ -677,7 +685,9 @@ let plan_for e stripped =
               !bucket
           with
           | Some plan ->
-              c.by_shape <- Shape_map.add key plan c.by_shape;
+              (* not filed under [key]: the plan lists the rewritings a
+                 search of another form enumerated, in that form's
+                 order, and a shape hit must give this form's own *)
               hit plan
           | None ->
               Metrics.record Metrics.Key.plan_cache_misses;

@@ -126,37 +126,56 @@ let tuple_of_binding q binding =
          | Term.Var v -> Binding.find_exn binding v)
        (Query.head q))
 
+(* Group emissions by head tuple.  [rev_emitted] holds the (head tuple,
+   payload) pairs latest first, and the plan emitted them in
+   non-decreasing order of their first [k] head columns
+   ({!Plan.head_prefix}), so equal prefixes are adjacent: one linear
+   pass cuts them into blocks, and only a block is sorted, by tuple and
+   then [compare] on payloads, dropping duplicate pairs.  Blocks come
+   off [rev_emitted] greatest first and each is sorted descending, so
+   consing its runs onto the groups of the greater blocks leaves the
+   tuples, and each tuple's payloads, ascending.  With [k = 0] the whole
+   list is one block: a full sort. *)
+let group_emissions k compare rev_emitted =
+  let descending (t1, p1) (t2, p2) =
+    match R.Tuple.compare t2 t1 with 0 -> compare p2 p1 | c -> c
+  in
+  let rec same_prefix a b i =
+    i = k || (R.Value.compare a.(i) b.(i) = 0 && same_prefix a b (i + 1))
+  in
+  let rec cons_runs groups = function
+    | [] -> groups
+    | (t, p) :: rest -> (
+        match groups with
+        | (t', ps) :: groups' when R.Tuple.equal t t' ->
+            cons_runs ((t', p :: ps) :: groups') rest
+        | _ -> cons_runs ((t, [ p ]) :: groups) rest)
+  in
+  let flush block groups =
+    cons_runs groups (List.sort_uniq descending block)
+  in
+  let rec cut groups block = function
+    | [] -> flush block groups
+    | ((t, _) as e) :: rest -> (
+        match block with
+        | (t0, _) :: _ when not (same_prefix t0 t 0) ->
+            cut (flush block groups) [ e ] rest
+        | _ -> cut groups (e :: block) rest)
+  in
+  cut [] [] rev_emitted
+
 let run ?cache db q =
   let cache = resolve_cache cache in
   let plan = plan_for cache db q in
   let template = slot_template (Plan.slots plan) in
   let acc = ref [] in
-  Plan.execute plan (fun regs ->
+  Plan.execute ~head_order:true plan (fun regs ->
       acc := (Plan.head_tuple plan regs, binding_of_regs template regs) :: !acc);
-  (* group by head tuple: one sort, then collapse adjacent runs —
-     cheaper than hashing every emission into a table and sorting the
-     groups afterwards *)
-  let sorted =
-    List.stable_sort (fun (a, _) (b, _) -> R.Tuple.compare a b) !acc
-  in
-  let rec group acc current = function
-    | [] -> (
-        match current with
-        | None -> List.rev acc
-        | Some g -> List.rev (g :: acc))
-    | (t, b) :: rest -> (
-        match current with
-        | Some (t0, bs) when R.Tuple.equal t0 t ->
-            group acc (Some (t0, b :: bs)) rest
-        | Some g -> group (g :: acc) (Some (t, [ b ])) rest
-        | None -> group acc (Some (t, [ b ])) rest)
-  in
-  group [] None sorted
+  group_emissions (Plan.head_prefix plan) Binding.compare !acc
 
 (* Citation needs, per head tuple, only the values of the variables
-   that feed view parameters, and only their distinct combinations: one
-   sort of (tuple, projection) pairs puts both in order and brings
-   duplicates together, then adjacent runs collapse into groups. *)
+   that feed view parameters, and only their distinct combinations, so
+   the payload is the projection and duplicates drop in the grouping. *)
 let run_projected ?cache db q vars =
   let cache = resolve_cache cache in
   let plan = plan_for cache db q in
@@ -174,26 +193,10 @@ let run_projected ?cache db q vars =
   in
   let proj = Array.of_list (List.map slot_of vars) in
   let acc = ref [] in
-  Plan.execute plan (fun regs ->
+  Plan.execute ~head_order:true plan (fun regs ->
       acc :=
         (Plan.head_tuple plan regs, Array.map (fun s -> regs.(s)) proj) :: !acc);
-  let sorted =
-    List.sort_uniq
-      (fun (t1, p1) (t2, p2) ->
-        match R.Tuple.compare t1 t2 with 0 -> R.Tuple.compare p1 p2 | c -> c)
-      !acc
-  in
-  let rec group acc = function
-    | [] -> List.rev acc
-    | (t, p) :: rest ->
-        let rec same ps = function
-          | (t', p') :: rest when R.Tuple.equal t t' -> same (p' :: ps) rest
-          | rest -> (List.rev ps, rest)
-        in
-        let ps, rest = same [ p ] rest in
-        group ((t, ps) :: acc) rest
-  in
-  group [] sorted
+  group_emissions (Plan.head_prefix plan) R.Tuple.compare !acc
 
 let result_schema q =
   let cols =

@@ -74,8 +74,18 @@ val run :
   Query.t ->
   (Dc_relational.Tuple.t * Binding.t list) list
 (** Output tuples grouped with the bindings that produce them, sorted by
-    tuple.  Every emission of the join materializes a {!Binding.t}; a
-    caller that needs only some variables should use {!run_projected}. *)
+    tuple, each tuple's bindings in {!Binding.compare} order.  Every
+    emission of the join materializes a {!Binding.t}; a caller that
+    needs only some variables should use {!run_projected}.
+
+    How the order is produced: the plan runs with its outer scan in
+    head order ({!Plan.execute}[ ~head_order:true]), so the emissions
+    arrive sorted on the head's first {!Plan.head_prefix} columns.  One
+    linear pass cuts them into blocks of equal prefix, and only each
+    block is sorted, which costs a sort of the whole list when the
+    prefix is empty (a probe-first plan, or a head led by a variable
+    the outer atom does not bind) and next to nothing when the prefix
+    pins each answer.  The result is the same either way. *)
 
 val run_projected :
   ?cache:cache ->
@@ -90,7 +100,9 @@ val run_projected :
     {!Dc_relational.Tuple.compare}.  It is [run] with every binding
     projected onto [vars] and duplicates dropped, but the join writes
     straight from its register file: no binding map is built per
-    emission.  With [vars = []] each tuple carries the single empty
+    emission, and the tuples come out ordered as {!run}'s do (sorted
+    within blocks of equal head prefix, duplicate projections dropped
+    there).  With [vars = []] each tuple carries the single empty
     array, so the call computes the sorted distinct answers.  The
     citation engine passes the variables that feed citation-view
     parameters.  Raises [Invalid_argument] when a variable of [vars]

@@ -28,11 +28,17 @@ type t = {
   slots : string array;
   steps : step array;
   head : source array;
+  head_prefix : int;
+  (* [Some positions]: in head order, the first step scans
+     [Relation.scan_by rel positions] instead of [Relation.scan rel];
+     [None] when the extent's own order already serves *)
+  outer_order : int list option;
   deps : (string * R.Relation.t) list;
 }
 
 let query t = t.query
 let slots t = t.slots
+let head_prefix t = t.head_prefix
 let atom_order t = List.map (fun s -> s.pred) (Array.to_list t.steps)
 
 let is_truth atom = Atom.pred atom = "True" && Atom.args atom = []
@@ -94,6 +100,31 @@ let order_atoms db body =
         go bound remaining (best :: acc)
   in
   go Sset.empty body []
+
+(* The head's leading terms that a scan-first plan binds from its outer
+   atom: constants count as bound, and the prefix stops at the first
+   head variable the atom does not bind.  Returns the prefix length and
+   the atom position of each prefix variable's first occurrence, without
+   repeats, in head order; iterating the outer atom sorted by those
+   positions emits in non-decreasing head-prefix order.  A probe-first
+   (or empty) body has no such prefix. *)
+let leading_head_positions head = function
+  | first :: _ when List.for_all Term.is_var (Atom.args first) ->
+      let args = Atom.args first in
+      let rec go k positions = function
+        | Term.Const _ :: rest -> go (k + 1) positions rest
+        | (Term.Var _ as v) :: rest -> (
+            match List.find_index (Term.equal v) args with
+            | Some p ->
+                let positions =
+                  if List.mem p positions then positions else p :: positions
+                in
+                go (k + 1) positions rest
+            | None -> (k, List.rev positions))
+        | [] -> (k, List.rev positions)
+      in
+      go 0 [] head
+  | _ -> (0, [])
 
 let compile ~relation ~index db q =
   let body = List.filter (fun a -> not (is_truth a)) (Query.body q) in
@@ -192,11 +223,20 @@ let compile ~relation ~index db q =
                Slot (slot_of v))
          (Query.head q))
   in
-  let slots_arr =
-    let a = Array.of_list (List.rev !rev_slots) in
-    a
+  let head_prefix, positions = leading_head_positions (Query.head q) ordered in
+  let outer_order =
+    if positions = List.init (List.length positions) Fun.id then None
+    else Some positions
   in
-  { query = q; slots = slots_arr; steps = Array.of_list steps; head; deps = !deps }
+  {
+    query = q;
+    slots = Array.of_list (List.rev !rev_slots);
+    steps = Array.of_list steps;
+    head;
+    head_prefix;
+    outer_order;
+    deps = !deps;
+  }
 
 let valid t db =
   List.for_all
@@ -210,7 +250,7 @@ let head_tuple t regs =
   R.Tuple.of_array
     (Array.map (function Const v -> v | Slot s -> regs.(s)) t.head)
 
-let execute t emit =
+let execute ?(head_order = false) t emit =
   let regs = Array.make (max 1 (Array.length t.slots)) R.Value.Null in
   let nsteps = Array.length t.steps in
   (* [match_tuple] applies the register ops left to right; a failed
@@ -245,7 +285,12 @@ let execute t emit =
             (fun tuple -> if match_tuple ops tuple regs 0 n then go (i + 1))
             (R.Index.lookup_key idx kb)
       | None ->
-          let arr = R.Relation.scan st.rel in
+          let arr =
+            match t.outer_order with
+            | Some positions when head_order && i = 0 ->
+                R.Relation.scan_by st.rel positions
+            | _ -> R.Relation.scan st.rel
+          in
           for k = 0 to Array.length arr - 1 do
             if match_tuple ops arr.(k) regs 0 n then go (i + 1)
           done

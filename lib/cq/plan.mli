@@ -21,7 +21,11 @@
       with the allocation-free {!Dc_relational.Index.lookup_key}; free
       positions compile to [Bind]/[Check] register ops;
     - the per-atom hash indexes are resolved (through the shared index
-      cache) at compile time and stored in the plan.
+      cache) at compile time and stored in the plan;
+    - when the first atom in join order is a scan, the plan records
+      which of its positions bind the head's leading terms, so that a
+      caller grouping answers can have the outer relation iterated in
+      head order ({!execute}'s [~head_order]).
 
     A plan captures the relation values it was compiled against:
     {!valid} checks them by physical identity, so a cached plan is
@@ -70,11 +74,29 @@ val head_tuple : t -> Dc_relational.Value.t array -> Dc_relational.Tuple.t
 (** The head tuple under the given register file (constants inlined,
     variables read from their slots). *)
 
-val execute : t -> (Dc_relational.Value.t array -> unit) -> unit
+val head_prefix : t -> int
+(** How many leading head columns {!execute}[ ~head_order:true] emits
+    in order: the emissions' head tuples, cut to their first
+    [head_prefix t] columns, are non-decreasing under
+    {!Dc_relational.Tuple.compare}.  When the first step of the join
+    order is a scan (its atom has no constant), the prefix runs over
+    the head's leading terms: a constant counts as bound, and the
+    prefix stops at the first head variable that atom does not bind.  It is [0] for a plan whose first step is a probe,
+    and for an empty body.  The join order does not depend on it. *)
+
+val execute :
+  ?head_order:bool -> t -> (Dc_relational.Value.t array -> unit) -> unit
 (** Run the join.  The callback is invoked once per satisfying
     valuation with the register file; it must read what it needs
     immediately and {b not retain the array} — the kernel keeps
-    mutating it in place. *)
+    mutating it in place.  With [~head_order:true] (default [false])
+    the first step's scan visits the outer relation sorted by the
+    positions binding the {!head_prefix}: the extent's own order when
+    they are a column prefix [0..k-1], else
+    {!Dc_relational.Relation.scan_by}'s copy, memoized on the relation
+    value.  Every later step runs nested inside one outer tuple, so
+    emissions then arrive in non-decreasing head-prefix order.  The
+    set of emissions is the same either way. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable plan: atoms in join order with their key positions. *)

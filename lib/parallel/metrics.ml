@@ -35,6 +35,7 @@ module Key = struct
   let datalog_continued_derivations = "datalog_continued_derivations"
   let datalog_rederived_strata = "datalog_rederived_strata"
   let stats_column_scans = "stats_column_scans"
+  let eval_scan_orders = "eval_scan_orders"
 
   let all =
     [
@@ -74,6 +75,7 @@ module Key = struct
       datalog_continued_derivations;
       datalog_rederived_strata;
       stats_column_scans;
+      eval_scan_orders;
     ]
 end
 

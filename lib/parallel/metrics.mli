@@ -182,6 +182,15 @@ module Key : sig
       several columns.  A relation value made by [insert]/[delete] from
       a counted one carries its counts, so commits leave this flat. *)
 
+  val eval_scan_orders : string
+  (** Sorted copies of an extent built by
+      {!Dc_relational.Relation.scan_by}: a compiled plan whose first
+      step scans a relation that binds the head's leading columns at
+      positions other than a column prefix iterates it in head order.
+      The copy is memoized on the relation value, so repeated cites at
+      one version, and every engine reading that value, build it
+      once. *)
+
   val all : string list
   (** Every key above, in canonical display order. *)
 end

@@ -6,9 +6,10 @@ module Vmap = Map.Make (Value)
 type column = { values : int Vmap.t; size : int }
 
 (* The extent is a persistent set; [scan_cache] memoizes its array
-   rendering, [card_cache] its cardinality, [columns] the columns
-   counted so far ([[||]] until the first; [None] for one not counted)
-   and [hash_cache] its {!Multiset_hash}.  Every constructor below goes
+   rendering, [sorted_scans] its re-orderings by column lists (never
+   carried: a new value sorts afresh), [card_cache] its cardinality,
+   [columns] the columns counted so far ([[||]] until the first; [None]
+   for one not counted) and [hash_cache] its {!Multiset_hash}.  Every constructor below goes
    through [make] so a new relation value never inherits a stale cache
    from the record it was derived from ([{ r with ... }] would copy the
    mutable fields); [insert] and [delete] then carry the cardinality,
@@ -25,6 +26,7 @@ type t = {
   schema : Schema.t;
   extent : Tuple.Set.t;
   mutable scan_cache : Tuple.t array option;
+  mutable sorted_scans : (int list * Tuple.t array) list;
   mutable card_cache : int;
   mutable columns : column option array;
   mutable hash_cache : Multiset_hash.t option;
@@ -35,6 +37,7 @@ let make schema extent =
     schema;
     extent;
     scan_cache = None;
+    sorted_scans = [];
     card_cache = -1;
     columns = [||];
     hash_cache = None;
@@ -112,6 +115,24 @@ let scan r =
   | None ->
       let a = Array.of_list (Tuple.Set.elements r.extent) in
       r.scan_cache <- Some a;
+      a
+
+let compare_at positions a b =
+  let rec go = function
+    | [] -> 0
+    | i :: rest -> (
+        match Value.compare a.(i) b.(i) with 0 -> go rest | c -> c)
+  in
+  go positions
+
+let scan_by r positions =
+  match List.assoc_opt positions r.sorted_scans with
+  | Some a -> a
+  | None ->
+      Dc_parallel.Metrics.(record Key.eval_scan_orders);
+      let a = Array.copy (scan r) in
+      Array.stable_sort (compare_at positions) a;
+      r.sorted_scans <- (positions, a) :: r.sorted_scans;
       a
 
 let tuples r = Array.to_list (scan r)

@@ -37,6 +37,22 @@ val scan : t -> Tuple.t array
     once per value).  This is the full-scan path of the evaluator and
     the index builder.  Callers must not mutate the array. *)
 
+val scan_by : t -> int list -> Tuple.t array
+(** [scan_by r positions] is the extent ordered by the values at
+    [positions], compared lexicographically in list order with
+    {!Value.compare}; tuples that tie there keep their {!scan} order.
+    It is memoized on the relation value per position list, like
+    {!scan}, and never carried by {!insert}/{!delete}: a new value sorts
+    afresh on first demand, and each sort is one
+    {!Dc_parallel.Metrics.Key.eval_scan_orders}.  Filling the memo from
+    two domains at once is a benign race: both compute the same array
+    from the same immutable extent and one write wins (word-sized
+    stores are atomic in OCaml); an entry lost to the other domain's
+    write is merely sorted again on a later demand.  This is the
+    head-ordered outer scan of {!Dc_cq.Plan} when the head's leading
+    columns are not a column prefix.  Callers must not mutate the
+    array. *)
+
 val tuples : t -> Tuple.t list
 (** [Array.to_list (scan r)]: ascending tuple order.  Prefer {!scan},
     {!iter} or {!fold} on hot paths — they share the memoized array

@@ -364,6 +364,35 @@ let test_monotonic_clock () =
   Alcotest.(check bool) "elapsed_ms non-negative" true
     (Dc_clock.Monotonic.elapsed_ms t0 >= 0.)
 
+(* A bulk cite whose plan scans [Family] first and leads its head with
+   [FName] (column 1) iterates a sorted copy of the extent, built once
+   per relation value: repeats at one version and a second engine over
+   the same value reuse it, and a head in column-prefix order needs
+   none. *)
+let test_scan_orders_counter () =
+  let db = Dc_gtopdb.Generator.generate ~seed:3 () in
+  let views = Dc_gtopdb.Paper_views.all in
+  let names = q "N(FName,FID) :- Family(FID,FName,Desc)" in
+  let whole = q "S3(FID,FName,Desc) :- Family(FID,FName,Desc)" in
+  let e = E.create db views in
+  ignore (E.cite e whole);
+  Alcotest.(check int) "column-prefix head: no copy" 0
+    (count e M.Key.eval_scan_orders);
+  let first = E.cite e names in
+  let again = E.cite e names in
+  Alcotest.(check int) "repeated bulk cite: one copy" 1
+    (count e M.Key.eval_scan_orders);
+  Alcotest.(check bool) "same answers" true
+    (first.tuples <> []
+    && List.equal
+         (fun (a : E.tuple_citation) (b : E.tuple_citation) ->
+           R.Tuple.equal a.tuple b.tuple)
+         first.tuples again.tuples);
+  let e2 = E.create db views in
+  ignore (E.cite e2 names);
+  Alcotest.(check int) "second engine, same relation value: no copy" 0
+    (count e2 M.Key.eval_scan_orders)
+
 let suite =
   [
     Alcotest.test_case "plan cache: equivalent forms hit" `Quick
@@ -396,5 +425,7 @@ let suite =
     Alcotest.test_case "monotonic clock sanity" `Quick test_monotonic_clock;
     Alcotest.test_case "1000 landing keys, one plan" `Quick
       test_landing_keys_share_one_plan;
+    Alcotest.test_case "head-ordered scans: one copy per value" `Quick
+      test_scan_orders_counter;
   ]
 
