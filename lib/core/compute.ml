@@ -91,6 +91,24 @@ let unfold views vars rewriting =
       { expansion; evars; widen })
     (Dc_rewriting.Expansion.expand views rewriting)
 
+let rule name t =
+  Option.map
+    (fun { expansion; evars; widen } ->
+      let var i = Cq.Term.Var (List.nth evars i) in
+      let projection =
+        match widen with
+        | None -> List.mapi (fun i _ -> var i) evars
+        | Some w ->
+            Array.to_list
+              (Array.map
+                 (function Fixed c -> Cq.Term.Const c | Var i -> var i)
+                 w)
+      in
+      Cq.Rule.make_exn
+        ~head:(Cq.Atom.make name (Cq.Query.head expansion @ projection))
+        ~body:(List.map (fun a -> Cq.Rule.Pos a) (Cq.Query.body expansion)))
+    t.unfolding
+
 let run ?cache db t =
   match t.unfolding with
   | None -> []

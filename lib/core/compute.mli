@@ -97,6 +97,11 @@ val run :
     expansion's substitution.  A vacuous rewriting (its expansion does
     not unify) has no answers. *)
 
+val rule : string -> template -> Dc_cq.Rule.t option
+(** [rule p t]: {!run} as a Datalog rule with head [p], one row per
+    answer and projection, the answer followed by the projection on
+    {!vars}; [None] for a vacuous rewriting. *)
+
 val projected_expr :
   (template * Dc_relational.Value.t array list) list -> Cite_expr.t
 (** The {e normalized} {!tuple_expr} of one tuple, given for each

@@ -374,7 +374,6 @@ let recursive_predicates e =
 let citation_views e = e.cviews
 let policy e = e.policy
 let selection e = e.selection
-let eval_cache e = (Caches.get e.caches).eval_cache
 let metrics e = e.metrics
 
 (* The database a computation naming [preds] runs over: the base alone

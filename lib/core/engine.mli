@@ -56,7 +56,7 @@
     view set: {!create} and {!of_program} start it cold, and every
     engine derived from one by {!refresh} or {!replicate} — the
     per-version engines of a {!Versioned_engine}, its template,
-    {!Incremental} replicas — shares it.
+    {!Incremental} registrations — shares it.
 
     {b Thread safety: per-domain caches.}  One engine may serve {!cite}
     / {!cite_string} / {!resolve_leaf} calls from any number of threads
@@ -84,11 +84,7 @@
     under the forcing domain's cache lock and evaluation cache of the
     engine that built the cell, while the others wait for its value.
     A computation that raises leaves the cell empty for the next cite
-    to retry.  The cell is never forced while a cache lock is held.  The contract covers only access {e through} the engine: code
-    that takes the raw {!eval_cache} handle and evaluates with it
-    directly ({!Incremental} does) bypasses the lock and must not run
-    concurrently with citations of the same engine on the same
-    domain. *)
+    to retry.  The cell is never forced while a cache lock is held. *)
 
 type selection =
   [ `All  (** evaluate every minimal rewriting; [+R] applies at eval *)
@@ -154,8 +150,7 @@ val replicate : t -> t
     the metrics registry.
     {!Versioned_engine} gives each per-version engine one, so versions
     never thrash each other's evaluation cache but never search a
-    shape twice, and each {!Incremental} registration one, because it
-    evaluates through the raw {!eval_cache} without the lock. *)
+    shape twice. *)
 
 val database : t -> Dc_relational.Database.t
 (** The base (EDB) database only — what {!refresh}, the version store
@@ -174,9 +169,7 @@ val derived_predicates : t -> string list
     program. *)
 
 val recursive_predicates : t -> string list
-(** The subset of {!derived_predicates} computed by fixpoint iteration.
-    Registering incremental maintenance over these is refused — see
-    {!Versioned_engine.register}. *)
+(** The subset of {!derived_predicates} computed by fixpoint iteration. *)
 
 val citation_views : t -> Citation_view.Set.t
 val policy : t -> Policy.t
@@ -190,17 +183,6 @@ val view_database : t -> Dc_relational.Database.t
 (** Every citation view's extent, computed afresh on each call and
     cached nowhere (recorded under the [materialize] timer).  No cite
     reads it: it serves {!Explain} and test oracles. *)
-
-val eval_cache : t -> Dc_cq.Eval.cache
-(** The calling domain's evaluation cache of this engine: hash indexes
-    keyed by (predicate, bound positions) {e and} compiled query plans
-    keyed by the query's syntax, constants compared as typed values
-    (see {!Dc_cq.Plan}).  Both kinds of entry self-invalidate against
-    the current relation values by physical identity, so callers
-    maintaining the database incrementally ({!Incremental}) can keep
-    reusing it across deltas.  Distinct from the engine's
-    rewriting-plan cache, which maps query shapes to verified
-    rewritings and belongs to the view set. *)
 
 val metrics : t -> Metrics.t
 (** This engine's metrics handle: plan/leaf/eval cache hit counters,
@@ -251,7 +233,8 @@ val refresh :
 val template : t -> Dc_cq.Query.t -> Compute.template
 (** A rewriting's citation template over this engine's views, with its
     expansion: what {!cite} evaluates ({!Compute.run}).  {!Incremental}
-    finds and recomputes the tuples a delta affects through these. *)
+    turns each registered rewriting's template into a Datalog rule
+    ({!Compute.rule}). *)
 
 type tuple_citation = {
   tuple : Dc_relational.Tuple.t;

@@ -10,15 +10,17 @@ type t = {
   engine : Engine.t;
   query : Cq.Query.t;
   selected : Cq.Query.t list;
-  templates : Compute.template list;
-      (** one per [selected] rewriting, holding its expansion *)
+  heads : (string * Compute.template) list;
+      (** each selected rewriting's rule head, with its template *)
+  program : Cq.Stratify.t;
+  derived : R.Database.t;  (** [program]'s derivation: the rows *)
+  eval_cache : Cq.Eval.cache;
   cache : Engine.tuple_citation R.Tuple.Map.t;
   affected_last : int;
 }
 
 let engine reg = reg.engine
 let query reg = reg.query
-let selected reg = reg.selected
 let tuples reg = List.map snd (R.Tuple.Map.bindings reg.cache)
 let affected_last reg = reg.affected_last
 
@@ -48,6 +50,9 @@ let to_result reg : Engine.result =
       };
   }
 
+let citation_reads cv =
+  List.concat_map Cq.Query.predicates (Citation_view.citation_queries cv)
+
 let register eng q =
   let result = Engine.cite eng q in
   let cache =
@@ -61,53 +66,46 @@ let register eng q =
     if result.selected = [] then [ Cq.Query.strip_params q ]
     else result.selected
   in
+  (* '#' is no identifier character: no relation or predicate takes the
+     name of a rule head *)
+  let heads, rules =
+    List.split
+      (List.filter_map
+         (fun (p, t) -> Option.map (fun r -> ((p, t), r)) (Compute.rule p t))
+         (List.mapi
+            (fun i rw ->
+              (Printf.sprintf "registration#%d" i, Engine.template eng rw))
+            selected))
+  in
+  let reads =
+    List.concat_map (fun r -> List.map fst (Cq.Rule.body_preds r)) rules
+    @ List.concat_map citation_reads
+        (Citation_view.Set.to_list (Engine.citation_views eng))
+  in
+  (* The program's extents carry over; the rows derive from empty. *)
+  let program, prior =
+    match Engine.program eng with
+    | Some p when List.exists (Cq.Program.is_idb p) reads ->
+        (Cq.Program.rules p @ rules, Engine.derived_database eng)
+    | _ -> (rules, R.Database.empty)
+  in
+  let program = Cq.Stratify.run_exn program
+  and eval_cache = Cq.Eval.make_cache () in
   {
     engine = eng;
     query = q;
     selected;
-    templates = List.map (Engine.template eng) selected;
+    heads;
+    program;
+    derived =
+      Cq.Seminaive.continue ~cache:eval_cache ~prior ~changes:R.Delta.empty
+        (Engine.database eng) program;
+    eval_cache;
     cache;
     affected_last = 0;
   }
 
-(* Specialize [q] by pinning [terms] — one body atom's arguments, or
-   the head — to the values of [tuple]: each variable is substituted by
-   its value.  [None] when a constant, or a repeated variable, disagrees
-   with the tuple. *)
-let pin q terms tuple =
-  let rec build subst i = function
-    | [] -> Some subst
-    | Cq.Term.Const c :: rest ->
-        if R.Value.equal c (R.Tuple.get tuple i) then build subst (i + 1) rest
-        else None
-    | Cq.Term.Var v :: rest ->
-        Option.bind
-          (Cq.Subst.extend subst v (Cq.Term.Const (R.Tuple.get tuple i)))
-          (fun subst -> build subst (i + 1) rest)
-  in
-  if List.length terms <> R.Tuple.arity tuple then None
-  else
-    Option.map (fun s -> Cq.Query.apply_subst s q) (build Cq.Subst.empty 0 terms)
-
-(* Delta rule: the head tuples derivable through [tuple] sitting in the
-   [pred] position of [q]'s body, evaluated against [db].  One pass per
-   occurrence of [pred]. *)
-let derived_through ?cache db q pred tuple =
-  List.concat_map
-    (fun atom ->
-      if String.equal (Cq.Atom.pred atom) pred then
-        match pin q (Cq.Atom.args atom) tuple with
-        | None -> []
-        | Some q' -> List.map fst (Cq.Eval.run_projected ?cache db q' [])
-      else [])
-    (Cq.Query.body q)
-
 let apply_delta ?new_base reg delta =
-  (* Reuse the engine's index cache rather than building a throwaway
-     one per delta: entries are validated against the current relation
-     value inside [Eval.index_for], so indexes over unchanged relations
-     survive across deltas and stale ones rebuild transparently. *)
-  let eval_cache = Engine.eval_cache reg.engine in
   let old_base = Engine.database reg.engine in
   (* [new_base], when given, lets a caller that already applied the
      delta (Version_store.apply_head is THE delta-application path)
@@ -117,89 +115,81 @@ let apply_delta ?new_base reg delta =
     | Some db -> db
     | None -> R.Delta.apply old_base delta
   in
+  let changes = R.Delta.net ~before:old_base ~after:new_base delta in
+  let derived, derived_changes =
+    Cq.Seminaive.continue_delta ~cache:reg.eval_cache ~prior:reg.derived
+      ~changes new_base reg.program
+  in
   let new_engine = Engine.refresh reg.engine new_base in
-  let cviews = Engine.citation_views reg.engine in
-  let changed_base = R.Delta.relations_touched delta in
-  (* 1. Affected output tuples: those with a binding of a registered
-     rewriting's expansion through an inserted base tuple (over the new
-     base) or a deleted one (over the old).  The expansion's head is the
-     rewriting's, so these are the rewriting's answers whose bindings
-     changed.  Registrations never read Datalog-derived predicates
-     ({!Versioned_engine.register} refuses them), so the base is all an
-     expansion reads. *)
-  let affected =
-    List.concat_map
-      (fun t ->
-        match Compute.expansion t with
-        | None -> []
-        | Some exp ->
-            List.concat_map
-              (fun rel ->
-                List.concat_map
-                  (derived_through ~cache:eval_cache new_base exp rel)
-                  (R.Delta.inserted delta rel)
-                @ List.concat_map
-                    (derived_through ~cache:eval_cache old_base exp rel)
-                    (R.Delta.deleted delta rel))
-              changed_base)
-      reg.templates
-    |> List.sort_uniq R.Tuple.compare
+  let cite =
+    Engine.tuple_citation ~resolve:(Engine.leaf_resolver new_engine) new_engine
   in
-  (* 2. Recompute the expressions of affected tuples only, from the
-     projected bindings of each rewriting pinned to the tuple. *)
-  let resolve = Engine.leaf_resolver new_engine in
-  let cache =
-    List.fold_left
-      (fun cache tuple ->
-        let contribs =
-          List.filter_map
-            (fun rw ->
-              Option.bind (pin rw (Cq.Query.head rw) tuple) (fun rw' ->
-                  let t = Engine.template new_engine rw' in
-                  match Compute.run ~cache:eval_cache new_base t with
-                  | [ (_, projections) ] -> Some (t, projections)
-                  | _ -> None))
-            reg.selected
-        in
-        if contribs = [] then R.Tuple.Map.remove tuple cache
-        else
-          R.Tuple.Map.add tuple
-            (Engine.tuple_citation ~resolve new_engine tuple
-               (Compute.projected_expr contribs))
-            cache)
-      reg.cache affected
+  let width = Cq.Query.arity reg.query in
+  (* 1. Citation-query dirtiness: a change to a relation, base or
+     derived, that a citation query reads stales the concrete citations
+     (not the formal expressions) of every tuple whose expression
+     mentions that view. *)
+  let changed =
+    R.Delta.relations_touched changes
+    @ R.Delta.relations_touched derived_changes
   in
-  (* 3. Citation-query dirtiness: snippets live in the base database, so
-     a delta touching a citation query's relations stales the concrete
-     citations (not the formal expressions) of every tuple whose
-     expression mentions that view. *)
-  let dirty_views =
+  let dirty =
     List.filter_map
       (fun cv ->
-        let dirty =
-          List.exists
-            (fun cq ->
-              List.exists
-                (fun p -> List.mem p changed_base)
-                (Cq.Query.predicates cq))
-            (Citation_view.citation_queries cv)
-        in
-        if dirty then Some (Citation_view.name cv) else None)
-      (Citation_view.Set.to_list cviews)
+        if List.exists (fun p -> List.mem p changed) (citation_reads cv) then
+          Some (Citation_view.name cv)
+        else None)
+      (Citation_view.Set.to_list (Engine.citation_views reg.engine))
+  in
+  let stale (tc : Engine.tuple_citation) =
+    List.exists
+      (fun (l : Cite_expr.leaf) -> List.mem l.view dirty)
+      (Cite_expr.leaves tc.expr)
   in
   let cache =
-    if dirty_views = [] then cache
+    if dirty = [] then reg.cache
     else
       R.Tuple.Map.map
         (fun (tc : Engine.tuple_citation) ->
-          let mentions =
-            List.exists
-              (fun (l : Cite_expr.leaf) -> List.mem l.view dirty_views)
-              (Cite_expr.leaves tc.expr)
-          in
-          if mentions then Engine.tuple_citation ~resolve new_engine tc.tuple tc.expr
-          else tc)
-        cache
+          if stale tc then cite tc.tuple tc.expr else tc)
+        reg.cache
+  in
+  (* 2. The affected answers, those that gained or lost a row, get their
+     expressions recomputed from their rows, where the projections
+     follow the answer. *)
+  let affected =
+    List.concat_map
+      (fun (p, _) ->
+        R.Delta.inserted derived_changes p @ R.Delta.deleted derived_changes p)
+      reg.heads
+    |> List.map (fun row -> R.Tuple.project row (List.init width Fun.id))
+    |> List.sort_uniq R.Tuple.compare
+  in
+  let rows tuple (p, t) =
+    let n = List.length (Compute.vars t) in
+    match
+      R.Relation.probe_prefix
+        (R.Database.relation_exn derived p)
+        (Array.of_list (R.Tuple.to_list tuple))
+    with
+    | [] -> None
+    | rows ->
+        Some
+          ( t,
+            List.rev_map
+              (fun row -> Array.init n (fun i -> R.Tuple.get row (width + i)))
+              rows )
+  in
+  let cache =
+    List.fold_left
+      (fun cache tuple ->
+        match List.filter_map (rows tuple) reg.heads with
+        | [] -> R.Tuple.Map.remove tuple cache
+        | contribs ->
+            R.Tuple.Map.add tuple
+              (cite tuple (Compute.projected_expr contribs))
+              cache)
+      cache affected
   in
   Log.debug (fun m ->
       m "apply_delta: %d changes, %d output tuple(s) recomputed"
@@ -207,6 +197,7 @@ let apply_delta ?new_base reg delta =
   {
     reg with
     engine = new_engine;
+    derived;
     cache;
     affected_last = List.length affected;
   }

@@ -2,22 +2,19 @@
     challenge (§3): "how to compute citations in an incremental manner".
 
     A {e registration} pins a query together with its selected
-    rewritings (each with its expansion over the base schema,
-    {!Engine.template}) and caches the per-tuple formal citations.  When
-    the base database changes by a {!Dc_relational.Delta.t}, the
-    registration is updated by delta evaluation instead of
-    recomputation:
-
-    + the affected output tuples of each rewriting are those its
-      expansion derives with one body atom pinned to an inserted base
-      tuple (over the new base) or a deleted one (over the old base),
-      one pass per occurrence;
-    + only the affected tuples have their binding sets — and hence their
-      citation expressions — recomputed, through the expansions of the
-      rewritings pinned to each tuple; every other cached citation is
-      reused;
-    + the engine advances with {!Engine.refresh}.  No view extent is
-      kept or maintained.
+    rewritings and caches the per-tuple formal citations.  Each
+    rewriting is one Datalog rule ({!Compute.rule}) whose {e rows} are
+    its answers, each followed by one projection on the variables that
+    fill view parameters; the engine's program rules join them when
+    they or a citation query read a derived predicate.  A base change
+    continues that program's derivation
+    ({!Dc_cq.Seminaive.continue_delta}, which carries a non-recursive
+    stratum across insertions and deletions alike); only the answers
+    that gained or lost a row have their citations recomputed, from
+    their rows, and a citation view whose citation queries read a
+    relation, base or derived, that the change touched is re-resolved
+    in every cached citation that mentions it.  The engine advances
+    with {!Engine.refresh}; no view extent is kept.
 
     Experiment E6 measures this against [Engine.refresh] + re-cite. *)
 
@@ -28,7 +25,6 @@ val register : Engine.t -> Dc_cq.Query.t -> t
 
 val engine : t -> Engine.t
 val query : t -> Dc_cq.Query.t
-val selected : t -> Dc_cq.Query.t list
 
 val tuples : t -> Engine.tuple_citation list
 (** Current cached per-tuple citations, sorted by tuple. *)
@@ -55,10 +51,10 @@ val apply_delta : ?new_base:Dc_relational.Database.t -> t -> Dc_relational.Delta
     delta, keeping store head and registration base physically in
     step.
 
-    Affected tuples are found through base relations only:
-    {!Versioned_engine.register} refuses any registration whose
-    rewritings read Datalog-derived predicates, since no delta names
-    them. *)
+    The rows derive with an evaluation cache of the registration's
+    own, shared by every registration [apply_delta] returns from it:
+    advance one chain from one thread at a time ({!Versioned_engine}
+    holds its commit lock). *)
 
 val affected_last : t -> int
 (** Number of output tuples recomputed by the last [apply_delta]

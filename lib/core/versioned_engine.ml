@@ -277,62 +277,11 @@ let cite_at t v q =
 
 let cite t q = cite_at t (head t) q
 
-(* Incremental maintenance propagates deltas through {e base} relations
-   only ({!Incremental.apply_delta} reads [Delta.relations_touched]):
-   an extent derived by the Datalog engine changes when its EDB inputs
-   change, but no delta ever names it, so a registration reading one —
-   directly or through a citation view whose definition mentions one —
-   would serve stale answers forever.  Silent staleness being the
-   failure mode, such registrations are refused loudly here; recursive
-   predicates would additionally need fixpoint re-iteration per delta.
-   Clients re-cite after commit instead: [cite_at] derives the new
-   version's IDB by continuing its nearest derived ancestor's from the
-   commit deltas between them. *)
-let guard_derived eng q reg =
-  match Engine.derived_predicates eng with
-  | [] -> Ok ()
-  | derived -> (
-      let cviews = Engine.citation_views eng in
-      let reads_of rw =
-        List.concat_map
-          (fun p ->
-            match Citation_view.Set.find cviews p with
-            | Some cv ->
-                p :: Cq.Query.predicates (Citation_view.definition cv)
-            | None -> [ p ])
-          (Cq.Query.predicates rw)
-      in
-      let reads =
-        List.concat_map reads_of
-          (Cq.Query.strip_params q :: Incremental.selected reg)
-      in
-      match List.find_opt (fun p -> List.mem p derived) reads with
-      | None -> Ok ()
-      | Some p ->
-          let recursive =
-            List.mem p (Engine.recursive_predicates eng)
-          in
-          Error
-            (Printf.sprintf
-               "REGISTER refused: query %s reads %s predicate %s; \
-                incremental maintenance over Datalog-derived predicates \
-                is not supported (deltas name base relations only, so \
-                the registration would go stale silently) — cite after \
-                each commit instead"
-               (Cq.Query.name q)
-               (if recursive then "recursive Datalog" else "Datalog-derived")
-               p))
-
 let register_gen ~durable t q =
   committing t @@ fun () ->
   let hd = VS.head t.store in
   Result.bind (engine_at t hd) @@ fun eng ->
-  (* Register on a private replica: [Incremental] evaluates with
-     the raw eval-cache handle, bypassing the cache lock, so it
-     must never share caches with an engine serving concurrent
-     citations. *)
-  let reg = Incremental.register (Engine.replicate eng) q in
-  Result.bind (guard_derived eng q reg) @@ fun () ->
+  let reg = Incremental.register eng q in
   let key = reg_key q in
   let logged =
     match t.durability with

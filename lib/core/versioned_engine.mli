@@ -183,18 +183,11 @@ val template : t -> Engine.t
 
 val register : t -> Dc_cq.Query.t -> (unit, string) result
 (** Register the query for incremental maintenance at head: subsequent
-    {!commit_delta}s update its cached citations by delta rules, and
-    head-version {!cite_at}s of the same query are served from the
-    registration.
-
-    {b Derived-predicate guard.}  [Error] — registration refused, no
-    state changed — when the query, a selected rewriting, or the
-    definition of a citation view those use reads a predicate derived
-    by the engine's Datalog program.  Deltas name base relations only,
-    so such a registration could not be maintained and would go stale
-    silently; recursive predicates would additionally need per-delta
-    fixpoint re-iteration.  Cite after each commit instead (per-version
-    engines derive IDB extents, continuing an ancestor's). *)
+    {!commit_delta}s carry its citations across each change
+    ({!Incremental}), and head-version {!cite_at}s of the same query are
+    served from the registration.  Any query the head engine cites
+    registers, over base relations or Datalog-derived predicates,
+    recursive ones included. *)
 
 val commit_delta : t -> Dc_relational.Delta.t -> (Dc_relational.Version_store.version, string) result
 (** Apply a delta to the head and commit the result as the new head,

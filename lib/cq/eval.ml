@@ -71,10 +71,11 @@ let index_for cache db pred positions =
       Hashtbl.replace cache.indexes (pred, positions) (rel, idx);
       idx
 
-(* Plan-cache capacity bound.  The incremental maintainer pins fresh
-   constants into delta queries, so distinct keys are unbounded in
-   general; resetting on overflow keeps the steady-state workload (a
-   fixed set of citation views) fully cached while bounding memory. *)
+(* Plan-cache capacity bound.  Resolving a citation leaf pins its
+   parameter values into the citation queries, so distinct keys are
+   unbounded in general; resetting on overflow keeps the steady-state
+   workload (a fixed set of citation views) fully cached while bounding
+   memory. *)
 let max_plans = 1024
 
 let plan_for cache db q =
@@ -198,29 +199,27 @@ let run_projected ?cache db q vars =
         (Plan.head_tuple plan regs, Array.map (fun s -> regs.(s)) proj) :: !acc);
   group_emissions (Plan.head_prefix plan) R.Tuple.compare !acc
 
-let result_schema q =
-  let cols =
-    List.mapi
-      (fun i t ->
-        match t with
-        | Term.Var v -> R.Schema.attr v
-        | Term.Const _ -> R.Schema.attr (Printf.sprintf "c%d" i))
-      (Query.head q)
+let head_schema name terms =
+  let taken = Hashtbl.create 8 in
+  let rec free col i =
+    if Hashtbl.mem taken col then free (Printf.sprintf "%s_%d" col i) i
+    else col
   in
-  (* Head columns can repeat a variable; disambiguate with position. *)
-  let seen = Hashtbl.create 8 in
-  let cols =
-    List.mapi
-      (fun i (a : R.Schema.attribute) ->
-        if Hashtbl.mem seen a.name then
-          R.Schema.attr (Printf.sprintf "%s_%d" a.name i)
-        else begin
-          Hashtbl.add seen a.name ();
-          a
-        end)
-      cols
-  in
-  R.Schema.make (Query.name q) cols
+  R.Schema.make name
+    (List.mapi
+       (fun i t ->
+         let col =
+           free
+             (match t with
+             | Term.Var v -> v
+             | Term.Const _ -> Printf.sprintf "c%d" i)
+             i
+         in
+         Hashtbl.add taken col ();
+         R.Schema.attr col)
+       terms)
+
+let result_schema q = head_schema (Query.name q) (Query.head q)
 
 let result ?cache db q =
   let cache = resolve_cache cache in

@@ -53,8 +53,8 @@ type cache
     identity, so one cache can safely serve many
     evaluations over evolving persistent databases: stale entries are
     rebuilt transparently.  The plan table is capacity-bounded (reset
-    on overflow) because delta queries pin fresh constants and would
-    otherwise grow it without bound.  Sharing a cache turns repeated
+    on overflow) because instantiated citation queries pin fresh
+    constants and would otherwise grow it without bound.  Sharing a cache turns repeated
     evaluations over the same extents — e.g. resolving thousands of
     parameterized citation leaves — from compile-and-index-build-bound
     into pure slot-kernel runs. *)
@@ -113,8 +113,14 @@ val result :
   Dc_relational.Database.t ->
   Query.t ->
   Dc_relational.Relation.t
-(** Just the output relation; its schema is named after the query with
-    columns named after head variables ([ci] for constant positions). *)
+(** Just the output relation; its schema is {!head_schema} of the
+    query's name and head. *)
+
+val head_schema : string -> Term.t list -> Dc_relational.Schema.t
+(** The all-[TAny] schema of the rows a head with these terms writes:
+    a variable names its column, a constant at position [i] names it
+    [ci], and a name already taken gets [_i] appended until it is free.
+    {!Seminaive} names IDB extents this way too. *)
 
 val holds : ?cache:cache -> Dc_relational.Database.t -> Query.t -> bool
 (** Whether the query has at least one answer (boolean query support).

@@ -6,34 +6,12 @@ module Metrics = Dc_parallel.Metrics
 let delta_suffix = "__delta"
 let delta_name p = p ^ delta_suffix
 
-(* IDB schemas are all-TAny, columns named after the first defining
-   rule's head terms (mirroring {!Eval.result_schema}): a variable names
-   its column, a constant position gets [c<i>], repeats are position-
-   disambiguated. *)
+(* IDB extents are named like query results, after the first defining
+   rule's head. *)
 let idb_schema name (rules : Rule.t list) =
-  let head =
-    match rules with
-    | r :: _ -> Atom.args (Rule.head r)
-    | [] -> invalid_arg "idb_schema: no rules"
-  in
-  let seen = Hashtbl.create 8 in
-  let cols =
-    List.mapi
-      (fun i t ->
-        let base =
-          match t with
-          | Term.Var v -> v
-          | Term.Const _ -> Printf.sprintf "c%d" i
-        in
-        if Hashtbl.mem seen base then
-          R.Schema.attr (Printf.sprintf "%s_%d" base i)
-        else begin
-          Hashtbl.add seen base ();
-          R.Schema.attr base
-        end)
-      head
-  in
-  R.Schema.make name cols
+  match rules with
+  | r :: _ -> Eval.head_schema name (Atom.args (Rule.head r))
+  | [] -> invalid_arg "idb_schema: no rules"
 
 let rules_for p rules = List.filter (fun r -> Rule.head_pred r = p) rules
 
@@ -224,9 +202,9 @@ let eval_stratum cache ~recursive ~init ~seeds ~seed_deltas wdb rules =
     List.map (fun p -> (p, Hashtbl.find added p)) preds )
 
 (* How a relation read by a stratum changed since the prior derivation:
-   insertions only, or anything else (a deletion, or a stratum
-   re-derived from empty extents). *)
-type change = Inserted of R.Tuple.t list | Replaced
+   its net insertions and deletions, or [Replaced] when its stratum was
+   derived from empty extents. *)
+type change = Changed of R.Tuple.t list * R.Tuple.t list | Replaced
 
 (* The body literals of a stratum's rules over relations below it, with
    their polarity. *)
@@ -253,9 +231,9 @@ let check_names db (s : Stratify.t) =
               relation"
              p))
     s.idb;
-  (* Recursive predicates iterate over their delta extents, and a
-     continued stratum reads the changes of the relations below it
-     through theirs. *)
+  (* Recursive predicates iterate over their delta extents, a continued
+     stratum reads the changes of the relations below it through theirs,
+     and re-derives its own suspect tuples through its own. *)
   let read =
     List.concat_map
       (fun rules -> List.map fst (List.filter snd (lower_reads rules)))
@@ -268,7 +246,7 @@ let check_names db (s : Stratify.t) =
           (Printf.sprintf
              "Seminaive.run: relation %s shadows the delta extent of %s"
              (delta_name p) p))
-    (List.sort_uniq String.compare (s.recursive @ read))
+    (List.sort_uniq String.compare (s.idb @ read))
 
 let resolve_cache = function Some c -> c | None -> Eval.make_cache ()
 
@@ -291,10 +269,72 @@ let run_strata ~stratum db (s : Stratify.t) =
     s.strata;
   !result
 
+(* Continue a stratum from its prior extents [exts], given the net
+   change [(ins, del)] of each changed relation it reads, all
+   positively.  Deletions come only under a non-recursive stratum, of
+   one predicate, and first over-delete: the variants over the deleted
+   tuples, evaluated over the inputs as they were, derive the prior
+   tuples that lost a derivation.  The seed round evaluates the variants
+   over the inserted tuples and re-derives each lost tuple through the
+   rules pinned to it by a [p ^ delta_suffix] atom over their head, from
+   the prior extents without the lost tuples.  Returns the loop's
+   results with each predicate's net change. *)
+let continue_stratum cache ~recursive ~is_idb ~prior ~exts ~changed wdb rules =
+  let pick f = List.filter (fun (_, ts) -> ts <> []) (List.map f changed) in
+  let ins = pick (fun (p, (ins, _)) -> (p, ins))
+  and del = pick (fun (p, (_, del)) -> (p, del)) in
+  let delta_of (p, ts) = delta_relation (R.Database.relation_exn wdb p) ts in
+  let revert db (p, (ins, del)) =
+    R.Database.add_relation db
+      (if is_idb p then R.Database.relation_exn prior p
+       else
+         let rel = R.Database.relation_exn wdb p in
+         R.Relation.insert_list (List.fold_left R.Relation.delete rel ins) del)
+  in
+  let lost =
+    if del = [] then []
+    else
+      let old =
+        List.fold_left R.Database.add_relation
+          (List.fold_left revert wdb changed)
+          (List.map delta_of del)
+      in
+      List.sort_uniq R.Tuple.compare
+        (List.concat_map
+           (fun (head, body) -> eval_body cache old ~head body)
+           (variants (Sset.of_list (List.map fst del)) rules))
+  in
+  let pinned r =
+    let head = Rule.head r in
+    let pin = Atom.make (delta_name (Atom.pred head)) (Atom.args head) in
+    (head, Rule.body r @ [ Rule.Pos pin ])
+  in
+  let wdb, results, added =
+    eval_stratum cache ~recursive
+      ~init:(fun p -> List.fold_left R.Relation.delete (List.assoc p exts) lost)
+      ~seeds:
+        (variants (Sset.of_list (List.map fst ins)) rules
+        @ if lost = [] then [] else List.map pinned rules)
+      ~seed_deltas:
+        (List.map delta_of ins
+        @ List.map (fun (_, ext) -> delta_relation ext lost) exts)
+      wdb rules
+  in
+  let net (p, added) =
+    let absent rels t = not (R.Relation.mem (List.assoc p rels) t) in
+    match
+      (List.filter (absent exts) added, List.filter (absent results) lost)
+    with
+    | [], [] -> None
+    | ins, del -> Some (p, Changed (ins, del))
+  in
+  (wdb, results, List.filter_map net added)
+
 (* Every stratum is derived, continued from [prior] or reused from it,
    by what changed among the relations it reads: [changes] starts as the
-   EDB's net change and gains each stratum's own as it is evaluated. *)
-let derive cache ~prior ~changes db s =
+   EDB's net change and gains each stratum's own as it is evaluated.
+   Returns the result with the final [changes]. *)
+let derive cache ~prior ~changes db (s : Stratify.t) =
   let changes = ref changes in
   let empty rules p = R.Relation.empty (idb_schema p (rules_for p rules)) in
   let from_empty ~recursive wdb rules =
@@ -303,88 +343,95 @@ let derive cache ~prior ~changes db s =
       eval_stratum cache ~recursive ~init:(empty rules) ~seeds ~seed_deltas:[]
         wdb rules
     in
-    List.iter
-      (fun (p, _) -> changes := Smap.add p Replaced !changes)
-      results;
-    (wdb, results)
+    (wdb, results, List.map (fun (p, _) -> (p, Replaced)) results)
   in
-  run_strata db s ~stratum:(fun ~recursive wdb rules ->
-      let preds = stratum_preds rules in
-      let prior_extents =
-        Option.bind prior (fun prior ->
-            let exts = List.map (R.Database.relation prior) preds in
-            if List.mem None exts then None
-            else Some (List.combine preds (List.map Option.get exts)))
-      in
-      let changed =
-        List.filter_map
-          (fun (p, positive) ->
-            Option.map (fun c -> (p, positive, c)) (Smap.find_opt p !changes))
-          (lower_reads rules)
-      in
-      let continues (_, positive, c) =
-        positive && match c with Inserted _ -> true | Replaced -> false
-      in
-      match prior_extents with
-      | None -> from_empty ~recursive wdb rules
-      | Some exts when changed = [] ->
-          ( List.fold_left
-              (fun wdb (_, rel) -> R.Database.add_relation wdb rel)
-              wdb exts,
-            exts )
-      | Some exts when List.for_all continues changed ->
-          let inserted =
-            List.sort_uniq
-              (fun (a, _) (b, _) -> String.compare a b)
-              (List.filter_map
-                 (function
-                   | p, _, Inserted tuples -> Some (p, tuples)
-                   | _, _, Replaced -> None)
-                 changed)
-          in
-          let seed_deltas =
-            List.map
-              (fun (p, tuples) ->
-                delta_relation (R.Database.relation_exn wdb p) tuples)
-              inserted
-          in
-          let wdb, results, added =
-            eval_stratum cache ~recursive ~init:(fun p -> List.assoc p exts)
-              ~seeds:(variants (Sset.of_list (List.map fst inserted)) rules)
-              ~seed_deltas wdb rules
-          in
-          List.iter
-            (fun (p, tuples) ->
-              if tuples <> [] then
-                changes := Smap.add p (Inserted tuples) !changes)
-            added;
-          (wdb, results)
-      | Some _ ->
-          Metrics.(record Key.datalog_rederived_strata);
-          from_empty ~recursive wdb rules)
+  let result =
+    run_strata db s ~stratum:(fun ~recursive wdb rules ->
+        let preds = stratum_preds rules in
+        let prior_extents =
+          Option.bind prior (fun prior ->
+              let exts = List.map (R.Database.relation prior) preds in
+              if List.mem None exts then None
+              else Some (prior, List.combine preds (List.map Option.get exts)))
+        in
+        let changed =
+          List.filter_map
+            (fun (p, positive) ->
+              Option.map (fun c -> (p, positive, c)) (Smap.find_opt p !changes))
+            (List.sort_uniq compare (lower_reads rules))
+        in
+        let continued = function
+          | p, true, Changed (ins, del) when del = [] || not recursive ->
+              Some (p, (ins, del))
+          | _ -> None
+        in
+        let wdb, results, net =
+          match prior_extents with
+          | None -> from_empty ~recursive wdb rules
+          | Some (_, exts) when changed = [] ->
+              ( List.fold_left
+                  (fun wdb (_, rel) -> R.Database.add_relation wdb rel)
+                  wdb exts,
+                exts,
+                [] )
+          | Some (prior, exts)
+            when List.for_all (fun c -> continued c <> None) changed ->
+              continue_stratum cache ~recursive
+                ~is_idb:(fun p -> List.mem p s.idb)
+                ~prior ~exts
+                ~changed:(List.filter_map continued changed)
+                wdb rules
+          | Some _ ->
+              Metrics.(record Key.datalog_rederived_strata);
+              from_empty ~recursive wdb rules
+        in
+        List.iter (fun (p, c) -> changes := Smap.add p c !changes) net;
+        (wdb, results))
+  in
+  (result, !changes)
 
 let run ?cache db s =
   let cache = resolve_cache cache in
   Metrics.record_time "datalog_fixpoint" (fun () ->
       Metrics.(record Key.datalog_scratch_derivations);
-      derive cache ~prior:None ~changes:Smap.empty db s)
+      fst (derive cache ~prior:None ~changes:Smap.empty db s))
 
-let continue ?cache ~prior ~changes db s =
-  let cache = resolve_cache cache in
+let continue_gen ?cache ~prior ~changes db s =
   let changes =
     List.fold_left
-      (fun acc (rel, cs) ->
-        if List.exists (function R.Delta.Delete _ -> true | _ -> false) cs then
-          Smap.add rel Replaced acc
-        else
-          match R.Delta.inserted changes rel with
-          | [] -> acc
-          | tuples -> Smap.add rel (Inserted tuples) acc)
+      (fun acc (rel, _) ->
+        Smap.add rel
+          (Changed (R.Delta.inserted changes rel, R.Delta.deleted changes rel))
+          acc)
       Smap.empty (R.Delta.changes changes)
   in
   Metrics.record_time "datalog_fixpoint" (fun () ->
       Metrics.(record Key.datalog_continued_derivations);
-      derive cache ~prior:(Some prior) ~changes db s)
+      derive (resolve_cache cache) ~prior:(Some prior) ~changes db s)
+
+let continue ?cache ~prior ~changes db s =
+  fst (continue_gen ?cache ~prior ~changes db s)
+
+(* A re-derived stratum's change is the difference of its extents. *)
+let continue_delta ?cache ~prior ~changes db (s : Stratify.t) =
+  let result, changes = continue_gen ?cache ~prior ~changes db s in
+  let change p =
+    match Smap.find_opt p changes with
+    | None -> ([], [])
+    | Some (Changed (ins, del)) -> (ins, del)
+    | Some Replaced ->
+        let now = R.Database.relation_exn result p in
+        Option.fold ~none:(R.Relation.tuples now, [])
+          ~some:(fun before -> R.Relation.diff before now)
+          (R.Database.relation prior p)
+  in
+  ( result,
+    List.fold_left
+      (fun d p ->
+        let ins, del = change p in
+        let d = List.fold_left (fun d t -> R.Delta.delete d p t) d del in
+        List.fold_left (fun d t -> R.Delta.insert d p t) d ins)
+      R.Delta.empty s.idb )
 
 module Naive = struct
   (* Reference: every round evaluates every rule of the stratum against

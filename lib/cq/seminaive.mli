@@ -24,16 +24,21 @@
     new is derived.  {!run} starts each stratum from empty extents, with
     the rules themselves as the seed round.  {!continue} starts from a
     prior fixpoint: a stratum whose inputs did not change keeps its
-    prior extents; one whose inputs only gained tuples, all read
-    positively, starts from its prior extents, and its seed round
-    evaluates, for every rule and every positive occurrence of a
-    changed lower relation [L], the variant with that occurrence
-    redirected to [L ^ delta_suffix], which holds [L]'s new tuples; any
-    other stratum (an input lost tuples, or a changed input is read
-    under negation) is re-derived from empty extents over the already
-    updated strata below it.  The tuples a continued stratum's loop
-    adds are its change for the strata above; a re-derived stratum
-    counts as changed in every way.
+    prior extents; one whose changed inputs are all read positively
+    starts from its prior extents, and its seed round evaluates, for
+    every rule and every positive occurrence of a changed lower
+    relation [L], the variant with that occurrence redirected to
+    [L ^ delta_suffix], which holds [L]'s new tuples.  A non-recursive
+    stratum continues across deletions too: the same variants over
+    [L]'s lost tuples, evaluated over the inputs as they were, find the
+    prior tuples that lost a derivation; the loop starts without them,
+    and its seed round re-derives each through its rules pinned to it
+    (a [p ^ delta_suffix] atom over the head).  Any other stratum (a
+    recursive one whose input lost tuples, or one reading a changed
+    input under negation) is re-derived from empty extents over the
+    already updated strata below it.  A continued stratum's net change
+    is the change for the strata above; a re-derived stratum counts as
+    changed in every way.
 
     Each {!run} or {!continue} times under {!Dc_parallel.Metrics}'
     [datalog_fixpoint] timer, counts itself ([datalog_scratch_derivations]
@@ -45,9 +50,9 @@
 val delta_suffix : string
 (** Reserved relation-name suffix ("__delta") used for delta extents;
     {!run} and {!continue} reject input databases that already contain
-    a relation named [p ^ delta_suffix] for a recursive predicate [p],
-    or for a relation [p] that some rule reads positively from below
-    its own stratum. *)
+    a relation named [p ^ delta_suffix] for an IDB predicate [p], or for
+    a relation [p] that some rule reads positively from below its own
+    stratum. *)
 
 val run : ?cache:Eval.cache -> Dc_relational.Database.t -> Stratify.t ->
   Dc_relational.Database.t
@@ -65,14 +70,24 @@ val continue :
   Dc_relational.Database.t
 (** [continue ~prior ~changes db s] is [run db s], computed from a
     prior derivation: [prior] holds the IDB extents [run db0 s] gave
-    for some database [db0], and [changes] the net change from [db0] to
-    [db] — every tuple whose membership differs, as an [Insert] when
-    [db] has it and a [Delete] when [db0] had it (see
-    {!Dc_relational.Delta.net}).  A change that is not net costs only
-    work: a listed insertion [db0] already had adds nothing, and a
-    listed deletion re-derives the strata that read it.  A stratum
-    whose predicate [prior] lacks is derived from empty extents.
-    Raises like {!run}. *)
+    for some database [db0], and [changes] must be the net change from
+    [db0] to [db] — every tuple whose membership differs, as an
+    [Insert] when [db] has it and a [Delete] when [db0] had it
+    ({!Dc_relational.Delta.net}, which the citation engine and
+    incremental maintenance pass), since the inputs as they were are
+    rebuilt from it.  A stratum whose predicate [prior] lacks is
+    derived from empty extents.  Raises like {!run}. *)
+
+val continue_delta :
+  ?cache:Eval.cache ->
+  prior:Dc_relational.Database.t ->
+  changes:Dc_relational.Delta.t ->
+  Dc_relational.Database.t ->
+  Stratify.t ->
+  Dc_relational.Database.t * Dc_relational.Delta.t
+(** {!continue}'s database, with the net change of every IDB predicate
+    from [prior]: a re-derived stratum's is the difference of its
+    extents. *)
 
 module Naive : sig
   val run : ?cache:Eval.cache -> Dc_relational.Database.t -> Stratify.t ->

@@ -85,24 +85,19 @@ let head_engine t =
 (* ------------------------------------------------------------------ *)
 (* Request execution (runs on a pool worker).                          *)
 
-let record_err m =
-  C.Metrics.record C.Metrics.Key.server_errors;
-  C.Metrics.incr m C.Metrics.Key.server_errors
-
-(* [Metrics.record] reaches the default registry and any sink in scope;
-   worker threads are not inside a [with_sink], so engine-local counts
-   are bumped explicitly. *)
-let record_req m =
-  C.Metrics.record C.Metrics.Key.server_requests;
-  C.Metrics.incr m C.Metrics.Key.server_requests
+(* [Metrics.record] reaches the default registry and every sink in
+   scope: each caller runs under [with_sink (metrics t)], so an event
+   counts once on each. *)
+let record_err () = C.Metrics.record C.Metrics.Key.server_errors
+let record_req () = C.Metrics.record C.Metrics.Key.server_requests
 
 (* v1 citations go to the head engine — never through a registration,
    and without the stamp (and so the fixity digest) a [cite_at] adds. *)
-let with_head_engine t m f =
+let with_head_engine t f =
   match head_engine t with
   | Error e ->
       (* the head vanished: impossible through the public API *)
-      record_err m;
+      record_err ();
       Protocol.error_line e
   | Ok eng -> f eng
 
@@ -177,7 +172,7 @@ let execute t (req : Protocol.request) =
                answers, parse errors with their own message. *)
             List.map
               (fun (_, r) ->
-                record_err m;
+                record_err ();
                 match r with
                 | Error pe -> Protocol.error_line pe
                 | Ok _ -> Protocol.error_line ("cite failed: " ^ e))
@@ -188,14 +183,14 @@ let execute t (req : Protocol.request) =
               (fun (q, r) ->
                 match r with
                 | Error e ->
-                    record_err m;
+                    record_err ();
                     Protocol.error_line e
                 | Ok _ -> (
                     match !remaining with
                     | [] ->
                         (* unreachable: cite_batch returns one result
                            per query, in order *)
-                        record_err m;
+                        record_err ();
                         Protocol.error_line "batch result missing"
                     | (result : C.Engine.result) :: rest ->
                         remaining := rest;
@@ -211,10 +206,10 @@ let execute t (req : Protocol.request) =
       String.concat "\n" lines
   | Protocol.Cite q -> (
       C.Metrics.record_time "server_cite" @@ fun () ->
-      with_head_engine t m @@ fun eng ->
+      with_head_engine t @@ fun eng ->
       match C.Engine.cite_string eng q with
       | Error e ->
-          record_err m;
+          record_err ();
           Protocol.error_line e
       | Ok result ->
           Protocol.ok_cite ~query:q
@@ -224,18 +219,18 @@ let execute t (req : Protocol.request) =
             ~rewritings:(List.length result.rewritings)
             ~ms:(ms ()) ()
       | exception ex ->
-          record_err m;
+          record_err ();
           Protocol.error_line ("cite failed: " ^ Printexc.to_string ex))
   | Protocol.Cite_at { version; query } -> (
       C.Metrics.record_time "server_cite_at" @@ fun () ->
       match Dc_cq.Parser.parse_query query with
       | Error e ->
-          record_err m;
+          record_err ();
           Protocol.error_line e
       | Ok q -> (
           match C.Versioned_engine.cite_at t.versioned version q with
           | Error e ->
-              record_err m;
+              record_err ();
               Protocol.error_line e
           | Ok cited ->
               let result = cited.C.Versioned_engine.result in
@@ -250,13 +245,13 @@ let execute t (req : Protocol.request) =
                 ~rewritings:(List.length result.rewritings)
                 ~ms:(ms ()) ()
           | exception ex ->
-              record_err m;
+              record_err ();
               Protocol.error_line ("cite_at failed: " ^ Printexc.to_string ex)))
   | Protocol.Commit_delta delta -> (
       C.Metrics.record_time "server_commit_delta" @@ fun () ->
       match C.Versioned_engine.commit_delta t.versioned delta with
       | Error e ->
-          record_err m;
+          record_err ();
           Protocol.error_line e
       | Ok version ->
           Protocol.ok_commit ~version ~size:(R.Delta.size delta)
@@ -264,7 +259,7 @@ let execute t (req : Protocol.request) =
               (List.length (C.Versioned_engine.registrations t.versioned))
             ~ms:(ms ())
       | exception ex ->
-          record_err m;
+          record_err ();
           Protocol.error_line ("commit failed: " ^ Printexc.to_string ex))
   | Protocol.Versions ->
       let v = t.versioned in
@@ -278,32 +273,32 @@ let execute t (req : Protocol.request) =
       C.Metrics.record_time "server_verify" @@ fun () ->
       match C.Versioned_engine.verify t.versioned version digest with
       | Error e ->
-          record_err m;
+          record_err ();
           Protocol.error_line e
       | Ok valid -> Protocol.ok_verify ~version ~valid ~digest ~ms:(ms ()))
   | Protocol.Register query -> (
       C.Metrics.record_time "server_register" @@ fun () ->
       match Dc_cq.Parser.parse_query query with
       | Error e ->
-          record_err m;
+          record_err ();
           Protocol.error_line e
       | Ok q -> (
           match C.Versioned_engine.register t.versioned q with
           | Error e ->
-              record_err m;
+              record_err ();
               Protocol.error_line e
           | Ok () -> Protocol.ok_register ~query ~ms:(ms ())
           | exception ex ->
-              record_err m;
+              record_err ();
               Protocol.error_line ("register failed: " ^ Printexc.to_string ex)))
   | Protocol.Cite_param { view; bindings } -> (
       C.Metrics.record_time "server_cite_param" @@ fun () ->
-      with_head_engine t m @@ fun eng ->
+      with_head_engine t @@ fun eng ->
       match
         C.Citation_view.Set.find (C.Engine.citation_views eng) view
       with
       | None ->
-          record_err m;
+          record_err ();
           Protocol.error_line (Printf.sprintf "unknown view %s" view)
       | Some _ -> (
           match
@@ -311,7 +306,7 @@ let execute t (req : Protocol.request) =
           with
           | citation -> Protocol.ok_citation ~view ~citation ~ms:(ms ())
           | exception ex ->
-              record_err m;
+              record_err ();
               Protocol.error_line
                 (Printf.sprintf "%s: %s" view (Printexc.to_string ex))))
 
@@ -326,9 +321,7 @@ let serving t =
   Mutex.unlock t.mu;
   s = Serving
 
-let record_busy m =
-  C.Metrics.record C.Metrics.Key.server_busy_sheds;
-  C.Metrics.incr m C.Metrics.Key.server_busy_sheds
+let record_busy () = C.Metrics.record C.Metrics.Key.server_busy_sheds
 
 (* Runs on the reactor thread, so it must only enqueue.  The response
    reaches the wire through [reply]: the reactor holds the request's
@@ -336,7 +329,7 @@ let record_busy m =
 let on_request t req ~reply =
   let m = metrics t in
   if not (serving t) then begin
-    record_err m;
+    record_err ();
     `Reject (Protocol.error_line "server shutting down")
   end
   else begin
@@ -350,10 +343,11 @@ let on_request t req ~reply =
     in
     match
       Worker_pool.submit t.pool (fun () ->
+          C.Metrics.with_sink m @@ fun () ->
           reply
             (try execute t req
              with ex ->
-               record_err m;
+               record_err ();
                fallback (Printexc.to_string ex)))
     with
     | Worker_pool.Accepted ->
@@ -365,20 +359,22 @@ let on_request t req ~reply =
     | Worker_pool.Overloaded ->
         (* The bounded pending-request queue is full: shed this request
            with the BUSY line rather than buffering unboundedly. *)
-        record_busy m;
-        record_err m;
+        record_busy ();
+        record_err ();
         `Reject Protocol.busy_line
     | Worker_pool.Shutting_down ->
-        record_err m;
+        record_err ();
         `Reject (Protocol.error_line "server shutting down")
   end
 
 let reactor_handlers t =
+  let sunk f = C.Metrics.with_sink (metrics t) f in
   {
-    Reactor.on_request = (fun req ~reply -> on_request t req ~reply);
-    on_receive = (fun () -> record_req (metrics t));
-    on_error = (fun () -> record_err (metrics t));
-    on_busy = (fun () -> record_busy (metrics t));
+    Reactor.on_request =
+      (fun req ~reply -> sunk (fun () -> on_request t req ~reply));
+    on_receive = (fun () -> sunk record_req);
+    on_error = (fun () -> sunk record_err);
+    on_busy = (fun () -> sunk record_busy);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -100,6 +100,16 @@ let test_result_schema () =
   Alcotest.(check string) "named after query" "Q" (R.Relation.name rel);
   Alcotest.(check int) "cardinality" 3 (R.Relation.cardinality rel)
 
+(* A repeated head variable is renamed by position, and the renamed
+   column must not take a name a later head variable has. *)
+let test_result_schema_distinct () =
+  let rel = E.result (rs_db ()) (q "Q(X,X,X_1) :- R(X,X_1)") in
+  Alcotest.(check (list string)) "distinct columns" [ "X"; "X_1"; "X_1_2" ]
+    (List.map
+       (fun (a : R.Schema.attribute) -> a.name)
+       (R.Schema.attributes (R.Relation.schema rel)));
+  Alcotest.(check int) "one row per R row" 3 (R.Relation.cardinality rel)
+
 let test_binding_module () =
   let b = E.Binding.of_list [ ("X", int 1); ("Y", str "a") ] in
   Alcotest.(check (option value_t)) "find" (Some (int 1)) (E.Binding.find b "X");
@@ -194,6 +204,8 @@ let suite =
     Alcotest.test_case "cartesian product" `Quick test_cartesian_product;
     Alcotest.test_case "paper query" `Quick test_paper_query;
     Alcotest.test_case "result schema" `Quick test_result_schema;
+    Alcotest.test_case "result schema names are distinct" `Quick
+      test_result_schema_distinct;
     Alcotest.test_case "binding module" `Quick test_binding_module;
     Alcotest.test_case "binding restrict" `Quick test_binding_restrict;
     prop_bindings_satisfy;

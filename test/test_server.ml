@@ -90,7 +90,7 @@ let test_cite_roundtrip () =
   Alcotest.(check bool) "serving" true (contains health {|"status":"serving"|})
 
 let test_error_isolation () =
-  with_server @@ fun _engine server ->
+  with_server @@ fun engine server ->
   let conn = S.Client.connect ~port:(S.Server.port server) () in
   Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
   (* a malformed request costs one ERR line, nothing else *)
@@ -111,6 +111,13 @@ let test_error_isolation () =
       | `Err _ -> ()
       | _ -> Alcotest.failf "unknown view should ERR, got %S" line)
   | None -> Alcotest.fail "connection closed on unknown view");
+  (* each of the two ERR lines counts once on the registry STATS serves *)
+  Alcotest.(check int) "two server errors" 2
+    (C.Metrics.count (C.Engine.metrics engine) C.Metrics.Key.server_errors);
+  let stats = expect_ok "stats" (S.Client.request conn "STATS") in
+  Alcotest.(check bool) "STATS reads two errors" true
+    (contains stats {|"server_errors":2,|}
+    || contains stats {|"server_errors":2}|});
   match S.Client.request conn "QUIT" with
   | Some line ->
       Alcotest.(check bool) "bye" true (contains line {|"bye":true|})
