@@ -1707,8 +1707,13 @@ let e19 () =
     in
     total *. 1e6 /. float_of_int (rounds * n)
   in
-  let set_ns = per_probe_ns (R.Relation.probe_prefix fam) in
-  let hash_ns = per_probe_ns (R.Index.lookup_key built) in
+  let set_ns =
+    per_probe_ns (fun key -> R.Relation.probe_prefix fam key ignore)
+  in
+  let hash_ns =
+    let m = R.Index.matches () in
+    per_probe_ns (fun key -> R.Index.probe built key m)
+  in
   let build_ns = build_ms *. 1e6 /. float_of_int n in
   let break_even = build_ns /. Float.max 1. (set_ns -. hash_ns) in
   Printf.printf
@@ -1782,6 +1787,113 @@ let e19 () =
         (families_n, answers, ordered_us, permuted_us, ratio))
       [ 250; 1000 ]
   in
+  subhr "kernel words per answer: the scan workload's bulk cites";
+  Printf.printf
+    "perfbench's scan queries, each through its selected rewritings under\n\
+     the paper's views (the query itself when none covers it), evaluated\n\
+     as Engine.cite does: Eval.run_projected of each expansion on the\n\
+     variables that fill view parameters; warm (plans, tables and sorted\n\
+     outer copies in place); words = Gc.minor_words per answer over %d\n\
+     evaluations; sorts = Key.eval_block_sorts per evaluation; us =\n\
+     median of 7 runs of %d evaluations\n\n"
+    reps reps;
+  let engine = C.Engine.create db Dc_gtopdb.Paper_views.all in
+  let widths = [ 6; 11; 8; 6; 7; 8 ] in
+  header widths [ "query"; "rewritings"; "answers"; "sorts"; "words"; "us" ];
+  let kernel_rows =
+    List.map
+      (fun text ->
+        let q = Cq.Parser.parse_query_exn text in
+        (* an uncovered query is cited as itself *)
+        let rewritings =
+          match (C.Engine.cite engine q).selected with [] -> [ q ] | rws -> rws
+        in
+        let runs =
+          List.map
+            (fun rw ->
+              let t = C.Engine.template engine rw in
+              match C.Compute.expansion t with
+              | Some expansion -> (expansion, C.Compute.vars t)
+              | None -> failwith "E19: a selected rewriting is vacuous")
+            rewritings
+        in
+        let cache = Cq.Eval.make_cache () in
+        let eval () =
+          List.map
+            (fun (expansion, vars) ->
+              Cq.Eval.run_projected ~cache db expansion vars)
+            runs
+        in
+        (* the untimed first pass compiles the plans, buys the tables
+           and sorts the outer copies; its answers must be the
+           interpreter's *)
+        let got = eval () in
+        List.iter2
+          (fun (expansion, vars) answers ->
+            let want =
+              List.map
+                (fun (t, bs) ->
+                  ( t,
+                    List.sort_uniq R.Tuple.compare
+                      (List.map
+                         (fun b ->
+                           Array.of_list (Cq.Eval.Binding.values b vars))
+                         bs) ))
+                (Cq.Eval.Reference.run db expansion)
+            in
+            if
+              not
+                (List.equal
+                   (fun (t1, ps1) (t2, ps2) ->
+                     R.Tuple.equal t1 t2 && List.equal R.Tuple.equal ps1 ps2)
+                   want answers)
+            then
+              failwith
+                ("E19: run_projected differs from the interpreter on " ^ text))
+          runs got;
+        let answers = List.fold_left (fun n a -> n + List.length a) 0 got in
+        let sorts0 =
+          C.Metrics.count C.Metrics.default C.Metrics.Key.eval_block_sorts
+        in
+        let words0 = Gc.minor_words () in
+        for _ = 1 to reps do
+          ignore (eval ())
+        done;
+        let words =
+          (Gc.minor_words () -. words0) /. float_of_int (reps * max 1 answers)
+        in
+        let sorts =
+          float_of_int
+            (C.Metrics.count C.Metrics.default C.Metrics.Key.eval_block_sorts
+            - sorts0)
+          /. float_of_int reps
+        in
+        let _, total =
+          timed ~runs:7 (fun () ->
+              for _ = 1 to reps do
+                ignore (eval ())
+              done)
+        in
+        let us = total *. 1000. /. float_of_int reps in
+        let name = Cq.Query.name q in
+        row widths
+          [
+            name;
+            string_of_int (List.length runs);
+            string_of_int answers;
+            Printf.sprintf "%.0f" sorts;
+            Printf.sprintf "%.1f" words;
+            Printf.sprintf "%.0f" us;
+          ];
+        (name, answers, sorts, words, us))
+      [
+        "Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
+        "S1(FName,PName) :- Family(FID,FName,Desc), Committee(FID,PName)";
+        "S2(FName,TName) :- Family(FID,FName,Desc), TargetFamily(TID,FID), \
+         Target(TID,TName,TType)";
+        "S3(FID,FName,Desc) :- Family(FID,FName,Desc)";
+      ]
+  in
   write_bench_json ~experiment:"E19"
     [
       ("params", json_obj [ ("families", "1000"); ("variants", "4") ]);
@@ -1818,6 +1930,19 @@ let e19 () =
                    ("ratio", Printf.sprintf "%.2f" ratio);
                  ])
              bulk_rows) );
+      ( "kernel_words",
+        json_list
+          (List.map
+             (fun (name, answers, sorts, words, us) ->
+               json_obj
+                 [
+                   ("query", json_str name);
+                   ("answers", string_of_int answers);
+                   ("block_sorts", Printf.sprintf "%.0f" sorts);
+                   ("words_per_answer", Printf.sprintf "%.1f" words);
+                   ("us", Printf.sprintf "%.0f" us);
+                 ])
+             kernel_rows) );
     ];
   Printf.printf
     "(expected: warm >= 2x interp at every width — the kernel touches no\n\
@@ -1825,7 +1950,9 @@ let e19 () =
      compilation is one pass over the body plus index builds the\n\
      interpreter pays too; in the bulk answer order table the permuted\n\
      head costs at least 1.5x the ordered one at 1000 families, because\n\
-     only the ordered head skips sorting the emissions)\n"
+     only the ordered head skips sorting the emissions; in the kernel\n\
+     words table S3, one head-ordered scan, allocates at most 20 words\n\
+     per answer and sorts no block)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E20: recursive citation views — semi-naive vs naive fixpoint cost,

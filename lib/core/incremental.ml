@@ -167,11 +167,12 @@ let apply_delta ?new_base reg delta =
   in
   let rows tuple (p, t) =
     let n = List.length (Compute.vars t) in
-    match
-      R.Relation.probe_prefix
-        (R.Database.relation_exn derived p)
-        (Array.of_list (R.Tuple.to_list tuple))
-    with
+    let rows = ref [] in
+    R.Relation.probe_prefix
+      (R.Database.relation_exn derived p)
+      (Array.of_list (R.Tuple.to_list tuple))
+      (fun row -> rows := row :: !rows);
+    match !rows with
     | [] -> None
     | rows ->
         Some

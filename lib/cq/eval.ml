@@ -127,77 +127,151 @@ let tuple_of_binding q binding =
          | Term.Var v -> Binding.find_exn binding v)
        (Query.head q))
 
-(* Group emissions by head tuple.  [rev_emitted] holds the (head tuple,
-   payload) pairs latest first, and the plan emitted them in
-   non-decreasing order of their first [k] head columns
-   ({!Plan.head_prefix}), so equal prefixes are adjacent: one linear
-   pass cuts them into blocks, and only a block is sorted, by tuple and
-   then [compare] on payloads, dropping duplicate pairs.  Blocks come
-   off [rev_emitted] greatest first and each is sorted descending, so
-   consing its runs onto the groups of the greater blocks leaves the
-   tuples, and each tuple's payloads, ascending.  With [k = 0] the whole
-   list is one block: a full sort. *)
-let group_emissions k compare rev_emitted =
-  let descending (t1, p1) (t2, p2) =
-    match R.Tuple.compare t2 t1 with 0 -> compare p2 p1 | c -> c
-  in
-  let rec same_prefix a b i =
-    i = k || (R.Value.compare a.(i) b.(i) = 0 && same_prefix a b (i + 1))
-  in
-  let rec cons_runs groups = function
-    | [] -> groups
-    | (t, p) :: rest -> (
-        match groups with
-        | (t', ps) :: groups' when R.Tuple.equal t t' ->
-            cons_runs ((t', p :: ps) :: groups') rest
-        | _ -> cons_runs ((t, [ p ]) :: groups) rest)
-  in
-  let flush block groups =
-    cons_runs groups (List.sort_uniq descending block)
-  in
-  let rec cut groups block = function
-    | [] -> flush block groups
-    | ((t, _) as e) :: rest -> (
-        match block with
-        | (t0, _) :: _ when not (same_prefix t0 t 0) ->
-            cut (flush block groups) [ e ] rest
-        | _ -> cut groups (e :: block) rest)
-  in
-  cut [] [] rev_emitted
+let rec compare_projection regs proj prev i =
+  if i = Array.length proj then 0
+  else
+    match R.Value.compare regs.(proj.(i)) prev.(i) with
+    | 0 -> compare_projection regs proj prev (i + 1)
+    | c -> c
 
-let run ?cache db q =
-  let cache = resolve_cache cache in
-  let plan = plan_for cache db q in
-  let template = slot_template (Plan.slots plan) in
-  let acc = ref [] in
+(* Most projections are one variable, and an array literal is
+   allocated inline, unlike [Array.make]. *)
+let project regs proj =
+  match proj with
+  | [||] -> [||]
+  | [| s |] -> [| regs.(s) |]
+  | _ ->
+      let p = Array.make (Array.length proj) regs.(proj.(0)) in
+      for i = 1 to Array.length proj - 1 do
+        p.(i) <- regs.(proj.(i))
+      done;
+      p
+
+let compare_emission (t1, p1) (t2, p2) =
+  match R.Tuple.compare t1 t2 with 0 -> R.Tuple.compare p1 p2 | c -> c
+
+(* Pushes one sorted block onto [answers], greatest first and each
+   answer's projections greatest first, as [grouped] keeps them: [t] is
+   the block's current answer, [ps] its projections so far, and the
+   list holds the block's remaining pairs. *)
+let rec push_runs answers t ps = function
+  | (t', p) :: rest when R.Tuple.equal t t' ->
+      push_runs answers t (p :: ps) rest
+  | (t', p) :: rest -> push_runs ((t, ps) :: answers) t' [ p ] rest
+  | [] -> (t, ps) :: answers
+
+(* The answers of [plan], each with the distinct projections of its
+   valuations on the slots [proj], tuples and projections ascending.
+   The plan runs with its outer scan in head order, so the emissions
+   arrive in non-decreasing order of their first [k] head columns
+   ({!Plan.head_prefix}): each block of equal prefix arrives whole.
+   Each emission is compared once with the one before it, head tuple
+   first, then projection:
+   - a greater prefix ends the block and starts the next;
+   - otherwise greater starts a new answer, an equal head tuple with a
+     greater projection joins the last answer, and an equal pair is a
+     duplicate, dropped;
+   - smaller marks the block as out of order: its answers so far go
+     back to pairs, which gather the rest of the block and are sorted
+     once when it ends ({!Metrics.Key.eval_block_sorts}).
+   Every unmarked block is grouped as it arrives.  A head tuple equal
+   to the previous one is that same array, so an emission costs one
+   comparison and at most one head tuple and one projection.
+   [answers] holds the answers greatest first, each one's projections
+   greatest first; the previous emission is its head, or the head of
+   [pairs] in a marked block.  One pass at the end reverses both. *)
+let grouped plan proj =
+  let k = Plan.head_prefix plan in
+  let answers = ref [] and block_base = ref [] and pairs = ref [] in
+  let sorts = ref 0 in
+  let end_block () =
+    (match !pairs with
+    | [] -> ()
+    | unsorted -> (
+        incr sorts;
+        pairs := [];
+        match List.sort_uniq compare_emission unsorted with
+        | (t, p) :: rest -> answers := push_runs !answers t [ p ] rest
+        | [] -> ()));
+    block_base := !answers
+  in
+  let mark t p =
+    let rec back acc answers =
+      if answers == !block_base then acc
+      else
+        match answers with
+        | (t, ps) :: rest ->
+            back (List.fold_left (fun acc p -> (t, p) :: acc) acc ps) rest
+        | [] -> acc
+    in
+    pairs := (t, p) :: back [] !answers;
+    answers := !block_base
+  in
+  let start regs =
+    answers := (Plan.head_tuple plan regs, [ project regs proj ]) :: !answers
+  in
   Plan.execute ~head_order:true plan (fun regs ->
-      acc := (Plan.head_tuple plan regs, binding_of_regs template regs) :: !acc);
-  group_emissions (Plan.head_prefix plan) Binding.compare !acc
+      match (!pairs, !answers) with
+      | (t, _) :: _, _ ->
+          let d = Plan.compare_head plan regs t in
+          if d > 0 && d <= k then begin
+            end_block ();
+            start regs
+          end
+          else
+            let t = if d = 0 then t else Plan.head_tuple plan regs in
+            pairs := (t, project regs proj) :: !pairs
+      | [], (t, (p :: _ as ps)) :: rest ->
+          let d = Plan.compare_head plan regs t in
+          if d > 0 then begin
+            if d <= k then end_block ();
+            start regs
+          end
+          else if d < 0 then
+            mark (Plan.head_tuple plan regs) (project regs proj)
+          else
+            let c = compare_projection regs proj p 0 in
+            if c > 0 then answers := (t, project regs proj :: ps) :: rest
+            else if c < 0 then mark t (project regs proj)
+      | [], _ -> start regs);
+  end_block ();
+  if !sorts > 0 then Metrics.(record ~by:!sorts Key.eval_block_sorts);
+  List.fold_left
+    (fun acc ((t, ps) as answer) ->
+      match ps with [ _ ] -> answer :: acc | ps -> (t, List.rev ps) :: acc)
+    [] !answers
+
+let slot_index plan q v =
+  let slots = Plan.slots plan in
+  let rec find i =
+    if i = Array.length slots then
+      invalid_arg
+        (Printf.sprintf "Eval.run_projected: %s is not a body variable of %s" v
+           (Query.name q))
+    else if String.equal slots.(i) v then i
+    else find (i + 1)
+  in
+  find 0
+
+(* A binding's map compares its values in variable-name order, so
+   projecting every slot in that order makes {!Binding.compare} the
+   projections' {!R.Tuple.compare}: [run] is [run_projected] on all the
+   variables, sorted, with each projection read back as a binding. *)
+let run ?cache db q =
+  let plan = plan_for (resolve_cache cache) db q in
+  let names = List.sort String.compare (Array.to_list (Plan.slots plan)) in
+  let template = slot_template (Array.of_list names) in
+  let proj = Array.of_list (List.map (slot_index plan q) names) in
+  List.map
+    (fun (t, ps) -> (t, List.map (binding_of_regs template) ps))
+    (grouped plan proj)
 
 (* Citation needs, per head tuple, only the values of the variables
    that feed view parameters, and only their distinct combinations, so
    the payload is the projection and duplicates drop in the grouping. *)
 let run_projected ?cache db q vars =
-  let cache = resolve_cache cache in
-  let plan = plan_for cache db q in
-  let slots = Plan.slots plan in
-  let slot_of v =
-    let rec find i =
-      if i = Array.length slots then
-        invalid_arg
-          (Printf.sprintf "Eval.run_projected: %s is not a body variable of %s"
-             v (Query.name q))
-      else if String.equal slots.(i) v then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let proj = Array.of_list (List.map slot_of vars) in
-  let acc = ref [] in
-  Plan.execute ~head_order:true plan (fun regs ->
-      acc :=
-        (Plan.head_tuple plan regs, Array.map (fun s -> regs.(s)) proj) :: !acc);
-  group_emissions (Plan.head_prefix plan) R.Tuple.compare !acc
+  let plan = plan_for (resolve_cache cache) db q in
+  grouped plan (Array.of_list (List.map (slot_index plan q) vars))
 
 let head_schema name terms =
   let taken = Hashtbl.create 8 in

@@ -74,18 +74,11 @@ val run :
   Query.t ->
   (Dc_relational.Tuple.t * Binding.t list) list
 (** Output tuples grouped with the bindings that produce them, sorted by
-    tuple, each tuple's bindings in {!Binding.compare} order.  Every
-    emission of the join materializes a {!Binding.t}; a caller that
-    needs only some variables should use {!run_projected}.
-
-    How the order is produced: the plan runs with its outer scan in
-    head order ({!Plan.execute}[ ~head_order:true]), so the emissions
-    arrive sorted on the head's first {!Plan.head_prefix} columns.  One
-    linear pass cuts them into blocks of equal prefix, and only each
-    block is sorted, which costs a sort of the whole list when the
-    prefix is empty (a probe-first plan, or a head led by a variable
-    the outer atom does not bind) and next to nothing when the prefix
-    pins each answer.  The result is the same either way. *)
+    tuple, each tuple's bindings in {!Binding.compare} order.  It is
+    {!run_projected} on every body variable, in name order (the order
+    {!Binding.compare} reads a binding's values in), with each
+    projection read back as a {!Binding.t}; a caller that needs only
+    some variables should use {!run_projected}. *)
 
 val run_projected :
   ?cache:cache ->
@@ -100,13 +93,28 @@ val run_projected :
     {!Dc_relational.Tuple.compare}.  It is [run] with every binding
     projected onto [vars] and duplicates dropped, but the join writes
     straight from its register file: no binding map is built per
-    emission, and the tuples come out ordered as {!run}'s do (sorted
-    within blocks of equal head prefix, duplicate projections dropped
-    there).  With [vars = []] each tuple carries the single empty
+    emission.  With [vars = []] each tuple carries the single empty
     array, so the call computes the sorted distinct answers.  The
     citation engine passes the variables that feed citation-view
     parameters.  Raises [Invalid_argument] when a variable of [vars]
-    does not occur in the body of [q]. *)
+    does not occur in the body of [q].
+
+    How the order is produced, in one pass: the plan runs with its
+    outer scan in head order ({!Plan.execute}[ ~head_order:true]), so
+    the emissions arrive in blocks of equal {!Plan.head_prefix}, and
+    each emission is compared once with the one before it, head tuple
+    first, then projection.  Greater starts a new answer, an equal
+    head tuple with a greater projection joins the last answer, an
+    equal pair is dropped, and smaller marks the block as out of
+    order.  Only the marked blocks are sorted, each once when it ends
+    ({!Dc_parallel.Metrics.Key.eval_block_sorts}); the others are
+    grouped as they arrive.  An emission costs that comparison and at
+    most one head tuple and one projection array; a head tuple equal
+    to the previous one is shared.  A prefix of length 0 (a
+    probe-first plan, or a head led by a variable the outer atom does
+    not bind) makes the whole evaluation one block, sorted once unless
+    the emissions happen to arrive in order.  The result is the same
+    either way. *)
 
 val result :
   ?cache:cache ->

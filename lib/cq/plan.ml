@@ -16,10 +16,12 @@ type step = {
   pred : string;
   rel : R.Relation.t;
   (* [None] = full scan over [Relation.scan rel] (the atom had no bound
-     position); [Some idx] = probe [idx] with [key_buf]. *)
+     position); [Some idx] = probe [idx] with [key_buf], answering into
+     [matches]. *)
   index : R.Index.t option;
   key_sources : source array;
   key_buf : R.Value.t array;
+  matches : R.Index.matches;
   ops : op array;
 }
 
@@ -208,6 +210,7 @@ let compile ~relation ~index db q =
              else Some (index pred key_positions));
           key_sources;
           key_buf = Array.make (Array.length key_sources) R.Value.Null;
+          matches = R.Index.matches ();
           ops;
         })
       ordered
@@ -246,9 +249,32 @@ let valid t db =
       | None -> false)
     t.deps
 
+let read regs = function Const v -> v | Slot s -> regs.(s)
+
+(* An array literal is allocated inline, while [Array.make] calls into
+   the runtime and each store after it passes the write barrier, so
+   the usual head widths get literals. *)
 let head_tuple t regs =
-  R.Tuple.of_array
-    (Array.map (function Const v -> v | Slot s -> regs.(s)) t.head)
+  match t.head with
+  | [| a |] -> [| read regs a |]
+  | [| a; b |] -> [| read regs a; read regs b |]
+  | [| a; b; c |] -> [| read regs a; read regs b; read regs c |]
+  | head ->
+      let tuple = Array.make (Array.length head) R.Value.Null in
+      for i = 0 to Array.length head - 1 do
+        tuple.(i) <- read regs head.(i)
+      done;
+      tuple
+
+(* A top-level loop, so a comparison allocates no closure. *)
+let rec compare_head_from head regs prev i =
+  if i = Array.length head then 0
+  else
+    match R.Value.compare (read regs head.(i)) prev.(i) with
+    | 0 -> compare_head_from head regs prev (i + 1)
+    | c -> if c > 0 then i + 1 else -(i + 1)
+
+let compare_head t regs prev = compare_head_from t.head regs prev 0
 
 let execute ?(head_order = false) t emit =
   let regs = Array.make (max 1 (Array.length t.slots)) R.Value.Null in
@@ -279,11 +305,14 @@ let execute ?(head_order = false) t emit =
       | Some idx ->
           let kb = st.key_buf and srcs = st.key_sources in
           for j = 0 to Array.length srcs - 1 do
-            kb.(j) <- (match srcs.(j) with Const v -> v | Slot s -> regs.(s))
+            kb.(j) <- read regs srcs.(j)
           done;
-          List.iter
-            (fun tuple -> if match_tuple ops tuple regs 0 n then go (i + 1))
-            (R.Index.lookup_key idx kb)
+          let m = st.matches in
+          R.Index.probe idx kb m;
+          let tuples = m.tuples in
+          for j = m.first to m.stop - 1 do
+            if match_tuple ops tuples.(j) regs 0 n then go (i + 1)
+          done
       | None ->
           let arr =
             match t.outer_order with

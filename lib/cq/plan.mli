@@ -18,7 +18,8 @@
     - for each atom the bound/free position split is resolved
       statically: bound positions (constants and already-bound slots)
       become an index key filled into a preallocated buffer and probed
-      with the allocation-free {!Dc_relational.Index.lookup_key}; free
+      with {!Dc_relational.Index.probe} into the step's answer slot,
+      whose ascending slice of matches the kernel walks in place; free
       positions compile to [Bind]/[Check] register ops;
     - the per-atom hash indexes are resolved (through the shared index
       cache) at compile time and stored in the plan;
@@ -33,8 +34,11 @@
     self-invalidation contract as the index cache.
 
     Plans are {b not} thread-safe for concurrent {!execute} calls (the
-    per-step key buffers are shared mutable state); callers serialize
-    exactly as they already must for the shared {!Eval.cache}. *)
+    per-step key buffers and probe answer slots
+    ({!Dc_relational.Index.matches}) are shared mutable state that
+    outlives one call); callers serialize exactly as they already must
+    for the shared {!Eval.cache}, which every engine uses only under
+    its domain's cache lock. *)
 
 type t
 
@@ -72,7 +76,17 @@ val atom_order : t -> string list
 
 val head_tuple : t -> Dc_relational.Value.t array -> Dc_relational.Tuple.t
 (** The head tuple under the given register file (constants inlined,
-    variables read from their slots). *)
+    variables read from their slots): one fresh array and nothing else
+    allocated, no closure included. *)
+
+val compare_head :
+  t -> Dc_relational.Value.t array -> Dc_relational.Tuple.t -> int
+(** [compare_head t regs prev] compares {!head_tuple}[ t regs] with
+    [prev], a head tuple of [t], without building the former: [0] when
+    they are equal, else [i + 1] when they first differ at column [i]
+    and the head under [regs] is the greater, [-(i + 1)] when it is the
+    smaller.  So a result [d] with [0 < d <= ]{!head_prefix}[ t] means a
+    greater head prefix.  Allocates nothing. *)
 
 val head_prefix : t -> int
 (** How many leading head columns {!execute}[ ~head_order:true] emits
@@ -89,14 +103,21 @@ val execute :
 (** Run the join.  The callback is invoked once per satisfying
     valuation with the register file; it must read what it needs
     immediately and {b not retain the array} — the kernel keeps
-    mutating it in place.  With [~head_order:true] (default [false])
-    the first step's scan visits the outer relation sorted by the
-    positions binding the {!head_prefix}: the extent's own order when
-    they are a column prefix [0..k-1], else
-    {!Dc_relational.Relation.scan_by}'s copy, memoized on the relation
-    value.  Every later step runs nested inside one outer tuple, so
-    emissions then arrive in non-decreasing head-prefix order.  The
-    set of emissions is the same either way. *)
+    mutating it in place.  A scan walks the relation's memoized scan
+    array and a probe the slice {!Dc_relational.Index.probe} answers,
+    both by index in ascending tuple order: once the probed tables are
+    built, a probe allocates nothing, neither a list of matches nor a
+    closure to walk them.  With
+    [~head_order:true] (default [false]) the first step's scan visits
+    the outer relation sorted by the positions binding the
+    {!head_prefix}: the extent's own order when they are a column
+    prefix [0..k-1], else {!Dc_relational.Relation.scan_by}'s copy,
+    memoized on the relation value.  Every later step runs nested
+    inside one outer tuple, so emissions then arrive in non-decreasing
+    head-prefix order; and since both probe paths of an index answer
+    in one order, a table bought in the middle of the run does not
+    change the order of the emissions.  The set of emissions is the
+    same either way. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable plan: atoms in join order with their key positions. *)

@@ -36,6 +36,7 @@ module Key = struct
   let datalog_rederived_strata = "datalog_rederived_strata"
   let stats_column_scans = "stats_column_scans"
   let eval_scan_orders = "eval_scan_orders"
+  let eval_block_sorts = "eval_block_sorts"
 
   let all =
     [
@@ -76,6 +77,7 @@ module Key = struct
       datalog_rederived_strata;
       stats_column_scans;
       eval_scan_orders;
+      eval_block_sorts;
     ]
 end
 

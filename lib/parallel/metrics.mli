@@ -191,6 +191,13 @@ module Key : sig
       one version, and every engine reading that value, build it
       once. *)
 
+  val eval_block_sorts : string
+  (** Blocks of equal head prefix that {!Dc_cq.Eval.run} or
+      {!Dc_cq.Eval.run_projected} found out of order and sorted: an
+      emission came in smaller than the one before it.  Every other
+      block is grouped as it arrives, unsorted.  A plan whose
+      {!Dc_cq.Plan.head_prefix} is [0] is one block. *)
+
   val all : string list
   (** Every key above, in canonical display order. *)
 end

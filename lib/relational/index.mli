@@ -5,15 +5,26 @@
     index joins.  An index belongs to one relation value and is never
     maintained under updates: a new value gets a new index.
 
+    {b The stored form.}  A table keeps one array of the extent in
+    which each key's matches lie together, ascending — for a column
+    prefix the relation's own {!Relation.scan} array, shared, otherwise
+    a private copy laid out key by key, each key's tuples in scan
+    order — and an open-addressing hash table of the keys' ranges
+    there, which reads each key off its first match instead of storing
+    it.  A {!probe} answers a slice of that array and allocates
+    nothing.
+
     {b When a table is built.}  When the bound positions are {e not} a
-    column prefix, {!build} builds a hash table from the extent at once.
+    column prefix, {!build} builds the table from the extent at once.
     When they are a prefix [[0; ...; k-1]], {!build} builds nothing: a
     probe is a range descent in the relation's persistent extent
-    ({!Relation.probe_prefix}), and the hash table is built on the probe
-    where the probes so far reach a fixed fraction of the relation's
-    cardinality (ski rental; the fraction and its costs are in
-    [index.ml]).  Either way every probe answers the same tuples in the
-    same order, descending {!Tuple.compare}.
+    ({!Relation.probe_prefix}, copied into the caller's slot), and the table
+    is built on the probe where the probes so far reach a fixed
+    fraction of the relation's cardinality (ski rental; the fraction
+    and its costs are in [index.ml]), which may fall in the middle of
+    one evaluation.  Either way every probe answers the same tuples in
+    the same order, ascending {!Tuple.compare}: a caller walking the
+    matches sees the same sequence before and after the switch.
 
     {b Thread safety.}  One index may be probed from several domains at
     once.  The lazily built table is built by exactly one probe and
@@ -40,16 +51,41 @@ val build_table : t -> unit
 (** Builds the hash table now unless it is built already (benchmarks
     time the build with it; probes buy the table on their own). *)
 
+type matches = private {
+  mutable tuples : Tuple.t array;
+  mutable first : int;
+  mutable stop : int;
+  mutable buffer : Tuple.t array;
+}
+(** Where {!probe} leaves its answer: the tuples [tuples.(first)] to
+    [tuples.(stop - 1)], in ascending {!Tuple.compare} order.  Callers
+    read these three fields and must not mutate the array: it is the
+    table's own, or the slot's [buffer]. *)
+
+val matches : unit -> matches
+(** An empty answer slot.  The compiled join kernel keeps one per plan
+    step and reuses it for every probe of that step.  The slot outlives
+    a probe, and its buffer holds the last descent's tuples, so a slot
+    must be used by one thread at a time (a plan's slots are used under
+    the lock that already serializes its key buffers). *)
+
+val probe : t -> Value.t array -> matches -> unit
+(** [probe idx key m] sets [m] to every tuple whose projection on the
+    index positions equals [key] (in position order), replacing the
+    slot's previous answer.  Once the table is built the answer is a
+    slice of the table's array and the probe allocates nothing; until
+    then the descent copies its matches into the slot's buffer, which
+    grows to the longest run seen and is reused.  The index retains
+    neither [key] nor [m]. *)
+
 val lookup : t -> Value.t list -> Tuple.t list
-(** [lookup idx key] is every tuple whose projection on the index
-    positions equals [key] (in position order), in descending
+(** [lookup idx key] is {!probe}'s answer as a list: every tuple whose
+    projection on the index positions equals [key], in ascending
     {!Tuple.compare} order. *)
 
 val lookup_key : t -> Value.t array -> Tuple.t list
-(** Like {!lookup} but probing with an already-materialized key array —
-    the compiled join kernel fills one preallocated buffer per plan step
-    and probes with it, so the hot path allocates no key per probe.  The
-    index does not retain [key]. *)
+(** Like {!lookup}, with the key as an array.  The index does not
+    retain [key]. *)
 
 val keys : t -> Tuple.t list
 (** Distinct keys present in the index, ascending. *)

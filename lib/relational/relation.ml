@@ -147,9 +147,8 @@ let multiset_hash r =
 
 (* [Value.Null] is the least value of every type, so padding the key
    with it gives the least tuple of the relation's arity that carries
-   the prefix, and [to_seq_from] starts the walk there.  Consing the
-   ascending run yields it descending. *)
-let probe_prefix r key =
+   the prefix, and [to_seq_from] starts the walk there. *)
+let probe_prefix r key f =
   let k = Array.length key in
   let arity = Schema.arity r.schema in
   if k > arity then
@@ -159,12 +158,14 @@ let probe_prefix r key =
   let lo = Array.make arity Value.Null in
   Array.blit key 0 lo 0 k;
   let rec matches t i = i = k || (Value.equal t.(i) lo.(i) && matches t (i + 1)) in
-  let rec take seq acc =
+  let rec walk seq =
     match seq () with
-    | Seq.Cons (t, rest) when matches t 0 -> take rest (t :: acc)
-    | _ -> acc
+    | Seq.Cons (t, rest) when matches t 0 ->
+        f t;
+        walk rest
+    | _ -> ()
   in
-  take (Tuple.Set.to_seq_from lo r.extent) []
+  walk (Tuple.Set.to_seq_from lo r.extent)
 
 let fold f r init =
   let a = scan r in

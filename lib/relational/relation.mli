@@ -64,14 +64,15 @@ val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit
 (** Over the memoized {!scan} array, ascending tuple order. *)
 
-val probe_prefix : t -> Value.t array -> Tuple.t list
-(** [probe_prefix r key] is every tuple whose first [Array.length key]
-    columns equal [key], in {e descending} {!Tuple.compare} order (the
-    order {!Index.lookup_key} answers in).  It is one range descent of
-    the persistent extent — O(log n + matches), no index built — since
-    within one arity {!Tuple.compare} orders the extent column by
-    column.  [r] does not retain [key].  Raises [Invalid_argument] when
-    [key] is wider than the relation. *)
+val probe_prefix : t -> Value.t array -> (Tuple.t -> unit) -> unit
+(** [probe_prefix r key f] applies [f] to every tuple whose first
+    [Array.length key] columns equal [key], in ascending
+    {!Tuple.compare} order (the order {!Index.probe} answers in),
+    materializing nothing.  It is one range descent of the persistent
+    extent — O(log n + matches), no index built — since within one
+    arity {!Tuple.compare} orders the extent column by column.  [r]
+    does not retain [key].  Raises [Invalid_argument] when [key] is
+    wider than the relation. *)
 
 val multiset_hash : t -> Multiset_hash.t
 (** The {!Multiset_hash} of the extent, computed over every tuple on

@@ -31,5 +31,5 @@ module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
 module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by tuple ({!hash}/{!equal}), shared by the index
-    layer and the evaluator's result grouping. *)
+(** Hash tables keyed by tuple ({!hash}/{!equal}); the relation layer
+    counts distinct projections with one. *)

@@ -31,18 +31,35 @@ let rank = function
   | Timestamp _ -> 4
   | Str _ -> 5
 
+(* Physically equal values are equal: consecutive emissions of one
+   outer tuple share its values, so grouping answers meets this case on
+   most of its comparisons. *)
 let compare a b =
-  match (a, b) with
-  | Int x, Int y -> Int.compare x y
-  | Float x, Float y -> Float.compare x y
-  | Str x, Str y -> String.compare x y
-  | Bool x, Bool y -> Bool.compare x y
-  | Timestamp x, Timestamp y -> Int.compare x y
-  | Null, Null -> 0
-  | a, b -> Int.compare (rank a) (rank b)
+  if a == b then 0
+  else
+    match (a, b) with
+    | Int x, Int y -> Int.compare x y
+    | Float x, Float y -> Float.compare x y
+    | Str x, Str y -> String.compare x y
+    | Bool x, Bool y -> Bool.compare x y
+    | Timestamp x, Timestamp y -> Int.compare x y
+    | Null, Null -> 0
+    | a, b -> Int.compare (rank a) (rank b)
 
 let equal a b = compare a b = 0
-let hash = Hashtbl.hash
+
+(* Index probes hash their keys, and join keys are mostly ints: an int
+   hashes without a call into the runtime's generic hash (the multiply
+   spreads it, the shift folds its high bits into the low ones a table
+   indexes by), and a string is hashed directly, not through the
+   variant.  Equal values hash equal: [Hashtbl.hash] already maps
+   [0.0]/[-0.0] and every NaN together, as [compare] does. *)
+let hash = function
+  | Int i ->
+      let h = i * 0x9E3779B97F4A7C1 in
+      (h lxor (h lsr 29)) land max_int
+  | Str s -> Hashtbl.hash s
+  | v -> Hashtbl.hash v
 
 let pp ppf = function
   | Int i -> Format.pp_print_int ppf i

@@ -24,8 +24,14 @@ val conforms : t -> ty -> bool
     [Null] conforms to every type and every value conforms to [TAny]. *)
 
 val compare : t -> t -> int
+(** A total order: by type tag first ([Null] least), then by value.
+    Physically equal arguments answer [0] at once, without looking at
+    their contents. *)
+
 val equal : t -> t -> bool
 val hash : t -> int
+(** Non-negative, and equal on values {!equal} equates.  Ints and
+    strings are hashed without going through the variant. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_ty : Format.formatter -> ty -> unit

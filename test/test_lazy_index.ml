@@ -1,11 +1,14 @@
 (* Lazy prefix indexes against the eager hash index they replace.
 
    [Eager] is the index every probe used to go through: a hash table
-   built at once from the extent, keyed on the projection.  On random
-   relations, a lazy {!R.Index} must answer every probe with the same
-   tuples in the same order — before its probe count reaches the build
-   threshold (range descents of the extent) and after (its own table) —
-   for prefix and non-prefix position lists alike. *)
+   built at once from the extent, keyed on the projection, whose
+   [find_all] answers most recent binding first; read back to front,
+   that is ascending tuple order, the order {!R.Index.lookup_key}
+   promises.  On random relations, a lazy {!R.Index} must answer every
+   probe with the same tuples in the same order — before its probe
+   count reaches the build threshold (range descents of the extent) and
+   after (its own table) — for prefix and non-prefix position lists
+   alike. *)
 
 module R = Dc_relational
 
@@ -21,7 +24,7 @@ module Eager = struct
     done;
     table
 
-  let lookup_key (idx : t) key = R.Tuple.Tbl.find_all idx key
+  let lookup_key (idx : t) key = List.rev (R.Tuple.Tbl.find_all idx key)
 end
 
 (* A small value pool, so keys repeat heavily; [Int 1], [Str "1"] and

@@ -306,10 +306,11 @@ let prop_atom_order_unchanged =
 (* ------------------------------------------------------------------ *)
 (* Grouping in head order.  A plan whose first step scans an atom that
    binds the head's leading terms emits in head-prefix order, and [run]
-   and [run_projected] sort only within blocks of equal prefix.  The
-   oracle is the grouping as it stood before: one sort of every
-   (tuple, payload) pair over the interpreter's bindings, then adjacent
-   runs collapse. *)
+   and [run_projected] group each block of equal prefix as it arrives,
+   sorting only the blocks where an emission came in smaller than the
+   one before.  The oracle is the grouping as it stood before: one sort
+   of every (tuple, payload) pair over the interpreter's bindings, then
+   adjacent runs collapse. *)
 
 let oracle_group compare pairs =
   let sorted =
@@ -331,41 +332,64 @@ let oracle_group compare pairs =
   group [] sorted
 
 (* Values 0..3 in up to 16 tuples: outer tuples often share the value a
-   head prefix reads, and about one relation in six is empty. *)
+   head prefix reads, so a block spans several outer tuples and the
+   inner matches of a later one may come in below those of an earlier
+   one; about one relation in six is empty.  [D] is the inner relation
+   probed on its first column: 16 to 48 tuples over a wider second
+   column, so its table (bought at one probe per 8 tuples) is often
+   bought partway through one evaluation, after probes that descended
+   the extent. *)
 let ordered_preds = [ ("A", 3); ("B", 2); ("C", 2) ]
+let inner = ("D", 2)
 
 let gen_ordered_db : R.Database.t Gen.t =
  fun st ->
-  List.fold_left
-    (fun db (name, arity) ->
-      let db = R.Database.create_relation db (int_schema name arity) in
-      let n = if Gen.int_bound 5 st = 0 then 0 else 1 + Gen.int_bound 15 st in
-      R.Database.insert_list db name
-        (List.init n (fun _ ->
-             R.Tuple.make
-               (List.init arity (fun _ -> R.Value.int (Gen.int_bound 3 st))))))
-    R.Database.empty ordered_preds
+  let db =
+    List.fold_left
+      (fun db (name, arity) ->
+        let db = R.Database.create_relation db (int_schema name arity) in
+        let n = if Gen.int_bound 5 st = 0 then 0 else 1 + Gen.int_bound 15 st in
+        let value _ = R.Value.int (Gen.int_bound 3 st) in
+        R.Database.insert_list db name
+          (List.init n (fun _ -> R.Tuple.make (List.init arity value))))
+      R.Database.empty ordered_preds
+  in
+  let name, arity = inner in
+  let db = R.Database.create_relation db (int_schema name arity) in
+  R.Database.insert_list db name
+    (List.init (16 + Gen.int_bound 32 st) (fun _ ->
+         R.Tuple.make
+           R.Value.[ int (Gen.int_bound 3 st); int (Gen.int_bound 15 st) ]))
 
 (* A query biased toward scan-first plans whose head leads with a
    variable the first atom binds past its first column, paired with a
    random list of body variables to project on.  Later atoms carry an
-   occasional constant and bind head variables of their own; heads
-   repeat variables and carry constants, sometimes in front. *)
+   occasional constant and bind head variables of their own; one in
+   three queries also probes [D] on a variable of the outer atom.
+   Heads repeat variables and carry constants, sometimes in front. *)
 let gen_ordered_case : (Cq.Query.t * string list) Gen.t =
  fun st ->
   let pick l = List.nth l (Gen.int_bound (List.length l - 1) st) in
+  let var () = Cq.Term.Var (Printf.sprintf "X%d" (Gen.int_bound 4 st)) in
   let const () = Cq.Term.Const (R.Value.int (Gen.int_bound 3 st)) in
   let atom ~consts =
     let name, arity = pick ordered_preds in
     Cq.Atom.make name
       (List.init arity (fun _ ->
-           if consts && Gen.int_bound 9 st = 0 then const ()
-           else Cq.Term.Var (Printf.sprintf "X%d" (Gen.int_bound 4 st))))
+           if consts && Gen.int_bound 9 st = 0 then const () else var ()))
   in
   let outer = atom ~consts:false in
-  let body = outer :: List.init (Gen.int_bound 2 st) (fun _ -> atom ~consts:true) in
+  let probe_inner =
+    if Gen.int_bound 2 st = 0 then
+      [ Cq.Atom.make (fst inner) [ pick (Cq.Atom.args outer); var () ] ]
+    else []
+  in
+  let body =
+    (outer :: probe_inner)
+    @ List.init (Gen.int_bound 2 st) (fun _ -> atom ~consts:true)
+  in
   let vars = List.sort_uniq String.compare (List.concat_map Cq.Atom.var_list body) in
-  let var () = Cq.Term.Var (pick vars) in
+  let body_var () = Cq.Term.Var (pick vars) in
   let lead =
     (if Gen.int_bound 5 st = 0 then [ const () ] else [])
     @
@@ -378,9 +402,9 @@ let gen_ordered_case : (Cq.Query.t * string list) Gen.t =
         match Gen.int_bound 9 st with
         | 0 -> const ()
         | 1 when lead <> [] -> pick lead
-        | _ -> var ())
+        | _ -> body_var ())
   in
-  let head = match lead @ rest with [] -> [ var () ] | h -> h in
+  let head = match lead @ rest with [] -> [ body_var () ] | h -> h in
   let projected = Gen.shuffle_l (List.filter (fun _ -> Gen.bool st) vars) st in
   (Cq.Query.make_exn ~name:"Q" ~head ~body (), projected)
 
@@ -391,7 +415,7 @@ let arbitrary_ordered =
         (String.concat "," vars)
         (Format.pp_print_list (fun ppf name ->
              R.Relation.pp ppf (R.Database.relation_exn db name)))
-        (List.map fst ordered_preds))
+        (List.map fst (ordered_preds @ [ inner ])))
     (Gen.pair gen_ordered_db gen_ordered_case)
 
 let same_groups equal a b =
@@ -399,7 +423,16 @@ let same_groups equal a b =
     (fun (t1, ps1) (t2, ps2) -> R.Tuple.equal t1 t2 && List.equal equal ps1 ps2)
     a b
 
-let grouped_as_oracle db query vars =
+let block_sorts m = Dc_parallel.Metrics.(count m Key.eval_block_sorts)
+
+(* [run_projected] and [run], cold and then warm, against the oracle,
+   recording into [m].  The cold [run_projected] probes a fresh index,
+   descending the extent until it buys the table; the warm one probes
+   the table throughout.  The two probe paths answer in one order, so
+   both passes see the same emissions and sort the same blocks: that is
+   checked too.  Returns the verdict and the blocks the cold
+   [run_projected] sorted. *)
+let grouped_as_oracle m db query vars =
   let reference = E.Reference.bindings db query in
   let answer b = E.tuple_of_binding query b in
   let projected =
@@ -413,32 +446,72 @@ let grouped_as_oracle db query vars =
   in
   let cache = E.make_cache () in
   let check () =
-    same_groups R.Tuple.equal projected (E.run_projected ~cache db query vars)
-    && same_groups E.Binding.equal full (E.run ~cache db query)
+    let before = block_sorts m in
+    let ok =
+      same_groups R.Tuple.equal projected (E.run_projected ~cache db query vars)
+    in
+    let sorts = block_sorts m - before in
+    (ok && same_groups E.Binding.equal full (E.run ~cache db query), sorts)
   in
-  (* cold, then warm: the second pass reuses the plan and the sorted copy *)
-  check () && check ()
+  let cold_ok, cold_sorts = check () in
+  let warm_ok, warm_sorts = check () in
+  (cold_ok && warm_ok && cold_sorts = warm_sorts, cold_sorts)
+
+(* Whether a cold evaluation of [query] buys a prefix table partway
+   through: the plan as [Eval] compiles it, run once over fresh indexes,
+   leaves a table on a prefix index of at least 16 tuples, whose
+   threshold (one probe per 8 tuples) let at least its first probe
+   descend the extent. *)
+let switches_probe_path db query =
+  let built = ref [] in
+  let plan =
+    Plan.compile
+      ~relation:(fun p -> R.Database.relation_exn db p)
+      ~index:(fun p positions ->
+        let rel = R.Database.relation_exn db p in
+        let idx = R.Index.build rel positions in
+        if positions = List.init (List.length positions) Fun.id then
+          built := (rel, idx) :: !built;
+        idx)
+      db query
+  in
+  Plan.execute ~head_order:true plan ignore;
+  List.exists
+    (fun (rel, idx) ->
+      R.Relation.cardinality rel >= 16 && R.Index.has_table idx)
+    !built
 
 (* Runs the property, counting the cases that iterated a sorted copy of
-   their outer relation, so the bias toward head orders that are not a
-   column prefix is asserted rather than hoped for. *)
+   their outer relation, that sorted a block, that answered without
+   sorting one, and that switched probe paths partway through, so the
+   generator's biases are asserted rather than hoped for. *)
 let test_ordered_grouping () =
-  let sorted_outer = ref 0 in
+  let sorted_outer = ref 0 and sorted_block = ref 0 and sorted_none = ref 0 in
+  let switched = ref 0 in
   QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |])
     (QCheck.Test.make ~name:"run, run_projected = one-sort oracle" ~count:1000
        arbitrary_ordered
        (fun (db, (query, vars)) ->
          let m = Dc_parallel.Metrics.create () in
-         let ok =
+         let ok, sorts =
            Dc_parallel.Metrics.with_sink m (fun () ->
-               grouped_as_oracle db query vars)
+               grouped_as_oracle m db query vars)
          in
          if Dc_parallel.Metrics.(count m Key.eval_scan_orders) > 0 then
            incr sorted_outer;
+         if sorts > 0 then incr sorted_block
+         else if E.holds db query then incr sorted_none;
+         if switches_probe_path db query then incr switched;
          ok));
-  Alcotest.(check bool)
-    (Printf.sprintf "%d of 1000 cases scanned a sorted outer" !sorted_outer)
-    true (!sorted_outer >= 200)
+  let at_least what n min =
+    Alcotest.(check bool)
+      (Printf.sprintf "%d of 1000 cases %s" n what)
+      true (n >= min)
+  in
+  at_least "scanned a sorted outer" !sorted_outer 200;
+  at_least "sorted a block" !sorted_block 100;
+  at_least "answered without sorting a block" !sorted_none 200;
+  at_least "bought a prefix table partway through" !switched 100
 
 let suite =
   [

@@ -514,9 +514,9 @@ let test_commits_carry_distinct_counts () =
       counted (scans ())
   done
 
-(* A registration evaluates on a private replica of the head engine,
-   which keeps eval caches of its own but shares the plans. *)
-let test_register_replica_shares_plans () =
+(* A registration reuses the rewriting plan the cite of its query
+   shape computed: no new rewriting search, and a plan-cache hit. *)
+let test_register_reuses_rewriting_plan () =
   let ve = make () in
   let count k = C.Metrics.count (V.metrics ve) k in
   ignore
@@ -527,7 +527,7 @@ let test_register_replica_shares_plans () =
     (V.register ve (parse "Q(FName,Desc) :- Family(12,FName,Desc)"));
   Alcotest.(check int) "no new search" misses
     (count C.Metrics.Key.plan_cache_misses);
-  Alcotest.(check bool) "the replica hit" true
+  Alcotest.(check bool) "the registration hit the plan cache" true
     (count C.Metrics.Key.plan_cache_hits > hits)
 
 let suite =
@@ -555,8 +555,8 @@ let suite =
       test_deleting_commit_rederives_its_strata;
     Alcotest.test_case "plans shared across versions" `Quick
       test_plans_shared_across_versions;
-    Alcotest.test_case "register replica shares plans" `Quick
-      test_register_replica_shares_plans;
+    Alcotest.test_case "register reuses the cite plan" `Quick
+      test_register_reuses_rewriting_plan;
     Alcotest.test_case "commits carry distinct counts" `Quick
       test_commits_carry_distinct_counts;
   ]
