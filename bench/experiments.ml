@@ -1798,6 +1798,15 @@ let e19 () =
      median of 7 runs of %d evaluations\n\n"
     reps reps;
   let engine = C.Engine.create db Dc_gtopdb.Paper_views.all in
+  let scan_queries =
+    [
+      "Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
+      "S1(FName,PName) :- Family(FID,FName,Desc), Committee(FID,PName)";
+      "S2(FName,TName) :- Family(FID,FName,Desc), TargetFamily(TID,FID), \
+       Target(TID,TName,TType)";
+      "S3(FID,FName,Desc) :- Family(FID,FName,Desc)";
+    ]
+  in
   let widths = [ 6; 11; 8; 6; 7; 8 ] in
   header widths [ "query"; "rewritings"; "answers"; "sorts"; "words"; "us" ];
   let kernel_rows =
@@ -1886,14 +1895,78 @@ let e19 () =
             Printf.sprintf "%.0f" us;
           ];
         (name, answers, sorts, words, us))
-      [
-        "Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
-        "S1(FName,PName) :- Family(FID,FName,Desc), Committee(FID,PName)";
-        "S2(FName,TName) :- Family(FID,FName,Desc), TargetFamily(TID,FID), \
-         Target(TID,TName,TType)";
-        "S3(FID,FName,Desc) :- Family(FID,FName,Desc)";
-      ]
+      scan_queries
   in
+  subhr "wire words per answer: Engine.cite vs the folded summary";
+  Printf.printf
+    "the same queries through the same warm engine: Engine.cite builds\n\
+     every answer's tuple_citation and policy evaluation, Engine.summary\n\
+     (what CITE, CITE_BATCH and CITE_AT answer with) folds the answers\n\
+     into their count and Agg; words = Gc.minor_words per answer over %d\n\
+     cites, kernel included; us = median of 7 runs of %d cites\n\n"
+    reps reps;
+  let widths = [ 6; 8; 11; 11; 9; 9 ] in
+  header widths
+    [ "query"; "answers"; "cite words"; "fold words"; "cite us"; "fold us" ];
+  let wire_rows =
+    List.map
+      (fun text ->
+        let q = Cq.Parser.parse_query_exn text in
+        let r = C.Engine.cite engine q and s = C.Engine.summary engine q in
+        (* the fold must answer what the cite does before its cost
+           means anything *)
+        if
+          not
+            (s.answers = List.length r.tuples
+            && C.Cite_expr.compare s.summary_expr r.result_expr = 0
+            && List.equal C.Citation.equal s.summary_citations
+                 r.result_citations
+            && s.summary_complete = r.complete
+            && s.rewriting_count = List.length r.rewritings)
+        then failwith ("E19: the folded summary differs from the cite of " ^ text);
+        let answers = max 1 s.answers in
+        let measure f =
+          let words0 = Gc.minor_words () in
+          for _ = 1 to reps do
+            ignore (Sys.opaque_identity (f ()))
+          done;
+          let words =
+            (Gc.minor_words () -. words0) /. float_of_int (reps * answers)
+          in
+          let _, total =
+            timed ~runs:7 (fun () ->
+                for _ = 1 to reps do
+                  ignore (Sys.opaque_identity (f ()))
+                done)
+          in
+          (words, total *. 1000. /. float_of_int reps)
+        in
+        let cite_words, cite_us = measure (fun () -> C.Engine.cite engine q) in
+        let fold_words, fold_us =
+          measure (fun () -> C.Engine.summary engine q)
+        in
+        let name = Cq.Query.name q in
+        row widths
+          [
+            name;
+            string_of_int s.answers;
+            Printf.sprintf "%.1f" cite_words;
+            Printf.sprintf "%.1f" fold_words;
+            Printf.sprintf "%.0f" cite_us;
+            Printf.sprintf "%.0f" fold_us;
+          ];
+        (name, s.answers, cite_words, fold_words, cite_us, fold_us))
+      scan_queries
+  in
+  let words_over_queries pick =
+    List.fold_left
+      (fun acc (_, answers, cite_words, fold_words, _, _) ->
+        acc +. (pick cite_words fold_words *. float_of_int answers))
+      0. wire_rows
+  in
+  Printf.printf "\nfold / cite words over the four cites: %.2f\n"
+    (words_over_queries (fun _ f -> f)
+    /. max 1. (words_over_queries (fun c _ -> c)));
   write_bench_json ~experiment:"E19"
     [
       ("params", json_obj [ ("families", "1000"); ("variants", "4") ]);
@@ -1943,6 +2016,20 @@ let e19 () =
                    ("us", Printf.sprintf "%.0f" us);
                  ])
              kernel_rows) );
+      ( "wire_words",
+        json_list
+          (List.map
+             (fun (name, answers, cite_words, fold_words, cite_us, fold_us) ->
+               json_obj
+                 [
+                   ("query", json_str name);
+                   ("answers", string_of_int answers);
+                   ("cite_words_per_answer", Printf.sprintf "%.1f" cite_words);
+                   ("fold_words_per_answer", Printf.sprintf "%.1f" fold_words);
+                   ("cite_us", Printf.sprintf "%.0f" cite_us);
+                   ("fold_us", Printf.sprintf "%.0f" fold_us);
+                 ])
+             wire_rows) );
     ];
   Printf.printf
     "(expected: warm >= 2x interp at every width — the kernel touches no\n\
@@ -1952,7 +2039,8 @@ let e19 () =
      head costs at least 1.5x the ordered one at 1000 families, because\n\
      only the ordered head skips sorting the emissions; in the kernel\n\
      words table S3, one head-ordered scan, allocates at most 20 words\n\
-     per answer and sorts no block)\n"
+     per answer and sorts no block; in the wire words table the fold\n\
+     allocates at most 0.8x the cite's words over the four cites)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E20: recursive citation views — semi-naive vs naive fixpoint cost,

@@ -54,8 +54,8 @@ module Set = struct
 
   let of_list cs = List.sort_uniq compare cs
 
-  (* Both operands are sorted and duplicate-free; a linear merge keeps
-     union cheap even when folded over thousands of tuple citations. *)
+  (* Both operands are sorted and duplicate-free: one linear merge, which
+     keeps [a]'s element of an equal pair. *)
   let union a b =
     let rec merge a b acc =
       match (a, b) with
@@ -67,6 +67,23 @@ module Set = struct
           else merge a' b' (x :: acc)
     in
     merge a b []
+
+  (* Folding [union] from the left copies the growing accumulator at
+     every step, quadratic in the number of sets.  Merging neighbours in
+     rounds copies each element once per round instead: O(n log k) for
+     [k] sets of [n] elements in all.  Each round keeps the sets in
+     order, so an equal pair resolves to the earlier set's element, as
+     the left fold does. *)
+  let rec union_all = function
+    | [] -> []
+    | [ s ] -> s
+    | sets ->
+        let rec round acc = function
+          | a :: b :: rest -> round (union a b :: acc) rest
+          | [ a ] -> List.rev (a :: acc)
+          | [] -> List.rev acc
+        in
+        union_all (round [] sets)
 
   let join a b =
     match (a, b) with

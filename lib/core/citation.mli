@@ -41,6 +41,15 @@ module Set : sig
 
   val of_list : citation list -> t
   val union : t -> t -> t
+  (** One linear merge; an element equal in both is taken from the
+      first operand. *)
+
+  val union_all : t list -> t
+  (** The union of all the sets, equal to folding {!union} from the
+      left, in O(n log k) for [k] sets of [n] elements in all (the left
+      fold copies its growing accumulator at every step: quadratic in
+      [k]). *)
+
   val join : t -> t -> t
   (** Pairwise {!merge}; the [Join] reading of [·]. *)
 

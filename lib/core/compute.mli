@@ -102,6 +102,12 @@ val rule : string -> template -> Dc_cq.Rule.t option
     answer and projection, the answer followed by the projection on
     {!vars}; [None] for a vacuous rewriting. *)
 
+val rewriting_expr :
+  template -> Dc_relational.Value.t array list -> Cite_expr.t
+(** [rewriting_expr t projections] is [projected_expr [ (t, projections) ]]:
+    the normalized expression of a tuple that one rewriting alone
+    produces, without building the one-element list. *)
+
 val projected_expr :
   (template * Dc_relational.Value.t array list) list -> Cite_expr.t
 (** The {e normalized} {!tuple_expr} of one tuple, given for each

@@ -513,26 +513,31 @@ let leaf_resolver e =
 let tuple_citation ~resolve e tuple expr =
   { tuple; expr; citations = Policy.eval_normal ~resolve e.policy expr }
 
-(* [assemble] hands a run of tuples cited by one data-independent
+(* [iter_answers] hands a run of tuples cited by one data-independent
    template the same expression, physically shared, so dropping adjacent
    repeats before the root's sort-and-dedup leaves one child per run
    instead of one per tuple. *)
-let aggregate ~resolve e tuples =
-  let exprs =
-    List.fold_left
-      (fun acc t ->
-        match acc with x :: _ when x == t.expr -> acc | _ -> t.expr :: acc)
-      [] tuples
-  in
+let push_expr exprs expr =
+  match exprs with x :: _ when x == expr -> exprs | _ -> expr :: exprs
+
+let aggregate_exprs ~resolve e exprs =
   let result_expr = Cite_expr.normalize_node (Cite_expr.agg exprs) in
   (result_expr, Policy.eval_normal ~resolve e.policy result_expr)
 
-(* Linear merge of runs sorted by tuple: each step takes the least head
-   tuple together with the run heads equal to it. *)
-let merge_runs runs =
-  let rec go acc runs =
+let aggregate ~resolve e tuples =
+  aggregate_exprs ~resolve e
+    (List.fold_left (fun acc t -> push_expr acc t.expr) [] tuples)
+
+(* Each answer of the per-rewriting runs of (template, tuples with their
+   projections), in tuple order, with the normal expression of what
+   produced it.  A single run's groups are its answers; several runs are
+   merged linearly, each step taking the least head tuple together with
+   the run heads equal to it.  A data-independent rewriting hands every
+   tuple its template's one expression, physically shared. *)
+let iter_answers runs f =
+  let rec merge runs =
     match List.filter (fun (_, l) -> l <> []) runs with
-    | [] -> List.rev acc
+    | [] -> ()
     | runs ->
         let least =
           List.fold_left
@@ -551,31 +556,53 @@ let merge_runs runs =
               | _ -> (cs, (x, l) :: rs))
             runs ([], [])
         in
-        go ((least, contribs) :: acc) runs
+        f least (Compute.projected_expr contribs);
+        merge runs
   in
-  go [] runs
+  match runs with
+  | [ (t, groups) ] ->
+      List.iter
+        (fun (tuple, ps) -> f tuple (Compute.rewriting_expr t ps))
+        groups
+  | runs -> merge runs
 
-(* Per-tuple citations from the per-rewriting runs of (template, tuples
-   with their projections).  A data-independent rewriting hands every
-   tuple its template's one expression, physically shared, so a run of
-   tuples carrying it shares one policy evaluation. *)
+(* Per-tuple citations: a run of tuples sharing one expression shares
+   one policy evaluation. *)
 let assemble ~resolve e runs =
-  let merged =
-    match runs with
-    | [ (t, groups) ] -> List.map (fun (tuple, ps) -> (tuple, [ (t, ps) ])) groups
-    | runs -> merge_runs runs
-  in
-  let last = ref None in
-  List.map
-    (fun (tuple, contribs) ->
-      let expr = Compute.projected_expr contribs in
-      match !last with
-      | Some (x, citations) when x == expr -> { tuple; expr; citations }
-      | _ ->
-          let tc = tuple_citation ~resolve e tuple expr in
-          last := Some (expr, tc.citations);
-          tc)
-    merged
+  let tuples = ref [] and last = ref None in
+  iter_answers runs (fun tuple expr ->
+      let tc =
+        match !last with
+        | Some (x, citations) when x == expr -> { tuple; expr; citations }
+        | _ ->
+            let tc = tuple_citation ~resolve e tuple expr in
+            last := Some (expr, tc.citations);
+            tc
+      in
+      tuples := tc :: !tuples);
+  List.rev !tuples
+
+type summary = {
+  answers : int;
+  summary_expr : Cite_expr.t;
+  summary_citations : Citation.Set.t;
+  summary_complete : bool;
+  rewriting_count : int;
+}
+
+let summarize ~resolve e ~complete ~rewritings iter =
+  let answers = ref 0 and exprs = ref [] in
+  iter (fun expr ->
+      incr answers;
+      exprs := push_expr !exprs expr);
+  let summary_expr, summary_citations = aggregate_exprs ~resolve e !exprs in
+  {
+    answers = !answers;
+    summary_expr;
+    summary_citations;
+    summary_complete = complete;
+    rewriting_count = rewritings;
+  }
 
 (* Binary search in a sorted array of distinct values. *)
 let rank a v =
@@ -738,8 +765,18 @@ let contained_for e plan =
       plan.plan_contained <- Some ts;
       ts
 
-let cite e query =
-  Metrics.with_sink e.metrics @@ fun () ->
+(* What a cite evaluates, before its answers are cited: the rewritings,
+   the selected ones, whether they answer the query completely, the
+   search's stats and the per-template runs. *)
+type evaluation = {
+  all_rewritings : Cq.Query.t list;
+  chosen : Cq.Query.t list;
+  answers_complete : bool;
+  search_stats : Rw.Rewrite.stats;
+  runs : (Compute.template * (R.Tuple.t * R.Value.t array list) list) list;
+}
+
+let evaluate e query =
   let stripped = Cq.Query.strip_params query in
   let plan, lifted = plan_for e stripped in
   let rename = renaming plan lifted in
@@ -793,19 +830,37 @@ let cite e query =
     locked c.lock @@ fun () ->
     List.map (fun t -> (t, Compute.run ~cache:c.eval_cache db t)) templates
   in
+  {
+    all_rewritings = rewritings;
+    chosen = selected;
+    answers_complete = complete;
+    search_stats = stats;
+    runs;
+  }
+
+let cite e query =
+  Metrics.with_sink e.metrics @@ fun () ->
+  let ev = evaluate e query in
   let resolve = leaf_resolver e in
-  let tuples = assemble ~resolve e runs in
+  let tuples = assemble ~resolve e ev.runs in
   let result_expr, result_citations = aggregate ~resolve e tuples in
   {
     query;
-    rewritings;
-    selected;
+    rewritings = ev.all_rewritings;
+    selected = ev.chosen;
     tuples;
     result_expr;
     result_citations;
-    complete;
-    stats;
+    complete = ev.answers_complete;
+    stats = ev.search_stats;
   }
+
+let summary e query =
+  Metrics.with_sink e.metrics @@ fun () ->
+  let ev = evaluate e query in
+  summarize ~resolve:(leaf_resolver e) e ~complete:ev.answers_complete
+    ~rewritings:(List.length ev.all_rewritings) (fun f ->
+      iter_answers ev.runs (fun _ expr -> f expr))
 
 let cite_string e src =
   Result.map (cite e) (Cq.Parser.parse_query src)

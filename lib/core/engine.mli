@@ -17,6 +17,18 @@
       result-level [Agg], and their policy-evaluated concrete citation
       sets; leaf citations are memoized per (view, valuation).
 
+    {b Two endings of one evaluation.}  {!cite} and {!summary} share
+    everything up to the per-rewriting runs: plan lookup, constant
+    renaming, selection, the contained fallback and the evaluation under
+    the cache lock.  {!cite} then builds every answer's
+    {!tuple_citation}, with its policy-evaluated citations, and the
+    [Agg] over them.  {!summary} folds the answers straight into what a
+    wire response carries — the answer count, the [Agg] expression and
+    its citations — building no per-tuple record and running no
+    per-tuple policy evaluation.  {!cite} is its oracle: a summary's
+    fields equal the corresponding ones of the {!cite} of the same
+    query on the same engine.
+
     {b Data on demand.}  An engine's data is its base database and one
     write-once cell ({!Dc_parallel.Once}) for the program's IDB
     extents.  {!cite} forces that cell only when a selected rewriting's
@@ -282,6 +294,7 @@ val cite : t -> Dc_cq.Query.t -> result
     ({!Compute.projected_expr}).  Tuples of a single data-independent
     rewriting share its one expression and one policy evaluation, and
     every distinct leaf is resolved once per call ({!leaf_resolver}).
+    {!summary} is the same evaluation folded into the wire response.
     The result is the one the literal composition gives:
     {!Dc_cq.Eval.run} of the rewriting over the materialized views
     ({!merged_database}), then {!Compute.tuple_expr} normalized and
@@ -289,6 +302,38 @@ val cite : t -> Dc_cq.Query.t -> result
 
 val cite_string : t -> string -> (result, string) Stdlib.result
 (** Parses with {!Dc_cq.Parser.parse_query} first. *)
+
+type summary = {
+  answers : int;  (** the number of answer tuples *)
+  summary_expr : Cite_expr.t;  (** [Agg] over the answers' expressions *)
+  summary_citations : Citation.Set.t;
+  summary_complete : bool;  (** as {!result}'s [complete] *)
+  rewriting_count : int;  (** the number of minimal equivalent rewritings *)
+}
+(** What a cite's wire response carries: no per-tuple data. *)
+
+val summary : t -> Dc_cq.Query.t -> summary
+(** The {!cite} of the query, folded: the same plan, selection and
+    evaluation, then one pass over the answers in tuple order that
+    counts them and feeds each expression to {!aggregate}'s
+    adjacent-repeat dedup as it is built.  No {!tuple_citation} list is
+    built and the policy runs once, over the [Agg].  Equal, field for
+    field, to [answers = List.length r.tuples], [r.result_expr],
+    [r.result_citations], [r.complete] and [List.length r.rewritings]
+    of [r = cite e q]. *)
+
+val summarize :
+  resolve:(Cite_expr.leaf -> Citation.t) ->
+  t ->
+  complete:bool ->
+  rewritings:int ->
+  ((Cite_expr.t -> unit) -> unit) ->
+  summary
+(** [summarize ~resolve e ~complete ~rewritings iter]: the summary of
+    the answers whose normal expressions [iter f] hands to [f], one call
+    per answer, in tuple order (so the physically shared expression of a
+    data-independent run reaches the dedup as adjacent repeats).  The
+    fold behind {!summary}, exposed for {!Incremental.summary}. *)
 
 val resolve_leaf : t -> Cite_expr.leaf -> Citation.t
 (** The engine's memoized leaf resolver (exposed for tests and for
@@ -314,7 +359,8 @@ val aggregate :
   tuple_citation list ->
   Cite_expr.t * Citation.Set.t
 (** The normalized [Agg] over the tuples' (normal) expressions and its
-    citations: a result's [result_expr] and [result_citations]. *)
+    citations: a result's [result_expr] and [result_citations].  Adjacent
+    physically equal expressions are passed to the [Agg] once. *)
 
 (** {1 Capabilities} *)
 

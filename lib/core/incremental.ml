@@ -24,15 +24,23 @@ let query reg = reg.query
 let tuples reg = List.map snd (R.Tuple.Map.bindings reg.cache)
 let affected_last reg = reg.affected_last
 
-let aggregate reg tuples =
-  Engine.aggregate ~resolve:(Engine.leaf_resolver reg.engine) reg.engine tuples
+(* The cache's expressions reach the dedup in tuple order, as a cite
+   hands them out: of two equal [Agg] children the sort keeps one by
+   position, so the order decides which one prints. *)
+let summary reg =
+  Engine.summarize ~resolve:(Engine.leaf_resolver reg.engine) reg.engine
+    ~complete:true ~rewritings:(List.length reg.selected) (fun f ->
+      R.Tuple.Map.iter (fun _ (tc : Engine.tuple_citation) -> f tc.expr) reg.cache)
 
-let result_expr reg = fst (aggregate reg (tuples reg))
-let result_citations reg = snd (aggregate reg (tuples reg))
+let result_expr reg = (summary reg).summary_expr
+let result_citations reg = (summary reg).summary_citations
 
 let to_result reg : Engine.result =
   let tuples = tuples reg in
-  let result_expr, result_citations = aggregate reg tuples in
+  let result_expr, result_citations =
+    Engine.aggregate ~resolve:(Engine.leaf_resolver reg.engine) reg.engine
+      tuples
+  in
   {
     Engine.query = reg.query;
     rewritings = reg.selected;

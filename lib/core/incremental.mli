@@ -32,13 +32,22 @@ val tuples : t -> Engine.tuple_citation list
 val result_expr : t -> Cite_expr.t
 val result_citations : t -> Citation.Set.t
 
+val summary : t -> Engine.summary
+(** The registration's current state as a wire cite carries it
+    ({!Engine.summary}): one pass over the cached map in tuple order
+    counts the answers and feeds their expressions to the [Agg]; no
+    tuple list is built.  Equal, field for field, to the summary of
+    {!to_result}.  {!Versioned_engine.summary_at} serves registered
+    head-version queries from this. *)
+
 val to_result : t -> Engine.result
 (** The registration's current state packaged as an {!Engine.result}:
     the cached per-tuple citations, the aggregated result expression
     and its policy evaluation.  [rewritings] and [selected] both carry
     the registered rewritings, [stats] is zeroed except [kept] (no
-    enumeration ran), [complete] is [true].  {!Versioned_engine} serves
-    registered head-version queries from this instead of re-citing. *)
+    enumeration ran), [complete] is [true].  {!Versioned_engine.cite_at}
+    serves registered head-version queries from this instead of
+    re-citing. *)
 
 val apply_delta : ?new_base:Dc_relational.Database.t -> t -> Dc_relational.Delta.t -> t
 (** Updates the base database and the affected citations.  Raises

@@ -15,13 +15,11 @@ let make ?(joint = Union) ?(alt = Union) ?(agg = Union) ?(alt_r = Min_size)
     () =
   { joint; alt; agg; alt_r }
 
-let combine = function
-  | Union -> Citation.Set.union
-  | Join -> Citation.Set.join
-
-let fold_sets combiner = function
-  | [] -> []
-  | s :: rest -> List.fold_left (combine combiner) s rest
+let fold_sets combiner sets =
+  match (combiner, sets) with
+  | Union, sets -> Citation.Set.union_all sets
+  | Join, [] -> []
+  | Join, s :: rest -> List.fold_left Citation.Set.join s rest
 
 let eval_normal ~resolve policy expr =
   let rec go = function

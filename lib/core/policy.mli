@@ -6,9 +6,11 @@
 
     - [·], [+] and [Agg] each get [Union] (collect the citations) or
       [Join] (fuse them into composite citations) — "union or join are
-      natural".  Beware that [Join] multiplies set sizes, so choosing it
-      for [Agg] (across all result tuples) is only tractable on small
-      answers;
+      natural".  A [Union] over [k] operands merges them in rounds
+      ({!Citation.Set.union_all}, O(n log k)), so an [Agg] over
+      thousands of distinct per-answer citations stays cheap.  Beware
+      that [Join] multiplies set sizes, so choosing it for [Agg] (across
+      all result tuples) is only tractable on small answers;
     - [+R] gets a {e selection} rule over the alternative rewritings:
       keep all, pick the first, or pick the alternative with the
       minimum-size citation, the paper's closing example. *)

@@ -55,13 +55,15 @@ type t = {
   commit_mu : Mutex.t;
 }
 
-type cited = {
+type 'a stamped = {
   version : VS.version;
   timestamp : int option;
   digest : string;
-  result : Engine.result;
+  result : 'a;
   from_registration : bool;
 }
+
+type cited = Engine.result stamped
 
 let locked t f = Mutex.protect t.mu f
 let committing t f = Mutex.protect t.commit_mu f
@@ -263,17 +265,25 @@ let stamped t v ~from_registration result =
 
 let reg_key q = Cq.Query.to_string q
 
-let cite_at t v q =
+(* A head-version query with a registration is served from it, any
+   other from the version's engine. *)
+let serve_at t v q ~registered ~evaluated =
   let from_reg =
     locked t (fun () ->
         if v = VS.head t.store then List.assoc_opt (reg_key q) t.regs
         else None)
   in
   match from_reg with
-  | Some reg -> stamped t v ~from_registration:true (Incremental.to_result reg)
+  | Some reg -> stamped t v ~from_registration:true (registered reg)
   | None ->
       Result.bind (engine_at t v) (fun eng ->
-          stamped t v ~from_registration:false (Engine.cite eng q))
+          stamped t v ~from_registration:false (evaluated eng q))
+
+let cite_at t v q =
+  serve_at t v q ~registered:Incremental.to_result ~evaluated:Engine.cite
+
+let summary_at t v q =
+  serve_at t v q ~registered:Incremental.summary ~evaluated:Engine.summary
 
 let cite t q = cite_at t (head t) q
 

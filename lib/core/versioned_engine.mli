@@ -60,15 +60,19 @@
 
 type t
 
-type cited = {
+type 'a stamped = {
   version : Dc_relational.Version_store.version;
   timestamp : int option;  (** the version's commit time *)
   digest : string;  (** {!Fixity.digest_v2} of the cited version *)
-  result : Engine.result;
+  result : 'a;
   from_registration : bool;
       (** served from an incremental {!register}ation rather than by a
           fresh engine evaluation *)
 }
+(** A citation of one version, stamped: an {!Engine.result} from
+    {!cite_at}, an {!Engine.summary} from {!summary_at}. *)
+
+type cited = Engine.result stamped
 
 val create :
   ?policy:Policy.t ->
@@ -172,6 +176,15 @@ val cite_at :
     query is served from the maintained registration
     ([from_registration = true]) without re-evaluating.  [Error] only
     for an unknown version — never an exception. *)
+
+val summary_at :
+  t -> Dc_relational.Version_store.version -> Dc_cq.Query.t ->
+  (Engine.summary stamped, string) result
+(** {!cite_at} folded into what a wire response carries, with the same
+    routing and stamp: an engine-served version answers
+    {!Engine.summary}, a registration-served head
+    {!Incremental.summary}.  Its fields equal those of the {!cite_at}
+    result of the same call; no per-tuple citation list is built. *)
 
 val cite : t -> Dc_cq.Query.t -> (cited, string) result
 (** [cite t q] is [cite_at t (head t) q]. *)

@@ -1,23 +1,38 @@
 module Cq = Dc_cq
 
-(* Canonical printing of a candidate atom with the occurrence-specific
-   fresh variables normalized away, for MCD deduplication. *)
-let canonical_atom_key query atom =
+(* MCD deduplication key: the view, the covered subgoals and the
+   candidate atom with its occurrence-specific fresh variables numbered
+   in order of first occurrence.  Terms stay typed ([Int 1], [Float 1.0]
+   and [Str "1"] print alike but are different constants), and the
+   renaming keeps query variables and fresh ones apart by a tag, so no
+   constant or fresh variable can meet a query variable of its text. *)
+module Key = Set.Make (struct
+  type t = string * int list * Cq.Atom.t
+
+  let compare (v, c, a) (w, d, b) =
+    match String.compare v w with
+    | 0 -> (
+        match List.compare Int.compare c d with
+        | 0 -> Cq.Atom.compare a b
+        | n -> n)
+    | n -> n
+end)
+
+let canonical_atom query atom =
   let qvars = Cq.Query.all_vars query in
   let table = Hashtbl.create 8 in
   let norm = function
-    | Cq.Term.Const c -> Dc_relational.Value.to_string c
-    | Cq.Term.Var v when List.mem v qvars -> v
+    | Cq.Term.Const _ as t -> t
+    | Cq.Term.Var v when List.mem v qvars -> Cq.Term.Var ("q" ^ v)
     | Cq.Term.Var v -> (
         match Hashtbl.find_opt table v with
         | Some k -> k
         | None ->
-            let k = Printf.sprintf "•%d" (Hashtbl.length table) in
+            let k = Cq.Term.Var (Printf.sprintf "f%d" (Hashtbl.length table)) in
             Hashtbl.add table v k;
             k)
   in
-  Printf.sprintf "%s(%s)" (Cq.Atom.pred atom)
-    (String.concat "," (List.map norm (Cq.Atom.args atom)))
+  Cq.Atom.make (Cq.Atom.pred atom) (List.map norm (Cq.Atom.args atom))
 
 let descriptions views query =
   let body = Array.of_list (Cq.Query.body query) in
@@ -123,17 +138,13 @@ let descriptions views query =
       (View.Set.with_predicate views (Cq.Atom.pred body.(seed)))
   done;
   (* Deduplicate: the same MCD is reachable from every seed it covers. *)
-  let seen = Hashtbl.create 16 in
+  let seen = ref Key.empty in
   List.filter
     (fun (c : Candidate.t) ->
-      let key =
-        Printf.sprintf "%s|%s|%s" (View.name c.view)
-          (String.concat "," (List.map string_of_int c.covered))
-          (canonical_atom_key query c.atom)
-      in
-      if Hashtbl.mem seen key then false
+      let key = (View.name c.view, c.covered, canonical_atom query c.atom) in
+      if Key.mem key !seen then false
       else begin
-        Hashtbl.add seen key ();
+        seen := Key.add key !seen;
         true
       end)
     (List.rev !results)

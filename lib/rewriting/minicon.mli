@@ -11,4 +11,7 @@
 
 val descriptions : View.Set.t -> Dc_cq.Query.t -> Candidate.t list
 (** All MCDs of the query w.r.t. the view set, deduplicated by
-    (view, coverage, atom shape). *)
+    (view, coverage, atom shape).  The shape keeps constants typed and
+    query variables apart from constants and fresh variables: two MCDs
+    are merged only when their atoms are equal up to renaming the
+    fresh variables. *)

@@ -101,6 +101,15 @@ let with_head_engine t f =
       Protocol.error_line e
   | Ok eng -> f eng
 
+(* The one [OK] line of a cite: what the folded summary carries, plus
+   the version stamp of a [CITE_AT]. *)
+let ok_cite ?version ?timestamp ?digest ?from_registration ~query ~ms
+    (s : C.Engine.summary) =
+  Protocol.ok_cite ?version ?timestamp ?digest ?from_registration ~query
+    ~expr:(C.Cite_expr.to_string s.summary_expr)
+    ~citations:s.summary_citations ~complete:s.summary_complete
+    ~tuples:s.answers ~rewritings:s.rewriting_count ~ms ()
+
 let execute t (req : Protocol.request) =
   let m = metrics t in
   C.Metrics.with_sink m @@ fun () ->
@@ -161,7 +170,7 @@ let execute t (req : Protocol.request) =
         match head_engine t with
         | Error e -> Error e
         | Ok eng -> (
-            match List.map (C.Engine.cite eng) queries with
+            match List.map (C.Engine.summary eng) queries with
             | rs -> Ok rs
             | exception ex -> Error (Printexc.to_string ex))
       in
@@ -188,36 +197,24 @@ let execute t (req : Protocol.request) =
                 | Ok _ -> (
                     match !remaining with
                     | [] ->
-                        (* unreachable: cite_batch returns one result
+                        (* unreachable: the batch returns one summary
                            per query, in order *)
                         record_err ();
                         Protocol.error_line "batch result missing"
-                    | (result : C.Engine.result) :: rest ->
+                    | summary :: rest ->
                         remaining := rest;
-                        Protocol.ok_cite ~query:q
-                          ~expr:(C.Cite_expr.to_string result.result_expr)
-                          ~citations:result.result_citations
-                          ~complete:result.complete
-                          ~tuples:(List.length result.tuples)
-                          ~rewritings:(List.length result.rewritings)
-                          ~ms:(ms ()) ()))
+                        ok_cite ~query:q ~ms:(ms ()) summary))
               parsed
       in
       String.concat "\n" lines
   | Protocol.Cite q -> (
       C.Metrics.record_time "server_cite" @@ fun () ->
       with_head_engine t @@ fun eng ->
-      match C.Engine.cite_string eng q with
+      match Result.map (C.Engine.summary eng) (Dc_cq.Parser.parse_query q) with
       | Error e ->
           record_err ();
           Protocol.error_line e
-      | Ok result ->
-          Protocol.ok_cite ~query:q
-            ~expr:(C.Cite_expr.to_string result.result_expr)
-            ~citations:result.result_citations ~complete:result.complete
-            ~tuples:(List.length result.tuples)
-            ~rewritings:(List.length result.rewritings)
-            ~ms:(ms ()) ()
+      | Ok summary -> ok_cite ~query:q ~ms:(ms ()) summary
       | exception ex ->
           record_err ();
           Protocol.error_line ("cite failed: " ^ Printexc.to_string ex))
@@ -228,22 +225,14 @@ let execute t (req : Protocol.request) =
           record_err ();
           Protocol.error_line e
       | Ok q -> (
-          match C.Versioned_engine.cite_at t.versioned version q with
+          match C.Versioned_engine.summary_at t.versioned version q with
           | Error e ->
               record_err ();
               Protocol.error_line e
-          | Ok cited ->
-              let result = cited.C.Versioned_engine.result in
-              Protocol.ok_cite ~version:cited.C.Versioned_engine.version
-                ?timestamp:cited.C.Versioned_engine.timestamp
-                ~digest:cited.C.Versioned_engine.digest
-                ~from_registration:cited.C.Versioned_engine.from_registration
-                ~query
-                ~expr:(C.Cite_expr.to_string result.result_expr)
-                ~citations:result.result_citations ~complete:result.complete
-                ~tuples:(List.length result.tuples)
-                ~rewritings:(List.length result.rewritings)
-                ~ms:(ms ()) ()
+          | Ok c ->
+              ok_cite ~version:c.version ?timestamp:c.timestamp
+                ~digest:c.digest ~from_registration:c.from_registration
+                ~query ~ms:(ms ()) c.result
           | exception ex ->
               record_err ();
               Protocol.error_line ("cite_at failed: " ^ Printexc.to_string ex)))

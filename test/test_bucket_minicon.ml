@@ -63,6 +63,39 @@ let test_minicon_dedup () =
       Alcotest.(check (list int)) "covers both subgoals" [ 0; 1 ] m.covered
   | _ -> ()
 
+(* MCDs that print alike must not be merged.  The symmetric view maps
+   onto one query subgoal two ways: [V(1,"1")] and [V("1",1)], which
+   print alike but are different atoms; so are [V(X,"X")] and
+   [V("X",X)], a query variable beside a string of the same text.
+   Keyed on their text, one of each pair is lost, and with it the
+   second minimal rewriting. *)
+let test_minicon_typed_key () =
+  let views = V.Set.of_list [ V.of_query (q "V(A,B) :- R(A,B), R(B,A)") ] in
+  let atoms query =
+    List.sort compare
+      (List.map
+         (fun (c : Dc_rewriting.Candidate.t) ->
+           ( c.covered,
+             Printf.sprintf "V(%s)"
+               (String.concat ","
+                  (List.map Dc_cq.Term.to_string (Dc_cq.Atom.args c.atom))) ))
+         (M.descriptions views query))
+  in
+  Alcotest.(check (list (pair (list int) string)))
+    "constants: both MCDs of each subgoal"
+    [
+      ([ 0 ], {|V("1",1)|}); ([ 0 ], {|V(1,"1")|});
+      ([ 1 ], {|V("1",1)|}); ([ 1 ], {|V(1,"1")|});
+    ]
+    (atoms (q {|Q(N) :- R(1,"1"), R("1",1), S(N)|}));
+  Alcotest.(check int) "variable beside its text: both MCDs of each subgoal" 4
+    (List.length (atoms (q {|Q(X) :- R(X,"X"), R("X",X)|})));
+  let rewritings =
+    (Dc_rewriting.Rewrite.search views (q {|Q(X) :- R(X,"X"), R("X",X)|}))
+      .queries
+  in
+  Alcotest.(check int) "two minimal rewritings" 2 (List.length rewritings)
+
 let test_minicon_rejects_distinguished_in_existential () =
   (* V hides X entirely; Q needs X in the head: no MCD *)
   let views = V.Set.of_list [ V.of_query (q "VBad(Y) :- R(X,Y)") ] in
@@ -132,6 +165,8 @@ let suite =
     Alcotest.test_case "naive keeps non-exposing" `Quick test_bucket_naive_keeps_nonexposing;
     Alcotest.test_case "bucket coverage" `Quick test_bucket_entry_covers_its_subgoal;
     Alcotest.test_case "minicon dedup" `Quick test_minicon_dedup;
+    Alcotest.test_case "minicon dedup keys typed terms" `Quick
+      test_minicon_typed_key;
     Alcotest.test_case "minicon distinguished filter" `Quick test_minicon_rejects_distinguished_in_existential;
     Alcotest.test_case "minicon constants" `Quick test_minicon_constant_compatibility;
     Alcotest.test_case "cite at time" `Quick test_cite_at_time;

@@ -244,6 +244,126 @@ let test_paper_example () =
     C.Policy.[ Keep_all; First; Min_size ]
 
 (* ------------------------------------------------------------------ *)
+(* The wire fold.  [Engine.summary] and [Versioned_engine.summary_at]
+   fold a cite's answers into what a response carries; each must equal
+   the full cite's answer count, [Agg] expression and citations (as
+   text, the bytes a response holds), completeness and rewriting count.
+   Drawn: every selection (with [`All], several rewritings' runs are
+   merged), the contained fallback, data-dependent and constant
+   templates, and registration-served heads, before and after a commit
+   that adds answers and a committee member (so a citation query's
+   answer changes too). *)
+
+module V = C.Versioned_engine
+
+let citation_texts cs = List.map (Format.asprintf "%a" C.Citation.pp) cs
+
+let same_summary (s : E.summary) (r : E.result) =
+  s.answers = List.length r.tuples
+  && String.equal (X.to_string s.summary_expr) (X.to_string r.result_expr)
+  && X.compare s.summary_expr r.result_expr = 0
+  && List.equal String.equal
+       (citation_texts s.summary_citations)
+       (citation_texts r.result_citations)
+  && s.summary_complete = r.complete
+  && s.rewriting_count = List.length r.rewritings
+
+let same_stamped (s : E.summary V.stamped) (r : V.cited) =
+  s.version = r.version && s.timestamp = r.timestamp
+  && String.equal s.digest r.digest
+  && s.from_registration = r.from_registration
+  && same_summary s.result r.result
+
+type fold_case = { case : case; registered : bool; commit : bool }
+
+let print_fold_case f =
+  Printf.sprintf "%s, registered %b, commit %b" (print_case f.case)
+    f.registered f.commit
+
+let gen_fold_case =
+  let open QCheck.Gen in
+  let* case = gen_case in
+  let* registered = bool in
+  let+ commit = bool in
+  { case; registered; commit }
+
+let commit_delta =
+  R.Delta.empty
+  |> (fun d -> R.Delta.insert d "Family" (tuple [ int 900; str "Newfam"; str "N1" ]))
+  |> (fun d -> R.Delta.insert d "FamilyIntro" (tuple [ int 900; str "New intro" ]))
+  |> fun d -> R.Delta.insert d "Committee" (tuple [ int 1; str "Zed Newman" ])
+
+let fold_agrees f =
+  let c = f.case in
+  let q = parse (query_text c) in
+  let views = snd view_sets.(c.views) in
+  let make () =
+    E.create ~policy:c.policy ~selection:c.selection ~partial:c.partial
+      ~fallback_contained:c.fallback (database c) views
+  in
+  (* the fold on a cold engine, the cite on another *)
+  same_summary (E.summary (make ()) q) (E.cite (make ()) q)
+  &&
+  let ve =
+    V.create ~policy:c.policy ~selection:c.selection ~partial:c.partial
+      ~fallback_contained:c.fallback (database c) views
+  in
+  if f.registered then Result.get_ok (V.register ve q);
+  if f.commit then ignore (Result.get_ok (V.commit_delta ve commit_delta));
+  List.for_all
+    (fun v ->
+      match (V.summary_at ve v q, V.cite_at ve v q) with
+      | Ok s, Ok r ->
+          same_stamped s r
+          && s.from_registration = (f.registered && v = V.head ve)
+      | _ -> false)
+    (V.versions ve)
+
+let prop_fold_matches_cite =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"wire fold = Engine.cite / cite_at" ~count:300
+       (QCheck.make ~print:print_fold_case gen_fold_case)
+       fold_agrees)
+
+(* Values that compare equal but print apart ([Float 0.0] and
+   [Float (-0.0)]) in two answers' view parameters: the [Agg] keeps one
+   of the two equal children, the one the dedup met first, so the fold
+   must meet the answers in the cite's order — tuple order, on the
+   engine and on a registration's map alike. *)
+let test_fold_order () =
+  let schema =
+    R.Schema.make "R"
+      [ R.Schema.attr ~ty:R.Value.TInt "N"; R.Schema.attr ~ty:R.Value.TFloat "F" ]
+  in
+  let db =
+    R.Database.insert_list
+      (R.Database.create_relation R.Database.empty schema)
+      "R"
+      [
+        tuple [ int 1; R.Value.Float 0.0 ];
+        tuple [ int 2; R.Value.Float (-0.0) ];
+      ]
+  in
+  let views = [ view ~params:"lambda F. " "VR(N,F) :- R(N,F)" "CVR(F,N) :- R(N,F)" ] in
+  let q = parse "Q(N) :- R(N,F)" in
+  let expr_text (s : E.summary) = X.to_string s.summary_expr in
+  let e = E.create db views in
+  let r = E.cite e q in
+  Alcotest.(check string) "engine: fold = cite"
+    (X.to_string r.result_expr)
+    (expr_text (E.summary e q));
+  Alcotest.(check bool) "engine: every field" true (same_summary (E.summary e q) r);
+  let ve = V.create db views in
+  Result.get_ok (V.register ve q);
+  let s = Result.get_ok (V.summary_at ve 0 q)
+  and c = Result.get_ok (V.cite_at ve 0 q) in
+  Alcotest.(check bool) "served from the registration" true s.from_registration;
+  Alcotest.(check string) "registration: fold = to_result"
+    (X.to_string c.result.result_expr)
+    (expr_text s.result);
+  Alcotest.(check bool) "registration: every field" true (same_stamped s c)
+
+(* ------------------------------------------------------------------ *)
 (* Shape-keyed rewriting plans.  One long-lived engine cites a sequence
    of queries, so most of them reach the plan cache through another
    query of their shape (a different constant in the same place); each
@@ -254,14 +374,15 @@ let test_paper_example () =
    some equal constants of the view definitions, and the others sort
    below, between and above them. *)
 
-module V = R.Value
+module Value = R.Value
 module M = C.Metrics
 
 let constant_pool =
   [|
-    V.Int 2; V.Int 11; V.Int 12; V.Int 21; V.Float 11.0; V.Float 1234567.0;
-    V.Float 1234568.0; V.Str "11"; V.Str "Calcitonin"; V.Str "1st";
-    V.Str "Dopamine intro"; V.Str "Kim Neve"; V.Str "Walter Born";
+    Value.Int 2; Value.Int 11; Value.Int 12; Value.Int 21; Value.Float 11.0;
+    Value.Float 1234567.0; Value.Float 1234568.0; Value.Str "11";
+    Value.Str "Calcitonin"; Value.Str "1st"; Value.Str "Dopamine intro";
+    Value.Str "Kim Neve"; Value.Str "Walter Born";
   |]
 
 (* Views whose definitions carry constants, including ones drawn above:
@@ -300,10 +421,10 @@ let term_text = function
   | Cq.Term.Var v -> v
   | Cq.Term.Const c -> (
       match c with
-      | V.Int i -> Printf.sprintf "%d" i
-      | V.Float f -> Printf.sprintf "%.1ff" f
-      | V.Str s -> Printf.sprintf "%S" s
-      | c -> V.to_string c)
+      | Value.Int i -> Printf.sprintf "%d" i
+      | Value.Float f -> Printf.sprintf "%.1ff" f
+      | Value.Str s -> Printf.sprintf "%S" s
+      | c -> Value.to_string c)
 
 let query_text q =
   let terms ts = String.concat "," (List.map term_text ts) in
@@ -493,4 +614,7 @@ let suite =
     Alcotest.test_case "shape keys keep the constants' order" `Quick
       test_shape_keeps_constant_order;
     prop_shape_plans;
+    Alcotest.test_case "the fold meets answers in tuple order" `Quick
+      test_fold_order;
+    prop_fold_matches_cite;
   ]

@@ -92,8 +92,44 @@ let test_policy_pp () =
   Alcotest.(check string) "default" "·=union, +=union, Agg=union, +R=min-size"
     (P.to_string P.default)
 
+(* [Union] merges its operands in rounds; it must equal the left fold of
+   the two-set union it replaced.  The pool draws equal-comparing but
+   distinct values ([Float 0.0] and [Float (-0.0)]), so an equal pair
+   must also resolve to the same (earlier) operand's element. *)
+let gen_sets =
+  let open QCheck.Gen in
+  let value =
+    oneofl R.Value.[ Int 0; Int 1; Int 2; Float 0.0; Float (-0.0); Str "1" ]
+  in
+  let citation =
+    let* view = oneofl [ "A"; "B"; "C" ] in
+    let* p = value in
+    let+ snippet = oneofl [ []; [ "x" ]; [ "y" ] ] in
+    C.Citation.make ~view ~params:[ ("p", p) ]
+      ~snippets:
+        (List.map (fun s -> C.Snippet.make ~source:s [ ("k", p) ]) snippet)
+  in
+  list_size (int_bound 40)
+    (map C.Citation.Set.of_list
+       (frequency [ (1, return []); (6, list_size (int_bound 8) citation) ]))
+
+(* Printed, [Float (-0.0)] reads "-0": the text tells the
+   representatives of an equal pair apart, as [=] on floats does not. *)
+let texts s = List.map (Format.asprintf "%a" C.Citation.pp) s
+let print_sets sets =
+  String.concat " | " (List.map (fun s -> String.concat "; " (texts s)) sets)
+
+let prop_union_all =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"union_all = left fold of union" ~count:500
+       (QCheck.make ~print:print_sets gen_sets) (fun sets ->
+         let folded = List.fold_left C.Citation.Set.union [] sets in
+         let merged = C.Citation.Set.union_all sets in
+         List.equal String.equal (texts merged) (texts folded)))
+
 let suite =
   [
+    prop_union_all;
     Alcotest.test_case "union everywhere" `Quick test_union_everything;
     Alcotest.test_case "join for ·" `Quick test_join_joint;
     Alcotest.test_case "join distributes over +" `Quick test_join_distributes;

@@ -509,6 +509,89 @@ let test_cite_batch_wire () =
   let health = expect_ok "health after batch" (S.Client.request conn "HEALTH") in
   Alcotest.(check bool) "serving" true (contains health {|"status":"serving"|})
 
+(* A cite's response is folded from the answer groups (Engine.summary,
+   Versioned_engine.summary_at); its line must be the one rendered from
+   the full Engine.cite / Versioned_engine.cite_at result, byte for byte
+   apart from [ms], for CITE, CITE_BATCH and CITE_AT alike, engine- and
+   registration-served.  [`All] selection under [Keep_all] makes the
+   paper's Q merge two rewritings' runs. *)
+let test_cite_lines_match_cite () =
+  let make () =
+    C.Engine.create ~selection:`All
+      ~policy:(C.Policy.make ~alt_r:C.Policy.Keep_all ())
+      (Dc_gtopdb.Paper_views.example_database ())
+      Dc_gtopdb.Paper_views.all
+  in
+  let engine = make () in
+  let server =
+    S.Server.start ~config:{ S.Server.default_config with port = 0 } engine
+  in
+  Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
+  let conn = S.Client.connect ~port:(S.Server.port server) () in
+  Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+  let req line = expect_ok line (S.Client.request conn line) in
+  let parse = Dc_cq.Parser.parse_query_exn in
+  let queries =
+    [
+      "Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
+      "Q(N) :- Family(F,N,D)";
+      "Q(FName,PName) :- Family(FID,FName,Desc), Committee(FID,PName)";
+      "Q(Text) :- FamilyIntro(11,Text)";
+      "Q(TName) :- Target(TID,TName,TType)";
+    ]
+  in
+  let line ?version ?timestamp ?digest ?from_registration q
+      (r : C.Engine.result) =
+    S.Protocol.ok_cite ?version ?timestamp ?digest ?from_registration ~query:q
+      ~expr:(C.Cite_expr.to_string r.result_expr)
+      ~citations:r.result_citations ~complete:r.complete
+      ~tuples:(List.length r.tuples)
+      ~rewritings:(List.length r.rewritings) ~ms:0. ()
+  in
+  let cite_line q = line q (C.Engine.cite engine (parse q)) in
+  List.iter
+    (fun q ->
+      Alcotest.(check string) ("CITE " ^ q) (sans_ms (cite_line q))
+        (sans_ms (req ("CITE " ^ q))))
+    queries;
+  S.Client.send conn (Printf.sprintf "CITE_BATCH %d" (List.length queries));
+  List.iter (S.Client.send conn) queries;
+  S.Client.flush_out conn;
+  List.iter
+    (fun q ->
+      Alcotest.(check string) ("CITE_BATCH " ^ q) (sans_ms (cite_line q))
+        (sans_ms (expect_ok q (S.Client.recv conn))))
+    queries;
+  (* the same history on a local versioned engine: its stamps (the
+     store's clock is a counter) and answers must be the server's *)
+  let local = C.Versioned_engine.of_engine (make ()) in
+  let commit = "V2 COMMIT_DELTA +Family(30,Orexin,O1);+FamilyIntro(30,intro)" in
+  (match S.Protocol.parse_request commit with
+  | Ok (S.Protocol.Commit_delta d) ->
+      ignore (req commit);
+      ignore (Result.get_ok (C.Versioned_engine.commit_delta local d))
+  | _ -> Alcotest.fail "commit request does not parse");
+  let registered = List.nth queries 0 in
+  ignore (req ("V2 REGISTER " ^ registered));
+  Result.get_ok (C.Versioned_engine.register local (parse registered));
+  List.iter
+    (fun (v, q) ->
+      let c = Result.get_ok (C.Versioned_engine.cite_at local v (parse q)) in
+      let want =
+        line ~version:c.version ?timestamp:c.timestamp ~digest:c.digest
+          ~from_registration:c.from_registration q c.result
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "CITE_AT %d %s" v q)
+        (sans_ms want)
+        (sans_ms (req (Printf.sprintf "V2 CITE_AT %d %s" v q))))
+    ((1, registered) :: List.concat_map (fun q -> [ (0, q); (1, q) ]) queries);
+  Alcotest.(check bool) "the head of the registered query is served from it"
+    true
+    (contains
+       (req (Printf.sprintf "V2 CITE_AT 1 %s" registered))
+       {|"from_registration":true|})
+
 (* Overload: a tiny pipeline bound with deep pipelining must shed with
    BUSY lines — every request answered, nothing hangs, the connection
    survives. *)
@@ -605,6 +688,8 @@ let suite =
     Alcotest.test_case "pipelined responses keep order" `Quick
       test_pipelining_order;
     Alcotest.test_case "cite_batch over the wire" `Quick test_cite_batch_wire;
+    Alcotest.test_case "cite lines = lines rendered from cite" `Quick
+      test_cite_lines_match_cite;
     Alcotest.test_case "untagged v1 stamp verifies" `Quick
       test_v1_stamp_verifies;
     Alcotest.test_case "overload sheds BUSY" `Quick test_busy_shedding;
