@@ -25,7 +25,7 @@ let () =
   List.iter
     (fun (tc : C.Engine.tuple_citation) ->
       Format.printf "  %a : %a@." R.Tuple.pp tc.tuple C.Cite_expr.pp tc.expr)
-    (C.Incremental.tuples reg);
+    (C.Incremental.to_result reg).tuples;
 
   (* a third Calcitonin family appears *)
   let delta =
@@ -39,13 +39,13 @@ let () =
   in
   let reg = C.Incremental.apply_delta reg delta in
   Format.printf
-    "@.after inserting family 13 ('Calcitonin'), %d tuple(s) were \
-     recomputed:@."
+    "@.after inserting family 13 ('Calcitonin'), %d tuple(s) changed \
+     rows:@."
     (C.Incremental.affected_last reg);
   List.iter
     (fun (tc : C.Engine.tuple_citation) ->
       Format.printf "  %a : %a@." R.Tuple.pp tc.tuple C.Cite_expr.pp tc.expr)
-    (C.Incremental.tuples reg);
+    (C.Incremental.to_result reg).tuples;
 
   (* --- 2. view evolution through the registry ---------------------- *)
   Format.printf "@.=== View evolution ===@.";

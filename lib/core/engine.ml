@@ -221,7 +221,7 @@ let derive ?cache ?from base (program : Cq.Program.t) =
     match from with
     | None -> Cq.Seminaive.run ?cache base program.strat
     | Some (anc, changes) ->
-        Cq.Seminaive.continue ?cache ~prior:anc.derived
+        Cq.Seminaive.continue ?cache ~prior:anc.full
           ~changes:(R.Delta.net ~before:anc.full ~after:base changes)
           base program.strat
   in
@@ -510,9 +510,6 @@ let leaf_resolver e =
         Leaf_tbl.add memo l c;
         c
 
-let tuple_citation ~resolve e tuple expr =
-  { tuple; expr; citations = Policy.eval_normal ~resolve e.policy expr }
-
 (* [iter_answers] hands a run of tuples cited by one data-independent
    template the same expression, physically shared, so dropping adjacent
    repeats before the root's sort-and-dedup leaves one child per run
@@ -520,13 +517,9 @@ let tuple_citation ~resolve e tuple expr =
 let push_expr exprs expr =
   match exprs with x :: _ when x == expr -> exprs | _ -> expr :: exprs
 
-let aggregate_exprs ~resolve e exprs =
+let aggregate ~resolve e exprs =
   let result_expr = Cite_expr.normalize_node (Cite_expr.agg exprs) in
   (result_expr, Policy.eval_normal ~resolve e.policy result_expr)
-
-let aggregate ~resolve e tuples =
-  aggregate_exprs ~resolve e
-    (List.fold_left (fun acc t -> push_expr acc t.expr) [] tuples)
 
 (* Each answer of the per-rewriting runs of (template, tuples with their
    projections), in tuple order, with the normal expression of what
@@ -571,15 +564,15 @@ let iter_answers runs f =
 let assemble ~resolve e runs =
   let tuples = ref [] and last = ref None in
   iter_answers runs (fun tuple expr ->
-      let tc =
+      let citations =
         match !last with
-        | Some (x, citations) when x == expr -> { tuple; expr; citations }
+        | Some (x, citations) when x == expr -> citations
         | _ ->
-            let tc = tuple_citation ~resolve e tuple expr in
-            last := Some (expr, tc.citations);
-            tc
+            let citations = Policy.eval_normal ~resolve e.policy expr in
+            last := Some (expr, citations);
+            citations
       in
-      tuples := tc :: !tuples);
+      tuples := { tuple; expr; citations } :: !tuples);
   List.rev !tuples
 
 type summary = {
@@ -589,20 +582,6 @@ type summary = {
   summary_complete : bool;
   rewriting_count : int;
 }
-
-let summarize ~resolve e ~complete ~rewritings iter =
-  let answers = ref 0 and exprs = ref [] in
-  iter (fun expr ->
-      incr answers;
-      exprs := push_expr !exprs expr);
-  let summary_expr, summary_citations = aggregate_exprs ~resolve e !exprs in
-  {
-    answers = !answers;
-    summary_expr;
-    summary_citations;
-    summary_complete = complete;
-    rewriting_count = rewritings;
-  }
 
 (* Binary search in a sorted array of distinct values. *)
 let rank a v =
@@ -777,6 +756,7 @@ type evaluation = {
 }
 
 let evaluate e query =
+  Metrics.with_sink e.metrics @@ fun () ->
   let stripped = Cq.Query.strip_params query in
   let plan, lifted = plan_for e stripped in
   let rename = renaming plan lifted in
@@ -838,12 +818,17 @@ let evaluate e query =
     runs;
   }
 
-let cite e query =
+(* The two endings of an evaluation: every answer's citation and the
+   [Agg] over them, or the answers folded into what a wire response
+   carries.  Either resolves each distinct leaf once. *)
+let result_of e query ev =
   Metrics.with_sink e.metrics @@ fun () ->
-  let ev = evaluate e query in
   let resolve = leaf_resolver e in
   let tuples = assemble ~resolve e ev.runs in
-  let result_expr, result_citations = aggregate ~resolve e tuples in
+  let result_expr, result_citations =
+    aggregate ~resolve e
+      (List.fold_left (fun acc t -> push_expr acc t.expr) [] tuples)
+  in
   {
     query;
     rewritings = ev.all_rewritings;
@@ -855,12 +840,25 @@ let cite e query =
     stats = ev.search_stats;
   }
 
-let summary e query =
+let summary_of e ev =
   Metrics.with_sink e.metrics @@ fun () ->
-  let ev = evaluate e query in
-  summarize ~resolve:(leaf_resolver e) e ~complete:ev.answers_complete
-    ~rewritings:(List.length ev.all_rewritings) (fun f ->
-      iter_answers ev.runs (fun _ expr -> f expr))
+  let answers = ref 0 and exprs = ref [] in
+  iter_answers ev.runs (fun _ expr ->
+      incr answers;
+      exprs := push_expr !exprs expr);
+  let summary_expr, summary_citations =
+    aggregate ~resolve:(leaf_resolver e) e !exprs
+  in
+  {
+    answers = !answers;
+    summary_expr;
+    summary_citations;
+    summary_complete = ev.answers_complete;
+    rewriting_count = List.length ev.all_rewritings;
+  }
+
+let cite e query = result_of e query (evaluate e query)
+let summary e query = summary_of e (evaluate e query)
 
 let cite_string e src =
   Result.map (cite e) (Cq.Parser.parse_query src)

@@ -18,16 +18,18 @@
       sets; leaf citations are memoized per (view, valuation).
 
     {b Two endings of one evaluation.}  {!cite} and {!summary} share
-    everything up to the per-rewriting runs: plan lookup, constant
-    renaming, selection, the contained fallback and the evaluation under
-    the cache lock.  {!cite} then builds every answer's
-    {!tuple_citation}, with its policy-evaluated citations, and the
-    [Agg] over them.  {!summary} folds the answers straight into what a
-    wire response carries — the answer count, the [Agg] expression and
-    its citations — building no per-tuple record and running no
-    per-tuple policy evaluation.  {!cite} is its oracle: a summary's
-    fields equal the corresponding ones of the {!cite} of the same
-    query on the same engine.
+    everything up to the per-rewriting runs ({!evaluate}): plan lookup,
+    constant renaming, selection, the contained fallback and the
+    evaluation under the cache lock.  {!cite} then ends it with
+    {!result_of}, which builds every answer's {!tuple_citation}, with
+    its policy-evaluated citations, and the [Agg] over them.
+    {!summary} ends it with {!summary_of}, which folds the answers
+    straight into what a wire response carries — the answer count, the
+    [Agg] expression and its citations — building no per-tuple record
+    and running no per-tuple policy evaluation.  {!cite} is its oracle:
+    a summary's fields equal the corresponding ones of the {!cite} of
+    the same query on the same engine.  An {!Incremental} registration
+    hands its read-back evaluation to the same two endings.
 
     {b Data on demand.}  An engine's data is its base database and one
     write-once cell ({!Dc_parallel.Once}) for the program's IDB
@@ -293,7 +295,8 @@ val cite : t -> Dc_cq.Query.t -> result
     normalized from the distinct projections
     ({!Compute.projected_expr}).  Tuples of a single data-independent
     rewriting share its one expression and one policy evaluation, and
-    every distinct leaf is resolved once per call ({!leaf_resolver}).
+    every distinct leaf is resolved once per call, through a per-call
+    memo in front of {!resolve_leaf}.
     {!summary} is the same evaluation folded into the wire response.
     The result is the one the literal composition gives:
     {!Dc_cq.Eval.run} of the rewriting over the materialized views
@@ -315,52 +318,58 @@ type summary = {
 val summary : t -> Dc_cq.Query.t -> summary
 (** The {!cite} of the query, folded: the same plan, selection and
     evaluation, then one pass over the answers in tuple order that
-    counts them and feeds each expression to {!aggregate}'s
+    counts them and feeds each expression to the [Agg]'s
     adjacent-repeat dedup as it is built.  No {!tuple_citation} list is
     built and the policy runs once, over the [Agg].  Equal, field for
     field, to [answers = List.length r.tuples], [r.result_expr],
     [r.result_citations], [r.complete] and [List.length r.rewritings]
     of [r = cite e q]. *)
 
-val summarize :
-  resolve:(Cite_expr.leaf -> Citation.t) ->
-  t ->
-  complete:bool ->
-  rewritings:int ->
-  ((Cite_expr.t -> unit) -> unit) ->
-  summary
-(** [summarize ~resolve e ~complete ~rewritings iter]: the summary of
-    the answers whose normal expressions [iter f] hands to [f], one call
-    per answer, in tuple order (so the physically shared expression of a
-    data-independent run reaches the dedup as adjacent repeats).  The
-    fold behind {!summary}, exposed for {!Incremental.summary}. *)
+(** {1 One evaluation, two endings}
+
+    [cite e q] is [result_of e q (evaluate e q)] and [summary e q] is
+    [summary_of e (evaluate e q)].  {!Incremental} keeps an evaluation's
+    metadata and reads its runs back from Datalog rows, then ends it the
+    same way. *)
+
+type evaluation = {
+  all_rewritings : Dc_cq.Query.t list;
+      (** all minimal equivalent rewritings: a result's [rewritings] *)
+  chosen : Dc_cq.Query.t list;  (** the selected ones: [selected] *)
+  answers_complete : bool;  (** [complete] *)
+  search_stats : Dc_rewriting.Rewrite.stats;  (** [stats] *)
+  runs :
+    (Compute.template
+    * (Dc_relational.Tuple.t * Dc_relational.Value.t array list) list)
+    list;
+      (** each evaluated template — a selected rewriting's, the contained
+          fallback's or the query's own — with its answers in
+          {!Compute.run}'s form and order *)
+}
+(** What a cite evaluates before its answers are cited. *)
+
+val evaluate : t -> Dc_cq.Query.t -> evaluation
+(** Plans (rewriting search, cached per query shape), selects and runs
+    every evaluated template over the data, under the cache lock: all
+    of {!cite} but the citations. *)
+
+val result_of : t -> Dc_cq.Query.t -> evaluation -> result
+(** The result ending: every answer, in tuple order, with its normal
+    expression ({!Compute.projected_expr} over the runs that produce it)
+    and its policy-evaluated citations, and the [Agg] over them.
+    Tuples of a single data-independent run share one expression and
+    one policy evaluation; each distinct leaf resolves once.
+    The evaluation's metadata fills [rewritings], [selected],
+    [complete] and [stats]. *)
+
+val summary_of : t -> evaluation -> summary
+(** The summary ending: the answers of the runs counted and their
+    expressions folded, in tuple order, into the [Agg]; no per-tuple
+    record is built and the policy runs once. *)
 
 val resolve_leaf : t -> Cite_expr.leaf -> Citation.t
 (** The engine's memoized leaf resolver (exposed for tests and for
     rendering formal expressions independently of [cite]). *)
-
-val leaf_resolver : t -> Cite_expr.leaf -> Citation.t
-(** A fresh per-call memo in front of {!resolve_leaf}: the returned
-    function takes the cache lock once per distinct leaf.  Use one per
-    cite or maintenance step; it never sees later data changes. *)
-
-val tuple_citation :
-  resolve:(Cite_expr.leaf -> Citation.t) ->
-  t ->
-  Dc_relational.Tuple.t ->
-  Cite_expr.t ->
-  tuple_citation
-(** A tuple with its expression, which must already be normal, and
-    that expression's citations under the engine's policy. *)
-
-val aggregate :
-  resolve:(Cite_expr.leaf -> Citation.t) ->
-  t ->
-  tuple_citation list ->
-  Cite_expr.t * Citation.Set.t
-(** The normalized [Agg] over the tuples' (normal) expressions and its
-    citations: a result's [result_expr] and [result_citations].  Adjacent
-    physically equal expressions are passed to the [Agg] once. *)
 
 (** {1 Capabilities} *)
 

@@ -1,58 +1,70 @@
 (** Incremental citation maintenance — the paper's "citation evolution"
     challenge (§3): "how to compute citations in an incremental manner".
 
-    A {e registration} pins a query together with its selected
-    rewritings and caches the per-tuple formal citations.  Each
-    rewriting is one Datalog rule ({!Compute.rule}) whose {e rows} are
-    its answers, each followed by one projection on the variables that
-    fill view parameters; the engine's program rules join them when
-    they or a citation query read a derived predicate.  A base change
-    continues that program's derivation
+    {b A registration is its rows.}  {!register} evaluates the query
+    once ({!Engine.evaluate}) and keeps what the cite evaluated: the
+    metadata (the rewritings, the selected ones, completeness and the
+    search's stats) and, as one Datalog rule per evaluated template
+    ({!Compute.rule}) — a selected rewriting's, the contained
+    fallback's, or the query's own, whichever the cite used — the
+    template's {e rows}: each answer followed by one projection on the
+    variables that fill view parameters.  The engine's program rules
+    join them when they or a citation query read a derived predicate.
+    No per-answer citation is kept.
+
+    A base change continues that program's derivation
     ({!Dc_cq.Seminaive.continue_delta}, which carries a non-recursive
-    stratum across insertions and deletions alike); only the answers
-    that gained or lost a row have their citations recomputed, from
-    their rows, and a citation view whose citation queries read a
-    relation, base or derived, that the change touched is re-resolved
-    in every cached citation that mentions it.  The engine advances
-    with {!Engine.refresh}; no view extent is kept.
+    stratum across insertions and deletions alike), and the engine
+    advances with {!Engine.refresh}, whose fresh leaf cache resolves
+    every citation against the new data; no view extent is kept.  A
+    change to a relation a citation query reads thus needs no pass of
+    its own.
+
+    {b Reading it back.}  {!evaluation} reads each rule's rows in
+    {!Dc_relational.Relation.scan} order, grouped by answer: the
+    [(template, answers)] runs {!Engine.evaluate} computes, in its form
+    and order.  It hands them, with the stored metadata, to the
+    endings {!Engine.cite} and {!Engine.summary} use
+    ({!Engine.result_of}, {!Engine.summary_of}), so a registration
+    answers as an unregistered cite does, field for field.
+
+    {b A registration pins its selection.}  The templates are chosen
+    once, at registration.  Under [`Min_estimated_size] or
+    [`Min_exact_size] with several rewritings, a fresh engine over a
+    later version may select differently; the registration keeps the
+    rewriting it chose, as the cite it was registered from did.
 
     Experiment E6 measures this against [Engine.refresh] + re-cite. *)
 
 type t
 
 val register : Engine.t -> Dc_cq.Query.t -> t
-(** Evaluates once and caches. *)
+(** Evaluates once and derives the rows. *)
 
 val engine : t -> Engine.t
+(** The engine over the registration's current database. *)
+
 val query : t -> Dc_cq.Query.t
 
-val tuples : t -> Engine.tuple_citation list
-(** Current cached per-tuple citations, sorted by tuple. *)
-
-val result_expr : t -> Cite_expr.t
-val result_citations : t -> Citation.Set.t
-
-val summary : t -> Engine.summary
-(** The registration's current state as a wire cite carries it
-    ({!Engine.summary}): one pass over the cached map in tuple order
-    counts the answers and feeds their expressions to the [Agg]; no
-    tuple list is built.  Equal, field for field, to the summary of
-    {!to_result}.  {!Versioned_engine.summary_at} serves registered
-    head-version queries from this. *)
+val evaluation : t -> Engine.evaluation
+(** The registration's current state as an evaluation: the metadata of
+    the cite it was registered from, with runs read back from the rows
+    (a vacuous template, which has no rule, has no run).  Either ending
+    of it equals the same ending of {!Engine.evaluate} over {!engine}
+    whenever the selection is unchanged: always at registration time,
+    and at any time under [`All] or for a query with at most one
+    rewriting. *)
 
 val to_result : t -> Engine.result
-(** The registration's current state packaged as an {!Engine.result}:
-    the cached per-tuple citations, the aggregated result expression
-    and its policy evaluation.  [rewritings] and [selected] both carry
-    the registered rewritings, [stats] is zeroed except [kept] (no
-    enumeration ran), [complete] is [true].  {!Versioned_engine.cite_at}
-    serves registered head-version queries from this instead of
-    re-citing. *)
+(** [Engine.result_of (engine reg) (query reg) (evaluation reg)]. *)
 
 val apply_delta : ?new_base:Dc_relational.Database.t -> t -> Dc_relational.Delta.t -> t
-(** Updates the base database and the affected citations.  Raises
-    [Not_found] when the delta touches a relation absent from the
-    database.
+(** Continues the rows across the delta and refreshes the engine.
+    Every leaf an inserted row cites is resolved through the refreshed
+    engine, so a delta whose new citations cannot be computed raises
+    here, where {!Versioned_engine.commit_delta} refuses it, rather
+    than at every later read; no citation is kept.  Raises [Not_found]
+    when the delta touches a relation absent from the database.
 
     [new_base], when given, must be exactly the database the delta
     produces ({!Dc_relational.Version_store.apply_head} computes it);
@@ -66,5 +78,6 @@ val apply_delta : ?new_base:Dc_relational.Database.t -> t -> Dc_relational.Delta
     holds its commit lock). *)
 
 val affected_last : t -> int
-(** Number of output tuples recomputed by the last [apply_delta]
-    (0 for a fresh registration); exposed for tests and benchmarks. *)
+(** Number of distinct answers whose rows the last [apply_delta]
+    changed (0 for a fresh registration); exposed for tests and
+    benchmarks. *)

@@ -265,25 +265,25 @@ let stamped t v ~from_registration result =
 
 let reg_key q = Cq.Query.to_string q
 
-(* A head-version query with a registration is served from it, any
-   other from the version's engine. *)
-let serve_at t v q ~registered ~evaluated =
+(* A head-version query with a registration takes its evaluation from
+   it, any other from the version's engine; both end the same way. *)
+let serve_at t v q ending =
   let from_reg =
     locked t (fun () ->
         if v = VS.head t.store then List.assoc_opt (reg_key q) t.regs
         else None)
   in
   match from_reg with
-  | Some reg -> stamped t v ~from_registration:true (registered reg)
+  | Some reg ->
+      stamped t v ~from_registration:true
+        (ending (Incremental.engine reg) (Incremental.evaluation reg))
   | None ->
       Result.bind (engine_at t v) (fun eng ->
-          stamped t v ~from_registration:false (evaluated eng q))
+          stamped t v ~from_registration:false
+            (ending eng (Engine.evaluate eng q)))
 
-let cite_at t v q =
-  serve_at t v q ~registered:Incremental.to_result ~evaluated:Engine.cite
-
-let summary_at t v q =
-  serve_at t v q ~registered:Incremental.summary ~evaluated:Engine.summary
+let cite_at t v q = serve_at t v q (fun eng -> Engine.result_of eng q)
+let summary_at t v q = serve_at t v q Engine.summary_of
 
 let cite t q = cite_at t (head t) q
 

@@ -172,19 +172,27 @@ val engine_at :
 val cite_at :
   t -> Dc_relational.Version_store.version -> Dc_cq.Query.t ->
   (cited, string) result
-(** Cite against a specific version.  Citing the head of a registered
-    query is served from the maintained registration
-    ([from_registration = true]) without re-evaluating.  [Error] only
-    for an unknown version — never an exception. *)
+(** Cite against a specific version.  One routine serves it and
+    {!summary_at}: it takes the evaluation from the maintained
+    registration when the query is registered and the version is the
+    head ({!Incremental.evaluation}, rows read back without
+    re-evaluating; [from_registration = true]), and from the version's
+    engine otherwise ({!Engine.evaluate}), then applies one ending —
+    here {!Engine.result_of}, as {!Engine.cite} does.  A registered read
+    therefore equals, in every field but [from_registration], the
+    unregistered cite of the same version whenever the registration's
+    pinned selection is the one a fresh engine makes: always at the
+    version it was registered at, and at every version under [`All] or
+    for a query with at most one rewriting.  [Error] only for an
+    unknown version — never an exception. *)
 
 val summary_at :
   t -> Dc_relational.Version_store.version -> Dc_cq.Query.t ->
   (Engine.summary stamped, string) result
-(** {!cite_at} folded into what a wire response carries, with the same
-    routing and stamp: an engine-served version answers
-    {!Engine.summary}, a registration-served head
-    {!Incremental.summary}.  Its fields equal those of the {!cite_at}
-    result of the same call; no per-tuple citation list is built. *)
+(** {!cite_at} with the other ending, {!Engine.summary_of}: the same
+    routing, evaluation and stamp, folded into what a wire response
+    carries.  Its fields equal those of the {!cite_at} result of the
+    same call; no per-tuple citation list is built. *)
 
 val cite : t -> Dc_cq.Query.t -> (cited, string) result
 (** [cite t q] is [cite_at t (head t) q]. *)
@@ -196,11 +204,13 @@ val template : t -> Engine.t
 
 val register : t -> Dc_cq.Query.t -> (unit, string) result
 (** Register the query for incremental maintenance at head: subsequent
-    {!commit_delta}s carry its citations across each change
+    {!commit_delta}s carry its rows across each change
     ({!Incremental}), and head-version {!cite_at}s of the same query are
-    served from the registration.  Any query the head engine cites
-    registers, over base relations or Datalog-derived predicates,
-    recursive ones included. *)
+    served from the registration, answering as an unregistered cite at
+    the registration's version does.  The registration pins the
+    rewritings selected at head (see {!cite_at}).  Any query the head
+    engine cites registers, over base relations or Datalog-derived
+    predicates, recursive ones included. *)
 
 val commit_delta : t -> Dc_relational.Delta.t -> (Dc_relational.Version_store.version, string) result
 (** Apply a delta to the head and commit the result as the new head,

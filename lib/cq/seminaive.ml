@@ -279,25 +279,19 @@ let run_strata ~stratum db (s : Stratify.t) =
    rules pinned to it by a [p ^ delta_suffix] atom over their head, from
    the prior extents without the lost tuples.  Returns the loop's
    results with each predicate's net change. *)
-let continue_stratum cache ~recursive ~is_idb ~prior ~exts ~changed wdb rules =
+let continue_stratum cache ~recursive ~prior ~exts ~changed wdb rules =
   let pick f = List.filter (fun (_, ts) -> ts <> []) (List.map f changed) in
   let ins = pick (fun (p, (ins, _)) -> (p, ins))
   and del = pick (fun (p, (_, del)) -> (p, del)) in
   let delta_of (p, ts) = delta_relation (R.Database.relation_exn wdb p) ts in
-  let revert db (p, (ins, del)) =
-    R.Database.add_relation db
-      (if is_idb p then R.Database.relation_exn prior p
-       else
-         let rel = R.Database.relation_exn wdb p in
-         R.Relation.insert_list (List.fold_left R.Relation.delete rel ins) del)
-  in
   let lost =
     if del = [] then []
     else
+      (* the inputs as they were are [prior]'s *)
       let old =
-        List.fold_left R.Database.add_relation
-          (List.fold_left revert wdb changed)
-          (List.map delta_of del)
+        List.fold_left R.Database.add_relation wdb
+          (List.map (fun (p, _) -> R.Database.relation_exn prior p) changed
+          @ List.map delta_of del)
       in
       List.sort_uniq R.Tuple.compare
         (List.concat_map
@@ -376,9 +370,7 @@ let derive cache ~prior ~changes db (s : Stratify.t) =
                 [] )
           | Some (prior, exts)
             when List.for_all (fun c -> continued c <> None) changed ->
-              continue_stratum cache ~recursive
-                ~is_idb:(fun p -> List.mem p s.idb)
-                ~prior ~exts
+              continue_stratum cache ~recursive ~prior ~exts
                 ~changed:(List.filter_map continued changed)
                 wdb rules
           | Some _ ->

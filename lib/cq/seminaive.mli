@@ -30,7 +30,8 @@
     relation [L], the variant with that occurrence redirected to
     [L ^ delta_suffix], which holds [L]'s new tuples.  A non-recursive
     stratum continues across deletions too: the same variants over
-    [L]'s lost tuples, evaluated over the inputs as they were, find the
+    [L]'s lost tuples, evaluated over the inputs as they were (read
+    from the prior derivation's database), find the
     prior tuples that lost a derivation; the loop starts without them,
     and its seed round re-derives each through its rules pinned to it
     (a [p ^ delta_suffix] atom over the head).  Any other stratum (a
@@ -69,14 +70,18 @@ val continue :
   Stratify.t ->
   Dc_relational.Database.t
 (** [continue ~prior ~changes db s] is [run db s], computed from a
-    prior derivation: [prior] holds the IDB extents [run db0 s] gave
-    for some database [db0], and [changes] must be the net change from
-    [db0] to [db] — every tuple whose membership differs, as an
+    prior derivation: [prior] is the database [run db0 s] (or a
+    [continue] to [db0]) returned for some database [db0] — its inputs
+    as well as its IDB extents — and [changes] must be the net change
+    from [db0] to [db]: every tuple whose membership differs, as an
     [Insert] when [db] has it and a [Delete] when [db0] had it
     ({!Dc_relational.Delta.net}, which the citation engine and
-    incremental maintenance pass), since the inputs as they were are
-    rebuilt from it.  A stratum whose predicate [prior] lacks is
-    derived from empty extents.  Raises like {!run}. *)
+    incremental maintenance pass).  A continuation reads from [prior]
+    the IDB extents it keeps and, where a stratum loses tuples, the
+    changed relations as they were in [db0]; nothing else of [prior]
+    is read, so with empty [changes] its IDB extents suffice.  A
+    stratum whose predicate [prior] lacks is derived from empty
+    extents.  Raises like {!run}. *)
 
 val continue_delta :
   ?cache:Eval.cache ->

@@ -47,10 +47,12 @@
     they started on.  [VERSIONS] lists history, [VERIFY] checks a
     digest, and [REGISTER] arms incremental maintenance so repeated
     [CITE_AT]s of the head for the same query are served from the
-    maintained registration.  A commit never blocks in-flight
-    [CITE]/[CITE_AT]s on other engines, and a checkout failure (unknown
-    version, bad delta) costs exactly one [ERR] line like every other
-    request failure.
+    maintained registration; a registered query answers as an
+    unregistered one at the registration's version
+    ({!Dc_citation.Versioned_engine.cite_at}).  A commit never blocks
+    in-flight [CITE]/[CITE_AT]s on other engines, and a checkout
+    failure (unknown version, bad delta) costs exactly one [ERR] line
+    like every other request failure.
 
     {b What a worker builds per cite.}  [CITE], [CITE_BATCH] and
     [CITE_AT] answer with {!Dc_citation.Engine.summary} /

@@ -25,7 +25,7 @@ let check_against_recompute ?(selection = `All) reg =
   in
   let fresh = E.cite engine (I.query reg) in
   let expected = expressions_of_tuples fresh.tuples in
-  let actual = expressions_of_tuples (I.tuples reg) in
+  let actual = expressions_of_tuples (I.to_result reg).tuples in
   Alcotest.(check int) "same tuple count" (List.length expected)
     (List.length actual);
   List.iter2
@@ -36,7 +36,7 @@ let check_against_recompute ?(selection = `All) reg =
 
 let test_register_matches_engine () =
   let reg = make_reg (paper_db ()) in
-  Alcotest.(check int) "two tuples cached" 2 (List.length (I.tuples reg));
+  Alcotest.(check int) "two tuples cached" 2 (List.length (I.to_result reg).tuples);
   check_against_recompute reg
 
 let test_insert_new_family () =
@@ -47,7 +47,7 @@ let test_insert_new_family () =
     |> fun d -> D.insert d "FamilyIntro" (tuple [ int 30; str "Orexin intro" ])
   in
   let reg = I.apply_delta reg delta in
-  Alcotest.(check int) "three tuples now" 3 (List.length (I.tuples reg));
+  Alcotest.(check int) "three tuples now" 3 (List.length (I.to_result reg).tuples);
   Alcotest.(check bool) "affected tracked" true (I.affected_last reg >= 1);
   check_against_recompute reg
 
@@ -66,7 +66,7 @@ let test_insert_extra_binding () =
     List.find
       (fun (tc : E.tuple_citation) ->
         R.Tuple.equal tc.tuple (tuple [ str "Calcitonin" ]))
-      (I.tuples reg)
+      (I.to_result reg).tuples
   in
   Alcotest.(check bool) "CV1(13) appears" true
     (List.exists
@@ -79,7 +79,7 @@ let test_delete_removes_tuple () =
     D.delete D.empty "FamilyIntro" (tuple [ int 21; str "Dopamine intro" ])
   in
   let reg = I.apply_delta reg delta in
-  Alcotest.(check int) "dopamine gone" 1 (List.length (I.tuples reg));
+  Alcotest.(check int) "dopamine gone" 1 (List.length (I.to_result reg).tuples);
   check_against_recompute reg
 
 let test_delete_one_binding_keeps_tuple () =
@@ -88,7 +88,7 @@ let test_delete_one_binding_keeps_tuple () =
     D.delete D.empty "Family" (tuple [ int 12; str "Calcitonin"; str "C2" ])
   in
   let reg = I.apply_delta reg delta in
-  Alcotest.(check int) "still two tuples" 2 (List.length (I.tuples reg));
+  Alcotest.(check int) "still two tuples" 2 (List.length (I.to_result reg).tuples);
   check_against_recompute reg
 
 let test_citation_query_relation_change () =
@@ -96,13 +96,13 @@ let test_citation_query_relation_change () =
      must not change, concrete CV1 snippets must. *)
   let reg = make_reg (paper_db ()) in
   let before =
-    List.map (fun (tc : E.tuple_citation) -> tc.expr) (I.tuples reg)
+    List.map (fun (tc : E.tuple_citation) -> tc.expr) (I.to_result reg).tuples
   in
   let delta =
     D.insert D.empty "Committee" (tuple [ int 11; str "New Member" ])
   in
   let reg = I.apply_delta reg delta in
-  let after = List.map (fun (tc : E.tuple_citation) -> tc.expr) (I.tuples reg) in
+  let after = List.map (fun (tc : E.tuple_citation) -> tc.expr) (I.to_result reg).tuples in
   List.iter2
     (fun e1 e2 -> Alcotest.(check cite_expr) "expr unchanged" e1 e2)
     before after;
@@ -111,7 +111,7 @@ let test_citation_query_relation_change () =
     List.find
       (fun (tc : E.tuple_citation) ->
         R.Tuple.equal tc.tuple (tuple [ str "Calcitonin" ]))
-      (I.tuples reg)
+      (I.to_result reg).tuples
   in
   let snippet_values =
     List.concat_map
@@ -139,9 +139,9 @@ let test_irrelevant_relation () =
 let test_result_aggregates () =
   let reg = make_reg (paper_db ()) in
   Alcotest.(check bool) "result expr nonempty" true
-    (C.Cite_expr.size (I.result_expr reg) > 0);
+    (C.Cite_expr.size (I.to_result reg).result_expr > 0);
   Alcotest.(check bool) "result citations nonempty" true
-    (I.result_citations reg <> [])
+    ((I.to_result reg).result_citations <> [])
 
 (* Random mixed deltas, checked against recompute every step. *)
 let prop_incremental_equals_recompute =
@@ -182,7 +182,7 @@ let prop_incremental_equals_recompute =
             Dc_gtopdb.Paper_views.query_q
         in
         let expected = expressions_of_tuples fresh.tuples in
-        let actual = expressions_of_tuples (I.tuples !reg) in
+        let actual = expressions_of_tuples (I.to_result !reg).tuples in
         if
           List.length expected <> List.length actual
           || not
@@ -194,9 +194,80 @@ let prop_incremental_equals_recompute =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* A registration reads as the cite it was registered from.            *)
+
+module V = C.Versioned_engine
+
+(* Under the default selection the paper's query has two rewritings and
+   one is evaluated; the wire's [rewritings] counts both, registered or
+   not. *)
+let test_registered_rewriting_count () =
+  let ve = V.create (paper_db ()) Dc_gtopdb.Paper_views.all in
+  let q = Dc_gtopdb.Paper_views.query_q in
+  let count () = (Result.get_ok (V.summary_at ve 0 q)).result.rewriting_count in
+  Alcotest.(check int) "unregistered" 2 (count ());
+  Result.get_ok (V.register ve q);
+  Alcotest.(check bool) "served from the registration" true
+    (Result.get_ok (V.summary_at ve 0 q)).from_registration;
+  Alcotest.(check int) "registered" 2 (count ());
+  Alcotest.(check int) "cite_at's rewritings" 2
+    (List.length (Result.get_ok (V.cite_at ve 0 q)).result.rewritings)
+
+(* A query no view rewrites, answered through the contained fallback:
+   the registration keeps the fallback's templates and its
+   incompleteness, so a family outside the view's slice never joins the
+   answer. *)
+let test_registered_contained_fallback () =
+  let v4 =
+    C.Citation_view.make_exn
+      ~view:(parse "V4(FID,FName) :- Family(FID,FName,\"C1\")")
+      ~citations:[ parse "CV4(D) :- D=\"CV4\"" ]
+      ()
+  in
+  let q = parse "Q(FName) :- Family(FID,FName,Desc)" in
+  let ve = V.create ~fallback_contained:true (paper_db ()) [ v4 ] in
+  Result.get_ok (V.register ve q);
+  let answers (r : E.result) =
+    List.map
+      (fun (tc : E.tuple_citation) ->
+        R.Tuple.to_string tc.tuple ^ " " ^ C.Cite_expr.to_string tc.expr)
+      r.tuples
+  in
+  let check v =
+    let got = Result.get_ok (V.cite_at ve v q) in
+    let fresh =
+      E.cite
+        (E.create ~fallback_contained:true
+           (R.Version_store.checkout_exn (V.store ve) v)
+           [ v4 ])
+        q
+    in
+    Alcotest.(check bool) "served from the registration" true
+      got.from_registration;
+    Alcotest.(check bool) "incomplete" false got.result.complete;
+    Alcotest.(check (list string)) "= a fresh cite" (answers fresh)
+      (answers got.result);
+    Alcotest.(check bool) "fresh cite incomplete too" false fresh.complete;
+    answers got.result
+  in
+  Alcotest.(check int) "Calcitonin alone" 1 (List.length (check 0));
+  let v =
+    Result.get_ok
+      (V.commit_delta ve
+         (D.empty
+         |> (fun d -> D.insert d "Family" (tuple [ int 30; str "X"; str "C1" ]))
+         |> fun d -> D.insert d "Family" (tuple [ int 31; str "Y"; str "D9" ])))
+  in
+  Alcotest.(check int) "X joins, Y does not" 2 (List.length (check v))
+
 let suite =
   [
     Alcotest.test_case "register matches engine" `Quick test_register_matches_engine;
+    Alcotest.test_case "registered rewriting count" `Quick
+      test_registered_rewriting_count;
+    Alcotest.test_case "registered contained fallback" `Quick
+      test_registered_contained_fallback;
     Alcotest.test_case "insert new family" `Quick test_insert_new_family;
     Alcotest.test_case "insert extra binding" `Quick test_insert_extra_binding;
     Alcotest.test_case "delete removes tuple" `Quick test_delete_removes_tuple;
@@ -235,13 +306,13 @@ let test_incremental_with_catalog_views () =
     in
     Alcotest.(check int) "same count"
       (List.length fresh.tuples)
-      (List.length (I.tuples reg));
+      (List.length (I.to_result reg).tuples);
     List.iter2
       (fun (t1, e1) (t2, e2) ->
         Alcotest.(check tuple_t) "tuple" t1 t2;
         Alcotest.(check cite_expr) "expr" e1 e2)
       (norm fresh.tuples)
-      (norm (I.tuples reg))
+      (norm (I.to_result reg).tuples)
   in
   (* delta on Family (joins into VFamilyFull) *)
   let reg =
@@ -260,7 +331,7 @@ let test_incremental_with_catalog_views () =
     (List.exists
        (fun (tc : E.tuple_citation) ->
          R.Tuple.equal tc.tuple (tuple [ str "Orexin" ]))
-       (I.tuples reg));
+       (I.to_result reg).tuples);
   check reg;
   (* and deletion retracts it through the join view too *)
   let reg =
@@ -271,7 +342,7 @@ let test_incremental_with_catalog_views () =
     (List.exists
        (fun (tc : E.tuple_citation) ->
          R.Tuple.equal tc.tuple (tuple [ str "Orexin" ]))
-       (I.tuples reg));
+       (I.to_result reg).tuples);
   check reg
 
 let suite =
