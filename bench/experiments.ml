@@ -89,8 +89,8 @@ let e2 () =
       let views =
         Rw.View.Set.of_list
           (List.map C.Citation_view.view
-             (Dc_gtopdb.Views_catalog.synthetic ~count:nviews
-             @ [ Dc_gtopdb.Views_catalog.v_committee ]))
+             (Dc_repro.Views_catalog.synthetic ~count:nviews
+             @ [ Dc_repro.Views_catalog.v_committee ]))
       in
       List.iter
         (fun (name, strategy, cap) ->
@@ -132,7 +132,7 @@ let e2 () =
       let views =
         Rw.View.Set.of_list
           (List.map C.Citation_view.view
-             (Dc_gtopdb.Views_catalog.synthetic ~count:nviews))
+             (Dc_repro.Views_catalog.synthetic ~count:nviews))
       in
       List.iter
         (fun (name, strategy) ->
@@ -422,7 +422,7 @@ let e7 () =
   let db = G.generate ~seed:5 ~config:(families 2000) () in
   let q = Dc_gtopdb.Paper_views.query_q in
   let module S = Dc_provenance.Semiring in
-  let module A = Dc_provenance.Annotated in
+  let module A = Dc_repro.Annotated in
   let plain, t_plain = timed (fun () -> Cq.Eval.run db q) in
   header [ 14; 12; 10 ] [ "semiring"; "eval ms"; "overhead" ];
   row [ 14; 12; 10 ] [ "none (plain)"; ms t_plain; "1.0x" ];
@@ -464,11 +464,12 @@ let e7 () =
 let e8 () =
   hr "E8  Fixity: versioned store and citation resolution";
   let db = G.generate ~seed:6 ~config:(families 1000) () in
-  let store = ref (R.Version_store.create db) in
-  let views = Dc_gtopdb.Paper_views.all in
-  let cited =
-    C.Fixity.cite ~store:!store ~views Dc_gtopdb.Paper_views.query_q
+  let ve = C.Versioned_engine.create db Dc_gtopdb.Paper_views.all in
+  let query = Dc_gtopdb.Paper_views.query_q in
+  let tuples (c : C.Versioned_engine.cited) =
+    List.map (fun (tc : C.Engine.tuple_citation) -> tc.tuple) c.result.tuples
   in
+  let cited = Result.get_ok (C.Versioned_engine.cite_at ve 0 query) in
   (* 100 single-tuple commits *)
   let _, t_commits =
     timed ~runs:1 (fun () ->
@@ -479,22 +480,26 @@ let e8 () =
               (R.Tuple.make
                  [ R.Value.Int fid; R.Value.Str "VFam"; R.Value.Str "v" ])
           in
-          let s, _ = R.Version_store.commit_delta !store d in
-          store := s
+          ignore (Result.get_ok (C.Versioned_engine.commit_delta ve d))
         done)
   in
+  let store = C.Versioned_engine.store ve in
   let _, t_checkout_old =
-    timed (fun () -> R.Version_store.checkout_exn !store 0)
+    timed (fun () -> R.Version_store.checkout_exn store 0)
   in
   let _, t_checkout_head =
-    timed (fun () -> R.Version_store.head_db !store)
+    timed (fun () -> R.Version_store.head_db store)
   in
   let resolved, t_resolve =
-    timed ~runs:1 (fun () -> C.Fixity.resolve ~store:!store ~views cited)
+    timed ~runs:1 (fun () -> C.Versioned_engine.cite_at ve 0 query)
   in
+  let resolved = Result.map tuples resolved in
   let ok = match resolved with Ok ts -> List.length ts | Error _ -> -1 in
   let verified, t_verify =
-    timed ~runs:1 (fun () -> C.Fixity.verify ~store:!store ~views cited)
+    timed ~runs:1 (fun () ->
+        C.Versioned_engine.verify ve 0 cited.digest = Ok true
+        && Result.fold resolved ~error:(fun _ -> false)
+             ~ok:(List.equal R.Tuple.equal (tuples cited)))
   in
   header [ 36; 14 ] [ "operation"; "time ms" ];
   row [ 36; 14 ] [ "100 single-tuple commits"; ms t_commits ];
@@ -510,12 +515,12 @@ let e8 () =
 let e9 () =
   hr "E9  Coverage of a 100-query workload vs view-set size";
   let db = G.generate ~seed:7 ~config:(families 200) () in
-  let workload = Dc_gtopdb.Workload.generate ~seed:7 ~count:100 in
+  let workload = Dc_repro.Workload.generate ~seed:7 ~count:100 in
   header [ 8; 10; 11; 12; 12 ]
     [ "views"; "covered"; "ambiguous"; "analyze ms"; "greedy kept" ];
   List.iter
     (fun n ->
-      let cviews = Dc_gtopdb.Views_catalog.take n in
+      let cviews = Dc_repro.Views_catalog.take n in
       let vset =
         C.Citation_view.Set.view_set (C.Citation_view.Set.of_list cviews)
       in
@@ -887,7 +892,7 @@ let e14 () =
       \         execution, so this run only validates the degrade path\n\
       \         (speedup ~1.0x); scaling needs a multi-core box.\n\n";
   let db = G.generate ~seed:6 ~config:(families 400) () in
-  let queries = Dc_gtopdb.Workload.generate ~seed:7 ~count:48 in
+  let queries = Dc_repro.Workload.generate ~seed:7 ~count:48 in
   let n_queries = List.length queries in
   let batch d =
     let module W = Dc_server.Worker_pool in
@@ -1612,16 +1617,16 @@ let e16 () =
 
 (* ------------------------------------------------------------------ *)
 (* E19: compiled query plans — the slot-based join kernel vs the      *)
-(* retained interpreter (Eval.Reference), plus index-build cost.      *)
+(* interpreter oracle (Dc_oracle.Reference), plus index-build cost.  *)
 
 let e19 () =
   hr "E19  Compiled query plans: slot kernel vs interpreter";
   Printf.printf
     "E12 workload (1000-family GtoPdb database, 4 alpha-variant queries);\n\
-     interp = Eval.Reference (per-eval atom ordering, string-map bindings,\n\
-     warm index cache); cold4 = first compiled pass over the 4 variants\n\
-     (plan compilation + index builds included); warm = same evals through\n\
-     cached plans\n\n";
+     interp = Dc_oracle.Reference (per-eval atom ordering, string-map\n\
+     bindings, its own warm index cache); cold4 = first compiled pass\n\
+     over the 4 variants (plan compilation + index builds included);\n\
+     warm = same evals through cached plans\n\n";
   let db = G.generate ~seed:4 ~config:(families 1000) () in
   let variants =
     List.map Cq.Parser.parse_query_exn
@@ -1649,7 +1654,7 @@ let e19 () =
       (fun q ->
         same_run
           (Cq.Eval.run ~cache:gate_cache db q)
-          (Cq.Eval.Reference.run db q))
+          (Dc_oracle.Reference.run db q))
       variants
   in
   Printf.printf "compiled results identical to interpreter: %b\n\n" identical;
@@ -1662,16 +1667,16 @@ let e19 () =
       (fun rounds ->
         let qs = List.concat (List.init rounds (fun _ -> variants)) in
         let n = List.length qs in
-        let icache = Cq.Eval.make_cache () in
+        let icache = Dc_oracle.Reference.make_cache () in
         (* warm the interpreter's index cache: the baseline is its
            steady state, not its index-build cost *)
         List.iter
-          (fun q -> ignore (Cq.Eval.Reference.run ~cache:icache db q))
+          (fun q -> ignore (Dc_oracle.Reference.run ~cache:icache db q))
           variants;
         let _, interp =
           timed ~runs:3 (fun () ->
               List.iter
-                (fun q -> ignore (Cq.Eval.Reference.run ~cache:icache db q))
+                (fun q -> ignore (Dc_oracle.Reference.run ~cache:icache db q))
                 qs)
         in
         let ccache = Cq.Eval.make_cache () in
@@ -1871,7 +1876,7 @@ let e19 () =
                          (fun b ->
                            Array.of_list (Cq.Eval.Binding.values b vars))
                          bs) ))
-                (Cq.Eval.Reference.run db expansion)
+                (Dc_oracle.Reference.run db expansion)
             in
             if
               not
@@ -2121,7 +2126,7 @@ let e20 () =
           | None -> 0
         in
         let fast, semi_ms = timed (fun () -> Cq.Seminaive.run db strat) in
-        let slow, naive_ms = timed (fun () -> Cq.Seminaive.Naive.run db strat) in
+        let slow, naive_ms = timed (fun () -> Dc_oracle.Naive.run db strat) in
         (* correctness gate: timings mean nothing if the extents differ *)
         let identical =
           match (R.Database.relation fast "T", R.Database.relation slow "T") with
@@ -2159,17 +2164,14 @@ let e20 () =
     timed ~runs:5 (fun () ->
         C.Engine.cite engine (Cq.Parser.parse_query_exn "Q(Y) :- T(1,Y)"))
   in
-  let caps = C.Engine.describe engine in
-  Printf.printf "\nengine: %s\n" (C.Engine.capabilities_to_string caps);
   Printf.printf
-    "closure-view cite (chain-120, Q(Y) :- T(1,Y)): %d tuples,\n\
+    "\nclosure-view cite (chain-120, Q(Y) :- T(1,Y)): %d tuples,\n\
      cold %.2f ms (derive + rewrite + plan), warm %.2f ms\n"
     (List.length result.tuples) cold_ms warm_ms;
   let naive_total = List.fold_left (fun a (_, _, _, n, _) -> a +. n) 0. rows in
   let semi_total = List.fold_left (fun a (_, _, _, _, s) -> a +. s) 0. rows in
   write_bench_json ~experiment:"E20"
     [
-      ("capabilities", C.Engine.capabilities_to_json caps);
       ( "rows",
         json_list
           (List.map

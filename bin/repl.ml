@@ -1,5 +1,6 @@
 module R = Dc_relational
 module Cq = Dc_cq
+open Dc_citation
 
 type state = {
   db : R.Database.t option;
@@ -343,23 +344,12 @@ let eval st line =
           if Bibliography.entries st.bibliography = [] then "bibliography empty"
           else Bibliography.render st.bibliography )
     | "stats" | ":stats" ->
-        let m, caps =
+        let m =
           match st.engine with
-          | Some engine ->
-              (Engine.metrics engine, Engine.describe engine)
-          | None ->
-              ( Metrics.default,
-                {
-                  Engine.backend = "none";
-                  supports_versions = false;
-                  supports_recursion = false;
-                  shards = 0;
-                } )
+          | Some engine -> Engine.metrics engine
+          | None -> Metrics.default
         in
-        ( st,
-          Printf.sprintf "engine: %s\n%s"
-            (Engine.capabilities_to_string caps)
-            (String.trim (Format.asprintf "%a" Metrics.pp m)) )
+        (st, String.trim (Format.asprintf "%a" Metrics.pp m))
     | "serve" | ":serve" -> (st, serve_text)
     | other -> (st, Printf.sprintf "unknown command %s (try: help)" other)
 

@@ -50,14 +50,19 @@ let () =
   (* --- 2. view evolution through the registry ---------------------- *)
   Format.printf "@.=== View evolution ===@.";
   let store = R.Version_store.create db in
-  let registry = C.View_registry.create Dc_gtopdb.Paper_views.all in
+  let registry = Dc_repro.View_registry.create Dc_gtopdb.Paper_views.all in
 
-  (* citation made in the first era *)
-  let old_citation =
-    C.View_registry.cite_head ~store registry Dc_gtopdb.Paper_views.query_q
+  (* citation made in the first era, at the version the store holds *)
+  let cite_at version =
+    Dc_repro.View_registry.cite_at ~store registry ~version
+      Dc_gtopdb.Paper_views.query_q
   in
-  Format.printf "citation at version %d (V1 era): %a@." old_citation.version
-    C.Cite_expr.pp old_citation.expr;
+  let old_version = R.Version_store.head store in
+  (match cite_at old_version with
+  | Error e -> Format.printf "error: %s@." e
+  | Ok old_citation ->
+      Format.printf "citation at version %d (V1 era): %a@." old_version
+        C.Cite_expr.pp old_citation.result_expr);
 
   (* the database moves on, and at version 1 the owner retires V1 *)
   let store, v1 =
@@ -66,18 +71,18 @@ let () =
          (R.Tuple.make [ R.Value.int 12; R.Value.str "New Curator" ]))
   in
   let registry =
-    C.View_registry.update registry ~from_version:v1
+    Dc_repro.View_registry.update registry ~from_version:v1
       [ Dc_gtopdb.Paper_views.v2; Dc_gtopdb.Paper_views.v3 ]
   in
   Format.printf "@.epochs now:@.";
   List.iter
     (fun (from, names) ->
       Format.printf "  from v%d: %s@." from (String.concat ", " names))
-    (C.View_registry.epochs registry);
+    (Dc_repro.View_registry.epochs registry);
 
   (* a fresh citation only sees the new era's views *)
   (match
-     C.View_registry.cite_at ~selection:`All ~store registry ~version:v1
+     Dc_repro.View_registry.cite_at ~selection:`All ~store registry ~version:v1
        Dc_gtopdb.Paper_views.query_q
    with
   | Error e -> Format.printf "error: %s@." e
@@ -87,9 +92,9 @@ let () =
       Format.printf "rewritings available: %d (was 2 in the V1 era)@."
         (List.length result.rewritings));
 
-  (* while the old citation still resolves with its own era's views *)
-  match C.View_registry.resolve ~store registry old_citation with
+  (* while the old citation still re-cites with its own era's views *)
+  match cite_at old_version with
   | Error e -> Format.printf "error: %s@." e
-  | Ok tuples ->
+  | Ok old_citation ->
       Format.printf "@.old citation still resolves to %d tuples@."
-        (List.length tuples)
+        (List.length old_citation.tuples)

@@ -23,7 +23,7 @@ let () =
       ()
   in
   section "1. Install views: curated catalogue + generated defaults";
-  let curated = Dc_gtopdb.Views_catalog.all in
+  let curated = Dc_repro.Views_catalog.all in
   (* generated defaults for the one relation the curated catalogue
      ignores *)
   let defaults =
@@ -35,7 +35,7 @@ let () =
     (String.concat ", " (List.map C.Citation_view.name views));
 
   section "2. Coverage of the expected workload";
-  let workload = Dc_gtopdb.Workload.generate ~seed:7 ~count:30 in
+  let workload = Dc_repro.Workload.generate ~seed:7 ~count:30 in
   let vset = C.Citation_view.Set.view_set (C.Citation_view.Set.of_list views) in
   let report = C.Coverage.analyze ~db vset workload in
   Format.printf "%d/%d queries covered, %d ambiguous@." report.covered

@@ -18,23 +18,6 @@ let leaf_of_atom cviews atom binding =
       in
       Some (Cite_expr.leaf ~view:(Citation_view.name cv) ~params)
 
-let binding_expr cviews rewriting binding =
-  Cite_expr.joint
-    (List.filter_map
-       (fun atom -> leaf_of_atom cviews atom binding)
-       (Cq.Query.body rewriting))
-
-let tuple_expr_for_rewriting cviews rewriting bindings =
-  Cite_expr.alt (List.map (binding_expr cviews rewriting) bindings)
-
-let tuple_expr cviews per_rewriting =
-  Cite_expr.alt_r
-    (List.map
-       (fun (rw, bindings) -> tuple_expr_for_rewriting cviews rw bindings)
-       per_rewriting)
-
-let result_expr exprs = Cite_expr.agg exprs
-
 (* A parameter of a cited atom reads a constant of the rewriting or one
    of the template's variables, by index into a projection. *)
 type source = Fixed of R.Value.t | Var of int

@@ -1,20 +1,16 @@
-(** Literal implementation of the paper's Definitions 2.1 and 2.2: from
-    rewritings and bindings to formal citation expressions.
+(** From rewritings and answers to formal citation expressions: the
+    paper's Definitions 2.1 and 2.2, computed from only what they
+    depend on.
 
     Given a rewriting [Q'] of [Q] over citation views and a binding [B]
-    yielding tuple [t]:
-
-    - Definition 2.1: [cite(t,Q,Q',V,B) = F_V1(CV1(B1)) · … · F_Vn(CVn(Bn))]
-      — {!binding_expr} builds the [Joint] of one leaf per view atom,
-      each leaf fixing the parameter valuation [Bi];
-    - Definition 2.2: [cite(t,Q,Q',V) = Σ_{B∈β_t} cite(t,Q,Q',V,B)] —
-      {!tuple_expr_for_rewriting} wraps the per-binding expressions in
-      [Alt];
-    - multiple rewritings combine under [+R] ({!tuple_expr});
-    - the query answer aggregates per-tuple citations under [Agg]
-      ({!result_expr}).
-
-    Base (non-view) atoms in a partial rewriting contribute no leaf. *)
+    yielding tuple [t], Definition 2.1 cites [t] under [B] as the
+    [Joint] of one leaf per view atom, each leaf fixing the parameter
+    valuation [Bi] ({!leaf_of_atom}); Definition 2.2 sums those under
+    [Alt] over every binding that yields [t]; several rewritings
+    combine under [+R], and the answer aggregates its tuples under
+    [Agg].  Base (non-view) atoms in a partial rewriting contribute no
+    leaf.  The literal definitions over full bindings are the test
+    oracle of this module. *)
 
 val leaf_of_atom :
   Citation_view.Set.t ->
@@ -23,29 +19,9 @@ val leaf_of_atom :
   Cite_expr.t option
 (** [None] when the atom's predicate is not a citation view. *)
 
-val binding_expr :
-  Citation_view.Set.t ->
-  Dc_cq.Query.t ->
-  Dc_cq.Eval.Binding.t ->
-  Cite_expr.t
-
-val tuple_expr_for_rewriting :
-  Citation_view.Set.t ->
-  Dc_cq.Query.t ->
-  Dc_cq.Eval.Binding.t list ->
-  Cite_expr.t
-
-val tuple_expr :
-  Citation_view.Set.t ->
-  (Dc_cq.Query.t * Dc_cq.Eval.Binding.t list) list ->
-  Cite_expr.t
-
-val result_expr : Cite_expr.t list -> Cite_expr.t
-
 (** {1 Projected computation}
 
-    The same expressions, computed from only what they depend on.  A
-    binding's expression reads the values of the variables that fill
+    A binding's expression reads the values of the variables that fill
     view parameters, nothing else, so a {!template} of a rewriting
     lists those variables once; the evaluator then returns their
     distinct valuations per tuple ({!Dc_cq.Eval.run_projected}).  When
@@ -110,10 +86,10 @@ val rewriting_expr :
 
 val projected_expr :
   (template * Dc_relational.Value.t array list) list -> Cite_expr.t
-(** The {e normalized} {!tuple_expr} of one tuple, given for each
-    rewriting producing it the distinct projections of its bindings on
-    the template's [vars].  Equal to
-    [Cite_expr.normalize (tuple_expr cviews per_rewriting)] over the
-    full bindings; every node is normalized once, as it is built.  For
-    a single data-independent rewriting ([vars] empty) it returns the
-    template's one expression, physically the same for every tuple. *)
+(** The {e normalized} expression of one tuple (Definition 2.2, with
+    [+R] over rewritings), given for each rewriting producing it the
+    distinct projections of its bindings on the template's [vars].
+    Equal to the normalized literal definition over the full bindings;
+    every node is normalized once, as it is built.  For a single
+    data-independent rewriting ([vars] empty) it returns the template's
+    one expression, physically the same for every tuple. *)

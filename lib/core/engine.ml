@@ -863,35 +863,8 @@ let summary e query = summary_of e (evaluate e query)
 let cite_string e src =
   Result.map (cite e) (Cq.Parser.parse_query src)
 
-let pp_result ppf (r : result) =
-  Format.fprintf ppf
-    "@[<v>query     : %s@,rewritings: %d@,selected  : [%s]@,tuples    : \
-     %d@,citations : %d@,complete  : %b@,stats     : %a@]"
-    (Cq.Query.to_string r.query)
-    (List.length r.rewritings)
-    (String.concat "; " (List.map Cq.Query.name r.selected))
-    (List.length r.tuples)
-    (List.length r.result_citations)
-    r.complete Rw.Rewrite.pp_stats r.stats
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let result_to_json (r : result) =
-  let jstr s = Printf.sprintf "\"%s\"" (json_escape s) in
+  let jstr s = Printf.sprintf "\"%s\"" (Fmt_citation.json_escape s) in
   let names qs = String.concat "," (List.map (fun q -> jstr (Cq.Query.name q)) qs) in
   Printf.sprintf
     "{\"query\":%s,\"rewritings\":[%s],\"selected\":[%s],\"tuples\":%d,\"expr\":%s,\"citations\":%s,\"complete\":%b,\"stats\":%s}"
@@ -902,29 +875,3 @@ let result_to_json (r : result) =
     (Fmt_citation.render Fmt_citation.Json r.result_citations)
     r.complete
     (Rw.Rewrite.stats_to_json r.stats)
-
-type capabilities = {
-  backend : string;
-  supports_versions : bool;
-  supports_recursion : bool;
-  shards : int;
-}
-
-let pp_capabilities ppf c =
-  Format.fprintf ppf "%s (shards=%d, versions=%b, recursion=%b)" c.backend
-    c.shards c.supports_versions c.supports_recursion
-
-let capabilities_to_string c = Format.asprintf "%a" pp_capabilities c
-
-let capabilities_to_json c =
-  Printf.sprintf
-    "{\"backend\":\"%s\",\"shards\":%d,\"supports_versions\":%b,\"supports_recursion\":%b}"
-    c.backend c.shards c.supports_versions c.supports_recursion
-
-let describe e =
-  {
-    backend = "engine";
-    supports_versions = false;
-    supports_recursion = recursive_predicates e <> [];
-    shards = 1;
-  }

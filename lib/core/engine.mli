@@ -273,11 +273,6 @@ type result = {
   stats : Dc_rewriting.Rewrite.stats;
 }
 
-val pp_result : Format.formatter -> result -> unit
-(** A compact human-readable summary of a result: query, rewriting and
-    selection counts, tuple and citation counts, completeness and the
-    enumeration stats.  One field per line. *)
-
 val result_to_json : result -> string
 (** One-line JSON object over the labeled fields: query text, rewriting
     and selected names, tuple count, the normalized result expression,
@@ -300,8 +295,8 @@ val cite : t -> Dc_cq.Query.t -> result
     {!summary} is the same evaluation folded into the wire response.
     The result is the one the literal composition gives:
     {!Dc_cq.Eval.run} of the rewriting over the materialized views
-    ({!merged_database}), then {!Compute.tuple_expr} normalized and
-    {!Policy.eval} per tuple, then the same over the [Agg]. *)
+    ({!merged_database}), then Definition 2.2's expression normalized
+    and {!Policy.eval} per tuple, then the same over the [Agg]. *)
 
 val cite_string : t -> string -> (result, string) Stdlib.result
 (** Parses with {!Dc_cq.Parser.parse_query} first. *)
@@ -370,27 +365,3 @@ val summary_of : t -> evaluation -> summary
 val resolve_leaf : t -> Cite_expr.leaf -> Citation.t
 (** The engine's memoized leaf resolver (exposed for tests and for
     rendering formal expressions independently of [cite]). *)
-
-(** {1 Capabilities} *)
-
-type capabilities = {
-  backend : string;  (** ["engine"] or ["versioned"] *)
-  supports_versions : bool;  (** [cite_at]/[commit_delta] available *)
-  supports_recursion : bool;
-      (** the engine carries a Datalog program with at least one
-          recursive predicate *)
-  shards : int;
-      (** [1] from {!describe}; the server reports its worker-domain
-          count here *)
-}
-(** What a citation backend can do, as the REPL's [:stats], the
-    server's v2 [HEALTH] and the bench banners report it. *)
-
-val pp_capabilities : Format.formatter -> capabilities -> unit
-val capabilities_to_string : capabilities -> string
-
-val capabilities_to_json : capabilities -> string
-(** One-line JSON object over the four labeled fields. *)
-
-val describe : t -> capabilities
-(** Backend ["engine"], no versions, [shards = 1]. *)

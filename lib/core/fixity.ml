@@ -1,14 +1,4 @@
 module R = Dc_relational
-module Cq = Dc_cq
-
-type t = {
-  version : R.Version_store.version;
-  timestamp : int option;
-  query_text : string;
-  expr : Cite_expr.t;
-  citations : Citation.Set.t;
-  tuples : R.Tuple.t list;
-}
 
 (* ------------------------------------------------------------------ *)
 (* v1 content digests.  Relations iterate in Tuple.compare order and the
@@ -85,68 +75,3 @@ let scheme_of digest =
                "unknown fixity digest scheme %S (known: a 32-hex untagged v1 \
                 digest, or 32 hex followed by %S)"
                tag v2_suffix))
-
-let cite ?policy ?selection ~store ~views query =
-  let db = R.Version_store.head_db store in
-  let engine = Engine.create ?policy ?selection db views in
-  let result = Engine.cite engine query in
-  {
-    version = R.Version_store.head store;
-    timestamp = R.Version_store.timestamp store (R.Version_store.head store);
-    query_text = Cq.Query.to_string query;
-    expr = result.result_expr;
-    citations = result.result_citations;
-    tuples = List.map (fun (tc : Engine.tuple_citation) -> tc.tuple) result.tuples;
-  }
-
-let cite_at ?policy ?selection ~store ~views ~version query =
-  match R.Version_store.checkout store version with
-  | None -> Error (Printf.sprintf "version %d not in store" version)
-  | Some db ->
-      let engine = Engine.create ?policy ?selection db views in
-      let result = Engine.cite engine query in
-      Ok
-        {
-          version;
-          timestamp = R.Version_store.timestamp store version;
-          query_text = Cq.Query.to_string query;
-          expr = result.result_expr;
-          citations = result.result_citations;
-          tuples =
-            List.map (fun (tc : Engine.tuple_citation) -> tc.tuple) result.tuples;
-        }
-
-let cite_at_time ?policy ?selection ~store ~views ~time query =
-  match R.Version_store.version_at store time with
-  | None -> Error (Printf.sprintf "no version at or before time %d" time)
-  | Some version -> cite_at ?policy ?selection ~store ~views ~version query
-
-let resolve ~store ~views vc =
-  match R.Version_store.checkout store vc.version with
-  | None -> Error (Printf.sprintf "version %d not in store" vc.version)
-  | Some db -> (
-      match Cq.Parser.parse_query vc.query_text with
-      | Error e -> Error e
-      | Ok query ->
-          let engine = Engine.create db views in
-          let result = Engine.cite engine query in
-          Ok
-            (List.map
-               (fun (tc : Engine.tuple_citation) -> tc.tuple)
-               result.tuples))
-
-let verify ~store ~views vc =
-  match resolve ~store ~views vc with
-  | Error _ -> false
-  | Ok tuples ->
-      List.length tuples = List.length vc.tuples
-      && List.for_all2 R.Tuple.equal tuples vc.tuples
-
-let pp ppf vc =
-  Format.fprintf ppf
-    "@[<v>cited at version %d%a@ query: %s@ formal: %a@ %a@]" vc.version
-    (fun ppf -> function
-      | None -> ()
-      | Some ts -> Format.fprintf ppf " (time %d)" ts)
-    vc.timestamp vc.query_text Cite_expr.pp vc.expr Citation.Set.pp
-    vc.citations

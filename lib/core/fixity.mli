@@ -1,11 +1,11 @@
-(** Versioned citations — the paper's {e fixity} principle (§3).
-
-    "Data may evolve over time, and a citation should bring back the
-    data as seen at the time it was cited."  A versioned citation
-    couples the concrete citation with the database version, its commit
-    timestamp, and the query text, so the cited data can be re-obtained
-    from the {!Dc_relational.Version_store} even after the database
-    moves on. *)
+(** Content digests of database versions — the paper's {e fixity}
+    principle (§3): "Data may evolve over time, and a citation should
+    bring back the data as seen at the time it was cited."
+    {!Versioned_engine} keeps every committed version citable
+    ({!Versioned_engine.cite_at}) and stamps each citation with its
+    version's digest from this module, so a reader can check later
+    ({!Versioned_engine.verify}) that the version still hashes to what
+    the citation recorded. *)
 
 (** {2 Content digests}
 
@@ -57,60 +57,3 @@ val scheme_of : string -> (scheme, string) result
 (** The scheme a digest was issued under: [V2] for a [":v2"]-tagged
     digest, [V1] for an untagged one (no [':']), and [Error] naming the
     tag for any other tag. *)
-
-type t = {
-  version : Dc_relational.Version_store.version;
-  timestamp : int option;
-  query_text : string;
-  expr : Cite_expr.t;
-  citations : Citation.Set.t;
-  tuples : Dc_relational.Tuple.t list;  (** the cited answer *)
-}
-
-val cite :
-  ?policy:Policy.t ->
-  ?selection:Engine.selection ->
-  store:Dc_relational.Version_store.t ->
-  views:Citation_view.t list ->
-  Dc_cq.Query.t ->
-  t
-(** Cites against the store's head version. *)
-
-val cite_at :
-  ?policy:Policy.t ->
-  ?selection:Engine.selection ->
-  store:Dc_relational.Version_store.t ->
-  views:Citation_view.t list ->
-  version:Dc_relational.Version_store.version ->
-  Dc_cq.Query.t ->
-  (t, string) result
-(** Cites against a specific historical version. *)
-
-val cite_at_time :
-  ?policy:Policy.t ->
-  ?selection:Engine.selection ->
-  store:Dc_relational.Version_store.t ->
-  views:Citation_view.t list ->
-  time:int ->
-  Dc_cq.Query.t ->
-  (t, string) result
-(** Cites against the latest version committed at or before [time] —
-    the paper's "citations to include a timestamp or version number"
-    alternative. *)
-
-val resolve :
-  store:Dc_relational.Version_store.t ->
-  views:Citation_view.t list ->
-  t ->
-  (Dc_relational.Tuple.t list, string) result
-(** Re-executes the cited query at the cited version; this is the
-    "mechanism of obtaining the data" the citation must include. *)
-
-val verify :
-  store:Dc_relational.Version_store.t ->
-  views:Citation_view.t list ->
-  t ->
-  bool
-(** [resolve] returns exactly the cited tuples. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,6 +11,12 @@ val format_of_string : string -> (format, string) result
 val format_to_string : format -> string
 val all_formats : format list
 
+val json_escape : string -> string
+(** The body of a JSON string literal: the double quote, backslash,
+    newline, carriage return and tab escaped by name, other bytes below
+    0x20 as [\u00XX], every other byte as is.  Every JSON this
+    repository writes escapes through it. *)
+
 val render_citation : format -> Citation.t -> string
 val render : format -> Citation.Set.t -> string
 

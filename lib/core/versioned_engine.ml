@@ -403,13 +403,6 @@ let commit_delta t delta =
                   trim_unlocked t);
               Ok v))
 
-let describe t =
-  {
-    (Engine.describe t.template) with
-    backend = "versioned";
-    supports_versions = true;
-  }
-
 let pp ppf t =
   let store, cached, regs =
     locked t (fun () -> (t.store, List.map fst t.engines, List.map fst t.regs))

@@ -235,8 +235,4 @@ val digest_at :
 (** The version's {!Fixity.digest_v2} — what {!cite_at} stamps — timed
     under the [fixity_digest] timer. *)
 
-val describe : t -> Engine.capabilities
-(** Backend ["versioned"], with versions supported, recursion as the
-    template engine's program has it, and [shards = 1]. *)
-
 val pp : Format.formatter -> t -> unit

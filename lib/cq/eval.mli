@@ -10,10 +10,8 @@
     index probes) and the compiled plan is cached alongside the index
     cache.  Repeated evaluations of the same query over the same extents
     — the citation hot path — run the slot kernel directly, touching no
-    string map and allocating no per-probe key.  The pre-compilation
-    interpreter survives as {!Reference} for differential testing and
-    baseline benchmarks.  The nullary predicate [True] is built in and
-    always holds.
+    string map and allocating no per-probe key.  The nullary predicate
+    [True] is built in and always holds.
 
     Cache lookups record into {!Dc_parallel.Metrics}: index-cache hits
     and misses, plan-cache hits and compilations (compile time under the
@@ -133,29 +131,3 @@ val head_schema : string -> Term.t list -> Dc_relational.Schema.t
 val holds : ?cache:cache -> Dc_relational.Database.t -> Query.t -> bool
 (** Whether the query has at least one answer (boolean query support).
     Short-circuits on the first satisfying valuation. *)
-
-module Reference : sig
-  (** The pre-compilation interpreter, retained verbatim: per-evaluation
-      greedy atom ordering, string-map bindings, per-probe key
-      allocation.  The differential test suite asserts the compiled
-      path agrees with it on random queries, and the benches use it as
-      the baseline.  It shares the index cache (and its events) with
-      the compiled path but never touches the plan cache. *)
-
-  val bindings :
-    ?cache:cache -> Dc_relational.Database.t -> Query.t -> Binding.t list
-
-  val run :
-    ?cache:cache ->
-    Dc_relational.Database.t ->
-    Query.t ->
-    (Dc_relational.Tuple.t * Binding.t list) list
-
-  val result :
-    ?cache:cache ->
-    Dc_relational.Database.t ->
-    Query.t ->
-    Dc_relational.Relation.t
-
-  val holds : ?cache:cache -> Dc_relational.Database.t -> Query.t -> bool
-end

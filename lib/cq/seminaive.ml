@@ -424,42 +424,3 @@ let continue_delta ?cache ~prior ~changes db (s : Stratify.t) =
         let d = List.fold_left (fun d t -> R.Delta.delete d p t) d del in
         List.fold_left (fun d t -> R.Delta.insert d p t) d ins)
       R.Delta.empty s.idb )
-
-module Naive = struct
-  (* Reference: every round evaluates every rule of the stratum against
-     the full extents; stop when cardinalities stop growing. *)
-  let eval_fix cache wdb rules =
-    let preds = stratum_preds rules in
-    let empty p = R.Relation.empty (idb_schema p (rules_for p rules)) in
-    let full = Hashtbl.create 4 in
-    List.iter (fun p -> Hashtbl.replace full p (empty p)) preds;
-    let install wdb =
-      List.fold_left
-        (fun wdb p -> R.Database.add_relation wdb (Hashtbl.find full p))
-        wdb preds
-    in
-    let rec loop wdb =
-      let wdb = install wdb in
-      let before =
-        List.map (fun p -> R.Relation.cardinality (Hashtbl.find full p)) preds
-      in
-      List.iter
-        (fun r ->
-          let derived = eval_body cache wdb ~head:(Rule.head r) (Rule.body r) in
-          let p = Rule.head_pred r in
-          Hashtbl.replace full p
-            (R.Relation.insert_list (Hashtbl.find full p) derived))
-        rules;
-      let after =
-        List.map (fun p -> R.Relation.cardinality (Hashtbl.find full p)) preds
-      in
-      if after = before then wdb else loop wdb
-    in
-    let wdb = loop wdb in
-    (wdb, List.map (fun p -> (p, Hashtbl.find full p)) preds)
-
-  let run ?cache db s =
-    let cache = resolve_cache cache in
-    run_strata db s ~stratum:(fun ~recursive:_ wdb rules ->
-        eval_fix cache wdb rules)
-end

@@ -93,12 +93,3 @@ val continue_delta :
 (** {!continue}'s database, with the net change of every IDB predicate
     from [prior]: a re-derived stratum's is the difference of its
     extents. *)
-
-module Naive : sig
-  val run : ?cache:Eval.cache -> Dc_relational.Database.t -> Stratify.t ->
-    Dc_relational.Database.t
-  (** Reference fixpoint: every round re-evaluates every rule of the
-      stratum against the full extents until nothing changes.  Same
-      result as {!run}, no delta reasoning — the differential suite and
-      bench E20 compare against it. *)
-end

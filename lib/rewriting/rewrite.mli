@@ -71,8 +71,8 @@ val maximally_contained :
   View.Set.t ->
   Dc_cq.Query.t ->
   Dc_cq.Query.t list * stats
-(** The maximally-contained rewriting as a set of CQ disjuncts (wrap
-    them in {!Dc_cq.Ucq} for union semantics): every MiniCon candidate
+(** The maximally-contained rewriting as a set of CQ disjuncts, read
+    as their union: every MiniCon candidate
     whose expansion is contained in the query, pruned to the ones
     maximal under expansion containment.  This is the classic
     query-answering-using-views answer when no equivalent rewriting

@@ -167,23 +167,7 @@ let render_request = function
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
+let jstr s = Printf.sprintf "\"%s\"" (C.Fmt_citation.json_escape s)
 
 (* Wire invariant: exactly one line per response.  [\n]s introduced by
    embedded renderers would break framing, so squash defensively. *)
@@ -287,7 +271,10 @@ let ok_citation ~view ~citation ~ms =
 let ok_stats ~stats_json = obj [ ("ok", "true"); ("stats", stats_json) ]
 
 let ok_health ?version ?data_dir ?wal_enabled ?last_snapshot_version
-    ?capabilities ~uptime_s ~views ~relations ~tuples () =
+    ?backend ?shards ?supports_versions ?supports_recursion ~uptime_s ~views
+    ~relations ~tuples () =
+  (* an optional field: present only when given *)
+  let field k render = function None -> [] | Some v -> [ (k, render v) ] in
   obj
     ([
        ("ok", "true");
@@ -304,29 +291,17 @@ let ok_health ?version ?data_dir ?wal_enabled ?last_snapshot_version
        ("relations", string_of_int relations);
        ("tuples", string_of_int tuples);
      ]
-    @ (match version with
-      | None -> []
-      | Some v -> [ ("head_version", string_of_int v) ])
+    @ field "head_version" string_of_int version
     (* Durability report (v2 HEALTH only — v1 output must stay
        byte-identical, so every field below is opt-in). *)
-    @ (match data_dir with None -> [] | Some d -> [ ("data_dir", jstr d) ])
-    @ (match wal_enabled with
-      | None -> []
-      | Some b -> [ ("wal_enabled", string_of_bool b) ])
-    @ (match last_snapshot_version with
-      | None -> []
-      | Some v -> [ ("last_snapshot_version", string_of_int v) ])
-    @
+    @ field "data_dir" jstr data_dir
+    @ field "wal_enabled" string_of_bool wal_enabled
+    @ field "last_snapshot_version" string_of_int last_snapshot_version
     (* Capability report (v2 HEALTH only, like the durability fields). *)
-    match (capabilities : C.Engine.capabilities option) with
-    | None -> []
-    | Some c ->
-        [
-          ("backend", jstr c.backend);
-          ("shards", string_of_int c.shards);
-          ("supports_versions", string_of_bool c.supports_versions);
-          ("supports_recursion", string_of_bool c.supports_recursion);
-        ])
+    @ field "backend" jstr backend
+    @ field "shards" string_of_int shards
+    @ field "supports_versions" string_of_bool supports_versions
+    @ field "supports_recursion" string_of_bool supports_recursion)
 
 let ok_bye = obj [ ("ok", "true"); ("bye", "true") ]
 

@@ -161,7 +161,10 @@ val ok_health :
   ?data_dir:string ->
   ?wal_enabled:bool ->
   ?last_snapshot_version:int ->
-  ?capabilities:Dc_citation.Engine.capabilities ->
+  ?backend:string ->
+  ?shards:int ->
+  ?supports_versions:bool ->
+  ?supports_recursion:bool ->
   uptime_s:float ->
   views:int ->
   relations:int ->
@@ -172,8 +175,8 @@ val ok_health :
     [head_version].  The durability fields ([data_dir], [wal_enabled],
     [last_snapshot_version]) and the capability report ([backend],
     [shards], [supports_versions], [supports_recursion]) are appended
-    only when given — a v2 HEALTH report; omitting them keeps the v1
-    output byte-identical. *)
+    in that order, each only when given — a v2 HEALTH report; omitting
+    them keeps the v1 output byte-identical. *)
 
 val ok_bye : string
 

@@ -126,34 +126,28 @@ let execute t (req : Protocol.request) =
       in
       (* v2 HEALTH adds the durability report; bare HEALTH stays
          byte-identical to protocol v1. *)
-      let data_dir, wal_enabled, last_snapshot_version, capabilities =
-        match req with
-        | Protocol.Health -> (None, None, None, None)
-        | _ ->
-            (* every citation is served by the versioned engine, on
-               [domains_eff] worker domains *)
-            let caps =
-              {
-                (C.Versioned_engine.describe t.versioned) with
-                shards = t.domains_eff;
-              }
-            in
-            (match t.storage with
-            | None -> (None, Some false, None, Some caps)
-            | Some st ->
-                ( Some (Dc_storage.Store.dir st),
-                  Some true,
-                  Some (Dc_storage.Store.last_snapshot_version st),
-                  Some caps ))
+      let v2 = req = Protocol.Health_v2 in
+      let data_dir, wal_enabled, last_snapshot_version =
+        match (v2, t.storage) with
+        | false, _ -> (None, None, None)
+        | true, None -> (None, Some false, None)
+        | true, Some st ->
+            ( Some (Dc_storage.Store.dir st),
+              Some true,
+              Some (Dc_storage.Store.last_snapshot_version st) )
       in
+      (* Every citation is served by the versioned engine, on
+         [domains_eff] worker domains. *)
+      let opt x = if v2 then Some x else None in
+      let template = C.Versioned_engine.template t.versioned in
       Protocol.ok_health
         ~version:(C.Versioned_engine.head t.versioned)
-        ?data_dir ?wal_enabled ?last_snapshot_version ?capabilities
+        ?data_dir ?wal_enabled ?last_snapshot_version
+        ?backend:(opt "versioned") ?shards:(opt t.domains_eff)
+        ?supports_versions:(opt true)
+        ?supports_recursion:(opt (C.Engine.recursive_predicates template <> []))
         ~uptime_s:(Dc_clock.Monotonic.now_s () -. t.started_at)
-        ~views:
-          (C.Citation_view.Set.size
-             (C.Engine.citation_views
-                (C.Versioned_engine.template t.versioned)))
+        ~views:(C.Citation_view.Set.size (C.Engine.citation_views template))
         ~relations:(List.length (R.Database.relation_names db))
         ~tuples:(R.Database.total_tuples db)
         ()

@@ -1,3 +1,4 @@
+open Dc_provenance
 module R = Dc_relational
 module Smap = Map.Make (String)
 

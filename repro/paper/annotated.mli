@@ -7,6 +7,8 @@
     the paper's citation construction (joint [·] across view atoms,
     alternative [+] across bindings). *)
 
+open Dc_provenance
+
 module Make (K : Semiring.S) : sig
   type t
   (** An annotated database: a support database plus annotations. *)

@@ -1,3 +1,4 @@
+open Dc_cq
 module R = Dc_relational
 
 type t = { name : string; disjuncts : Query.t list }

@@ -5,6 +5,8 @@
     provides the general containment test (Sagiv–Yannakakis: a CQ is
     contained in a UCQ iff it is contained in one of its disjuncts). *)
 
+open Dc_cq
+
 type t = private { name : string; disjuncts : Query.t list }
 
 val make : name:string -> Query.t list -> (t, string) result

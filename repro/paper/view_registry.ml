@@ -1,4 +1,5 @@
 module R = Dc_relational
+open Dc_citation
 
 type t = (int * Citation_view.t list) list
 (* Epochs sorted by starting version, ascending; always non-empty,
@@ -38,12 +39,3 @@ let cite_at ?policy ?selection ~store registry ~version query =
         Engine.create ?policy ?selection db (active_at registry version)
       in
       Ok (Engine.cite engine query)
-
-let cite_head ?policy ?selection ~store registry query =
-  let version = R.Version_store.head store in
-  Fixity.cite ?policy ?selection ~store
-    ~views:(active_at registry version)
-    query
-
-let resolve ~store registry (vc : Fixity.t) =
-  Fixity.resolve ~store ~views:(active_at registry vc.version) vc

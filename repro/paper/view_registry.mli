@@ -6,7 +6,11 @@
     A registry records which citation-view set is active from which
     database version on.  Citing at a version uses both the data {e and}
     the view set as of that version, so old citations keep resolving
-    with the citation standards of their time. *)
+    with the citation standards of their time.  A stamped, durable
+    citation of a version is {!Dc_citation.Versioned_engine.cite_at}'s;
+    this registry adds only the view set's history. *)
+
+open Dc_citation
 
 type t
 
@@ -34,21 +38,3 @@ val cite_at :
   (Engine.result, string) result
 (** Cites against the database {e and} the view set as of [version].
     [Error] when the version is not in the store. *)
-
-val cite_head :
-  ?policy:Policy.t ->
-  ?selection:Engine.selection ->
-  store:Dc_relational.Version_store.t ->
-  t ->
-  Dc_cq.Query.t ->
-  Fixity.t
-(** Versioned citation at the store's head with the currently active
-    views; resolving it later through {!resolve} replays both. *)
-
-val resolve :
-  store:Dc_relational.Version_store.t ->
-  t ->
-  Fixity.t ->
-  (Dc_relational.Tuple.t list, string) result
-(** Like {!Fixity.resolve} but picks the view set of the citation's
-    version from the registry. *)

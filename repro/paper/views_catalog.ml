@@ -1,4 +1,5 @@
 module C = Dc_citation
+module Paper_views = Dc_gtopdb.Paper_views
 
 let parse = Dc_cq.Parser.parse_query_exn
 

@@ -4,7 +4,7 @@ module Rw = Dc_rewriting
 module B = Dc_rewriting.Bucket
 module M = Dc_rewriting.Minicon
 module V = Dc_rewriting.View
-module F = Dc_citation.Fixity
+module VE = Dc_citation.Versioned_engine
 module VS = Dc_relational.Version_store
 
 let q = parse
@@ -116,35 +116,43 @@ let test_minicon_constant_compatibility () =
 (* time-based citing *)
 
 let test_cite_at_time () =
-  let store = VS.create (paper_db ()) in
-  (* default clock: version 0 at time 1 *)
-  let store, _ =
-    VS.commit_delta store
-      (Dc_relational.Delta.delete Dc_relational.Delta.empty "FamilyIntro"
-         (tuple [ int 21; str "Dopamine intro" ]))
-  in
-  (* version 1 at time 2 *)
   let views = Dc_gtopdb.Paper_views.all in
   let query = Dc_gtopdb.Paper_views.query_q in
-  (match F.cite_at_time ~store ~views ~time:1 query with
+  let ve = VE.create (paper_db ()) views in
+  (* default clock: version 0 at time 1 *)
+  ignore
+    (Result.get_ok
+       (VE.commit_delta ve
+          (Dc_relational.Delta.delete Dc_relational.Delta.empty "FamilyIntro"
+             (tuple [ int 21; str "Dopamine intro" ]))));
+  (* version 1 at time 2 *)
+  let cite_at_time time =
+    match VS.version_at (VE.store ve) time with
+    | None -> Error (Printf.sprintf "no version at or before time %d" time)
+    | Some v -> VE.cite_at ve v query
+  in
+  let answers c = List.length (cited_tuples c) in
+  (match cite_at_time 1 with
   | Error e -> Alcotest.fail e
   | Ok vc ->
       Alcotest.(check int) "time 1 -> v0" 0 vc.version;
-      Alcotest.(check int) "full answer" 2 (List.length vc.tuples));
-  (match F.cite_at_time ~store ~views ~time:99 query with
+      Alcotest.(check int) "full answer" 2 (answers vc);
+      (* the stamp verifies, and re-citing its version gives back the
+         cited tuples *)
+      Alcotest.(check bool) "cite_at verifies" true
+        (VE.verify ve 0 vc.digest = Ok true
+        && List.equal Dc_relational.Tuple.equal
+             (cited_tuples (Result.get_ok (VE.cite_at ve 0 query)))
+             (cited_tuples vc)));
+  (match cite_at_time 99 with
   | Error e -> Alcotest.fail e
   | Ok vc ->
       Alcotest.(check int) "late time -> head" 1 vc.version;
-      Alcotest.(check int) "shrunk answer" 1 (List.length vc.tuples));
+      Alcotest.(check int) "shrunk answer" 1 (answers vc));
   Alcotest.(check bool) "time before epoch" true
-    (Result.is_error (F.cite_at_time ~store ~views ~time:0 query));
-  (match F.cite_at ~store ~views ~version:0 query with
-  | Error e -> Alcotest.fail e
-  | Ok vc ->
-      Alcotest.(check bool) "cite_at verifies" true
-        (F.verify ~store ~views vc));
+    (Result.is_error (cite_at_time 0));
   Alcotest.(check bool) "cite_at unknown version" true
-    (Result.is_error (F.cite_at ~store ~views ~version:42 query))
+    (Result.is_error (VE.cite_at ve 42 query))
 
 let test_custom_clock () =
   let t = ref 100 in

@@ -1,8 +1,8 @@
 (* Differential suite for Engine.cite: the engine groups projected
    bindings, builds data-independent expressions once and memoizes leaf
    resolution.  The oracle below is the literal composition it replaces:
-   the interpreter's [Eval.Reference.run] per evaluated rewriting, the
-   per-tuple regrouping into a map, [Compute.tuple_expr] normalized, and
+   the interpreter's [Dc_oracle.Reference.run] per evaluated rewriting, the
+   per-tuple regrouping into a map, [Definitions.tuple_expr] normalized, and
    [Policy.eval] per tuple and over the [Agg], with every leaf resolved
    from scratch. *)
 
@@ -43,7 +43,7 @@ let oracle ~fallback e (r : E.result) =
             let existing = Option.value ~default:[] (R.Tuple.Map.find_opt t m) in
             R.Tuple.Map.add t ((rw, bindings) :: existing) m)
           m
-          (Cq.Eval.Reference.run db rw))
+          (Dc_oracle.Reference.run db rw))
       R.Tuple.Map.empty evaluated
   in
   let resolve (l : X.leaf) =
@@ -55,12 +55,12 @@ let oracle ~fallback e (r : E.result) =
   let tuples =
     List.map
       (fun (t, contribs) ->
-        let expr = X.normalize (C.Compute.tuple_expr cviews (List.rev contribs)) in
+        let expr = X.normalize (Dc_oracle.Definitions.tuple_expr cviews (List.rev contribs)) in
         (t, expr, C.Policy.eval ~resolve policy expr))
       (R.Tuple.Map.bindings per_tuple)
   in
   let result_expr =
-    X.normalize (C.Compute.result_expr (List.map (fun (_, x, _) -> x) tuples))
+    X.normalize (Dc_oracle.Definitions.result_expr (List.map (fun (_, x, _) -> x) tuples))
   in
   { tuples; result_expr; result_citations = C.Policy.eval ~resolve policy result_expr }
 

@@ -106,7 +106,7 @@ let prop_freshen_equivalent =
   qtest "freshening preserves equivalence" QCheck.(int_bound 500) (fun seed ->
       List.for_all
         (fun qq -> C.equivalent qq (Cq.Query.freshen qq 7))
-        (Dc_gtopdb.Workload.generate ~seed ~count:4))
+        (Dc_repro.Workload.generate ~seed ~count:4))
 
 let prop_minimize_equivalent =
   qtest "minimize preserves equivalence" QCheck.(int_bound 500) (fun seed ->
@@ -114,13 +114,13 @@ let prop_minimize_equivalent =
         (fun qq ->
           let m = M.minimize qq in
           C.equivalent qq m && M.is_minimal m)
-        (Dc_gtopdb.Workload.generate ~seed ~count:4))
+        (Dc_repro.Workload.generate ~seed ~count:4))
 
 let prop_containment_reflexive_transitive =
   qtest "containment reflexive" QCheck.(int_bound 500) (fun seed ->
       List.for_all
         (fun qq -> C.contained qq qq)
-        (Dc_gtopdb.Workload.generate ~seed ~count:4))
+        (Dc_repro.Workload.generate ~seed ~count:4))
 
 let suite =
   [
@@ -148,12 +148,12 @@ let prop_minimize_idempotent =
         (fun qq ->
           let m = M.minimize qq in
           Cq.Query.equal_syntactic m (M.minimize m))
-        (Dc_gtopdb.Workload.generate ~seed ~count:4))
+        (Dc_repro.Workload.generate ~seed ~count:4))
 
 let prop_containment_antisymmetric_up_to_equiv =
   qtest "mutual containment = equivalence" QCheck.(int_bound 500)
     (fun seed ->
-      match Dc_gtopdb.Workload.generate ~seed ~count:2 with
+      match Dc_repro.Workload.generate ~seed ~count:2 with
       | [ q1; q2 ] ->
           C.equivalent q1 q2 = (C.contained q1 q2 && C.contained q2 q1)
       | _ -> true)

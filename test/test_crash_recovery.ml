@@ -5,6 +5,7 @@
    must leave a drain snapshot covering the head. *)
 
 module S = Dc_server
+module Client = Dc_oracle.Client
 
 (* Resolve the server binary next to this test executable so the test
    works under both `dune runtest` and `dune exec` from the repo root. *)
@@ -82,7 +83,7 @@ let kill_hard p =
 let with_conn port f =
   (* the accept thread may need a beat on slow machines *)
   let rec connect tries =
-    try S.Client.connect ~port ()
+    try Client.connect ~port ()
     with e ->
       if tries = 0 then raise e
       else begin
@@ -91,10 +92,10 @@ let with_conn port f =
       end
   in
   let conn = connect 40 in
-  Fun.protect ~finally:(fun () -> S.Client.close conn) (fun () -> f conn)
+  Fun.protect ~finally:(fun () -> Client.close conn) (fun () -> f conn)
 
 let req conn line =
-  match S.Client.request conn line with
+  match Client.request conn line with
   | Some resp -> resp
   | None -> Alcotest.failf "connection closed on %S" line
 

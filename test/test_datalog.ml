@@ -182,7 +182,7 @@ let random_edges seed =
 
 let agree strat db =
   let fast = Cq.Seminaive.run db strat in
-  let slow = Cq.Seminaive.Naive.run db strat in
+  let slow = Dc_oracle.Naive.run db strat in
   List.for_all
     (fun p ->
       match (R.Database.relation fast p, R.Database.relation slow p) with
@@ -305,7 +305,7 @@ let prop_continued_matches_scratch =
         if not (idb_equal program got (Cq.Seminaive.run db strat)) then
           QCheck.Test.fail_reportf "v%d differs from Seminaive.run:@.%s" v
             (Cq.Program.to_string program);
-        if not (idb_equal program got (Cq.Seminaive.Naive.run db strat)) then
+        if not (idb_equal program got (Dc_oracle.Naive.run db strat)) then
           QCheck.Test.fail_reportf "v%d differs from Naive.run:@.%s" v
             (Cq.Program.to_string program)
       in
@@ -824,31 +824,6 @@ let prop_registration_matches_fresh_program =
       done;
       true)
 
-let test_capabilities () =
-  let db = paper_db () in
-  let plain = C.Engine.create db Dc_gtopdb.Paper_views.all in
-  let caps = C.Engine.describe plain in
-  Alcotest.(check string) "engine backend" "engine" caps.C.Engine.backend;
-  Alcotest.(check bool) "no versions" false caps.C.Engine.supports_versions;
-  Alcotest.(check bool) "no recursion" false caps.C.Engine.supports_recursion;
-  Alcotest.(check int) "one shard" 1 caps.C.Engine.shards;
-  Alcotest.(check string) "printed"
-    "engine (shards=1, versions=false, recursion=false)"
-    (C.Engine.capabilities_to_string caps);
-  let versioned =
-    C.Versioned_engine.describe
-      (C.Versioned_engine.create_program (link_db [ (2, 1) ]) upstream_program)
-  in
-  Alcotest.(check string) "versioned backend" "versioned"
-    versioned.C.Engine.backend;
-  Alcotest.(check bool) "versions supported" true
-    versioned.C.Engine.supports_versions;
-  Alcotest.(check bool) "recursion reported" true
-    versioned.C.Engine.supports_recursion;
-  Alcotest.(check string) "JSON"
-    "{\"backend\":\"versioned\",\"shards\":1,\"supports_versions\":true,\"supports_recursion\":true}"
-    (C.Engine.capabilities_to_json versioned)
-
 let suite =
   [
     Alcotest.test_case "rule parse" `Quick test_rule_parse;
@@ -886,6 +861,4 @@ let suite =
     Alcotest.test_case "REGISTER on a program engine survives commits" `Quick
       test_register_on_program_survives_commits;
     prop_registration_matches_fresh_program;
-    Alcotest.test_case "engine and versioned capabilities" `Quick
-      test_capabilities;
   ]

@@ -153,7 +153,7 @@ let prop_bindings_satisfy =
                   R.Relation.mem (R.Database.relation_exn db (Cq.Atom.pred atom)) t)
                 (Cq.Query.body qq))
             (E.bindings db qq))
-        (Dc_gtopdb.Workload.generate ~seed ~count:3))
+        (Dc_repro.Workload.generate ~seed ~count:3))
 
 (* R(K, V) with typed values that print alike: [Value.pp] shows
    1234567.0 and 1234568.0 both as 1.23457e+06, and [Int 1] and

@@ -1,49 +1,65 @@
 open Testutil
 module C = Dc_citation
-module F = Dc_citation.Fixity
+module V = Dc_citation.Versioned_engine
 module Cov = Dc_citation.Coverage
 module R = Dc_relational
-module VS = Dc_relational.Version_store
 module D = Dc_relational.Delta
 
 let views = Dc_gtopdb.Paper_views.all
 let query = Dc_gtopdb.Paper_views.query_q
 
+(* Citing and re-citing go through the versioned engine: a citation is
+   its version, stamp digest and answer; resolving it re-cites the same
+   query at that version. *)
+let cite ve v q =
+  match V.cite_at ve v q with Ok c -> c | Error e -> Alcotest.fail e
+
+let same_tuples = List.equal R.Tuple.equal
+
+(* [verify]: the version still hashes to the stamp, and re-citing gives
+   back exactly the cited tuples. *)
+let verifies ve (c : V.cited) =
+  V.verify ve c.version c.digest = Ok true
+  && same_tuples
+       (cited_tuples (cite ve c.version c.result.query))
+       (cited_tuples c)
+
 let test_cite_and_resolve () =
-  let store = VS.create (paper_db ()) in
-  let vc = F.cite ~store ~views query in
+  let ve = V.create (paper_db ()) views in
+  let vc = cite ve (V.head ve) query in
   Alcotest.(check int) "cited at v0" 0 vc.version;
-  Alcotest.(check int) "two tuples" 2 (List.length vc.tuples);
-  match F.resolve ~store ~views vc with
-  | Error e -> Alcotest.fail e
-  | Ok tuples ->
-      Alcotest.(check int) "resolves to same" 2 (List.length tuples)
+  Alcotest.(check int) "two tuples" 2 (List.length (cited_tuples vc));
+  Alcotest.(check int) "resolves to same" 2
+    (List.length (cited_tuples (cite ve vc.version query)))
 
 let test_fixity_across_evolution () =
-  let store = VS.create (paper_db ()) in
-  let vc = F.cite ~store ~views query in
+  let ve = V.create (paper_db ()) views in
+  let vc = cite ve (V.head ve) query in
   let delta =
     D.delete D.empty "FamilyIntro" (tuple [ int 21; str "Dopamine intro" ])
   in
-  let store, _ = VS.commit_delta store delta in
+  ignore (Result.get_ok (V.commit_delta ve delta));
   (* fresh citation differs, resolved citation doesn't *)
-  let fresh = F.cite ~store ~views query in
-  Alcotest.(check int) "fresh sees one tuple" 1 (List.length fresh.tuples);
-  Alcotest.(check bool) "old verifies" true (F.verify ~store ~views vc);
-  Alcotest.(check bool) "fresh verifies too" true (F.verify ~store ~views fresh)
+  let fresh = cite ve (V.head ve) query in
+  Alcotest.(check int) "fresh sees one tuple" 1
+    (List.length (cited_tuples fresh));
+  Alcotest.(check bool) "old verifies" true (verifies ve vc);
+  Alcotest.(check bool) "fresh verifies too" true (verifies ve fresh)
 
 let test_resolve_unknown_version () =
-  let store = VS.create (paper_db ()) in
-  let vc = F.cite ~store ~views query in
-  let bad = { vc with F.version = 99 } in
-  Alcotest.(check bool) "error" true (Result.is_error (F.resolve ~store ~views bad))
+  let ve = V.create (paper_db ()) views in
+  Alcotest.(check bool) "error" true (Result.is_error (V.cite_at ve 99 query))
 
 let test_query_text_roundtrip () =
-  (* the citation stores the query textually; resolution reparses it *)
-  let store = VS.create (paper_db ()) in
-  let vc = F.cite ~store ~views query in
-  Alcotest.(check bool) "query text parseable" true
-    (Result.is_ok (Dc_cq.Parser.parse_query vc.query_text))
+  (* the citation carries its query; its text parses back to a query
+     that re-cites to the same tuples *)
+  let ve = V.create (paper_db ()) views in
+  let vc = cite ve (V.head ve) query in
+  match Dc_cq.Parser.parse_query (Dc_cq.Query.to_string vc.result.query) with
+  | Error e -> Alcotest.fail e
+  | Ok q ->
+      Alcotest.(check bool) "re-cites to the same tuples" true
+        (same_tuples (cited_tuples (cite ve vc.version q)) (cited_tuples vc))
 
 (* Coverage *)
 

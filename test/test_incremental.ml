@@ -286,7 +286,7 @@ let test_incremental_with_catalog_views () =
   let engine =
     E.create ~selection:`All
       ~policy:(C.Policy.make ~alt_r:C.Policy.Keep_all ())
-      db Dc_gtopdb.Views_catalog.all
+      db Dc_repro.Views_catalog.all
   in
   let reg = I.register engine Dc_gtopdb.Paper_views.query_q in
   let check reg =
@@ -295,7 +295,7 @@ let test_incremental_with_catalog_views () =
       E.cite
         (E.create ~selection:`All
            ~policy:(C.Policy.make ~alt_r:C.Policy.Keep_all ())
-           db' Dc_gtopdb.Views_catalog.all)
+           db' Dc_repro.Views_catalog.all)
         Dc_gtopdb.Paper_views.query_q
     in
     let norm tuples =

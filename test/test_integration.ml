@@ -31,7 +31,7 @@ let test_full_pipeline_on_generated_data () =
   let engine =
     E.create ~selection:`All
       ~policy:(C.Policy.make ~alt_r:C.Policy.Keep_all ())
-      db Dc_gtopdb.Views_catalog.all
+      db Dc_repro.Views_catalog.all
   in
   let result = E.cite engine Dc_gtopdb.Paper_views.query_q in
   Alcotest.(check bool) "rewritings found" true (result.rewritings <> []);
@@ -46,8 +46,8 @@ let test_full_pipeline_on_generated_data () =
 
 let test_workload_runs_end_to_end () =
   let db = G.generate ~seed:3 ~config:small () in
-  let engine = E.create db Dc_gtopdb.Views_catalog.all in
-  let workload = Dc_gtopdb.Workload.generate ~seed:3 ~count:10 in
+  let engine = E.create db Dc_repro.Views_catalog.all in
+  let workload = Dc_repro.Workload.generate ~seed:3 ~count:10 in
   List.iter
     (fun q ->
       let result = E.cite engine q in
@@ -66,7 +66,7 @@ let test_workload_runs_end_to_end () =
 
 let test_every_tuple_has_wellformed_citation () =
   let db = G.generate ~seed:5 ~config:small () in
-  let engine = E.create ~selection:`All db Dc_gtopdb.Views_catalog.all in
+  let engine = E.create ~selection:`All db Dc_repro.Views_catalog.all in
   let result = E.cite engine Dc_gtopdb.Paper_views.query_q in
   List.iter
     (fun (tc : E.tuple_citation) ->
@@ -101,13 +101,14 @@ let test_min_size_never_larger () =
 
 let test_versioned_generated () =
   let db = G.generate ~seed:21 ~config:small () in
-  let store = R.Version_store.create db in
-  let vc =
-    C.Fixity.cite ~store ~views:Dc_gtopdb.Views_catalog.all
-      Dc_gtopdb.Paper_views.query_q
+  let ve = C.Versioned_engine.create db Dc_repro.Views_catalog.all in
+  let cite () =
+    Result.get_ok (C.Versioned_engine.cite_at ve 0 Dc_gtopdb.Paper_views.query_q)
   in
+  let vc = cite () in
   Alcotest.(check bool) "verifies" true
-    (C.Fixity.verify ~store ~views:Dc_gtopdb.Views_catalog.all vc)
+    (C.Versioned_engine.verify ve 0 vc.digest = Ok true
+    && List.equal R.Tuple.equal (cited_tuples (cite ())) (cited_tuples vc))
 
 let suite =
   [
@@ -134,7 +135,7 @@ let test_catalog_and_workload_wellformed () =
             (List.map Dc_cq.Schema_check.problem_to_string
                (Dc_cq.Schema_check.check_query db q)))
         (C.Citation_view.definition cv :: C.Citation_view.citation_queries cv))
-    Dc_gtopdb.Views_catalog.all;
+    Dc_repro.Views_catalog.all;
   List.iter
     (fun q ->
       Alcotest.(check (list string))
@@ -142,15 +143,15 @@ let test_catalog_and_workload_wellformed () =
         []
         (List.map Dc_cq.Schema_check.problem_to_string
            (Dc_cq.Schema_check.check_query db q)))
-    Dc_gtopdb.Workload.templates;
-  Alcotest.(check int) "take clamps" (List.length Dc_gtopdb.Views_catalog.all)
-    (List.length (Dc_gtopdb.Views_catalog.take 999));
-  Alcotest.(check int) "take 0" 0 (List.length (Dc_gtopdb.Views_catalog.take 0))
+    Dc_repro.Workload.templates;
+  Alcotest.(check int) "take clamps" (List.length Dc_repro.Views_catalog.all)
+    (List.length (Dc_repro.Views_catalog.take 999));
+  Alcotest.(check int) "take 0" 0 (List.length (Dc_repro.Views_catalog.take 0))
 
 let test_query_over_view_predicates () =
   (* a query written directly over a view predicate is answered against
      the materialized view (merged database), uncited *)
-  let engine = E.create (paper_db ()) Dc_gtopdb.Views_catalog.all in
+  let engine = E.create (paper_db ()) Dc_repro.Views_catalog.all in
   let result =
     E.cite engine (Testutil.parse "Q(FID,Text) :- V3(FID,Text)")
   in

@@ -94,8 +94,8 @@ let test_mcr_strictly_contained () =
       db
       (Rw.View.Set.to_list views)
   in
-  let ucq = Dc_cq.Ucq.make_exn ~name:"U" disjuncts in
-  let tuples = Dc_cq.Ucq.result view_db ucq in
+  let ucq = Dc_repro.Ucq.make_exn ~name:"U" disjuncts in
+  let tuples = Dc_repro.Ucq.result view_db ucq in
   Alcotest.(check int) "calcitonin families recovered" 2 (List.length tuples)
 
 let test_mcr_subsumption () =

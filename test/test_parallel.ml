@@ -47,8 +47,8 @@ let test_core_detection () =
 let catalog_views n =
   Rw.View.Set.of_list
     (List.map C.Citation_view.view
-       (Dc_gtopdb.Views_catalog.synthetic ~count:n
-       @ [ Dc_gtopdb.Views_catalog.v_committee ]))
+       (Dc_repro.Views_catalog.synthetic ~count:n
+       @ [ Dc_repro.Views_catalog.v_committee ]))
 
 (* Server worker domains search plan-cache misses concurrently: every
    domain running the same search at once must get the sequential
@@ -104,7 +104,7 @@ let test_rewriting_deterministic_workload =
       let views = catalog_views 6 in
       List.for_all
         (fun q -> same_rewritings views q)
-        (Dc_gtopdb.Workload.generate ~seed ~count:4))
+        (Dc_repro.Workload.generate ~seed ~count:4))
 
 (* One engine, many domains                                            *)
 
@@ -118,7 +118,7 @@ let results_agree (a : C.Engine.result) (b : C.Engine.result) =
   && List.for_all2 C.Citation.equal a.result_citations b.result_citations
 
 let batch_queries () =
-  Dc_gtopdb.Paper_views.query_q :: Dc_gtopdb.Workload.generate ~seed:3 ~count:11
+  Dc_gtopdb.Paper_views.query_q :: Dc_repro.Workload.generate ~seed:3 ~count:11
 
 (* Every domain cites one engine — a fresh one, then refreshes whose
    data cells are still empty, so the domains also first-force them

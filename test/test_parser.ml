@@ -98,7 +98,7 @@ let prop_workload_roundtrip =
           match P.parse_query (Cq.Query.to_string q) with
           | Ok q' -> Cq.Query.equal_syntactic q q'
           | Error _ -> false)
-        (Dc_gtopdb.Workload.generate ~seed ~count:5))
+        (Dc_repro.Workload.generate ~seed ~count:5))
 
 let suite =
   [

@@ -1,8 +1,8 @@
 (* Differential testing of the compiled query plans: on random
    databases and random conjunctive queries — repeated variables inside
    atoms and heads, constants in heads, empty relations, [True] atoms —
-   the compiled path must produce results identical to the retained
-   interpreter ([Eval.Reference]), cold and warm. *)
+   the compiled path must produce results identical to the interpreter
+   oracle ([Dc_oracle.Reference]), cold and warm. *)
 
 open Testutil
 module Cq = Dc_cq
@@ -99,11 +99,11 @@ let same_run a b =
 
 let equivalent db query =
   let cache = E.make_cache () in
-  let reference = E.Reference.bindings db query in
+  let reference = Dc_oracle.Reference.bindings db query in
   same_bindings reference (E.bindings ~cache db query)
-  && same_run (E.Reference.run db query) (E.run ~cache db query)
-  && R.Relation.equal (E.Reference.result db query) (E.result ~cache db query)
-  && Bool.equal (E.Reference.holds db query) (E.holds ~cache db query)
+  && same_run (Dc_oracle.Reference.run db query) (E.run ~cache db query)
+  && R.Relation.equal (Dc_oracle.Reference.result db query) (E.result ~cache db query)
+  && Bool.equal (Dc_oracle.Reference.holds db query) (E.holds ~cache db query)
   (* warm path: the second evaluation runs the cached plan *)
   && same_bindings reference (E.bindings ~cache db query)
 
@@ -163,7 +163,7 @@ let test_cache_invalidation_on_update () =
   let r2 = E.result ~cache db' query in
   Alcotest.(check int) "post-update answer" 4 (R.Relation.cardinality r2);
   Alcotest.(check bool) "agrees with reference" true
-    (R.Relation.equal r2 (E.Reference.result db' query));
+    (R.Relation.equal r2 (Dc_oracle.Reference.result db' query));
   (* and the old database still answers through the same cache *)
   Alcotest.(check int) "old value still served" 3
     (R.Relation.cardinality (E.result ~cache db query))
@@ -173,7 +173,7 @@ let test_cache_capacity_bound () =
      must not grow the plan table without bound or corrupt results *)
   let db = rs_db () in
   let cache = E.make_cache () in
-  let reference = E.Reference.result db (q "Q(X) :- R(X,3)") in
+  let reference = Dc_oracle.Reference.result db (q "Q(X) :- R(X,3)") in
   for b = 0 to 1100 do
     let query =
       Cq.Query.make_exn ~name:"Q"
@@ -433,7 +433,7 @@ let block_sorts m = Dc_parallel.Metrics.(count m Key.eval_block_sorts)
    checked too.  Returns the verdict and the blocks the cold
    [run_projected] sorted. *)
 let grouped_as_oracle m db query vars =
-  let reference = E.Reference.bindings db query in
+  let reference = Dc_oracle.Reference.bindings db query in
   let answer b = E.tuple_of_binding query b in
   let projected =
     oracle_group R.Tuple.compare

@@ -72,7 +72,7 @@ let test_compute_shapes () =
     Dc_cq.Eval.Binding.of_list
       [ ("FID", int 11); ("FName", str "Calcitonin"); ("Desc", str "C1"); ("Text", str "1st") ]
   in
-  let e = C.Compute.binding_expr cviews rw b in
+  let e = Dc_oracle.Definitions.binding_expr cviews rw b in
   Alcotest.(check cite_expr) "joint of two leaves"
     (X.joint
        [ X.leaf ~view:"V1" ~params:[ ("FID", int 11) ]; X.leaf ~view:"V3" ~params:[] ])
@@ -83,7 +83,7 @@ let test_compute_shapes () =
     Dc_cq.Eval.Binding.of_list
       [ ("FID", int 11); ("FName", str "Calcitonin"); ("Desc", str "C1"); ("PName", str "X") ]
   in
-  let e2 = C.Compute.binding_expr cviews rw_partial b2 in
+  let e2 = Dc_oracle.Definitions.binding_expr cviews rw_partial b2 in
   Alcotest.(check cite_expr) "only the view leaf"
     (X.leaf ~view:"V1" ~params:[ ("FID", int 11) ])
     (X.normalize e2)

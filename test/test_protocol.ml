@@ -227,6 +227,11 @@ let test_error_line () =
   Alcotest.(check bool)
     "single line" false
     (String.contains line '\n');
+  (* the escaper's bytes: quote, backslash and tab by name, a newline
+     squashed to a space, other control bytes as \u00XX *)
+  Alcotest.(check string) "escaped bytes"
+    {|ERR {"error":"q\"b\\s x\t\u0001"}|}
+    (P.error_line "q\"b\\s\nx\t\001");
   match P.classify_response line with
   | `Err body ->
       Alcotest.(check bool) "body is json" true (body.[0] = '{')

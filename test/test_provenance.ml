@@ -1,7 +1,7 @@
 open Testutil
 module P = Dc_provenance.Polynomial
 module S = Dc_provenance.Semiring
-module A = Dc_provenance.Annotated
+module A = Dc_repro.Annotated
 
 (* Semiring laws, checked per instance with its own generator. *)
 let laws (type t) name (module K : S.S with type t = t) arb =
@@ -196,7 +196,7 @@ let prop_poly_universal =
               P.eval (module S.Counting) (fun _ -> 1) p
               = MC.eval_annotation tcount q tp)
             poly_results)
-        (Dc_gtopdb.Workload.generate ~seed ~count:3))
+        (Dc_repro.Workload.generate ~seed ~count:3))
 
 let suite =
   laws "boolean" (module S.Boolean) arb_bool

@@ -1,6 +1,6 @@
 open Testutil
 module C = Dc_citation
-module VR = Dc_citation.View_registry
+module VR = Dc_repro.View_registry
 module VS = Dc_relational.Version_store
 module D = Dc_relational.Delta
 module Nt = Dc_rdf.Ntriples
@@ -70,10 +70,18 @@ let test_cite_at_uses_era_views () =
 let test_registry_resolve () =
   let store = VS.create (paper_db ()) in
   let reg = VR.create Dc_gtopdb.Paper_views.all in
-  let vc = VR.cite_head ~store reg Dc_gtopdb.Paper_views.query_q in
-  match VR.resolve ~store reg vc with
-  | Error e -> Alcotest.fail e
-  | Ok tuples -> Alcotest.(check int) "resolves" 2 (List.length tuples)
+  let cite () =
+    match
+      VR.cite_at ~store reg ~version:(VS.head store)
+        Dc_gtopdb.Paper_views.query_q
+    with
+    | Ok r -> List.map (fun (tc : C.Engine.tuple_citation) -> tc.tuple) r.tuples
+    | Error e -> Alcotest.fail e
+  in
+  let cited = cite () in
+  Alcotest.(check int) "cites" 2 (List.length cited);
+  Alcotest.(check bool) "re-cites to the same tuples" true
+    (List.equal Dc_relational.Tuple.equal (cite ()) cited)
 
 (* --- N-Triples ----------------------------------------------------- *)
 

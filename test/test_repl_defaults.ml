@@ -1,6 +1,6 @@
 open Testutil
 module C = Dc_citation
-module Repl = Dc_citation.Repl
+module Repl = Dc_repl.Repl
 module Defaults = Dc_citation.Defaults
 
 let contains hay needle =

@@ -96,7 +96,7 @@ let test_candidate_counts_ordered () =
     V.Set.of_list
       (List.map
          (fun cv -> Dc_citation.Citation_view.view cv)
-         (Dc_gtopdb.Views_catalog.synthetic ~count:8))
+         (Dc_repro.Views_catalog.synthetic ~count:8))
   in
   let query = q "Q(FID,FName) :- Family(FID,FName,Desc)" in
   let count strategy =
@@ -213,7 +213,7 @@ let prop_rewriting_soundness =
           ~config:(Dc_gtopdb.Generator.scale Dc_gtopdb.Generator.default_config ~families:10)
           ()
       in
-      let cviews = Dc_gtopdb.Views_catalog.all in
+      let cviews = Dc_repro.Views_catalog.all in
       let vs =
         Dc_citation.Citation_view.Set.view_set
           (Dc_citation.Citation_view.Set.of_list cviews)
@@ -236,7 +236,7 @@ let prop_rewriting_soundness =
               List.sort Dc_relational.Tuple.compare (eval_tuples view_db r)
               = expected)
             rs)
-        (Dc_gtopdb.Workload.generate ~seed ~count:3))
+        (Dc_repro.Workload.generate ~seed ~count:3))
 
 (* Regression for the accumulator rewrite (cons + final reverse): kept
    rewritings come back in discovery order, named "<q>_rw0", "_rw1", …

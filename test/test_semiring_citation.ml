@@ -55,7 +55,7 @@ let test_rewriting_matches_annotated_eval () =
         Prov.Polynomial.var
           (Format.asprintf "%a" X.pp (leaf_token cv tuple))
   in
-  let module M = Prov.Annotated.Make (Prov.Polynomial.Free) in
+  let module M = Dc_repro.Annotated.Make (Prov.Polynomial.Free) in
   let annotated = M.of_database annot view_db in
   (* one rewriting at a time: its Alt-of-Joints expression must match *)
   let rewritings =
@@ -77,7 +77,7 @@ let test_rewriting_matches_annotated_eval () =
                  (Cq.Eval.run view_db rw))
           in
           let expr =
-            C.Compute.tuple_expr_for_rewriting cviews rw bindings
+            Dc_oracle.Definitions.tuple_expr_for_rewriting cviews rw bindings
           in
           Alcotest.(check bool)
             (Format.asprintf "tuple %a via %s" R.Tuple.pp tuple
@@ -93,7 +93,7 @@ let test_counting_semiring_counts_bindings () =
   let db = paper_db () in
   let engine = C.Engine.create ~selection:`All db Dc_gtopdb.Paper_views.all in
   let view_db = C.Engine.view_database engine in
-  let module MC = Prov.Annotated.Make (Prov.Semiring.Counting) in
+  let module MC = Dc_repro.Annotated.Make (Prov.Semiring.Counting) in
   let counted = MC.of_database (fun _ _ -> 1) view_db in
   let rw =
     parse "Q1(FName) :- V1(FID,FName,Desc), V3(FID,Text)"
@@ -128,13 +128,13 @@ let prop_semiring_correspondence_generated =
             Prov.Polynomial.var
               (Format.asprintf "%a" X.pp (leaf_token cv tuple))
       in
-      let module M = Prov.Annotated.Make (Prov.Polynomial.Free) in
+      let module M = Dc_repro.Annotated.Make (Prov.Polynomial.Free) in
       let annotated = M.of_database annot view_db in
       let rw = parse "Q1(FName) :- V1(FID,FName,Desc), V3(FID,Text)" in
       List.for_all
         (fun (tuple, poly) ->
           let bindings = List.assoc tuple (Cq.Eval.run view_db rw) in
-          let expr = C.Compute.tuple_expr_for_rewriting cviews rw bindings in
+          let expr = Dc_oracle.Definitions.tuple_expr_for_rewriting cviews rw bindings in
           expr_token_poly expr = idempotent_normal_form poly)
         (M.eval annotated rw))
 

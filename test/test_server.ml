@@ -3,6 +3,7 @@
 
 module C = Dc_citation
 module S = Dc_server
+module Client = Dc_oracle.Client
 
 let fresh_server () =
   let engine =
@@ -19,9 +20,9 @@ let with_server f =
       f engine server)
 
 let request server line =
-  let conn = S.Client.connect ~port:(S.Server.port server) () in
-  Fun.protect ~finally:(fun () -> S.Client.close conn) (fun () ->
-      S.Client.request conn line)
+  let conn = Client.connect ~port:(S.Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close conn) (fun () ->
+      Client.request conn line)
 
 let expect_ok name = function
   | Some line -> (
@@ -51,16 +52,16 @@ let drive ~port ~clients ~requests_per_client ?(depth = 1) requests =
   let answered = Atomic.make 0 and errors = Atomic.make 0 in
   let busy = Atomic.make 0 in
   let client k () =
-    let conn = S.Client.connect ~port () in
-    Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+    let conn = Client.connect ~port () in
+    Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
     let sent = ref 0 and received = ref 0 and closed = ref false in
     while !received < requests_per_client && not !closed do
       while !sent < requests_per_client && !sent - !received < depth do
-        S.Client.send conn reqs.((k + !sent) mod Array.length reqs);
+        Client.send conn reqs.((k + !sent) mod Array.length reqs);
         incr sent
       done;
-      S.Client.flush_out conn;
-      match S.Client.recv conn with
+      Client.flush_out conn;
+      match Client.recv conn with
       | None -> closed := true
       | Some line -> (
           incr received;
@@ -71,7 +72,7 @@ let drive ~port ~clients ~requests_per_client ?(depth = 1) requests =
               Atomic.incr errors;
               if S.Protocol.is_busy_response line then Atomic.incr busy)
     done;
-    if not !closed then ignore (S.Client.request conn "QUIT")
+    if not !closed then ignore (Client.request conn "QUIT")
   in
   List.init clients (fun k -> Thread.create (client k) ())
   |> List.iter Thread.join;
@@ -91,21 +92,21 @@ let test_cite_roundtrip () =
 
 let test_error_isolation () =
   with_server @@ fun engine server ->
-  let conn = S.Client.connect ~port:(S.Server.port server) () in
-  Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+  let conn = Client.connect ~port:(S.Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
   (* a malformed request costs one ERR line, nothing else *)
-  (match S.Client.request conn "BOGUS nonsense" with
+  (match Client.request conn "BOGUS nonsense" with
   | Some line when String.length line >= 4 && String.sub line 0 4 = "ERR " ->
       ()
   | other ->
       Alcotest.failf "expected ERR, got %s"
         (Option.value ~default:"<closed>" other));
   (* same connection still serves *)
-  let body = expect_ok "cite after error" (S.Client.request conn cite_q) in
+  let body = expect_ok "cite after error" (Client.request conn cite_q) in
   Alcotest.(check bool) "still complete" true
     (contains body {|"complete":true|});
   (* unknown view and unknown relation are errors, not disconnects *)
-  (match S.Client.request conn "CITE_PARAM NoSuchView X=1" with
+  (match Client.request conn "CITE_PARAM NoSuchView X=1" with
   | Some line -> (
       match S.Protocol.classify_response line with
       | `Err _ -> ()
@@ -114,11 +115,11 @@ let test_error_isolation () =
   (* each of the two ERR lines counts once on the registry STATS serves *)
   Alcotest.(check int) "two server errors" 2
     (C.Metrics.count (C.Engine.metrics engine) C.Metrics.Key.server_errors);
-  let stats = expect_ok "stats" (S.Client.request conn "STATS") in
+  let stats = expect_ok "stats" (Client.request conn "STATS") in
   Alcotest.(check bool) "STATS reads two errors" true
     (contains stats {|"server_errors":2,|}
     || contains stats {|"server_errors":2}|});
-  match S.Client.request conn "QUIT" with
+  match Client.request conn "QUIT" with
   | Some line ->
       Alcotest.(check bool) "bye" true (contains line {|"bye":true|})
   | None -> Alcotest.fail "no QUIT response"
@@ -196,9 +197,9 @@ let cite_at_0 = "V2 CITE_AT 0 Q(N) :- Family(F,N,D)"
 
 let test_versioned_roundtrip () =
   with_server @@ fun _engine server ->
-  let conn = S.Client.connect ~port:(S.Server.port server) () in
-  Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
-  let req line = S.Client.request conn line in
+  let conn = Client.connect ~port:(S.Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+  let req line = Client.request conn line in
   (* handshake: HEALTH advertises the protocol and the head version *)
   let health = expect_ok "health" (req "HEALTH") in
   Alcotest.(check bool) "protocol advertised" true
@@ -366,19 +367,19 @@ let test_v1_reads_every_acked_commit () =
                 acked := fid :: !acked;
                 !acked)
           in
-          let conn = S.Client.connect ~port:(S.Server.port server) () in
-          Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+          let conn = Client.connect ~port:(S.Server.port server) () in
+          Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
           List.iter
             (fun f ->
               let cite = Printf.sprintf "CITE Q(N) :- Family(%d,N,D)" f in
-              match ok_body cite (S.Client.request conn cite) with
+              match ok_body cite (Client.request conn cite) with
               | Some body when extract_int body "tuples" <> 1 ->
                   fail "after acking version %d, %s: %s" version cite body
               | _ -> ())
             seen;
           List.iter
             (fun health ->
-              match ok_body health (S.Client.request conn health) with
+              match ok_body health (Client.request conn health) with
               | None -> ()
               | Some body ->
                   if extract_int body "head_version" < version then
@@ -412,17 +413,17 @@ let test_graceful_shutdown () =
   S.Server.wait server;
   restore ();
   Alcotest.(check bool) "stopped" true (S.Server.stopped server);
-  (match S.Client.connect ~port () with
+  (match Client.connect ~port () with
   | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
   | exception Unix.Unix_error _ -> ()
   | conn ->
       (* accept may race the very last moment of shutdown; a closed or
          refused connection both count as "refusing new work" *)
-      (match S.Client.request conn cite_q with
+      (match Client.request conn cite_q with
       | None -> ()
       | Some line ->
           Alcotest.failf "post-stop request was answered: %S" line);
-      S.Client.close conn);
+      Client.close conn);
   (* stop is idempotent after a signal-driven stop *)
   S.Server.stop server
 
@@ -434,8 +435,8 @@ let test_graceful_shutdown () =
    attributable to its request. *)
 let test_pipelining_order () =
   with_server @@ fun _engine server ->
-  let conn = S.Client.connect ~port:(S.Server.port server) () in
-  Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+  let conn = Client.connect ~port:(S.Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
   let n = 50 in
   let stop_commits = Atomic.make false in
   let committer =
@@ -456,11 +457,11 @@ let test_pipelining_order () =
       Thread.join committer)
   @@ fun () ->
   for i = 0 to n - 1 do
-    S.Client.send conn (Printf.sprintf "V2 VERIFY 0 digest%04d" i)
+    Client.send conn (Printf.sprintf "V2 VERIFY 0 digest%04d" i)
   done;
-  S.Client.flush_out conn;
+  Client.flush_out conn;
   for i = 0 to n - 1 do
-    match S.Client.recv conn with
+    match Client.recv conn with
     | None -> Alcotest.failf "connection closed at response %d" i
     | Some line ->
         Alcotest.(check bool)
@@ -471,22 +472,22 @@ let test_pipelining_order () =
 
 let test_cite_batch_wire () =
   with_server @@ fun engine server ->
-  let conn = S.Client.connect ~port:(S.Server.port server) () in
-  Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+  let conn = Client.connect ~port:(S.Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
   (* sequential answers to compare against, same connection *)
-  let solo_family = expect_ok "solo cite" (S.Client.request conn cite_q) in
+  let solo_family = expect_ok "solo cite" (Client.request conn cite_q) in
   let solo_intro =
     expect_ok "solo cite 2"
-      (S.Client.request conn "CITE Q(F) :- FamilyIntro(F,T)")
+      (Client.request conn "CITE Q(F) :- FamilyIntro(F,T)")
   in
-  S.Client.send conn "CITE_BATCH 3";
-  S.Client.send conn "Q(N) :- Family(F,N,D)";
-  S.Client.send conn "this is not a query";
-  S.Client.send conn "Q(F) :- FamilyIntro(F,T)";
-  S.Client.flush_out conn;
-  let r1 = S.Client.recv conn in
-  let r2 = S.Client.recv conn in
-  let r3 = S.Client.recv conn in
+  Client.send conn "CITE_BATCH 3";
+  Client.send conn "Q(N) :- Family(F,N,D)";
+  Client.send conn "this is not a query";
+  Client.send conn "Q(F) :- FamilyIntro(F,T)";
+  Client.flush_out conn;
+  let r1 = Client.recv conn in
+  let r2 = Client.recv conn in
+  let r3 = Client.recv conn in
   (* one line per query, in order: OK, ERR, OK — the bad query costs
      only its own line *)
   let body1 = expect_ok "batch line 1" r1 in
@@ -506,7 +507,7 @@ let test_cite_batch_wire () =
   Alcotest.(check int) "one batch executed" 1
     (C.Metrics.count m C.Metrics.Key.server_batches);
   (* the connection still serves after a batch *)
-  let health = expect_ok "health after batch" (S.Client.request conn "HEALTH") in
+  let health = expect_ok "health after batch" (Client.request conn "HEALTH") in
   Alcotest.(check bool) "serving" true (contains health {|"status":"serving"|})
 
 (* A cite's response is folded from the answer groups (Engine.summary,
@@ -527,9 +528,9 @@ let test_cite_lines_match_cite () =
     S.Server.start ~config:{ S.Server.default_config with port = 0 } engine
   in
   Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
-  let conn = S.Client.connect ~port:(S.Server.port server) () in
-  Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
-  let req line = expect_ok line (S.Client.request conn line) in
+  let conn = Client.connect ~port:(S.Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+  let req line = expect_ok line (Client.request conn line) in
   let parse = Dc_cq.Parser.parse_query_exn in
   let queries =
     [
@@ -554,13 +555,13 @@ let test_cite_lines_match_cite () =
       Alcotest.(check string) ("CITE " ^ q) (sans_ms (cite_line q))
         (sans_ms (req ("CITE " ^ q))))
     queries;
-  S.Client.send conn (Printf.sprintf "CITE_BATCH %d" (List.length queries));
-  List.iter (S.Client.send conn) queries;
-  S.Client.flush_out conn;
+  Client.send conn (Printf.sprintf "CITE_BATCH %d" (List.length queries));
+  List.iter (Client.send conn) queries;
+  Client.flush_out conn;
   List.iter
     (fun q ->
       Alcotest.(check string) ("CITE_BATCH " ^ q) (sans_ms (cite_line q))
-        (sans_ms (expect_ok q (S.Client.recv conn))))
+        (sans_ms (expect_ok q (Client.recv conn))))
     queries;
   (* the same history on a local versioned engine: its stamps (the
      store's clock is a counter) and answers must be the server's *)
@@ -672,6 +673,36 @@ let test_stats_count_derivations () =
   Alcotest.(check bool) "one continued" true
     (contains body {|"datalog_continued_derivations":1,|})
 
+(* v2 HEALTH's capability report, pinned byte for byte: every cite is
+   served by the versioned engine on the effective worker domains, and a
+   recursive program is reported as such. *)
+let test_health_v2_capabilities () =
+  let engine =
+    C.Engine.of_program (Test_datalog.subfamily_db ())
+      Test_datalog.subfamily_program
+  in
+  let config =
+    { S.Server.default_config with port = 0; workers = 2; domains = 2 }
+  in
+  let server = S.Server.start ~config engine in
+  Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
+  let body = expect_ok "v2 health" (request server "V2 HEALTH") in
+  let shards = S.Worker_pool.effective ~requested:2 in
+  let want =
+    Printf.sprintf
+      {|"backend":"versioned","shards":%d,"supports_versions":true,"supports_recursion":true}|}
+      shards
+  in
+  if not (contains body want) then
+    Alcotest.failf "v2 HEALTH %s lacks %s" body want;
+  with_server @@ fun _engine plain ->
+  let body = expect_ok "plain v2 health" (request plain "V2 HEALTH") in
+  Alcotest.(check bool) "no recursion without a program" true
+    (contains body {|"supports_versions":true,"supports_recursion":false}|});
+  let v1 = expect_ok "v1 health" (request plain "HEALTH") in
+  Alcotest.(check bool) "v1 HEALTH carries no capabilities" false
+    (contains v1 {|"backend"|})
+
 let suite =
   [
     Alcotest.test_case "cite over loopback" `Quick test_cite_roundtrip;
@@ -695,4 +726,6 @@ let suite =
     Alcotest.test_case "overload sheds BUSY" `Quick test_busy_shedding;
     Alcotest.test_case "STATS counts derivations" `Quick
       test_stats_count_derivations;
+    Alcotest.test_case "v2 HEALTH capabilities" `Quick
+      test_health_v2_capabilities;
   ]

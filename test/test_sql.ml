@@ -146,7 +146,7 @@ let prop_workload_decompiles =
               match Sql.compile ~schemas sql with
               | Error _ -> false
               | Ok q' -> Cq.Containment.equivalent q q'))
-        (Dc_gtopdb.Workload.generate ~seed ~count:5))
+        (Dc_repro.Workload.generate ~seed ~count:5))
 
 let suite =
   suite

@@ -1,6 +1,6 @@
 open Testutil
 module Cq = Dc_cq
-module U = Dc_cq.Ucq
+module U = Dc_repro.Ucq
 
 let q = parse
 

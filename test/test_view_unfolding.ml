@@ -183,12 +183,12 @@ let oracle ~fallback e (r : E.result) : E.result =
   let tuples =
     List.map
       (fun (tuple, contribs) ->
-        let expr = X.normalize (C.Compute.tuple_expr cviews (List.rev contribs)) in
+        let expr = X.normalize (Dc_oracle.Definitions.tuple_expr cviews (List.rev contribs)) in
         { E.tuple; expr; citations = C.Policy.eval ~resolve policy expr })
       (R.Tuple.Map.bindings per_tuple)
   in
   let result_expr =
-    X.normalize (C.Compute.result_expr (List.map (fun (tc : E.tuple_citation) -> tc.expr) tuples))
+    X.normalize (Dc_oracle.Definitions.result_expr (List.map (fun (tc : E.tuple_citation) -> tc.expr) tuples))
   in
   {
     r with
@@ -333,7 +333,7 @@ let test_substitution_reads () =
       let want =
         List.map
           (fun (tuple, bindings) ->
-            (tuple, X.normalize (C.Compute.tuple_expr cviews [ (rw, bindings) ])))
+            (tuple, X.normalize (Dc_oracle.Definitions.tuple_expr cviews [ (rw, bindings) ])))
           (Cq.Eval.run extents rw)
       in
       Alcotest.(check (list string))

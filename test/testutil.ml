@@ -31,6 +31,11 @@ let rs_db () =
 
 let paper_db () = Dc_gtopdb.Paper_views.example_database ()
 
+(* A versioned citation's answer tuples, in answer order. *)
+let cited_tuples (c : Dc_citation.Versioned_engine.cited) =
+  List.map (fun (tc : Dc_citation.Engine.tuple_citation) -> tc.tuple)
+    c.result.tuples
+
 (* Alcotest testables *)
 let query = Alcotest.testable Cq.Query.pp Cq.Query.equal_syntactic
 let tuple_t = Alcotest.testable R.Tuple.pp R.Tuple.equal
