@@ -1995,6 +1995,41 @@ let e19 () =
   Printf.printf "\nfold / cite words over the four cites: %.2f\n"
     (words_over_queries (fun _ f -> f)
     /. max 1. (words_over_queries (fun c _ -> c)));
+  subhr "render: S3's summary expression printed";
+  let render_runs = 15 and render_reps = 20 in
+  Printf.printf
+    "Cite_expr.to_string of S3's summary expression, from an engine with\n\
+     selection All (checked equal to Engine.cite's result expression);\n\
+     ms = one render, median (min, max) of %d runs of %d renders\n\n"
+    render_runs render_reps;
+  let render_children, render_ms =
+    let engine =
+      C.Engine.create ~selection:`All db Dc_gtopdb.Paper_views.all
+    in
+    let q =
+      Cq.Parser.parse_query_exn "S3(FID,FName,Desc) :- Family(FID,FName,Desc)"
+    in
+    let expr = (C.Engine.summary engine q).summary_expr in
+    if not (C.Cite_expr.equal expr (C.Engine.cite engine q).result_expr) then
+      failwith "E19: the S3 summary expression differs from the cite's";
+    let per_render () =
+      let _, total =
+        time_ms (fun () ->
+            for _ = 1 to render_reps do
+              ignore (Sys.opaque_identity (C.Cite_expr.to_string expr))
+            done)
+      in
+      total /. float_of_int render_reps
+    in
+    ignore (per_render ());
+    ( (match expr with C.Cite_expr.Agg xs -> List.length xs | _ -> 1),
+      List.sort compare (List.init render_runs (fun _ -> per_render ())) )
+  in
+  let render_median = List.nth render_ms (render_runs / 2)
+  and render_min = List.hd render_ms
+  and render_max = List.nth render_ms (render_runs - 1) in
+  Printf.printf "Agg of %d children: %.3f ms (min %.3f, max %.3f)\n"
+    render_children render_median render_min render_max;
   write_bench_json ~experiment:"E19"
     [
       ("params", json_obj [ ("families", "1000"); ("variants", "4") ]);
@@ -2031,6 +2066,15 @@ let e19 () =
                    ("ratio", Printf.sprintf "%.2f" ratio);
                  ])
              bulk_rows) );
+      ( "render",
+        json_obj
+          [
+            ("query", json_str "S3");
+            ("children", string_of_int render_children);
+            ("median_ms", json_ms render_median);
+            ("min_ms", json_ms render_min);
+            ("max_ms", json_ms render_max);
+          ] );
       ( "kernel_words",
         json_list
           (List.map

@@ -45,7 +45,7 @@ let micro_tests () =
       Test.make ~name:"poly-eval"
         (Staged.stage
            (let p =
-              Dc_citation.Cite_expr.to_polynomial
+              Dc_repro.Annotated.citation_polynomial
                 (Dc_citation.Cite_expr.alt
                    (List.init 20 (fun i ->
                         Dc_citation.Cite_expr.joint

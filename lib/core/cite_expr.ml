@@ -10,10 +10,6 @@ type t =
   | Agg of t list
 
 let leaf ~view ~params = Leaf { view; params }
-let joint es = Joint es
-let alt es = Alt es
-let alt_r es = AltR es
-let agg es = Agg es
 
 let compare_leaf a b =
   match String.compare a.view b.view with
@@ -69,11 +65,10 @@ let normalize_node e =
       in
       match List.sort_uniq compare xs with [ x ] -> x | xs -> with_children e xs)
 
-let rec normalize e =
-  match e with
-  | Leaf _ -> e
-  | Joint xs | Alt xs | AltR xs | Agg xs ->
-      normalize_node (with_children e (List.map normalize xs))
+let joint es = normalize_node (Joint es)
+let alt es = normalize_node (Alt es)
+let alt_r es = normalize_node (AltR es)
+let agg es = normalize_node (Agg es)
 
 let rec collect_leaves acc = function
   | Leaf l -> l :: acc
@@ -85,12 +80,7 @@ let leaves e =
 
 let size e = List.length (leaves e)
 
-let rec node_count = function
-  | Leaf _ -> 1
-  | Joint xs | Alt xs | AltR xs | Agg xs ->
-      1 + List.fold_left (fun acc x -> acc + node_count x) 0 xs
-
-let equal a b = compare (normalize a) (normalize b) = 0
+let equal a b = compare a b = 0
 
 let pp_leaf ppf l =
   if l.params = [] then Format.fprintf ppf "C%s" l.view
@@ -139,18 +129,5 @@ let rec pp_node ppf node =
         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf (sep node))
         pp_child ppf xs
 
-let pp ppf e = pp_node ppf (normalize e)
+let pp = pp_node
 let to_string e = Format.asprintf "%a" pp e
-
-let leaf_token l =
-  Format.asprintf "%a" pp_leaf l
-
-let to_polynomial e =
-  let module P = Dc_provenance.Polynomial in
-  let rec go = function
-    | Leaf l -> P.var (leaf_token l)
-    | Joint xs -> List.fold_left (fun acc x -> P.times acc (go x)) P.one xs
-    | Alt xs | AltR xs | Agg xs ->
-        List.fold_left (fun acc x -> P.plus acc (go x)) P.zero xs
-  in
-  go (normalize e)

@@ -15,7 +15,13 @@ type leaf = {
           unparameterized views *)
 }
 
-type t =
+(** An expression in normal form: no operator node has a child of its
+    own operator, none has exactly one child, and every node's children
+    are distinct and sorted by {!compare}.  Two expressions that denote
+    the same tree up to flattening, singleton wrappers, duplicates and
+    order are therefore one value.  The type is private, so only the
+    constructors below build it; callers pattern-match it. *)
+type t = private
   | Leaf of leaf
   | Joint of t list  (** [·] *)
   | Alt of t list  (** [+] *)
@@ -23,21 +29,18 @@ type t =
   | Agg of t list
 
 val leaf : view:string -> params:(string * Dc_relational.Value.t) list -> t
+
 val joint : t list -> t
+(** [·] of the operands, normalized as one node over normal children: a
+    child of the same operator is flattened into it, the operands are
+    deduplicated and sorted, and a single operand is returned unwrapped.
+    Building bottom-up therefore costs one pass per node.  An empty
+    operand list is kept as the empty node.  {!alt}, {!alt_r} and
+    {!agg} do the same for their operators. *)
+
 val alt : t list -> t
 val alt_r : t list -> t
 val agg : t list -> t
-
-val normalize : t -> t
-(** Flattens nested applications of the same operator, drops singleton
-    wrappers, deduplicates and sorts operands.  Two expressions denoting
-    the same tree up to those laws normalize identically. *)
-
-val normalize_node : t -> t
-(** [normalize] of an expression whose children are already normal:
-    only the root is flattened, deduplicated and sorted, so building a
-    normal expression bottom-up costs one pass per node instead of
-    re-normalizing every subtree at every level. *)
 
 val leaves : t -> leaf list
 (** Distinct leaves, sorted. *)
@@ -46,11 +49,8 @@ val size : t -> int
 (** Number of distinct leaves — the "size of the citation" the paper's
     §3 worries about. *)
 
-val node_count : t -> int
-(** Total operator+leaf count; measures expression blow-up (E3). *)
-
 val equal : t -> t -> bool
-(** Equality after {!normalize}. *)
+(** [compare a b = 0]: equal up to the normal form's laws. *)
 
 val compare : t -> t -> int
 
@@ -59,8 +59,3 @@ val pp : Format.formatter -> t -> unit
     [(CV1(11)·CV3 + CV1(12)·CV3) +R (CV2·CV3)]. *)
 
 val to_string : t -> string
-
-val to_polynomial : t -> Dc_provenance.Polynomial.t
-(** Interprets the expression in ℕ[X] with one indeterminate per leaf
-    and both [+]-like operators as polynomial [+]: the semiring reading
-    of citations that §2 borrows from Green et al. *)

@@ -106,17 +106,16 @@ let run ?cache db t =
           List.map (fun (tuple, ps) -> (tuple, List.map widen_one ps)) runs)
 
 let projection_expr t proj =
-  Cite_expr.normalize_node
-    (Cite_expr.joint
-       (List.map
-          (fun (view, params) ->
-            Cite_expr.leaf ~view
-              ~params:
-                (List.map
-                   (fun (p, src) ->
-                     (p, match src with Fixed c -> c | Var i -> proj.(i)))
-                   params))
-          t.cited))
+  Cite_expr.joint
+    (List.map
+       (fun (view, params) ->
+         Cite_expr.leaf ~view
+           ~params:
+             (List.map
+                (fun (p, src) ->
+                  (p, match src with Fixed c -> c | Var i -> proj.(i)))
+                params))
+       t.cited)
 
 let template views cviews rewriting =
   let vars = ref [] in
@@ -188,13 +187,11 @@ let rewriting_expr t projections =
   match t.constant with
   | Some e -> e
   | None ->
-      Cite_expr.normalize_node
-        (Cite_expr.alt (List.map (projection_expr t) projections))
+      Cite_expr.alt (List.map (projection_expr t) projections)
 
 let projected_expr = function
   | [ (t, projections) ] -> rewriting_expr t projections
   | contribs ->
-      Cite_expr.normalize_node
-        (Cite_expr.alt_r
-           (List.map (fun (t, projections) -> rewriting_expr t projections)
-              contribs))
+      Cite_expr.alt_r
+        (List.map (fun (t, projections) -> rewriting_expr t projections)
+           contribs)

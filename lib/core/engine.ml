@@ -518,8 +518,8 @@ let push_expr exprs expr =
   match exprs with x :: _ when x == expr -> exprs | _ -> expr :: exprs
 
 let aggregate ~resolve e exprs =
-  let result_expr = Cite_expr.normalize_node (Cite_expr.agg exprs) in
-  (result_expr, Policy.eval_normal ~resolve e.policy result_expr)
+  let result_expr = Cite_expr.agg exprs in
+  (result_expr, Policy.eval ~resolve e.policy result_expr)
 
 (* Each answer of the per-rewriting runs of (template, tuples with their
    projections), in tuple order, with the normal expression of what
@@ -568,7 +568,7 @@ let assemble ~resolve e runs =
         match !last with
         | Some (x, citations) when x == expr -> citations
         | _ ->
-            let citations = Policy.eval_normal ~resolve e.policy expr in
+            let citations = Policy.eval ~resolve e.policy expr in
             last := Some (expr, citations);
             citations
       in

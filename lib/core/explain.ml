@@ -77,7 +77,9 @@ let render engine result t =
             (Format.asprintf "\n    cites %a"
                (Format.pp_print_list
                   ~pp_sep:(fun ppf () -> Format.fprintf ppf " · ")
-                  (fun ppf l -> Cite_expr.pp ppf (Cite_expr.Leaf l)))
+                  (fun ppf (l : Cite_expr.leaf) ->
+                    Cite_expr.pp ppf
+                      (Cite_expr.leaf ~view:l.view ~params:l.params)))
                line.leaves);
         Buffer.add_char buf '\n')
       lines;

@@ -21,7 +21,7 @@ let fold_sets combiner sets =
   | Join, [] -> []
   | Join, s :: rest -> List.fold_left Citation.Set.join s rest
 
-let eval_normal ~resolve policy expr =
+let eval ~resolve policy expr =
   let rec go = function
     | Cite_expr.Leaf l -> [ resolve l ]
     | Cite_expr.Joint xs -> fold_sets policy.joint (List.map go xs)
@@ -45,9 +45,6 @@ let eval_normal ~resolve policy expr =
                      rest)))
   in
   go expr
-
-let eval ~resolve policy expr =
-  eval_normal ~resolve policy (Cite_expr.normalize expr)
 
 let combiner_name = function Union -> "union" | Join -> "join"
 

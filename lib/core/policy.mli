@@ -49,14 +49,8 @@ val eval :
   resolve:(Cite_expr.leaf -> Citation.t) -> t -> Cite_expr.t -> Citation.Set.t
 (** Interprets the expression bottom-up; [resolve] turns a [CV(p̄)] leaf
     into its concrete citation (typically {!Citation_view.cite},
-    memoized by the engine). *)
-
-val eval_normal :
-  resolve:(Cite_expr.leaf -> Citation.t) -> t -> Cite_expr.t -> Citation.Set.t
-(** {!eval} of an expression already in {!Cite_expr.normalize}d form,
-    skipping the normalization pass.  The engine builds expressions
-    normal bottom-up ({!Cite_expr.normalize_node}) and evaluates them
-    through this; on any other expression the result is unspecified. *)
+    memoized by the engine).  The expression is normal by construction
+    (see {!Cite_expr.t}), so equal expressions get equal citations. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -70,6 +70,18 @@ module Make (K : Semiring.S) = struct
       K.zero (eval t q)
 end
 
+let rec citation_polynomial (e : Dc_citation.Cite_expr.t) =
+  match e with
+  | Leaf _ -> Polynomial.var (Dc_citation.Cite_expr.to_string e)
+  | Joint xs ->
+      List.fold_left
+        (fun acc x -> Polynomial.times acc (citation_polynomial x))
+        Polynomial.one xs
+  | Alt xs | AltR xs | Agg xs ->
+      List.fold_left
+        (fun acc x -> Polynomial.plus acc (citation_polynomial x))
+        Polynomial.zero xs
+
 module Poly = struct
   module M = Make (Polynomial.Free)
 

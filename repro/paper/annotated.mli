@@ -36,6 +36,12 @@ val tuple_id : string -> Dc_relational.Tuple.t -> string
 (** Canonical indeterminate name for a tuple: ["R(v1,...,vn)"].  Shared
     by tests, benchmarks and the default polynomial annotation. *)
 
+val citation_polynomial : Dc_citation.Cite_expr.t -> Polynomial.t
+(** Interprets a citation expression in ℕ[X] with one indeterminate per
+    leaf, named as the leaf prints, and [·] as polynomial [×] and [+],
+    [+R] and [Agg] as polynomial [+]: the semiring reading of citations
+    that the paper's §2 borrows from Green et al. *)
+
 module Poly : sig
   type t
 

@@ -1,18 +1,19 @@
 module C = Dc_citation
 
-let binding_expr cviews rewriting binding =
-  C.Cite_expr.joint
+let binding_expr cviews rewriting binding : Raw_expr.t =
+  Joint
     (List.filter_map
-       (fun atom -> C.Compute.leaf_of_atom cviews atom binding)
+       (fun atom ->
+         Option.map Raw_expr.of_expr (C.Compute.leaf_of_atom cviews atom binding))
        (Dc_cq.Query.body rewriting))
 
-let tuple_expr_for_rewriting cviews rewriting bindings =
-  C.Cite_expr.alt (List.map (binding_expr cviews rewriting) bindings)
+let tuple_expr_for_rewriting cviews rewriting bindings : Raw_expr.t =
+  Alt (List.map (binding_expr cviews rewriting) bindings)
 
-let tuple_expr cviews per_rewriting =
-  C.Cite_expr.alt_r
+let tuple_expr cviews per_rewriting : Raw_expr.t =
+  AltR
     (List.map
        (fun (rw, bindings) -> tuple_expr_for_rewriting cviews rw bindings)
        per_rewriting)
 
-let result_expr = C.Cite_expr.agg
+let result_expr xs : Raw_expr.t = Agg xs

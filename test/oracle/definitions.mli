@@ -13,23 +13,25 @@
     - the query answer aggregates per-tuple citations under [Agg]
       ({!result_expr}).
 
-    Base (non-view) atoms in a partial rewriting contribute no leaf. *)
+    Base (non-view) atoms in a partial rewriting contribute no leaf.
+    Each builds the literal tree, not normalized: compare it after
+    {!Raw_expr.normalize}. *)
 
 val binding_expr :
   Dc_citation.Citation_view.Set.t ->
   Dc_cq.Query.t ->
   Dc_cq.Eval.Binding.t ->
-  Dc_citation.Cite_expr.t
+  Raw_expr.t
 
 val tuple_expr_for_rewriting :
   Dc_citation.Citation_view.Set.t ->
   Dc_cq.Query.t ->
   Dc_cq.Eval.Binding.t list ->
-  Dc_citation.Cite_expr.t
+  Raw_expr.t
 
 val tuple_expr :
   Dc_citation.Citation_view.Set.t ->
   (Dc_cq.Query.t * Dc_cq.Eval.Binding.t list) list ->
-  Dc_citation.Cite_expr.t
+  Raw_expr.t
 
-val result_expr : Dc_citation.Cite_expr.t list -> Dc_citation.Cite_expr.t
+val result_expr : Raw_expr.t list -> Raw_expr.t

@@ -2,9 +2,9 @@
    bindings, builds data-independent expressions once and memoizes leaf
    resolution.  The oracle below is the literal composition it replaces:
    the interpreter's [Dc_oracle.Reference.run] per evaluated rewriting, the
-   per-tuple regrouping into a map, [Definitions.tuple_expr] normalized, and
-   [Policy.eval] per tuple and over the [Agg], with every leaf resolved
-   from scratch. *)
+   per-tuple regrouping into a map, [Definitions.tuple_expr] normalized
+   by [Raw_expr.normalize], and [Policy.eval] per tuple and over the
+   [Agg], with every leaf resolved from scratch. *)
 
 open Testutil
 module C = Dc_citation
@@ -55,12 +55,14 @@ let oracle ~fallback e (r : E.result) =
   let tuples =
     List.map
       (fun (t, contribs) ->
-        let expr = X.normalize (Dc_oracle.Definitions.tuple_expr cviews (List.rev contribs)) in
+        let expr = normal (Dc_oracle.Definitions.tuple_expr cviews (List.rev contribs)) in
         (t, expr, C.Policy.eval ~resolve policy expr))
       (R.Tuple.Map.bindings per_tuple)
   in
   let result_expr =
-    X.normalize (Dc_oracle.Definitions.result_expr (List.map (fun (_, x, _) -> x) tuples))
+    normal
+      (Dc_oracle.Definitions.result_expr
+         (List.map (fun (_, x, _) -> Dc_oracle.Raw_expr.of_expr x) tuples))
   in
   { tuples; result_expr; result_citations = C.Policy.eval ~resolve policy result_expr }
 

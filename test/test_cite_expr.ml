@@ -51,12 +51,11 @@ let test_pp_shape () =
 
 let test_leaves_and_size () =
   let e = E.alt_r [ E.joint [ l1; l3 ]; E.joint [ l2; l3 ] ] in
-  Alcotest.(check int) "three distinct leaves" 3 (E.size e);
-  Alcotest.(check int) "node count" 7 (E.node_count (E.normalize e))
+  Alcotest.(check int) "three distinct leaves" 3 (E.size e)
 
 let test_to_polynomial () =
   let e = E.alt [ E.joint [ l1; l3 ]; E.joint [ l1'; l3 ] ] in
-  let p = E.to_polynomial e in
+  let p = Dc_repro.Annotated.citation_polynomial e in
   Alcotest.(check int) "two monomials" 2 (List.length (P.monomials p));
   Alcotest.(check int) "degree 2" 2 (P.degree p);
   Alcotest.(check (list string)) "tokens" [ "CV1(11)"; "CV1(12)"; "CV3" ]
@@ -71,8 +70,93 @@ let test_leaves_canonical () =
   Alcotest.(check (list string)) "sorted by view" [ "V1"; "V2"; "V3" ]
     (List.map (fun (l : E.leaf) -> l.view) ls)
 
+(* The constructors normalize one node at a time; the oracle normalizes
+   a whole raw tree literally.  Random raw trees nest same-operator
+   nodes, and have singletons, empty nodes and repeated children; their
+   leaves take values that print alike but differ ([Int 1], [Str "1"])
+   or compare equal but print apart ([Float 0.0], [Float (-0.0)]), so
+   the comparison is node for node and tells those representatives
+   apart. *)
+module Raw = Dc_oracle.Raw_expr
+
+let gen_raw =
+  let open QCheck.Gen in
+  let value =
+    oneofl R.Value.[ Int 1; Str "1"; Float 0.0; Float (-0.0); Int 2 ]
+  in
+  let leaf =
+    let* view = oneofl [ "A"; "B" ] in
+    let+ params =
+      oneof [ return []; map (fun v -> [ ("p", v) ]) value ]
+    in
+    Raw.Leaf { view; params }
+  in
+  let op =
+    oneofl
+      [
+        (fun xs -> Raw.Joint xs);
+        (fun xs -> Raw.Alt xs);
+        (fun xs -> Raw.AltR xs);
+        (fun xs -> Raw.Agg xs);
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            ( 3,
+              let* mk = op in
+              let* xs = list_size (int_bound 4) (self (depth - 1)) in
+              (* a repeated child, and a child of the same operator *)
+              let* dup = bool and* nest = bool in
+              let xs = if dup && xs <> [] then List.hd xs :: xs else xs in
+              let+ inner = list_size (int_bound 3) (self (depth - 1)) in
+              mk (if nest then mk inner :: xs else xs) );
+          ])
+    3
+
+let rec same (a : Raw.t) (b : Raw.t) =
+  let same_value (v : R.Value.t) (w : R.Value.t) =
+    match (v, w) with
+    | Float x, Float y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | v, w -> R.Value.compare v w = 0
+  in
+  match (a, b) with
+  | Leaf x, Leaf y ->
+      String.equal x.view y.view
+      && List.equal
+           (fun (n, v) (m, w) -> String.equal n m && same_value v w)
+           x.params y.params
+  | Joint xs, Joint ys | Alt xs, Alt ys | AltR xs, AltR ys | Agg xs, Agg ys ->
+      List.equal same xs ys
+  | _ -> false
+
+let rec show : Raw.t -> string =
+  let node op xs = op ^ "[" ^ String.concat "; " (List.map show xs) ^ "]" in
+  function
+  | Leaf l ->
+      let value (_, v) = Format.asprintf "%a" R.Value.pp v in
+      l.view ^ "(" ^ String.concat "," (List.map value l.params) ^ ")"
+  | Joint xs -> node "Joint" xs
+  | Alt xs -> node "Alt" xs
+  | AltR xs -> node "AltR" xs
+  | Agg xs -> node "Agg" xs
+
+let prop_constructors_normalize =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"smart constructors = literal normalizer"
+       ~count:1000 (QCheck.make ~print:show gen_raw) (fun raw ->
+         let want = Raw.normalize raw in
+         same (Raw.of_expr (Raw.to_expr raw)) want
+         && same (Raw.of_expr (Raw.to_expr want)) want))
+
 let suite =
   [
+    prop_constructors_normalize;
     Alcotest.test_case "flatten" `Quick test_normalize_flatten;
     Alcotest.test_case "dedup" `Quick test_normalize_dedup;
     Alcotest.test_case "singleton unwrap" `Quick test_normalize_singleton;

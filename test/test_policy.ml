@@ -76,7 +76,7 @@ let test_compute_shapes () =
   Alcotest.(check cite_expr) "joint of two leaves"
     (X.joint
        [ X.leaf ~view:"V1" ~params:[ ("FID", int 11) ]; X.leaf ~view:"V3" ~params:[] ])
-    e;
+    (normal e);
   (* base atoms contribute nothing *)
   let rw_partial = parse "Qp(FName) :- V1(FID,FName,Desc), Committee(FID,PName)" in
   let b2 =
@@ -86,7 +86,7 @@ let test_compute_shapes () =
   let e2 = Dc_oracle.Definitions.binding_expr cviews rw_partial b2 in
   Alcotest.(check cite_expr) "only the view leaf"
     (X.leaf ~view:"V1" ~params:[ ("FID", int 11) ])
-    (X.normalize e2)
+    (normal e2)
 
 let test_policy_pp () =
   Alcotest.(check string) "default" "·=union, +=union, Agg=union, +R=min-size"

@@ -35,8 +35,10 @@ let idempotent_normal_form p =
   |> List.sort_uniq compare
 
 let expr_token_poly expr =
-  (* reuse Cite_expr.to_polynomial, which names leaves the same way *)
-  idempotent_normal_form (X.to_polynomial expr)
+  (* reuse Annotated.citation_polynomial, which names leaves the same
+     way *)
+  idempotent_normal_form
+    (Dc_repro.Annotated.citation_polynomial (normal expr))
 
 let test_rewriting_matches_annotated_eval () =
   let db = paper_db () in

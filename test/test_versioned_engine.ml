@@ -18,7 +18,7 @@ let make ?capacity () =
   V.create ?capacity ~selection:`All ~policy:(policy ()) (paper_db ()) views
 
 (* Everything observable about a result, as one string: the JSON
-   summary plus every tuple's normalized expression.  Byte equality of
+   summary plus every tuple's expression.  Byte equality of
    fingerprints is the paper's determinism requirement for cite-as-of. *)
 let fingerprint (r : E.result) =
   E.result_to_json r
@@ -26,8 +26,7 @@ let fingerprint (r : E.result) =
   ^ String.concat "|"
       (List.map
          (fun (tc : E.tuple_citation) ->
-           R.Tuple.to_string tc.tuple ^ "="
-           ^ C.Cite_expr.to_string (C.Cite_expr.normalize tc.expr))
+           R.Tuple.to_string tc.tuple ^ "=" ^ C.Cite_expr.to_string tc.expr)
          r.tuples)
 
 (* Tuple-level fingerprint only (no enumeration stats): what a
@@ -36,8 +35,7 @@ let tuple_fingerprint (r : E.result) =
   String.concat "|"
     (List.map
        (fun (tc : E.tuple_citation) ->
-         R.Tuple.to_string tc.tuple ^ "="
-         ^ C.Cite_expr.to_string (C.Cite_expr.normalize tc.expr))
+         R.Tuple.to_string tc.tuple ^ "=" ^ C.Cite_expr.to_string tc.expr)
        r.tuples)
 
 let ok_exn what = function

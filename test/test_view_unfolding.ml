@@ -183,12 +183,16 @@ let oracle ~fallback e (r : E.result) : E.result =
   let tuples =
     List.map
       (fun (tuple, contribs) ->
-        let expr = X.normalize (Dc_oracle.Definitions.tuple_expr cviews (List.rev contribs)) in
+        let expr = normal (Dc_oracle.Definitions.tuple_expr cviews (List.rev contribs)) in
         { E.tuple; expr; citations = C.Policy.eval ~resolve policy expr })
       (R.Tuple.Map.bindings per_tuple)
   in
   let result_expr =
-    X.normalize (Dc_oracle.Definitions.result_expr (List.map (fun (tc : E.tuple_citation) -> tc.expr) tuples))
+    normal
+      (Dc_oracle.Definitions.result_expr
+         (List.map
+            (fun (tc : E.tuple_citation) -> Dc_oracle.Raw_expr.of_expr tc.expr)
+            tuples))
   in
   {
     r with
@@ -333,7 +337,7 @@ let test_substitution_reads () =
       let want =
         List.map
           (fun (tuple, bindings) ->
-            (tuple, X.normalize (Dc_oracle.Definitions.tuple_expr cviews [ (rw, bindings) ])))
+            (tuple, normal (Dc_oracle.Definitions.tuple_expr cviews [ (rw, bindings) ])))
           (Cq.Eval.run extents rw)
       in
       Alcotest.(check (list string))

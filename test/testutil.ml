@@ -44,6 +44,11 @@ let value_t = Alcotest.testable R.Value.pp R.Value.equal
 let cite_expr =
   Alcotest.testable Dc_citation.Cite_expr.pp Dc_citation.Cite_expr.equal
 
+(* The oracle's expression: the literal tree, normalized literally,
+   then rebuilt through the constructors, which on a normal tree have
+   nothing left to do. *)
+let normal e = Dc_oracle.Raw_expr.(to_expr (normalize e))
+
 let sorted_tuples rel = R.Relation.tuples rel
 
 let check_tuples msg expected actual =

@@ -2,9 +2,10 @@
 # lib/ is what the production executables link.  Every compilation unit
 # built under lib/ must reach at least one of them, as a camlDc_<lib>__<Unit>
 # data symbol in its native build, unless linked_units.allow (beside this
-# script) names it with a reason.  Units cannot show submodules, so lib/
-# must also define no module named Reference or Naive: oracles live in
-# test/oracle.
+# script) names it with a reason.  An allowlist entry must name a unit that
+# is built under lib/ and is not linked, so a stale entry fails too.  Units
+# cannot show submodules, so lib/ must also define no module named
+# Reference or Naive: oracles live in test/oracle.
 #
 # Usage, from the repository root after `dune build`:
 #   sh tools/lint_linked_units.sh [BUILD_DIR]    (default _build/default)
@@ -28,6 +29,15 @@ for unit in $unlinked; do
     echo "unlinked, allowed: $unit ($reason)"
   else
     echo "unlinked: $unit (move it out of lib/, or allow it in $allow with a reason)"
+    status=1
+  fi
+done
+for unit in $(sed -nE 's/^(camlDc_[A-Za-z0-9_]+).*$/\1/p' "$allow"); do
+  if ! printf '%s\n' "$units" | grep -qxF "$unit"; then
+    echo "stale allowlist entry: $unit is not built under lib/ (remove it from $allow)"
+    status=1
+  elif ! printf '%s\n' "$unlinked" | grep -qxF "$unit"; then
+    echo "stale allowlist entry: $unit is linked (remove it from $allow)"
     status=1
   fi
 done
