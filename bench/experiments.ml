@@ -464,7 +464,9 @@ let e7 () =
 let e8 () =
   hr "E8  Fixity: versioned store and citation resolution";
   let db = G.generate ~seed:6 ~config:(families 1000) () in
-  let ve = C.Versioned_engine.create db Dc_gtopdb.Paper_views.all in
+  let ve =
+    C.Versioned_engine.of_engine @@ C.Engine.create db Dc_gtopdb.Paper_views.all
+  in
   let query = Dc_gtopdb.Paper_views.query_q in
   let tuples (c : C.Versioned_engine.cited) =
     List.map (fun (tc : C.Engine.tuple_citation) -> tc.tuple) c.result.tuples
@@ -527,7 +529,7 @@ let e9 () =
       let report, t =
         timed ~runs:1 (fun () -> C.Coverage.analyze ~db vset workload)
       in
-      let greedy = C.Coverage.greedy_minimal_views vset workload in
+      let greedy = Dc_repro.View_selection.greedy_minimal_views vset workload in
       row [ 8; 10; 11; 12; 12 ]
         [
           string_of_int n;
@@ -733,12 +735,12 @@ let e12 () =
      FamilyIntro(k,Text)\n\n";
   let landing k =
     Cq.Query.make_exn ~name:"Q"
-      ~head:[ Cq.Term.var "FName"; Cq.Term.var "Text" ]
+      ~head:[ Cq.Term.Var "FName"; Cq.Term.Var "Text" ]
       ~body:
         [
           Cq.Atom.make "Family"
-            [ Cq.Term.const k; Cq.Term.var "FName"; Cq.Term.var "Desc" ];
-          Cq.Atom.make "FamilyIntro" [ Cq.Term.const k; Cq.Term.var "Text" ];
+            [ Cq.Term.Const k; Cq.Term.Var "FName"; Cq.Term.Var "Desc" ];
+          Cq.Atom.make "FamilyIntro" [ Cq.Term.Const k; Cq.Term.Var "Text" ];
         ]
       ()
   in
@@ -775,7 +777,7 @@ let e12 () =
       C.Metrics.count m C.Metrics.Key.plan_cache_misses )
   in
   let versions_row =
-    let ve = C.Versioned_engine.create db views in
+    let ve = C.Versioned_engine.of_engine @@ C.Engine.create db views in
     let added =
       List.init n_versions (fun i ->
           let k = R.Value.Int (1_000_000 + i) in
@@ -1066,7 +1068,9 @@ let e15 () =
   let rows =
     List.map
       (fun n ->
-        let ve = C.Versioned_engine.create ~capacity:2 db views in
+        let ve =
+          C.Versioned_engine.of_engine ~capacity:2 @@ C.Engine.create db views
+        in
         ignore (ok (C.Versioned_engine.cite ve q));
         ok (C.Versioned_engine.register ve q);
         let v1, commit_ms =
@@ -1140,8 +1144,8 @@ let e15 () =
     List.map
       (fun n ->
         let db = G.generate ~seed:6 ~config:(families n) () in
-        let v1_ve = C.Versioned_engine.create db [] in
-        let v2_ve = C.Versioned_engine.create db [] in
+        let v1_ve = C.Versioned_engine.of_engine @@ C.Engine.create db [] in
+        let v2_ve = C.Versioned_engine.of_engine @@ C.Engine.create db [] in
         ignore (ok (C.Versioned_engine.digest_at v2_ve 0));
         let per_commit ve digest =
           median
@@ -1195,7 +1199,7 @@ let e15 () =
     List.map
       (fun n ->
         let db = G.generate ~seed:6 ~config:(families n) () in
-        let ve = C.Versioned_engine.create db views in
+        let ve = C.Versioned_engine.of_engine @@ C.Engine.create db views in
         ignore (ok (C.Versioned_engine.cite ve (landing 1)));
         let rebuild db name =
           let rel = R.Database.relation_exn db name in
@@ -1220,7 +1224,7 @@ let e15 () =
               in
               let rebuilt, rebuilt_ms = time_ms (fun () -> C.Engine.cite eng q) in
               if
-                C.Engine.result_to_json carried <> C.Engine.result_to_json rebuilt
+                Dc_oracle.Result_json.(of_result carried <> of_result rebuilt)
               then failwith "E15: carried and rebuilt statistics cite differently";
               (carried_ms, rebuilt_ms))
         in
@@ -1362,7 +1366,10 @@ let e16 () =
                      (fun db -> C.Engine.create db views))
               in
               (ve, Some st)
-          | _ -> (C.Versioned_engine.create ~capacity:2 db views, None)
+          | _ ->
+              ( C.Versioned_engine.of_engine ~capacity:2
+                @@ C.Engine.create db views,
+                None )
         in
         let _, total_ms =
           time_ms (fun () ->
@@ -1469,7 +1476,8 @@ let e16 () =
   in
   let _, mem_ops =
     warm_ops "in-memory" (fun () ->
-        (C.Versioned_engine.create ~capacity:2 db views, fun () -> ()))
+        ( C.Versioned_engine.of_engine ~capacity:2 @@ C.Engine.create db views,
+          fun () -> () ))
   in
   let _, dur_ops =
     warm_ops "durable" (fun () ->
@@ -1845,10 +1853,12 @@ let e19 () =
         let rewritings =
           match (C.Engine.cite engine q).selected with [] -> [ q ] | rws -> rws
         in
+        let cviews = C.Engine.citation_views engine in
+        let views = C.Citation_view.Set.view_set cviews in
         let runs =
           List.map
             (fun rw ->
-              let t = C.Engine.template engine rw in
+              let t = C.Compute.template views cviews rw in
               match C.Compute.expansion t with
               | Some expansion -> (expansion, C.Compute.vars t)
               | None -> failwith "E19: a selected rewriting is vacuous")
@@ -2294,7 +2304,7 @@ let e22 () =
             (R.Database.create_relation R.Database.empty schema)
             "Subfamily" (forest rng n)
         in
-        let ve = C.Versioned_engine.create_program db program in
+        let ve = C.Versioned_engine.of_engine @@ C.Engine.of_program db program in
         let template = C.Versioned_engine.template ve in
         let continued () =
           C.Metrics.count (C.Versioned_engine.metrics ve)

@@ -109,8 +109,10 @@ let et_al citation =
   if List.length snippets <= 3 then citation
   else
     let kept = List.filteri (fun i _ -> i < 3) snippets in
-    C.Citation.with_snippets citation
-      (kept @ [ C.Snippet.make ~source:"abbrev" [ ("note", R.Value.Str "et al") ] ])
+    C.Citation.make ~view:(C.Citation.view citation)
+      ~params:(C.Citation.params citation)
+      ~snippets:
+        (kept @ [ C.Snippet.make ~source:"abbrev" [ ("note", R.Value.Str "et al") ] ])
 
 let v_drugs =
   C.Citation_view.make_exn

@@ -32,10 +32,10 @@ let () =
     R.Delta.empty
     |> (fun d ->
          R.Delta.insert d "Family"
-           (R.Tuple.make [ R.Value.int 13; R.Value.str "Calcitonin"; R.Value.str "C3" ]))
+           (R.Tuple.make [ R.Value.Int 13; R.Value.Str "Calcitonin"; R.Value.Str "C3" ]))
     |> fun d ->
     R.Delta.insert d "FamilyIntro"
-      (R.Tuple.make [ R.Value.int 13; R.Value.str "3rd" ])
+      (R.Tuple.make [ R.Value.Int 13; R.Value.Str "3rd" ])
   in
   let reg = C.Incremental.apply_delta reg delta in
   Format.printf
@@ -68,7 +68,7 @@ let () =
   let store, v1 =
     R.Version_store.commit_delta store
       (R.Delta.insert R.Delta.empty "Committee"
-         (R.Tuple.make [ R.Value.int 12; R.Value.str "New Curator" ]))
+         (R.Tuple.make [ R.Value.Int 12; R.Value.Str "New Curator" ]))
   in
   let registry =
     Dc_repro.View_registry.update registry ~from_version:v1

@@ -17,7 +17,11 @@ module R = Dc_relational
 
 let () =
   let db = Dc_gtopdb.Paper_views.example_database () in
-  Format.printf "=== Base database ===@.%a@.@." R.Database.pp_summary db;
+  Format.printf "=== Base database ===@.";
+  List.iter
+    (fun r -> Format.printf "%s: %d tuples@." (R.Relation.name r) (R.Relation.cardinality r))
+    (R.Database.relations db);
+  Format.printf "@.";
 
   (* Evaluate Q with +R = keep-all so the full formal expression with
      both rewritings is visible, as in the paper's derivation. *)

@@ -27,8 +27,9 @@ let () =
   (* generated defaults for the one relation the curated catalogue
      ignores *)
   let defaults =
-    C.Defaults.views_for_relation ~blurb:"GtoPdb synthetic release 2026.1"
-      Dc_gtopdb.Schema_def.contributor
+    C.Defaults.views_for_database ~blurb:"GtoPdb synthetic release 2026.1"
+      (R.Database.create_relation R.Database.empty
+         Dc_gtopdb.Schema_def.contributor)
   in
   let views = curated @ defaults in
   Format.printf "installed %d views: %s@." (List.length views)
@@ -40,13 +41,13 @@ let () =
   let report = C.Coverage.analyze ~db vset workload in
   Format.printf "%d/%d queries covered, %d ambiguous@." report.covered
     report.total report.ambiguous;
-  let suggestions = C.Coverage.suggest_views vset workload in
+  let suggestions = Dc_repro.View_selection.suggest_views vset workload in
   Format.printf "suggested additional views for full coverage: %d@."
     (List.length suggestions);
 
   section "3. A visitor browses a page";
   let engine = C.Engine.create db views in
-  (match C.Page.render engine ~view:"V1" ~params:[ ("FID", R.Value.int 7) ] with
+  (match C.Page.render engine ~view:"V1" ~params:[ ("FID", R.Value.Int 7) ] with
   | Error e -> Format.printf "page error: %s@." e
   | Ok page -> print_endline (C.Page.to_text page));
 
@@ -95,7 +96,7 @@ let () =
       let delta =
         R.Delta.insert R.Delta.empty "Family"
           (R.Tuple.make
-             [ R.Value.int 9999; R.Value.str "Brand-new family"; R.Value.str "new" ])
+             [ R.Value.Int 9999; R.Value.Str "Brand-new family"; R.Value.Str "new" ])
       in
       ignore (Result.get_ok (C.Versioned_engine.commit_delta ve delta));
       Dc_storage.Store.close st;

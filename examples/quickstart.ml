@@ -19,8 +19,8 @@ let () =
     |> fun db ->
     R.Database.insert_list db "Paper"
       [
-        R.Tuple.make [ R.Value.int 1; R.Value.str "Provenance Semirings"; R.Value.str "Green" ];
-        R.Tuple.make [ R.Value.int 2; R.Value.str "Answering Queries Using Views"; R.Value.str "Halevy" ];
+        R.Tuple.make [ R.Value.Int 1; R.Value.Str "Provenance Semirings"; R.Value.Str "Green" ];
+        R.Tuple.make [ R.Value.Int 2; R.Value.Str "Answering Queries Using Views"; R.Value.Str "Halevy" ];
       ]
   in
 

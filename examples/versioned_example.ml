@@ -21,7 +21,7 @@ let () =
   let db = Dc_gtopdb.Paper_views.example_database () in
   let views = Dc_gtopdb.Paper_views.all in
   let query = Dc_gtopdb.Paper_views.query_q in
-  let ve = V.create db views in
+  let ve = V.of_engine @@ C.Engine.create db views in
 
   (* Cite at the initial version. *)
   let cited = cite ve (V.head ve) query in
@@ -42,14 +42,14 @@ let () =
     |> (fun d ->
          R.Delta.delete d "Family"
            (R.Tuple.make
-              [ R.Value.int 21; R.Value.str "Dopamine receptors"; R.Value.str "D1" ]))
+              [ R.Value.Int 21; R.Value.Str "Dopamine receptors"; R.Value.Str "D1" ]))
     |> (fun d ->
          R.Delta.insert d "Family"
            (R.Tuple.make
-              [ R.Value.int 21; R.Value.str "Dopamine receptors (renamed)"; R.Value.str "D1" ]))
+              [ R.Value.Int 21; R.Value.Str "Dopamine receptors (renamed)"; R.Value.Str "D1" ]))
     |> (fun d ->
          R.Delta.delete d "Family"
-           (R.Tuple.make [ R.Value.int 11; R.Value.str "Calcitonin"; R.Value.str "C1" ]))
+           (R.Tuple.make [ R.Value.Int 11; R.Value.Str "Calcitonin"; R.Value.Str "C1" ]))
   in
   let v1 = Result.get_ok (V.commit_delta ve delta) in
   Format.printf "Database evolved to version %d.@.@." v1;

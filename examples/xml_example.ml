@@ -28,7 +28,13 @@ let () =
   Format.printf "parsed export rooted at <%s>@."
     (Option.value ~default:"?" (X.Node.tag doc));
   let db = X.Subtree_view.encode doc in
-  Format.printf "relational encoding:@.%a@.@." Dc_relational.Database.pp_summary db;
+  Format.printf "relational encoding:@.";
+  List.iter
+    (fun r ->
+      Format.printf "%s: %d tuples@." (Dc_relational.Relation.name r)
+        (Dc_relational.Relation.cardinality r))
+    (Dc_relational.Database.relations db);
+  Format.printf "@.";
 
   let views =
     [

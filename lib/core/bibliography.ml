@@ -1,35 +1,23 @@
-type entry = {
-  key : string;
-  query_text : string;
-  citations : Citation.Set.t;
-  version : Dc_relational.Version_store.version option;
-}
+type entry = { key : string; query_text : string; citations : Citation.Set.t }
+type t = { mutable entries : entry list }
 
-type t = { store : Citation_store.t; mutable entries : entry list }
+let create () = { entries = [] }
 
-let create () = { store = Citation_store.create (); entries = [] }
-
-let add ?version bib ~query citations =
-  let key = Citation_store.put bib.store citations in
+let add_result bib (result : Engine.result) =
+  let citations = result.result_citations in
+  let key = Citation.Set.content_key citations in
   if not (List.exists (fun e -> String.equal e.key key) bib.entries) then
     bib.entries <-
       bib.entries
-      @ [ { key; query_text = Dc_cq.Query.to_string query; citations; version } ];
+      @ [ { key; query_text = Dc_cq.Query.to_string result.query; citations } ];
   key
 
-let add_result bib (result : Engine.result) =
-  add bib ~query:result.query result.result_citations
-
 let entries bib = bib.entries
-let find bib key = List.find_opt (fun e -> String.equal e.key key) bib.entries
 
-let render ?(format = Fmt_citation.Human) bib =
+let render bib =
   String.concat "\n\n"
     (List.map
        (fun e ->
-         Printf.sprintf "[%s] %s%s\n%s" e.key e.query_text
-           (match e.version with
-           | Some v -> Printf.sprintf " (version %d)" v
-           | None -> "")
-           (Fmt_citation.render format e.citations))
+         Printf.sprintf "[%s] %s\n%s" e.key e.query_text
+           (Fmt_citation.render Fmt_citation.Human e.citations))
        bib.entries)

@@ -2,9 +2,9 @@
 
     Conventional papers collect their citations in a bibliography; this
     module does the same for data citations: each cited query
-    contributes one entry, deduplicated by content (via
-    {!Citation_store}), labelled, and renderable in any
-    {!Fmt_citation.format}.  The in-text reference is the entry's short
+    contributes one entry, deduplicated by content
+    ({!Citation.Set.content_key}), labelled, and rendered in
+    {!Fmt_citation.Human} form.  The in-text reference is the entry's short
     key, answering the paper's "reasonable size for the bibliography
     section" concern: query results carry keys, the bibliography
     carries the extended citations. *)
@@ -12,28 +12,20 @@
 type t
 
 type entry = {
-  key : string;  (** the {!Citation_store} content key *)
+  key : string;  (** the citations' {!Citation.Set.content_key} *)
   query_text : string;
   citations : Citation.Set.t;
-  version : Dc_relational.Version_store.version option;
 }
 
 val create : unit -> t
 
-val add : ?version:Dc_relational.Version_store.version ->
-  t -> query:Dc_cq.Query.t -> Citation.Set.t -> string
-(** Registers the citation set under its content key and returns the
-    key; re-adding an equal set (even for a different query) reuses the
-    entry and returns the same key. *)
-
 val add_result : t -> Engine.result -> string
-(** [add] on a cite result's query and result citations. *)
+(** Adds an entry for a cite result's query and result citations, unless
+    an entry with the same citations exists; returns the entry's key. *)
 
 val entries : t -> entry list
 (** In insertion order. *)
 
-val find : t -> string -> entry option
-
-val render : ?format:Fmt_citation.format -> t -> string
+val render : t -> string
 (** The bibliography section: one block per entry, prefixed with its
     key and cited query. *)

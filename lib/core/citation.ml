@@ -12,7 +12,6 @@ let make ~view ~params ~snippets =
 let view c = c.view
 let params c = c.params
 let snippets c = c.snippets
-let with_snippets c snippets = make ~view:c.view ~params:c.params ~snippets
 
 let merge a b =
   make
@@ -92,6 +91,26 @@ module Set = struct
         of_list (List.concat_map (fun ca -> List.map (merge ca) b) a)
 
   let size = List.length
+
+  let canonical_text set =
+    String.concat "\n"
+      (List.map
+         (fun c ->
+           key c ^ "|"
+           ^ String.concat ";"
+               (List.map
+                  (fun s ->
+                    Snippet.source s ^ ":"
+                    ^ String.concat ","
+                        (List.map
+                           (fun (n, v) -> n ^ "=" ^ Value.to_string v)
+                           (Snippet.fields s)))
+                  c.snippets))
+         set)
+
+  let content_key set =
+    Printf.sprintf "cite:%s"
+      (String.sub (Digest.to_hex (Digest.string (canonical_text set))) 0 12)
 
   let pp ppf cs =
     Format.fprintf ppf "@[<v>%a@]"

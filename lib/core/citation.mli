@@ -18,18 +18,10 @@ val view : t -> string
 val params : t -> (string * Dc_relational.Value.t) list
 val snippets : t -> Snippet.t list
 
-val with_snippets : t -> Snippet.t list -> t
-
-val merge : t -> t -> t
-(** Joint use as a single composite citation: view names concatenated
-    with [·], parameter lists appended, snippets unioned.  Used by the
-    [Join] interpretation of the paper's [·]. *)
-
 val key : t -> string
 (** Stable identity: view name plus parameter valuation (snippets are a
     function of these). *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
@@ -51,8 +43,16 @@ module Set : sig
       [k]). *)
 
   val join : t -> t -> t
-  (** Pairwise {!merge}; the [Join] reading of [·]. *)
+  (** Each pair joined into one composite citation (view names
+      concatenated with [·], parameter lists appended, snippets
+      unioned); the [Join] reading of [·]. *)
 
   val size : t -> int
+
+  val content_key : t -> string
+  (** ["cite:"] and 12 hex digits of a hash of the set's content (each
+      citation's {!key} and snippets): equal sets share a key, and keys
+      are stable across runs. *)
+
   val pp : Format.formatter -> t -> unit
 end

@@ -37,8 +37,6 @@ let definition cv = Dc_rewriting.View.definition cv.view
 let citation_queries cv = cv.citations
 let name cv = Dc_rewriting.View.name cv.view
 let params cv = Dc_rewriting.View.params cv.view
-let is_parameterized cv = params cv <> []
-let post cv = cv.post
 
 let instantiate cq valuation =
   let s =

@@ -29,8 +29,6 @@ val definition : t -> Dc_cq.Query.t
 val citation_queries : t -> Dc_cq.Query.t list
 val name : t -> string
 val params : t -> string list
-val is_parameterized : t -> bool
-val post : t -> Citation.t -> Citation.t
 
 val cite :
   ?cache:Dc_cq.Eval.cache ->
@@ -50,8 +48,6 @@ module Set : sig
   type citation_view = t
   type t
 
-  val empty : t
-  val add : t -> citation_view -> (t, string) result
   val of_list : citation_view list -> t
   (** Raises [Invalid_argument] on duplicate names. *)
 

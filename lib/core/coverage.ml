@@ -53,27 +53,6 @@ let analyze ?db views workload =
 let coverage_ratio r =
   if r.total = 0 then 1.0 else float_of_int r.covered /. float_of_int r.total
 
-let covered_count views workload =
-  List.length
-    (List.filter
-       (fun q -> (Rw.Rewrite.search views q).Rw.Rewrite.queries <> [])
-       workload)
-
-let greedy_minimal_views views workload =
-  let target = covered_count views workload in
-  let rec shrink kept =
-    let try_drop v =
-      let remaining = List.filter (fun v' -> not (v' == v)) kept in
-      if covered_count (Rw.View.Set.of_list remaining) workload = target then
-        Some remaining
-      else None
-    in
-    match List.find_map try_drop kept with
-    | Some remaining -> shrink remaining
-    | None -> kept
-  in
-  shrink (Rw.View.Set.to_list views)
-
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>workload: %d queries, %d covered (%.0f%%), %d ambiguous@ %a@]"
@@ -88,23 +67,3 @@ let pp_report ppf r =
              | Some s -> Format.fprintf ppf ", min citation size %d" s)
            qr.min_citation_size))
     r.per_query
-
-let suggest_views ?(prefix = "Suggested") views workload =
-  let covered vset q = (Rw.Rewrite.search vset q).Rw.Rewrite.queries <> [] in
-  let uncovered = List.filter (fun q -> not (covered views q)) workload in
-  (* each uncovered query, as a view over the base schema; adding a
-     suggestion may cover later uncovered queries, so re-check against
-     the grown view set *)
-  let _, suggestions =
-    List.fold_left
-      (fun (vset, acc) q ->
-        if covered vset q then (vset, acc)
-        else
-          let name = Printf.sprintf "%s%d" prefix (List.length acc) in
-          let view = Cq.Query.with_name name (Cq.Query.strip_params q) in
-          match Rw.View.Set.add vset (Rw.View.of_query view) with
-          | Ok vset -> (vset, acc @ [ view ])
-          | Error _ -> (vset, acc))
-      (views, []) uncovered
-  in
-  suggestions

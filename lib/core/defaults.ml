@@ -52,9 +52,3 @@ let views_for_database ~blurb db =
   List.concat_map
     (fun rel -> views_for_relation ~blurb (R.Relation.schema rel))
     (R.Database.relations db)
-
-let coverage_of_defaults ~blurb db workload =
-  let views = views_for_database ~blurb db in
-  Coverage.analyze ~db
-    (Citation_view.Set.view_set (Citation_view.Set.of_list views))
-    workload

@@ -11,15 +11,6 @@
     With these defaults every single-relation query is covered out of
     the box; the owner then refines or replaces them view by view. *)
 
-val views_for_relation :
-  blurb:string -> Dc_relational.Schema.t -> Citation_view.t list
-
 val views_for_database :
   blurb:string -> Dc_relational.Database.t -> Citation_view.t list
-
-val coverage_of_defaults :
-  blurb:string ->
-  Dc_relational.Database.t ->
-  Dc_cq.Query.t list ->
-  Coverage.report
-(** Convenience: coverage of a workload under the generated defaults. *)
+(** The generated views of every relation of the database. *)

@@ -288,11 +288,9 @@ let shapes_of cview_list =
     placeholder = String.make (longest + 1) '\000';
   }
 
-let make_engine ~policy ~selection ~partial ~fallback_contained ~metrics
-    ~program base cview_list =
-  let metrics =
-    match metrics with Some m -> m | None -> Metrics.create ()
-  in
+let make_engine ~policy ~selection ~partial ~fallback_contained ~program base
+    cview_list =
+  let metrics = Metrics.create () in
   let caches = owner () in
   let cviews = Citation_view.Set.of_list cview_list in
   let idb = idb_cell ~metrics ~caches ~program base in
@@ -334,14 +332,13 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~metrics
   }
 
 let create ?(policy = Policy.default) ?(selection = `Min_estimated_size)
-    ?(partial = false) ?(fallback_contained = false) ?metrics base
-    cview_list =
-  make_engine ~policy ~selection ~partial ~fallback_contained ~metrics
-    ~program:None base cview_list
+    ?(partial = false) ?(fallback_contained = false) base cview_list =
+  make_engine ~policy ~selection ~partial ~fallback_contained ~program:None base
+    cview_list
 
 let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
-    ?(partial = false) ?(fallback_contained = false) ?metrics
-    ?(views = []) base program =
+    ?(partial = false) ?(fallback_contained = false) ?(views = []) base
+    program =
   let cview_list =
     List.map
       (fun (e : Cq.Program.export) ->
@@ -354,7 +351,7 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
       (Cq.Program.unfold_exports program)
     @ views
   in
-  make_engine ~policy ~selection ~partial ~fallback_contained ~metrics
+  make_engine ~policy ~selection ~partial ~fallback_contained
     ~program:(Some program) base cview_list
 
 (* Same data cell (whichever copy forces it first computes it for all),
@@ -365,15 +362,11 @@ let replicate e = { e with caches = owner (); leaves = owner () }
 let database e = e.base
 let program e = e.program
 
-let derived_predicates e =
-  match e.program with None -> [] | Some p -> Cq.Program.idb_preds p
-
 let recursive_predicates e =
   match e.program with None -> [] | Some p -> Cq.Program.recursive_preds p
 
 let citation_views e = e.cviews
 let policy e = e.policy
-let selection e = e.selection
 let metrics e = e.metrics
 
 (* The database a computation naming [preds] runs over: the base alone
@@ -862,16 +855,3 @@ let summary e query = summary_of e (evaluate e query)
 
 let cite_string e src =
   Result.map (cite e) (Cq.Parser.parse_query src)
-
-let result_to_json (r : result) =
-  let jstr s = Printf.sprintf "\"%s\"" (Fmt_citation.json_escape s) in
-  let names qs = String.concat "," (List.map (fun q -> jstr (Cq.Query.name q)) qs) in
-  Printf.sprintf
-    "{\"query\":%s,\"rewritings\":[%s],\"selected\":[%s],\"tuples\":%d,\"expr\":%s,\"citations\":%s,\"complete\":%b,\"stats\":%s}"
-    (jstr (Cq.Query.to_string r.query))
-    (names r.rewritings) (names r.selected)
-    (List.length r.tuples)
-    (jstr (Cite_expr.to_string r.result_expr))
-    (Fmt_citation.render Fmt_citation.Json r.result_citations)
-    r.complete
-    (Rw.Rewrite.stats_to_json r.stats)

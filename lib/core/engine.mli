@@ -42,8 +42,8 @@
     refreshed engine's cell may link to an older engine's cell, and
     then derives by continuing from the nearest computed one (see
     {!refresh}).
-    {!derived_database} forces the cell; {!view_database} and
-    {!merged_database} compute the view extents afresh on each call.
+    {!derived_database} forces the cell; {!merged_database} computes
+    the view extents afresh on each call.
     Results do not depend on whether the cell was forced, or by whom.
 
     {b Rewriting plans: one per query shape, per view set.}  A plan
@@ -113,7 +113,6 @@ val create :
   ?selection:selection ->
   ?partial:bool ->
   ?fallback_contained:bool ->
-  ?metrics:Metrics.t ->
   Dc_relational.Database.t ->
   Citation_view.t list ->
   t
@@ -126,16 +125,15 @@ val create :
     rewriting is answered {e best-effort} through its maximally
     contained rewriting: the tuples are then possibly a strict subset
     of the true answer ([result.complete = false]) but each carries a
-    citation.  With [metrics], the engine records into the given
-    registry instead of a fresh private one — {!Versioned_engine} uses
-    this to aggregate all its per-version engines into one registry. *)
+    citation.  The engine records into a fresh registry of its own
+    ({!metrics}), which its {!refresh}ed copies share — so a
+    {!Versioned_engine}'s per-version engines aggregate into one. *)
 
 val of_program :
   ?policy:Policy.t ->
   ?selection:selection ->
   ?partial:bool ->
   ?fallback_contained:bool ->
-  ?metrics:Metrics.t ->
   ?views:Citation_view.t list ->
   Dc_relational.Database.t ->
   Dc_cq.Program.t ->
@@ -178,25 +176,12 @@ val derived_database : t -> Dc_relational.Database.t
 
 val program : t -> Dc_cq.Program.t option
 
-val derived_predicates : t -> string list
-(** IDB predicate names of the program, stratum order; [[]] without a
-    program. *)
-
 val recursive_predicates : t -> string list
-(** The subset of {!derived_predicates} computed by fixpoint iteration. *)
+(** The program's IDB predicates computed by fixpoint iteration, in
+    stratum order; [[]] without a program. *)
 
 val citation_views : t -> Citation_view.Set.t
 val policy : t -> Policy.t
-
-val selection : t -> selection
-(** The rewriting-selection mode this engine was created with (exposed
-    so wrappers like {!Versioned_engine} can build per-version engines
-    with identical behaviour). *)
-
-val view_database : t -> Dc_relational.Database.t
-(** Every citation view's extent, computed afresh on each call and
-    cached nowhere (recorded under the [materialize] timer).  No cite
-    reads it: it serves {!Explain} and test oracles. *)
 
 val metrics : t -> Metrics.t
 (** This engine's metrics handle: plan/leaf/eval cache hit counters,
@@ -205,10 +190,10 @@ val metrics : t -> Metrics.t
     engines. *)
 
 val merged_database : t -> Dc_relational.Database.t
-(** Base relations, IDB extents and every view extent ({!view_database},
-    computed afresh) in one database: what any rewriting, including a
-    partial one, can be evaluated over directly.  For {!Explain} and
-    test oracles. *)
+(** Base relations, IDB extents and every view extent (computed afresh,
+    under the [materialize] timer) in one database: what any rewriting,
+    including a partial one, can be evaluated over directly.  For
+    {!Explain} and test oracles. *)
 
 type cell
 (** An engine's IDB cell: its program's IDB extents, computed at most
@@ -244,12 +229,6 @@ val refresh :
     {!of_program} — where the view set is chosen — start with a cold
     plan cache. *)
 
-val template : t -> Dc_cq.Query.t -> Compute.template
-(** A rewriting's citation template over this engine's views, with its
-    expansion: what {!cite} evaluates ({!Compute.run}).  {!Incremental}
-    turns each registered rewriting's template into a Datalog rule
-    ({!Compute.rule}). *)
-
 type tuple_citation = {
   tuple : Dc_relational.Tuple.t;
   expr : Cite_expr.t;  (** formal citation, Definitions 2.1/2.2 + [+R] *)
@@ -272,12 +251,6 @@ type result = {
           under-approximate the true answer *)
   stats : Dc_rewriting.Rewrite.stats;
 }
-
-val result_to_json : result -> string
-(** One-line JSON object over the labeled fields: query text, rewriting
-    and selected names, tuple count, the normalized result expression,
-    the concrete citations ({!Fmt_citation} JSON), completeness and
-    {!Dc_rewriting.Rewrite.stats_to_json} stats. *)
 
 val cite : t -> Dc_cq.Query.t -> result
 (** Plans (rewriting search, cached per query shape), selects,

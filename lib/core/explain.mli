@@ -6,19 +6,7 @@
     contributes under that binding (Definition 2.1).  This is the
     why-provenance of the answer rendered in citation terms. *)
 
-type binding_line = {
-  rewriting : string;
-  binding : (string * Dc_relational.Value.t) list;
-  leaves : Cite_expr.leaf list;
-}
-
-val tuple :
-  Engine.t ->
-  Engine.result ->
-  Dc_relational.Tuple.t ->
-  binding_line list
-(** Empty when the tuple is not part of the result. *)
-
 val render : Engine.t -> Engine.result -> Dc_relational.Tuple.t -> string
-(** Text rendering of {!tuple}, ending with the tuple's formal
-    expression. *)
+(** One ["  via <rewriting> with {<binding>}"] line per derivation of
+    the tuple, each followed by the leaves it cites, then the tuple's
+    formal expression; says so when the tuple is not in the result. *)

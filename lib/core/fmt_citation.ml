@@ -11,15 +11,6 @@ let format_of_string s =
   | "json" -> Ok Json
   | other -> Error (Printf.sprintf "unknown citation format %S" other)
 
-let format_to_string = function
-  | Human -> "human"
-  | Bibtex -> "bibtex"
-  | Ris -> "ris"
-  | Xml -> "xml"
-  | Json -> "json"
-
-let all_formats = [ Human; Bibtex; Ris; Xml; Json ]
-
 let xml_escape s =
   let buf = Buffer.create (String.length s) in
   String.iter

@@ -8,8 +8,6 @@
 type format = Human | Bibtex | Ris | Xml | Json
 
 val format_of_string : string -> (format, string) result
-val format_to_string : format -> string
-val all_formats : format list
 
 val json_escape : string -> string
 (** The body of a JSON string literal: the double quote, backslash,

@@ -26,13 +26,5 @@ val render :
     engine's base database and attaches the view's citation.  Errors:
     unknown view, missing parameter. *)
 
-val page_ids : Engine.t -> view:string -> (string * Dc_relational.Value.t) list list
-(** All parameter valuations that currently have a non-empty page —
-    the site map.  Empty-parameter views yield the single page [[]]. *)
-
 val to_text : t -> string
 (** A plain-text rendering of the page: header, rows, citation. *)
-
-val to_html : t -> string
-(** A self-contained HTML rendering: caption, data table, and a
-    "cite as" block (human-readable plus a BibTeX <pre>). *)

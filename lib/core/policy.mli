@@ -52,5 +52,4 @@ val eval :
     memoized by the engine).  The expression is normal by construction
     (see {!Cite_expr.t}), so equal expressions get equal citations. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -5,7 +5,6 @@ type t = { source : string; fields : (string * Value.t) list }
 let make ~source fields = { source; fields }
 let source s = s.source
 let fields s = s.fields
-let field s name = List.assoc_opt name s.fields
 
 let compare a b =
   match String.compare a.source b.source with
@@ -17,8 +16,6 @@ let compare a b =
           | c -> c)
         a.fields b.fields
   | c -> c
-
-let equal a b = compare a b = 0
 
 let pp ppf s =
   let pp_field ppf (n, v) = Format.fprintf ppf "%s=%a" n Value.pp v in

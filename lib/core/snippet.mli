@@ -14,9 +14,7 @@ val make :
 
 val source : t -> string
 val fields : t -> (string * Dc_relational.Value.t) list
-val field : t -> string -> Dc_relational.Value.t option
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val of_tuple :

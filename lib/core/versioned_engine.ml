@@ -73,7 +73,9 @@ let weak x =
   Weak.set w 0 (Some x);
   w
 
-let of_engine ?(capacity = 4) ?store eng =
+(* [store] is a recovered store to serve instead of a fresh one over the
+   engine's database. *)
+let wrap ?(capacity = 4) store eng =
   if capacity < 1 then
     invalid_arg "Versioned_engine.of_engine: capacity must be >= 1";
   let store, engines =
@@ -107,19 +109,7 @@ let of_engine ?(capacity = 4) ?store eng =
     durability = None;
   }
 
-let create ?policy ?selection ?partial ?fallback_contained ?capacity ?metrics
-    db views =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  of_engine ?capacity
-    (Engine.create ?policy ?selection ?partial ?fallback_contained ~metrics db
-       views)
-
-let create_program ?policy ?selection ?partial ?fallback_contained ?capacity
-    ?metrics ?views db prog =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  of_engine ?capacity
-    (Engine.of_program ?policy ?selection ?partial ?fallback_contained
-       ~metrics ?views db prog)
+let of_engine ?capacity eng = wrap ?capacity None eng
 
 let template t = t.template
 
@@ -129,7 +119,6 @@ let head t = VS.head (snapshot t)
 let versions t = VS.versions (snapshot t)
 let timestamp t v = VS.timestamp (snapshot t) v
 let metrics t = t.metrics
-let capacity t = t.capacity
 let cached_versions t = locked t (fun () -> List.map fst t.engines)
 let registrations t = locked t (fun () -> List.map fst t.regs)
 
@@ -308,8 +297,8 @@ let register t q = register_gen ~durable:true t q
 
 (* The one way a data directory is opened.  The engine is made over
    [db] for a fresh store and over the recovered head otherwise (its
-   database then only types the views: [of_engine ~store] serves the
-   recovered versions).  Recovered registrations are re-armed without
+   database then only types the views: [wrap] serves the recovered
+   versions).  Recovered registrations are re-armed without
    appending them again, or every restart would grow the log with
    duplicates. *)
 let open_durable ?capacity ?fsync ?mode ?fresh ?db ~dir make =
@@ -327,7 +316,7 @@ let open_durable ?capacity ?fsync ?mode ?fresh ?db ~dir make =
           Dc_storage.Store.close storage;
           raise e
       in
-      let t = of_engine ?capacity ?store eng in
+      let t = wrap ?capacity store eng in
       t.durability <- Some storage;
       Option.iter
         (fun (r : Dc_storage.Store.recovery) ->
@@ -402,15 +391,3 @@ let commit_delta t delta =
                   t.regs <- regs';
                   trim_unlocked t);
               Ok v))
-
-let pp ppf t =
-  let store, cached, regs =
-    locked t (fun () -> (t.store, List.map fst t.engines, List.map fst t.regs))
-  in
-  Format.fprintf ppf
-    "@[<v>head      : %d@,versions  : %d@,cached    : [%s]@,capacity  : \
-     %d@,registered: %d@]"
-    (VS.head store)
-    (List.length (VS.versions store))
-    (String.concat "; " (List.map string_of_int cached))
-    t.capacity (List.length regs)

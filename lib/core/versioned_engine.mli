@@ -74,47 +74,17 @@ type 'a stamped = {
 
 type cited = Engine.result stamped
 
-val create :
-  ?policy:Policy.t ->
-  ?selection:Engine.selection ->
-  ?partial:bool ->
-  ?fallback_contained:bool ->
-  ?capacity:int ->
-  ?metrics:Metrics.t ->
-  Dc_relational.Database.t ->
-  Citation_view.t list ->
-  t
-(** The given database becomes version 0.  Engine parameters are as
-    {!Engine.create} and apply to every per-version engine; [capacity]
-    (default 4, minimum 1) bounds the LRU engine cache. *)
-
-val create_program :
-  ?policy:Policy.t ->
-  ?selection:Engine.selection ->
-  ?partial:bool ->
-  ?fallback_contained:bool ->
-  ?capacity:int ->
-  ?metrics:Metrics.t ->
-  ?views:Citation_view.t list ->
-  Dc_relational.Database.t ->
-  Dc_cq.Program.t ->
-  t
-(** {!create} over a Datalog program (see {!Engine.of_program}): the
-    EDB database becomes version 0; every per-version engine derives
-    the program's IDB extents for its version's EDB state, when one of
-    its cites first needs them, by continuing a derived ancestor's (see
-    "Derivation lineage" above).  Deltas and
-    the version store remain EDB-only — committing a delta that names
-    an IDB predicate fails like any unknown relation. *)
-
-val of_engine :
-  ?capacity:int -> ?store:Dc_relational.Version_store.t -> Engine.t -> t
+val of_engine : ?capacity:int -> Engine.t -> t
 (** Wrap an existing engine as version 0 of a fresh store.  The
     engine's database, views, policy, selection and metrics registry
-    carry over to every per-version engine.  When [store] is given
-    (crash recovery), the versioned engine serves {e that} store
-    instead — per-version engines, including the recovered head's, are
-    built on demand from the given engine's template. *)
+    carry over to every per-version engine; [capacity] (default 4,
+    minimum 1) bounds the LRU engine cache.  Over an
+    {!Engine.of_program} engine the EDB database becomes version 0, and
+    every per-version engine derives the program's IDB extents for its
+    version's EDB state, when one of its cites first needs them, by
+    continuing a derived ancestor's (see "Derivation lineage" above).
+    Deltas and the version store remain EDB-only — committing a delta
+    that names an IDB predicate fails like any unknown relation. *)
 
 val open_durable :
   ?capacity:int ->
@@ -134,8 +104,9 @@ val open_durable :
 
     A fresh store is initialized over [db], which becomes version 0 of
     [make db].  A recovered store is served as recovered, with [make]
-    applied to its head database for the engine's configuration (as
-    {!of_engine} [~store]); its logged registrations are re-armed
+    applied to its head database for the engine's configuration, and
+    per-version engines, the recovered head's included, built on demand
+    from that engine's template; its logged registrations are re-armed
     without being logged again, and one that no longer registers is
     skipped with a warning.  Returns the engine, the store handle (the
     caller closes it) and the recovery record ([None] for a fresh
@@ -153,8 +124,6 @@ val metrics : t -> Metrics.t
 (** The shared registry: engine counters from every version plus
     [version_commits], [version_cache_hits/misses/evictions] and
     [registrations_maintained]. *)
-
-val capacity : t -> int
 
 val cached_versions : t -> Dc_relational.Version_store.version list
 (** Versions with a currently materialized engine, MRU first (exposed
@@ -234,5 +203,3 @@ val digest_at :
   t -> Dc_relational.Version_store.version -> (string, string) result
 (** The version's {!Fixity.digest_v2} — what {!cite_at} stamps — timed
     under the [fixity_digest] timer. *)
-
-val pp : Format.formatter -> t -> unit

@@ -5,11 +5,6 @@ let pred a = a.pred
 let args a = a.args
 let arity a = List.length a.args
 
-let vars a =
-  List.fold_left
-    (fun acc t -> match t with Term.Var _ -> Term.Set.add t acc | _ -> acc)
-    Term.Set.empty a.args
-
 let var_list a =
   let seen = Hashtbl.create 8 in
   List.filter_map
@@ -29,13 +24,9 @@ let compare a b =
   | 0 -> List.compare Term.compare a.args b.args
   | c -> c
 
-let equal a b = compare a b = 0
-
 let pp ppf a =
   Format.fprintf ppf "%s(%a)" a.pred
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@,")
        Term.pp)
     a.args
-
-let to_string a = Format.asprintf "%a" pp a

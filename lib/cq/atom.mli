@@ -6,12 +6,9 @@ val make : string -> Term.t list -> t
 val pred : t -> string
 val args : t -> Term.t list
 val arity : t -> int
-val vars : t -> Term.Set.t
 val var_list : t -> string list
 (** Variable names in order of first occurrence. *)
 
 val constants : t -> Dc_relational.Value.t list
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -101,5 +101,4 @@ let contained ?max_steps deps q1 q2 =
   | Unsatisfiable -> true
   | Chased q1' -> Homomorphism.exists ~src:q2 ~dst:q1'
 
-let equivalent ?max_steps deps q1 q2 =
-  contained ?max_steps deps q1 q2 && contained ?max_steps deps q2 q1
+let equivalent deps q1 q2 = contained deps q1 q2 && contained deps q2 q1

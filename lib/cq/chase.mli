@@ -33,4 +33,4 @@ val contained : ?max_steps:int -> Dependency.t list -> Query.t -> Query.t -> boo
 (** [contained deps q1 q2] — is [q1 ⊆ q2] on every instance satisfying
     [deps]? *)
 
-val equivalent : ?max_steps:int -> Dependency.t list -> Query.t -> Query.t -> bool
+val equivalent : Dependency.t list -> Query.t -> Query.t -> bool

@@ -85,23 +85,3 @@ let inclusion ~name ~src:(src_rel, src_cols) ~dst:(dst_rel, dst_cols)
   match tgd ~name ~body:[ src_atom ] ~head:[ dst_atom ] with
   | Ok d -> d
   | Error e -> invalid_arg e
-
-let name = function Tgd t -> t.name | Egd e -> e.name
-
-let pp ppf = function
-  | Tgd t ->
-      Format.fprintf ppf "@[<2>%s:@ %a →@ ∃ %a@]" t.name
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           Atom.pp)
-        t.body
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           Atom.pp)
-        t.head
-  | Egd e ->
-      Format.fprintf ppf "@[<2>%s:@ %a →@ %s = %s@]" e.name
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           Atom.pp)
-        e.body (fst e.equal) (snd e.equal)

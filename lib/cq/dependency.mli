@@ -21,9 +21,6 @@ val tgd : name:string -> body:Atom.t list -> head:Atom.t list -> (t, string) res
 (** Checks safety: every non-existential head variable and both sides
     of nothing — i.e. body is non-empty and head is non-empty. *)
 
-val egd : name:string -> body:Atom.t list -> equal:string * string -> (t, string) result
-(** Both equated variables must occur in the body. *)
-
 val functional_dependency :
   rel:string -> arity:int -> determinant:int list -> dependent:int list -> t list
 (** FD [rel : determinant → dependent] as one EGD per dependent column.
@@ -42,6 +39,3 @@ val inclusion :
   t
 (** Inclusion dependency [src[cols] ⊆ dst[cols]] as a TGD; unmatched
     destination columns are existential. *)
-
-val name : t -> string
-val pp : Format.formatter -> t -> unit

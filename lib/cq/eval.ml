@@ -24,14 +24,6 @@ module Binding = struct
     Smap.filter (fun v _ -> Sset.mem v keep) b
   let compare = Smap.compare R.Value.compare
   let equal a b = compare a b = 0
-
-  let pp ppf b =
-    let pp_one ppf (v, x) = Format.fprintf ppf "%s=%a" v R.Value.pp x in
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-         pp_one)
-      (Smap.bindings b)
 end
 
 (* The reusable evaluation cache couples two things keyed off the same

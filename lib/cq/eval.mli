@@ -38,7 +38,6 @@ module Binding : sig
   val restrict : t -> string list -> t
   val compare : t -> t -> int
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 type cache

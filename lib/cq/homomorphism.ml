@@ -66,7 +66,7 @@ let search ~all ?(init = Subst.empty) src dst =
 let embed_atoms ?init src dst =
   match search ~all:false ?init src dst with [] -> None | s :: _ -> Some s
 
-let embed_atoms_all ?init src dst = search ~all:true ?init src dst
+let embed_atoms_all src dst = search ~all:true src dst
 
 (* The head condition is seeded as an initial substitution: each head
    variable of [src] must map to the corresponding head term of [dst],
@@ -96,10 +96,5 @@ let find ~src ~dst =
   match head_seed src dst with
   | None -> None
   | Some init -> embed_atoms ~init (Query.body src) (Query.body dst)
-
-let find_all ~src ~dst =
-  match head_seed src dst with
-  | None -> []
-  | Some init -> embed_atoms_all ~init (Query.body src) (Query.body dst)
 
 let exists ~src ~dst = Option.is_some (find ~src ~dst)

@@ -13,13 +13,11 @@ val embed_atoms :
     [src] to some atom of [dst], extending [init].  Backtracking search
     with a predicate index on [dst]. *)
 
-val embed_atoms_all :
-  ?init:Subst.t -> Atom.t list -> Atom.t list -> Subst.t list
-(** All such substitutions (restricted to variables of [src] plus the
-    domain of [init]); exponential in the worst case. *)
+val embed_atoms_all : Atom.t list -> Atom.t list -> Subst.t list
+(** All such substitutions from the empty one (restricted to variables
+    of [src]); exponential in the worst case. *)
 
 val find : src:Query.t -> dst:Query.t -> Subst.t option
 (** Full homomorphism including the head condition. *)
 
-val find_all : src:Query.t -> dst:Query.t -> Subst.t list
 val exists : src:Query.t -> dst:Query.t -> bool

@@ -22,5 +22,3 @@ let rec minimize q =
       match drop_atom q atom with
       | Some q' -> minimize q'
       | None -> q)
-
-let is_minimal q = not (List.exists (removable q) (Query.body q))

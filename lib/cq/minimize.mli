@@ -6,12 +6,6 @@
     "{Q1,…,Qn}" is the set of {e minimal} equivalent rewritings, so the
     rewriter runs every candidate through this module. *)
 
-val removable : Query.t -> Atom.t -> bool
-(** [removable q a] holds when deleting the body atom [a] leaves a query
-    equivalent to [q] (and still safe). *)
-
 val minimize : Query.t -> Query.t
 (** Greedily removes removable atoms until none remains.  The result is
     the core of the input. *)
-
-val is_minimal : Query.t -> bool

@@ -38,7 +38,6 @@ type t = {
   deps : (string * R.Relation.t) list;
 }
 
-let query t = t.query
 let slots t = t.slots
 let head_prefix t = t.head_prefix
 let atom_order t = List.map (fun s -> s.pred) (Array.to_list t.steps)

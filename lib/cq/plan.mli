@@ -64,8 +64,6 @@ val valid : t -> Dc_relational.Database.t -> bool
 (** Whether every relation captured at compile time is still (physically)
     the relation of that name in [db]. *)
 
-val query : t -> Query.t
-
 val slots : t -> string array
 (** The variable name held by each register slot.  Every body variable
     of the (True-stripped) query has exactly one slot. *)

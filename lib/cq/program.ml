@@ -9,7 +9,6 @@ let exports t = t.exports
 let strata t = t.strat.Stratify.strata
 let idb_preds t = t.strat.Stratify.idb
 let recursive_preds t = t.strat.Stratify.recursive
-let is_recursive t p = Stratify.is_recursive t.strat p
 let is_idb t p = List.mem p t.strat.Stratify.idb
 
 let arity_of_idb strat p =
@@ -67,9 +66,6 @@ let make ?(exports = []) rules =
       match bad with
       | Error e -> Error e
       | Ok () -> Ok { rules; strat; exports })
-
-let make_exn ?exports rules =
-  match make ?exports rules with Ok t -> t | Error e -> invalid_arg e
 
 (* Unfolding is restricted to predicates whose definition is a plain
    macro: one rule, no negation, not recursive, head a tuple of distinct

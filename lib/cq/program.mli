@@ -28,14 +28,11 @@ val make : ?exports:export list -> Rule.t list -> (t, string) result
     or IDB predicates with consistent arities, and an export name must
     not shadow an IDB predicate. *)
 
-val make_exn : ?exports:export list -> Rule.t list -> t
-
 val rules : t -> Rule.t list
 val exports : t -> export list
 val strata : t -> Rule.t list list
 val idb_preds : t -> string list
 val recursive_preds : t -> string list
-val is_recursive : t -> string -> bool
 val is_idb : t -> string -> bool
 
 val unfold_exports : t -> export list
@@ -54,5 +51,4 @@ val parse : string -> (t, string) result
 
 val parse_exn : string -> t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

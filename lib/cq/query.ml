@@ -95,13 +95,6 @@ let apply_subst s q =
   in
   { q with params; head; body }
 
-let rename_apart ~prefix q =
-  let s =
-    Subst.of_list
-      (List.map (fun v -> (v, Term.Var (prefix ^ v))) (all_vars q))
-  in
-  apply_subst s q
-
 let freshen q i =
   let s =
     Subst.of_list

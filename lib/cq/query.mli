@@ -42,7 +42,6 @@ val is_parameterized : t -> bool
 val head_vars : t -> string list
 (** Head variable names, in order of first occurrence. *)
 
-val body_vars : t -> string list
 val all_vars : t -> string list
 val existential_vars : t -> string list
 (** Body variables that do not occur in the head. *)
@@ -61,10 +60,6 @@ val predicates : t -> string list
 val apply_subst : Subst.t -> t -> t
 (** Applies a substitution to head and body.  Parameters that get bound
     to constants or renamed are dropped/renamed accordingly. *)
-
-val rename_apart : prefix:string -> t -> t
-(** Renames every variable to [prefix ^ original], keeping the query
-    isomorphic but variable-disjoint from others. *)
 
 val freshen : t -> int -> t
 (** [freshen q i] renames variables with an ["_" ^ i] suffix. *)

@@ -75,22 +75,6 @@ let body_preds r =
   in
   go [] [] r.body
 
-let vars r =
-  let rec add seen acc = function
-    | [] -> (seen, acc)
-    | v :: rest ->
-        if Sset.mem v seen then add seen acc rest
-        else add (Sset.add v seen) (v :: acc) rest
-  in
-  let seen, acc = add Sset.empty [] (Atom.var_list r.head) in
-  let seen, acc =
-    List.fold_left
-      (fun (seen, acc) lit -> add seen acc (Atom.var_list (atom_of lit)))
-      (seen, acc) r.body
-  in
-  ignore seen;
-  List.rev acc
-
 let rename f r =
   let ren_term = function
     | Term.Var v -> Term.Var (f v)
@@ -105,30 +89,6 @@ let rename f r =
         r.body;
   }
 
-let of_query q =
-  {
-    head = Atom.make (Query.name q) (Query.head q);
-    body = List.map (fun a -> Pos a) (Query.body q);
-  }
-
-let to_query r =
-  if negative r <> [] then
-    Error
-      (Printf.sprintf "rule for %s has negated literals" (head_pred r))
-  else
-    Query.make ~name:(head_pred r) ~head:(Atom.args r.head) ~body:(positive r)
-      ()
-
-let equal a b =
-  Atom.equal a.head b.head
-  && List.length a.body = List.length b.body
-  && List.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Pos p, Pos q | Neg p, Neg q -> Atom.equal p q
-         | _ -> false)
-       a.body b.body
-
 let pp ppf r =
   let pp_lit ppf = function
     | Pos a -> Atom.pp ppf a
@@ -139,5 +99,3 @@ let pp ppf r =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        pp_lit)
     r.body
-
-let to_string r = Format.asprintf "%a" pp r

@@ -39,19 +39,7 @@ val body_preds : t -> (string * bool) list
     predicate occurs under negation (a predicate occurring both ways is
     reported once, flagged negated). *)
 
-val vars : t -> string list
-(** All variable names, in order of first occurrence (head first). *)
-
 val rename : (string -> string) -> t -> t
 (** Renames every variable; the caller must supply an injective map. *)
 
-val of_query : Query.t -> t
-(** A conjunctive query as a negation-free rule (parameters dropped). *)
-
-val to_query : t -> (Query.t, string) result
-(** The rule as a conjunctive query; [Error] when the rule has negated
-    literals. *)
-
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -16,11 +16,7 @@ type problem =
       value : Dc_relational.Value.t;
     }
 
-val pp_problem : Format.formatter -> problem -> unit
 val problem_to_string : problem -> string
-
-val check_atom : Dc_relational.Database.t -> Atom.t -> problem list
-(** The nullary built-in [True] never reports problems. *)
 
 val check_query : Dc_relational.Database.t -> Query.t -> problem list
 

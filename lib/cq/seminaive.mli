@@ -48,13 +48,6 @@
     ([datalog_iterations]), and every stratum a continuation re-derives
     ([datalog_rederived_strata]). *)
 
-val delta_suffix : string
-(** Reserved relation-name suffix ("__delta") used for delta extents;
-    {!run} and {!continue} reject input databases that already contain
-    a relation named [p ^ delta_suffix] for an IDB predicate [p], or for
-    a relation [p] that some rule reads positively from below its own
-    stratum. *)
-
 val run : ?cache:Eval.cache -> Dc_relational.Database.t -> Stratify.t ->
   Dc_relational.Database.t
 (** Raises [Invalid_argument] when an IDB predicate collides with an

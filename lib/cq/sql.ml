@@ -190,7 +190,7 @@ let parse_tokens toks =
   | EOF -> Ok { sels; froms; conds }
   | _ -> Error "trailing input"
 
-let compile ~schemas ?(name = "Q") sql =
+let compile ~schemas sql =
   let ( let* ) = Result.bind in
   let* toks = tokenize sql in
   let* ast = parse_tokens toks in
@@ -279,97 +279,6 @@ let compile ~schemas ?(name = "Q") sql =
     let head =
       List.map (fun (_, t) -> Subst.apply_term rename_subst t) head_pairs
     in
-    match Query.make ~name ~head ~body:atoms () with
+    match Query.make ~name:"Q" ~head ~body:atoms () with
     | Ok q -> Ok q
     | Error e -> Error e
-
-let compile_exn ~schemas ?name sql =
-  match compile ~schemas ?name sql with
-  | Ok q -> q
-  | Error e -> invalid_arg ("Sql.compile: " ^ e)
-
-let decompile ~schemas q =
-  let ( let* ) = Result.bind in
-  let schema_of rel =
-    match
-      List.find_opt (fun s -> String.equal (Schema.name s) rel) schemas
-    with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "unknown relation %s" rel)
-  in
-  let alias i = Printf.sprintf "t%d" i in
-  (* first variable occurrences, plus the conditions the body implies *)
-  let* _, first_occurrence, conditions =
-    List.fold_left
-      (fun acc atom ->
-        let* i, first, conds = acc in
-        if Atom.pred atom = "True" && Atom.args atom = [] then
-          Error "the nullary True atom has no SQL counterpart"
-        else
-          let* schema = schema_of (Atom.pred atom) in
-          if Schema.arity schema <> Atom.arity atom then
-            Error (Printf.sprintf "arity mismatch on %s" (Atom.pred atom))
-          else
-            let* first, conds =
-              List.fold_left
-                (fun acc (j, term) ->
-                  let* first, conds = acc in
-                  let here =
-                    Printf.sprintf "%s.%s" (alias i)
-                      (Schema.attribute_name schema j)
-                  in
-                  match term with
-                  | Term.Const c ->
-                      let lit =
-                        match c with
-                        | Value.Int n -> string_of_int n
-                        | Value.Float f -> Printf.sprintf "%g" f
-                        | v -> Printf.sprintf "'%s'" (Value.to_string v)
-                      in
-                      Ok (first, conds @ [ Printf.sprintf "%s = %s" here lit ])
-                  | Term.Var v -> (
-                      match List.assoc_opt v first with
-                      | None -> Ok (first @ [ (v, here) ], conds)
-                      | Some there ->
-                          Ok
-                            (first, conds @ [ Printf.sprintf "%s = %s" there here ])))
-                (Ok (first, conds))
-                (List.mapi (fun j t -> (j, t)) (Atom.args atom))
-            in
-            Ok (i + 1, first, conds))
-      (Ok (0, [], []))
-      (Query.body q)
-  in
-  let* selects =
-    List.fold_left
-      (fun acc term ->
-        let* acc = acc in
-        match term with
-        | Term.Const _ -> Error "constants in the head have no SQL counterpart"
-        | Term.Var v -> (
-            match List.assoc_opt v first_occurrence with
-            | None -> Error (Printf.sprintf "unsafe head variable %s" v)
-            | Some col ->
-                let rendered =
-                  (* keep the output name when it differs from the column *)
-                  let base = List.nth (String.split_on_char '.' col) 1 in
-                  if String.equal base v then col
-                  else Printf.sprintf "%s AS %s" col v
-                in
-                Ok (acc @ [ rendered ])))
-      (Ok []) (Query.head q)
-  in
-  let froms =
-    List.mapi
-      (fun i atom -> Printf.sprintf "%s %s" (Atom.pred atom) (alias i))
-      (Query.body q)
-  in
-  let where =
-    if conditions = [] then ""
-    else " WHERE " ^ String.concat " AND " conditions
-  in
-  Ok
-    (Printf.sprintf "SELECT %s FROM %s%s"
-       (String.concat ", " selects)
-       (String.concat ", " froms)
-       where)

@@ -17,21 +17,7 @@
     queries outside the fragment are rejected with a message. *)
 
 val compile :
-  schemas:Dc_relational.Schema.t list ->
-  ?name:string ->
-  string ->
-  (Query.t, string) result
+  schemas:Dc_relational.Schema.t list -> string -> (Query.t, string) result
 (** [compile ~schemas sql] type-checks column references against the
-    schemas and produces the equivalent conjunctive query (default
-    name ["Q"]). *)
-
-val compile_exn :
-  schemas:Dc_relational.Schema.t list -> ?name:string -> string -> Query.t
-
-val decompile :
-  schemas:Dc_relational.Schema.t list -> Query.t -> (string, string) result
-(** The inverse direction: render a conjunctive query as
-    SELECT-FROM-WHERE.  Fails on queries outside the surface fragment —
-    constants in the head, the nullary [True] atom, or predicates
-    missing from [schemas].  For queries in the fragment,
-    [compile (decompile q)] is equivalent to [q]. *)
+    schemas and produces the equivalent conjunctive query, named
+    ["Q"]. *)

@@ -3,12 +3,10 @@ module Smap = Map.Make (String)
 type t = Term.t Smap.t
 
 let empty = Smap.empty
-let is_empty = Smap.is_empty
 let singleton v t = Smap.singleton v t
 let of_list l = List.fold_left (fun m (v, t) -> Smap.add v t m) empty l
 let to_list m = Smap.bindings m
 let find m v = Smap.find_opt v m
-let mem m v = Smap.mem v m
 let bind m v t = Smap.add v t m
 
 let extend m v t =
@@ -26,15 +24,3 @@ let apply_atoms m atoms = List.map (apply_atom m) atoms
 let compose s1 s2 =
   let s1' = Smap.map (apply_term s2) s1 in
   Smap.union (fun _ t1 _ -> Some t1) s1' s2
-
-let domain m = List.map fst (Smap.bindings m)
-let restrict m vars = Smap.filter (fun v _ -> List.mem v vars) m
-let equal = Smap.equal Term.equal
-
-let pp ppf m =
-  let pp_one ppf (v, t) = Format.fprintf ppf "%s↦%a" v Term.pp t in
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       pp_one)
-    (Smap.bindings m)

@@ -7,12 +7,10 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 val singleton : string -> Term.t -> t
 val of_list : (string * Term.t) list -> t
 val to_list : t -> (string * Term.t) list
 val find : t -> string -> Term.t option
-val mem : t -> string -> bool
 val bind : t -> string -> Term.t -> t
 
 val extend : t -> string -> Term.t -> t option
@@ -28,8 +26,3 @@ val compose : t -> t -> t
 (** [compose s1 s2] applies [s2] to the range of [s1] and adds the
     bindings of [s2] for variables unbound in [s1]:
     [apply (compose s1 s2) t = apply s2 (apply s1 t)]. *)
-
-val domain : t -> string list
-val restrict : t -> string list -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -2,13 +2,8 @@ module Value = Dc_relational.Value
 
 type t = Var of string | Const of Value.t
 
-let var v = Var v
-let const c = Const c
-let int i = Const (Value.Int i)
 let str s = Const (Value.Str s)
 let is_var = function Var _ -> true | Const _ -> false
-let is_const = function Const _ -> true | Var _ -> false
-let var_name = function Var v -> Some v | Const _ -> None
 let value = function Const c -> Some c | Var _ -> None
 
 let compare a b =
@@ -23,8 +18,6 @@ let equal a b = compare a b = 0
 let pp ppf = function
   | Var v -> Format.pp_print_string ppf v
   | Const c -> Value.pp ppf c
-
-let to_string t = Format.asprintf "%a" pp t
 
 module Ord = struct
   type nonrec t = t

@@ -2,21 +2,15 @@
 
 type t = Var of string | Const of Dc_relational.Value.t
 
-val var : string -> t
-val const : Dc_relational.Value.t -> t
-val int : int -> t
 val str : string -> t
 
 val is_var : t -> bool
-val is_const : t -> bool
 
-val var_name : t -> string option
 val value : t -> Dc_relational.Value.t option
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

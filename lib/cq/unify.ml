@@ -83,17 +83,3 @@ module Classes = struct
           s cls)
       Subst.empty (classes c)
 end
-
-let mgu pairs =
-  let c =
-    List.fold_left
-      (fun acc (a, b) ->
-        match acc with None -> None | Some c -> Classes.union c a b)
-      (Some Classes.empty) pairs
-  in
-  Option.map (fun c -> Classes.to_subst c (fun _ -> false)) c
-
-let unify_atoms a b =
-  match Classes.union_atoms Classes.empty a b with
-  | None -> None
-  | Some c -> Some (Classes.to_subst c (fun _ -> false))

@@ -4,14 +4,6 @@
     equivalence classes of terms; a most general unifier exists iff no
     class contains two distinct constants. *)
 
-val mgu : (Term.t * Term.t) list -> Subst.t option
-(** Most general unifier of the pairs, as an idempotent substitution.
-    Class representatives are chosen constant-first, then the first
-    variable encountered. *)
-
-val unify_atoms : Atom.t -> Atom.t -> Subst.t option
-(** Unifies two atoms with the same predicate and arity. *)
-
 (** Union-find over term equivalence classes, for callers that need to
     inspect classes before choosing representatives (the rewriting
     algorithms do). *)

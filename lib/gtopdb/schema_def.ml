@@ -42,8 +42,6 @@ let reference =
       S.attr ~ty:V.TInt "Year";
     ]
 
-let paper_schemas = [ family; committee; family_intro ]
-
 let all_schemas =
   [ family; committee; family_intro; target; target_family; contributor; reference ]
 

@@ -11,15 +11,7 @@
     generator: [Target], [TargetFamily], [Contributor], [Reference]. *)
 
 val family : Dc_relational.Schema.t
-val committee : Dc_relational.Schema.t
-val family_intro : Dc_relational.Schema.t
-val target : Dc_relational.Schema.t
-val target_family : Dc_relational.Schema.t
 val contributor : Dc_relational.Schema.t
-val reference : Dc_relational.Schema.t
-
-val paper_schemas : Dc_relational.Schema.t list
-(** Just the three relations printed in the paper. *)
 
 val all_schemas : Dc_relational.Schema.t list
 

@@ -1,41 +1,5 @@
-let parse_line line =
-  let buf = Buffer.create 16 in
-  let fields = ref [] in
-  let n = String.length line in
-  let flush () =
-    fields := Buffer.contents buf :: !fields;
-    Buffer.clear buf
-  in
-  (* [go] scans unquoted text; [quoted] scans inside double quotes. *)
-  let rec go i =
-    if i >= n then flush ()
-    else
-      match line.[i] with
-      | ',' ->
-          flush ();
-          go (i + 1)
-      | '"' when Buffer.length buf = 0 -> quoted (i + 1)
-      | c ->
-          Buffer.add_char buf c;
-          go (i + 1)
-  and quoted i =
-    if i >= n then failwith "Csv_io.parse_line: unterminated quote"
-    else
-      match line.[i] with
-      | '"' when i + 1 < n && line.[i + 1] = '"' ->
-          Buffer.add_char buf '"';
-          quoted (i + 2)
-      | '"' -> go (i + 1)
-      | c ->
-          Buffer.add_char buf c;
-          quoted (i + 1)
-  in
-  go 0;
-  List.rev !fields
-
-(* Whole-document record scanner: like [parse_line] but newlines only
-   terminate a record outside quotes, so quoted multiline fields
-   survive. *)
+(* Whole-document record scanner: newlines only terminate a record
+   outside quotes, so quoted multiline fields survive. *)
 let parse_records doc =
   let n = String.length doc in
   let records = ref [] in
@@ -88,9 +52,7 @@ let parse_records doc =
           quoted (i + 1)
   in
   go 0;
-  (* drop records that are a single empty field (blank lines) *)
   List.rev !records
-  |> List.filter (fun r -> r <> [ "" ] && r <> [])
 
 let needs_quoting s =
   String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
@@ -108,7 +70,11 @@ let render_field s =
     Buffer.contents buf
   else s
 
-let render_line fields = String.concat "," (List.map render_field fields)
+(* A lone empty field is quoted: bare, its record would be a blank line,
+   which the scanner reads as no record. *)
+let render_line = function
+  | [ "" ] -> "\"\""
+  | fields -> String.concat "," (List.map render_field fields)
 
 let relation_of_string schema s =
   let attrs = Schema.attributes schema in
@@ -148,17 +114,13 @@ let relation_of_string schema s =
       in
       go (Relation.empty schema) records
 
-let relation_to_string ?(header = true) rel =
+let relation_to_string rel =
   let schema = Relation.schema rel in
   let buf = Buffer.create 1024 in
-  if header then begin
-    Buffer.add_string buf
-      (render_line
-         (List.map
-            (fun (a : Schema.attribute) -> a.name)
-            (Schema.attributes schema)));
-    Buffer.add_char buf '\n'
-  end;
+  Buffer.add_string buf
+    (render_line
+       (List.map (fun (a : Schema.attribute) -> a.name) (Schema.attributes schema)));
+  Buffer.add_char buf '\n';
   Relation.iter
     (fun t ->
       Buffer.add_string buf
@@ -194,7 +156,7 @@ let load_relation schema path =
         (fun e -> Printf.sprintf "%s: %s" path e)
         (relation_of_string schema contents)
 
-let save_relation ?header rel path =
+let save_relation rel path =
   let oc = open_out path in
-  output_string oc (relation_to_string ?header rel);
+  output_string oc (relation_to_string rel);
   close_out oc

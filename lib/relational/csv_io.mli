@@ -5,30 +5,22 @@
     enough for the example datasets and the CLI; it is not a general CSV
     toolkit. *)
 
-val parse_line : string -> string list
-(** Splits one CSV record.  Raises [Failure] on an unterminated quote. *)
-
 val parse_records : string -> string list list
 (** Splits a whole document into records, respecting quoted fields that
     span lines (so multiline values survive a save/load roundtrip).
-    Records that are entirely empty are dropped.
+    A blank line is no record; a lone empty field is written [""].
     Raises [Failure] on an unterminated quote. *)
-
-val render_line : string list -> string
-
-val relation_of_string : Schema.t -> string -> (Relation.t, string) result
-(** [relation_of_string schema s] reads one tuple per non-empty line of
-    [s], coercing fields with {!Value.of_string} against the schema.
-    A leading header line matching the attribute names is skipped. *)
-
-val relation_to_string : ?header:bool -> Relation.t -> string
 
 val read_file : string -> (string, string) result
 (** Whole-file read with a contextual (path + reason) error instead of
     a raised [Sys_error]. *)
 
 val load_relation : Schema.t -> string -> (Relation.t, string) result
-(** Reads from a file path.  Never raises on I/O failure: both the read
-    and any parse error come back as [Error] mentioning the path. *)
+(** Reads one tuple per record of the file at a path, coercing fields
+    with {!Value.of_string} against the schema; a leading header record
+    matching the attribute names is skipped.  Never raises on I/O
+    failure: both the read and any parse error come back as [Error]
+    mentioning the path. *)
 
-val save_relation : ?header:bool -> Relation.t -> string -> unit
+val save_relation : Relation.t -> string -> unit
+(** Writes a header record, then one record per tuple. *)

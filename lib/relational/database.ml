@@ -37,17 +37,3 @@ let total_tuples db =
   Smap.fold (fun _ r acc -> acc + Relation.cardinality r) db 0
 
 let equal = Smap.equal Relation.equal
-
-let pp ppf db =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Relation.pp)
-    (relations db)
-
-let pp_summary ppf db =
-  let pp_one ppf r =
-    Format.fprintf ppf "%s: %d tuples" (Relation.name r)
-      (Relation.cardinality r)
-  in
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_one)
-    (relations db)

@@ -30,5 +30,3 @@ val insert_list : t -> string -> Tuple.t list -> t
 val delete : t -> string -> Tuple.t -> t
 val total_tuples : t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val pp_summary : Format.formatter -> t -> unit

@@ -7,7 +7,6 @@ type t = change list Smap.t
    reverses them back into application order. *)
 
 let empty = Smap.empty
-let is_empty d = Smap.for_all (fun _ cs -> cs = []) d
 
 let push d rel c =
   Smap.update rel
@@ -17,7 +16,6 @@ let push d rel c =
 let insert d rel tuple = push d rel (Insert tuple)
 let delete d rel tuple = push d rel (Delete tuple)
 let changes d = Smap.bindings (Smap.map List.rev d)
-let relations_touched d = List.map fst (Smap.bindings d)
 
 let select f d rel =
   match Smap.find_opt rel d with

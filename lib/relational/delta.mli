@@ -12,14 +12,12 @@ type t
     relations touched. *)
 
 val empty : t
-val is_empty : t -> bool
 val insert : t -> string -> Tuple.t -> t
 val delete : t -> string -> Tuple.t -> t
 val changes : t -> (string * change list) list
 (** Per relation, in name order; each change list in application
     order. *)
 
-val relations_touched : t -> string list
 val inserted : t -> string -> Tuple.t list
 val deleted : t -> string -> Tuple.t list
 val size : t -> int

@@ -207,7 +207,6 @@ let make_table r positions =
   if is_prefix positions then prefix_table pos (Relation.scan r)
   else grouped_table pos (Relation.scan r)
 
-let positions idx = idx.positions
 let has_table idx = Option.is_some (Atomic.get idx.table)
 
 let publish idx =
@@ -261,11 +260,3 @@ let build r positions =
   in
   if not prefix then build_table idx;
   idx
-
-let lookup idx key = lookup_key idx (Tuple.make key)
-
-let keys idx =
-  Relation.fold
-    (fun t acc -> Tuple.Set.add (Tuple.project t idx.positions) acc)
-    idx.rel Tuple.Set.empty
-  |> Tuple.Set.elements

@@ -42,8 +42,6 @@ val build : Relation.t -> int list -> t
     probe that buys it for a prefix key, and never when no table is
     built. *)
 
-val positions : t -> int list
-
 val has_table : t -> bool
 (** Whether the hash table has been built (tests and benchmarks). *)
 
@@ -78,14 +76,7 @@ val probe : t -> Value.t array -> matches -> unit
     grows to the longest run seen and is reused.  The index retains
     neither [key] nor [m]. *)
 
-val lookup : t -> Value.t list -> Tuple.t list
-(** [lookup idx key] is {!probe}'s answer as a list: every tuple whose
-    projection on the index positions equals [key], in ascending
-    {!Tuple.compare} order. *)
-
 val lookup_key : t -> Value.t array -> Tuple.t list
-(** Like {!lookup}, with the key as an array.  The index does not
-    retain [key]. *)
-
-val keys : t -> Tuple.t list
-(** Distinct keys present in the index, ascending. *)
+(** [lookup_key idx key] is {!probe}'s answer as a list: every tuple
+    whose projection on the index positions equals [key], in ascending
+    {!Tuple.compare} order.  The index does not retain [key]. *)

@@ -107,7 +107,6 @@ let mem r tuple = Tuple.Set.mem tuple r.extent
 let cardinality r =
   if r.card_cache < 0 then r.card_cache <- Tuple.Set.cardinal r.extent;
   r.card_cache
-let is_empty r = Tuple.Set.is_empty r.extent
 
 let scan r =
   match r.scan_cache with
@@ -176,7 +175,6 @@ let fold f r init =
   !acc
 
 let iter f r = Array.iter f (scan r)
-let filter p r = make r.schema (Tuple.Set.filter p r.extent)
 let of_list schema tuples = insert_list (empty schema) tuples
 
 let count_distinct r positions =

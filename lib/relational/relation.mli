@@ -29,8 +29,6 @@ val mem : t -> Tuple.t -> bool
 val cardinality : t -> int
 (** Memoized on the relation value, like {!scan}. *)
 
-val is_empty : t -> bool
-
 val scan : t -> Tuple.t array
 (** The extent as an array in {!Tuple.compare} order, memoized on the
     relation value (extents are immutable, so it is computed at most
@@ -80,7 +78,6 @@ val multiset_hash : t -> Multiset_hash.t
     {!insert}/{!delete} from one whose hash was demanded already has
     it.  Values whose hash nobody demands never compute one. *)
 
-val filter : (Tuple.t -> bool) -> t -> t
 val of_list : Schema.t -> Tuple.t list -> t
 
 val distinct : t -> int -> int

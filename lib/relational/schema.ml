@@ -31,14 +31,6 @@ let position s a =
   in
   go 0 s.attrs
 
-let attribute_name s i =
-  match List.nth_opt s.attrs i with
-  | Some a -> a.name
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Schema.attribute_name %s: index %d out of range"
-           s.rel_name i)
-
 let key_positions s =
   List.filter_map (fun k -> position s k) s.key
 

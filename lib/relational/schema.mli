@@ -24,10 +24,6 @@ val attr : ?ty:Value.ty -> string -> attribute
 val position : t -> string -> int option
 (** [position s a] is the index of column [a] in [s], if present. *)
 
-val attribute_name : t -> int -> string
-(** [attribute_name s i] is the name of column [i].
-    Raises [Invalid_argument] when out of range. *)
-
 val key_positions : t -> int list
 
 val conforms : t -> Value.t array -> bool

@@ -22,7 +22,3 @@ val distinct : Database.t -> string -> int -> int
 val selectivity : Database.t -> string -> int -> float
 (** [1 / distinct] (1.0 for empty or unknown relations): the textbook
     probability that the column equals a given value. *)
-
-val join_cardinality : Database.t -> (string * int) -> (string * int) -> float
-(** Estimated size of the equi-join of two relations on one column
-    pair: [|R| * |S| / max(d_R, d_S)]. *)

@@ -145,9 +145,3 @@ let ty_of_string = function
   | "timestamp" -> Ok TTimestamp
   | "any" -> Ok TAny
   | s -> Error (Printf.sprintf "unknown type: %S" s)
-
-let int i = Int i
-let str s = Str s
-let float f = Float f
-let bool b = Bool b
-let timestamp s = Timestamp s

@@ -49,8 +49,3 @@ val of_string : ty -> string -> (t, string) result
 val ty_of_string : string -> (ty, string) result
 
 (* Convenience constructors. *)
-val int : int -> t
-val str : string -> t
-val float : float -> t
-val bool : bool -> t
-val timestamp : int -> t

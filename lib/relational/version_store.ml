@@ -20,12 +20,12 @@ let create ?clock db =
   let at = match clock with Some c -> c () | None -> 1 in
   { entries = Imap.singleton 0 { db; at; delta = None }; head = 0; clock }
 
-let restore ?clock ~version ~at db =
+let restore ~version ~at db =
   if version < 0 then invalid_arg "Version_store.restore: negative version";
   {
     entries = Imap.singleton version { db; at; delta = None };
     head = version;
-    clock;
+    clock = None;
   }
 
 let head s = s.head
@@ -50,7 +50,6 @@ let apply_head s delta = Delta.apply (head_db s) delta
 let commit_delta s delta = commit ~delta s (apply_head s delta)
 
 let checkout s v = Option.map (fun e -> e.db) (Imap.find_opt v s.entries)
-let mem s v = Imap.mem v s.entries
 
 let checkout_exn s v =
   match checkout s v with Some db -> db | None -> raise Not_found
@@ -81,11 +80,3 @@ let delta_between s v1 v2 =
       | Some d -> Some d
       | None -> Some (Delta.between d1 d2))
   | _ -> None
-
-let pp ppf s =
-  let pp_one ppf (v, e) =
-    Format.fprintf ppf "v%d @%d (%d tuples)" v e.at (Database.total_tuples e.db)
-  in
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_one)
-    (Imap.bindings s.entries)

@@ -17,7 +17,7 @@ val create : ?clock:(unit -> int) -> Database.t -> t
     (version [v] is stamped [v + 1]) so tests and benchmarks are
     reproducible. *)
 
-val restore : ?clock:(unit -> int) -> version:version -> at:int -> Database.t -> t
+val restore : version:version -> at:int -> Database.t -> t
 (** [restore ~version ~at db] rebuilds a store whose sole entry is
     [version], stamped [at] — the recovery seed: a snapshot re-enters
     the store exactly as it was committed, and subsequent default-clock
@@ -51,9 +51,6 @@ val commit_delta : t -> Delta.t -> t * version
 
 val checkout : t -> version -> Database.t option
 
-val mem : t -> version -> bool
-(** Whether the version is in the store. *)
-
 val checkout_exn : t -> version -> Database.t
 val timestamp : t -> version -> int option
 val versions : t -> version list
@@ -68,5 +65,3 @@ val delta_between : t -> version -> version -> Delta.t option
     deltas, those deltas in commit order, in O(their size) with no
     relation read; otherwise {!Delta.between} of the two databases.
     [None] when either version is not in the store. *)
-
-val pp : Format.formatter -> t -> unit

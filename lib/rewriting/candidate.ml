@@ -63,7 +63,3 @@ let of_classes ?(check_exposure = true) ~query ~view ~fresh ~classes ~covered
     if List.for_all (fun v -> (not (needed v)) || exposed v) covered_vars
     then Some { view; atom; covered }
     else None
-
-let pp ppf e =
-  Format.fprintf ppf "%a covering {%s}" Cq.Atom.pp e.atom
-    (String.concat "," (List.map string_of_int e.covered))

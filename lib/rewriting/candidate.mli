@@ -30,5 +30,3 @@ val of_classes :
     Returns [None] when a distinguished variable of a covered subgoal is
     not exposed through the view head (the entry could never be part of
     an equivalent rewriting). *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,16 +7,6 @@
     view's head with the atom's arguments.  Equivalence of a candidate
     rewriting with the original query is judged on expansions. *)
 
-val expand_atom :
-  View.Set.t -> int -> Dc_cq.Atom.t -> (Dc_cq.Atom.t list * Dc_cq.Subst.t) option
-(** [expand_atom views occurrence atom] is the expanded body of [atom]
-    plus the substitution induced on the atom's own variables (head
-    unification can equate rewriting variables with each other or with
-    constants).  [None] when unification fails, e.g. the atom passes two
-    different constants to one view head variable.  Atoms over unknown
-    predicates expand to themselves.  [occurrence] disambiguates
-    freshening across multiple uses of one view. *)
-
 val expand :
   View.Set.t -> Dc_cq.Query.t -> (Dc_cq.Query.t * Dc_cq.Subst.t) option
 (** Expansion of a whole rewriting over the base schema, with the

@@ -10,16 +10,6 @@ type stats = {
   truncated : bool;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf "candidates=%d verified=%d kept=%d%s" s.candidates
-    s.verified s.kept
-    (if s.truncated then " (truncated)" else "")
-
-let stats_to_json s =
-  Printf.sprintf
-    "{\"candidates\":%d,\"verified\":%d,\"kept\":%d,\"truncated\":%b}"
-    s.candidates s.verified s.kept s.truncated
-
 type outcome = { queries : Cq.Query.t list; stats : stats }
 
 exception Budget_exhausted

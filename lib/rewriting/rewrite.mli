@@ -23,11 +23,6 @@ type stats = {
   truncated : bool;  (** candidate generation hit [max_candidates] *)
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
-val stats_to_json : stats -> string
-(** One-line JSON object with the four labeled fields. *)
-
 type outcome = { queries : Dc_cq.Query.t list; stats : stats }
 (** A labeled search result: the kept rewritings plus the enumeration
     statistics. *)

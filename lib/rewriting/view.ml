@@ -7,12 +7,8 @@ let definition v = v.def
 let name v = Q.name v.def
 let params v = Q.params v.def
 let is_parameterized v = Q.is_parameterized v.def
-let arity v = Q.arity v.def
-let head_vars v = Q.head_vars v.def
-let existential_vars v = Q.existential_vars v.def
 let base_predicates v = Q.predicates v.def
 let freshen v i = { def = Q.freshen v.def i }
-let pp ppf v = Q.pp ppf v.def
 
 module Set = struct
   module Smap = Map.Make (String)
@@ -42,9 +38,6 @@ module Set = struct
 
   let of_list vs = List.fold_left add_exn empty vs
   let find s n = Smap.find_opt n s.by_name
-
-  let find_exn s n =
-    match find s n with Some v -> v | None -> raise Not_found
 
   let to_list s = List.map snd (Smap.bindings s.by_name)
   let size s = Smap.cardinal s.by_name

@@ -11,24 +11,16 @@ val definition : t -> Dc_cq.Query.t
 val name : t -> string
 val params : t -> string list
 val is_parameterized : t -> bool
-val arity : t -> int
-
-val head_vars : t -> string list
-val existential_vars : t -> string list
-val base_predicates : t -> string list
 
 val freshen : t -> int -> t
 (** Rename variables apart with suffix [i]; used once per candidate
     occurrence of the view in a rewriting. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** A collection of views with name and predicate indexes. *)
 module Set : sig
   type view = t
   type t
 
-  val empty : t
   val add : t -> view -> (t, string) result
   (** Rejects duplicate view names. *)
 
@@ -37,7 +29,6 @@ module Set : sig
   (** Raises [Invalid_argument] on duplicate names. *)
 
   val find : t -> string -> view option
-  val find_exn : t -> string -> view
   val to_list : t -> view list
   val size : t -> int
 

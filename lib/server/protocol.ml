@@ -66,8 +66,6 @@ let strip_cr line =
 let parse_delta s =
   Result.map_error (fun e -> "COMMIT_DELTA: " ^ e) (R.Delta_wire.parse s)
 
-let render_delta = R.Delta_wire.render
-
 (* The command table is shared by both protocol versions: the [V2]
    prefix is what a self-describing v2 client sends, but the commands
    it introduced are also accepted bare, and every v1 command is valid
@@ -139,30 +137,6 @@ let parse_request line =
       if rest = "" then Error "V2: missing command"
       else parse_command ~v2:true rest
     else parse_command ~v2:false line
-
-let render_request = function
-  | Cite q -> "CITE " ^ q
-  | Cite_batch qs ->
-      (* Multi-line: the header then one query per line.  Only the
-         incremental {!Decoder} re-parses this form. *)
-      Printf.sprintf "CITE_BATCH %d\n%s" (List.length qs)
-        (String.concat "\n" qs)
-  | Cite_param { view; bindings } ->
-      let kvs =
-        String.concat ","
-          (List.map (fun (n, v) -> n ^ "=" ^ R.Value.to_string v) bindings)
-      in
-      if kvs = "" then "CITE_PARAM " ^ view
-      else Printf.sprintf "CITE_PARAM %s %s" view kvs
-  | Cite_at { version; query } -> Printf.sprintf "V2 CITE_AT %d %s" version query
-  | Commit_delta d -> "V2 COMMIT_DELTA " ^ render_delta d
-  | Versions -> "V2 VERSIONS"
-  | Verify { version; digest } -> Printf.sprintf "V2 VERIFY %d %s" version digest
-  | Register q -> "V2 REGISTER " ^ q
-  | Stats -> "STATS"
-  | Health -> "HEALTH"
-  | Health_v2 -> "V2 HEALTH"
-  | Quit -> "QUIT"
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -304,22 +278,6 @@ let ok_health ?version ?data_dir ?wal_enabled ?last_snapshot_version
     @ field "supports_recursion" string_of_bool supports_recursion)
 
 let ok_bye = obj [ ("ok", "true"); ("bye", "true") ]
-
-let classify_response line =
-  let line = strip_cr line in
-  let starts_with p =
-    String.length line >= String.length p
-    && String.sub line 0 (String.length p) = p
-  in
-  if starts_with err_prefix then
-    `Err (String.sub line 4 (String.length line - 4))
-  else if starts_with "{" then `Ok line
-  else `Malformed
-
-let is_busy_response line =
-  match classify_response line with
-  | `Err payload -> payload = obj [ ("error", jstr "BUSY") ]
-  | `Ok _ | `Malformed -> false
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoder                                                 *)

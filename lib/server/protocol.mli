@@ -103,22 +103,7 @@ type request =
 val protocol_version : int
 (** The protocol version this codec speaks (2). *)
 
-val protocol_versions : int list
-(** Every version the codec accepts ([1; 2]). *)
-
 val parse_request : string -> (request, string) result
-
-val render_request : request -> string
-(** Inverse of {!parse_request} up to whitespace and scalar formatting
-    (an integer-shaped string value re-parses as an [Int]).  v1
-    commands render in v1 form, v2-introduced commands render with the
-    [V2] prefix; both re-parse to the same request.  [Cite_batch]
-    renders the multi-line wire form (header then query lines), whose
-    inverse is the {!Decoder}, not {!parse_request}. *)
-
-val render_delta : Dc_relational.Delta.t -> string
-(** The COMMIT_DELTA payload: [+Rel(v,...)] / [-Rel(v,...)] changes
-    joined by [;]. *)
 
 (** {2 Response builders} *)
 
@@ -188,15 +173,6 @@ val busy_line : string
 (** The load-shedding response, [ERR {"error":"BUSY"}]: the server's
     pending-request queue (or a connection's pipeline bound) is full,
     the request was {e not} executed, back off and retry. *)
-
-val classify_response :
-  string -> [ `Ok of string | `Err of string | `Malformed ]
-(** Client-side triage: [`Ok json] for a success object, [`Err json]
-    for an [ERR] line (payload without the prefix), [`Malformed] for
-    anything else. *)
-
-val is_busy_response : string -> bool
-(** Whether a response line is exactly the {!busy_line} shed. *)
 
 (** {2 Incremental decoder}
 

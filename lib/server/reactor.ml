@@ -104,8 +104,6 @@ type t = {
   mutable thread : Thread.t option;
 }
 
-let conn_count t = Atomic.get t.nconns
-
 let wake_byte = Bytes.of_string "w"
 
 (* Thread-safe; a full pipe means a wakeup is already pending, and a

@@ -75,9 +75,6 @@ val start :
     listener is switched to non-blocking and polled for accepts, but
     remains owned by the caller — {!stop} does not close it. *)
 
-val conn_count : t -> int
-(** Currently-open client connections (thread-safe). *)
-
 val drain : t -> unit
 (** Stop accepting and stop reading; in-flight requests still complete,
     flush and close normally.  Idempotent, returns immediately. *)

@@ -157,13 +157,9 @@ val wait : t -> unit
 
 val stopped : t -> bool
 
-val request_stop : t -> unit
-(** Async-signal-safe stop request: flips a flag that the watcher
-    thread installed by {!install_signal_handlers} turns into {!stop}.
-    Without that watcher, pair it with your own polling of {!stopped}. *)
-
 val install_signal_handlers : t -> unit -> unit
-(** Routes SIGINT and SIGTERM to {!request_stop} (drain in-flight,
-    refuse new) and starts the watcher thread performing the actual
-    stop.  Returns a restorer that reinstates the previous signal
-    behaviours — call it once the server has stopped (tests do). *)
+(** Routes SIGINT and SIGTERM to an async-signal-safe stop request
+    (drain in-flight, refuse new) and starts the watcher thread
+    performing the actual {!stop}.  Returns a restorer that reinstates
+    the previous signal behaviours — call it once the server has
+    stopped (tests do). *)

@@ -99,12 +99,6 @@ let submit t job =
   Mutex.unlock t.mu;
   result
 
-let high_water t =
-  Mutex.lock t.mu;
-  let hw = t.high_water in
-  Mutex.unlock t.mu;
-  hw
-
 let depth t =
   Mutex.lock t.mu;
   let d = Queue.length t.jobs in

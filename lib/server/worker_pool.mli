@@ -39,12 +39,8 @@ val create : ?domains:bool -> workers:int -> queue_capacity:int -> unit -> t
 
 val submit : t -> (unit -> unit) -> submit_result
 
-val high_water : t -> int
-(** Deepest the queue has ever been (pending jobs, not in-flight). *)
-
 val depth : t -> int
-(** Pending jobs right now (not in-flight) — the live companion to
-    {!high_water}. *)
+(** Pending jobs right now (not in-flight). *)
 
 val shutdown : t -> unit
 (** Graceful: refuse new submissions, let the workers drain every

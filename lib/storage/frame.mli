@@ -1,9 +1,6 @@
 (** Length + CRC record framing shared by the WAL and snapshot files:
     [len:u32le][crc32:u32le][payload]. *)
 
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3, the zlib polynomial) of the whole string. *)
-
 val write : Buffer.t -> string -> unit
 (** Append one framed payload to the buffer. *)
 

@@ -334,7 +334,6 @@ let append_commit t ~version ~at delta =
   | None -> Wal.append t.writer (Wal.Commit { version; at; delta })
 
 let append_register t query = Wal.append t.writer (Wal.Register query)
-let sync t = Wal.sync t.writer
 
 let write_snapshot t ~store ~registrations =
   Mutex.protect t.mu @@ fun () ->

@@ -99,8 +99,6 @@ val write_snapshot :
     version now covered by the newest snapshot. *)
 
 val last_snapshot_version : t -> int
-val sync : t -> (unit, string) result
-(** Force the WAL to disk (graceful drain). *)
 
 val dir : t -> string
 

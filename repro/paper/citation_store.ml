@@ -1,31 +1,12 @@
+open Dc_citation
 module Value = Dc_relational.Value
 
 type t = (string, Citation.Set.t) Hashtbl.t
 
 let create () : t = Hashtbl.create 32
 
-let canonical_text set =
-  String.concat "\n"
-    (List.map
-       (fun c ->
-         Citation.key c ^ "|"
-         ^ String.concat ";"
-             (List.map
-                (fun s ->
-                  Snippet.source s ^ ":"
-                  ^ String.concat ","
-                      (List.map
-                         (fun (n, v) -> n ^ "=" ^ Value.to_string v)
-                         (Snippet.fields s)))
-                (Citation.snippets c)))
-       set)
-
-let key_of set =
-  Printf.sprintf "cite:%s"
-    (String.sub (Digest.to_hex (Digest.string (canonical_text set))) 0 12)
-
 let put store set =
-  let key = key_of set in
+  let key = Citation.Set.content_key set in
   if not (Hashtbl.mem store key) then Hashtbl.add store key set;
   key
 
@@ -64,5 +45,5 @@ let search store needle =
   |> List.sort compare
 
 let reference store set =
-  let key = key_of set in
+  let key = Citation.Set.content_key set in
   if Hashtbl.mem store key then Some key else None

@@ -7,24 +7,24 @@
     denoted by a short stable key (to put in a bibliography), while the
     full, possibly large citation remains retrievable and searchable.
 
-    Keys are content hashes, so equal citation sets share one entry and
-    keys are stable across runs. *)
+    Keys are {!Dc_citation.Citation.Set.content_key}s, so equal citation
+    sets share one entry and keys are stable across runs. *)
 
 type t
 
 val create : unit -> t
 
-val put : t -> Citation.Set.t -> string
+val put : t -> Dc_citation.Citation.Set.t -> string
 (** Deposits the set and returns its key ["cite:<hex>"]; idempotent. *)
 
-val get : t -> string -> Citation.Set.t option
+val get : t -> string -> Dc_citation.Citation.Set.t option
 
 val entries : t -> int
 
-val search : t -> string -> (string * Citation.t) list
+val search : t -> string -> (string * Dc_citation.Citation.t) list
 (** Case-insensitive substring search over view names, parameter values
     and snippet fields; returns (key, citation) pairs, each citation
     listed once per containing entry. *)
 
-val reference : t -> Citation.Set.t -> string option
+val reference : t -> Dc_citation.Citation.Set.t -> string option
 (** The key the set is stored under, if it has been deposited. *)

@@ -126,6 +126,7 @@ let cite_element db ~views ~eid =
   | None -> Error (Printf.sprintf "no element %d" eid)
   | Some tag ->
       let engine = C.Engine.create ~selection:`All db views in
+      let id = Cq.Term.Const (Dc_relational.Value.Int eid) in
       let query =
         Cq.Query.make_exn
           ~name:(Printf.sprintf "QElem%d" eid)
@@ -133,9 +134,9 @@ let cite_element db ~views ~eid =
           ~body:
             [
               Cq.Atom.make "Element"
-                [ Cq.Term.int eid; Cq.Term.Var "P"; Cq.Term.str tag; Cq.Term.Var "O" ];
+                [ id; Cq.Term.Var "P"; Cq.Term.str tag; Cq.Term.Var "O" ];
               Cq.Atom.make "Attr"
-                [ Cq.Term.int eid; Cq.Term.Var "Name"; Cq.Term.Var "Value" ];
+                [ id; Cq.Term.Var "Name"; Cq.Term.Var "Value" ];
             ]
           ()
       in

@@ -64,8 +64,8 @@ let bindings ?cache db q =
             R.Relation.tuples (relation_of db (Cq.Atom.pred atom))
           else
             let positions = List.map fst bound in
-            let key = List.map snd bound in
-            R.Index.lookup (index_for cache db (Cq.Atom.pred atom) positions) key
+            let key = Array.of_list (List.map snd bound) in
+            R.Index.lookup_key (index_for cache db (Cq.Atom.pred atom) positions) key
         in
         List.fold_left
           (fun acc tuple ->

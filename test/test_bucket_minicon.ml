@@ -78,7 +78,7 @@ let test_minicon_typed_key () =
            ( c.covered,
              Printf.sprintf "V(%s)"
                (String.concat ","
-                  (List.map Dc_cq.Term.to_string (Dc_cq.Atom.args c.atom))) ))
+                  (List.map (Format.asprintf "%a" Dc_cq.Term.pp) (Dc_cq.Atom.args c.atom))) ))
          (M.descriptions views query))
   in
   Alcotest.(check (list (pair (list int) string)))
@@ -118,7 +118,7 @@ let test_minicon_constant_compatibility () =
 let test_cite_at_time () =
   let views = Dc_gtopdb.Paper_views.all in
   let query = Dc_gtopdb.Paper_views.query_q in
-  let ve = VE.create (paper_db ()) views in
+  let ve = VE.of_engine @@ Dc_citation.Engine.create (paper_db ()) views in
   (* default clock: version 0 at time 1 *)
   ignore
     (Result.get_ok

@@ -9,10 +9,10 @@ let q = parse
 let test_snippet () =
   let s = Snip.make ~source:"CV1" [ ("FID", int 11); ("PName", str "Hay") ] in
   Alcotest.(check string) "source" "CV1" (Snip.source s);
-  Alcotest.(check (option value_t)) "field" (Some (int 11)) (Snip.field s "FID");
-  Alcotest.(check (option value_t)) "missing" None (Snip.field s "X");
+  Alcotest.(check (option value_t)) "field" (Some (int 11)) (field s "FID");
+  Alcotest.(check (option value_t)) "missing" None (field s "X");
   let s2 = Snip.of_tuple ~source:"CV1" [ "A"; "B" ] (tuple [ int 1; str "x" ]) in
-  Alcotest.(check (option value_t)) "of_tuple" (Some (str "x")) (Snip.field s2 "B")
+  Alcotest.(check (option value_t)) "of_tuple" (Some (str "x")) (field s2 "B")
 
 let test_citation_dedups_snippets () =
   let s = Snip.make ~source:"s" [ ("a", int 1) ] in
@@ -23,7 +23,7 @@ let test_citation_key_and_merge () =
   let c1 = Cit.make ~view:"V1" ~params:[ ("FID", int 11) ] ~snippets:[] in
   let c2 = Cit.make ~view:"V3" ~params:[] ~snippets:[] in
   Alcotest.(check string) "key" "V1(FID=11)" (Cit.key c1);
-  let m = Cit.merge c1 c2 in
+  let m = List.hd (Cit.Set.join [ c1 ] [ c2 ]) in
   Alcotest.(check string) "merged view" "V1·V3" (Cit.view m);
   Alcotest.(check int) "merged params" 1 (List.length (Cit.params m))
 
@@ -61,7 +61,7 @@ let test_cite_pulls_snippets () =
   let c = CV.cite cv db [ ("FID", int 11) ] in
   Alcotest.(check string) "view name" "V1" (Cit.view c);
   let names =
-    List.filter_map (fun s -> Snip.field s "PName") (Cit.snippets c)
+    List.filter_map (fun s -> field s "PName") (Cit.snippets c)
   in
   Alcotest.(check (list value_t)) "committee members"
     [ str "David Poyner"; str "Debbie Hay" ]
@@ -83,11 +83,11 @@ let test_cite_unparameterized () =
   | [ s ] ->
       Alcotest.(check (option value_t)) "blurb"
         (Some (str Dc_gtopdb.Paper_views.gtopdb_blurb))
-        (Snip.field s "c0")
+        (field s "c0")
   | _ -> Alcotest.fail "expected one snippet"
 
 let test_post_hook () =
-  let post c = Cit.with_snippets c [] in
+  let post c = Cit.make ~view:(Cit.view c) ~params:(Cit.params c) ~snippets:[] in
   let cv =
     CV.make_exn ~post
       ~view:(q "V(FID,FName,Desc) :- Family(FID,FName,Desc)")

@@ -345,8 +345,9 @@ let fold_agrees f =
   same_summary folded (E.cite (make ()) q)
   &&
   let versioned () =
-    V.create ~policy:c.policy ~selection:c.selection ~partial:c.partial
-      ~fallback_contained:c.fallback (database c) views
+    V.of_engine
+    @@ E.create ~policy:c.policy ~selection:c.selection ~partial:c.partial
+         ~fallback_contained:c.fallback (database c) views
   in
   let ve = versioned () and twin = versioned () in
   if f.registered then Result.get_ok (V.register ve q);
@@ -407,7 +408,7 @@ let test_fold_order () =
     (X.to_string r.result_expr)
     (expr_text (E.summary e q));
   Alcotest.(check bool) "engine: every field" true (same_summary (E.summary e q) r);
-  let ve = V.create db views in
+  let ve = V.of_engine @@ E.create db views in
   Result.get_ok (V.register ve q);
   let s = Result.get_ok (V.summary_at ve 0 q)
   and c = Result.get_ok (V.cite_at ve 0 q) in

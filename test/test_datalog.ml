@@ -291,8 +291,9 @@ let prop_continued_matches_scratch =
       let program = random_program st in
       let strat = program.Cq.Program.strat in
       let ve =
-        C.Versioned_engine.create_program
+        C.Versioned_engine.of_engine
           ~capacity:(1 + Random.State.int st 4)
+        @@ C.Engine.of_program
           (ef_db st) program
       in
       let store () = C.Versioned_engine.store ve in
@@ -609,7 +610,7 @@ let test_engine_of_program () =
       upstream_program
   in
   Alcotest.(check (list string)) "derived predicates" [ "Up" ]
-    (C.Engine.derived_predicates eng);
+    (Dc_cq.Program.idb_preds (Option.get (C.Engine.program eng)));
   Alcotest.(check (list string)) "recursive predicates" [ "Up" ]
     (C.Engine.recursive_predicates eng);
   let result = C.Engine.cite eng (parse "Q(S) :- Up(S,1)") in
@@ -627,7 +628,8 @@ let test_engine_refresh_rederives () =
 
 let test_register_guard () =
   let ve =
-    C.Versioned_engine.create_program (link_db [ (2, 1) ]) upstream_program
+    C.Versioned_engine.of_engine
+    @@ C.Engine.of_program (link_db [ (2, 1) ]) upstream_program
   in
   match C.Versioned_engine.register ve (parse "Q(S) :- Link(S,D)") with
   | Ok () -> ()
@@ -674,7 +676,7 @@ let render_result (r : C.Engine.result) =
 let test_register_on_program_survives_commits () =
   let views = Dc_gtopdb.Paper_views.all in
   let ve =
-    C.Versioned_engine.create_program ~views (subfamily_db ())
+    C.Versioned_engine.of_engine @@ C.Engine.of_program ~views (subfamily_db ())
       subfamily_program
   in
   let q = Dc_gtopdb.Paper_views.query_q in
@@ -787,8 +789,9 @@ let prop_registration_matches_fresh_program =
       let policy = C.Policy.make ~alt_r:C.Policy.Keep_all () in
       let views = Dc_gtopdb.Paper_views.all in
       let ve =
-        C.Versioned_engine.create_program ~selection:`All ~policy ~views
-          (subfamily_db ()) evolving_program
+        C.Versioned_engine.of_engine
+        @@ C.Engine.of_program ~selection:`All ~policy ~views (subfamily_db ())
+             evolving_program
       in
       List.iter
         (fun q ->

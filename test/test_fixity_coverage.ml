@@ -25,7 +25,7 @@ let verifies ve (c : V.cited) =
        (cited_tuples c)
 
 let test_cite_and_resolve () =
-  let ve = V.create (paper_db ()) views in
+  let ve = V.of_engine @@ C.Engine.create (paper_db ()) views in
   let vc = cite ve (V.head ve) query in
   Alcotest.(check int) "cited at v0" 0 vc.version;
   Alcotest.(check int) "two tuples" 2 (List.length (cited_tuples vc));
@@ -33,7 +33,7 @@ let test_cite_and_resolve () =
     (List.length (cited_tuples (cite ve vc.version query)))
 
 let test_fixity_across_evolution () =
-  let ve = V.create (paper_db ()) views in
+  let ve = V.of_engine @@ C.Engine.create (paper_db ()) views in
   let vc = cite ve (V.head ve) query in
   let delta =
     D.delete D.empty "FamilyIntro" (tuple [ int 21; str "Dopamine intro" ])
@@ -47,13 +47,13 @@ let test_fixity_across_evolution () =
   Alcotest.(check bool) "fresh verifies too" true (verifies ve fresh)
 
 let test_resolve_unknown_version () =
-  let ve = V.create (paper_db ()) views in
+  let ve = V.of_engine @@ C.Engine.create (paper_db ()) views in
   Alcotest.(check bool) "error" true (Result.is_error (V.cite_at ve 99 query))
 
 let test_query_text_roundtrip () =
   (* the citation carries its query; its text parses back to a query
      that re-cites to the same tuples *)
-  let ve = V.create (paper_db ()) views in
+  let ve = V.of_engine @@ C.Engine.create (paper_db ()) views in
   let vc = cite ve (V.head ve) query in
   match Dc_cq.Parser.parse_query (Dc_cq.Query.to_string vc.result.query) with
   | Error e -> Alcotest.fail e
@@ -90,7 +90,7 @@ let test_greedy_minimal () =
       parse "W1(FID,FName) :- Family(FID,FName,Desc)";
     ]
   in
-  let kept = Cov.greedy_minimal_views vset workload in
+  let kept = Dc_repro.View_selection.greedy_minimal_views vset workload in
   Alcotest.(check int) "two views suffice" 2 (List.length kept);
   let kept_names = List.map Dc_rewriting.View.name kept in
   Alcotest.(check bool) "V3 kept" true (List.mem "V3" kept_names);

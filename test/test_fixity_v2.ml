@@ -99,7 +99,7 @@ let test_carried_equals_scratch =
        ~count:200
        (QCheck.make ~print:print_stream (gen_stream [ "a"; "b"; "" ]))
        (fun stream ->
-         let ve = V.create (base_db ()) [] in
+         let ve = V.of_engine @@ C.Engine.create (base_db ()) [] in
          ignore (ok_exn "digest v0" (V.digest_at ve 0));
          run_stream ve stream;
          all_versions_agree ve))
@@ -187,7 +187,7 @@ let test_v1_collisions_split () =
 (* The tag: v2 digests carry ":v2", so a 32-hex v1 digest never equals
    one, and verification dispatches on it. *)
 let test_tags () =
-  let ve = V.create (base_db ()) [] in
+  let ve = V.of_engine @@ C.Engine.create (base_db ()) [] in
   let v2 = ok_exn "digest" (V.digest_at ve 0) in
   let v1 = F.digest_db (R.Version_store.checkout_exn (V.store ve) 0) in
   Alcotest.(check int) "v1 is 32 hex" 32 (String.length v1);

@@ -115,7 +115,7 @@ let test_citation_query_relation_change () =
   in
   let snippet_values =
     List.concat_map
-      (fun c -> List.filter_map (fun s -> C.Snippet.field s "PName") (C.Citation.snippets c))
+      (fun c -> List.filter_map (fun s -> field s "PName") (C.Citation.snippets c))
       tc.citations
   in
   Alcotest.(check bool) "new member cited" true
@@ -203,7 +203,7 @@ module V = C.Versioned_engine
    one is evaluated; the wire's [rewritings] counts both, registered or
    not. *)
 let test_registered_rewriting_count () =
-  let ve = V.create (paper_db ()) Dc_gtopdb.Paper_views.all in
+  let ve = V.of_engine @@ E.create (paper_db ()) Dc_gtopdb.Paper_views.all in
   let q = Dc_gtopdb.Paper_views.query_q in
   let count () = (Result.get_ok (V.summary_at ve 0 q)).result.rewriting_count in
   Alcotest.(check int) "unregistered" 2 (count ());
@@ -226,7 +226,7 @@ let test_registered_contained_fallback () =
       ()
   in
   let q = parse "Q(FName) :- Family(FID,FName,Desc)" in
-  let ve = V.create ~fallback_contained:true (paper_db ()) [ v4 ] in
+  let ve = V.of_engine @@ E.create ~fallback_contained:true (paper_db ()) [ v4 ] in
   Result.get_ok (V.register ve q);
   let answers (r : E.result) =
     List.map

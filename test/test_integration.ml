@@ -75,12 +75,10 @@ let test_every_tuple_has_wellformed_citation () =
       Alcotest.(check bool) "citations nonempty" true (tc.citations <> []);
       (* every concrete citation renders in every format *)
       List.iter
-        (fun fmt ->
-          Alcotest.(check bool)
-            (C.Fmt_citation.format_to_string fmt)
-            true
+        (fun (name, fmt) ->
+          Alcotest.(check bool) name true
             (String.length (C.Fmt_citation.render fmt tc.citations) > 0))
-        C.Fmt_citation.all_formats)
+        formats)
     result.tuples
 
 let test_min_size_never_larger () =
@@ -101,7 +99,7 @@ let test_min_size_never_larger () =
 
 let test_versioned_generated () =
   let db = G.generate ~seed:21 ~config:small () in
-  let ve = C.Versioned_engine.create db Dc_repro.Views_catalog.all in
+  let ve = C.Versioned_engine.of_engine @@ E.create db Dc_repro.Views_catalog.all in
   let cite () =
     Result.get_ok (C.Versioned_engine.cite_at ve 0 Dc_gtopdb.Paper_views.query_q)
   in

@@ -251,7 +251,7 @@ let eager c db =
 
 let agrees c =
   let ve =
-    V.create_program ~capacity:c.capacity
+    V.of_engine ~capacity:c.capacity @@ E.of_program
       ~policy:(C.Policy.make ~alt_r:c.alt_r ())
       ~selection:c.selection ~partial:c.partial ~fallback_contained:c.fallback
       ~views
@@ -286,7 +286,7 @@ let agrees c =
       if
         not
           (R.Database.equal (E.derived_database eng) (E.derived_database oracle)
-          && R.Database.equal (E.view_database eng) (E.view_database oracle)
+          && R.Database.equal (view_database eng) (view_database oracle)
           && R.Database.equal (E.merged_database eng) (E.merged_database oracle))
       then QCheck.Test.fail_reportf "v%d: extents differ from the eager ones" v)
     c.cites;
@@ -307,7 +307,7 @@ let materializations ve = snd (C.Metrics.timer (V.metrics ve) "materialize")
 
 let test_cites_force_only_what_they_read () =
   let ve =
-    V.create_program ~views (database ~seed:7 ~families:12) program
+    V.of_engine @@ E.of_program ~views (database ~seed:7 ~families:12) program
   in
   let d0 = derivations ve in
   let v =
@@ -457,7 +457,9 @@ let test_domains_first_force_together () =
 (* The server's shape: commit, then serve v1 cites of the new head
    engine and versioned cites of the head at once. *)
 let test_versioned_head_first_force_together () =
-  let ve = V.create_program ~views (database ~seed:5 ~families:30) program in
+  let ve =
+    V.of_engine @@ E.of_program ~views (database ~seed:5 ~families:30) program
+  in
   for round = 1 to 6 do
     let head = R.Version_store.head_db (V.store ve) in
     let v =

@@ -31,13 +31,13 @@ let test_render_errors () =
     (Result.is_error (P.render (engine ()) ~view:"V1" ~params:[]))
 
 let test_page_ids () =
-  let ids = P.page_ids (engine ()) ~view:"V1" in
+  let ids = Dc_repro.Portal.page_ids (engine ()) ~view:"V1" in
   Alcotest.(check int) "one page per family" 4 (List.length ids);
   Alcotest.(check (list (list (pair string value_t)))) "unparameterized"
     [ [] ]
-    (P.page_ids (engine ()) ~view:"V2");
+    (Dc_repro.Portal.page_ids (engine ()) ~view:"V2");
   Alcotest.(check (list (list (pair string value_t)))) "unknown view" []
-    (P.page_ids (engine ()) ~view:"Nope")
+    (Dc_repro.Portal.page_ids (engine ()) ~view:"Nope")
 
 let test_to_text () =
   match P.render (engine ()) ~view:"V1" ~params:[ ("FID", int 11) ] with

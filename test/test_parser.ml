@@ -48,7 +48,7 @@ let test_equality_elimination () =
   Alcotest.(check bool) "Y replaced by 7" true
     (List.exists
        (fun (a : Cq.Atom.t) ->
-         Cq.Atom.args a = [ Cq.Term.Var "X"; Cq.Term.int 7 ])
+         Cq.Atom.args a = [ Cq.Term.Var "X"; Cq.Term.Const (Dc_relational.Value.Int 7) ])
        (Cq.Query.body q2))
 
 let test_comments_and_whitespace () =

@@ -36,13 +36,13 @@ let gen_db : R.Database.t Gen.t =
       let tuples =
         List.init n (fun _ ->
             R.Tuple.make
-              (List.init arity (fun _ -> R.Value.int (Gen.int_bound 4 st))))
+              (List.init arity (fun _ -> R.Value.Int (Gen.int_bound 4 st))))
       in
       R.Database.insert_list db name tuples)
     R.Database.empty preds
 
 let gen_var st = Printf.sprintf "X%d" (Gen.int_bound 3 st)
-let gen_const st = R.Value.int (Gen.int_bound 4 st)
+let gen_const st = R.Value.Int (Gen.int_bound 4 st)
 
 let gen_query_upto max_atoms : Cq.Query.t Gen.t =
  fun st ->
@@ -349,7 +349,7 @@ let gen_ordered_db : R.Database.t Gen.t =
       (fun db (name, arity) ->
         let db = R.Database.create_relation db (int_schema name arity) in
         let n = if Gen.int_bound 5 st = 0 then 0 else 1 + Gen.int_bound 15 st in
-        let value _ = R.Value.int (Gen.int_bound 3 st) in
+        let value _ = R.Value.Int (Gen.int_bound 3 st) in
         R.Database.insert_list db name
           (List.init n (fun _ -> R.Tuple.make (List.init arity value))))
       R.Database.empty ordered_preds
@@ -359,7 +359,7 @@ let gen_ordered_db : R.Database.t Gen.t =
   R.Database.insert_list db name
     (List.init (16 + Gen.int_bound 32 st) (fun _ ->
          R.Tuple.make
-           R.Value.[ int (Gen.int_bound 3 st); int (Gen.int_bound 15 st) ]))
+           R.Value.[ Int (Gen.int_bound 3 st); Int (Gen.int_bound 15 st) ]))
 
 (* A query biased toward scan-first plans whose head leads with a
    variable the first atom binds past its first column, paired with a
@@ -371,7 +371,7 @@ let gen_ordered_case : (Cq.Query.t * string list) Gen.t =
  fun st ->
   let pick l = List.nth l (Gen.int_bound (List.length l - 1) st) in
   let var () = Cq.Term.Var (Printf.sprintf "X%d" (Gen.int_bound 4 st)) in
-  let const () = Cq.Term.Const (R.Value.int (Gen.int_bound 3 st)) in
+  let const () = Cq.Term.Const (R.Value.Int (Gen.int_bound 3 st)) in
   let atom ~consts =
     let name, arity = pick ordered_preds in
     Cq.Atom.make name

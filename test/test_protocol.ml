@@ -3,6 +3,34 @@
 module P = Dc_server.Protocol
 module R = Dc_relational
 
+(* A request in wire form: the inverse of [P.parse_request] up to
+   whitespace and scalar formatting (an integer-shaped string value
+   re-parses as an [Int]).  v1 commands render in v1 form, v2-introduced
+   commands with the [V2] prefix; both re-parse to the same request. *)
+let render_request : P.request -> string = function
+  | P.Cite q -> "CITE " ^ q
+  | P.Cite_batch qs ->
+      (* Multi-line: the header then one query per line.  Only the
+         incremental decoder re-parses this form. *)
+      Printf.sprintf "CITE_BATCH %d\n%s" (List.length qs)
+        (String.concat "\n" qs)
+  | P.Cite_param { view; bindings } ->
+      let kvs =
+        String.concat ","
+          (List.map (fun (n, v) -> n ^ "=" ^ R.Value.to_string v) bindings)
+      in
+      if kvs = "" then "CITE_PARAM " ^ view
+      else Printf.sprintf "CITE_PARAM %s %s" view kvs
+  | P.Cite_at { version; query } -> Printf.sprintf "V2 CITE_AT %d %s" version query
+  | P.Commit_delta d -> "V2 COMMIT_DELTA " ^ R.Delta_wire.render d
+  | P.Versions -> "V2 VERSIONS"
+  | P.Verify { version; digest } -> Printf.sprintf "V2 VERIFY %d %s" version digest
+  | P.Register q -> "V2 REGISTER " ^ q
+  | P.Stats -> "STATS"
+  | P.Health -> "HEALTH"
+  | P.Health_v2 -> "V2 HEALTH"
+  | P.Quit -> "QUIT"
+
 (* [Commit_delta] carries a map whose internal tree shape depends on
    insertion order, so request equality goes through the change lists,
    not polymorphic [=] on the map. *)
@@ -14,13 +42,13 @@ let req_equal a b =
 
 let req =
   Alcotest.testable
-    (fun ppf r -> Format.pp_print_string ppf (P.render_request r))
+    (fun ppf r -> Format.pp_print_string ppf (render_request r))
     req_equal
 
 let roundtrip name r () =
   Alcotest.(check (result req string))
     name (Ok r)
-    (P.parse_request (P.render_request r))
+    (P.parse_request (render_request r))
 
 let test_roundtrips () =
   roundtrip "cite" (P.Cite "Q(X) :- Family(X,N,D)") ();
@@ -126,11 +154,11 @@ let gen_request =
       ])
 
 let arb_request =
-  QCheck.make ~print:(fun r -> P.render_request r) gen_request
+  QCheck.make ~print:render_request gen_request
 
 let test_roundtrip_prop =
   Testutil.qtest "render/parse round trip" arb_request (fun r ->
-      match P.parse_request (P.render_request r) with
+      match P.parse_request (render_request r) with
       | Ok r' -> req_equal r r'
       | Error _ -> false)
 
@@ -232,20 +260,20 @@ let test_error_line () =
   Alcotest.(check string) "escaped bytes"
     {|ERR {"error":"q\"b\\s x\t\u0001"}|}
     (P.error_line "q\"b\\s\nx\t\001");
-  match P.classify_response line with
+  match Testutil.classify_response line with
   | `Err body ->
       Alcotest.(check bool) "body is json" true (body.[0] = '{')
   | `Ok _ | `Malformed -> Alcotest.fail "error_line must classify as `Err"
 
 let test_classify () =
-  (match P.classify_response P.ok_bye with
+  (match Testutil.classify_response P.ok_bye with
   | `Ok _ -> ()
   | _ -> Alcotest.fail "ok_bye is `Ok");
-  (match P.classify_response "garbage" with
+  (match Testutil.classify_response "garbage" with
   | `Malformed -> ()
   | _ -> Alcotest.fail "garbage is `Malformed");
   match
-    P.classify_response
+    Testutil.classify_response
       (P.ok_health ~uptime_s:1.5 ~views:3 ~relations:7 ~tuples:12 ())
   with
   | `Ok line ->
@@ -276,7 +304,7 @@ let test_health_v2 () =
     (P.parse_request "V2 HEALTH");
   Alcotest.(check (result req string))
     "v2 health round trips" (Ok P.Health_v2)
-    (P.parse_request (P.render_request P.Health_v2));
+    (P.parse_request (render_request P.Health_v2));
   check_err "v2 health with args" "V2 HEALTH please";
   let v1 = P.ok_health ~uptime_s:1.5 ~views:3 ~relations:7 ~tuples:12 () in
   let v1' =
@@ -311,7 +339,7 @@ let feed_bytewise dec s =
 let item =
   Alcotest.testable
     (fun ppf -> function
-      | Ok r -> Format.fprintf ppf "Ok %s" (P.render_request r)
+      | Ok r -> Format.fprintf ppf "Ok %s" (render_request r)
       | Error e -> Format.fprintf ppf "Error %s" e)
     (fun a b ->
       match (a, b) with
@@ -416,15 +444,15 @@ let test_decoder_batch_render_roundtrip () =
   Alcotest.(check (list item))
     "render feeds back to the same request"
     [ Ok r ]
-    (items_of dec (P.render_request r ^ "\n"))
+    (items_of dec (render_request r ^ "\n"))
 
 let test_busy_line () =
   Alcotest.(check bool) "busy_line is BUSY" true
-    (P.is_busy_response P.busy_line);
+    (Testutil.is_busy_response P.busy_line);
   Alcotest.(check bool) "other errors are not" false
-    (P.is_busy_response (P.error_line "BUSY elsewhere"));
-  Alcotest.(check bool) "ok is not" false (P.is_busy_response P.ok_bye);
-  match P.classify_response P.busy_line with
+    (Testutil.is_busy_response (P.error_line "BUSY elsewhere"));
+  Alcotest.(check bool) "ok is not" false (Testutil.is_busy_response P.ok_bye);
+  match Testutil.classify_response P.busy_line with
   | `Err _ -> ()
   | _ -> Alcotest.fail "busy_line must classify as `Err"
 
@@ -434,13 +462,13 @@ let gen_stream =
 
 let arb_stream =
   QCheck.make
-    ~print:(fun rs -> String.concat " | " (List.map P.render_request rs))
+    ~print:(fun rs -> String.concat " | " (List.map render_request rs))
     gen_stream
 
 let test_decoder_stream_prop =
   Testutil.qtest "decoder frames rendered streams" arb_stream (fun rs ->
       let wire =
-        String.concat "" (List.map (fun r -> P.render_request r ^ "\n") rs)
+        String.concat "" (List.map (fun r -> render_request r ^ "\n") rs)
       in
       let dec = P.Decoder.create () in
       let items = items_of dec wire in

@@ -71,7 +71,7 @@ let test_page_html () =
   match C.Page.render engine ~view:"V1" ~params:[ ("FID", int 11) ] with
   | Error e -> Alcotest.fail e
   | Ok page ->
-      let html = C.Page.to_html page in
+      let html = Dc_repro.Portal.to_html page in
       let contains needle =
         let nl = String.length needle and hl = String.length html in
         let rec go i =

@@ -16,7 +16,7 @@ let test_basics () =
 let test_position () =
   Alcotest.(check (option int)) "Name at 1" (Some 1) (S.position sample "Name");
   Alcotest.(check (option int)) "missing" None (S.position sample "Nope");
-  Alcotest.(check string) "attr name" "Extra" (S.attribute_name sample 2)
+  Alcotest.(check string) "attr name" "Extra" (List.nth (S.attributes sample) 2).name
 
 let test_duplicate_attr_rejected () =
   Alcotest.check_raises "duplicate attribute"

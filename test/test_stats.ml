@@ -31,9 +31,6 @@ let test_selectivity_and_join () =
   let db = rs_db () in
   Alcotest.(check bool) "selectivity R.1 = 1/2" true
     (abs_float (S.selectivity db "R" 1 -. 0.5) < 1e-9);
-  (* |R|*|S| / max(d_R.B, d_S.A) = 3*2/2 = 3 *)
-  Alcotest.(check bool) "join estimate" true
-    (abs_float (S.join_cardinality db ("R", 1) ("S", 0) -. 3.0) < 1e-9);
   Alcotest.(check bool) "empty relation selectivity 1" true
     (S.selectivity db "Nope" 0 = 1.0)
 
@@ -168,8 +165,8 @@ let carried_stream seed =
     let schema = List.nth carried_schemas (Random.State.int rng 2) in
     Cq.Atom.make (R.Schema.name schema)
       (List.init (R.Schema.arity schema) (fun _ ->
-           if Random.State.int rng 4 = 0 then Cq.Term.const (value ())
-           else Cq.Term.var [| "X"; "Y"; "Z" |].(Random.State.int rng 3)))
+           if Random.State.int rng 4 = 0 then Cq.Term.Const (value ())
+           else Cq.Term.Var [| "X"; "Y"; "Z" |].(Random.State.int rng 3)))
   in
   let order db q =
     Cq.Plan.atom_order

@@ -4,79 +4,98 @@ module Sub = Dc_cq.Subst
 module U = Dc_cq.Unify
 module T = Dc_cq.Term
 
+let ti i = T.Const (R.Value.Int i)
+
+(* The most general unifier of the pairs, as an idempotent substitution
+   over the classes' representatives (constant first, then the first
+   variable seen): what unification reduces to without function
+   symbols. *)
+let mgu pairs =
+  let c =
+    List.fold_left
+      (fun acc (a, b) -> Option.bind acc (fun c -> U.Classes.union c a b))
+      (Some U.Classes.empty) pairs
+  in
+  Option.map (fun c -> U.Classes.to_subst c (fun _ -> false)) c
+
+let unify_atoms a b =
+  Option.map
+    (fun c -> U.Classes.to_subst c (fun _ -> false))
+    (U.Classes.union_atoms U.Classes.empty a b)
+
 let test_apply () =
-  let s = Sub.of_list [ ("X", T.int 1); ("Y", T.Var "Z") ] in
+  let s = Sub.of_list [ ("X", ti 1); ("Y", T.Var "Z") ] in
   Alcotest.(check bool) "const through" true
-    (T.equal (Sub.apply_term s (T.int 9)) (T.int 9));
+    (T.equal (Sub.apply_term s (ti 9)) (ti 9));
   Alcotest.(check bool) "X to 1" true
-    (T.equal (Sub.apply_term s (T.Var "X")) (T.int 1));
+    (T.equal (Sub.apply_term s (T.Var "X")) (ti 1));
   Alcotest.(check bool) "unbound untouched" true
     (T.equal (Sub.apply_term s (T.Var "W")) (T.Var "W"))
 
 let test_extend () =
-  let s = Sub.singleton "X" (T.int 1) in
+  let s = Sub.singleton "X" (ti 1) in
   Alcotest.(check bool) "same binding ok" true
-    (Sub.extend s "X" (T.int 1) <> None);
+    (Sub.extend s "X" (ti 1) <> None);
   Alcotest.(check bool) "conflict fails" true
-    (Sub.extend s "X" (T.int 2) = None);
+    (Sub.extend s "X" (ti 2) = None);
   Alcotest.(check bool) "fresh ok" true (Sub.extend s "Y" (T.Var "Z") <> None)
 
 let test_compose () =
   let s1 = Sub.of_list [ ("X", T.Var "Y") ] in
-  let s2 = Sub.of_list [ ("Y", T.int 5) ] in
+  let s2 = Sub.of_list [ ("Y", ti 5) ] in
   let c = Sub.compose s1 s2 in
   Alcotest.(check bool) "X goes all the way" true
-    (T.equal (Sub.apply_term c (T.Var "X")) (T.int 5));
+    (T.equal (Sub.apply_term c (T.Var "X")) (ti 5));
   Alcotest.(check bool) "Y too" true
-    (T.equal (Sub.apply_term c (T.Var "Y")) (T.int 5))
+    (T.equal (Sub.apply_term c (T.Var "Y")) (ti 5))
 
 let test_mgu_basic () =
-  (match U.mgu [ (T.Var "X", T.int 3) ] with
-  | Some s -> Alcotest.(check bool) "X=3" true (T.equal (Sub.apply_term s (T.Var "X")) (T.int 3))
+  (match mgu [ (T.Var "X", ti 3) ] with
+  | Some s -> Alcotest.(check bool) "X=3" true (T.equal (Sub.apply_term s (T.Var "X")) (ti 3))
   | None -> Alcotest.fail "expected mgu");
-  Alcotest.(check bool) "const clash" true (U.mgu [ (T.int 1, T.int 2) ] = None);
-  Alcotest.(check bool) "const same" true (U.mgu [ (T.int 1, T.int 1) ] <> None)
+  Alcotest.(check bool) "const clash" true (mgu [ (ti 1, ti 2) ] = None);
+  Alcotest.(check bool) "const same" true (mgu [ (ti 1, ti 1) ] <> None)
 
 let test_mgu_transitive () =
   (* X=Y, Y=3 must give X=3 *)
-  match U.mgu [ (T.Var "X", T.Var "Y"); (T.Var "Y", T.int 3) ] with
+  match mgu [ (T.Var "X", T.Var "Y"); (T.Var "Y", ti 3) ] with
   | None -> Alcotest.fail "expected mgu"
   | Some s ->
       Alcotest.(check bool) "X=3" true
-        (T.equal (Sub.apply_term s (T.Var "X")) (T.int 3));
+        (T.equal (Sub.apply_term s (T.Var "X")) (ti 3));
       Alcotest.(check bool) "Y=3" true
-        (T.equal (Sub.apply_term s (T.Var "Y")) (T.int 3))
+        (T.equal (Sub.apply_term s (T.Var "Y")) (ti 3))
 
 let test_mgu_conflict_through_chain () =
   (* X=1, X=Y, Y=2 is unsatisfiable *)
   Alcotest.(check bool) "chain conflict" true
-    (U.mgu [ (T.Var "X", T.int 1); (T.Var "X", T.Var "Y"); (T.Var "Y", T.int 2) ]
+    (mgu [ (T.Var "X", ti 1); (T.Var "X", T.Var "Y"); (T.Var "Y", ti 2) ]
     = None)
 
 let test_unify_atoms () =
   let a = Cq.Atom.make "R" [ T.Var "X"; T.Var "X" ] in
-  let b = Cq.Atom.make "R" [ T.int 1; T.Var "Y" ] in
-  (match U.unify_atoms a b with
+  let b = Cq.Atom.make "R" [ ti 1; T.Var "Y" ] in
+  (match unify_atoms a b with
   | None -> Alcotest.fail "expected unifier"
   | Some s ->
       Alcotest.(check bool) "Y forced to 1" true
-        (T.equal (Sub.apply_term s (T.Var "Y")) (T.int 1)));
+        (T.equal (Sub.apply_term s (T.Var "Y")) (ti 1)));
   let c = Cq.Atom.make "S" [ T.Var "X" ] in
-  Alcotest.(check bool) "pred mismatch" true (U.unify_atoms a c = None);
-  let d = Cq.Atom.make "R" [ T.int 1; T.int 2 ] in
+  Alcotest.(check bool) "pred mismatch" true (unify_atoms a c = None);
+  let d = Cq.Atom.make "R" [ ti 1; ti 2 ] in
   Alcotest.(check bool) "repeated var vs distinct consts" true
-    (U.unify_atoms a d = None)
+    (unify_atoms a d = None)
 
 let test_classes_members () =
   let open U.Classes in
   match union empty (T.Var "X") (T.Var "Y") with
   | None -> Alcotest.fail "union failed"
   | Some c -> (
-      match union c (T.Var "Y") (T.int 5) with
+      match union c (T.Var "Y") (ti 5) with
       | None -> Alcotest.fail "union failed"
       | Some c ->
           Alcotest.(check bool) "const is representative" true
-            (T.equal (find c (T.Var "X")) (T.int 5));
+            (T.equal (find c (T.Var "X")) (ti 5));
           Alcotest.(check int) "class has 3 members" 3
             (List.length (members c (T.Var "X"))))
 
@@ -85,14 +104,14 @@ let arb_term =
     oneof
       [
         map (fun i -> T.Var (Printf.sprintf "V%d" (i mod 4))) small_nat;
-        map (fun i -> T.int (i mod 3)) small_nat;
+        map (fun i -> ti (i mod 3)) small_nat;
       ])
 
 let prop_mgu_is_unifier =
   qtest "mgu actually unifies the pairs"
     QCheck.(list_of_size (Gen.int_range 1 6) (pair arb_term arb_term))
     (fun pairs ->
-      match U.mgu pairs with
+      match mgu pairs with
       | None -> true
       | Some s ->
           List.for_all
@@ -104,7 +123,7 @@ let prop_mgu_idempotent =
   qtest "mgu is idempotent"
     QCheck.(list_of_size (Gen.int_range 1 6) (pair arb_term arb_term))
     (fun pairs ->
-      match U.mgu pairs with
+      match mgu pairs with
       | None -> true
       | Some s ->
           List.for_all

@@ -15,13 +15,13 @@ let views = Dc_gtopdb.Paper_views.all
 let policy () = C.Policy.make ~alt_r:C.Policy.Keep_all ()
 
 let make ?capacity () =
-  V.create ?capacity ~selection:`All ~policy:(policy ()) (paper_db ()) views
+  V.of_engine ?capacity @@ E.create ~selection:`All ~policy:(policy ()) (paper_db ()) views
 
 (* Everything observable about a result, as one string: the JSON
    summary plus every tuple's expression.  Byte equality of
    fingerprints is the paper's determinism requirement for cite-as-of. *)
 let fingerprint (r : E.result) =
-  E.result_to_json r
+  Dc_oracle.Result_json.of_result r
   ^ "§"
   ^ String.concat "|"
       (List.map
@@ -332,7 +332,7 @@ let check_idb ve v =
         (R.Relation.equal
            (R.Database.relation_exn (E.derived_database eng) p)
            (R.Database.relation_exn want p)))
-    (E.derived_predicates eng)
+    (Dc_cq.Program.idb_preds (Option.get (E.program eng)))
 
 (* The curate shape: commits add one to three Subfamily edges under
    new families, closure cites follow some commits, and CITE_ATs of old
@@ -340,7 +340,7 @@ let check_idb ve v =
    between. *)
 let test_curate_stream_continues () =
   let ve =
-    V.create_program ~views:L.views
+    V.of_engine @@ E.of_program ~views:L.views
       (L.database ~seed:3 ~families:60)
       L.program
   in
@@ -394,7 +394,7 @@ let strata_program =
 |}
 
 let test_deleting_commit_rederives_its_strata () =
-  let ve = V.create_program (L.database ~seed:4 ~families:30) strata_program in
+  let ve = V.of_engine @@ E.of_program (L.database ~seed:4 ~families:30) strata_program in
   let head_db () = R.Version_store.head_db (V.store ve) in
   let commit d =
     let v = ok_exn "commit" (V.commit_delta ve d) in
@@ -461,7 +461,7 @@ let test_plans_shared_across_versions () =
    cites at the new head, scan no relation again. *)
 let test_commits_carry_distinct_counts () =
   let ve =
-    V.create_program ~views:L.views (L.database ~seed:5 ~families:200) L.program
+    V.of_engine @@ E.of_program ~views:L.views (L.database ~seed:5 ~families:200) L.program
   in
   let scans () = counter ve C.Metrics.Key.stats_column_scans in
   let landing f =

@@ -214,7 +214,7 @@ let same_result (a : E.result) (b : E.result) =
   && X.compare a.result_expr b.result_expr = 0
   && same_citations a.result_citations b.result_citations
   && Bool.equal a.complete b.complete
-  && String.equal (E.result_to_json a) (E.result_to_json b)
+  && String.equal (Dc_oracle.Result_json.of_result a) (Dc_oracle.Result_json.of_result b)
 
 let summary (r : E.result) =
   Printf.sprintf "complete %b, tuples [%s], %s" r.complete

@@ -7,10 +7,9 @@ let parse = Cq.Parser.parse_query_exn
 
 let tuple values = R.Tuple.make values
 
-let int_tuple ints = R.Tuple.make (List.map R.Value.int ints)
-
 let str s = R.Value.Str s
 let int i = R.Value.Int i
+let int_tuple ints = R.Tuple.make (List.map int ints)
 
 (* A tiny two-relation database used across CQ tests:
    R = {(1,2),(2,3),(3,3)}   S = {(2,"a"),(3,"b")} *)
@@ -56,5 +55,40 @@ let check_tuples msg expected actual =
 
 (* Evaluate a query and return sorted output tuples. *)
 let eval_tuples db q = List.map fst (Cq.Eval.run db q)
+
+(* Every citation view's extent over the engine's base and derived
+   relations. *)
+let view_database e =
+  let module C = Dc_citation in
+  List.fold_left
+    (fun db cv ->
+      let def = C.Citation_view.definition cv in
+      R.Database.add_relation db (Cq.Eval.result (C.Engine.merged_database e) def))
+    R.Database.empty
+    (C.Citation_view.Set.to_list (C.Engine.citation_views e))
+
+(* Client-side triage of a server response line: [`Ok json] for a
+   success object, [`Err json] for an ERR line (the payload without its
+   prefix), [`Malformed] for anything else. *)
+let classify_response line =
+  let line =
+    if String.ends_with ~suffix:"\r" line then String.sub line 0 (String.length line - 1)
+    else line
+  in
+  if String.starts_with ~prefix:"ERR " line then
+    `Err (String.sub line 4 (String.length line - 4))
+  else if String.starts_with ~prefix:"{" line then `Ok line
+  else `Malformed
+
+(* Whether a response line is the server's BUSY shed. *)
+let is_busy_response line = classify_response line = `Err {|{"error":"BUSY"}|}
+
+(* A snippet's value for a field name. *)
+let field s name = List.assoc_opt name (Dc_citation.Snippet.fields s)
+
+(* Every citation format under its canonical name. *)
+let formats =
+  Dc_citation.Fmt_citation.
+    [ ("human", Human); ("bibtex", Bibtex); ("ris", Ris); ("xml", Xml); ("json", Json) ]
 
 let qtest name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:200 gen prop)
