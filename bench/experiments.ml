@@ -1315,7 +1315,8 @@ let e16 () =
      (none = no store attached); part 2 rebuilds a Version_store from the\n\
      directory — full replays the whole WAL, fast seeds from a mid-history\n\
      snapshot; part 3 re-cites the registered query at the head with and\n\
-     without the store attached\n\n";
+     without the store attached; part 5 loads 1000 to 20000 families\n\
+     from CSV files and from a snapshot payload\n\n";
   let views = Dc_gtopdb.Paper_views.all in
   let db = G.generate ~seed:7 ~config:(families 100) () in
   let q =
@@ -1558,6 +1559,85 @@ let e16 () =
           Printf.sprintf "%.0f" per_s;
         ])
     gc_rows;
+  (* Part 5: load.  Each relation is built once from its rows: the CSV
+     loader cuts, coerces and bulk-builds in one pass, and a snapshot
+     decodes straight into the bulk constructor.  The baselines are the
+     record scanner with one insert per row (the loader before), and the
+     per-tuple insert fold over the decoded rows against [of_list]. *)
+  subhr "load: bulk-built relations vs one insert per row";
+  let load_runs = 5 in
+  let load_rows =
+    List.concat_map
+      (fun n ->
+        let db = G.generate ~seed:7 ~config:(families n) () in
+        let tuples = R.Database.total_tuples db in
+        let dir = fresh_dir () in
+        C.Spec.save_database db ~dir;
+        let schemas = List.map R.Relation.schema (R.Database.relations db) in
+        let payload =
+          Dc_storage.Snapshot.encode
+            { version = 0; at = 0; digest = ""; registrations = []; db }
+        in
+        let rows =
+          List.map (fun r -> (R.Relation.schema r, R.Relation.tuples r))
+            (R.Database.relations db)
+        in
+        let measure path f =
+          let one () =
+            Gc.full_major ();
+            let w0 = Gc.minor_words () in
+            let _, t = time_ms f in
+            (t, Gc.minor_words () -. w0)
+          in
+          let runs = List.init load_runs (fun _ -> one ()) in
+          let times = List.sort compare (List.map fst runs) in
+          let words = List.sort compare (List.map snd runs) in
+          let mid l = List.nth l (load_runs / 2) in
+          let per = float_of_int tuples in
+          ( n, tuples, path, mid times, List.hd times,
+            List.nth times (load_runs - 1),
+            mid times *. 1000. /. per, mid words /. per )
+        in
+        let measured =
+          [
+            measure "csv" (fun () -> ok "load" (C.Spec.load_database ~dir));
+            measure "csv, insert per row" (fun () ->
+                List.map
+                  (fun schema ->
+                    let path =
+                      Filename.concat dir (R.Schema.name schema ^ ".csv")
+                    in
+                    ok "load"
+                      (Dc_oracle.Csv_records.load schema
+                         (ok "read" (R.Csv_io.read_file path))))
+                  schemas);
+            measure "snapshot decode" (fun () ->
+                ok "decode" (Dc_storage.Snapshot.decode payload));
+            measure "build, of_list" (fun () ->
+                List.map (fun (schema, ts) -> R.Relation.of_list schema ts) rows);
+            measure "build, insert fold" (fun () ->
+                List.map
+                  (fun (schema, ts) ->
+                    R.Relation.insert_list (R.Relation.empty schema) ts)
+                  rows);
+          ]
+        in
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Unix.rmdir dir;
+        measured)
+      [ 1_000; 5_000; 20_000 ]
+  in
+  let widths = [ 9; 8; 20; 9; 9; 9; 8; 9 ] in
+  header widths
+    [ "families"; "tuples"; "path"; "ms"; "min"; "max"; "us/tup"; "words/tup" ];
+  List.iter
+    (fun (n, tuples, path, med, lo, hi, us, words) ->
+      row widths
+        [
+          string_of_int n; string_of_int tuples; path; ms med; ms lo; ms hi;
+          Printf.sprintf "%.3f" us; Printf.sprintf "%.1f" words;
+        ])
+    load_rows;
   write_bench_json ~experiment:"E16"
     [
       ( "params",
@@ -1598,6 +1678,23 @@ let e16 () =
             ("in_memory_per_s", Printf.sprintf "%.0f" mem_ops);
             ("durable_per_s", Printf.sprintf "%.0f" dur_ops);
           ] );
+      ( "load",
+        json_list
+          (List.map
+             (fun (n, tuples, path, med, lo, hi, us, words) ->
+               json_obj
+                 [
+                   ("families", string_of_int n);
+                   ("tuples", string_of_int tuples);
+                   ("path", json_str path);
+                   ("runs", string_of_int load_runs);
+                   ("ms", json_ms med);
+                   ("min_ms", json_ms lo);
+                   ("max_ms", json_ms hi);
+                   ("us_per_tuple", Printf.sprintf "%.3f" us);
+                   ("words_per_tuple", Printf.sprintf "%.1f" words);
+                 ])
+             load_rows) );
       ( "group_commit",
         json_list
           (List.map
@@ -1621,7 +1718,10 @@ let e16 () =
      unchanged with the store attached because citation never touches\n\
      storage — only commits and registrations append to the WAL; group\n\
      commit raises appends/fsync well above 1 as Always appenders pile\n\
-     up, closing part of the gap to never at no durability cost.)\n"
+     up, closing part of the gap to never at no durability cost; the CSV\n\
+     load allocates a small fraction of the record scanner's words per\n\
+     tuple, at most 0.25x at 20000 families, the floor CI gates on, and\n\
+     of_list builds several times faster than the insert fold.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E19: compiled query plans — the slot-based join kernel vs the      *)

@@ -12,6 +12,10 @@ module C = Dc_citation
 module S = Dc_server
 open Cmdliner
 
+let log_src = Logs.Src.create "datacite.startup" ~doc:"Server start-up"
+
+module Log = (val Logs.src_log log_src)
+
 let read_file path =
   match Dc_relational.Csv_io.read_file path with
   | Ok s -> s
@@ -232,6 +236,11 @@ let load_program path =
 let run data views program demo host port workers domains queue max_pipeline
     max_batch conn_buffer version_cache timeout data_dir fsync snapshot_every
     recovery =
+  (* warnings and errors from every layer, plus this start-up line *)
+  Logs.set_reporter (Logs.format_reporter ());
+  Logs.Src.set_level log_src (Some Logs.Info);
+  let now = Dc_clock.Monotonic.now_s in
+  let t0 = now () in
   let db, cvs =
     if demo then
       (Dc_gtopdb.Paper_views.example_database (), Dc_gtopdb.Paper_views.all)
@@ -245,6 +254,7 @@ let run data views program demo host port workers domains queue max_pipeline
              --program FILE, or --demo";
           exit 1
   in
+  let t1 = now () in
   let engine =
     match program with
     | None -> C.Engine.create db cvs
@@ -274,17 +284,24 @@ let run data views program demo host port workers domains queue max_pipeline
       recovery;
     }
   in
+  let t2 = now () in
   let server =
     try S.Server.start ~config engine
     with Failure e ->
       prerr_endline ("datacite-server: " ^ e);
       exit 1
   in
+  let t3 = now () in
   let restore = S.Server.install_signal_handlers server in
   Printf.printf "datacite-server listening on %s:%d (%d views, %d tuples)\n%!"
     host (S.Server.port server)
     (C.Citation_view.Set.size (C.Engine.citation_views engine))
     (Dc_relational.Database.total_tuples db);
+  let ms a b = (b -. a) *. 1000. in
+  Log.info (fun m ->
+      m "started in %.1f ms: load %.1f ms, engine and derivation %.1f ms, \
+         storage init and listen %.1f ms"
+        (ms t0 t3) (ms t0 t1) (ms t1 t2) (ms t2 t3));
   S.Server.wait server;
   restore ();
   print_endline "datacite-server: stopped"

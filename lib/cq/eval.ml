@@ -288,10 +288,9 @@ let result_schema q = head_schema (Query.name q) (Query.head q)
 let result ?cache db q =
   let cache = resolve_cache cache in
   let plan = plan_for cache db q in
-  let rel = ref (R.Relation.empty (result_schema q)) in
-  Plan.execute plan (fun regs ->
-      rel := R.Relation.insert !rel (Plan.head_tuple plan regs));
-  !rel
+  let rows = ref [] in
+  Plan.execute plan (fun regs -> rows := Plan.head_tuple plan regs :: !rows);
+  R.Relation.of_list (result_schema q) (List.rev !rows)
 
 exception Found
 

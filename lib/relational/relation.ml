@@ -5,8 +5,8 @@ module Vmap = Map.Make (Value)
    values there are. *)
 type column = { values : int Vmap.t; size : int }
 
-(* The extent is a persistent set; [scan_cache] memoizes its array
-   rendering, [sorted_scans] its re-orderings by column lists (never
+(* The extent is a persistent set ({!Tuple.Set}); [scan_cache]
+   memoizes its array rendering, [sorted_scans] its re-orderings by column lists (never
    carried: a new value sorts afresh), [card_cache] its cardinality,
    [columns] the columns counted so far ([[||]] until the first; [None]
    for one not counted) and [hash_cache] its {!Multiset_hash}.  Every constructor below goes
@@ -17,8 +17,10 @@ type column = { values : int Vmap.t; size : int }
    parent value already knew them, so once a plan or a fixity digest
    has demanded them every later version of the relation gets them for
    O(log d) per column and changed tuple, while values nobody asks
-   about (CSV loads, query results, Datalog extents) never pay.  Filling a
-   cache from two domains at once is a benign race: both compute the
+   about (CSV loads, query results, Datalog extents) never pay.
+   [of_list] builds a value from many rows at once and fills in only
+   what the build itself yields: the cardinality and the scan array.
+   Filling a cache from two domains at once is a benign race: both compute the
    same value from the same immutable set and one write wins
    (word-sized stores are atomic in OCaml); a column written into an
    array that another domain has just replaced is merely lost. *)
@@ -86,14 +88,16 @@ let changed r extent ~sign stored =
   | None -> ());
   r'
 
-let insert r tuple =
-  if not (Schema.conforms r.schema tuple) then
+let check_conforms what schema tuple =
+  if not (Schema.conforms schema tuple) then
     invalid_arg
-      (Printf.sprintf "Relation.insert %s: tuple %s does not conform"
-         (name r) (Tuple.to_string tuple))
-  else
-    let extent = Tuple.Set.add tuple r.extent in
-    if extent == r.extent then r else changed r extent ~sign:1 tuple
+      (Printf.sprintf "Relation.%s %s: tuple %s does not conform" what
+         (Schema.name schema) (Tuple.to_string tuple))
+
+let insert r tuple =
+  check_conforms "insert" r.schema tuple;
+  let extent = Tuple.Set.add tuple r.extent in
+  if extent == r.extent then r else changed r extent ~sign:1 tuple
 
 let insert_list r tuples = List.fold_left insert r tuples
 
@@ -175,7 +179,39 @@ let fold f r init =
   !acc
 
 let iter f r = Array.iter f (scan r)
-let of_list schema tuples = insert_list (empty schema) tuples
+
+(* Sorts [a] unless it is already ascending, stably, so that of each
+   run of equal tuples the first given comes first; moves that one of
+   each run to the front and returns how many there are. *)
+let sort_uniq a =
+  let n = Array.length a in
+  let rec check i ~dup =
+    if i >= n then if dup then `Dups else `Unique
+    else
+      let c = Tuple.compare a.(i - 1) a.(i) in
+      if c > 0 then `Unsorted else check (i + 1) ~dup:(dup || c = 0)
+  in
+  match check 1 ~dup:false with
+  | `Unique -> n
+  | order ->
+      if order = `Unsorted then Array.stable_sort Tuple.compare a;
+      let k = ref 1 in
+      for i = 1 to n - 1 do
+        if Tuple.compare a.(!k - 1) a.(i) <> 0 then begin
+          a.(!k) <- a.(i);
+          incr k
+        end
+      done;
+      !k
+
+let of_list schema tuples =
+  List.iter (check_conforms "of_list" schema) tuples;
+  let a = Array.of_list tuples in
+  let n = sort_uniq a in
+  let r = make schema (Tuple.Set.of_sorted a n) in
+  r.card_cache <- n;
+  r.scan_cache <- Some (if n = Array.length a then a else Array.sub a 0 n);
+  r
 
 let count_distinct r positions =
   Dc_parallel.Metrics.(record Key.stats_column_scans);
@@ -218,9 +254,8 @@ let equal a b =
   Schema.equal a.schema b.schema && Tuple.Set.equal a.extent b.extent
 
 let diff old_r new_r =
-  let inserted = Tuple.Set.diff new_r.extent old_r.extent in
-  let deleted = Tuple.Set.diff old_r.extent new_r.extent in
-  (Tuple.Set.elements inserted, Tuple.Set.elements deleted)
+  ( Tuple.Set.elements_diff new_r.extent old_r.extent,
+    Tuple.Set.elements_diff old_r.extent new_r.extent )
 
 let pp ppf r =
   Format.fprintf ppf "@[<v 2>%a [%d tuples]%a@]" Schema.pp r.schema

@@ -79,6 +79,19 @@ val multiset_hash : t -> Multiset_hash.t
     it.  Values whose hash nobody demands never compute one. *)
 
 val of_list : Schema.t -> Tuple.t list -> t
+(** [of_list schema rows] is [insert_list (empty schema) rows], built
+    once: of tuples that compare equal it keeps the first given (so
+    [Float 0.0] and [Float (-0.0)] are stored as {!insert} stores them),
+    and it raises [Invalid_argument] when a row does not conform, before
+    building anything.  Rows given in ascending {!Tuple.compare} order,
+    as {!scan} lists them, are checked in one pass and not sorted;
+    others are sorted once, stably.  The extent is then built in one
+    pass, one tree node per tuple, and the value already knows its
+    {!cardinality} and its {!scan} array.  It counts no column and
+    hashes nothing: {!distinct} and {!multiset_hash} count on first
+    demand.  CSV loads, snapshot decodes, query results ({!Dc_cq.Eval})
+    and Datalog deltas are built this way; commits go through
+    {!insert} and {!delete}, which carry what the parent value knew. *)
 
 val distinct : t -> int -> int
 (** [distinct r col] is the number of distinct values ({!Value.compare}
@@ -87,7 +100,7 @@ val distinct : t -> int -> int
     {!delete} from one that had counted [col] carries the count in
     O(log d), so commits never rescan a relation whose earlier version
     was counted.  A value with no counted ancestor (a CSV load, a query
-    result, {!of_list}, {!filter}, a re-derived Datalog extent) counts
+    result, {!of_list}, a re-derived Datalog extent) counts
     in one pass over its extent on first demand, which
     {!Dc_parallel.Metrics.Key.stats_column_scans} counts.  Every engine,
     template and domain reading one value shares its counts.  These are

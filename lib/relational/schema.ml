@@ -34,11 +34,16 @@ let position s a =
 let key_positions s =
   List.filter_map (fun k -> position s k) s.key
 
-let conforms s row =
-  Array.length row = arity s
-  && List.for_all2
-       (fun a v -> Value.conforms v a.ty)
-       s.attrs (Array.to_list row)
+(* Top level, so a check allocates no closure: relations check every
+   row they are built from. *)
+let rec conforms_from row i = function
+  | [] -> i = Array.length row
+  | a :: rest ->
+      i < Array.length row
+      && Value.conforms row.(i) a.ty
+      && conforms_from row (i + 1) rest
+
+let conforms s row = conforms_from row 0 s.attrs
 
 let equal a b =
   String.equal a.rel_name b.rel_name

@@ -108,8 +108,16 @@ let pp_ty ppf ty =
 
 let ty_to_string ty = Format.asprintf "%a" pp_ty ty
 
+(* [String.uppercase_ascii s = "NULL"], allocating nothing. *)
+let reads_as_null s =
+  String.length s = 4
+  && Char.uppercase_ascii (String.unsafe_get s 0) = 'N'
+  && Char.uppercase_ascii (String.unsafe_get s 1) = 'U'
+  && Char.uppercase_ascii (String.unsafe_get s 2) = 'L'
+  && Char.uppercase_ascii (String.unsafe_get s 3) = 'L'
+
 let of_string ty s =
-  if String.uppercase_ascii s = "NULL" then Ok Null
+  if reads_as_null s then Ok Null
   else
     match ty with
     | TInt -> (

@@ -44,7 +44,13 @@ val ty_to_string : ty -> string
 
 val of_string : ty -> string -> (t, string) result
 (** [of_string ty s] parses [s] as a value of type [ty].  The literal
-    ["NULL"] parses as [Null] for every type.  Used by the CSV loader. *)
+    ["NULL"], in any case, parses as [Null] for every type.  Used by the
+    CSV loader (which reads a quoted field of a string column as that
+    string instead) and the delta wire format. *)
+
+val reads_as_null : string -> bool
+(** Whether {!of_string} reads the text as [Null]: ["NULL"] in any
+    case.  The CSV writer quotes such a string. *)
 
 val ty_of_string : string -> (ty, string) result
 

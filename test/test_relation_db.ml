@@ -144,6 +144,88 @@ let prop_diff_apply =
       in
       R.Relation.equal rebuilt new_r)
 
+(* Rows over a typed schema with duplicates, equal-comparing floats of
+   different bits, sometimes given sorted (the bulk path that sorts
+   nothing) and sometimes holding a row the schema refuses. *)
+let bulk_schema =
+  R.Schema.make "B"
+    [ R.Schema.attr ~ty:R.Value.TInt "A"; R.Schema.attr ~ty:R.Value.TFloat "F" ]
+
+let gen_bulk_rows =
+  QCheck.Gen.(
+    let value =
+      oneofl R.Value.[ Float 0.0; Float (-0.0); Float 1.5; Null ]
+    in
+    let row = map2 (fun a f -> [| R.Value.Int a; f |]) (int_bound 4) value in
+    let bad = return [| R.Value.Str "x"; R.Value.Float 0.0 |] in
+    list_size (int_range 0 25) (frequency [ (30, row); (1, bad) ])
+    >>= fun rows ->
+    oneofl [ `As_drawn; `Sorted; `Sorted_desc ] >|= function
+    | `As_drawn -> rows
+    | `Sorted -> List.stable_sort R.Tuple.compare rows
+    | `Sorted_desc -> List.rev (List.stable_sort R.Tuple.compare rows))
+
+let prop_of_list_is_insert_fold =
+  let print rows = String.concat " " (List.map R.Tuple.to_string rows) in
+  qtest "of_list = insert fold" (QCheck.make ~print gen_bulk_rows) (fun rows ->
+      let build f = try Ok (f ()) with Invalid_argument _ -> Error () in
+      match
+        ( build (fun () -> R.Relation.of_list bulk_schema rows),
+          build (fun () -> R.Relation.insert_list (R.Relation.empty bulk_schema) rows) )
+      with
+      | Ok bulk, Ok folded -> same_stored bulk folded
+      | Error (), Error () -> true
+      | _ -> false)
+
+(* The relation layer's own balanced tree against the standard
+   library's sets, over random adds and removes. *)
+module Model = Set.Make (R.Tuple)
+
+let prop_tuple_set_is_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (pair bool (map (fun i -> int_tuple [ i / 3; i mod 3 ]) (int_bound 30))))
+  in
+  let print ops =
+    String.concat " "
+      (List.map (fun (add, t) -> (if add then "+" else "-") ^ R.Tuple.to_string t) ops)
+  in
+  qtest "tuple sets = standard sets" (QCheck.make ~print gen) (fun ops ->
+      let step (s, m) (add, t) =
+        if add then (R.Tuple.Set.add t s, Model.add t m)
+        else (R.Tuple.Set.remove t s, Model.remove t m)
+      in
+      let half = List.filteri (fun i _ -> i mod 2 = 0) ops in
+      let s, m = List.fold_left step (R.Tuple.Set.empty, Model.empty) ops in
+      let s', m' = List.fold_left step (s, m) half in
+      let probe = int_tuple [ 5; 1 ] in
+      let sorted = Array.of_list (Model.elements m) in
+      List.equal R.Tuple.equal (R.Tuple.Set.elements s) (Model.elements m)
+      && R.Tuple.Set.cardinal s = Model.cardinal m
+      && List.for_all
+           (fun i ->
+             let t = int_tuple [ i / 3; i mod 3 ] in
+             R.Tuple.Set.mem t s = Model.mem t m
+             && Option.equal R.Tuple.equal (R.Tuple.Set.find_opt t s)
+                  (Model.find_opt t m))
+           (List.init 31 Fun.id)
+      && List.equal R.Tuple.equal
+           (List.of_seq (R.Tuple.Set.to_seq_from probe s))
+           (List.of_seq (Model.to_seq_from probe m))
+      && R.Tuple.Set.fold (fun t n -> t :: n) s []
+         = Model.fold (fun t n -> t :: n) m []
+      && List.equal R.Tuple.equal
+           (R.Tuple.Set.elements_diff s s')
+           (Model.elements (Model.diff m m'))
+      && List.equal R.Tuple.equal
+           (R.Tuple.Set.elements_diff s' s)
+           (Model.elements (Model.diff m' m))
+      && R.Tuple.Set.equal s s' = Model.equal m m'
+      && List.equal R.Tuple.equal
+           (R.Tuple.Set.elements (R.Tuple.Set.of_sorted sorted (Array.length sorted)))
+           (Model.elements m))
+
 let suite =
   [
     Alcotest.test_case "insert/delete set semantics" `Quick test_insert_delete;
@@ -157,4 +239,6 @@ let suite =
     Alcotest.test_case "database equality" `Quick test_database_equal;
     prop_insert_mem;
     prop_diff_apply;
+    prop_of_list_is_insert_fold;
+    prop_tuple_set_is_model;
   ]

@@ -2,6 +2,10 @@ open Testutil
 module R = Dc_relational
 module S = Dc_relational.Stats
 
+(* The standard library's sets model extents, independently of the
+   relation layer's own tree. *)
+module Model = Set.Make (R.Tuple)
+
 let test_cardinality_and_distinct () =
   let db = rs_db () in
   Alcotest.(check int) "card R" 3 (S.cardinality db "R");
@@ -71,8 +75,8 @@ let test_domains_count_together () =
              int_tuple [ i; i mod (7 * round); (i * round) mod 1_001 ]))
     in
     let oracle col =
-      R.Tuple.Set.cardinal
-        (R.Tuple.Set.of_list
+      Model.cardinal
+        (Model.of_list
            (List.map (fun t -> R.Tuple.project t [ col ]) (R.Relation.tuples rel)))
     in
     let want = (5_000, List.init 3 oracle) in
@@ -130,9 +134,9 @@ let carried_stream seed =
   (* one relation per schema, carried, next to the model of its extent *)
   let start schema =
     let model =
-      R.Tuple.Set.of_list (List.init (Random.State.int rng 12) (fun _ -> draw schema))
+      Model.of_list (List.init (Random.State.int rng 12) (fun _ -> draw schema))
     in
-    let rel = R.Relation.of_list schema (R.Tuple.Set.elements model) in
+    let rel = R.Relation.of_list schema (Model.elements model) in
     for c = 0 to R.Schema.arity schema - 1 do
       if Random.State.bool rng then ignore (R.Relation.distinct rel c)
     done;
@@ -144,11 +148,11 @@ let carried_stream seed =
   in
   let check step (rel, model) =
     let schema = R.Relation.schema rel in
-    let rebuilt = R.Relation.of_list schema (R.Tuple.Set.elements model) in
+    let rebuilt = R.Relation.of_list schema (Model.elements model) in
     if not (R.Relation.equal rel rebuilt) then
       fail step "%s: extent differs from the model" (R.Relation.name rel);
     for c = 0 to R.Schema.arity schema - 1 do
-      let column = List.map (fun t -> t.(c)) (R.Tuple.Set.elements model) in
+      let column = List.map (fun t -> t.(c)) (Model.elements model) in
       let want = List.length (List.sort_uniq R.Value.compare column) in
       let carried = R.Relation.distinct rel c
       and fresh = R.Relation.distinct rebuilt c in
@@ -180,7 +184,7 @@ let carried_stream seed =
     let i = Random.State.int rng (Array.length rels) in
     let rel, model = rels.(i) in
     let present () =
-      match R.Tuple.Set.elements model with
+      match Model.elements model with
       | [] -> draw (R.Relation.schema rel)
       | ts -> List.nth ts (Random.State.int rng (List.length ts))
     in
@@ -191,13 +195,13 @@ let carried_stream seed =
             if Random.State.int rng 4 = 0 then present ()
             else draw (R.Relation.schema rel)
           in
-          (R.Relation.insert rel t, R.Tuple.Set.add t model)
+          (R.Relation.insert rel t, Model.add t model)
       | _ ->
           let t =
             if Random.State.int rng 4 = 0 then draw (R.Relation.schema rel)
             else present ()
           in
-          (R.Relation.delete rel t, R.Tuple.Set.remove t model));
+          (R.Relation.delete rel t, Model.remove t model));
     let rebuilt = databases (Array.to_list (Array.map (check step) rels)) in
     let carried = databases (Array.to_list (Array.map fst rels)) in
     let body = List.init (2 + Random.State.int rng 2) (fun _ -> atom ()) in

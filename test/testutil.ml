@@ -92,3 +92,27 @@ let formats =
     [ ("human", Human); ("bibtex", Bibtex); ("ris", Ris); ("xml", Xml); ("json", Json) ]
 
 let qtest name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:200 gen prop)
+
+(* Two relations store the same tuples down to the bits of each value
+   (equal-comparing values such as [Float 0.0] and [Float (-0.0)] differ
+   here), know the same cardinality and hash to the same multiset hash:
+   what a bulk-built relation must share with one built by inserts. *)
+let same_stored a b =
+  let same_value x y =
+    match (x, y) with
+    | R.Value.Float f, R.Value.Float g ->
+        Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+    | x, y -> R.Value.equal x y
+  in
+  let hash r =
+    let buf = Buffer.create 16 in
+    R.Multiset_hash.add_to_buffer buf (R.Relation.multiset_hash r);
+    Buffer.contents buf
+  in
+  R.Relation.equal a b
+  && R.Relation.cardinality a = R.Relation.cardinality b
+  && Array.length (R.Relation.scan a) = R.Relation.cardinality a
+  && Array.for_all2
+       (fun t u -> Array.length t = Array.length u && Array.for_all2 same_value t u)
+       (R.Relation.scan a) (R.Relation.scan b)
+  && String.equal (hash a) (hash b)
