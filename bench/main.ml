@@ -112,7 +112,6 @@ let () =
       ("E10", Experiments.e10);
       ("E11", Experiments.e11);
       ("E12", Experiments.e12);
-      ("E14", Experiments.e14);
       ("E15", Experiments.e15);
       ("E16", Experiments.e16);
       ("E19", Experiments.e19);

@@ -33,17 +33,6 @@ let header widths cells =
   row widths cells;
   row widths (List.map (fun w -> String.make w '-') widths)
 
-(* Split into at most [chunks] contiguous chunks whose sizes differ by
-   at most one; [List.concat (chunk ~chunks xs) = xs], and no chunk is
-   empty. *)
-let chunk ~chunks xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let k = min chunks n in
-  List.init k (fun i ->
-      let lo = i * n / k and hi = (i + 1) * n / k in
-      Array.to_list (Array.sub arr lo (hi - lo)))
-
 let ms v = Printf.sprintf "%.2f" v
 let pct v = Printf.sprintf "%.0f%%" (100. *. v)
 
@@ -69,7 +58,7 @@ let write_bench_json ~experiment fields =
      meaningless without knowing how many cores the box could give
      (CI has flagged "speedups" measured on one core before). *)
   let cores =
-    ("cores", string_of_int (Dc_server.Worker_pool.available_cores ()))
+    ("cores", string_of_int (Domain.recommended_domain_count ()))
   in
   let fields =
     cores :: List.filter (fun (k, _) -> k <> "cores") fields

@@ -76,22 +76,11 @@ let port_arg =
     & info [ "port"; "p" ] ~docv:"PORT" ~doc)
 
 let workers_arg =
-  let doc = "Worker threads executing requests (ignored with --domains > 1)." in
+  let doc = "Worker threads executing requests." in
   Arg.(
     value
     & opt int S.Server.default_config.workers
     & info [ "workers" ] ~docv:"N" ~doc)
-
-let domains_arg =
-  let doc =
-    "Parallel domains: 1 serves on worker threads on one domain; N > 1 \
-     serves on N domains, each with its own engine caches, clamped to the \
-     machine's core count (see README, \"Parallel evaluation\")."
-  in
-  Arg.(
-    value
-    & opt int S.Server.default_config.domains
-    & info [ "domains" ] ~docv:"N" ~doc)
 
 let queue_arg =
   let doc =
@@ -233,7 +222,7 @@ let load_program path =
       prerr_endline ("program error: " ^ e);
       exit 1
 
-let run data views program demo host port workers domains queue max_pipeline
+let run data views program demo host port workers queue max_pipeline
     max_batch conn_buffer version_cache timeout data_dir fsync snapshot_every
     recovery =
   (* warnings and errors from every layer, plus this start-up line *)
@@ -271,7 +260,6 @@ let run data views program demo host port workers domains queue max_pipeline
       host;
       port;
       workers;
-      domains;
       queue_capacity = queue;
       max_pipeline;
       max_batch;
@@ -311,7 +299,7 @@ let () =
     Term.(
       const run $ data_arg $ views_arg $ program_arg $ demo_arg $ host_arg
       $ port_arg
-      $ workers_arg $ domains_arg $ queue_arg $ max_pipeline_arg
+      $ workers_arg $ queue_arg $ max_pipeline_arg
       $ max_batch_arg $ conn_buffer_arg $ version_cache_arg $ timeout_arg
       $ data_dir_arg $ fsync_arg $ snapshot_every_arg $ recovery_arg)
   in

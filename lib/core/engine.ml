@@ -34,15 +34,15 @@ module Shape_map = Map.Make (struct
   let compare = Cq.Query.compare_syntactic
 end)
 
-(* One domain's rewriting plans for one view set.  Two-level lookup: a
+(* The rewriting plans of one view set.  Two-level lookup: a
    cheap canonical shape catches repeats of the same (or alpha-renamed)
    query shape with zero containment work; the sorted-predicate-multiset
    buckets catch any other equivalent form via Chandra-Merlin
    equivalence of the cores, on every cite of that form (only a search
    files a plan under its shape).  [by_shape] is immutable, so a hit
    reads it without a lock; [plan_lock] serializes the misses that
-   replace it, [by_preds] and the plans' [plan_contained] against the
-   domain's other systhreads. *)
+   replace it, [by_preds] and the plans' [plan_contained] against other
+   threads and domains. *)
 type plan_cache = {
   plan_lock : Mutex.t;
   mutable by_shape : plan Shape_map.t;
@@ -63,50 +63,13 @@ type cell = {
   link : (cell * R.Delta.t) option Atomic.t;
 }
 
-(* The identity of a set of caches, which each domain keeps separately
-   (see [Caches] and [Leaves]).  Copies of an engine that may share a
-   cache share its owner. *)
-type owner = { id : int }
-
-let next_owner = Atomic.make 0
-let owner () = { id = Atomic.fetch_and_add next_owner 1 }
-
-(* One domain's caches for one owner.  [lock] guards them, and the
-   domain's leaf caches of the engines holding this owner, against the
-   domain's other systhreads (the server's worker pool).  The IDB cell is
-   never forced with [lock] held: its computation may take it (see
-   [idb_cell]). *)
+(* An engine's eval cache.  [lock] guards it, and the leaf caches of
+   the engines sharing it, against other threads and domains (the
+   server's worker threads).  The IDB cell is never forced with [lock]
+   held: its computation may take it (see [idb_cell]). *)
 type caches = { lock : Mutex.t; eval_cache : Cq.Eval.cache }
 
-module Owner = struct
-  type t = owner
-
-  let id o = o.id
-end
-
-module Caches =
-  Dc_parallel.Domain_local.Make
-    (Owner)
-    (struct
-      type t = caches
-
-      let create _ =
-        { lock = Mutex.create (); eval_cache = Cq.Eval.make_cache () }
-    end)
-
-module Plans =
-  Dc_parallel.Domain_local.Make
-    (Owner)
-    (struct
-      type t = plan_cache
-
-      let create _ =
-        {
-          plan_lock = Mutex.create ();
-          by_shape = Shape_map.empty;
-          by_preds = Hashtbl.create 16;
-        }
-    end)
+let caches () = { lock = Mutex.create (); eval_cache = Cq.Eval.make_cache () }
 
 (* The rewriting plans of one view set.  Rewriting only ever tests
    constants for equality, except that it sorts candidate atoms, so it
@@ -116,7 +79,7 @@ module Plans =
    [placeholder], longer than every string view constant, followed by
    the constant's rank and the number of view constants below it. *)
 type shapes = {
-  plans : owner;
+  plans : plan_cache;
   view_constants : R.Value.t array;
   placeholder : string;
 }
@@ -139,14 +102,7 @@ module Leaf_tbl = Hashtbl.Make (struct
       (Hashtbl.hash l.view) l.params
 end)
 
-module Leaves =
-  Dc_parallel.Domain_local.Make
-    (Owner)
-    (struct
-      type t = Citation.t Leaf_tbl.t
-
-      let create _ = Leaf_tbl.create 64
-    end)
+let leaves () = Leaf_tbl.create 64
 
 type t = {
   base : R.Database.t;  (** EDB relations only *)
@@ -163,12 +119,13 @@ type t = {
   shapes : shapes;
       (** the rewriting plans: they depend on the view set alone, so
           every [refresh] and [replicate] copy shares them *)
-  caches : owner;
+  caches : caches;
       (** the eval cache: its entries self-invalidate, so [refresh]
           copies keep it *)
-  leaves : owner;
-      (** the leaf cache: concrete citations computed from the data, so
-          every data change gets a fresh one *)
+  leaves : Citation.t Leaf_tbl.t;
+      (** the leaf cache, guarded by [caches.lock]: concrete citations
+          computed from the data, so every data change gets a fresh
+          one *)
   metrics : Metrics.t;
 }
 
@@ -232,10 +189,9 @@ let derive ?cache ?from base (program : Cq.Program.t) =
 
 (* The data of an engine over [base], not computed yet: the program's
    IDB extents, derived on first demand — continued from the nearest
-   computed cell up [ancestor]'s chain, if any — with the forcing
-   domain's [caches] of the engine building the cell, under their lock,
-   so every refresh of one engine reuses one eval cache per domain for
-   this work. *)
+   computed cell up [ancestor]'s chain, if any — with the [caches] of
+   the engine building the cell, under their lock, so every refresh of
+   one engine reuses one eval cache for this work. *)
 let idb_cell ?ancestor ~metrics ~caches ~program base =
   match program with
   | None ->
@@ -254,12 +210,11 @@ let idb_cell ?ancestor ~metrics ~caches ~program base =
       let value =
         Once.make (fun () ->
             Metrics.with_sink metrics (fun () ->
-                let c = Caches.get caches in
                 let from = nearest_derived link [] in
                 let derived =
-                  locked c.lock (fun () ->
+                  locked caches.lock (fun () ->
                       Metrics.record_time "derive" (fun () ->
-                          derive ~cache:c.eval_cache ?from base p))
+                          derive ~cache:caches.eval_cache ?from base p))
                 in
                 { derived; full = merge_full base derived }))
       in
@@ -283,7 +238,12 @@ let shapes_of cview_list =
       0 view_constants
   in
   {
-    plans = owner ();
+    plans =
+      {
+        plan_lock = Mutex.create ();
+        by_shape = Shape_map.empty;
+        by_preds = Hashtbl.create 16;
+      };
     view_constants;
     placeholder = String.make (longest + 1) '\000';
   }
@@ -291,7 +251,7 @@ let shapes_of cview_list =
 let make_engine ~policy ~selection ~partial ~fallback_contained ~program base
     cview_list =
   let metrics = Metrics.create () in
-  let caches = owner () in
+  let caches = caches () in
   let cviews = Citation_view.Set.of_list cview_list in
   let idb = idb_cell ~metrics ~caches ~program base in
   (* Validation needs the IDB schemas, so a program's first derivation
@@ -327,7 +287,7 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~program base
        starts cold *)
     shapes = shapes_of cview_list;
     caches;
-    leaves = owner ();
+    leaves = leaves ();
     metrics;
   }
 
@@ -357,7 +317,7 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
 (* Same data cell (whichever copy forces it first computes it for all),
    view set and its plan cache, policy and metrics registry; eval
    and leaf caches of its own. *)
-let replicate e = { e with caches = owner (); leaves = owner () }
+let replicate e = { e with caches = caches (); leaves = leaves () }
 
 let database e = e.base
 let program e = e.program
@@ -407,7 +367,7 @@ let refresh ?ancestor e base =
     idb_cell ?ancestor ~metrics:e.metrics ~caches:e.caches ~program:e.program
       base
   in
-  { e with base; idb; leaves = owner () }
+  { e with base; idb; leaves = leaves () }
 
 let cell e = e.idb
 
@@ -438,10 +398,11 @@ let leaf_key (l : Cite_expr.leaf) =
    IDB extents only when they name an IDB predicate, and forcing those
    must not happen under the lock.  The cache is checked again before
    the result is stored, in case a concurrent miss got there first. *)
-let resolve_in e c leaf_cache (l : Cite_expr.leaf) =
+let resolve_leaf e (l : Cite_expr.leaf) =
   Metrics.with_sink e.metrics @@ fun () ->
+  let c = e.caches in
   let k = leaf_key l in
-  match locked c.lock (fun () -> Leaf_tbl.find_opt leaf_cache k) with
+  match locked c.lock (fun () -> Leaf_tbl.find_opt e.leaves k) with
   | Some c ->
       Metrics.record Metrics.Key.leaf_cache_hits;
       c
@@ -454,15 +415,12 @@ let resolve_in e c leaf_cache (l : Cite_expr.leaf) =
              (Citation_view.citation_queries cv))
       in
       locked c.lock @@ fun () ->
-      match Leaf_tbl.find_opt leaf_cache k with
+      match Leaf_tbl.find_opt e.leaves k with
       | Some cit -> cit
       | None ->
           let cit = Citation_view.cite ~cache:c.eval_cache cv db l.params in
-          Leaf_tbl.add leaf_cache k cit;
+          Leaf_tbl.add e.leaves k cit;
           cit)
-
-let resolve_leaf e l =
-  resolve_in e (Caches.get e.caches) (Leaves.get e.leaves) l
 
 (* The size estimates read the definitions of the views the candidate
    rewritings use, so those decide whether the IDB extents are needed.
@@ -489,17 +447,15 @@ let select e rewritings =
            e.views rs)
 
 (* One resolver per cite (or per maintenance step): each distinct leaf
-   takes the cache lock and the domain's leaf cache once, however many
-   tuples cite it.  The caches are looked up once, on the domain making
-   the resolver. *)
+   takes the cache lock and the leaf cache once, however many tuples
+   cite it. *)
 let leaf_resolver e =
   let memo = Leaf_tbl.create 16 in
-  let caches = Caches.get e.caches and leaf_cache = Leaves.get e.leaves in
   fun (l : Cite_expr.leaf) ->
     match Leaf_tbl.find_opt memo l with
     | Some c -> c
     | None ->
-        let c = resolve_in e caches leaf_cache l in
+        let c = resolve_leaf e l in
         Leaf_tbl.add memo l c;
         c
 
@@ -655,7 +611,7 @@ let pred_multiset q =
    bucket.  Returns the plan with the query's lifted constants. *)
 let plan_for e stripped =
   let key, lifted = shape e.shapes stripped in
-  let c = Plans.get e.shapes.plans in
+  let c = e.shapes.plans in
   let hit plan =
     Metrics.record Metrics.Key.plan_cache_hits;
     (plan, lifted)
@@ -724,7 +680,7 @@ let renaming plan lifted =
         | _ -> v)
 
 let contained_for e plan =
-  let c = Plans.get e.shapes.plans in
+  let c = e.shapes.plans in
   locked c.plan_lock @@ fun () ->
   match plan.plan_contained with
   | Some ts -> ts
@@ -795,7 +751,7 @@ let evaluate e query =
            Option.fold ~none:[] ~some:Cq.Query.predicates (Compute.expansion t))
          templates)
   in
-  let c = Caches.get e.caches in
+  let c = e.caches in
   let runs =
     Metrics.record_time "eval" @@ fun () ->
     (* the eval cache (index memoization) is mutated during the run, so

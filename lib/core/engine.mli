@@ -72,31 +72,27 @@
     per-version engines of a {!Versioned_engine}, its template,
     {!Incremental} registrations — shares it.
 
-    {b Thread safety: per-domain caches.}  One engine may serve {!cite}
-    / {!cite_string} / {!resolve_leaf} calls from any number of threads
-    and domains at once, and domains never contend on it.  Every cache
-    it keeps — rewriting plans (with their expansions), leaf citations,
-    the evaluation index and plan cache — exists once per domain that
-    uses the engine, found through [Domain.DLS]
-    ({!Dc_parallel.Domain_local}, the mechanism {!Metrics} keeps its
-    sinks with).  A domain's eval and leaf caches are guarded by a
-    mutex of their own, and its rewriting plans by another, which only
-    systhreads of that domain (the server's worker threads) can contend
-    on; a plan-cache hit takes no lock at all.  Each acquisition that
-    finds a mutex already held bumps {!Metrics.Key.engine_lock_waits}.
-    The price of the model is cache warmth: each domain pays its own
-    cache misses.  The column statistics behind the join order and
-    [`Min_estimated_size] selection are not a cache of the engine: they
-    are memoized on the relation values ({!Dc_relational.Stats}), so
-    every engine, version and domain reading one value counts it once.
+    {b Thread safety: shared, locked caches.}  One engine may serve
+    {!cite} / {!cite_string} / {!resolve_leaf} calls from any number of
+    threads and domains at once.  Its eval and leaf caches are guarded
+    by one mutex, and its rewriting plans by another; a plan-cache hit
+    takes no lock at all.  The server's worker threads share one domain
+    and so interleave on these locks; callers on several domains are
+    safe too, but an evaluation holds the cache lock throughout, so
+    they gain no parallel speedup.  Each acquisition that finds a mutex
+    already held bumps {!Metrics.Key.engine_lock_waits}.  The column
+    statistics behind the join order and [`Min_estimated_size]
+    selection are not a cache of the engine: they are memoized on the
+    relation values ({!Dc_relational.Stats}), so every engine, version
+    and thread reading one value counts it once.
 
     {!refresh} returns a copy sharing the plan and evaluation caches
     (never the leaf cache, which holds data-derived citations);
-    {!replicate} returns one sharing only the plan cache.  Swapping which engine a
-    server uses is the caller's problem.  The IDB cell may be
+    {!replicate} returns one sharing only the plan cache.  Swapping
+    which engine a server uses is the caller's problem.  The IDB cell may be
     first-forced by several threads or domains at once: one computes,
-    under the forcing domain's cache lock and evaluation cache of the
-    engine that built the cell, while the others wait for its value.
+    under the cache lock and evaluation cache of the engine that built
+    the cell, while the others wait for its value.
     A computation that raises leaves the cell empty for the next cite
     to retry.  The cell is never forced while a cache lock is held. *)
 
@@ -206,10 +202,10 @@ val refresh :
 (** The same engine over an updated database, in O(1) plus the size of
     [ancestor]'s changes: it builds a fresh IDB cell and computes
     nothing.  The IDB extents are derived by the first cite that reads
-    them (see the note above), with this engine's per-domain cache lock
-    and evaluation cache, so every refresh of one engine — the
-    per-version engines of a {!Versioned_engine} — shares one cache per
-    domain for that work.
+    them (see the note above), with this engine's cache lock and
+    evaluation cache, so every refresh of one engine — the per-version
+    engines of a {!Versioned_engine} — shares one cache for that
+    work.
 
     [ancestor] links the new cell to the cell of an engine over an
     older database, with a delta whose changes, applied in order, turn

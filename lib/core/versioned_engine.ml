@@ -16,8 +16,8 @@ type t = {
      a hit at all others); the subsequent [replicate] gives the new
      engine evaluation and leaf caches of its own, so versions never
      thrash each other's evaluation cache.  The versions' derivations
-     run under the template's per-domain cache lock and evaluation
-     cache, as the IDB cell of a refresh does. *)
+     run under the template's cache lock and evaluation cache, as the
+     IDB cell of a refresh does. *)
   template : Engine.t;
   metrics : Metrics.t;
   capacity : int;

@@ -38,7 +38,7 @@
     ({!Dc_relational.Index.matches}) are shared mutable state that
     outlives one call); callers serialize exactly as they already must
     for the shared {!Eval.cache}, which every engine uses only under
-    its domain's cache lock. *)
+    its cache lock. *)
 
 type t
 

@@ -11,8 +11,8 @@
     ({!Dc_storage}), and the engines and server above them.  Events
     reach [default] plus every registry pushed with {!with_sink}.  The
     module lives in [dc_parallel], below all of them, next to the
-    {!Domain_local} tables its per-domain sinks are built on;
-    [Dc_citation.Metrics] is an alias of it.
+    per-domain tables its sinks are built on; [Dc_citation.Metrics] is
+    an alias of it.
 
     Counters are monotonic: nothing but {!reset} ever decreases one.
     Timers use the monotonic clock ({!Dc_clock.Monotonic}), so recorded
@@ -34,12 +34,17 @@
 
     {b [with_sink] is domain-local.}  The dynamically scoped sink stack
     is per domain: a scope opened on one domain is invisible to events
-    recorded by another, so worker domains never touch a shared scope
-    list.  Scopes never cross domains: a spawned domain that should
-    record into [m] opens its own [with_sink m], and then records
-    through its own per-domain sink of [m].  (An engine does this on
-    every call, so its registry sees work from whichever domain cites
-    it.) *)
+    recorded by another.  Scopes never cross domains: a spawned domain
+    that should record into [m] opens its own [with_sink m], and then
+    records through its own per-domain sink of [m].  (An engine does
+    this on every call, so its registry sees work from whichever domain
+    cites it.)  The systhreads of one domain share its stack, so a
+    scope one thread opens also catches what another records while it
+    is open.  The server's worker threads are such systhreads; that is
+    harmless as long as every worker scopes the same registry (each
+    scopes its {!Dc_citation.Versioned_engine.metrics}, which every
+    version's engine shares), since a registry in scope twice counts
+    once. *)
 
 type t
 
@@ -77,9 +82,8 @@ module Key : sig
 
   val engine_lock_waits : string
   (** Times an engine's cache lock was found already held and had to be
-      waited for — the direct measure of hot-path contention.  Each
-      domain has its own cache locks, so only systhreads sharing a
-      domain can contend. *)
+      waited for — the direct measure of hot-path contention between
+      the threads (the server's workers) sharing one engine. *)
 
   val server_requests : string
   (** Request lines received by the citation server (all commands,
@@ -234,8 +238,7 @@ val sink_count : t -> int
 
 val per_sink : t -> string -> int list
 (** The counter's per-domain values (unordered, one per sink): the
-    breakdown behind {!count}.  Benchmarks use it to attribute
-    contention (e.g. {!Key.engine_lock_waits}) to domains. *)
+    breakdown behind {!count}. *)
 
 val reset : t -> unit
 (** Zero every counter and timer in every sink (the only non-monotonic

@@ -185,9 +185,22 @@ let needs_quoting s =
 
 let render_field s = if needs_quoting s then quote s else s
 
+(* The first of 15, 16 or 17 significant digits that reads back as the
+   same bits ([Value.to_string]'s [%g] keeps six).  A NaN has no such
+   text and is written [nan] or [-nan]. *)
+let render_float f =
+  let at p = Printf.sprintf "%.*g" p f in
+  let exact s =
+    Int64.equal
+      (Int64.bits_of_float (float_of_string s))
+      (Int64.bits_of_float f)
+  in
+  match List.find_opt exact [ at 15; at 16 ] with Some s -> s | None -> at 17
+
 (* A string that reads as NULL unquoted is written quoted. *)
 let render_value = function
   | Value.Str s when Value.reads_as_null s -> quote s
+  | Value.Float f -> render_float f
   | v -> render_field (Value.to_string v)
 
 (* A lone empty field is quoted: bare, its record would be a blank line,

@@ -28,4 +28,7 @@ val save_relation : Relation.t -> string -> unit
     order, which {!load_relation} reads back as the same relation.  A
     field holding a comma, a quote or a line break is quoted, as are a
     string that would read as NULL bare and a record's lone empty
-    field. *)
+    field.  A float is written at the fewest of 15, 16 or 17
+    significant digits that reads back as the same bits, so a [float]
+    column reloads bit for bit; a NaN reloads as a NaN of the same
+    sign. *)

@@ -15,7 +15,6 @@ type config = {
   max_pipeline : int;
   max_batch : int;
   conn_buffer_bytes : int;
-  domains : int;
   version_cache : int;
   data_dir : string option;
   fsync : Dc_storage.Store.fsync;
@@ -34,7 +33,6 @@ let default_config =
     max_pipeline = Reactor.default_config.Reactor.max_pipeline;
     max_batch = Reactor.default_config.Reactor.max_batch;
     conn_buffer_bytes = Reactor.default_config.Reactor.conn_buffer_bytes;
-    domains = 1;
     version_cache = 4;
     data_dir = None;
     fsync = Dc_storage.Store.Always;
@@ -59,9 +57,6 @@ type t = {
      of their buffering.  [Some] from [start] to the end of [stop] —
      option only because the handlers it is built over close over [t]. *)
   mutable reactor : Reactor.t option;
-  (* [config.domains] after clamping to the host's core count: the
-     worker domains actually running, as v2 HEALTH reports them. *)
-  domains_eff : int;
   started_at : float;
   stop_requested : bool Atomic.t;
   (* Durable backing, when [config.data_dir] was set: the WAL the
@@ -136,14 +131,14 @@ let execute t (req : Protocol.request) =
               Some true,
               Some (Dc_storage.Store.last_snapshot_version st) )
       in
-      (* Every citation is served by the versioned engine, on
-         [domains_eff] worker domains. *)
+      (* Every citation is served by the versioned engine, on the
+         one domain the worker threads share. *)
       let opt x = if v2 then Some x else None in
       let template = C.Versioned_engine.template t.versioned in
       Protocol.ok_health
         ~version:(C.Versioned_engine.head t.versioned)
         ?data_dir ?wal_enabled ?last_snapshot_version
-        ?backend:(opt "versioned") ?shards:(opt t.domains_eff)
+        ?backend:(opt "versioned") ?shards:(opt 1)
         ?supports_versions:(opt true)
         ?supports_recursion:(opt (C.Engine.recursive_predicates template <> []))
         ~uptime_s:(Dc_clock.Monotonic.now_s () -. t.started_at)
@@ -390,7 +385,6 @@ let snapshot_loop t st =
   go (Dc_clock.Monotonic.now_s ())
 
 let start ?(config = default_config) eng =
-  if config.domains < 1 then invalid_arg "Server.start: domains < 1";
   if config.version_cache < 1 then
     invalid_arg "Server.start: version_cache < 1";
   (* Open (or initialize) durable backing before taking any socket: a
@@ -424,15 +418,6 @@ let start ?(config = default_config) eng =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> config.port
   in
-  (* domains = 1: systhread workers interleaving on one domain.
-     domains = N: N domain-backed workers, so requests run truly in
-     parallel, each domain over its own caches of the one engine.
-     [domains] is first clamped to the host's core count: domains the
-     hardware cannot run in parallel buy no throughput and still pay
-     cold caches and GC barriers, so a [--domains 8] server on a 1-core
-     box honestly degrades to the sequential architecture. *)
-  let domains_eff = Worker_pool.effective ~requested:config.domains in
-  let parallel = domains_eff > 1 in
   let t =
     {
       versioned;
@@ -440,13 +425,11 @@ let start ?(config = default_config) eng =
       listen_fd;
       bound_port;
       pool =
-        Worker_pool.create ~domains:parallel
-          ~workers:(if parallel then domains_eff else config.workers)
+        Worker_pool.create ~workers:config.workers
           ~queue_capacity:config.queue_capacity ();
       mu = Mutex.create ();
       state = Serving;
       reactor = None;
-      domains_eff;
       started_at = Dc_clock.Monotonic.now_s ();
       stop_requested = Atomic.make false;
       storage;
@@ -470,13 +453,9 @@ let start ?(config = default_config) eng =
   | Some st when config.snapshot_every_s > 0. ->
       t.snapshot_thread <- Some (Thread.create (fun () -> snapshot_loop t st) ())
   | _ -> ());
-  if domains_eff < config.domains then
-    Log.info (fun m ->
-        m "only %d core(s) available: %d domain(s) requested, running %d"
-          (Worker_pool.available_cores ())
-          config.domains domains_eff);
   Log.info (fun m ->
-      m "listening on %s:%d (%d domain(s))" config.host bound_port domains_eff);
+      m "listening on %s:%d (%d worker thread(s))" config.host bound_port
+        config.workers);
   t
 
 let stopped t =

@@ -26,13 +26,10 @@
     the whole batch — the cheapest way to push many queries through one
     connection.
 
-    With [config.domains = N > 1] the pool runs one OCaml 5 {e domain}
-    per worker, so requests execute truly in parallel instead of
-    interleaving on one runtime.  They share one engine per version:
-    each domain keeps its own caches of it (see {!Dc_citation.Engine}),
-    so domains never contend on a cache lock.  With [domains = 1] (the
-    default) the behaviour is exactly the systhread architecture
-    above.
+    The workers are systhreads on the server's one domain, so requests
+    interleave rather than run in parallel.  They share one engine per
+    version, and its caches, under the engine's locks (see
+    {!Dc_citation.Engine}).
 
     {b Versioned serving.}  The engine handed to {!start} becomes
     version 0 of a {!Dc_citation.Versioned_engine}, and every request
@@ -88,14 +85,6 @@ type config = {
   conn_buffer_bytes : int;
       (** unflushed response bytes per connection before the reactor
           stops reading it (flow control, not an error) *)
-  domains : int;
-      (** [1] = systhread workers on one domain; [N > 1] = [N]
-          domain-backed workers, each domain with its own caches of the
-          engines ([workers] is then ignored — parallelism is the worker
-          count).  [N] is clamped to {!Worker_pool.available_cores}
-          at {!start}: on a host with fewer cores the server runs the
-          widest width the hardware can actually parallelize, down to
-          the sequential systhread architecture on one core. *)
   version_cache : int;
       (** LRU bound on materialized per-version engines for [CITE_AT]
           (the head engine is never evicted); minimum 1 *)
@@ -120,8 +109,8 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:7421], 4 workers, queue 64, 30s timeout, 64KiB lines,
-    pipeline ≤ 128, batch ≤ 1024, 1MiB connection buffers, 1 domain,
-    4 cached version engines; durability off ([data_dir = None]; once
+    pipeline ≤ 128, batch ≤ 1024, 1MiB connection buffers, 4 cached
+    version engines; durability off ([data_dir = None]; once
     armed: fsync [Always], snapshots every 300s, [Full] recovery). *)
 
 type t
@@ -131,7 +120,7 @@ val start : ?config:config -> Dc_citation.Engine.t -> t
     background threads.  Creating the engine before [start] validates
     its views (and derives a program's IDB extents) at startup; each
     view's extent is computed by the first request that reads it, once
-    for all domains.
+    for all workers.
 
     With [config.data_dir = Some dir]: an empty [dir] is initialized
     (the engine's database becomes version 0 on disk); a populated one

@@ -2,29 +2,16 @@ let log_src = Logs.Src.create "datacite.worker_pool" ~doc:"Request worker pool"
 
 module Log = (val Logs.src_log log_src)
 
-(* Read once at startup: the answer cannot change while we run, and a
-   plain let avoids [Lazy]'s domain-unsafety. *)
-let cores = max 1 (Domain.recommended_domain_count ())
-let available_cores () = cores
-
-let effective ~requested =
-  if requested < 1 then invalid_arg "Worker_pool.effective: requested < 1";
-  min requested cores
-
-(* Workers are either systhreads (concurrency on one domain: cheap,
-   jobs interleave at runtime-lock granularity) or domains (true
-   parallelism: each worker runs on its own core).  The queue machinery
-   is identical — stdlib Mutex/Condition are safe across both. *)
-type runner = Sys_thread of Thread.t | Dom of unit Domain.t
-
+(* Workers are systhreads on the calling domain: jobs interleave at
+   runtime-lock granularity, and a job blocked in a system call (an
+   fsync, say) releases the runtime to the others. *)
 type t = {
   mu : Mutex.t;
   nonempty : Condition.t;
   jobs : (unit -> unit) Queue.t;
   capacity : int;
   mutable stopping : bool;
-  mutable high_water : int;
-  mutable runners : runner list;
+  mutable threads : Thread.t list;
 }
 
 type submit_result = Accepted | Overloaded | Shutting_down
@@ -62,7 +49,7 @@ let worker t =
   in
   next ()
 
-let create ?(domains = false) ~workers ~queue_capacity () =
+let create ~workers ~queue_capacity () =
   if workers < 1 then invalid_arg "Worker_pool.create: workers < 1";
   if queue_capacity < 1 then
     invalid_arg "Worker_pool.create: queue_capacity < 1";
@@ -73,14 +60,10 @@ let create ?(domains = false) ~workers ~queue_capacity () =
       jobs = Queue.create ();
       capacity = queue_capacity;
       stopping = false;
-      high_water = 0;
-      runners = [];
+      threads = [];
     }
   in
-  t.runners <-
-    List.init workers (fun _ ->
-        if domains then Dom (Domain.spawn (fun () -> worker t))
-        else Sys_thread (Thread.create worker t));
+  t.threads <- List.init workers (fun _ -> Thread.create worker t);
   t
 
 let submit t job =
@@ -90,8 +73,6 @@ let submit t job =
     else if Queue.length t.jobs >= t.capacity then Overloaded
     else begin
       Queue.push job t.jobs;
-      let depth = Queue.length t.jobs in
-      if depth > t.high_water then t.high_water <- depth;
       Condition.signal t.nonempty;
       Accepted
     end
@@ -110,10 +91,7 @@ let shutdown t =
   let already = t.stopping in
   t.stopping <- true;
   Condition.broadcast t.nonempty;
-  let runners = t.runners in
-  t.runners <- [];
+  let threads = t.threads in
+  t.threads <- [];
   Mutex.unlock t.mu;
-  if not already then
-    List.iter
-      (function Sys_thread th -> Thread.join th | Dom d -> Domain.join d)
-      runners
+  if not already then List.iter Thread.join threads

@@ -244,6 +244,35 @@ let prop_database_roundtrip =
                 (R.Database.relations db')
           | Error e -> QCheck.Test.fail_report e))
 
+(* A float column reloads bit for bit: [Value.to_string]'s six digits
+   would turn [0.1234567] into [0.123457].  A NaN's payload has no text,
+   so a NaN need only reload as a NaN of the same sign. *)
+let prop_float_roundtrip =
+  let specials = [ 0.1234567; 1e-7; -0.; infinity; nan ] in
+  let print fs = String.concat "; " (List.map (Printf.sprintf "%h") fs) in
+  qtest "float column roundtrip by bits"
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 20) float))
+    (fun fs ->
+      let schema = R.Schema.make "F" [ R.Schema.attr ~ty:R.Value.TFloat "X" ] in
+      let rel =
+        R.Relation.of_list schema
+          (List.map (fun f -> tuple [ R.Value.Float f ]) (specials @ fs))
+      in
+      let same_bits t u =
+        match (t, u) with
+        | [| R.Value.Float f |], [| R.Value.Float g |] ->
+            if Float.is_nan f then
+              Float.is_nan g && Float.sign_bit f = Float.sign_bit g
+            else Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+        | _ -> false
+      in
+      match of_string schema (to_string rel) with
+      | Ok rel' ->
+          R.Relation.cardinality rel = R.Relation.cardinality rel'
+          && Array.for_all2 same_bits (R.Relation.scan rel)
+               (R.Relation.scan rel')
+      | Error e -> QCheck.Test.fail_report e)
+
 let suite =
   [
     Alcotest.test_case "relation roundtrip" `Quick test_relation_roundtrip;
@@ -257,4 +286,5 @@ let suite =
     prop_int_fields_match_scanner;
     Alcotest.test_case "timestamp column roundtrip" `Quick test_timestamp_column_roundtrip;
     prop_database_roundtrip;
+    prop_float_roundtrip;
   ]

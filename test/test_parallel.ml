@@ -1,7 +1,7 @@
-(* The multicore layer: core detection, rewriting searches run from
-   many domains at once (byte-identical to sequential), one engine
-   cited from many domains, the domain-backed worker pool, and the
-   domain-parallel server.
+(* Concurrency: rewriting searches run from many domains at once
+   (byte-identical to sequential), one engine cited from many domains
+   and from the worker pool's threads, and a server with several
+   worker threads whose engine other domains cite at the same time.
 
    DOMAINS (env var, default 2) picks the domain count so CI can run
    the same suite at 1, 2 or 4 domains. *)
@@ -29,19 +29,6 @@ let on_domains f =
   here :: List.map Domain.join spawned
 
 (* ------------------------------------------------------------------ *)
-(* Core detection                                                      *)
-
-let test_core_detection () =
-  let cores = W.available_cores () in
-  Alcotest.(check bool) "at least one core" true (cores >= 1);
-  Alcotest.(check int) "effective 1 = 1" 1 (W.effective ~requested:1);
-  Alcotest.(check int) "effective clamps to cores" cores
-    (W.effective ~requested:(cores + 64));
-  match W.effective ~requested:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "requested 0 must be rejected"
-
-(* ------------------------------------------------------------------ *)
 (* Rewriting from many domains: byte-identical to sequential           *)
 
 let catalog_views n =
@@ -50,7 +37,7 @@ let catalog_views n =
        (Dc_repro.Views_catalog.synthetic ~count:n
        @ [ Dc_repro.Views_catalog.v_committee ]))
 
-(* Server worker domains search plan-cache misses concurrently: every
+(* Library callers may search from several domains at once: every
    domain running the same search at once must get the sequential
    answer. *)
 let same_rewritings ?(strategy = Rw.Rewrite.Minicon) views q =
@@ -161,7 +148,7 @@ let test_domains_agree () =
     ]
 
 (* A batch split into round-robin chunks, one job per chunk on the
-   domain-backed worker pool, cited through one engine, equals the
+   worker pool's threads, cited through one engine, equals the
    sequential citations query by query. *)
 let test_cite_batch_matches_sequential () =
   let queries = batch_queries () in
@@ -172,7 +159,7 @@ let test_cite_batch_matches_sequential () =
   in
   let engine = C.Engine.create small_db Dc_gtopdb.Paper_views.all in
   let width = max 2 domains in
-  let pool = W.create ~domains:true ~workers:width ~queue_capacity:width () in
+  let pool = W.create ~workers:width ~queue_capacity:width () in
   let got = Array.make (List.length queries) None in
   let indexed = List.mapi (fun i q -> (i, q)) queries in
   for c = 0 to width - 1 do
@@ -196,8 +183,8 @@ let test_cite_batch_matches_sequential () =
       | None -> Alcotest.failf "batch result %d missing" i)
     expected
 
-(* Multi-domain stress on ONE engine: domains hammer it at once, each
-   through its own caches; results must stay correct. *)
+(* Multi-domain stress on ONE engine: domains hammer it at once,
+   through its shared, locked caches; results must stay correct. *)
 let test_shared_engine_stress () =
   let engine = C.Engine.create small_db Dc_gtopdb.Paper_views.all in
   let queries = batch_queries () in
@@ -214,12 +201,10 @@ let test_shared_engine_stress () =
     (ok_here && List.for_all Fun.id oks)
 
 (* ------------------------------------------------------------------ *)
-(* Domain-backed worker pool                                           *)
+(* Worker pool                                                         *)
 
-let test_worker_pool_domains () =
-  let pool =
-    W.create ~domains:true ~workers:(max 2 domains) ~queue_capacity:64 ()
-  in
+let test_worker_pool_raising_job () =
+  let pool = W.create ~workers:(max 2 domains) ~queue_capacity:64 () in
   let hits = Atomic.make 0 in
   (* a raising job is logged and swallowed, not worker-fatal *)
   (match W.submit pool (fun () -> failwith "job boom") with
@@ -234,20 +219,16 @@ let test_worker_pool_domains () =
   Alcotest.(check int) "every job ran despite the failure" 32 (Atomic.get hits)
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel server                                              *)
+(* A server with several worker threads                                *)
 
-let test_server_with_domains () =
+let test_server_with_workers () =
   let engine =
     C.Engine.create
       (Dc_gtopdb.Paper_views.example_database ())
       Dc_gtopdb.Paper_views.all
   in
   let config =
-    {
-      Dc_server.Server.default_config with
-      port = 0;
-      domains = max 2 domains;
-    }
+    { Dc_server.Server.default_config with port = 0; workers = 4 }
   in
   let server = Dc_server.Server.start ~config engine in
   Fun.protect ~finally:(fun () -> Dc_server.Server.stop server) @@ fun () ->
@@ -261,13 +242,51 @@ let test_server_with_domains () =
         "HEALTH";
       ]
   in
-  Alcotest.(check int) "no errors across domains" 0 stats.errors;
+  Alcotest.(check int) "no errors across workers" 0 stats.errors;
   Alcotest.(check int) "all requests answered" 100 stats.answered
+
+(* The server's engine cited from other domains while clients drive
+   it: library callers on domains > 1 share the server's worker
+   threads' caches, and both sides get sequential answers. *)
+let test_server_with_domains () =
+  let queries = batch_queries () in
+  let expected =
+    List.map
+      (C.Engine.cite (C.Engine.create small_db Dc_gtopdb.Paper_views.all))
+      queries
+  in
+  let engine = C.Engine.create small_db Dc_gtopdb.Paper_views.all in
+  let config =
+    { Dc_server.Server.default_config with port = 0; workers = 2 }
+  in
+  let server = Dc_server.Server.start ~config engine in
+  Fun.protect ~finally:(fun () -> Dc_server.Server.stop server) @@ fun () ->
+  let library_caller () =
+    List.for_all2
+      (fun q e -> results_agree e (C.Engine.cite engine q))
+      queries expected
+  in
+  let spawned =
+    List.init (max 2 domains) (fun _ -> Domain.spawn library_caller)
+  in
+  let stats =
+    Test_server.drive
+      ~port:(Dc_server.Server.port server)
+      ~clients:4 ~requests_per_client:25
+      [
+        "CITE Q(N) :- Family(F,N,D)";
+        "CITE Q(FName) :- Family(FID,FName,Desc), FamilyIntro(FID,Text)";
+        "HEALTH";
+      ]
+  in
+  let oks = List.map Domain.join spawned in
+  Alcotest.(check int) "no errors across workers" 0 stats.errors;
+  Alcotest.(check int) "all requests answered" 100 stats.answered;
+  Alcotest.(check bool) "every domain got sequential results" true
+    (List.for_all Fun.id oks)
 
 let suite =
   [
-    Alcotest.test_case "pool: core detection and clamping" `Quick
-      test_core_detection;
     Alcotest.test_case "rewriting: parallel byte-identical" `Quick
       test_rewriting_deterministic;
     Alcotest.test_case "rewriting: all strategies" `Quick
@@ -279,7 +298,9 @@ let suite =
       test_cite_batch_matches_sequential;
     Alcotest.test_case "shared engine: multi-domain stress" `Quick
       test_shared_engine_stress;
-    Alcotest.test_case "worker pool: domain backend" `Quick
-      test_worker_pool_domains;
+    Alcotest.test_case "worker pool: a raising job" `Quick
+      test_worker_pool_raising_job;
+    Alcotest.test_case "server: 4 worker threads" `Quick
+      test_server_with_workers;
     Alcotest.test_case "server: domains > 1" `Quick test_server_with_domains;
   ]

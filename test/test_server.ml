@@ -268,14 +268,14 @@ let test_versioned_roundtrip () =
 
 (* Old versions keep serving while commits land concurrently: the
    commit path must never block or corrupt in-flight CITE_ATs.  Runs
-   the server with 2 domains so requests execute truly in parallel. *)
+   the server with 2 worker threads so requests interleave. *)
 let test_versioned_concurrent_commits () =
   let engine =
     C.Engine.create
       (Dc_gtopdb.Paper_views.example_database ())
       Dc_gtopdb.Paper_views.all
   in
-  let config = { S.Server.default_config with port = 0; domains = 2 } in
+  let config = { S.Server.default_config with port = 0; workers = 2 } in
   let server = S.Server.start ~config engine in
   Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
   let baseline = sans_ms (expect_ok "baseline" (request server cite_at_0)) in
@@ -327,7 +327,7 @@ let test_v1_reads_every_acked_commit () =
       (Dc_gtopdb.Paper_views.example_database ())
       Dc_gtopdb.Paper_views.all
   in
-  let config = { S.Server.default_config with port = 0; domains = 2 } in
+  let config = { S.Server.default_config with port = 0; workers = 2 } in
   let server = S.Server.start ~config engine in
   Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
   let base_tuples =
@@ -674,24 +674,19 @@ let test_stats_count_derivations () =
     (contains body {|"datalog_continued_derivations":1,|})
 
 (* v2 HEALTH's capability report, pinned byte for byte: every cite is
-   served by the versioned engine on the effective worker domains, and a
+   served by the versioned engine on one domain (one shard), and a
    recursive program is reported as such. *)
 let test_health_v2_capabilities () =
   let engine =
     C.Engine.of_program (Test_datalog.subfamily_db ())
       Test_datalog.subfamily_program
   in
-  let config =
-    { S.Server.default_config with port = 0; workers = 2; domains = 2 }
-  in
+  let config = { S.Server.default_config with port = 0; workers = 2 } in
   let server = S.Server.start ~config engine in
   Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
   let body = expect_ok "v2 health" (request server "V2 HEALTH") in
-  let shards = S.Worker_pool.effective ~requested:2 in
   let want =
-    Printf.sprintf
-      {|"backend":"versioned","shards":%d,"supports_versions":true,"supports_recursion":true}|}
-      shards
+    {|"backend":"versioned","shards":1,"supports_versions":true,"supports_recursion":true}|}
   in
   if not (contains body want) then
     Alcotest.failf "v2 HEALTH %s lacks %s" body want;
