@@ -81,244 +81,162 @@ module Key = struct
     ]
 end
 
-let well_known =
-  let h = Hashtbl.create 32 in
-  List.iter (fun k -> Hashtbl.replace h k ()) Key.all;
-  h
-
 (* ------------------------------------------------------------------ *)
-(* Per-domain sinks.
+(* One cell per name, shared by every thread and domain: a counter is
+   one atomic int, a timer two (total nanoseconds and calls).
 
-   The hot path ([record] / [incr] / [add_time] on every counter bump
-   of every cite) touches only plain, unsynchronized fields of a sink
-   owned by the recording domain: no mutex, no atomic, no cache-line
-   ping-pong between domains.  A registry aggregates its sinks at read
-   time instead.
+   A name's cell is found in an immutable map published through an
+   atomic, so the record path takes no lock.  Only a name's first use
+   takes the registry's mutex, to copy the map with the new cell and
+   publish the copy.  [order] holds the names in reverse display order:
+   the well-known counters, installed at [create], then every other
+   name as first used. *)
 
-   A counter carries two fields because two aggregations coexist under
-   one name: [adds] (from [incr]/[record]) sums across domains, [hw]
-   (from [record_max], a high-water mark) maxes across them; the
-   aggregate is [sum adds + max hw], which reduces to the natural value
-   when a key is used through only one of the two (every key today
-   is). *)
+module Names = Map.Make (String)
 
-type counter = { mutable adds : int; mutable hw : int }
-type timer = { mutable total_s : float; mutable calls : int }
-
-type sink = {
-  counters : (string, counter) Hashtbl.t;
-  timers : (string, timer) Hashtbl.t;
-}
+type 'a table = { cells : 'a Names.t; order : string list }
+type timer = { ns : int Atomic.t; calls : int Atomic.t }
 
 type t = {
-  id : int;  (** unique per registry; hashes the DLS sink table *)
-  mu : Mutex.t;
-      (** guards the sink list and the display-order bookkeeping —
-          registration and read-side aggregation only, never the
-          per-event hot path *)
-  mutable sinks : sink list;
-  mutable dyn_counters : string list;  (** reverse first-use order *)
-  dyn_counter_seen : (string, unit) Hashtbl.t;
-  mutable timer_names : string list;  (** reverse first-use order *)
-  timer_seen : (string, unit) Hashtbl.t;
+  mu : Mutex.t;  (** serializes the publication of new names *)
+  counters : int Atomic.t table Atomic.t;
+  timers : timer table Atomic.t;
 }
 
-let next_id = Atomic.make 0
-
 let create () =
+  let cells =
+    List.fold_left
+      (fun cells k -> Names.add k (Atomic.make 0) cells)
+      Names.empty Key.all
+  in
   {
-    id = Atomic.fetch_and_add next_id 1;
     mu = Mutex.create ();
-    sinks = [];
-    dyn_counters = [];
-    dyn_counter_seen = Hashtbl.create 8;
-    timer_names = [];
-    timer_seen = Hashtbl.create 8;
+    counters = Atomic.make { cells; order = List.rev Key.all };
+    timers = Atomic.make { cells = Names.empty; order = [] };
   }
 
 let default = create ()
 
-(* Each domain keeps its own sink per registry.  Its table holds the
-   registries weakly, so a registry — benches create thousands of
-   short-lived engines, each with one — can be collected even though
-   domains that recorded into it outlive it; the registry's own [sinks]
-   list dies with the registry.  A domain's first touch of a registry
-   is the only mutex in the recording path, taken once per (domain,
-   registry) pair ever. *)
-module Sinks =
-  Domain_local.Make
-    (struct
-      type registry = t
-      type t = registry
-
-      let id t = t.id
-    end)
-    (struct
-      type t = sink
-
-      let create t =
-        let s = { counters = Hashtbl.create 24; timers = Hashtbl.create 8 } in
-        Mutex.protect t.mu (fun () -> t.sinks <- s :: t.sinks);
-        s
-    end)
-
-(* First use of a dynamic name (amortized: once per key per domain)
-   records it in the registry's display order under the lock. *)
-let counter_for t s name =
-  match Hashtbl.find_opt s.counters name with
+let cell t table make name =
+  match Names.find_opt name (Atomic.get table).cells with
   | Some c -> c
   | None ->
-      let c = { adds = 0; hw = 0 } in
-      Hashtbl.add s.counters name c;
-      if not (Hashtbl.mem well_known name) then
-        Mutex.protect t.mu (fun () ->
-            if not (Hashtbl.mem t.dyn_counter_seen name) then begin
-              Hashtbl.add t.dyn_counter_seen name ();
-              t.dyn_counters <- name :: t.dyn_counters
-            end);
-      c
-
-let timer_for t s name =
-  match Hashtbl.find_opt s.timers name with
-  | Some tm -> tm
-  | None ->
-      let tm = { total_s = 0.; calls = 0 } in
-      Hashtbl.add s.timers name tm;
       Mutex.protect t.mu (fun () ->
-          if not (Hashtbl.mem t.timer_seen name) then begin
-            Hashtbl.add t.timer_seen name ();
-            t.timer_names <- name :: t.timer_names
-          end);
-      tm
+          let tb = Atomic.get table in
+          match Names.find_opt name tb.cells with
+          | Some c -> c
+          | None ->
+              let c = make () in
+              Atomic.set table
+                { cells = Names.add name c tb.cells; order = name :: tb.order };
+              c)
 
-let incr ?(by = 1) t name =
-  let c = counter_for t (Sinks.get t) name in
-  c.adds <- c.adds + by
+let counter t = cell t t.counters (fun () -> Atomic.make 0)
 
-let record_max t name v =
-  let c = counter_for t (Sinks.get t) name in
-  if v > c.hw then c.hw <- v
+let timer_cell t =
+  cell t t.timers (fun () -> { ns = Atomic.make 0; calls = Atomic.make 0 })
 
-let add_time t name s =
-  let tm = timer_for t (Sinks.get t) name in
-  tm.total_s <- tm.total_s +. s;
-  tm.calls <- tm.calls + 1
+let incr ?(by = 1) t name = ignore (Atomic.fetch_and_add (counter t name) by)
 
-(* ------------------------------------------------------------------ *)
-(* Read-time aggregation.  Reading another domain's plain fields while
-   it records is a data race by the letter of the memory model; in
-   practice it only yields a slightly stale (never torn, never
-   decreasing) value, which is exactly what a monitoring read wants.
-   Joining a domain before reading (the benches and tests do) makes the
-   read exact. *)
+let raise_to t name v =
+  let c = counter t name in
+  let rec go () =
+    let cur = Atomic.get c in
+    if v > cur && not (Atomic.compare_and_set c cur v) then go ()
+  in
+  go ()
 
-let agg_counter sinks name =
-  List.fold_left
-    (fun (sum, hw) s ->
-      match Hashtbl.find_opt s.counters name with
-      | None -> (sum, hw)
-      | Some c -> (sum + c.adds, max hw c.hw))
-    (0, 0) sinks
-  |> fun (sum, hw) -> sum + hw
+let charge t name ns =
+  let tm = timer_cell t name in
+  ignore (Atomic.fetch_and_add tm.ns ns);
+  Atomic.incr tm.calls
 
-let agg_timer sinks name =
-  List.fold_left
-    (fun (total, calls) s ->
-      match Hashtbl.find_opt s.timers name with
-      | None -> (total, calls)
-      | Some tm -> (total +. tm.total_s, calls + tm.calls))
-    (0., 0) sinks
+let add_time t name s = charge t name (Float.to_int (s *. 1e9))
 
-let snapshot t =
-  Mutex.protect t.mu (fun () ->
-      (t.sinks, List.rev t.dyn_counters, List.rev t.timer_names))
+(* Reads are atomic per cell.  A timer's two cells are read one after
+   the other, so a read concurrent with writers may pair a total with a
+   call count one event apart. *)
 
 let count t name =
-  let sinks, _, _ = snapshot t in
-  agg_counter sinks name
+  match Names.find_opt name (Atomic.get t.counters).cells with
+  | Some c -> Atomic.get c
+  | None -> 0
 
 let counters t =
-  let sinks, dyn, _ = snapshot t in
-  List.map (fun k -> (k, agg_counter sinks k)) (Key.all @ dyn)
+  let tb = Atomic.get t.counters in
+  List.rev_map (fun k -> (k, Atomic.get (Names.find k tb.cells))) tb.order
+
+let read_timer tm = (float_of_int (Atomic.get tm.ns) /. 1e9, Atomic.get tm.calls)
 
 let timer t name =
-  let sinks, _, _ = snapshot t in
-  agg_timer sinks name
+  match Names.find_opt name (Atomic.get t.timers).cells with
+  | Some tm -> read_timer tm
+  | None -> (0., 0)
 
 let timers t =
-  let sinks, _, names = snapshot t in
-  List.map (fun k -> (k, agg_timer sinks k)) names
+  let tb = Atomic.get t.timers in
+  List.rev_map (fun k -> (k, read_timer (Names.find k tb.cells))) tb.order
 
-let sink_count t = Mutex.protect t.mu (fun () -> List.length t.sinks)
-
-let per_sink t name =
-  let sinks, _, _ = snapshot t in
-  List.filter_map
-    (fun s ->
-      Option.map (fun c -> c.adds + c.hw) (Hashtbl.find_opt s.counters name))
-    sinks
-
-(* Zeroing other domains' sinks is only meaningful while they are not
-   recording; callers (tests, the REPL between runs) reset at
-   quiescence. *)
 let reset t =
-  let sinks, _, _ = snapshot t in
-  List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun _ c ->
-          c.adds <- 0;
-          c.hw <- 0)
-        s.counters;
-      Hashtbl.iter
-        (fun _ tm ->
-          tm.total_s <- 0.;
-          tm.calls <- 0)
-        s.timers)
-    sinks
+  Names.iter (fun _ c -> Atomic.set c 0) (Atomic.get t.counters).cells;
+  Names.iter
+    (fun _ tm ->
+      Atomic.set tm.ns 0;
+      Atomic.set tm.calls 0)
+    (Atomic.get t.timers).cells
 
 (* ------------------------------------------------------------------ *)
-(* Dynamically scoped extra sinks — a stack per domain, so scopes never
-   cross domains and worker domains never touch a shared list. *)
+(* The registries in scope on a domain, each once, with the number of
+   [with_sink] calls for it still open on any of the domain's threads.
+   The set is replaced whole by compare-and-set, so threads entering
+   and leaving together never lose or strand an entry.  A spawned
+   domain gets an empty set before it runs ([split_from_parent]) and
+   the initial domain's is made here, so no two threads of a domain
+   ever race to create its set. *)
 
-let scope_stack : t list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let scopes : (t * int) list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key
+    ~split_from_parent:(fun _ -> Atomic.make [])
+    (fun () -> Atomic.make [])
 
-(* [targets] dedups by physical equality so nested [with_sink] on the
-   same registry (engine calls re-entering engine calls) never
-   double-counts. *)
-let targets stack =
-  List.fold_left
-    (fun acc m -> if List.memq m acc then acc else m :: acc)
-    [ default ] stack
+let () = ignore (Domain.DLS.get scopes)
+
+let rec update set f =
+  let cur = Atomic.get set in
+  if not (Atomic.compare_and_set set cur (f cur)) then update set f
+
+let enter m set =
+  if List.exists (fun (r, _) -> r == m) set then
+    List.map (fun (r, n) -> if r == m then (r, n + 1) else (r, n)) set
+  else (m, 1) :: set
+
+let leave m =
+  List.filter_map (fun (r, n) ->
+      if r != m then Some (r, n) else if n > 1 then Some (r, n - 1) else None)
 
 let with_sink m f =
-  let st = Domain.DLS.get scope_stack in
-  st := m :: !st;
-  Fun.protect
-    ~finally:(fun () ->
-      (* remove {e this} scope's frame — the first physically-equal
-         one — wherever unwinding finds it *)
-      let rec drop = function
-        | [] -> []
-        | x :: rest -> if x == m then rest else x :: drop rest
-      in
-      st := drop !st)
-    f
+  (* [default] takes every event already *)
+  if m == default then f ()
+  else begin
+    let set = Domain.DLS.get scopes in
+    update set (enter m);
+    Fun.protect ~finally:(fun () -> update set (leave m)) f
+  end
 
-let record ?by name =
-  List.iter
-    (fun m -> incr ?by m name)
-    (targets !(Domain.DLS.get scope_stack))
+(* Apply [f] to [default] and every registry in scope on this domain. *)
+let each f =
+  f default;
+  List.iter (fun (m, _) -> f m) (Atomic.get (Domain.DLS.get scopes))
+
+let record ?by name = each (fun m -> incr ?by m name)
+let record_max name v = each (fun m -> raise_to m name v)
 
 let record_time name f =
-  let t0 = Dc_clock.Monotonic.now_s () in
+  let t0 = Dc_clock.Monotonic.now_ns () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Dc_clock.Monotonic.now_s () -. t0 in
-      List.iter
-        (fun m -> add_time m name dt)
-        (targets !(Domain.DLS.get scope_stack)))
+      let ns = Int64.to_int (Int64.sub (Dc_clock.Monotonic.now_ns ()) t0) in
+      each (fun m -> charge m name ns))
     f
 
 (* ------------------------------------------------------------------ *)

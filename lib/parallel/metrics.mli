@@ -9,42 +9,38 @@
     Datalog fixpoints ({!Dc_cq}), rewriting enumeration
     ({!Dc_rewriting.Rewrite}), the WAL, snapshots and recovery
     ({!Dc_storage}), and the engines and server above them.  Events
-    reach [default] plus every registry pushed with {!with_sink}.  The
-    module lives in [dc_parallel], below all of them, next to the
-    per-domain tables its sinks are built on; [Dc_citation.Metrics] is
-    an alias of it.
+    reach [default] plus every registry in scope through {!with_sink}.
+    The module lives in [dc_parallel], below all of them;
+    [Dc_citation.Metrics] is an alias of it.
 
     Counters are monotonic: nothing but {!reset} ever decreases one.
     Timers use the monotonic clock ({!Dc_clock.Monotonic}), so recorded
     durations are immune to wall-clock steps.
 
-    {b Concurrency: per-domain sinks, no shared lock on the record
-    path.}  Internally a registry is a set of {e sinks}, one per domain
-    that has recorded into it.  {!record}, {!incr}, {!add_time},
-    {!record_max} and {!record_time} mutate plain unsynchronized fields
-    of the calling domain's own sink: domains hammering the same
-    registry never serialize and never share a cache line.  The only
-    lock is taken at registration — the first time a given domain
-    touches a given registry or dynamic name — and by the read side.
-    Read-side aggregation ({!count}, {!counters}, {!timer}, {!timers},
-    {!pp}, {!to_json}) sums the sinks at call time; concurrent with
-    writers it may observe slightly stale per-domain values (never torn,
-    never decreasing), and is exact once the writing domains have been
-    joined.  {!reset} zeroes every sink and assumes quiescence.
+    {b Concurrency: one shared cell per name.}  A registry holds exactly
+    one counter per name, an atomic int, and one timer per name, two
+    atomic ints (total nanoseconds and calls), shared by every thread
+    and domain.  {!record}, {!incr}, {!add_time}, {!record_max} and
+    {!record_time} find the cell without a lock and update it
+    atomically, so no event is lost whatever threads or domains record
+    together.  The only lock is the registry's, taken by a name's first
+    use to publish its cell.  Reads ({!count}, {!counters}, {!timer},
+    {!timers}, {!pp}, {!to_json}) are atomic per cell and exact once
+    the writers are done.  {!reset} zeroes every cell and assumes
+    quiescence.
 
-    {b [with_sink] is domain-local.}  The dynamically scoped sink stack
-    is per domain: a scope opened on one domain is invisible to events
-    recorded by another.  Scopes never cross domains: a spawned domain
-    that should record into [m] opens its own [with_sink m], and then
-    records through its own per-domain sink of [m].  (An engine does
-    this on every call, so its registry sees work from whichever domain
-    cites it.)  The systhreads of one domain share its stack, so a
-    scope one thread opens also catches what another records while it
-    is open.  The server's worker threads are such systhreads; that is
-    harmless as long as every worker scopes the same registry (each
-    scopes its {!Dc_citation.Versioned_engine.metrics}, which every
-    version's engine shares), since a registry in scope twice counts
-    once. *)
+    {b Scopes are per domain.}  Each domain keeps the set of registries
+    in scope on it, each with the number of {!with_sink} calls for it
+    still open on any of the domain's threads.  A scope one systhread
+    opens therefore also catches what another thread of the domain
+    records while it is open, and it closes when the last of them
+    leaves.  The server's worker threads all scope the same registry
+    (the {!Dc_citation.Versioned_engine.metrics} that every version's
+    engine shares), so that sharing is harmless.  Scopes never cross
+    domains: a spawned domain starts with none, and one that should
+    record into [m] opens its own [with_sink m].  (An engine does this
+    on every call, so its registry sees work from whichever domain
+    cites it.) *)
 
 type t
 
@@ -207,17 +203,10 @@ module Key : sig
 end
 
 val incr : ?by:int -> t -> string -> unit
-(** Bump a counter in the calling domain's sink — no lock, no shared
-    write. *)
-
-val record_max : t -> string -> int -> unit
-(** Raise a counter to [v] if it is currently below it, a monotonic
-    high-water mark.  Per-domain marks aggregate by [max] (while
-    {!incr} contributions aggregate by sum); do not mix both on one
-    key. *)
+(** Add [by] (default 1) to a counter of [t]. *)
 
 val count : t -> string -> int
-(** Aggregate over all sinks; [0] for a counter never incremented. *)
+(** A counter's value; [0] for a counter never recorded. *)
 
 val counters : t -> (string * int) list
 (** All counters in display order: the well-known keys first (always
@@ -227,38 +216,36 @@ val add_time : t -> string -> float -> unit
 (** Accumulate [seconds] under a timer name and bump its call count. *)
 
 val timer : t -> string -> float * int
-(** [(total_seconds, calls)] aggregated over all sinks; [(0., 0)] for
-    an unknown timer. *)
+(** [(total_seconds, calls)]; [(0., 0)] for an unknown timer. *)
 
 val timers : t -> (string * (float * int)) list
-
-val sink_count : t -> int
-(** How many per-domain sinks the registry has accumulated — the number
-    of distinct domains that ever recorded into it. *)
-
-val per_sink : t -> string -> int list
-(** The counter's per-domain values (unordered, one per sink): the
-    breakdown behind {!count}. *)
+(** All timers in first-use order. *)
 
 val reset : t -> unit
-(** Zero every counter and timer in every sink (the only non-monotonic
-    operation).  Call at quiescence: concurrent writers may race
-    individual zeroes. *)
+(** Zero every counter and timer (the only non-monotonic operation).
+    Call at quiescence: concurrent writers may race individual
+    zeroes. *)
 
 val with_sink : t -> (unit -> 'a) -> 'a
-(** Route events recorded during the callback {e on this domain} into
-    [t] as well as {!default}.  Nests; re-pushing a registry already in
-    scope does not double-count.  Domains spawned inside the callback
-    do not inherit the scope; each opens its own (see the module
-    note). *)
+(** Route events recorded {e on this domain} while the callback runs
+    into [t] as well as {!default}: events from any of the domain's
+    threads, while at least one of them is inside [with_sink t].
+    Nests; a registry already in scope is counted once.  Domains
+    spawned inside the callback do not inherit the scope; each opens
+    its own (see the module note). *)
 
 val record : ?by:int -> string -> unit
-(** Increment a counter on {!default} and every sink in scope on this
-    domain. *)
+(** Increment a counter on {!default} and every registry in scope on
+    this domain. *)
+
+val record_max : string -> int -> unit
+(** Raise a counter to [v] if it is below it, on {!default} and every
+    registry in scope on this domain: a monotonic high-water mark.  Do
+    not mix it with {!record} on one key. *)
 
 val record_time : string -> (unit -> 'a) -> 'a
 (** Time the callback (monotonic clock) and charge it to {!default} and
-    every sink in scope on this domain, even when it raises. *)
+    every registry in scope on this domain, even when it raises. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump: one [name = value] line per counter, then one

@@ -245,8 +245,7 @@ let ok_citation ~view ~citation ~ms =
 let ok_stats ~stats_json = obj [ ("ok", "true"); ("stats", stats_json) ]
 
 let ok_health ?version ?data_dir ?wal_enabled ?last_snapshot_version
-    ?backend ?shards ?supports_versions ?supports_recursion ~uptime_s ~views
-    ~relations ~tuples () =
+    ?recursion ~uptime_s ~views ~relations ~tuples () =
   (* an optional field: present only when given *)
   let field k render = function None -> [] | Some v -> [ (k, render v) ] in
   obj
@@ -271,11 +270,19 @@ let ok_health ?version ?data_dir ?wal_enabled ?last_snapshot_version
     @ field "data_dir" jstr data_dir
     @ field "wal_enabled" string_of_bool wal_enabled
     @ field "last_snapshot_version" string_of_int last_snapshot_version
-    (* Capability report (v2 HEALTH only, like the durability fields). *)
-    @ field "backend" jstr backend
-    @ field "shards" string_of_int shards
-    @ field "supports_versions" string_of_bool supports_versions
-    @ field "supports_recursion" string_of_bool supports_recursion)
+    (* Capability report (v2 HEALTH only, like the durability fields):
+       every citation is served by the versioned engine, on the one
+       domain the worker threads share. *)
+    @
+    match recursion with
+    | None -> []
+    | Some r ->
+        [
+          ("backend", jstr "versioned");
+          ("shards", "1");
+          ("supports_versions", "true");
+          ("supports_recursion", string_of_bool r);
+        ])
 
 let ok_bye = obj [ ("ok", "true"); ("bye", "true") ]
 

@@ -146,10 +146,7 @@ val ok_health :
   ?data_dir:string ->
   ?wal_enabled:bool ->
   ?last_snapshot_version:int ->
-  ?backend:string ->
-  ?shards:int ->
-  ?supports_versions:bool ->
-  ?supports_recursion:bool ->
+  ?recursion:bool ->
   uptime_s:float ->
   views:int ->
   relations:int ->
@@ -158,10 +155,11 @@ val ok_health :
   string
 (** [version], when given, reports the versioned engine's head as
     [head_version].  The durability fields ([data_dir], [wal_enabled],
-    [last_snapshot_version]) and the capability report ([backend],
-    [shards], [supports_versions], [supports_recursion]) are appended
-    in that order, each only when given — a v2 HEALTH report; omitting
-    them keeps the v1 output byte-identical. *)
+    [last_snapshot_version]) are appended in that order, each only when
+    given.  [recursion], when given, appends the capability report
+    ([backend], [shards], [supports_versions], and [supports_recursion]
+    set to [recursion]).  Together they make a v2 HEALTH report;
+    omitting them keeps the v1 output byte-identical. *)
 
 val ok_bye : string
 

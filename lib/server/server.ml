@@ -131,16 +131,14 @@ let execute t (req : Protocol.request) =
               Some true,
               Some (Dc_storage.Store.last_snapshot_version st) )
       in
-      (* Every citation is served by the versioned engine, on the
-         one domain the worker threads share. *)
-      let opt x = if v2 then Some x else None in
       let template = C.Versioned_engine.template t.versioned in
+      let recursion =
+        if v2 then Some (C.Engine.recursive_predicates template <> [])
+        else None
+      in
       Protocol.ok_health
         ~version:(C.Versioned_engine.head t.versioned)
-        ?data_dir ?wal_enabled ?last_snapshot_version
-        ?backend:(opt "versioned") ?shards:(opt 1)
-        ?supports_versions:(opt true)
-        ?supports_recursion:(opt (C.Engine.recursive_predicates template <> []))
+        ?data_dir ?wal_enabled ?last_snapshot_version ?recursion
         ~uptime_s:(Dc_clock.Monotonic.now_s () -. t.started_at)
         ~views:(C.Citation_view.Set.size (C.Engine.citation_views template))
         ~relations:(List.length (R.Database.relation_names db))
@@ -329,9 +327,7 @@ let on_request t req ~reply =
                fallback (Printexc.to_string ex)))
     with
     | Worker_pool.Accepted ->
-        C.Metrics.record_max m C.Metrics.Key.server_queue_depth
-          (Worker_pool.depth t.pool);
-        C.Metrics.record_max C.Metrics.default C.Metrics.Key.server_queue_depth
+        C.Metrics.record_max C.Metrics.Key.server_queue_depth
           (Worker_pool.depth t.pool);
         `Accepted
     | Worker_pool.Overloaded ->

@@ -254,13 +254,13 @@ let test_lower_layers_record () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain sinks: aggregation across domains equals the sequential
+(* Shared cells: totals across domains and threads equal the sequential
    oracle, with_sink scoping, and reset.                               *)
 
 let test_multi_domain_aggregation () =
   (* K domains each bump the same counters n times into one registry;
-     after joining, the aggregate must equal the sequential total
-     exactly — per-domain sinks lose nothing. *)
+     after joining, the total must equal the sequential total exactly:
+     the shared cells lose nothing. *)
   let m = M.create () in
   let k = 4 and n = 10_000 in
   let worker () =
@@ -280,25 +280,37 @@ let test_multi_domain_aggregation () =
   let total_s, calls = M.timer m "work" in
   Alcotest.(check int) "timer calls aggregate" (k * n) calls;
   Alcotest.(check bool) "timer total aggregates" true
-    (Float.abs (total_s -. (0.001 *. float_of_int (k * n))) < 1e-6);
-  Alcotest.(check bool)
-    (Printf.sprintf "one sink per recording domain (got %d)" (M.sink_count m))
-    true
-    (M.sink_count m >= 1 && M.sink_count m <= k);
-  Alcotest.(check int) "per-sink values sum to the aggregate" (k * n)
-    (List.fold_left ( + ) 0 (M.per_sink m "hits"))
+    (Float.abs (total_s -. (0.001 *. float_of_int (k * n))) < 1e-6)
 
 let test_record_max_across_domains () =
   let m = M.create () in
   let depths = [ 3; 17; 5; 9 ] in
-  let spawned =
-    List.map (fun d -> Domain.spawn (fun () -> M.record_max m "depth" d)) depths
-  in
+  let mark d = M.with_sink m (fun () -> M.record_max "depth" d) in
+  let spawned = List.map (fun d -> Domain.spawn (fun () -> mark d)) depths in
   List.iter Domain.join spawned;
   (* high-water marks aggregate by max, not by sum *)
   Alcotest.(check int) "max across domains" 17 (M.count m "depth");
-  M.record_max m "depth" 4;
+  mark 4;
   Alcotest.(check int) "lower mark does not raise it" 17 (M.count m "depth")
+
+(* The systhreads of one domain share its scopes: while any of them is
+   inside [with_sink m], what each records reaches [m], and entering or
+   leaving together loses no scope and strands none. *)
+let test_with_sink_shared_by_threads () =
+  let m = M.create () in
+  let k = 4 and n = 10_000 in
+  let worker () =
+    M.with_sink m (fun () ->
+        for _ = 1 to n do
+          M.record "shared";
+          Thread.yield ()
+        done)
+  in
+  List.iter Thread.join (List.init k (fun _ -> Thread.create worker ()));
+  Alcotest.(check int) "every event reached the registry" (k * n)
+    (M.count m "shared");
+  M.record "shared";
+  Alcotest.(check int) "no scope is left open" (k * n) (M.count m "shared")
 
 let test_with_sink_nesting_and_dedup () =
   let a = M.create () and b = M.create () in
@@ -427,5 +439,7 @@ let suite =
       test_landing_keys_share_one_plan;
     Alcotest.test_case "head-ordered scans: one copy per value" `Quick
       test_scan_orders_counter;
+    Alcotest.test_case "with_sink: shared by a domain's threads" `Quick
+      test_with_sink_shared_by_threads;
   ]
 
