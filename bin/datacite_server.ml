@@ -292,7 +292,11 @@ let run data views program demo host port workers queue max_pipeline
         (ms t0 t3) (ms t0 t1) (ms t1 t2) (ms t2 t3));
   S.Server.wait server;
   restore ();
-  print_endline "datacite-server: stopped"
+  (* Stdout may be gone by now (a supervisor read the banner and closed
+     its pipe).  The stop was clean all the same: drop the status line,
+     and close stdout so that the flush at exit does not retry it. *)
+  try print_endline "datacite-server: stopped"
+  with Sys_error _ -> close_out_noerr stdout
 
 let () =
   let term =

@@ -13,14 +13,11 @@ type selection = [ `All | `Min_estimated_size | `Min_exact_size ]
    [source] is the stripped query the search ran on and [lifted] the
    constants lifted out of it, in rank order: a query of the same shape
    gets the plan with each [lifted.(i)] renamed to its own [i]-th lifted
-   constant (see [renaming]).  [canonical] is the minimized shape: two
-   shapes share a plan iff their cores are equivalent, which holds iff
-   the shapes are.  Each rewriting comes with its template, which holds
-   its expansion over the base schema: what a cite evaluates.  The
-   maximally-contained fallback's templates are filled in lazily on
-   first use, for [source]. *)
+   constant (see [renaming]).  Each rewriting comes with its template,
+   which holds its expansion over the base schema: what a cite
+   evaluates.  The maximally-contained fallback's templates are filled
+   in lazily on first use, for [source]. *)
 type plan = {
-  canonical : Cq.Query.t;
   source : Cq.Query.t;
   lifted : R.Value.t array;
   plan_rewritings : (Cq.Query.t * Compute.template) list;
@@ -34,19 +31,15 @@ module Shape_map = Map.Make (struct
   let compare = Cq.Query.compare_syntactic
 end)
 
-(* The rewriting plans of one view set.  Two-level lookup: a
-   cheap canonical shape catches repeats of the same (or alpha-renamed)
-   query shape with zero containment work; the sorted-predicate-multiset
-   buckets catch any other equivalent form via Chandra-Merlin
-   equivalence of the cores, on every cite of that form (only a search
-   files a plan under its shape).  [by_shape] is immutable, so a hit
-   reads it without a lock; [plan_lock] serializes the misses that
-   replace it, [by_preds] and the plans' [plan_contained] against other
-   threads and domains. *)
+(* The rewriting plans of one view set, by query shape: repeats of a
+   shape (alpha-renamed, or with other lifted constants) hit with zero
+   containment work, and a shape that misses runs the search once.
+   [by_shape] is immutable, so a hit reads it without a lock;
+   [plan_lock] serializes the misses that replace it and the plans'
+   [plan_contained] against other threads. *)
 type plan_cache = {
   plan_lock : Mutex.t;
   mutable by_shape : plan Shape_map.t;
-  by_preds : (string, plan list ref) Hashtbl.t;
 }
 
 (* The program's IDB extents, and the base database with them added:
@@ -239,11 +232,7 @@ let shapes_of cview_list =
   in
   {
     plans =
-      {
-        plan_lock = Mutex.create ();
-        by_shape = Shape_map.empty;
-        by_preds = Hashtbl.create 16;
-      };
+      { plan_lock = Mutex.create (); by_shape = Shape_map.empty };
     view_constants;
     placeholder = String.make (longest + 1) '\000';
   }
@@ -555,8 +544,7 @@ let rank a v =
    of constants that fixes the views', with which the search commutes
    (see [shapes]; numbering by occurrence would not keep the order).
    Alpha-renamed repeats of a shape therefore key identically; any
-   other equivalent form falls through to the core-equivalence scan of
-   [plan_for]. *)
+   other equivalent form is a shape of its own. *)
 let shape s q =
   let lifted =
     Array.of_list
@@ -598,17 +586,8 @@ let shape s q =
 
 let template e rw = Compute.template e.views e.cviews rw
 
-let pred_multiset q =
-  String.concat ","
-    (List.sort String.compare (List.map Cq.Atom.pred (Cq.Query.body q)))
-
-(* The memoized rewriting search of a stripped query.  Equivalent
-   queries (same answers on every database) have interchangeable
-   rewriting sets, so a hit is keyed up to Chandra-Merlin equivalence of
-   shapes: first the shape itself, then — because equivalent minimal
-   queries are isomorphic, hence share their predicate multiset — an
-   equivalence scan within the minimized shape's predicate-multiset
-   bucket.  Returns the plan with the query's lifted constants. *)
+(* The memoized rewriting search of a stripped query, by shape.
+   Returns the plan with the query's lifted constants. *)
 let plan_for e stripped =
   let key, lifted = shape e.shapes stripped in
   let c = e.shapes.plans in
@@ -622,62 +601,36 @@ let plan_for e stripped =
       locked c.plan_lock @@ fun () ->
       match Shape_map.find_opt key c.by_shape with
       | Some plan -> hit plan
-      | None -> (
-          let minimized = Cq.Minimize.minimize key in
-          let pkey = pred_multiset minimized in
-          let bucket =
-            match Hashtbl.find_opt c.by_preds pkey with
-            | Some b -> b
-            | None ->
-                let b = ref [] in
-                Hashtbl.add c.by_preds pkey b;
-                b
+      | None ->
+          Metrics.record Metrics.Key.plan_cache_misses;
+          let { Rw.Rewrite.queries = rewritings; stats } =
+            Metrics.record_time "rewrite" (fun () ->
+                Rw.Rewrite.search ~partial:e.partial e.views stripped)
           in
-          match
-            List.find_opt
-              (fun p -> Cq.Containment.equivalent p.canonical minimized)
-              !bucket
-          with
-          | Some plan ->
-              (* not filed under [key]: the plan lists the rewritings a
-                 search of another form enumerated, in that form's
-                 order, and a shape hit must give this form's own *)
-              hit plan
-          | None ->
-              Metrics.record Metrics.Key.plan_cache_misses;
-              let { Rw.Rewrite.queries = rewritings; stats } =
-                Metrics.record_time "rewrite" (fun () ->
-                    Rw.Rewrite.search ~partial:e.partial e.views stripped)
-              in
-              let plan =
-                {
-                  canonical = minimized;
-                  source = stripped;
-                  lifted;
-                  plan_rewritings =
-                    List.map (fun rw -> (rw, template e rw)) rewritings;
-                  plan_stats = stats;
-                  plan_contained = None;
-                }
-              in
-              bucket := plan :: !bucket;
-              c.by_shape <- Shape_map.add key plan c.by_shape;
-              (plan, lifted)))
+          let plan =
+            {
+              source = stripped;
+              lifted;
+              plan_rewritings =
+                List.map (fun rw -> (rw, template e rw)) rewritings;
+              plan_stats = stats;
+              plan_contained = None;
+            }
+          in
+          c.by_shape <- Shape_map.add key plan c.by_shape;
+          (plan, lifted))
 
 (* The renaming of constants that turns [plan] into the plan of a query
    whose lifted constants are [lifted]: rank for rank.  [None] when they
    are the plan's own.  A plan's constants are view constants or
-   constants of its core, whose placeholders the query's core shares. *)
+   constants of its source, whose shape (and so whose number of lifted
+   constants) the query shares. *)
 let renaming plan lifted =
-  if Array.length lifted = Array.length plan.lifted
-     && Array.for_all2 R.Value.equal lifted plan.lifted
-  then None
+  if Array.for_all2 R.Value.equal lifted plan.lifted then None
   else
     Some
       (fun v ->
-        match rank plan.lifted v with
-        | Ok i when i < Array.length lifted -> lifted.(i)
-        | _ -> v)
+        match rank plan.lifted v with Ok i -> lifted.(i) | Error _ -> v)
 
 let contained_for e plan =
   let c = e.shapes.plans in

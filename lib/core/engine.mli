@@ -61,14 +61,11 @@
     order-preserving renaming: a hit returns exactly what the search
     would for the query itself.  The maximally contained fallback
     ([fallback_contained]) is computed once per shape and renamed the
-    same way.  A shape that misses is also compared,
-    by Chandra–Merlin equivalence of its minimized form, against the
-    plans of its predicate multiset; a plan found that way answers the
-    cite but is not filed under the shape, whose hits must list the
-    rewritings in the order its own search enumerates them.  The plan
-    cache belongs to the
-    view set: {!create} and {!of_program} start it cold, and every
-    engine derived from one by {!refresh} or {!replicate} — the
+    same way.  A shape that misses runs the search once and files its
+    plan under the shape; an equivalent query of another shape (say,
+    with a redundant atom) is a shape of its own.  The plan cache
+    belongs to the view set: {!create} and {!of_program} start it
+    cold, and every engine derived from one by {!refresh} or {!replicate} — the
     per-version engines of a {!Versioned_engine}, its template,
     {!Incremental} registrations — shares it.
 

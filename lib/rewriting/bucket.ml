@@ -44,5 +44,3 @@ let buckets ~level views query =
     (List.mapi
        (fun i atom -> entries_for_subgoal ~level ~counter views query i atom)
        (Cq.Query.body query))
-
-let bucket_sizes bs = Array.to_list (Array.map List.length bs)

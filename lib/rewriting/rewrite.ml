@@ -1,8 +1,6 @@
 module Cq = Dc_cq
 module Metrics = Dc_parallel.Metrics
 
-type strategy = Naive | Bucket | Minicon
-
 type stats = {
   candidates : int;
   verified : int;
@@ -14,66 +12,92 @@ type outcome = { queries : Cq.Query.t list; stats : stats }
 
 exception Budget_exhausted
 
-(* Enumerate entry combinations for each strategy, invoking [consume] on
-   every candidate atom list.  [consume] raises [Budget_exhausted] to
-   stop enumeration. *)
-let enumerate ~strategy ~partial views query consume =
-  let n = List.length (Cq.Query.body query) in
-  let with_base bucket i =
-    if partial then
-      match Candidate.base_entry query i with
-      | Some e -> bucket @ [ e ]
-      | None -> bucket
-    else bucket
-  in
-  match strategy with
-  | Naive | Bucket ->
-      let level = if strategy = Naive then Bucket.Naive else Bucket.Filtered in
-      let buckets = Bucket.buckets ~level views query in
-      let buckets = Array.mapi (fun i b -> with_base b i) buckets in
-      let rec product i chosen =
-        if i = n then consume (List.rev chosen)
-        else
-          List.iter
-            (fun (e : Candidate.t) -> product (i + 1) (e.atom :: chosen))
-            buckets.(i)
-      in
-      if Array.for_all (fun b -> b <> []) buckets then product 0 []
-  | Minicon ->
-      let mcds = Minicon.descriptions views query in
-      let mcds =
-        if partial then
-          mcds
-          @ List.filter_map (Candidate.base_entry query) (List.init n Fun.id)
-        else mcds
-      in
-      (* Exact cover: always extend with an MCD covering the smallest
-         uncovered subgoal, keeping coverage pairwise disjoint. *)
-      let rec cover covered chosen =
-        match List.find_opt (fun i -> not (List.mem i covered)) (List.init n Fun.id) with
-        | None -> consume (List.rev_map (fun (e : Candidate.t) -> e.atom) chosen)
-        | Some next ->
-            List.iter
-              (fun (e : Candidate.t) ->
-                if
-                  List.mem next e.covered
-                  && List.for_all (fun i -> not (List.mem i covered)) e.covered
-                then cover (e.covered @ covered) (e :: chosen))
-              mcds
-      in
-      cover [] []
+(* Candidate budget of every search. *)
+let max_candidates = 100_000
 
-let candidate_query query k atoms =
-  (* Merge duplicate atoms: one occurrence of a view can serve several
-     bucket slots. *)
-  let atoms = List.sort_uniq Cq.Atom.compare atoms in
-  match
-    Cq.Query.make
-      ~name:(Printf.sprintf "%s_rw%d" (Cq.Query.name query) k)
-      ~head:(Cq.Query.head query) ~body:atoms ()
-  with
-  | Ok q -> Some q
-  | Error _ -> None
+(* MiniCon's exact cover: every combination of descriptions whose
+   coverage partitions the query's subgoals, always extended by one
+   covering the smallest uncovered subgoal.  With [partial], a subgoal
+   may also be covered by its own base atom. *)
+let minicon ~partial views query consume =
+  let n = List.length (Cq.Query.body query) in
+  let mcds = Minicon.descriptions views query in
+  let mcds =
+    if partial then
+      mcds @ List.filter_map (Candidate.base_entry query) (List.init n Fun.id)
+    else mcds
+  in
+  let rec cover covered chosen =
+    match List.find_opt (fun i -> not (List.mem i covered)) (List.init n Fun.id) with
+    | None -> consume (List.rev_map (fun (e : Candidate.t) -> e.atom) chosen)
+    | Some next ->
+        List.iter
+          (fun (e : Candidate.t) ->
+            if
+              List.mem next e.covered
+              && List.for_all (fun i -> not (List.mem i covered)) e.covered
+            then cover (e.covered @ covered) (e :: chosen))
+          mcds
+  in
+  cover [] []
+
+(* The candidate loop of every search.  [enumerate] feeds candidate
+   atom lists to it until they run out or the budget does.  Each
+   well-formed candidate goes to [verify], and each one it returns to
+   [add], which gets the kept list (newest first) and returns the new
+   one, or [None] to drop the candidate.  The kept rewritings of
+   [query] ([rewriting] reads one out of a kept value) are named
+   ["<q>_<suffix><i>"] in enumeration order. *)
+let run ~suffix ~enumerate ~verify ~add ~rewriting query =
+  let candidates = ref 0 in
+  let verified = ref 0 in
+  let truncated = ref false in
+  let kept = ref [] in
+  let consume atoms =
+    incr candidates;
+    Metrics.(record Key.rewriting_candidates);
+    if !candidates > max_candidates then begin
+      truncated := true;
+      raise Budget_exhausted
+    end;
+    (* Merge duplicate atoms: one occurrence of a view can serve several
+       subgoals. *)
+    match
+      Cq.Query.make ~name:(Cq.Query.name query) ~head:(Cq.Query.head query)
+        ~body:(List.sort_uniq Cq.Atom.compare atoms) ()
+    with
+    | Error _ -> ()
+    | Ok cand -> (
+        match verify cand with
+        | None -> ()
+        | Some v -> (
+            incr verified;
+            Metrics.(record Key.rewriting_verified);
+            match add !kept v with
+            | None -> ()
+            | Some k ->
+                kept := k;
+                Metrics.(record Key.rewriting_kept)))
+  in
+  (try enumerate consume with Budget_exhausted -> ());
+  let queries =
+    List.mapi
+      (fun i v ->
+        Cq.Query.with_name
+          (Printf.sprintf "%s_%s%d" (Cq.Query.name query) suffix i)
+          (rewriting v))
+      (List.rev !kept)
+  in
+  {
+    queries;
+    stats =
+      {
+        candidates = !candidates;
+        verified = !verified;
+        kept = List.length queries;
+        truncated = !truncated;
+      };
+  }
 
 let minimize_rewriting ?deps views query r =
   let rec go r =
@@ -96,74 +120,35 @@ let minimize_rewriting ?deps views query r =
   in
   go r
 
+(* An equivalent rewriting, minimized. *)
+let verify_equivalent ?deps views query cand =
+  if Expansion.is_equivalent_rewriting ?deps views query cand then
+    Some (minimize_rewriting ?deps views query cand)
+  else None
+
 let pred_key q =
   String.concat ","
     (List.sort String.compare (List.map Cq.Atom.pred (Cq.Query.body q)))
 
-(* Candidate budget: [search]'s default, and fixed for
-   [rewritings_under_deps] and [maximally_contained]. *)
-let max_candidates = 100_000
-
-let search ?(strategy = Minicon) ?(partial = false)
-    ?(max_candidates = max_candidates) views query =
+let search ?(partial = false) views query =
   let query = Cq.Query.strip_params query in
-  let candidates = ref 0 in
-  let verified = ref 0 in
-  let truncated = ref false in
-  (* Each candidate is verified (expansion equivalence), minimized and
-     deduplicated in enumeration order, which fixes the kept list and
-     hence the [_rw<i>] names.  Candidates can only be equivalent when
-     they use the same multiset of view predicates, so dedup groups by
-     that key and runs the (quadratic) equivalence check within groups
-     only. *)
-  let kept : Cq.Query.t list ref = ref [] in
-  let by_preds : (string, Cq.Query.t list) Hashtbl.t = Hashtbl.create 64 in
-  let consume atoms =
-    incr candidates;
-    Metrics.(record Key.rewriting_candidates);
-    if !candidates > max_candidates then begin
-      truncated := true;
-      raise Budget_exhausted
-    end;
-    match candidate_query query !candidates atoms with
-    | None -> ()
-    | Some cand ->
-        if Expansion.is_equivalent_rewriting views query cand then begin
-          incr verified;
-          Metrics.(record Key.rewriting_verified);
-          let cand = minimize_rewriting views query cand in
-          let key = pred_key cand in
-          let group =
-            Option.value ~default:[] (Hashtbl.find_opt by_preds key)
-          in
-          if not (List.exists (fun r -> Cq.Containment.equivalent r cand) group)
-          then begin
-            Hashtbl.replace by_preds key (cand :: group);
-            (* [kept] is held in reverse enumeration order; one final
-               [List.rev] restores it (O(n) total, not O(n²) appends). *)
-            kept := cand :: !kept;
-            Metrics.(record Key.rewriting_kept)
-          end
-        end
+  (* Two minimal rewritings can only be equivalent when they use the same
+     multiset of view predicates, so dedup runs the (quadratic)
+     equivalence check within those groups only. *)
+  let groups : (string, Cq.Query.t list) Hashtbl.t = Hashtbl.create 64 in
+  let add kept cand =
+    let key = pred_key cand in
+    let group = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+    if List.exists (fun r -> Cq.Containment.equivalent r cand) group then None
+    else begin
+      Hashtbl.replace groups key (cand :: group);
+      Some (cand :: kept)
+    end
   in
-  (try enumerate ~strategy ~partial views query consume
-   with Budget_exhausted -> ());
-  let kept =
-    List.mapi
-      (fun i r ->
-        Cq.Query.with_name (Printf.sprintf "%s_rw%d" (Cq.Query.name query) i) r)
-      (List.rev !kept)
-  in
-  {
-    queries = kept;
-    stats =
-      {
-        candidates = !candidates;
-        verified = !verified;
-        kept = List.length kept;
-        truncated = !truncated;
-      };
-  }
+  run ~suffix:"rw"
+    ~enumerate:(minicon ~partial views query)
+    ~verify:(verify_equivalent views query)
+    ~add ~rewriting:Fun.id query
 
 (* Extra atoms a candidate body may have over the query's subgoals. *)
 let max_extra_atoms = 1
@@ -172,14 +157,13 @@ module Atom_set = Set.Make (Cq.Atom)
 
 let rewritings_under_deps ~deps views query =
   let query = Cq.Query.strip_params query in
-  let n = List.length (Cq.Query.body query) in
-  let max_atoms = n + max_extra_atoms in
+  let max_atoms = List.length (Cq.Query.body query) + max_extra_atoms in
   (* Entry pool: every unfiltered (view, body atom, subgoal) unification,
      deduplicated by the candidate atom (typed: [Int 1] and [Float 1.0]
      print alike but are different atoms). *)
-  let buckets = Bucket.buckets ~level:Bucket.Naive views query in
   let entries =
-    Array.to_list buckets |> List.concat
+    Array.to_list (Bucket.buckets ~level:Bucket.Naive views query)
+    |> List.concat
     |> List.map (fun (e : Candidate.t) -> e.atom)
   in
   let entries =
@@ -192,121 +176,57 @@ let rewritings_under_deps ~deps views query =
           true
         end)
       entries
+    |> Array.of_list
   in
-  let candidates = ref 0 in
-  let verified = ref 0 in
-  let truncated = ref false in
-  let kept = ref [] in
-  let consume atoms =
-    incr candidates;
-    Metrics.(record Key.rewriting_candidates);
-    if !candidates > max_candidates then begin
-      truncated := true;
-      raise Budget_exhausted
-    end;
-    match candidate_query query !candidates atoms with
-    | None -> ()
-    | Some cand ->
-        if Expansion.is_equivalent_rewriting ~deps views query cand then begin
-          incr verified;
-          Metrics.(record Key.rewriting_verified);
-          let cand = minimize_rewriting ~deps views query cand in
-          let duplicate =
-            List.exists (fun r -> Cq.Containment.equivalent r cand) !kept
-          in
-          if not duplicate then begin
-            (* reverse order, restored by the final [List.rev] *)
-            kept := cand :: !kept;
-            Metrics.(record Key.rewriting_kept)
-          end
-        end
+  (* subsets of size 1..max_atoms *)
+  let enumerate consume =
+    let rec subsets i chosen size =
+      if size > 0 && chosen <> [] then consume (List.rev chosen);
+      if size < max_atoms then
+        for j = i to Array.length entries - 1 do
+          subsets (j + 1) (entries.(j) :: chosen) (size + 1)
+        done
+    in
+    for j = 0 to Array.length entries - 1 do
+      subsets (j + 1) [ entries.(j) ] 1
+    done
   in
-  let entries = Array.of_list entries in
-  (* enumerate subsets of size 1..max_atoms *)
-  let rec subsets i chosen size =
-    if size > 0 && chosen <> [] then consume (List.rev chosen);
-    if size < max_atoms then
-      for j = i to Array.length entries - 1 do
-        subsets (j + 1) (entries.(j) :: chosen) (size + 1)
-      done
+  let add kept cand =
+    if List.exists (fun r -> Cq.Containment.equivalent r cand) kept then None
+    else Some (cand :: kept)
   in
-  (try
-     for j = 0 to Array.length entries - 1 do
-       subsets (j + 1) [ entries.(j) ] 1
-     done
-   with Budget_exhausted -> ());
-  let kept =
-    List.mapi
-      (fun i r ->
-        Cq.Query.with_name
-          (Printf.sprintf "%s_drw%d" (Cq.Query.name query) i)
-          r)
-      (List.rev !kept)
+  let { queries; stats } =
+    run ~suffix:"drw" ~enumerate
+      ~verify:(verify_equivalent ~deps views query)
+      ~add ~rewriting:Fun.id query
   in
-  ( kept,
-    {
-      candidates = !candidates;
-      verified = !verified;
-      kept = List.length kept;
-      truncated = !truncated;
-    } )
+  (queries, stats)
 
 let maximally_contained views query =
   let query = Cq.Query.strip_params query in
-  let candidates = ref 0 in
-  let verified = ref 0 in
-  let truncated = ref false in
   (* keep each contained rewriting with its expansion for the
      maximality pruning *)
-  let kept : (Cq.Query.t * Cq.Query.t) list ref = ref [] in
-  let consume atoms =
-    incr candidates;
-    Metrics.(record Key.rewriting_candidates);
-    if !candidates > max_candidates then begin
-      truncated := true;
-      raise Budget_exhausted
-    end;
-    match candidate_query query !candidates atoms with
-    | None -> ()
-    | Some cand -> (
-        match Expansion.expand views cand with
-        | None -> ()
-        | Some (expansion, _) ->
-            if Cq.Containment.contained expansion query then begin
-              incr verified;
-              Metrics.(record Key.rewriting_verified);
-              let subsumed =
-                List.exists
-                  (fun (_, e') -> Cq.Containment.contained expansion e')
-                  !kept
-              in
-              if not subsumed then begin
-                (* drop previously kept disjuncts this one subsumes;
-                   [kept] is in reverse order (filter preserves it, the
-                   logical append is a cons), restored by the final
-                   [List.rev] *)
-                kept :=
-                  (cand, expansion)
-                  :: List.filter
-                       (fun (_, e') ->
-                         not (Cq.Containment.contained e' expansion))
-                       !kept;
-                Metrics.(record Key.rewriting_kept)
-              end
-            end)
+  let verify cand =
+    match Expansion.expand views cand with
+    | Some (expansion, _) when Cq.Containment.contained expansion query ->
+        Some (cand, expansion)
+    | _ -> None
   in
-  (try enumerate ~strategy:Minicon ~partial:false views query consume
-   with Budget_exhausted -> ());
-  let kept =
-    List.mapi
-      (fun i (r, _) ->
-        Cq.Query.with_name (Printf.sprintf "%s_mcr%d" (Cq.Query.name query) i) r)
-      (List.rev !kept)
+  (* a disjunct subsumed by a kept one is dropped; one kept drops the
+     kept disjuncts it subsumes *)
+  let add kept ((_, expansion) as v) =
+    if List.exists (fun (_, e') -> Cq.Containment.contained expansion e') kept
+    then None
+    else
+      Some
+        (v
+        :: List.filter
+             (fun (_, e') -> not (Cq.Containment.contained e' expansion))
+             kept)
   in
-  ( kept,
-    {
-      candidates = !candidates;
-      verified = !verified;
-      kept = List.length kept;
-      truncated = !truncated;
-    } )
+  let { queries; stats } =
+    run ~suffix:"mcr"
+      ~enumerate:(minicon ~partial:false views query)
+      ~verify ~add ~rewriting:fst query
+  in
+  (queries, stats)

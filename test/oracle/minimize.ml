@@ -1,3 +1,5 @@
+open Dc_cq
+
 let drop_atom q atom =
   let body = List.filter (fun a -> not (a == atom)) (Query.body q) in
   if body = [] then None

@@ -13,12 +13,14 @@ let paper_vset () =
   V.Set.of_list
     (List.map Dc_citation.Citation_view.view Dc_gtopdb.Paper_views.all)
 
+let bucket_sizes bs = Array.to_list (Array.map List.length bs)
+
 let test_bucket_sizes () =
   let buckets =
     B.buckets ~level:B.Filtered (paper_vset ()) Dc_gtopdb.Paper_views.query_q
   in
   (* Family subgoal: V1 and V2; FamilyIntro subgoal: V3 *)
-  Alcotest.(check (list int)) "sizes" [ 2; 1 ] (B.bucket_sizes buckets)
+  Alcotest.(check (list int)) "sizes" [ 2; 1 ] (bucket_sizes buckets)
 
 let test_bucket_naive_keeps_nonexposing () =
   (* a view hiding FName cannot expose the distinguished variable:
@@ -33,9 +35,9 @@ let test_bucket_naive_keeps_nonexposing () =
   let query = Dc_gtopdb.Paper_views.query_q in
   let naive = B.buckets ~level:B.Naive views query in
   let filtered = B.buckets ~level:B.Filtered views query in
-  Alcotest.(check (list int)) "naive keeps" [ 1; 1 ] (B.bucket_sizes naive);
+  Alcotest.(check (list int)) "naive keeps" [ 1; 1 ] (bucket_sizes naive);
   Alcotest.(check (list int)) "filtered drops" [ 0; 1 ]
-    (B.bucket_sizes filtered)
+    (bucket_sizes filtered)
 
 let test_bucket_entry_covers_its_subgoal () =
   let buckets =

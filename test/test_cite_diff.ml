@@ -595,12 +595,9 @@ let same_answer (a : E.result) (b : E.result) =
   && same_citations a.result_citations b.result_citations
   && a.complete = b.complete
 
-(* Queries are drawn in the engine's canonical form, so a plan reached
-   by shape carries the query's own variable names and its rewritings
-   must be the search's, as text.  A plan reached through the
-   equivalence scan (a hit that ran containment checks) is an
-   equivalent form's, with that form's variables, as before shapes:
-   only its answer is compared. *)
+(* Queries are drawn in the engine's canonical form, and every plan is
+   its own shape's search, so its rewritings carry the query's own
+   variable names and must be the search's, as text. *)
 let shape_plans_agree c =
   let views = snd shape_view_sets.(c.sviews) in
   let make () =
@@ -608,16 +605,9 @@ let shape_plans_agree c =
       (paper_db ()) views
   in
   let e = make () in
-  let count k = M.count (E.metrics e) k in
   List.for_all
     (fun q ->
-      let hits = count M.Key.plan_cache_hits
-      and checks = count M.Key.containment_checks in
       let r = E.cite e q in
-      let by_equivalence =
-        count M.Key.plan_cache_hits > hits
-        && count M.Key.containment_checks > checks
-      in
       let fresh = E.cite (make ()) q in
       let searched =
         (Dc_rewriting.Rewrite.search ~partial:c.spartial
@@ -626,10 +616,8 @@ let shape_plans_agree c =
           .queries
       in
       same_answer r fresh
-      && (by_equivalence
-         || List.equal String.equal (texts r.rewritings) (texts searched)
-            && List.equal String.equal (texts r.selected) (texts fresh.selected)
-         ))
+      && List.equal String.equal (texts r.rewritings) (texts searched)
+      && List.equal String.equal (texts r.selected) (texts fresh.selected))
     c.queries
 
 (* Rewriting sorts a candidate's atoms, constants by value, so a shape

@@ -164,7 +164,7 @@ let test_refused_while_server_runs () =
      Crash.kill_hard p;
      raise e);
   Unix.kill p.Crash.pid Sys.sigterm;
-  Crash.wait_exit p;
+  ignore (Crash.wait_exit p);
   Alcotest.(check string) "the server's commit survives"
     "v0: 12 tuples\nv1: 13 tuples\n"
     (ok_cmd s [ "log"; s.store ])
@@ -226,7 +226,7 @@ let test_server_interop () =
      Crash.kill_hard p;
      raise e);
   Unix.kill p.Crash.pid Sys.sigterm;
-  Crash.wait_exit p;
+  ignore (Crash.wait_exit p);
   Alcotest.(check string) "CLI lists the server's commit"
     "v0: 12 tuples\nv1: 13 tuples\nv2: 14 tuples\n"
     (ok_cmd s [ "log"; s.store ]);

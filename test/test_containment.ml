@@ -1,7 +1,7 @@
 open Testutil
 module Cq = Dc_cq
 module C = Dc_cq.Containment
-module M = Dc_cq.Minimize
+module M = Dc_oracle.Minimize
 
 let q = parse
 

@@ -54,7 +54,9 @@ type proc = { pid : int; port : int; stdout : in_channel }
 let spawn_server args =
   if not (Sys.file_exists exe) then
     Alcotest.failf "server binary not built at %s (cwd %s)" exe (Sys.getcwd ());
-  let out_r, out_w = Unix.pipe ~cloexec:false () in
+  (* close-on-exec: the server gets the write end as its stdout and no
+     copy of the read end, so closing [stdout] here closes the pipe *)
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
   let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let argv = Array.of_list (exe :: "--demo" :: "--port" :: "0" :: args) in
   let pid = Unix.create_process exe argv dev_null out_w Unix.stderr in
@@ -73,12 +75,13 @@ let spawn_server args =
   { pid; port; stdout }
 
 let wait_exit p =
-  ignore (Unix.waitpid [] p.pid);
-  close_in_noerr p.stdout
+  let _, status = Unix.waitpid [] p.pid in
+  close_in_noerr p.stdout;
+  status
 
 let kill_hard p =
   Unix.kill p.pid Sys.sigkill;
-  wait_exit p
+  ignore (wait_exit p)
 
 let with_conn port f =
   (* the accept thread may need a beat on slow machines *)
@@ -202,7 +205,8 @@ let test_graceful_drain_snapshot () =
                    (50 + i) i)))
       done);
   Unix.kill p.pid Sys.sigterm;
-  wait_exit p;
+  Alcotest.(check bool) "clean stop exits 0" true
+    (wait_exit p = Unix.WEXITED 0);
   (* graceful stop wrote a snapshot covering the head (version 2) *)
   Alcotest.(check bool) "drain snapshot exists" true
     (Sys.file_exists (Filename.concat dir "snapshot-000000002.snap"));
@@ -215,6 +219,16 @@ let test_graceful_drain_snapshot () =
   let versions = expect_ok "versions" (req conn "V2 VERSIONS") in
   Alcotest.(check bool) "head 2 after fast restart" true
     (contains versions {|"head":2|})
+
+(* A supervisor may read the banner and close its end of stdout: the
+   status line printed on the way out then cannot be written, which
+   must not turn a clean SIGTERM stop into an error. *)
+let test_sigterm_stop_without_stdout () =
+  let p = spawn_server [] in
+  close_in p.stdout;
+  Unix.kill p.pid Sys.sigterm;
+  let _, status = Unix.waitpid [] p.pid in
+  Alcotest.(check bool) "exits 0" true (status = Unix.WEXITED 0)
 
 let test_unusable_data_dir_fails_with_context () =
   let dir = tmp_dir () in
@@ -253,4 +267,6 @@ let suite =
       test_graceful_drain_snapshot;
     Alcotest.test_case "unusable data-dir fails with context" `Quick
       test_unusable_data_dir_fails_with_context;
+    Alcotest.test_case "SIGTERM stop with stdout closed" `Quick
+      test_sigterm_stop_without_stdout;
   ]

@@ -15,9 +15,8 @@ let q_renamed = q "Q(N) :- Family(I,N,D), FamilyIntro(I,T)"
 let q_permuted =
   q "Q(FName) :- FamilyIntro(FID,Text), Family(FID,FName,Desc)"
 
-(* Same core as Q, but with a redundant atom: the canonical rendering
-   differs, so only minimization + the Chandra-Merlin bucket scan can
-   recognize it. *)
+(* Same core as Q, but with a redundant atom: a shape of its own, whose
+   first cite runs a search. *)
 let q_redundant =
   q "Q(FName) :- Family(FID,FName,Desc), Family(FID,FName,D2), FamilyIntro(FID,Text)"
 
@@ -39,11 +38,25 @@ let test_plan_cache_hit_on_equivalent () =
   Alcotest.(check int) "same rewritings" (List.length r1.rewritings)
     (List.length r2.rewritings);
   ignore (E.cite e q_permuted);
-  ignore (E.cite e q_redundant);
-  Alcotest.(check int) "permuted + redundant forms hit" 3
-    (count e M.Key.plan_cache_hits);
-  Alcotest.(check int) "one miss total" 1 (count e M.Key.plan_cache_misses);
+  Alcotest.(check int) "permuted form hits" 2 (count e M.Key.plan_cache_hits);
   Alcotest.(check int) "candidates still unchanged" cands
+    (count e M.Key.rewriting_candidates);
+  let r3 = E.cite e q_redundant in
+  Alcotest.(check int) "redundant form misses once" 2
+    (count e M.Key.plan_cache_misses);
+  let same_citations = List.equal C.Citation.equal in
+  Alcotest.(check bool) "redundant form: Q's tuples and citations" true
+    (List.equal
+       (fun (x : E.tuple_citation) (y : E.tuple_citation) ->
+         R.Tuple.equal x.tuple y.tuple
+         && same_citations x.citations y.citations)
+       r3.tuples r1.tuples
+    && same_citations r3.result_citations r1.result_citations);
+  let cands = count e M.Key.rewriting_candidates in
+  ignore (E.cite e q_redundant);
+  Alcotest.(check int) "redundant repeat hits" 3
+    (count e M.Key.plan_cache_hits);
+  Alcotest.(check int) "no new candidates" cands
     (count e M.Key.rewriting_candidates)
 
 let test_plan_cache_survives_refresh () =
