@@ -1603,6 +1603,19 @@ let e16 () =
      tuple, at most 0.25x at 20000 families, the floor CI gates on, and\n\
      of_list builds several times faster than the insert fold.)\n"
 
+(* One row of E19's wire table: a scan query's cite and fold, per
+   answer (words), per cite (us, promoted words). *)
+type wire_row = {
+  query : string;
+  answers : int;
+  cite_words : float;
+  fold_words : float;
+  cite_us : float;
+  fold_us : float;
+  cite_promoted : float;
+  fold_promoted : float;
+}
+
 (* ------------------------------------------------------------------ *)
 (* E19: compiled query plans — the slot-based join kernel vs the      *)
 (* interpreter oracle (Dc_oracle.Reference), plus index-build cost.  *)
@@ -1921,11 +1934,21 @@ let e19 () =
      every answer's tuple_citation and policy evaluation, Engine.summary\n\
      (what CITE, CITE_BATCH and CITE_AT answer with) folds the answers\n\
      into their count and Agg; words = Gc.minor_words per answer over %d\n\
-     cites, kernel included; us = median of 7 runs of %d cites\n\n"
-    reps reps;
-  let widths = [ 6; 8; 11; 11; 9; 9 ] in
+     cites, kernel included; us = median of 7 runs of %d cites; promoted\n\
+     = Gc promoted_words per cite over all %d cites of the two passes\n\n"
+    reps reps (8 * reps);
+  let widths = [ 6; 8; 11; 11; 9; 9; 10; 10 ] in
   header widths
-    [ "query"; "answers"; "cite words"; "fold words"; "cite us"; "fold us" ];
+    [
+      "query";
+      "answers";
+      "cite words";
+      "fold words";
+      "cite us";
+      "fold us";
+      "cite prom";
+      "fold prom";
+    ];
   let wire_rows =
     List.map
       (fun text ->
@@ -1943,7 +1966,14 @@ let e19 () =
             && s.rewriting_count = List.length r.rewritings)
         then failwith ("E19: the folded summary differs from the cite of " ^ text);
         let answers = max 1 s.answers in
+        (* A minor collection promotes what is live when it runs, so
+           the words a cite promotes are what it keeps live as it
+           goes: an answer list, or one block of the join.  A minor
+           collection first keeps what earlier work left live out of
+           the count. *)
         let measure f =
+          Gc.minor ();
+          let promoted0 = (Gc.quick_stat ()).promoted_words in
           let words0 = Gc.minor_words () in
           for _ = 1 to reps do
             ignore (Sys.opaque_identity (f ()))
@@ -1957,10 +1987,16 @@ let e19 () =
                   ignore (Sys.opaque_identity (f ()))
                 done)
           in
-          (words, total *. 1000. /. float_of_int reps)
+          let promoted =
+            ((Gc.quick_stat ()).promoted_words -. promoted0)
+            /. float_of_int (8 * reps)
+          in
+          (words, total *. 1000. /. float_of_int reps, promoted)
         in
-        let cite_words, cite_us = measure (fun () -> C.Engine.cite engine q) in
-        let fold_words, fold_us =
+        let cite_words, cite_us, cite_promoted =
+          measure (fun () -> C.Engine.cite engine q)
+        in
+        let fold_words, fold_us, fold_promoted =
           measure (fun () -> C.Engine.summary engine q)
         in
         let name = Cq.Query.name q in
@@ -1972,19 +2008,31 @@ let e19 () =
             Printf.sprintf "%.1f" fold_words;
             Printf.sprintf "%.0f" cite_us;
             Printf.sprintf "%.0f" fold_us;
+            Printf.sprintf "%.0f" cite_promoted;
+            Printf.sprintf "%.0f" fold_promoted;
           ];
-        (name, s.answers, cite_words, fold_words, cite_us, fold_us))
+        {
+          query = name;
+          answers = s.answers;
+          cite_words;
+          fold_words;
+          cite_us;
+          fold_us;
+          cite_promoted;
+          fold_promoted;
+        })
       scan_queries
   in
-  let words_over_queries pick =
-    List.fold_left
-      (fun acc (_, answers, cite_words, fold_words, _, _) ->
-        acc +. (pick cite_words fold_words *. float_of_int answers))
-      0. wire_rows
+  let over_queries pick =
+    List.fold_left (fun acc r -> acc +. pick r) 0. wire_rows
   in
+  let words pick r = pick r *. float_of_int r.answers in
   Printf.printf "\nfold / cite words over the four cites: %.2f\n"
-    (words_over_queries (fun _ f -> f)
-    /. max 1. (words_over_queries (fun c _ -> c)));
+    (over_queries (words (fun r -> r.fold_words))
+    /. max 1. (over_queries (words (fun r -> r.cite_words))));
+  Printf.printf "fold / cite promoted words over the four cites: %.3f\n"
+    (over_queries (fun r -> r.fold_promoted)
+    /. max 1. (over_queries (fun r -> r.cite_promoted)));
   subhr "render: S3's summary expression printed";
   let render_runs = 15 and render_reps = 20 in
   Printf.printf
@@ -2081,15 +2129,19 @@ let e19 () =
       ( "wire_words",
         json_list
           (List.map
-             (fun (name, answers, cite_words, fold_words, cite_us, fold_us) ->
+             (fun r ->
                json_obj
                  [
-                   ("query", json_str name);
-                   ("answers", string_of_int answers);
-                   ("cite_words_per_answer", Printf.sprintf "%.1f" cite_words);
-                   ("fold_words_per_answer", Printf.sprintf "%.1f" fold_words);
-                   ("cite_us", Printf.sprintf "%.0f" cite_us);
-                   ("fold_us", Printf.sprintf "%.0f" fold_us);
+                   ("query", json_str r.query);
+                   ("answers", string_of_int r.answers);
+                   ("cite_words_per_answer", Printf.sprintf "%.1f" r.cite_words);
+                   ("fold_words_per_answer", Printf.sprintf "%.1f" r.fold_words);
+                   ("cite_us", Printf.sprintf "%.0f" r.cite_us);
+                   ("fold_us", Printf.sprintf "%.0f" r.fold_us);
+                   ( "cite_promoted_per_cite",
+                     Printf.sprintf "%.1f" r.cite_promoted );
+                   ( "fold_promoted_per_cite",
+                     Printf.sprintf "%.1f" r.fold_promoted );
                  ])
              wire_rows) );
     ];
@@ -2102,7 +2154,9 @@ let e19 () =
      only the ordered head skips sorting the emissions; in the kernel\n\
      words table S3, one head-ordered scan, allocates at most 20 words\n\
      per answer and sorts no block; in the wire words table the fold\n\
-     allocates at most 0.8x the cite's words over the four cites)\n"
+     allocates at most 0.8x the cite's words over the four cites and\n\
+     promotes at most 0.25x the cite's words, since it keeps no answer\n\
+     list live)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E20: recursive citation views — semi-naive vs naive fixpoint cost,

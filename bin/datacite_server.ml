@@ -299,6 +299,10 @@ let run data views program demo host port workers queue max_pipeline
   with Sys_error _ -> close_out_noerr stdout
 
 let () =
+  (* A worker logs a failed job's backtrace, which is empty unless
+     recorded.  The request path raises only on errors, so recording
+     costs nothing while requests succeed. *)
+  Printexc.record_backtrace true;
   let term =
     Term.(
       const run $ data_arg $ views_arg $ program_arg $ demo_arg $ host_arg

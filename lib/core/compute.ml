@@ -92,18 +92,23 @@ let rule name t =
         ~body:(List.map (fun a -> Cq.Rule.Pos a) (Cq.Query.body expansion)))
     t.unfolding
 
-let run ?cache db t =
+let fold ?cache db t f init =
   match t.unfolding with
-  | None -> []
-  | Some { expansion; evars; widen } -> (
-      let runs = Cq.Eval.run_projected ?cache db expansion evars in
-      match widen with
-      | None -> runs
-      | Some w ->
-          let widen_one p =
-            Array.map (function Fixed c -> c | Var i -> p.(i)) w
-          in
-          List.map (fun (tuple, ps) -> (tuple, List.map widen_one ps)) runs)
+  | None -> init
+  | Some { expansion; evars; widen } ->
+      let f =
+        match widen with
+        | None -> f
+        | Some w ->
+            let widen_one p =
+              Array.map (function Fixed c -> c | Var i -> p.(i)) w
+            in
+            fun tuple ps acc -> f tuple (List.map widen_one ps) acc
+      in
+      Cq.Eval.fold_projected ?cache db expansion evars f init
+
+let run ?cache db t =
+  List.rev (fold ?cache db t (fun tuple ps acc -> (tuple, ps) :: acc) [])
 
 let projection_expr t proj =
   Cite_expr.joint

@@ -57,21 +57,32 @@ val expansion : template -> Dc_cq.Query.t option
     relations and (for views over a program's recursive predicates) IDB
     predicates, never a view.  [None] for a vacuous rewriting. *)
 
+val fold :
+  ?cache:Dc_cq.Eval.cache ->
+  Dc_relational.Database.t ->
+  template ->
+  (Dc_relational.Tuple.t -> Dc_relational.Value.t array list -> 'a -> 'a) ->
+  'a ->
+  'a
+(** The rewriting's answers with the distinct projections of their
+    bindings on {!vars}, folded in {!Dc_cq.Eval.fold_projected}'s form
+    and order, each answer handed on as its block of the join completes;
+    computed by evaluating the {e expansion} over the base relations of
+    [db] (plus the IDB relations it names): no view extent is read or
+    built.  A rewriting's answers over the view extents are its
+    expansion's answers, and the expansion's bindings project onto
+    exactly the rewriting's bindings.  A variable that head unification
+    equated with another, or bound to a constant, is read through the
+    expansion's substitution: each projection is widened before the
+    fold sees it.  A vacuous rewriting (its expansion does not unify)
+    has no answers. *)
+
 val run :
   ?cache:Dc_cq.Eval.cache ->
   Dc_relational.Database.t ->
   template ->
   (Dc_relational.Tuple.t * Dc_relational.Value.t array list) list
-(** The rewriting's answers with the distinct projections of their
-    bindings on {!vars}, in {!Dc_cq.Eval.run_projected}'s form and
-    order, computed by evaluating the {e expansion} over the base
-    relations of [db] (plus the IDB relations it names): no view extent
-    is read or built.  A rewriting's answers over the view extents are
-    its expansion's answers, and the expansion's bindings project onto
-    exactly the rewriting's bindings.  A variable that head unification
-    equated with another, or bound to a constant, is read through the
-    expansion's substitution.  A vacuous rewriting (its expansion does
-    not unify) has no answers. *)
+(** {!fold}'s answers collected into a list, in its order. *)
 
 val rule : string -> template -> Dc_cq.Rule.t option
 (** [rule p t]: {!run} as a Datalog rule with head [p], one row per

@@ -648,14 +648,22 @@ let contained_for e plan =
 
 (* What a cite evaluates, before its answers are cited: the rewritings,
    the selected ones, whether they answer the query completely, the
-   search's stats and the per-template runs. *)
+   search's stats and each evaluated template with its answers, which
+   are computed only when an ending folds them. *)
+type answers = (R.Tuple.t -> R.Value.t array list -> unit) -> unit
+
 type evaluation = {
   all_rewritings : Cq.Query.t list;
   chosen : Cq.Query.t list;
   answers_complete : bool;
   search_stats : Rw.Rewrite.stats;
-  runs : (Compute.template * (R.Tuple.t * R.Value.t array list) list) list;
+  runs : (Compute.template * answers) list;
 }
+
+let collect (answers : answers) =
+  let acc = ref [] in
+  answers (fun tuple ps -> acc := (tuple, ps) :: !acc);
+  List.rev !acc
 
 let evaluate e query =
   Metrics.with_sink e.metrics @@ fun () ->
@@ -705,13 +713,16 @@ let evaluate e query =
          templates)
   in
   let c = e.caches in
-  let runs =
+  (* The eval cache (index memoization, the fold's scratch space) is
+     mutated during the run, so a fold, its callback included, is the
+     critical section. *)
+  let answers t f =
+    Metrics.with_sink e.metrics @@ fun () ->
     Metrics.record_time "eval" @@ fun () ->
-    (* the eval cache (index memoization) is mutated during the run, so
-       the evaluation itself is the critical section *)
     locked c.lock @@ fun () ->
-    List.map (fun t -> (t, Compute.run ~cache:c.eval_cache db t)) templates
+    Compute.fold ~cache:c.eval_cache db t (fun tuple ps () -> f tuple ps) ()
   in
+  let runs = List.map (fun t -> (t, answers t)) templates in
   {
     all_rewritings = rewritings;
     chosen = selected;
@@ -722,11 +733,13 @@ let evaluate e query =
 
 (* The two endings of an evaluation: every answer's citation and the
    [Agg] over them, or the answers folded into what a wire response
-   carries.  Either resolves each distinct leaf once. *)
+   carries.  Either resolves each distinct leaf once, after the folds
+   have released the cache lock that [resolve_leaf] takes. *)
 let result_of e query ev =
   Metrics.with_sink e.metrics @@ fun () ->
+  let runs = List.map (fun (t, answers) -> (t, collect answers)) ev.runs in
   let resolve = leaf_resolver e in
-  let tuples = assemble ~resolve e ev.runs in
+  let tuples = assemble ~resolve e runs in
   let result_expr, result_citations =
     aggregate ~resolve e
       (List.fold_left (fun acc t -> push_expr acc t.expr) [] tuples)
@@ -742,17 +755,27 @@ let result_of e query ev =
     stats = ev.search_stats;
   }
 
+(* A single run is folded straight into the count and the [Agg]'s
+   children, under the cache lock; several are collected and merged. *)
 let summary_of e ev =
   Metrics.with_sink e.metrics @@ fun () ->
-  let answers = ref 0 and exprs = ref [] in
-  iter_answers ev.runs (fun _ expr ->
-      incr answers;
-      exprs := push_expr !exprs expr);
+  let n = ref 0 and exprs = ref [] in
+  let count expr =
+    incr n;
+    exprs := push_expr !exprs expr
+  in
+  (match ev.runs with
+  | [ (t, answers) ] ->
+      answers (fun _ ps -> count (Compute.rewriting_expr t ps))
+  | runs ->
+      iter_answers
+        (List.map (fun (t, answers) -> (t, collect answers)) runs)
+        (fun _ expr -> count expr));
   let summary_expr, summary_citations =
     aggregate ~resolve:(leaf_resolver e) e !exprs
   in
   {
-    answers = !answers;
+    answers = !n;
     summary_expr;
     summary_citations;
     summary_complete = ev.answers_complete;

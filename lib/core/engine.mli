@@ -19,14 +19,16 @@
 
     {b Two endings of one evaluation.}  {!cite} and {!summary} share
     everything up to the per-rewriting runs ({!evaluate}): plan lookup,
-    constant renaming, selection, the contained fallback and the
-    evaluation under the cache lock.  {!cite} then ends it with
-    {!result_of}, which builds every answer's {!tuple_citation}, with
-    its policy-evaluated citations, and the [Agg] over them.
-    {!summary} ends it with {!summary_of}, which folds the answers
-    straight into what a wire response carries — the answer count, the
-    [Agg] expression and its citations — building no per-tuple record
-    and running no per-tuple policy evaluation.  {!cite} is its oracle:
+    constant renaming, selection, the contained fallback, and each
+    template's answers deferred to a fold under the cache lock.  The
+    ending decides whether the answers are materialized.  {!cite} ends
+    it with {!result_of}, which collects them and builds every answer's
+    {!tuple_citation}, with its policy-evaluated citations, and the
+    [Agg] over them.  {!summary} ends it with {!summary_of}, which
+    folds the answers, as the join hands them on, straight into what a
+    wire response carries — the answer count, the [Agg] expression and
+    its citations — building no answer list, no per-tuple record and
+    no per-tuple policy evaluation.  {!cite} is its oracle:
     a summary's fields equal the corresponding ones of the {!cite} of
     the same query on the same engine.  An {!Incremental} registration
     hands its read-back evaluation to the same two endings.
@@ -251,7 +253,7 @@ val cite : t -> Dc_cq.Query.t -> result
     Each selected rewriting's expansion, computed once per plan and
     kept in the rewriting-plan cache, is evaluated over the base
     relations with {!Dc_cq.Eval.run_projected} on the variables that
-    fill its view parameters ({!Compute.run}); the sorted per-rewriting
+    fill its view parameters ({!Compute.fold}); the sorted per-rewriting
     runs are merged linearly, and each tuple's expression is built
     normalized from the distinct projections
     ({!Compute.projected_expr}).  Tuples of a single data-independent
@@ -280,8 +282,9 @@ val summary : t -> Dc_cq.Query.t -> summary
 (** The {!cite} of the query, folded: the same plan, selection and
     evaluation, then one pass over the answers in tuple order that
     counts them and feeds each expression to the [Agg]'s
-    adjacent-repeat dedup as it is built.  No {!tuple_citation} list is
-    built and the policy runs once, over the [Agg].  Equal, field for
+    adjacent-repeat dedup as the join hands the answer on
+    ({!summary_of}).  No answer list and no {!tuple_citation} list is
+    built, and the policy runs once, over the [Agg].  Equal, field for
     field, to [answers = List.length r.tuples], [r.result_expr],
     [r.result_citations], [r.complete] and [List.length r.rewritings]
     of [r = cite e q]. *)
@@ -289,9 +292,21 @@ val summary : t -> Dc_cq.Query.t -> summary
 (** {1 One evaluation, two endings}
 
     [cite e q] is [result_of e q (evaluate e q)] and [summary e q] is
-    [summary_of e (evaluate e q)].  {!Incremental} keeps an evaluation's
-    metadata and reads its runs back from Datalog rows, then ends it the
-    same way. *)
+    [summary_of e (evaluate e q)].  The evaluation defers each
+    template's answers, so the ending decides whether they are ever
+    materialized.  {!Incremental} keeps an evaluation's metadata and
+    supplies its answers from Datalog rows, then ends it the same
+    way. *)
+
+type answers =
+  (Dc_relational.Tuple.t -> Dc_relational.Value.t array list -> unit) -> unit
+(** A template's answers, computed when called: [answers f] calls [f]
+    on each answer with the distinct projections of its bindings on the
+    template's {!Compute.vars}, in {!Compute.fold}'s form and order.
+    An engine's [answers] folds the template's expansion under the
+    engine's cache lock and the [eval] timer, and holds the lock while
+    [f] runs: [f] must not call {!resolve_leaf} or any other
+    evaluation through the same engine. *)
 
 type evaluation = {
   all_rewritings : Dc_cq.Query.t list;
@@ -299,34 +314,36 @@ type evaluation = {
   chosen : Dc_cq.Query.t list;  (** the selected ones: [selected] *)
   answers_complete : bool;  (** [complete] *)
   search_stats : Dc_rewriting.Rewrite.stats;  (** [stats] *)
-  runs :
-    (Compute.template
-    * (Dc_relational.Tuple.t * Dc_relational.Value.t array list) list)
-    list;
+  runs : (Compute.template * answers) list;
       (** each evaluated template — a selected rewriting's, the contained
-          fallback's or the query's own — with its answers in
-          {!Compute.run}'s form and order *)
+          fallback's or the query's own — with its deferred answers *)
 }
 (** What a cite evaluates before its answers are cited. *)
 
 val evaluate : t -> Dc_cq.Query.t -> evaluation
-(** Plans (rewriting search, cached per query shape), selects and runs
-    every evaluated template over the data, under the cache lock: all
-    of {!cite} but the citations. *)
+(** Plans (rewriting search, cached per query shape) and selects, and
+    pairs every template to evaluate with its deferred {!answers}: all
+    of {!cite} but the evaluation itself and the citations. *)
 
 val result_of : t -> Dc_cq.Query.t -> evaluation -> result
 (** The result ending: every answer, in tuple order, with its normal
     expression ({!Compute.projected_expr} over the runs that produce it)
-    and its policy-evaluated citations, and the [Agg] over them.
-    Tuples of a single data-independent run share one expression and
-    one policy evaluation; each distinct leaf resolves once.
-    The evaluation's metadata fills [rewritings], [selected],
-    [complete] and [stats]. *)
+    and its policy-evaluated citations, and the [Agg] over them.  It
+    collects each run's answers into a list first, since it returns
+    them.  Tuples of a single data-independent run share one
+    expression and one policy evaluation; each distinct leaf resolves
+    once, after the runs are collected.  The evaluation's metadata
+    fills [rewritings], [selected], [complete] and [stats]. *)
 
 val summary_of : t -> evaluation -> summary
-(** The summary ending: the answers of the runs counted and their
-    expressions folded, in tuple order, into the [Agg]; no per-tuple
-    record is built and the policy runs once. *)
+(** The summary ending: the answers counted and their expressions
+    folded, in tuple order, into the [Agg]; no answer list is built,
+    no per-tuple record either, and the policy runs once.  A single
+    run (the default selection's one rewriting) is folded directly:
+    each answer is counted and its expression pushed as the join hands
+    it on, under the cache lock, and the leaves are resolved after the
+    lock is released.  Several runs ([`All] selection, or the contained
+    fallback) are collected and merged as {!result_of} does. *)
 
 val resolve_leaf : t -> Cite_expr.leaf -> Citation.t
 (** The engine's memoized leaf resolver (exposed for tests and for

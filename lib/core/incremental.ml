@@ -29,23 +29,32 @@ let split n row =
   ( R.Tuple.of_array (Array.init width (R.Tuple.get row)),
     Array.init n (fun j -> R.Tuple.get row (width + j)) )
 
-(* A rule's rows in scan order, grouped by answer, are {!Compute.run}'s
-   answers: both sort by answer, then projection. *)
-let run_of derived (p, t) =
+(* A rule's rows in scan order, grouped by answer, are {!Compute.fold}'s
+   answers: both sort by answer, then projection.  Each answer is handed
+   on when the next row starts another. *)
+let answers_of derived p t : Engine.answers =
+ fun f ->
   let rows = R.Relation.scan (R.Database.relation_exn derived p) in
   let n = List.length (Compute.vars t) in
-  let groups = ref [] in
-  for i = Array.length rows - 1 downto 0 do
-    let answer, proj = split n rows.(i) in
-    groups :=
-      match !groups with
-      | (a, ps) :: rest when R.Tuple.equal a answer -> (a, proj :: ps) :: rest
-      | gs -> (answer, [ proj ]) :: gs
-  done;
-  (t, !groups)
+  let rec group answer ps i =
+    if i = Array.length rows then f answer (List.rev ps)
+    else
+      let answer', proj = split n rows.(i) in
+      if R.Tuple.equal answer answer' then group answer (proj :: ps) (i + 1)
+      else begin
+        f answer (List.rev ps);
+        group answer' [ proj ] (i + 1)
+      end
+  in
+  if Array.length rows > 0 then
+    let answer, proj = split n rows.(0) in
+    group answer [ proj ] 1
 
 let evaluation reg =
-  { reg.meta with runs = List.map (run_of reg.derived) reg.heads }
+  {
+    reg.meta with
+    runs = List.map (fun (p, t) -> (t, answers_of reg.derived p t)) reg.heads;
+  }
 
 let to_result reg = Engine.result_of reg.engine reg.query (evaluation reg)
 

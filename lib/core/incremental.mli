@@ -1,9 +1,9 @@
 (** Incremental citation maintenance — the paper's "citation evolution"
     challenge (§3): "how to compute citations in an incremental manner".
 
-    {b A registration is its rows.}  {!register} evaluates the query
-    once ({!Engine.evaluate}) and keeps what the cite evaluated: the
-    metadata (the rewritings, the selected ones, completeness and the
+    {b A registration is its rows.}  {!register} plans the query as a
+    cite does ({!Engine.evaluate}, whose answers it never folds) and
+    keeps what the cite would evaluate: the metadata (the rewritings, the selected ones, completeness and the
     search's stats) and, as one Datalog rule per evaluated template
     ({!Compute.rule}) — a selected rewriting's, the contained
     fallback's, or the query's own, whichever the cite used — the
@@ -20,10 +20,12 @@
     change to a relation a citation query reads thus needs no pass of
     its own.
 
-    {b Reading it back.}  {!evaluation} reads each rule's rows in
-    {!Dc_relational.Relation.scan} order, grouped by answer: the
-    [(template, answers)] runs {!Engine.evaluate} computes, in its form
-    and order.  It hands them, with the stored metadata, to the
+    {b Reading it back.}  {!evaluation} supplies each template's
+    answers as {!Engine.evaluate} does, deferred: called, they read the
+    rule's rows in {!Dc_relational.Relation.scan} order and hand each
+    answer on, grouped with its projections, as the next answer's first
+    row comes up — {!Compute.fold}'s form and order, no list of
+    answers built.  It hands them, with the stored metadata, to the
     endings {!Engine.cite} and {!Engine.summary} use
     ({!Engine.result_of}, {!Engine.summary_of}), so a registration
     answers as an unregistered cite does, field for field.
@@ -39,7 +41,7 @@
 type t
 
 val register : Engine.t -> Dc_cq.Query.t -> t
-(** Evaluates once and derives the rows. *)
+(** Plans as a cite does and derives the rows. *)
 
 val engine : t -> Engine.t
 (** The engine over the registration's current database. *)
@@ -48,8 +50,9 @@ val query : t -> Dc_cq.Query.t
 
 val evaluation : t -> Engine.evaluation
 (** The registration's current state as an evaluation: the metadata of
-    the cite it was registered from, with runs read back from the rows
-    (a vacuous template, which has no rule, has no run).  Either ending
+    the cite it was registered from, with runs whose answers are read
+    back from the rows when an ending calls them, under no lock (a
+    vacuous template, which has no rule, has no run).  Either ending
     of it equals the same ending of {!Engine.evaluate} over {!engine}
     whenever the selection is unchanged: always at registration time,
     and at any time under [`All] or for a query with at most one

@@ -144,8 +144,8 @@ val cite_at :
 (** Cite against a specific version.  One routine serves it and
     {!summary_at}: it takes the evaluation from the maintained
     registration when the query is registered and the version is the
-    head ({!Incremental.evaluation}, rows read back without
-    re-evaluating; [from_registration = true]), and from the version's
+    head ({!Incremental.evaluation}, answers read back from the rows
+    without re-evaluating; [from_registration = true]), and from the version's
     engine otherwise ({!Engine.evaluate}), then applies one ending —
     here {!Engine.result_of}, as {!Engine.cite} does.  A registered read
     therefore equals, in every field but [from_registration], the
@@ -161,7 +161,8 @@ val summary_at :
 (** {!cite_at} with the other ending, {!Engine.summary_of}: the same
     routing, evaluation and stamp, folded into what a wire response
     carries.  Its fields equal those of the {!cite_at} result of the
-    same call; no per-tuple citation list is built. *)
+    same call; no answer list and no per-tuple citation list is
+    built. *)
 
 val cite : t -> Dc_cq.Query.t -> (cited, string) result
 (** [cite t q] is [cite_at t (head t) q]. *)

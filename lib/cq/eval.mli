@@ -13,6 +13,10 @@
     string map and allocating no per-probe key.  The nullary predicate
     [True] is built in and always holds.
 
+    Grouped answers have one core, the fold {!fold_projected}, which
+    hands each answer on as its block of the join completes;
+    {!run_projected} and {!run} are its collectors.
+
     Cache lookups record into {!Dc_parallel.Metrics}: index-cache hits
     and misses, plan-cache hits and compilations (compile time under the
     [plan_compile] timer). *)
@@ -65,17 +69,46 @@ val bindings : ?cache:cache -> Dc_relational.Database.t -> Query.t -> Binding.t 
 val tuple_of_binding : Query.t -> Binding.t -> Dc_relational.Tuple.t
 (** The head tuple a binding produces. *)
 
-val run :
+val fold_projected :
   ?cache:cache ->
   Dc_relational.Database.t ->
   Query.t ->
-  (Dc_relational.Tuple.t * Binding.t list) list
-(** Output tuples grouped with the bindings that produce them, sorted by
-    tuple, each tuple's bindings in {!Binding.compare} order.  It is
-    {!run_projected} on every body variable, in name order (the order
-    {!Binding.compare} reads a binding's values in), with each
-    projection read back as a {!Binding.t}; a caller that needs only
-    some variables should use {!run_projected}. *)
+  string list ->
+  (Dc_relational.Tuple.t -> Dc_relational.Value.t array list -> 'a -> 'a) ->
+  'a ->
+  'a
+(** [fold_projected db q vars f init] folds [f] over the output tuples
+    of [q], in ascending {!Dc_relational.Tuple.compare} order, each
+    with the {e distinct} valuations of [vars] among the bindings that
+    produce it: one array per valuation, its values in [vars] order,
+    the arrays ascending under {!Dc_relational.Tuple.compare}.  The
+    join writes straight from its register file: no binding map is
+    built per emission.  With [vars = []] each tuple carries the single
+    empty array.  The citation engine passes the variables that feed
+    citation-view parameters.  Raises [Invalid_argument] when a
+    variable of [vars] does not occur in the body of [q].
+
+    {b Streaming.}  The plan runs with its outer scan in head order
+    ({!Plan.execute}[ ~head_order:true]), so the emissions arrive in
+    blocks of equal {!Plan.head_prefix}, and each answer is handed to
+    [f] as soon as its block is complete, while the join runs on: no
+    list of answers is built, and nothing answer-sized outlives its
+    block.  An exception from [f] stops the join there.  Each emission
+    is compared once with the one before it, head tuple first, then
+    projection: an equal pair is dropped, and a smaller one starts a
+    new ascending run.  A block of one emission goes straight to [f];
+    a longer one waits in scratch arrays, and one of several runs is
+    sorted there, once, when it ends, by merging its runs through a
+    permutation of unboxed slot numbers
+    ({!Dc_parallel.Metrics.Key.eval_block_sorts}).  The process keeps
+    one set of scratch arrays, with the capacity of the largest block
+    seen, for whichever fold takes it; their slots are cleared after
+    each block, and a fold that finds them taken (by another thread's
+    fold, or by the fold whose [f] started it) uses arrays of its own.
+    A prefix of length 0 (a probe-first plan, or a head led by a
+    variable the outer atom does not bind) makes the whole evaluation
+    one block.  [f] runs while the cache is in use, so a caller that
+    serializes the cache under a lock holds it through [f]. *)
 
 val run_projected :
   ?cache:cache ->
@@ -83,35 +116,20 @@ val run_projected :
   Query.t ->
   string list ->
   (Dc_relational.Tuple.t * Dc_relational.Value.t array list) list
-(** [run_projected db q vars] has the output tuples of {!run}, in the
-    same order, each paired with the {e distinct} valuations of [vars]
-    among the bindings that produce it: one array per valuation, its
-    values in [vars] order, the arrays sorted by
-    {!Dc_relational.Tuple.compare}.  It is [run] with every binding
-    projected onto [vars] and duplicates dropped, but the join writes
-    straight from its register file: no binding map is built per
-    emission.  With [vars = []] each tuple carries the single empty
-    array, so the call computes the sorted distinct answers.  The
-    citation engine passes the variables that feed citation-view
-    parameters.  Raises [Invalid_argument] when a variable of [vars]
-    does not occur in the body of [q].
+(** {!fold_projected}'s answers collected into a list, in its order:
+    with [vars = []] the sorted distinct answers. *)
 
-    How the order is produced, in one pass: the plan runs with its
-    outer scan in head order ({!Plan.execute}[ ~head_order:true]), so
-    the emissions arrive in blocks of equal {!Plan.head_prefix}, and
-    each emission is compared once with the one before it, head tuple
-    first, then projection.  Greater starts a new answer, an equal
-    head tuple with a greater projection joins the last answer, an
-    equal pair is dropped, and smaller marks the block as out of
-    order.  Only the marked blocks are sorted, each once when it ends
-    ({!Dc_parallel.Metrics.Key.eval_block_sorts}); the others are
-    grouped as they arrive.  An emission costs that comparison and at
-    most one head tuple and one projection array; a head tuple equal
-    to the previous one is shared.  A prefix of length 0 (a
-    probe-first plan, or a head led by a variable the outer atom does
-    not bind) makes the whole evaluation one block, sorted once unless
-    the emissions happen to arrive in order.  The result is the same
-    either way. *)
+val run :
+  ?cache:cache ->
+  Dc_relational.Database.t ->
+  Query.t ->
+  (Dc_relational.Tuple.t * Binding.t list) list
+(** Output tuples grouped with the bindings that produce them, sorted by
+    tuple, each tuple's bindings in {!Binding.compare} order.  It is
+    {!fold_projected} on every body variable, in name order (the order
+    {!Binding.compare} reads a binding's values in), collected, with
+    each projection read back as a {!Binding.t}; a caller that needs
+    only some variables should use {!run_projected}. *)
 
 val result :
   ?cache:cache ->

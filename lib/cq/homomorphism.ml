@@ -47,7 +47,8 @@ let search ~all ?(init = Subst.empty) src dst =
   let exception Found of Subst.t in
   let rec go subst = function
     | [] ->
-        if all then results := subst :: !results else raise (Found subst)
+        if all then results := subst :: !results
+        else raise_notrace (Found subst)
     | a :: rest ->
         let candidates =
           Option.value ~default:[] (Smap.find_opt (Atom.pred a) by_pred)

@@ -245,7 +245,7 @@ let ok_citation ~view ~citation ~ms =
 let ok_stats ~stats_json = obj [ ("ok", "true"); ("stats", stats_json) ]
 
 let ok_health ?version ?data_dir ?wal_enabled ?last_snapshot_version
-    ?recursion ~uptime_s ~views ~relations ~tuples () =
+    ?recursion ?gc ~uptime_s ~views ~relations ~tuples () =
   (* an optional field: present only when given *)
   let field k render = function None -> [] | Some v -> [ (k, render v) ] in
   obj
@@ -270,6 +270,18 @@ let ok_health ?version ?data_dir ?wal_enabled ?last_snapshot_version
     @ field "data_dir" jstr data_dir
     @ field "wal_enabled" string_of_bool wal_enabled
     @ field "last_snapshot_version" string_of_int last_snapshot_version
+    (* Heap report (v2 HEALTH only, like the durability fields). *)
+    @ field "gc"
+        (fun (g : Gc.stat) ->
+          obj
+            [
+              ("heap_words", string_of_int g.heap_words);
+              ("top_heap_words", string_of_int g.top_heap_words);
+              ("minor_collections", string_of_int g.minor_collections);
+              ("major_collections", string_of_int g.major_collections);
+              ("promoted_words", Printf.sprintf "%.0f" g.promoted_words);
+            ])
+        gc
     (* Capability report (v2 HEALTH only, like the durability fields):
        every citation is served by the versioned engine, on the one
        domain the worker threads share. *)

@@ -96,7 +96,8 @@ type request =
                 handshake *)
   | Health_v2
       (** [V2 HEALTH]: the v1 report plus the durability fields
-          ([data_dir], [wal_enabled], [last_snapshot_version]).  Bare
+          ([data_dir], [wal_enabled], [last_snapshot_version]), the
+          heap report ([gc]) and the capability report.  Bare
           [HEALTH] stays byte-identical to v1. *)
   | Quit  (** close this connection *)
 
@@ -147,6 +148,7 @@ val ok_health :
   ?wal_enabled:bool ->
   ?last_snapshot_version:int ->
   ?recursion:bool ->
+  ?gc:Gc.stat ->
   uptime_s:float ->
   views:int ->
   relations:int ->
@@ -158,8 +160,11 @@ val ok_health :
     [last_snapshot_version]) are appended in that order, each only when
     given.  [recursion], when given, appends the capability report
     ([backend], [shards], [supports_versions], and [supports_recursion]
-    set to [recursion]).  Together they make a v2 HEALTH report;
-    omitting them keeps the v1 output byte-identical. *)
+    set to [recursion]).  [gc], when given, adds the heap report
+    between the two: a [gc] object with [heap_words],
+    [top_heap_words], [minor_collections], [major_collections] and
+    [promoted_words] from a {!Gc.quick_stat}.  Together they make a v2
+    HEALTH report; omitting them keeps the v1 output byte-identical. *)
 
 val ok_bye : string
 

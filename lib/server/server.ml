@@ -136,9 +136,10 @@ let execute t (req : Protocol.request) =
         if v2 then Some (C.Engine.recursive_predicates template <> [])
         else None
       in
+      let gc = if v2 then Some (Gc.quick_stat ()) else None in
       Protocol.ok_health
         ~version:(C.Versioned_engine.head t.versioned)
-        ?data_dir ?wal_enabled ?last_snapshot_version ?recursion
+        ?data_dir ?wal_enabled ?last_snapshot_version ?recursion ?gc
         ~uptime_s:(Dc_clock.Monotonic.now_s () -. t.started_at)
         ~views:(C.Citation_view.Set.size (C.Engine.citation_views template))
         ~relations:(List.length (R.Database.relation_names db))

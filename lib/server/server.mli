@@ -54,10 +54,11 @@
     {b What a worker builds per cite.}  [CITE], [CITE_BATCH] and
     [CITE_AT] answer with {!Dc_citation.Engine.summary} /
     {!Dc_citation.Versioned_engine.summary_at}: the cite's evaluation,
-    then one fold over its answers into the count, the [Agg] expression
-    and its citations.  No per-tuple citation list is built and the
-    policy runs once per cite, over the [Agg]; a registration-served
-    [CITE_AT] folds the registration's maintained map.  The response
+    then one fold over its answers, as the join hands them on, into the
+    count, the [Agg] expression and its citations.  No answer list and
+    no per-tuple citation list is built, and the policy runs once per
+    cite, over the [Agg]; a registration-served [CITE_AT] folds the
+    registration's rows.  The response
     line is the one {!Dc_citation.Engine.cite} /
     {!Dc_citation.Versioned_engine.cite_at} would render, byte for byte
     apart from [ms].

@@ -196,10 +196,21 @@ let test_shared_engine_stress () =
 (* ------------------------------------------------------------------ *)
 (* Worker pool                                                         *)
 
+(* A raising job is logged and swallowed, not worker-fatal, and with
+   backtrace recording on (as datacite-server runs) its log line carries
+   the job's frames.  The log is captured for the pool's lifetime. *)
 let test_worker_pool_raising_job () =
+  let log = Buffer.create 256 in
+  let reporter = Logs.reporter () and recording = Printexc.backtrace_status () in
+  Logs.set_reporter
+    (Logs.format_reporter ~dst:(Format.formatter_of_buffer log) ());
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Printexc.record_backtrace recording)
+  @@ fun () ->
   let pool = W.create ~workers:(max 2 domains) ~queue_capacity:64 () in
   let hits = Atomic.make 0 in
-  (* a raising job is logged and swallowed, not worker-fatal *)
   (match W.submit pool (fun () -> failwith "job boom") with
   | W.Accepted -> ()
   | _ -> Alcotest.fail "submit refused");
@@ -209,7 +220,20 @@ let test_worker_pool_raising_job () =
     | _ -> Alcotest.fail "submit refused"
   done;
   W.shutdown pool;
-  Alcotest.(check int) "every job ran despite the failure" 32 (Atomic.get hits)
+  Alcotest.(check int) "every job ran despite the failure" 32 (Atomic.get hits);
+  let log = Buffer.contents log in
+  let holds sub =
+    let n = String.length log and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub log i m = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the failure is logged: %S" log)
+    true
+    (holds {|worker: job raised Failure("job boom")|});
+  Alcotest.(check bool)
+    (Printf.sprintf "the log holds a frame: %S" log)
+    true (holds "Raised at")
 
 (* ------------------------------------------------------------------ *)
 (* A server with several worker threads                                *)

@@ -568,6 +568,116 @@ let test_ordered_grouping () =
   at_least "answered without sorting a block" !sorted_none 200;
   at_least "bought a prefix table partway through" !switched 100
 
+(* The fold itself, against the same oracle: the answers and
+   projections it hands on, in the order it hands them on.  The plan as
+   [Eval] compiles it (fresh indexes give the same join order) tells
+   the cases apart, and the generator's reach is asserted: plans of
+   head prefix 0 (one block), blocks sorted from several runs, bindings
+   that repeat an (answer, projection) pair, and projections on two
+   variables or more. *)
+let test_fold_as_oracle () =
+  let prefix0 = ref 0 and sorted = ref 0 and duplicates = ref 0 in
+  let multi = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 11 |])
+    (QCheck.Test.make ~name:"fold_projected = one-sort oracle" ~count:1000
+       arbitrary_ordered
+       (fun (db, (query, vars)) ->
+         let pairs =
+           List.map
+             (fun b ->
+               ( E.tuple_of_binding query b,
+                 Array.of_list (E.Binding.values b vars) ))
+             (Dc_oracle.Reference.bindings db query)
+         in
+         let want = oracle_group R.Tuple.compare pairs in
+         let m = Dc_parallel.Metrics.create () in
+         let got =
+           Dc_parallel.Metrics.with_sink m (fun () ->
+               List.rev
+                 (E.fold_projected db query vars
+                    (fun t ps acc -> (t, ps) :: acc)
+                    []))
+         in
+         let plan =
+           Plan.compile
+             ~relation:(fun p -> R.Database.relation_exn db p)
+             ~index:(fun p positions ->
+               R.Index.build (R.Database.relation_exn db p) positions)
+             db query
+         in
+         if want <> [] then begin
+           if Plan.head_prefix plan = 0 then incr prefix0;
+           if block_sorts m > 0 then incr sorted;
+           if
+             List.length pairs
+             > List.fold_left (fun n (_, ps) -> n + List.length ps) 0 want
+           then incr duplicates;
+           if List.length vars >= 2 then incr multi
+         end;
+         same_groups R.Tuple.equal want got));
+  let at_least what n min =
+    Alcotest.(check bool)
+      (Printf.sprintf "%d of 1000 cases %s" n what)
+      true (n >= min)
+  in
+  at_least "ran a plan of head prefix 0" !prefix0 50;
+  at_least "sorted a block" !sorted 100;
+  at_least "repeated an (answer, projection) pair" !duplicates 200;
+  at_least "projected on two variables or more" !multi 200
+
+(* The fold hands an answer on while the join still runs.  [A] holds
+   0..63 and [B] eight rows under each of them, so the plan scans [A]
+   in head order (prefix 1) and probes [B] on its first column, once
+   per [A] row; [B]'s index buys its table at the 64th probe (one per
+   eight of its 512 rows), at [A]'s last row.  A callback that raises
+   [Exit] on the first answer stops the plan after two probes, so no
+   table is bought; the full fold, on the same cache, buys it. *)
+let test_fold_streams () =
+  let db =
+    let db =
+      R.Database.create_relation
+        (R.Database.create_relation R.Database.empty (int_schema "A" 1))
+        (int_schema "B" 2)
+    in
+    let db =
+      R.Database.insert_list db "A"
+        (List.init 64 (fun x -> R.Tuple.make [ R.Value.Int x ]))
+    in
+    R.Database.insert_list db "B"
+      (List.init 512 (fun i ->
+           R.Tuple.make R.Value.[ Int (i / 8); Int (i mod 8) ]))
+  in
+  let query = parse "Q(X) :- A(X), B(X,Y)" in
+  let plan =
+    Plan.compile
+      ~relation:(fun p -> R.Database.relation_exn db p)
+      ~index:(fun p positions ->
+        R.Index.build (R.Database.relation_exn db p) positions)
+      db query
+  in
+  Alcotest.(check (list string)) "A scanned first" [ "A"; "B" ]
+    (Plan.atom_order plan);
+  Alcotest.(check int) "head prefix" 1 (Plan.head_prefix plan);
+  let m = Dc_parallel.Metrics.create () in
+  let builds () = Dc_parallel.Metrics.(count m Key.eval_index_builds) in
+  let cache = E.make_cache () in
+  Dc_parallel.Metrics.with_sink m @@ fun () ->
+  let handed = ref [] in
+  (match
+     E.fold_projected ~cache db query [] (fun t _ () ->
+         handed := t :: !handed;
+         raise Exit) ()
+   with
+  | () -> Alcotest.fail "the callback's Exit was swallowed"
+  | exception Exit -> ());
+  Alcotest.(check (list string)) "one answer handed on" [ "(0)" ]
+    (List.map R.Tuple.to_string !handed);
+  Alcotest.(check int) "stopped before B's last probe" 0 (builds ());
+  let answers = E.run_projected ~cache db query [] in
+  Alcotest.(check int) "the full fold answers every A row" 64
+    (List.length answers);
+  Alcotest.(check int) "and reaches B's last probe" 1 (builds ())
+
 let suite =
   [
     prop_equivalence;
@@ -583,4 +693,7 @@ let suite =
     Alcotest.test_case "cost-based join order" `Quick test_cost_based_order;
     Alcotest.test_case "grouping in head order = one-sort oracle" `Quick
       test_ordered_grouping;
+    Alcotest.test_case "fold = one-sort oracle" `Quick test_fold_as_oracle;
+    Alcotest.test_case "fold hands answers on mid-join" `Quick
+      test_fold_streams;
   ]

@@ -698,6 +698,64 @@ let test_health_v2_capabilities () =
   Alcotest.(check bool) "v1 HEALTH carries no capabilities" false
     (contains v1 {|"backend"|})
 
+(* [line] with every run of the characters [keep] accepts replaced by
+   [by]. *)
+let squash keep by line =
+  let b = Buffer.create (String.length line) in
+  String.iteri
+    (fun i c ->
+      if not (keep c) then Buffer.add_char b c
+      else if i = 0 || not (keep line.[i - 1]) then Buffer.add_string b by)
+    line;
+  Buffer.contents b
+
+(* v2 HEALTH's heap report: a [gc] object of five counters from
+   [Gc.quick_stat], just before the capability report, each a
+   plausible number. *)
+let test_health_v2_gc () =
+  with_server @@ fun _engine server ->
+  let body = expect_ok "v2 health" (request server "V2 HEALTH") in
+  let fields =
+    [
+      "heap_words";
+      "top_heap_words";
+      "minor_collections";
+      "major_collections";
+      "promoted_words";
+    ]
+  in
+  let shape =
+    Printf.sprintf {|,"gc":{%s},"backend":|}
+      (String.concat "," (List.map (Printf.sprintf {|"%s":N|}) fields))
+  in
+  let digit c = c >= '0' && c <= '9' in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s holds %s" body shape)
+    true
+    (contains (squash digit "N" body) shape);
+  let gc = List.map (fun k -> (k, extract_int body k)) fields in
+  let get k = List.assoc k gc in
+  Alcotest.(check bool) "a heap" true (get "heap_words" > 0);
+  Alcotest.(check bool) "top above heap" true
+    (get "top_heap_words" >= get "heap_words");
+  Alcotest.(check bool) "minor collections ran" true
+    (get "minor_collections" > 0)
+
+(* v1 HEALTH stays byte-identical to protocol v1: the same fields in the
+   same order, no heap report, no durability or capability fields. *)
+let test_health_v1_unchanged () =
+  with_server @@ fun _engine server ->
+  let body = expect_ok "v1 health" (request server "HEALTH") in
+  let numeral c = (c >= '0' && c <= '9') || c = '.' in
+  Alcotest.(check string) "v1 HEALTH"
+    {|{"ok":true,"status":"serving","protocol":N,"protocols":[N,N],"uptime_s":N,"views":N,"relations":N,"tuples":N,"head_version":N}|}
+    (squash numeral "N" body);
+  Alcotest.(check (list int))
+    "v1 HEALTH counts"
+    [ 2; 3; 7; 12; 0 ]
+    (List.map (extract_int body)
+       [ "protocol"; "views"; "relations"; "tuples"; "head_version" ])
+
 let suite =
   [
     Alcotest.test_case "cite over loopback" `Quick test_cite_roundtrip;
@@ -723,4 +781,6 @@ let suite =
       test_stats_count_derivations;
     Alcotest.test_case "v2 HEALTH capabilities" `Quick
       test_health_v2_capabilities;
+    Alcotest.test_case "v2 HEALTH reports the heap" `Quick test_health_v2_gc;
+    Alcotest.test_case "v1 HEALTH unchanged" `Quick test_health_v1_unchanged;
   ]
