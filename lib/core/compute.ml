@@ -92,7 +92,7 @@ let rule name t =
         ~body:(List.map (fun a -> Cq.Rule.Pos a) (Cq.Query.body expansion)))
     t.unfolding
 
-let fold ?cache db t f init =
+let fold ?cache ?tick db t f init =
   match t.unfolding with
   | None -> init
   | Some { expansion; evars; widen } ->
@@ -105,7 +105,7 @@ let fold ?cache db t f init =
             in
             fun tuple ps acc -> f tuple (List.map widen_one ps) acc
       in
-      Cq.Eval.fold_projected ?cache db expansion evars f init
+      Cq.Eval.fold_projected ?cache ?tick db expansion evars f init
 
 let run ?cache db t =
   List.rev (fold ?cache db t (fun tuple ps acc -> (tuple, ps) :: acc) [])

@@ -59,6 +59,7 @@ val expansion : template -> Dc_cq.Query.t option
 
 val fold :
   ?cache:Dc_cq.Eval.cache ->
+  ?tick:(unit -> unit) ->
   Dc_relational.Database.t ->
   template ->
   (Dc_relational.Tuple.t -> Dc_relational.Value.t array list -> 'a -> 'a) ->
@@ -75,7 +76,7 @@ val fold :
     equated with another, or bound to a constant, is read through the
     expansion's substitution: each projection is widened before the
     fold sees it.  A vacuous rewriting (its expansion does not unify)
-    has no answers. *)
+    has no answers.  [tick] is as {!Dc_cq.Eval.fold_projected}'s. *)
 
 val run :
   ?cache:Dc_cq.Eval.cache ->

@@ -56,14 +56,6 @@ type cell = {
   link : (cell * R.Delta.t) option Atomic.t;
 }
 
-(* An engine's eval cache.  [lock] guards it, and the leaf caches of
-   the engines sharing it, against other threads and domains (the
-   server's worker threads).  The IDB cell is never forced with [lock]
-   held: its computation may take it (see [idb_cell]). *)
-type caches = { lock : Mutex.t; eval_cache : Cq.Eval.cache }
-
-let caches () = { lock = Mutex.create (); eval_cache = Cq.Eval.make_cache () }
-
 (* The rewriting plans of one view set.  Rewriting only ever tests
    constants for equality, except that it sorts candidate atoms, so it
    commutes with every renaming of constants that fixes the views' own
@@ -77,25 +69,24 @@ type shapes = {
   placeholder : string;
 }
 
-(* Leaf-cache keys are leaves with their parameters sorted by name (see
-   [leaf_key]), compared as typed values: [Int 1] and [Str "1"] are
-   different keys. *)
-module Leaf_tbl = Hashtbl.Make (struct
+(* Leaves compared as typed values: [Int 1] and [Str "1"] are
+   different keys.  The leaf cache files leaves with their parameters
+   sorted by name (see [leaf_key]). *)
+module Leaf_cache = Dc_parallel.Cache.Make (struct
   type t = Cite_expr.leaf
 
-  let equal (a : t) (b : t) =
-    String.equal a.view b.view
-    && List.equal
-         (fun (n, x) (m, y) -> String.equal n m && R.Value.equal x y)
-         a.params b.params
+  let param (n, x) (m, y) =
+    match String.compare n m with 0 -> R.Value.compare x y | c -> c
 
-  let hash (l : t) =
-    List.fold_left
-      (fun h (n, x) -> Hashtbl.hash (h, n, R.Value.hash x))
-      (Hashtbl.hash l.view) l.params
+  let compare (a : t) (b : t) =
+    match String.compare a.view b.view with
+    | 0 -> List.compare param a.params b.params
+    | c -> c
 end)
 
-let leaves () = Leaf_tbl.create 64
+let leaves () =
+  Leaf_cache.create ~hits:Metrics.Key.leaf_cache_hits
+    ~misses:Metrics.Key.leaf_cache_misses ()
 
 type t = {
   base : R.Database.t;  (** EDB relations only *)
@@ -112,20 +103,18 @@ type t = {
   shapes : shapes;
       (** the rewriting plans: they depend on the view set alone, so
           every [refresh] and [replicate] copy shares them *)
-  caches : caches;
-      (** the eval cache: its entries self-invalidate, so [refresh]
-          copies keep it *)
-  leaves : Citation.t Leaf_tbl.t;
-      (** the leaf cache, guarded by [caches.lock]: concrete citations
-          computed from the data, so every data change gets a fresh
-          one *)
+  eval_cache : Cq.Eval.cache;
+      (** its entries self-invalidate, so [refresh] copies keep it *)
+  leaves : Citation.t Leaf_cache.t;
+      (** concrete citations computed from the data, so every data
+          change gets a fresh one *)
   metrics : Metrics.t;
 }
 
-(* A contended acquisition is counted: the uncontended path costs one
-   atomic attempt.  Every call site runs under [with_sink e.metrics], so
-   the wait is charged to the engine's own registry as well as the
-   default one. *)
+(* Serializes the plan cache's misses.  A contended acquisition is
+   counted: the uncontended path costs one atomic attempt.  Every call
+   site runs under [with_sink e.metrics], so the wait is charged to the
+   engine's own registry as well as the default one. *)
 let locked lock f =
   if not (Mutex.try_lock lock) then begin
     Metrics.record Metrics.Key.engine_lock_waits;
@@ -182,10 +171,10 @@ let derive ?cache ?from base (program : Cq.Program.t) =
 
 (* The data of an engine over [base], not computed yet: the program's
    IDB extents, derived on first demand — continued from the nearest
-   computed cell up [ancestor]'s chain, if any — with the [caches] of
-   the engine building the cell, under their lock, so every refresh of
-   one engine reuses one eval cache for this work. *)
-let idb_cell ?ancestor ~metrics ~caches ~program base =
+   computed cell up [ancestor]'s chain, if any — with the eval cache of
+   the engine building the cell, so every refresh of one engine reuses
+   one eval cache for this work. *)
+let idb_cell ?ancestor ~metrics ~eval_cache ~program base =
   match program with
   | None ->
       {
@@ -205,9 +194,8 @@ let idb_cell ?ancestor ~metrics ~caches ~program base =
             Metrics.with_sink metrics (fun () ->
                 let from = nearest_derived link [] in
                 let derived =
-                  locked caches.lock (fun () ->
-                      Metrics.record_time "derive" (fun () ->
-                          derive ~cache:caches.eval_cache ?from base p))
+                  Metrics.record_time "derive" (fun () ->
+                      derive ~cache:eval_cache ?from base p)
                 in
                 { derived; full = merge_full base derived }))
       in
@@ -240,9 +228,9 @@ let shapes_of cview_list =
 let make_engine ~policy ~selection ~partial ~fallback_contained ~program base
     cview_list =
   let metrics = Metrics.create () in
-  let caches = caches () in
+  let eval_cache = Cq.Eval.make_cache () in
   let cviews = Citation_view.Set.of_list cview_list in
-  let idb = idb_cell ~metrics ~caches ~program base in
+  let idb = idb_cell ~metrics ~eval_cache ~program base in
   (* Validation needs the IDB schemas, so a program's first derivation
      runs here. *)
   let full = (force_cell idb).full in
@@ -275,7 +263,7 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~program base
        creation: a fresh engine (possibly with different views) always
        starts cold *)
     shapes = shapes_of cview_list;
-    caches;
+    eval_cache;
     leaves = leaves ();
     metrics;
   }
@@ -306,7 +294,8 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
 (* Same data cell (whichever copy forces it first computes it for all),
    view set and its plan cache, policy and metrics registry; eval
    and leaf caches of its own. *)
-let replicate e = { e with caches = caches (); leaves = leaves () }
+let replicate e =
+  { e with eval_cache = Cq.Eval.make_cache (); leaves = leaves () }
 
 let database e = e.base
 let program e = e.program
@@ -319,8 +308,7 @@ let policy e = e.policy
 let metrics e = e.metrics
 
 (* The database a computation naming [preds] runs over: the base alone
-   unless one of them is an IDB predicate.  Forces the IDB cell, so
-   never call it with a cache lock held. *)
+   unless one of them is an IDB predicate, which forces the IDB cell. *)
 let db_for e preds =
   match e.program with
   | Some p when List.exists (Cq.Program.is_idb p) preds ->
@@ -353,8 +341,8 @@ let merged_database e =
    cite first reads it. *)
 let refresh ?ancestor e base =
   let idb =
-    idb_cell ?ancestor ~metrics:e.metrics ~caches:e.caches ~program:e.program
-      base
+    idb_cell ?ancestor ~metrics:e.metrics ~eval_cache:e.eval_cache
+      ~program:e.program base
   in
   { e with base; idb; leaves = leaves () }
 
@@ -383,38 +371,21 @@ type result = {
 let leaf_key (l : Cite_expr.leaf) =
   { l with params = List.sort (fun (a, _) (b, _) -> String.compare a b) l.params }
 
-(* A miss resolves outside the lock: the citation queries run over the
-   IDB extents only when they name an IDB predicate, and forcing those
-   must not happen under the lock.  The cache is checked again before
-   the result is stored, in case a concurrent miss got there first. *)
+(* A miss runs the citation queries, over the IDB extents only when
+   they name an IDB predicate. *)
 let resolve_leaf e (l : Cite_expr.leaf) =
   Metrics.with_sink e.metrics @@ fun () ->
-  let c = e.caches in
-  let k = leaf_key l in
-  match locked c.lock (fun () -> Leaf_tbl.find_opt e.leaves k) with
-  | Some c ->
-      Metrics.record Metrics.Key.leaf_cache_hits;
-      c
-  | None -> (
-      Metrics.record Metrics.Key.leaf_cache_misses;
-      let cv = Citation_view.Set.find_exn e.cviews l.view in
-      let db =
-        db_for e
-          (List.concat_map Cq.Query.predicates
-             (Citation_view.citation_queries cv))
-      in
-      locked c.lock @@ fun () ->
-      match Leaf_tbl.find_opt e.leaves k with
-      | Some cit -> cit
-      | None ->
-          let cit = Citation_view.cite ~cache:c.eval_cache cv db l.params in
-          Leaf_tbl.add e.leaves k cit;
-          cit)
+  Leaf_cache.find_or_add e.leaves (leaf_key l) @@ fun () ->
+  let cv = Citation_view.Set.find_exn e.cviews l.view in
+  let db =
+    db_for e
+      (List.concat_map Cq.Query.predicates (Citation_view.citation_queries cv))
+  in
+  Citation_view.cite ~cache:e.eval_cache cv db l.params
 
 (* The size estimates read the definitions of the views the candidate
    rewritings use, so those decide whether the IDB extents are needed.
-   Their statistics are memoized on the relation values, so no cache
-   lock is taken. *)
+   Their statistics are memoized on the relation values. *)
 let select e rewritings =
   let estimate_db rs =
     db_for e
@@ -434,19 +405,6 @@ let select e rewritings =
       Option.to_list
         (Rw.Cost.choose_min_size ~exact:(s = `Min_exact_size) (estimate_db rs)
            e.views rs)
-
-(* One resolver per cite (or per maintenance step): each distinct leaf
-   takes the cache lock and the leaf cache once, however many tuples
-   cite it. *)
-let leaf_resolver e =
-  let memo = Leaf_tbl.create 16 in
-  fun (l : Cite_expr.leaf) ->
-    match Leaf_tbl.find_opt memo l with
-    | Some c -> c
-    | None ->
-        let c = resolve_leaf e l in
-        Leaf_tbl.add memo l c;
-        c
 
 (* [iter_answers] hands a run of tuples cited by one data-independent
    template the same expression, physically shared, so dropping adjacent
@@ -712,15 +670,19 @@ let evaluate e query =
            Option.fold ~none:[] ~some:Cq.Query.predicates (Compute.expansion t))
          templates)
   in
-  let c = e.caches in
-  (* The eval cache (index memoization, the fold's scratch space) is
-     mutated during the run, so a fold, its callback included, is the
-     critical section. *)
+  (* Systhreads on one domain take turns at the runtime's ticks, 50 ms
+     apart, and a thread woken by I/O queues behind every busy one:
+     beside two long folds, a cheap cite would wait about two ticks at
+     each of its three hand-offs (the reactor reading it, a worker
+     running it, the reactor writing it).  So a fold offers the domain
+     to waiting threads every 4,096 emissions (under a millisecond of a
+     cross product); [Thread.yield] returns at once when none waits. *)
   let answers t f =
     Metrics.with_sink e.metrics @@ fun () ->
     Metrics.record_time "eval" @@ fun () ->
-    locked c.lock @@ fun () ->
-    Compute.fold ~cache:c.eval_cache db t (fun tuple ps () -> f tuple ps) ()
+    Compute.fold ~cache:e.eval_cache ~tick:Thread.yield db t
+      (fun tuple ps () -> f tuple ps)
+      ()
   in
   let runs = List.map (fun t -> (t, answers t)) templates in
   {
@@ -733,12 +695,11 @@ let evaluate e query =
 
 (* The two endings of an evaluation: every answer's citation and the
    [Agg] over them, or the answers folded into what a wire response
-   carries.  Either resolves each distinct leaf once, after the folds
-   have released the cache lock that [resolve_leaf] takes. *)
+   carries.  Either resolves the leaves after the folds. *)
 let result_of e query ev =
   Metrics.with_sink e.metrics @@ fun () ->
   let runs = List.map (fun (t, answers) -> (t, collect answers)) ev.runs in
-  let resolve = leaf_resolver e in
+  let resolve = resolve_leaf e in
   let tuples = assemble ~resolve e runs in
   let result_expr, result_citations =
     aggregate ~resolve e
@@ -756,7 +717,7 @@ let result_of e query ev =
   }
 
 (* A single run is folded straight into the count and the [Agg]'s
-   children, under the cache lock; several are collected and merged. *)
+   children; several are collected and merged. *)
 let summary_of e ev =
   Metrics.with_sink e.metrics @@ fun () ->
   let n = ref 0 and exprs = ref [] in
@@ -772,7 +733,7 @@ let summary_of e ev =
         (List.map (fun (t, answers) -> (t, collect answers)) runs)
         (fun _ expr -> count expr));
   let summary_expr, summary_citations =
-    aggregate ~resolve:(leaf_resolver e) e !exprs
+    aggregate ~resolve:(resolve_leaf e) e !exprs
   in
   {
     answers = !n;

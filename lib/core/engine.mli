@@ -20,8 +20,7 @@
     {b Two endings of one evaluation.}  {!cite} and {!summary} share
     everything up to the per-rewriting runs ({!evaluate}): plan lookup,
     constant renaming, selection, the contained fallback, and each
-    template's answers deferred to a fold under the cache lock.  The
-    ending decides whether the answers are materialized.  {!cite} ends
+    template's answers deferred to a fold.  The ending decides whether the answers are materialized.  {!cite} ends
     it with {!result_of}, which collects them and builds every answer's
     {!tuple_citation}, with its policy-evaluated citations, and the
     [Agg] over them.  {!summary} ends it with {!summary_of}, which
@@ -71,29 +70,29 @@
     per-version engines of a {!Versioned_engine}, its template,
     {!Incremental} registrations — shares it.
 
-    {b Thread safety: shared, locked caches.}  One engine may serve
-    {!cite} / {!cite_string} / {!resolve_leaf} calls from any number of
-    threads and domains at once.  Its eval and leaf caches are guarded
-    by one mutex, and its rewriting plans by another; a plan-cache hit
-    takes no lock at all.  The server's worker threads share one domain
-    and so interleave on these locks; callers on several domains are
-    safe too, but an evaluation holds the cache lock throughout, so
-    they gain no parallel speedup.  Each acquisition that finds a mutex
-    already held bumps {!Metrics.Key.engine_lock_waits}.  The column
-    statistics behind the join order and [`Min_estimated_size]
-    selection are not a cache of the engine: they are memoized on the
-    relation values ({!Dc_relational.Stats}), so every engine, version
-    and thread reading one value counts it once.
+    {b Thread safety: caches read without a lock.}  One engine may
+    serve {!cite} / {!cite_string} / {!resolve_leaf} calls from any
+    number of threads and domains at once, and no cite waits on
+    another's evaluation.  Its eval cache (indexes and compiled plans,
+    which are reentrant) and its leaf cache are
+    {!Dc_parallel.Cache}s: a lookup never waits, and a miss builds
+    outside any lock.  Only a rewriting-plan miss (a shape's first
+    search, or its contained fallback) takes a lock, and a wait for it
+    bumps {!Metrics.Key.engine_lock_waits}.  Systhreads of one domain
+    still take turns, so a fold offers the domain to waiting threads
+    every 4,096 emissions of the join.  The column statistics behind
+    the join order and [`Min_estimated_size] selection are memoized on
+    the relation values ({!Dc_relational.Stats}), so every engine,
+    version and thread reading one value counts it once.
 
     {!refresh} returns a copy sharing the plan and evaluation caches
     (never the leaf cache, which holds data-derived citations);
     {!replicate} returns one sharing only the plan cache.  Swapping
-    which engine a server uses is the caller's problem.  The IDB cell may be
-    first-forced by several threads or domains at once: one computes,
-    under the cache lock and evaluation cache of the engine that built
-    the cell, while the others wait for its value.
-    A computation that raises leaves the cell empty for the next cite
-    to retry.  The cell is never forced while a cache lock is held. *)
+    which engine a server uses is the caller's problem.  The IDB cell
+    may be first-forced by several threads or domains at once: one
+    computes, with the evaluation cache of the engine that built the
+    cell, while the others wait for its value.  A computation that
+    raises leaves the cell empty for the next cite to retry. *)
 
 type selection =
   [ `All  (** evaluate every minimal rewriting; [+R] applies at eval *)
@@ -201,10 +200,9 @@ val refresh :
 (** The same engine over an updated database, in O(1) plus the size of
     [ancestor]'s changes: it builds a fresh IDB cell and computes
     nothing.  The IDB extents are derived by the first cite that reads
-    them (see the note above), with this engine's cache lock and
-    evaluation cache, so every refresh of one engine — the per-version
-    engines of a {!Versioned_engine} — shares one cache for that
-    work.
+    them (see the note above), with this engine's evaluation cache, so
+    every refresh of one engine — the per-version engines of a
+    {!Versioned_engine} — shares one cache for that work.
 
     [ancestor] links the new cell to the cell of an engine over an
     older database, with a delta whose changes, applied in order, turn
@@ -258,8 +256,8 @@ val cite : t -> Dc_cq.Query.t -> result
     normalized from the distinct projections
     ({!Compute.projected_expr}).  Tuples of a single data-independent
     rewriting share its one expression and one policy evaluation, and
-    every distinct leaf is resolved once per call, through a per-call
-    memo in front of {!resolve_leaf}.
+    every leaf is resolved through {!resolve_leaf}, so once per
+    engine.
     {!summary} is the same evaluation folded into the wire response.
     The result is the one the literal composition gives:
     {!Dc_cq.Eval.run} of the rewriting over the materialized views
@@ -304,9 +302,7 @@ type answers =
     on each answer with the distinct projections of its bindings on the
     template's {!Compute.vars}, in {!Compute.fold}'s form and order.
     An engine's [answers] folds the template's expansion under the
-    engine's cache lock and the [eval] timer, and holds the lock while
-    [f] runs: [f] must not call {!resolve_leaf} or any other
-    evaluation through the same engine. *)
+    [eval] timer. *)
 
 type evaluation = {
   all_rewritings : Dc_cq.Query.t list;
@@ -331,8 +327,8 @@ val result_of : t -> Dc_cq.Query.t -> evaluation -> result
     and its policy-evaluated citations, and the [Agg] over them.  It
     collects each run's answers into a list first, since it returns
     them.  Tuples of a single data-independent run share one
-    expression and one policy evaluation; each distinct leaf resolves
-    once, after the runs are collected.  The evaluation's metadata
+    expression and one policy evaluation; the leaves resolve after the
+    runs are collected.  The evaluation's metadata
     fills [rewritings], [selected], [complete] and [stats]. *)
 
 val summary_of : t -> evaluation -> summary
@@ -341,9 +337,9 @@ val summary_of : t -> evaluation -> summary
     no per-tuple record either, and the policy runs once.  A single
     run (the default selection's one rewriting) is folded directly:
     each answer is counted and its expression pushed as the join hands
-    it on, under the cache lock, and the leaves are resolved after the
-    lock is released.  Several runs ([`All] selection, or the contained
-    fallback) are collected and merged as {!result_of} does. *)
+    it on, and the leaves are resolved after the fold.  Several runs
+    ([`All] selection, or the contained fallback) are collected and
+    merged as {!result_of} does. *)
 
 val resolve_leaf : t -> Cite_expr.leaf -> Citation.t
 (** The engine's memoized leaf resolver (exposed for tests and for

@@ -57,40 +57,30 @@ let take_scratch () =
   | None ->
       { tuples = [||]; projs = [||]; runs = [||]; order = [||]; spare = [||] }
 
-(* The reusable evaluation cache couples two things keyed off the same
-   database evolution story:
-   - [indexes]: hash indexes keyed by (predicate, bound positions), each
-     remembering the relation value it was built from;
-   - [plans]: compiled plans keyed by the query's syntax, constants
-     compared as typed values ({!Query.Tbl}), each remembering the
-     relation values it captured ({!Plan.valid}).
+(* The reusable evaluation cache: hash indexes by (predicate, bound
+   positions), each remembering the relation value it was built from,
+   and compiled plans by the query's syntax ({!Query.compare_syntactic}),
+   each remembering the relation values it captured ({!Plan.valid}).
    Both validate entries by physical identity of the current relation
    value, so one cache serves many evaluations over evolving persistent
    databases; stale entries rebuild transparently.  The statistics
    behind the compile-time join order live on the relation values. *)
+module Indexes = Dc_parallel.Cache.Make (struct
+  type t = string * int list
+
+  let compare = compare
+end)
+
+module Plans = Dc_parallel.Cache.Make (struct
+  type t = Query.t
+
+  let compare = Query.compare_syntactic
+end)
+
 type cache = {
-  indexes : (string * int list, R.Relation.t * R.Index.t) Hashtbl.t;
-  plans : Plan.t Query.Tbl.t;
+  indexes : (R.Relation.t * R.Index.t) Indexes.t;
+  plans : Plan.t Plans.t;
 }
-
-let make_cache () = { indexes = Hashtbl.create 32; plans = Query.Tbl.create 32 }
-
-let relation_of db pred =
-  match R.Database.relation db pred with
-  | Some r -> r
-  | None -> raise (Unknown_relation pred)
-
-let index_for cache db pred positions =
-  let rel = relation_of db pred in
-  match Hashtbl.find_opt cache.indexes (pred, positions) with
-  | Some (rel0, idx) when rel0 == rel ->
-      Metrics.(record Key.eval_cache_hits);
-      idx
-  | _ ->
-      Metrics.(record Key.eval_cache_misses);
-      let idx = R.Index.build rel positions in
-      Hashtbl.replace cache.indexes (pred, positions) (rel, idx);
-      idx
 
 (* Plan-cache capacity bound.  Resolving a citation leaf pins its
    parameter values into the citation queries, so distinct keys are
@@ -99,24 +89,37 @@ let index_for cache db pred positions =
    memory. *)
 let max_plans = 1024
 
+let make_cache () =
+  {
+    indexes =
+      Indexes.create ~hits:Metrics.Key.eval_cache_hits
+        ~misses:Metrics.Key.eval_cache_misses ();
+    plans =
+      Plans.create ~capacity:max_plans ~hits:Metrics.Key.eval_plan_hits
+        ~misses:Metrics.Key.plan_compiles ();
+  }
+
+let relation_of db pred =
+  match R.Database.relation db pred with
+  | Some r -> r
+  | None -> raise (Unknown_relation pred)
+
+let index_for cache db pred positions =
+  let rel = relation_of db pred in
+  snd
+    (Indexes.find_or_add cache.indexes (pred, positions)
+       ~valid:(fun (rel0, _) -> rel0 == rel)
+       (fun () -> (rel, R.Index.build rel positions)))
+
 let plan_for cache db q =
-  match Query.Tbl.find_opt cache.plans q with
-  | Some p when Plan.valid p db ->
-      Metrics.(record Key.eval_plan_hits);
-      p
-  | stale ->
-      Metrics.(record Key.plan_compiles);
-      let p =
-        Metrics.record_time "plan_compile" (fun () ->
-            Plan.compile
-              ~relation:(fun pred -> relation_of db pred)
-              ~index:(fun pred positions -> index_for cache db pred positions)
-              db q)
-      in
-      if stale = None && Query.Tbl.length cache.plans >= max_plans then
-        Query.Tbl.reset cache.plans;
-      Query.Tbl.replace cache.plans q p;
-      p
+  Plans.find_or_add cache.plans q
+    ~valid:(fun p -> Plan.valid p db)
+    (fun () ->
+      Metrics.record_time "plan_compile" (fun () ->
+          Plan.compile
+            ~relation:(fun pred -> relation_of db pred)
+            ~index:(fun pred positions -> index_for cache db pred positions)
+            db q))
 
 (* Every emission of one plan binds the same variable set, so the
    result maps all share one shape: build a name -> slot template once
@@ -272,7 +275,7 @@ let empty_projection = [ [||] ]
    one comparison and at most one head tuple and one projection, and
    in a block of one run, equal head tuples are adjacent and
    physically equal.  A one-emission block goes straight to [f]. *)
-let fold_grouped plan proj f init =
+let fold_grouped ?(tick = ignore) plan proj f init =
   let s = take_scratch () in
   let k = Plan.head_prefix plan in
   let with_projs = Array.length proj > 0 in
@@ -338,7 +341,10 @@ let fold_grouped plan proj f init =
     b.len <- 1;
     b.runs <- 1
   in
+  let emitted = ref 0 in
   let emit regs =
+    incr emitted;
+    if !emitted land 4095 = 0 then tick ();
     let n = b.len in
     if n = 0 then start regs
     else
@@ -397,10 +403,12 @@ let slot_index plan q v =
 (* Citation needs, per head tuple, only the values of the variables
    that feed view parameters, and only their distinct combinations, so
    the payload is the projection and duplicates drop in the grouping. *)
-let fold_projected ?cache db q vars f init =
+let fold_projected ?cache ?tick db q vars f init =
   let cache = resolve_cache cache in
   let plan = plan_for cache db q in
-  fold_grouped plan (Array.of_list (List.map (slot_index plan q) vars)) f init
+  fold_grouped ?tick plan
+    (Array.of_list (List.map (slot_index plan q) vars))
+    f init
 
 let collect t ps acc = (t, ps) :: acc
 

@@ -49,16 +49,22 @@ type cache
     plans (the statistics that feed the compile-time join order are
     memoized on the relation values, not here).  Plans are keyed by
     the query's syntax with constants compared as typed values
-    ({!Query.Tbl}); indexes by (predicate, bound positions).  Every
-    entry is validated against the current relation values by physical
-    identity, so one cache can safely serve many
+    ({!Query.compare_syntactic}); indexes by (predicate, bound
+    positions).  Every entry is validated against the current relation
+    values by physical identity, so one cache can safely serve many
     evaluations over evolving persistent databases: stale entries are
     rebuilt transparently.  The plan table is capacity-bounded (reset
     on overflow) because instantiated citation queries pin fresh
-    constants and would otherwise grow it without bound.  Sharing a cache turns repeated
-    evaluations over the same extents — e.g. resolving thousands of
-    parameterized citation leaves — from compile-and-index-build-bound
-    into pure slot-kernel runs. *)
+    constants and would otherwise grow it without bound.  Sharing a
+    cache turns repeated evaluations over the same extents — e.g.
+    resolving thousands of parameterized citation leaves — from
+    compile-and-index-build-bound into pure slot-kernel runs.
+
+    One cache may serve evaluations on any number of threads and
+    domains at once, with no lock: both tables are
+    {!Dc_parallel.Cache}s, read with one atomic load, and a compiled
+    plan is reentrant ({!Plan}).  Two evaluations that miss one entry
+    at once both build it, and one build is dropped. *)
 
 val make_cache : unit -> cache
 
@@ -71,6 +77,7 @@ val tuple_of_binding : Query.t -> Binding.t -> Dc_relational.Tuple.t
 
 val fold_projected :
   ?cache:cache ->
+  ?tick:(unit -> unit) ->
   Dc_relational.Database.t ->
   Query.t ->
   string list ->
@@ -86,7 +93,9 @@ val fold_projected :
     built per emission.  With [vars = []] each tuple carries the single
     empty array.  The citation engine passes the variables that feed
     citation-view parameters.  Raises [Invalid_argument] when a
-    variable of [vars] does not occur in the body of [q].
+    variable of [vars] does not occur in the body of [q].  [tick] is
+    called once every 4,096 emissions of the join (default: nothing),
+    however the emissions group into answers.
 
     {b Streaming.}  The plan runs with its outer scan in head order
     ({!Plan.execute}[ ~head_order:true]), so the emissions arrive in
@@ -107,8 +116,7 @@ val fold_projected :
     fold, or by the fold whose [f] started it) uses arrays of its own.
     A prefix of length 0 (a probe-first plan, or a head led by a
     variable the outer atom does not bind) makes the whole evaluation
-    one block.  [f] runs while the cache is in use, so a caller that
-    serializes the cache under a lock holds it through [f]. *)
+    one block. *)
 
 val run_projected :
   ?cache:cache ->

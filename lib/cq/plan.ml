@@ -16,12 +16,10 @@ type step = {
   pred : string;
   rel : R.Relation.t;
   (* [None] = full scan over [Relation.scan rel] (the atom had no bound
-     position); [Some idx] = probe [idx] with [key_buf], answering into
-     [matches]. *)
+     position); [Some idx] = probe [idx] with the key read from
+     [key_sources]. *)
   index : R.Index.t option;
   key_sources : source array;
-  key_buf : R.Value.t array;
-  matches : R.Index.matches;
   ops : op array;
 }
 
@@ -208,8 +206,6 @@ let compile ~relation ~index db q =
             (if key_positions = [] then None
              else Some (index pred key_positions));
           key_sources;
-          key_buf = Array.make (Array.length key_sources) R.Value.Null;
-          matches = R.Index.matches ();
           ops;
         })
       ordered
@@ -275,9 +271,18 @@ let rec compare_head_from head regs prev i =
 
 let compare_head t regs prev = compare_head_from t.head regs prev 0
 
+(* A run's mutable state is its own: the register file, and for each
+   step a key buffer and an answer slot, allocated once per run, so
+   runs of one plan on several threads share nothing mutable. *)
 let execute ?(head_order = false) t emit =
   let regs = Array.make (max 1 (Array.length t.slots)) R.Value.Null in
   let nsteps = Array.length t.steps in
+  let keys =
+    Array.map
+      (fun st -> Array.make (Array.length st.key_sources) R.Value.Null)
+      t.steps
+  in
+  let slots = Array.map (fun _ -> R.Index.matches ()) t.steps in
   (* [match_tuple] applies the register ops left to right; a failed
      [Check] abandons the candidate.  Partial [Bind]s of an abandoned
      candidate are harmless: deeper steps only run after a full match,
@@ -302,11 +307,11 @@ let execute ?(head_order = false) t emit =
       let n = Array.length ops in
       match st.index with
       | Some idx ->
-          let kb = st.key_buf and srcs = st.key_sources in
+          let kb = keys.(i) and srcs = st.key_sources in
           for j = 0 to Array.length srcs - 1 do
             kb.(j) <- read regs srcs.(j)
           done;
-          let m = st.matches in
+          let m = slots.(i) in
           R.Index.probe idx kb m;
           let tuples = m.tuples in
           for j = m.first to m.stop - 1 do

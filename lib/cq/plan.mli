@@ -17,8 +17,8 @@
       statistics;
     - for each atom the bound/free position split is resolved
       statically: bound positions (constants and already-bound slots)
-      become an index key filled into a preallocated buffer and probed
-      with {!Dc_relational.Index.probe} into the step's answer slot,
+      become an index key filled into the run's buffer and probed
+      with {!Dc_relational.Index.probe} into the run's answer slot,
       whose ascending slice of matches the kernel walks in place; free
       positions compile to [Bind]/[Check] register ops;
     - the per-atom hash indexes are resolved (through the shared index
@@ -33,12 +33,13 @@
     transparently recompiled after the database evolves — the same
     self-invalidation contract as the index cache.
 
-    Plans are {b not} thread-safe for concurrent {!execute} calls (the
-    per-step key buffers and probe answer slots
-    ({!Dc_relational.Index.matches}) are shared mutable state that
-    outlives one call); callers serialize exactly as they already must
-    for the shared {!Eval.cache}, which every engine uses only under
-    its cache lock. *)
+    A compiled plan is immutable: each {!execute} allocates its own
+    register file, key buffers and probe answer slots
+    ({!Dc_relational.Index.matches}), once per run and once per step,
+    so one plan may run on any number of threads and domains at once.
+    The state it reaches through the relations is safe to share too:
+    an index publishes its table through an atomic, and a relation's
+    memoized scans and statistics are benign races. *)
 
 type t
 

@@ -120,26 +120,6 @@ let compare_syntactic a b =
 
 let equal_syntactic a b = compare_syntactic a b = 0
 
-(* Constants hash as typed values, like [compare_syntactic] compares
-   them: [Int 1] and [Float 1.0] print alike but are different keys. *)
-let hash_syntactic q =
-  let term h = function
-    | Term.Var v -> Hashtbl.hash (h, v)
-    | Term.Const c -> Hashtbl.hash (h, Dc_relational.Value.hash c)
-  in
-  let terms = List.fold_left term in
-  List.fold_left
-    (fun h a -> terms (Hashtbl.hash (h, Atom.pred a)) (Atom.args a))
-    (terms (Hashtbl.hash (q.name, q.params)) q.head)
-    q.body
-
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal_syntactic
-  let hash = hash_syntactic
-end)
-
 let map_constants f q =
   let term = function Term.Const c -> Term.Const (f c) | v -> v in
   {

@@ -73,10 +73,8 @@ val with_name : string -> t -> t
 val equal_syntactic : t -> t -> bool
 
 val compare_syntactic : t -> t -> int
-
-module Tbl : Hashtbl.S with type key = t
-(** Tables keyed by a query's syntax, constants compared as typed
-    values ({!Dc_relational.Value.equal}): unlike {!to_string}, which
+(** A total order on a query's syntax, constants compared as typed
+    values ({!Dc_relational.Value.compare}): unlike {!to_string}, which
     prints [Int 1] and [Float 1.0] alike and floats at six digits, an
     injective key. *)
 

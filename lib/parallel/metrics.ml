@@ -13,6 +13,7 @@ module Key = struct
   let rewriting_kept = "rewriting_kept"
   let containment_checks = "containment_checks"
   let engine_lock_waits = "engine_lock_waits"
+  let cache_lost_races = "cache_lost_races"
   let server_requests = "server_requests"
   let server_errors = "server_errors"
   let server_queue_depth = "server_queue_depth"
@@ -54,6 +55,7 @@ module Key = struct
       rewriting_kept;
       containment_checks;
       engine_lock_waits;
+      cache_lost_races;
       server_requests;
       server_errors;
       server_queue_depth;

@@ -77,9 +77,12 @@ module Key : sig
   val containment_checks : string
 
   val engine_lock_waits : string
-  (** Times an engine's cache lock was found already held and had to be
-      waited for — the direct measure of hot-path contention between
-      the threads (the server's workers) sharing one engine. *)
+  (** Times an engine's rewriting-plan lock, which only the plan
+      cache's misses take, was found held and had to be waited for. *)
+
+  val cache_lost_races : string
+  (** {!Cache} builds dropped because another caller filed the same key
+      first: work done twice. *)
 
   val server_requests : string
   (** Request lines received by the citation server (all commands,

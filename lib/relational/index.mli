@@ -61,11 +61,10 @@ type matches = private {
     table's own, or the slot's [buffer]. *)
 
 val matches : unit -> matches
-(** An empty answer slot.  The compiled join kernel keeps one per plan
-    step and reuses it for every probe of that step.  The slot outlives
-    a probe, and its buffer holds the last descent's tuples, so a slot
-    must be used by one thread at a time (a plan's slots are used under
-    the lock that already serializes its key buffers). *)
+(** An empty answer slot.  A run of a compiled plan makes one per step
+    and reuses it for every probe of that step in the run.  The slot
+    outlives a probe, and its buffer holds the last descent's tuples,
+    so a slot is one thread's: each run makes its own. *)
 
 val probe : t -> Value.t array -> matches -> unit
 (** [probe idx key m] sets [m] to every tuple whose projection on the

@@ -300,47 +300,54 @@ let serving t =
 
 let record_busy () = C.Metrics.record C.Metrics.Key.server_busy_sheds
 
-(* Runs on the reactor thread, so it must only enqueue.  The response
-   reaches the wire through [reply]: the reactor holds the request's
-   ordered slot and flushes it on write-readiness once filled. *)
+(* Runs on the reactor thread, so it must only enqueue, except that
+   [STATS] and [HEALTH], cheap reads, are answered here and need no
+   free worker.  The response reaches the wire through [reply]: the
+   reactor holds the request's ordered slot and flushes it on
+   write-readiness once filled. *)
 let on_request t req ~reply =
   let m = metrics t in
+  (* a batch owes one line per query even when the job blows up *)
+  let fallback e =
+    let line = Protocol.error_line ("internal error: " ^ e) in
+    match req with
+    | Protocol.Cite_batch qs -> String.concat "\n" (List.map (fun _ -> line) qs)
+    | _ -> line
+  in
+  let run () =
+    try execute t req
+    with ex ->
+      record_err ();
+      fallback (Printexc.to_string ex)
+  in
   if not (serving t) then begin
     record_err ();
     `Reject (Protocol.error_line "server shutting down")
   end
-  else begin
-    (* a batch owes one line per query even when the job blows up *)
-    let fallback e =
-      let line = Protocol.error_line ("internal error: " ^ e) in
-      match req with
-      | Protocol.Cite_batch qs ->
-          String.concat "\n" (List.map (fun _ -> line) qs)
-      | _ -> line
-    in
-    match
-      Worker_pool.submit t.pool (fun () ->
-          C.Metrics.with_sink m @@ fun () ->
-          reply
-            (try execute t req
-             with ex ->
-               record_err ();
-               fallback (Printexc.to_string ex)))
-    with
-    | Worker_pool.Accepted ->
-        C.Metrics.record_max C.Metrics.Key.server_queue_depth
-          (Worker_pool.depth t.pool);
+  else
+    match req with
+    | Protocol.Stats | Protocol.Health | Protocol.Health_v2 ->
+        reply (run ());
         `Accepted
-    | Worker_pool.Overloaded ->
-        (* The bounded pending-request queue is full: shed this request
-           with the BUSY line rather than buffering unboundedly. *)
-        record_busy ();
-        record_err ();
-        `Reject Protocol.busy_line
-    | Worker_pool.Shutting_down ->
-        record_err ();
-        `Reject (Protocol.error_line "server shutting down")
-  end
+    | _ -> (
+        match
+          Worker_pool.submit t.pool (fun () ->
+              C.Metrics.with_sink m @@ fun () -> reply (run ()))
+        with
+        | Worker_pool.Accepted ->
+            C.Metrics.record_max C.Metrics.Key.server_queue_depth
+              (Worker_pool.depth t.pool);
+            `Accepted
+        | Worker_pool.Overloaded ->
+            (* The bounded pending-request queue is full: shed this
+               request with the BUSY line rather than buffering
+               unboundedly. *)
+            record_busy ();
+            record_err ();
+            `Reject Protocol.busy_line
+        | Worker_pool.Shutting_down ->
+            record_err ();
+            `Reject (Protocol.error_line "server shutting down"))
 
 let reactor_handlers t =
   let sunk f = C.Metrics.with_sink (metrics t) f in

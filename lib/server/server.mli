@@ -26,10 +26,14 @@
     the whole batch — the cheapest way to push many queries through one
     connection.
 
+    [STATS] and [HEALTH] (v1 and v2) are answered on the reactor
+    thread itself, in their place in the pipeline, and take no worker:
+    an operator can read a server whose workers are all busy.
+
     The workers are systhreads on the server's one domain, so requests
     interleave rather than run in parallel.  They share one engine per
-    version, and its caches, under the engine's locks (see
-    {!Dc_citation.Engine}).
+    version, whose caches are read without a lock (see
+    {!Dc_citation.Engine}): a slow cite holds up no other.
 
     {b Versioned serving.}  The engine handed to {!start} becomes
     version 0 of a {!Dc_citation.Versioned_engine}, and every request

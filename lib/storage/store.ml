@@ -92,8 +92,9 @@ type t = {
   digest : (R.Database.t -> string) option;
   writer : Wal.writer;
   lock : lock;
-  mu : Mutex.t;
-  mutable last_snapshot : int;
+  mu : Mutex.t;  (** serializes snapshot writes *)
+  last_snapshot : int Atomic.t;
+      (** read without [mu], so a reader never waits on a write *)
 }
 
 type recovery = {
@@ -107,7 +108,7 @@ type recovery = {
 
 let wal_path dir = Filename.concat dir "wal.log"
 let dir t = t.dir
-let last_snapshot_version t = Mutex.protect t.mu (fun () -> t.last_snapshot)
+let last_snapshot_version t = Atomic.get t.last_snapshot
 
 let digest_of t db = match t.digest with None -> "" | Some f -> f db
 
@@ -152,7 +153,7 @@ let init_fresh ~fsync ~dir ~lock t_digest db =
       writer;
       lock;
       mu = Mutex.create ();
-      last_snapshot = 0;
+      last_snapshot = Atomic.make 0;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -282,7 +283,7 @@ let recover ~fsync ~mode ~dir ~lock t_digest =
             writer;
             lock;
             mu = Mutex.create ();
-            last_snapshot = latest.Snapshot.version;
+            last_snapshot = Atomic.make latest.Snapshot.version;
           },
           {
             store;
@@ -338,7 +339,8 @@ let append_register t query = Wal.append t.writer (Wal.Register query)
 let write_snapshot t ~store ~registrations =
   Mutex.protect t.mu @@ fun () ->
   let version = VS.head store in
-  if version <= t.last_snapshot then Ok t.last_snapshot
+  let last = Atomic.get t.last_snapshot in
+  if version <= last then Ok last
   else
     (* WAL first: a snapshot must never describe state the (durable)
        log does not contain, or Full recovery could come up behind the
@@ -356,7 +358,7 @@ let write_snapshot t ~store ~registrations =
            db;
          })
     @@ fun _path ->
-    t.last_snapshot <- version;
+    Atomic.set t.last_snapshot version;
     Ok version
 
 let close t =

@@ -1,6 +1,7 @@
 (* Concurrency: rewriting searches run from many domains at once
    (byte-identical to sequential), one engine cited from many domains
-   and from the worker pool's threads, and a server with several
+   and from the worker pool's threads, one engine and its refreshes
+   cited from threads and domains together, and a server with several
    worker threads whose engine other domains cite at the same time.
 
    DOMAINS (env var, default 2) picks the domain count so CI can run
@@ -176,22 +177,116 @@ let test_cite_batch_matches_sequential () =
       | None -> Alcotest.failf "batch result %d missing" i)
     expected
 
-(* Multi-domain stress on ONE engine: domains hammer it at once,
-   through its shared, locked caches; results must stay correct. *)
-let test_shared_engine_stress () =
-  let engine = C.Engine.create small_db Dc_gtopdb.Paper_views.all in
-  let queries = batch_queries () in
-  let expected = List.map (C.Engine.cite engine) queries in
-  let worker () =
-    List.for_all2
-      (fun q e -> results_agree e (C.Engine.cite engine q))
-      queries expected
+(* One engine under a Datalog program, and refreshes of it, cited at
+   once by [K] systhreads and, beside them, [domains - 1] more domains
+   (at least one): every result equals a sequential cite of the same
+   query on the same engine, made afterwards.  The workers make the
+   refreshes as they go, so they also force the refreshed engines' IDB
+   cells together, deriving with the shared eval cache while other cites
+   read it, and resolve leaves into fresh leaf caches together. *)
+
+module R = Dc_relational
+
+(* [db] with a [Subfamily] edge from every [k]-th family to the next. *)
+let with_subfamilies k db =
+  let fids =
+    Array.map
+      (fun t -> R.Tuple.get t 0)
+      (R.Relation.scan (R.Database.relation_exn db "Family"))
   in
-  let spawned = List.init (max 2 domains) (fun _ -> Domain.spawn worker) in
-  let ok_here = worker () in
-  let oks = List.map Domain.join spawned in
-  Alcotest.(check bool) "all domains got identical results" true
-    (ok_here && List.for_all Fun.id oks)
+  let schema =
+    R.Schema.make "Subfamily"
+      [
+        R.Schema.attr ~ty:R.Value.TInt "Parent";
+        R.Schema.attr ~ty:R.Value.TInt "Child";
+      ]
+  in
+  R.Database.insert_list
+    (R.Database.create_relation db schema)
+    "Subfamily"
+    (List.filter_map
+       (fun i ->
+         if i mod k = 0 then Some [| fids.(i); fids.(i + 1) |] else None)
+       (List.init (Array.length fids - 1) Fun.id))
+
+let program_dbs =
+  [| with_subfamilies 2 small_db; with_subfamilies 3 small_db;
+     with_subfamilies 2 (Dc_gtopdb.Generator.generate ~seed:12 ()) |]
+
+let same_result (a : C.Engine.result) (b : C.Engine.result) =
+  List.equal Cq.Query.equal_syntactic a.rewritings b.rewritings
+  && List.equal Cq.Query.equal_syntactic a.selected b.selected
+  && List.equal
+       (fun (x : C.Engine.tuple_citation) (y : C.Engine.tuple_citation) ->
+         R.Tuple.equal x.tuple y.tuple
+         && C.Cite_expr.equal x.expr y.expr
+         && List.equal C.Citation.equal x.citations y.citations)
+       a.tuples b.tuples
+  && C.Cite_expr.equal a.result_expr b.result_expr
+  && List.equal C.Citation.equal a.result_citations b.result_citations
+  && a.complete = b.complete
+
+let closure_queries =
+  List.map Cq.Parser.parse_query_exn
+    [
+      "Q(P,C) :- Sub(P,C)";
+      "Q(P,N) :- Sub(P,C), Family(C,N,D)";
+      "Q(N) :- Family(F,N,D), Sub(F,C)";
+    ]
+
+(* One worker's cites: [ops] steps drawn from [seed], each a refresh of
+   an engine made so far (one in four) or a cite of a query on one. *)
+let cite_worker engines queries ~ops seed () =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  List.concat
+    (List.init ops (fun _ ->
+         let eng = pick (Atomic.get engines) in
+         if Random.State.int rng 4 = 0 then begin
+           let db = program_dbs.(Random.State.int rng (Array.length program_dbs)) in
+           let rec push () =
+             let cur = Atomic.get engines in
+             if not (Atomic.compare_and_set engines cur (C.Engine.refresh eng db :: cur))
+             then push ()
+           in
+           push ();
+           []
+         end
+         else
+           let q = pick queries in
+           [ (eng, q, C.Engine.cite eng q) ]))
+
+let prop_shared_engine =
+  qtest ~count:25 "shared engine: cites and refreshes = sequential"
+    QCheck.(pair (int_bound 1000) (int_bound 1000))
+    (fun (query_seed, seed) ->
+      let queries =
+        (Dc_gtopdb.Paper_views.query_q :: closure_queries)
+        @ Dc_repro.Workload.generate ~seed:query_seed ~count:4
+      in
+      let engine =
+        C.Engine.of_program ~selection:`All ~views:Dc_gtopdb.Paper_views.all
+          program_dbs.(0) Test_datalog.subfamily_program
+      in
+      let engines = Atomic.make [ engine ] in
+      let worker k = cite_worker engines queries ~ops:10 (seed + k) in
+      let threads =
+        List.init 3 (fun k ->
+            let out = ref [] in
+            (Thread.create (fun () -> out := worker k ()) (), out))
+      in
+      let spawned =
+        List.init (max 1 (domains - 1)) (fun d -> Domain.spawn (worker (3 + d)))
+      in
+      let cited =
+        List.concat_map Domain.join spawned
+        @ List.concat_map
+            (fun (th, out) ->
+              Thread.join th;
+              !out)
+            threads
+      in
+      List.for_all (fun (eng, q, r) -> same_result (C.Engine.cite eng q) r) cited)
 
 (* ------------------------------------------------------------------ *)
 (* Worker pool                                                         *)
@@ -313,8 +408,7 @@ let suite =
       test_domains_agree;
     Alcotest.test_case "one engine: chunked batch = sequential" `Quick
       test_cite_batch_matches_sequential;
-    Alcotest.test_case "shared engine: multi-domain stress" `Quick
-      test_shared_engine_stress;
+    prop_shared_engine;
     Alcotest.test_case "worker pool: a raising job" `Quick
       test_worker_pool_raising_job;
     Alcotest.test_case "server: 4 worker threads" `Quick

@@ -678,6 +678,61 @@ let test_fold_streams () =
     (List.length answers);
   Alcotest.(check int) "and reaches B's last probe" 1 (builds ())
 
+(* One compiled plan run from several domains at once, many times:
+   every run's emissions, in order, equal a sequential run's.  [A]'s 48
+   rows each probe [B] on its first column and [C] on its second, so
+   the runs share the plan's index probes; a run's key buffers and
+   answer slots are its own.  The first runs descend the prefix index
+   on [B] until it buys its table, the rest read the table. *)
+let test_reentrant_plan () =
+  let db =
+    List.fold_left
+      (fun db (name, arity, rows) ->
+        R.Database.insert_list
+          (R.Database.create_relation db (int_schema name arity))
+          name
+          (List.map (fun r -> R.Tuple.make (List.map int r)) rows))
+      R.Database.empty
+      [
+        ("A", 1, List.init 48 (fun x -> [ x ]));
+        ("B", 2, List.init 384 (fun i -> [ i / 8; i mod 13 ]));
+        ("C", 2, List.init 130 (fun i -> [ i / 10; i mod 17 ]));
+      ]
+  in
+  let plan =
+    Plan.compile
+      ~relation:(fun p -> R.Database.relation_exn db p)
+      ~index:(fun p positions ->
+        R.Index.build (R.Database.relation_exn db p) positions)
+      db
+      (parse "Q(X,Y,Z) :- A(X), B(X,Y), C(Y,Z)")
+  in
+  Alcotest.(check (list string)) "A scanned first" [ "A"; "B"; "C" ]
+    (Plan.atom_order plan);
+  let emissions () =
+    let acc = ref [] in
+    Plan.execute plan (fun regs -> acc := Plan.head_tuple plan regs :: !acc);
+    List.rev !acc
+  in
+  let runs = 200 in
+  let go () =
+    Array.init runs (fun _ -> emissions ())
+  in
+  let domains = List.init 3 (fun _ -> Domain.spawn go) in
+  let here = go () in
+  let all = here :: List.map Domain.join domains in
+  let want = emissions () in
+  Alcotest.(check bool) "the join emits" true (List.length want > 1000);
+  List.iteri
+    (fun d results ->
+      Array.iteri
+        (fun i got ->
+          if not (List.equal R.Tuple.equal want got) then
+            Alcotest.failf "domain %d, run %d: %d emissions differ" d i
+              (List.length got))
+        results)
+    all
+
 let suite =
   [
     prop_equivalence;
@@ -696,4 +751,6 @@ let suite =
     Alcotest.test_case "fold = one-sort oracle" `Quick test_fold_as_oracle;
     Alcotest.test_case "fold hands answers on mid-join" `Quick
       test_fold_streams;
+    Alcotest.test_case "one plan, runs on several domains" `Quick
+      test_reentrant_plan;
   ]

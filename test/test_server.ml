@@ -756,6 +756,86 @@ let test_health_v1_unchanged () =
     (List.map (extract_int body)
        [ "protocol"; "views"; "relations"; "tuples"; "head_version" ])
 
+(* --- no request waits on another's evaluation --------------------- *)
+
+(* A cross product of 200 families, cubed: 8,000,000 answers under one
+   data-independent expression, a second or two of folding.  It ends on
+   its own, so [Server.stop] can drain it. *)
+let cross_q =
+  "CITE Q(A,B,C) :- Family(A,X1,Y1), Family(B,X2,Y2), Family(C,X3,Y3)"
+
+let plain_q = "CITE S3(FID,FName) :- Family(FID,FName,Desc)"
+
+let with_cross_server ~workers f =
+  let db =
+    Dc_gtopdb.Generator.generate
+      ~config:
+        (Dc_gtopdb.Generator.scale Dc_gtopdb.Generator.default_config
+           ~families:200)
+      ~seed:1 ()
+  in
+  let engine = C.Engine.create db Dc_gtopdb.Paper_views.all in
+  let config = { S.Server.default_config with port = 0; workers } in
+  let server = S.Server.start ~config engine in
+  Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
+  (* The client runs on a domain of its own, so its reads never wait
+     for the runtime lock the server's threads share. *)
+  Domain.join (Domain.spawn (fun () -> f (S.Server.port server)))
+
+(* Sends [cross_q] on [n] connections, waits for them to be under way,
+   then times [line] on another connection; returns its response and
+   latency after the cross products answer. *)
+let behind_cross_products ~port ~n line =
+  let busy = List.init n (fun _ -> Client.connect ~port ()) in
+  Fun.protect ~finally:(fun () -> List.iter Client.close busy) @@ fun () ->
+  List.iter
+    (fun c ->
+      Client.send c cross_q;
+      Client.flush_out c)
+    busy;
+  Unix.sleepf 0.3;
+  let conn = Client.connect ~port () in
+  let t0 = Unix.gettimeofday () in
+  let response =
+    Fun.protect ~finally:(fun () -> Client.close conn) (fun () ->
+        Client.request conn line)
+  in
+  let latency = Unix.gettimeofday () -. t0 in
+  List.iter
+    (fun c ->
+      let body = expect_ok "cross product" (Client.recv c) in
+      Alcotest.(check bool) "cross product answered whole" true
+        (contains body {|"tuples":8000000|}))
+    busy;
+  (response, latency)
+
+(* Two cross products in flight on a four-worker server do not hold up
+   a plain cite on a free worker: it answers within four systhread
+   ticks (50 ms each), where it takes under a millisecond alone. *)
+let test_cite_beside_cross_products () =
+  with_cross_server ~workers:4 @@ fun port ->
+  let conn = Client.connect ~port () in
+  ignore (expect_ok "warm-up" (Client.request conn plain_q));
+  Client.close conn;
+  let response, latency = behind_cross_products ~port ~n:2 plain_q in
+  let body = expect_ok "plain cite" response in
+  Alcotest.(check bool) "plain cite answered whole" true
+    (contains body {|"tuples":200|});
+  if latency > 0.2 then
+    Alcotest.failf "plain cite took %.0f ms beside the cross products"
+      (latency *. 1000.)
+
+(* HEALTH is answered on the reactor: with the only worker busy on a
+   cross product, it still answers at once. *)
+let test_health_beside_busy_worker () =
+  with_cross_server ~workers:1 @@ fun port ->
+  let response, latency = behind_cross_products ~port ~n:1 "HEALTH" in
+  let body = expect_ok "health" response in
+  Alcotest.(check bool) "serving" true (contains body {|"status":"serving"|});
+  if latency > 0.5 then
+    Alcotest.failf "HEALTH took %.0f ms beside a busy worker"
+      (latency *. 1000.)
+
 let suite =
   [
     Alcotest.test_case "cite over loopback" `Quick test_cite_roundtrip;
@@ -783,4 +863,8 @@ let suite =
       test_health_v2_capabilities;
     Alcotest.test_case "v2 HEALTH reports the heap" `Quick test_health_v2_gc;
     Alcotest.test_case "v1 HEALTH unchanged" `Quick test_health_v1_unchanged;
+    Alcotest.test_case "a cite beside two cross products" `Quick
+      test_cite_beside_cross_products;
+    Alcotest.test_case "HEALTH beside a busy worker" `Quick
+      test_health_beside_busy_worker;
   ]
